@@ -50,7 +50,8 @@ fn main() {
             pipelined: depth > 1,
             overlap_analysis: depth > 1,
         };
-        let report = PipelineTrainer::train(model, server, &ds, &config);
+        let report = PipelineTrainer::try_train(model, server, &ds, &config)
+            .expect("unique-rows serving accepts any schedule");
         let host = report.server_cpu.as_secs_f64() / device.host_scale
             + report.server_meter.simulated_time(&device).as_secs_f64();
         let dev = report.worker_compute.as_secs_f64() / device.compute_scale;

@@ -92,7 +92,8 @@ fn main() {
             pipelined,
             overlap_analysis: pipelined,
         };
-        let report = PipelineTrainer::train(model, server, &ds, &config);
+        let report = PipelineTrainer::try_train(model, server, &ds, &config)
+            .expect("only the sequential leg serves pooled embeddings");
 
         let host_stage = report.server_cpu.as_secs_f64() / device.host_scale
             + report.server_meter.simulated_time(&device).as_secs_f64();

@@ -224,7 +224,8 @@ fn run_dlrm_ps(dataset: &SyntheticDataset, params: &RunParams) -> FrameworkRun {
         pipelined: false,
         overlap_analysis: false,
     };
-    let report = PipelineTrainer::train(model, server, dataset, &pipe_cfg);
+    let report = PipelineTrainer::try_train(model, server, dataset, &pipe_cfg)
+        .expect("the pooled baseline is scheduled sequentially on one server");
     let mut model = report.model;
     let device_bytes = model.embedding_footprint_bytes();
     // Reinstall the final host tables so the model is self-contained for

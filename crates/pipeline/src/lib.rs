@@ -12,9 +12,13 @@
 //!   conflict of pipelined training (paper §V-B, Figure 10), implemented
 //!   with version watermarks (provably equivalent to the paper's
 //!   life-cycle counters),
-//! * [`server`] — the host-memory parameter server with both queues,
-//! * [`trainer`] — the three-stage pipelined trainer (Figure 9) and its
-//!   sequential degenerate (queue depth 1, the Fig. 16 baseline),
+//! * [`server`] — the host-memory parameter server and the messages of
+//!   its two queues,
+//! * [`router`] / [`replica`] — the topology: consistent-hash placement
+//!   of hosted tables on N shards, K lockstep replicas per shard,
+//! * [`trainer`] — the three-stage pipelined trainer (Figure 9): one
+//!   driver over N shards x K replicas, of which the single host server
+//!   is `N = K = 1` and the sequential baseline is queue depth 1,
 //! * [`parallel`] — data-parallel multi-worker training with gradient
 //!   all-reduce (the Fig. 12/13 EL-Rec configuration),
 //! * [`placement`] — the heterogeneous per-table planner (dense / TT-rank

@@ -375,7 +375,8 @@ mod tests {
             pipelined: true,
             overlap_analysis: true,
         };
-        let report = crate::trainer::PipelineTrainer::train(model, server, &ds, &config);
+        let report =
+            crate::trainer::PipelineTrainer::try_train(model, server, &ds, &config).unwrap();
         assert!(report.losses.iter().all(|l| l.is_finite()));
     }
 }

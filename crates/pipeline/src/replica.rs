@@ -18,8 +18,7 @@
 //! same arithmetic).
 
 use crate::ckpt::ServerCheckpoint;
-use crate::server::{ApplyOutcome, GradientPush, HostServer, PrefetchedBatch, ServerError};
-use el_data::MiniBatch;
+use crate::server::{ApplyOutcome, GradientPush, HostServer, ServerError};
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -69,33 +68,6 @@ impl Default for ReplicationConfig {
 }
 
 impl ReplicationConfig {
-    /// Reads `EL_REPLICAS` / `EL_HEARTBEAT_TICKS` / `EL_SUSPECT_TICKS`
-    /// overrides on top of the defaults. Unset or unparsable values keep
-    /// the default; `replicas` and `heartbeat_every` are clamped to at
-    /// least 1, and `suspicion_after` to at least
-    /// [`HeartbeatConfig::min_suspicion`] of the heartbeat interval.
-    pub fn from_env() -> Self {
-        let mut cfg = Self::default();
-        if let Ok(v) = std::env::var("EL_REPLICAS") {
-            if let Ok(n) = v.trim().parse::<u32>() {
-                cfg.replicas = n.max(1);
-            }
-        }
-        if let Ok(v) = std::env::var("EL_HEARTBEAT_TICKS") {
-            if let Ok(n) = v.trim().parse::<u64>() {
-                cfg.heartbeat_every = n.max(1);
-            }
-        }
-        if let Ok(v) = std::env::var("EL_SUSPECT_TICKS") {
-            if let Ok(n) = v.trim().parse::<u64>() {
-                cfg.suspicion_after = n;
-            }
-        }
-        cfg.suspicion_after =
-            cfg.suspicion_after.max(HeartbeatConfig::min_suspicion(cfg.heartbeat_every));
-        cfg
-    }
-
     /// The heartbeat schedule this config implies.
     pub fn heartbeat(&self, seed: u64) -> HeartbeatConfig {
         HeartbeatConfig {
@@ -234,7 +206,9 @@ pub struct ReplicaGroup {
     members: Vec<Option<HostServer>>,
     primary: usize,
     log: GradientLog,
-    snapshot: ServerCheckpoint,
+    /// Catch-up base; `None` in a group of one, which has nobody to catch
+    /// up and therefore keeps neither a snapshot nor log entries.
+    snapshot: Option<ServerCheckpoint>,
     shard: u32,
     num_shards: u32,
     failovers: u64,
@@ -250,8 +224,9 @@ fn clone_member(server: &HostServer) -> HostServer {
 
 impl ReplicaGroup {
     /// Wraps `server` (shard `shard` of `num_shards`) in a group of
-    /// `replicas` byte-identical members. The initial snapshot is taken
-    /// immediately, so catch-up is possible from the first batch on.
+    /// `replicas` byte-identical members. With backups, the initial
+    /// snapshot is taken immediately, so catch-up is possible from the
+    /// first batch on; a group of one is the bare server.
     pub fn new(
         server: HostServer,
         replicas: u32,
@@ -260,27 +235,15 @@ impl ReplicaGroup {
         log_capacity: usize,
     ) -> Self {
         let replicas = replicas.max(1);
-        let snapshot = ServerCheckpoint::capture_shard(&server, shard, num_shards);
+        let snapshot =
+            (replicas > 1).then(|| ServerCheckpoint::capture_shard(&server, shard, num_shards));
+        let log = GradientLog::new(server.applied, log_capacity);
         let mut members = Vec::with_capacity(replicas as usize);
         for _ in 1..replicas {
             members.push(Some(clone_member(&server)));
         }
         members.insert(0, Some(server));
-        let base = snapshot.applied;
-        Self {
-            members,
-            primary: 0,
-            log: GradientLog::new(base, log_capacity),
-            snapshot,
-            shard,
-            num_shards,
-            failovers: 0,
-        }
-    }
-
-    /// Current primary rank.
-    pub fn primary_rank(&self) -> u32 {
-        self.primary as u32
+        Self { members, primary: 0, log, snapshot, shard, num_shards, failovers: 0 }
     }
 
     /// Number of members (alive or dead).
@@ -314,21 +277,6 @@ impl ReplicaGroup {
         self.members[self.primary].as_mut().ok_or(ReplicaError::NoAliveMembers)
     }
 
-    /// Borrows a member by rank (alive or not).
-    pub fn member(&self, rank: u32) -> Result<Option<&HostServer>, ReplicaError> {
-        self.members
-            .get(rank as usize)
-            .map(|m| m.as_ref())
-            .ok_or(ReplicaError::UnknownRank { rank, members: self.members() })
-    }
-
-    /// Gathers batch `seq` through the primary (stamped with its applied
-    /// watermark, exactly like an unreplicated shard).
-    pub fn gather(&mut self, batch: MiniBatch, seq: u64) -> Result<PrefetchedBatch, ReplicaError> {
-        let primary = self.members[self.primary].as_mut().ok_or(ReplicaError::NoAliveMembers)?;
-        Ok(primary.gather(batch, seq))
-    }
-
     /// Applies one push through the whole group: exactly-once intake at
     /// the primary, then the stamped push goes to the log and to every
     /// alive backup (idempotent over the same stamp domain). Duplicates
@@ -340,7 +288,8 @@ impl ReplicaGroup {
     pub fn apply_checked(&mut self, push: &GradientPush) -> Result<ApplyOutcome, ReplicaError> {
         // Refresh the snapshot from the *pre-push* primary before a full
         // log would trim away the entry this push is about to append.
-        if self.log.full() {
+        let replicated = self.snapshot.is_some();
+        if replicated && self.log.full() {
             self.checkpoint();
         }
         let rank = self.primary;
@@ -352,7 +301,9 @@ impl ReplicaGroup {
         // Log before replicating: the log and the primary share the stamp
         // domain, so this append cannot gap once the primary accepted the
         // push, and a backup failure below never strands an unlogged seq.
-        self.log.append(push.clone())?;
+        if replicated {
+            self.log.append(push.clone())?;
+        }
         for (r, member) in self.members.iter_mut().enumerate() {
             if r == rank {
                 continue;
@@ -369,11 +320,13 @@ impl ReplicaGroup {
 
     /// Refreshes the retained snapshot from the primary's *pre-push* state
     /// and trims the log below it, bounding replay length. No-op when the
-    /// group is dead.
+    /// group is dead or has no backups to catch up.
     pub fn checkpoint(&mut self) {
-        if let Some(primary) = self.members[self.primary].as_ref() {
-            self.snapshot = ServerCheckpoint::capture_shard(primary, self.shard, self.num_shards);
-            self.log.truncate_below(self.snapshot.applied);
+        if let (Some(primary), Some(snapshot)) =
+            (self.members[self.primary].as_ref(), self.snapshot.as_mut())
+        {
+            *snapshot = ServerCheckpoint::capture_shard(primary, self.shard, self.num_shards);
+            self.log.truncate_below(snapshot.applied);
         }
     }
 
@@ -415,7 +368,8 @@ impl ReplicaGroup {
     /// Revives a dead member through the catch-up path: restore the
     /// retained snapshot, then replay the gradient log from the snapshot
     /// watermark. The rejoined member lands byte-identical to the primary
-    /// and resumes receiving lockstep appends.
+    /// and resumes receiving lockstep appends. A group of one retains
+    /// nothing to revive its only member from: [`ReplicaError::NoAliveMembers`].
     pub fn catch_up(&mut self, rank: u32) -> Result<(), ReplicaError> {
         let idx = rank as usize;
         if idx >= self.members.len() {
@@ -424,7 +378,8 @@ impl ReplicaGroup {
         if self.members[idx].is_some() {
             return Ok(()); // already alive: nothing to do
         }
-        let mut revived = self.snapshot.clone().restore();
+        let snapshot = self.snapshot.as_ref().ok_or(ReplicaError::NoAliveMembers)?;
+        let mut revived = snapshot.clone().restore();
         for push in self.log.entries_from(revived.applied)? {
             revived.apply_checked(push)?;
         }
@@ -730,10 +685,27 @@ mod tests {
     }
 
     #[test]
-    fn from_env_defaults_without_vars() {
-        let cfg = ReplicationConfig::from_env();
-        assert!(cfg.replicas >= 1);
-        assert!(cfg.suspicion_after > cfg.heartbeat_every);
+    fn group_of_one_keeps_no_snapshot_and_no_log() {
+        // `replicas == 1` is the unreplicated degenerate: the bare server,
+        // no table copy, no retained pushes — whatever the log capacity.
+        let mut plain = test_server(9);
+        let mut group = ReplicaGroup::new(test_server(9), 1, 0, 1, 4);
+        assert!(group.snapshot.is_none());
+        for seq in 0..10 {
+            plain.apply_checked(&push_for(seq)).unwrap();
+            assert_eq!(group.apply_checked(&push_for(seq)).unwrap(), ApplyOutcome::Applied);
+            assert_eq!(group.log.next_seq(), 0, "nothing may be logged for nobody");
+        }
+        assert_eq!(group.apply_checked(&push_for(3)).unwrap(), ApplyOutcome::Duplicate);
+        group.checkpoint();
+        assert!(group.snapshot.is_none());
+        assert_eq!(digest(group.primary().unwrap()), digest(&plain));
+        // the existing typed errors, not a revival from state it never kept
+        assert_eq!(group.catch_up(0), Ok(()), "alive: nothing to do");
+        assert!(matches!(group.catch_up(1), Err(ReplicaError::UnknownRank { rank: 1, .. })));
+        assert_eq!(group.kill_primary(), Err(ReplicaError::NoAliveMembers));
+        assert_eq!(group.catch_up(0), Err(ReplicaError::NoAliveMembers));
+        assert!(group.into_primary().is_err());
     }
 
     proptest! {

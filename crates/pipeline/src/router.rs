@@ -32,27 +32,18 @@
 //! applied the update, so the served row already equals the cached
 //! prediction. Per-shard skew therefore never changes trained bytes.
 
-use crate::server::{ApplyOutcome, GradientPush, HostServer, PrefetchedBatch, ServerError};
+use crate::replica::splitmix64;
+use crate::server::{GradientPush, HostServer, PrefetchedBatch};
 use el_data::MiniBatch;
 use el_dlrm::embedding_bag::{EmbeddingBag, SparseGrad};
 use el_tensor::Matrix;
+use std::borrow::Cow;
 use std::fmt;
 
 /// Virtual nodes per shard on the consistent-hash ring. More nodes
 /// smooth the range distribution; 16 keeps the ring tiny while holding
 /// the max/mean shard load under ~2x for small shard counts.
 const VNODES_PER_SHARD: u64 = 16;
-
-/// SplitMix64 — the same mixer the simulator uses for seed derivation,
-/// copied privately so the placement function has no dependency on the
-/// sim crate.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Typed failures of the routing layer.
 ///
@@ -83,8 +74,6 @@ pub enum RouterError {
     /// The sharded tier serves `UniqueRows` mode only; pooled-embedding
     /// payloads cannot be row-partitioned.
     PooledUnsupported,
-    /// A shard's intake rejected the scattered push.
-    Shard(ServerError),
 }
 
 impl fmt::Display for RouterError {
@@ -100,20 +89,13 @@ impl fmt::Display for RouterError {
             RouterError::PooledUnsupported => {
                 write!(f, "the sharded tier serves UniqueRows mode only")
             }
-            RouterError::Shard(e) => write!(f, "shard intake rejected the push: {e}"),
         }
     }
 }
 
 impl std::error::Error for RouterError {}
 
-impl From<ServerError> for RouterError {
-    fn from(e: ServerError) -> Self {
-        RouterError::Shard(e)
-    }
-}
-
-/// Sharding knobs, environment-overridable for the trainer wiring.
+/// Sharding knobs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShardConfig {
     /// Number of host-server shards (1 = the single-server degenerate).
@@ -129,26 +111,6 @@ pub struct ShardConfig {
 impl Default for ShardConfig {
     fn default() -> Self {
         Self { num_shards: 1, rows_per_range: 64, placement_seed: 0 }
-    }
-}
-
-impl ShardConfig {
-    /// Reads `EL_SHARDS` / `EL_SHARD_RANGE_ROWS` overrides on top of the
-    /// defaults. Unset or unparsable values keep the default; both knobs
-    /// are clamped to at least 1.
-    pub fn from_env() -> Self {
-        let mut cfg = Self::default();
-        if let Ok(v) = std::env::var("EL_SHARDS") {
-            if let Ok(n) = v.trim().parse::<u32>() {
-                cfg.num_shards = n.max(1);
-            }
-        }
-        if let Ok(v) = std::env::var("EL_SHARD_RANGE_ROWS") {
-            if let Ok(n) = v.trim().parse::<u32>() {
-                cfg.rows_per_range = n.max(1);
-            }
-        }
-        cfg
     }
 }
 
@@ -249,16 +211,6 @@ impl ShardLayout {
     /// Number of shards this layout places onto.
     pub fn num_shards(&self) -> u32 {
         self.num_shards
-    }
-
-    /// Rows per placement range.
-    pub fn rows_per_range(&self) -> u32 {
-        self.rows_per_range
-    }
-
-    /// Seed of the placement ring.
-    pub fn placement_seed(&self) -> u64 {
-        self.placement_seed
     }
 
     /// Per-table ownership records, in placement order.
@@ -376,14 +328,44 @@ pub fn split_tables(
     tables: &[(usize, EmbeddingBag)],
     layout: &ShardLayout,
 ) -> Result<Vec<Vec<(usize, EmbeddingBag)>>, RouterError> {
-    let mut shards = Vec::with_capacity(layout.num_shards() as usize);
-    for s in 0..layout.num_shards() {
-        let mut sub = Vec::with_capacity(tables.len());
-        for (t, bag) in tables {
-            let owned = layout.owned_rows(*t, s)?;
-            sub.push((*t, EmbeddingBag { weight: bag.gather_rows(&owned) }));
+    split_with(tables.iter().map(|(t, bag)| (*t, Cow::Borrowed(bag))), layout)
+}
+
+/// [`split_tables`] by move: each table is dropped as soon as it has been
+/// split, and a shard that owns every row of a table receives the bag
+/// itself — so a run never holds the unsplit tables beside the shards'.
+pub(crate) fn split_tables_owned(
+    tables: Vec<(usize, EmbeddingBag)>,
+    layout: &ShardLayout,
+) -> Result<Vec<Vec<(usize, EmbeddingBag)>>, RouterError> {
+    split_with(tables.into_iter().map(|(t, bag)| (t, Cow::Owned(bag))), layout)
+}
+
+fn split_with<'a>(
+    tables: impl Iterator<Item = (usize, Cow<'a, EmbeddingBag>)>,
+    layout: &ShardLayout,
+) -> Result<Vec<Vec<(usize, EmbeddingBag)>>, RouterError> {
+    let num_shards = layout.num_shards();
+    let mut shards: Vec<Vec<(usize, EmbeddingBag)>> = (0..num_shards).map(|_| Vec::new()).collect();
+    for (t, whole) in tables {
+        let owned =
+            (0..num_shards).map(|s| layout.owned_rows(t, s)).collect::<Result<Vec<_>, _>>()?;
+        let sole_owner = owned.iter().position(|rows| rows.len() == whole.num_rows());
+        let mut parts: Vec<EmbeddingBag> = owned
+            .iter()
+            .enumerate()
+            .map(|(s, rows)| {
+                // the sole owner's part is the table itself, installed below
+                let rows = if sole_owner == Some(s) { &[][..] } else { rows };
+                EmbeddingBag { weight: whole.gather_rows(rows) }
+            })
+            .collect();
+        if let Some(s) = sole_owner {
+            parts[s] = whole.into_owned();
         }
-        shards.push(sub);
+        for (sub, part) in shards.iter_mut().zip(parts) {
+            sub.push((t, part));
+        }
     }
     Ok(shards)
 }
@@ -395,6 +377,30 @@ pub fn merge_tables(
     shards: &[Vec<(usize, EmbeddingBag)>],
     layout: &ShardLayout,
 ) -> Result<Vec<(usize, EmbeddingBag)>, RouterError> {
+    let borrowed = shards
+        .iter()
+        .map(|sub| sub.iter().map(|(t, bag)| (*t, Cow::Borrowed(bag))).collect())
+        .collect();
+    merge_with(borrowed, layout)
+}
+
+/// [`merge_tables`] by move — the inverse of [`split_tables_owned`]: a
+/// table that lives whole on one shard is taken back as is.
+pub(crate) fn merge_tables_owned(
+    shards: Vec<Vec<(usize, EmbeddingBag)>>,
+    layout: &ShardLayout,
+) -> Result<Vec<(usize, EmbeddingBag)>, RouterError> {
+    let owned = shards
+        .into_iter()
+        .map(|sub| sub.into_iter().map(|(t, bag)| (t, Cow::Owned(bag))).collect())
+        .collect();
+    merge_with(owned, layout)
+}
+
+fn merge_with(
+    mut shards: Vec<Vec<(usize, Cow<'_, EmbeddingBag>)>>,
+    layout: &ShardLayout,
+) -> Result<Vec<(usize, EmbeddingBag)>, RouterError> {
     if shards.len() != layout.num_shards() as usize {
         return Err(RouterError::ShardCountMismatch {
             expected: layout.num_shards(),
@@ -403,27 +409,35 @@ pub fn merge_tables(
     }
     let mut merged = Vec::with_capacity(layout.tables().len());
     for t in layout.tables() {
-        let dim = shards
-            .iter()
-            .find_map(|sub| sub.iter().find(|(id, _)| *id == t.table_id).map(|(_, bag)| bag.dim()))
-            .ok_or(RouterError::UnknownTable(t.table_id))?;
-        let mut bag = EmbeddingBag { weight: Matrix::zeros(t.rows as usize, dim) };
-        for (s, sub) in shards.iter().enumerate() {
-            let owned = layout.owned_rows(t.table_id, s as u32)?;
-            let shard_bag = &sub
+        // this table's `(owned global rows, sub-table)` on every shard
+        let mut parts = Vec::with_capacity(shards.len());
+        for (s, sub) in shards.iter_mut().enumerate() {
+            let at = sub
                 .iter()
-                .find(|(id, _)| *id == t.table_id)
-                .ok_or(RouterError::UnknownTable(t.table_id))?
-                .1;
-            if shard_bag.num_rows() != owned.len() {
+                .position(|(id, _)| *id == t.table_id)
+                .ok_or(RouterError::UnknownTable(t.table_id))?;
+            let (_, part) = sub.swap_remove(at);
+            let owned = layout.owned_rows(t.table_id, s as u32)?;
+            if part.num_rows() != owned.len() {
                 return Err(RouterError::RowOutOfRange {
                     table: t.table_id,
-                    row: shard_bag.num_rows() as u32,
+                    row: part.num_rows() as u32,
                     rows: owned.len() as u32,
                 });
             }
-            bag.scatter_rows(&owned, &shard_bag.weight);
+            parts.push((owned, part));
         }
+        let bag = match parts.iter().position(|(owned, _)| owned.len() == t.rows as usize) {
+            Some(s) => parts.swap_remove(s).1.into_owned(),
+            None => {
+                let mut bag =
+                    EmbeddingBag { weight: Matrix::zeros(t.rows as usize, parts[0].1.dim()) };
+                for (owned, part) in &parts {
+                    bag.scatter_rows(owned, &part.weight);
+                }
+                bag
+            }
+        };
         merged.push((t.table_id, bag));
     }
     Ok(merged)
@@ -543,34 +557,12 @@ impl ShardRouter {
         }
         Ok(out)
     }
-
-    /// Scatters `push` and applies it to every shard in lockstep. All
-    /// shards share one sequence domain per batch, so the outcome is
-    /// uniform: the first shard's verdict (Applied/Duplicate) is
-    /// returned, and any shard error aborts with [`RouterError::Shard`].
-    pub fn apply_scattered(
-        &mut self,
-        shards: &mut [HostServer],
-        push: &GradientPush,
-    ) -> Result<ApplyOutcome, RouterError> {
-        if shards.len() != self.layout.num_shards() as usize {
-            return Err(RouterError::ShardCountMismatch {
-                expected: self.layout.num_shards(),
-                got: shards.len() as u32,
-            });
-        }
-        let scattered = self.scatter_push(push)?;
-        let mut outcome = ApplyOutcome::Applied;
-        for (shard, shard_push) in shards.iter_mut().zip(&scattered) {
-            outcome = shard.apply_checked(shard_push)?;
-        }
-        Ok(outcome)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::{ApplyOutcome, ServerError};
     use el_data::{DatasetSpec, SyntheticDataset};
     use proptest::prelude::*;
     use rand::SeedableRng;
@@ -692,8 +684,10 @@ mod tests {
                     .collect(),
                 pooled: vec![],
             };
-            single.apply(&push);
-            assert_eq!(router.apply_scattered(&mut shards, &push), Ok(ApplyOutcome::Applied));
+            assert_eq!(single.apply_checked(&push), Ok(ApplyOutcome::Applied));
+            for (shard, sub) in shards.iter_mut().zip(router.scatter_push(&push).unwrap()) {
+                assert_eq!(shard.apply_checked(&sub), Ok(ApplyOutcome::Applied));
+            }
         }
         let merged = merge_tables(
             &shards.iter().map(|s| s.tables.clone()).collect::<Vec<_>>(),
@@ -725,13 +719,20 @@ mod tests {
             tables: vec![(0, SparseGrad { indices: vec![3, 17], values: vec![1.0; 8], dim: 4 })],
             pooled: vec![],
         };
-        assert_eq!(router.apply_scattered(&mut shards, &push), Ok(ApplyOutcome::Applied));
-        assert_eq!(router.apply_scattered(&mut shards, &push), Ok(ApplyOutcome::Duplicate));
+        // every shard gets a sub-push (an empty one where it owns no touched
+        // row), so each shard's own stamp domain sees the same sequence
         let future = GradientPush { batch_seq: 5, tables: vec![], pooled: vec![] };
-        assert_eq!(
-            router.apply_scattered(&mut shards, &future),
-            Err(RouterError::Shard(ServerError::GradientGap { got: 5, expected: 1 }))
-        );
+        for (push, want) in [
+            (&push, Ok(ApplyOutcome::Applied)),
+            (&push, Ok(ApplyOutcome::Duplicate)),
+            (&future, Err(ServerError::GradientGap { got: 5, expected: 1 })),
+        ] {
+            let subs = router.scatter_push(push).unwrap();
+            assert_eq!(subs.len(), shards.len());
+            for (shard, sub) in shards.iter_mut().zip(&subs) {
+                assert_eq!(shard.apply_checked(sub), want);
+            }
+        }
     }
 
     #[test]
@@ -742,14 +743,6 @@ mod tests {
         let push =
             GradientPush { batch_seq: 0, tables: vec![], pooled: vec![(0, Matrix::zeros(2, 4))] };
         assert!(matches!(router.scatter_push(&push), Err(RouterError::PooledUnsupported)));
-    }
-
-    #[test]
-    fn from_env_defaults_without_vars() {
-        // the test environment does not set the knobs; defaults apply
-        let cfg = ShardConfig::from_env();
-        assert!(cfg.num_shards >= 1);
-        assert!(cfg.rows_per_range >= 1);
     }
 
     proptest! {

@@ -2,16 +2,15 @@
 //!
 //! The CPU side owns the embedding tables that do not fit in device memory.
 //! It pre-fetches the rows the next batches will need into the bounded
-//! **pre-fetch queue** and applies the gradients workers push into the
-//! **gradient queue**. Queue depth 1 with strict alternation degrades the
-//! pipeline to the sequential baseline of Figure 16.
+//! **pre-fetch queue** ([`PrefetchedBatch`]) and applies the gradients
+//! workers push into the **gradient queue** ([`GradientPush`]). This
+//! module is one server's state and intake; the threads and queues that
+//! serve a run from N x K of them live in [`crate::trainer`].
 
 use crate::device::{thread_cpu_time, CommMeter};
-use crossbeam::channel::TrySendError;
-use crossbeam::channel::{bounded, Receiver, Sender};
-use el_data::{MiniBatch, SyntheticDataset};
+use crossbeam::channel::{Sender, TrySendError};
+use el_data::MiniBatch;
 use el_dlrm::embedding_bag::{EmbeddingBag, SparseGrad};
-use el_tensor::Matrix as TMatrix;
 use el_tensor::Matrix;
 use std::fmt;
 use std::time::Duration;
@@ -47,6 +46,25 @@ pub enum ServerError {
         /// Whether the receiver had disconnected (vs. stayed full).
         disconnected: bool,
     },
+    /// The model's `Hosted` tables and the server's tables are not the
+    /// same set; rejected before any thread spawns.
+    HostedTableMismatch {
+        /// The table only one side knows.
+        table: usize,
+        /// `true`: the server hosts it but the model does not mark it
+        /// `Hosted`; `false`: the model marks it `Hosted` but the server
+        /// lacks it.
+        on_server: bool,
+    },
+    /// The pre-fetch queue delivered a batch other than the next one the
+    /// worker trains — the serving side desynchronised. Surfaced through
+    /// `PipelineReport::failure`.
+    PrefetchOutOfOrder {
+        /// Sequence number the pre-fetched batch carries.
+        got: u64,
+        /// Sequence number the worker needs next.
+        expected: u64,
+    },
 }
 
 impl fmt::Display for ServerError {
@@ -67,6 +85,15 @@ impl fmt::Display for ServerError {
                 let why =
                     if *disconnected { "the receiver hung up" } else { "the queue stayed full" };
                 write!(f, "send retries exhausted after {attempts} attempts: {why}")
+            }
+            ServerError::HostedTableMismatch { table, on_server: true } => {
+                write!(f, "server hosts table {table} the model does not mark Hosted")
+            }
+            ServerError::HostedTableMismatch { table, on_server: false } => {
+                write!(f, "model marks table {table} Hosted but the server lacks it")
+            }
+            ServerError::PrefetchOutOfOrder { got, expected } => {
+                write!(f, "pre-fetch queue delivered batch {got}, the worker expected {expected}")
             }
         }
     }
@@ -117,7 +144,7 @@ pub struct PrefetchedBatch {
     pub tables: Vec<(usize, Vec<u32>, Matrix)>,
     /// Per hosted table: `(table id, pooled batch x dim embeddings)`
     /// (`PooledEmbeddings` mode).
-    pub pooled: Vec<(usize, TMatrix)>,
+    pub pooled: Vec<(usize, Matrix)>,
 }
 
 impl PrefetchedBatch {
@@ -140,7 +167,7 @@ pub struct GradientPush {
     pub tables: Vec<(usize, SparseGrad)>,
     /// Per hosted table: `(table id, pooled-embedding gradient)`
     /// (`PooledEmbeddings` mode; the server re-derives per-row updates).
-    pub pooled: Vec<(usize, TMatrix)>,
+    pub pooled: Vec<(usize, Matrix)>,
 }
 
 impl GradientPush {
@@ -174,10 +201,15 @@ pub struct HostServer {
     pub mode: ServerMode,
 }
 
-/// Outcome of a completed server run.
+/// Outcome of a completed serving run.
 pub struct ServerReport {
-    /// The server with final table state.
+    /// The serving side as one server: final (merged) table state, the
+    /// slowest shard's applied watermark, meters and CPU times summed.
     pub server: HostServer,
+    /// Primary promotions performed across all replica groups.
+    pub failovers: u64,
+    /// Wall time from the first thread spawn to the last join.
+    pub wall: Duration,
 }
 
 impl HostServer {
@@ -242,23 +274,6 @@ impl HostServer {
         self.meter.h2d(pf.payload_bytes());
         self.cpu_time += thread_cpu_time() - t0;
         pf
-    }
-
-    /// Applies one pushed gradient batch with SGD.
-    ///
-    /// Panicking wrapper around [`HostServer::apply_checked`] for callers
-    /// on a FIFO channel, where out-of-order or duplicate delivery is a
-    /// programming error rather than a network condition.
-    pub fn apply(&mut self, push: &GradientPush) {
-        assert_eq!(push.batch_seq, self.applied, "gradient batches must arrive in order");
-        match self.apply_checked(push) {
-            Ok(ApplyOutcome::Applied) => {}
-            Ok(ApplyOutcome::Duplicate) | Err(ServerError::GradientGap { .. }) => {
-                unreachable!("seq equality was asserted above") // PANIC-OK: seq asserted above
-            }
-            // PANIC-OK: `apply` is the documented panic-on-error strict variant.
-            Err(e) => panic!("{e}"),
-        }
     }
 
     /// Applies one pushed gradient batch with SGD, tolerating the delivery
@@ -329,100 +344,6 @@ impl HostServer {
     }
 }
 
-/// The batch schedule one [`ServingLoop`] serves.
-#[derive(Clone, Copy, Debug)]
-pub struct ServingSchedule {
-    /// First batch index in the dataset.
-    pub first: u64,
-    /// Number of batches to serve.
-    pub count: u64,
-    /// Samples per batch.
-    pub batch_size: usize,
-    /// Overlap gathering with gradient application; `false` blocks on
-    /// every batch's gradients before gathering the next.
-    pub pipelined: bool,
-}
-
-/// The serving loop, constructed separately from being run so that
-/// mode/schedule combinations the staleness protocol cannot serve are a
-/// typed error at construction time — not a panic mid-training.
-pub struct ServingLoop {
-    server: HostServer,
-    schedule: ServingSchedule,
-}
-
-impl ServingLoop {
-    /// Validates that `server`'s mode can serve `schedule`.
-    ///
-    /// `PooledEmbeddings` mode runs the full embedding forward/backward on
-    /// the CPU and therefore has no staleness protocol: asked for a
-    /// pipelined schedule — any schedule with staleness it cannot provide
-    /// for — it returns [`ServerError::PooledNeedsSequential`].
-    pub fn new(server: HostServer, schedule: ServingSchedule) -> Result<Self, ServerError> {
-        if schedule.pipelined && server.mode == ServerMode::PooledEmbeddings {
-            return Err(ServerError::PooledNeedsSequential);
-        }
-        Ok(Self { server, schedule })
-    }
-
-    /// Runs the loop to completion: gather/pre-fetch every scheduled
-    /// batch, apply pushed gradients, then perform the shutdown handshake
-    /// — drain the gradient queue until every push the worker delivered
-    /// has been applied or the worker hangs up. Worker disappearance at
-    /// any point degrades to a clean early return, never a panic or a
-    /// wedge.
-    // CONTRACT: panic-free
-    pub fn run(
-        self,
-        dataset: &SyntheticDataset,
-        prefetch_tx: Sender<PrefetchedBatch>,
-        grad_rx: Receiver<GradientPush>,
-    ) -> ServerReport {
-        let ServingLoop { mut server, schedule } = self;
-        let ServingSchedule { first, count, batch_size, pipelined } = schedule;
-        for k in 0..count {
-            if pipelined {
-                // opportunistically absorb any pending gradients
-                while let Ok(push) = grad_rx.try_recv() {
-                    server.apply(&push);
-                }
-            }
-            let t0 = thread_cpu_time();
-            let batch = dataset.batch(first + k, batch_size);
-            server.gen_time += thread_cpu_time() - t0;
-            let batch_copy = (server.mode == ServerMode::PooledEmbeddings).then(|| batch.clone());
-            let pf = server.gather(batch, k);
-            if prefetch_tx.send(pf).is_err() {
-                break; // worker gone
-            }
-            if !pipelined {
-                match grad_rx.recv() {
-                    Ok(push) => match &batch_copy {
-                        Some(b) => server.apply_pooled(&push, b),
-                        None => server.apply(&push),
-                    },
-                    Err(_) => break,
-                }
-            }
-        }
-        drop(prefetch_tx);
-        // Shutdown handshake: drain the tail so every update the worker
-        // managed to push lands. `apply_checked` (not `apply`) keeps a
-        // retransmitting worker from panicking the server on a duplicate.
-        while server.applied < count {
-            match grad_rx.recv() {
-                Ok(push) => match server.apply_checked(&push) {
-                    Ok(_) => {}
-                    // PANIC-OK: an in-process FIFO delivering a gap is a protocol bug.
-                    Err(e) => panic!("FIFO gradient queue delivered an unappliable push: {e}"),
-                },
-                Err(_) => break,
-            }
-        }
-        ServerReport { server }
-    }
-}
-
 /// Sends `value` with bounded retry and exponential backoff, for queues
 /// that may be transiently saturated (a stalled consumer). Returns the
 /// value and a typed [`ServerError::RetriesExhausted`] cause on failure so
@@ -473,23 +394,6 @@ pub fn send_with_retry<T>(
     Err((value, ServerError::RetriesExhausted { attempts, disconnected: false }))
 }
 
-/// Creates the bounded pre-fetch queue and the gradient queue of Figure 9.
-///
-/// The pre-fetch capacity is the paper's queue length: 1 degenerates the
-/// pipeline to sequential execution.
-pub fn make_queues(
-    prefetch_depth: usize,
-) -> (
-    Sender<PrefetchedBatch>,
-    Receiver<PrefetchedBatch>,
-    Sender<GradientPush>,
-    Receiver<GradientPush>,
-) {
-    let (ptx, prx) = bounded(prefetch_depth.max(1));
-    let (gtx, grx) = bounded(prefetch_depth.max(1) * 2);
-    (ptx, prx, gtx, grx)
-}
-
 /// Sum-pools pre-fetched unique rows into per-sample embeddings — the
 /// worker-side substitute for a local `EmbeddingBag::forward` when the
 /// table lives on the host.
@@ -536,7 +440,8 @@ pub fn aggregate_to_unique(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use el_data::DatasetSpec;
+    use crossbeam::channel::bounded;
+    use el_data::{DatasetSpec, SyntheticDataset};
     use rand::SeedableRng;
 
     fn dataset() -> SyntheticDataset {
@@ -578,20 +483,12 @@ mod tests {
             tables: vec![(0, SparseGrad { indices: vec![7], values: vec![1.0; 8], dim: 8 })],
             pooled: vec![],
         };
-        s.apply(&push);
+        assert_eq!(s.apply_checked(&push), Ok(ApplyOutcome::Applied));
         let after = s.tables[0].1.weight.row(7);
         for (b, a) in before.iter().zip(after) {
             assert!((b - 0.1 - a).abs() < 1e-6);
         }
         assert_eq!(s.applied, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "in order")]
-    fn out_of_order_push_panics() {
-        let mut s = server();
-        let push = GradientPush { batch_seq: 5, tables: vec![], pooled: vec![] };
-        s.apply(&push);
     }
 
     #[test]
@@ -664,21 +561,6 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_pooled_mode_is_a_typed_constructor_error() {
-        let s = server().with_mode(ServerMode::PooledEmbeddings);
-        let schedule = ServingSchedule { first: 0, count: 4, batch_size: 8, pipelined: true };
-        match ServingLoop::new(s, schedule) {
-            Err(ServerError::PooledNeedsSequential) => {}
-            Err(e) => panic!("wrong error: {e}"),
-            Ok(_) => panic!("pipelined pooled mode must be rejected"),
-        }
-        // the same mode with a sequential schedule is fine
-        let s = server().with_mode(ServerMode::PooledEmbeddings);
-        let schedule = ServingSchedule { first: 0, count: 4, batch_size: 8, pipelined: false };
-        assert!(ServingLoop::new(s, schedule).is_ok());
-    }
-
-    #[test]
     fn send_with_retry_recovers_from_transient_saturation() {
         let (tx, rx) = bounded::<u32>(1);
         tx.send(1).unwrap(); // saturate
@@ -708,45 +590,5 @@ mod tests {
             send_with_retry(&tx, 4, 1_000_000, 0xA1),
             Err((4, ServerError::RetriesExhausted { attempts: 1, disconnected: true }))
         );
-    }
-
-    #[test]
-    fn run_loop_round_trips_with_a_fake_worker() {
-        let ds = dataset();
-        let (ptx, prx, gtx, grx) = make_queues(2);
-        let srv = server();
-        let before = srv.tables[0].1.weight.clone();
-
-        let schedule = ServingSchedule { first: 0, count: 4, batch_size: 8, pipelined: true };
-        let serving = ServingLoop::new(srv, schedule).unwrap();
-        let handle = std::thread::spawn({
-            let ds = ds.clone();
-            move || serving.run(&ds, ptx, grx)
-        });
-
-        // fake worker: push a unit gradient for everything prefetched
-        for _ in 0..4 {
-            let pf = prx.recv().unwrap();
-            let tables = pf
-                .tables
-                .iter()
-                .map(|(t, unique, rows)| {
-                    (
-                        *t,
-                        SparseGrad {
-                            indices: unique.clone(),
-                            values: vec![1.0; rows.len()],
-                            dim: rows.cols(),
-                        },
-                    )
-                })
-                .collect();
-            gtx.send(GradientPush { batch_seq: pf.batch_seq, tables, pooled: vec![] }).unwrap();
-        }
-        drop(gtx);
-        let report = handle.join().unwrap();
-        assert_eq!(report.server.applied, 4);
-        // weights moved
-        assert!(report.server.tables[0].1.weight.max_abs_diff(&before) > 0.0);
     }
 }

@@ -1,15 +1,30 @@
 //! The three-stage pipelined trainer (paper Figure 9 / Figure 10).
 //!
-//! One worker (device) trains the MLPs and TT tables; the host server
+//! One worker (device) trains the MLPs and TT tables; the host side
 //! gathers and updates host-resident embedding tables. The three stages —
 //! host gather, device compute, host update — overlap through the
 //! pre-fetch and gradient queues; the embedding cache keeps pre-fetched
 //! rows consistent (RAW conflict, §V-B).
 //!
-//! The pipelined and sequential modes are *numerically identical*: every
-//! value a pipelined worker trains on is bit-for-bit the value the
-//! sequential schedule would produce (the `pipeline_equivalence`
-//! integration test asserts this), so pipelining is pure performance.
+//! There is **one driver**, [`PipelineTrainer::try_train_replicated`],
+//! and one shape of run: [`ShardLayout::place_for`] places the hosted
+//! tables on `N` shards, each shard is a thread serving a `K`-member
+//! [`ReplicaGroup`], one router thread ([`ServingLoop::run`]) fans every
+//! gather out and every push in, and the worker trains against the two
+//! queues, oblivious to the topology. The single host server of Figure 9
+//! is `N = K = 1` of that shape — [`PipelineTrainer::try_train`] — not a
+//! separate path: one shard owning every row (handed its tables by move),
+//! a group of one holding neither snapshot nor log. The only selection
+//! left is one the code observes: [`ServerMode::PooledEmbeddings`], the
+//! reference-DLRM baseline of Figure 16, has no per-row partition and no
+//! staleness protocol, so it trains in a plain sequential loop and is a
+//! typed error under any other topology or schedule.
+//!
+//! Pipelining, sharding and replication are all *numerically neutral*:
+//! every value the worker trains on is bit-for-bit the value the
+//! sequential single-server schedule would produce (`pipeline_equivalence`
+//! and the `topology_determinism` matrix assert this; see `crate::router`
+//! for the min-stamp argument and `crate::replica` for lockstep).
 
 use crate::cache::EmbeddingCache;
 use crate::ckpt::{
@@ -17,10 +32,12 @@ use crate::ckpt::{
 };
 use crate::device::{thread_cpu_time, CommMeter};
 use crate::replica::{splitmix64, ReplicaGroup, ReplicationConfig};
-use crate::router::{merge_tables, split_tables, ShardConfig, ShardLayout, ShardRouter};
+use crate::router::{
+    merge_tables_owned, split_tables_owned, ShardConfig, ShardLayout, ShardRouter, ShardScatter,
+};
 use crate::server::{
-    aggregate_to_unique, make_queues, pool_prefetched, send_with_retry, GradientPush, HostServer,
-    PrefetchedBatch, ServerError, ServerMode, ServingLoop, ServingSchedule,
+    aggregate_to_unique, pool_prefetched, send_with_retry, GradientPush, HostServer,
+    PrefetchedBatch, ServerError, ServerMode, ServerReport,
 };
 use crossbeam::channel::{bounded, Receiver, Sender};
 use el_data::SyntheticDataset;
@@ -104,356 +121,260 @@ pub struct PipelineReport {
     pub failovers: u64,
 }
 
-/// Drives one worker plus the host parameter server.
+/// Drives one worker plus the host parameter tier.
 pub struct PipelineTrainer;
 
 impl PipelineTrainer {
     /// Trains `model` (whose [`el_dlrm::EmbeddingLayer::Hosted`] tables are
-    /// owned by `server`) on `dataset` per `config`.
-    ///
-    /// Strict wrapper around [`PipelineTrainer::try_train`]: a
-    /// mode/schedule combination the staleness protocol cannot serve
-    /// panics here instead of returning the typed error.
-    pub fn train(
+    /// owned by `server`) on `dataset` per `config` against a single
+    /// unreplicated host server: [`PipelineTrainer::try_train_replicated`]
+    /// at `N = K = 1`.
+    // CONTRACT: panic-free
+    pub fn try_train(
         model: DlrmModel,
         server: HostServer,
         dataset: &SyntheticDataset,
         config: &PipelineConfig,
-    ) -> PipelineReport {
-        Self::try_train(model, server, dataset, config)
-            // PANIC-OK: `train` is the documented panic-on-bad-schedule strict wrapper.
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Trains `model` per `config`, rejecting a mode/schedule combination
-    /// the server's staleness protocol cannot serve as a typed
-    /// [`ServerError`] at construction time — before any thread spawns or
-    /// any batch trains.
-    // CONTRACT: panic-free
-    pub fn try_train(
-        mut model: DlrmModel,
-        server: HostServer,
-        dataset: &SyntheticDataset,
-        config: &PipelineConfig,
     ) -> Result<PipelineReport, ServerError> {
-        let hosted = model.hosted_tables();
-        for (t, _) in &server.tables {
-            assert!(hosted.contains(t), "server hosts table {t} the model does not mark Hosted");
-        }
-        assert_eq!(hosted.len(), server.tables.len(), "every Hosted table needs a server side");
-
-        let schedule = ServingSchedule {
-            first: config.first_batch,
-            count: config.num_batches,
-            batch_size: config.batch_size,
-            pipelined: config.pipelined,
-        };
-        let serving = ServingLoop::new(server, schedule)?;
-
-        let lr = model.lr;
-        let depth = if config.pipelined { config.prefetch_depth } else { 1 };
-        let (ptx, prx, gtx, grx) = make_queues(depth);
-        if config.overlap_analysis {
-            model.enable_plan_overlap();
-        }
-
-        // TIMING: end-to-end wall clock of the run, reported to the caller.
-        let start = Instant::now();
-        let server_handle = std::thread::spawn({
-            let ds = dataset.clone();
-            move || serving.run(&ds, ptx, grx)
-        });
-
-        let caches: HashMap<usize, EmbeddingCache> =
-            hosted.iter().map(|&t| (t, EmbeddingCache::new())).collect();
-        let worker =
-            run_worker(model, caches, lr, config.num_batches, config.overlap_analysis, prx, gtx);
-
-        // PANIC-OK: deliberately propagates a server-thread panic to the caller.
-        let report = server_handle.join().expect("server thread panicked");
-        let wall = start.elapsed();
-        let completed_batches = worker.losses.len() as u64;
-        let samples = completed_batches as f64 * config.batch_size as f64;
-        Ok(PipelineReport {
-            completed_batches,
-            losses: worker.losses,
-            wall,
-            samples_per_sec: samples / wall.as_secs_f64(),
-            stale_hits: worker.stale_hits,
-            cache_peak_bytes: worker.cache_peak_bytes,
-            server_meter: report.server.meter,
-            server_cpu: report.server.cpu_time,
-            loader_cpu: report.server.gen_time,
-            worker_compute: worker.worker_compute,
-            model: worker.model,
-            host_tables: report.server.tables,
-            failure: worker.failure,
-            failovers: 0,
-        })
+        let (one_shard, one_replica) = (ShardConfig::default(), ReplicationConfig::default());
+        Self::try_train_replicated(model, server, dataset, config, &one_shard, &one_replica)
     }
 
-    /// Trains `model` against an `N`-way **sharded** parameter tier: the
-    /// server's hosted tables are split under a consistent-hash
-    /// [`ShardLayout`], each shard runs as an independent server thread
-    /// with its own bounded intake queue and push-stamp domain, and a
-    /// router thread plays the serving-loop role — fanning each batch's
-    /// unique rows out, reassembling the [`PrefetchedBatch`] stamped with
-    /// the minimum per-shard watermark, and scattering each worker push
-    /// into one sub-push per shard.
-    ///
-    /// Training values are byte-identical to [`PipelineTrainer::try_train`]
-    /// on the unsharded server (see `crate::router` for the min-stamp
-    /// argument); sharding, like pipelining, is pure performance.
-    ///
-    /// `num_shards <= 1` delegates to the single-server path. The sharded
-    /// tier serves `UniqueRows` mode only: pooled-embedding serving has no
-    /// per-row partition, so it is rejected with
-    /// [`ServerError::PooledNeedsSequential`] like any other schedule the
-    /// staleness protocol cannot provide for.
-    pub fn try_train_sharded(
-        mut model: DlrmModel,
-        server: HostServer,
-        dataset: &SyntheticDataset,
-        config: &PipelineConfig,
-        shard_cfg: &ShardConfig,
-    ) -> Result<PipelineReport, ServerError> {
-        if shard_cfg.num_shards <= 1 {
-            return Self::try_train(model, server, dataset, config);
-        }
-        if server.mode == ServerMode::PooledEmbeddings {
-            return Err(ServerError::PooledNeedsSequential);
-        }
-        let hosted = model.hosted_tables();
-        for (t, _) in &server.tables {
-            assert!(hosted.contains(t), "server hosts table {t} the model does not mark Hosted");
-        }
-        assert_eq!(hosted.len(), server.tables.len(), "every Hosted table needs a server side");
-
-        let lr = server.lr;
-        let layout = ShardLayout::place_for(shard_cfg, &server.tables);
-        let shard_tables = split_tables(&server.tables, &layout)
-            // PANIC-OK: the layout was placed for exactly these tables.
-            .expect("layout was placed for exactly these tables");
-
-        let schedule = ServingSchedule {
-            first: config.first_batch,
-            count: config.num_batches,
-            batch_size: config.batch_size,
-            pipelined: config.pipelined,
-        };
-        let depth = if config.pipelined { config.prefetch_depth } else { 1 };
-        let (ptx, prx, gtx, grx) = make_queues(depth);
-        if config.overlap_analysis {
-            model.enable_plan_overlap();
-        }
-
-        // TIMING: end-to-end wall clock of the run, reported to the caller.
-        let start = Instant::now();
-        let mut stx = Vec::with_capacity(shard_tables.len());
-        let mut rrx = Vec::with_capacity(shard_tables.len());
-        let mut shard_handles = Vec::with_capacity(shard_tables.len());
-        for sub in shard_tables {
-            // Intake sized so the router's one outstanding gather plus the
-            // in-flight scattered pushes never wedge it; the reply queue
-            // holds at most that one gather's answer.
-            let (tx, rx) = bounded::<ShardMsg>(depth.max(1) * 2 + 2);
-            let (rtx, reply_rx) = bounded::<ShardReply>(2);
-            let shard_server = HostServer::new(sub, lr);
-            shard_handles.push(std::thread::spawn(move || shard_serve(shard_server, rx, rtx)));
-            stx.push(tx);
-            rrx.push(reply_rx);
-        }
-        let router_handle = std::thread::spawn({
-            let ds = dataset.clone();
-            let layout = layout.clone();
-            move || route_serve(layout, ds, schedule, stx, rrx, ptx, grx)
-        });
-
-        let caches: HashMap<usize, EmbeddingCache> =
-            hosted.iter().map(|&t| (t, EmbeddingCache::new())).collect();
-        let worker =
-            run_worker(model, caches, lr, config.num_batches, config.overlap_analysis, prx, gtx);
-
-        // PANIC-OK: deliberately propagates a router-thread panic to the caller.
-        let gen_time = router_handle.join().expect("router thread panicked");
-        let shards: Vec<HostServer> = shard_handles
-            .into_iter()
-            // PANIC-OK: deliberately propagates a shard-thread panic to the caller.
-            .map(|h| h.join().expect("shard thread panicked"))
-            .collect();
-        let wall = start.elapsed();
-
-        let mut meter = CommMeter::default();
-        let mut server_cpu = Duration::ZERO;
-        for s in &shards {
-            meter.h2d_bytes += s.meter.h2d_bytes;
-            meter.d2h_bytes += s.meter.d2h_bytes;
-            meter.p2p_bytes += s.meter.p2p_bytes;
-            meter.kernel_launches += s.meter.kernel_launches;
-            server_cpu += s.cpu_time;
-        }
-        let host_tables =
-            merge_tables(&shards.into_iter().map(|s| s.tables).collect::<Vec<_>>(), &layout)
-                // PANIC-OK: the shards were split under this exact layout.
-                .expect("shards were split under this layout");
-
-        let completed_batches = worker.losses.len() as u64;
-        let samples = completed_batches as f64 * config.batch_size as f64;
-        Ok(PipelineReport {
-            completed_batches,
-            losses: worker.losses,
-            wall,
-            samples_per_sec: samples / wall.as_secs_f64(),
-            stale_hits: worker.stale_hits,
-            cache_peak_bytes: worker.cache_peak_bytes,
-            server_meter: meter,
-            server_cpu,
-            loader_cpu: gen_time,
-            worker_compute: worker.worker_compute,
-            model: worker.model,
-            host_tables,
-            failure: worker.failure,
-            failovers: 0,
-        })
-    }
-
-    /// Trains `model` against a **replicated** sharded parameter tier:
-    /// like [`PipelineTrainer::try_train_sharded`], but each shard thread
-    /// serves a K-member [`ReplicaGroup`] — the primary's exactly-once
-    /// intake is appended in lockstep to K-1 backups over the same stamp
-    /// domain, so a primary kill at any watermark promotes a byte-identical
-    /// backup and training continues without a cold restart.
+    /// Trains `model` against the parameter tier `shard_cfg` x `repl`
+    /// describe: the server's hosted tables are split under a
+    /// consistent-hash [`ShardLayout`] into `N` shards, each a thread with
+    /// its own bounded intake queue and push-stamp domain serving a
+    /// `K`-member lockstep [`ReplicaGroup`], behind one router thread (see
+    /// [`ServingLoop`]). Training values are byte-identical at every
+    /// `(N, K)`, pipelined or not.
     ///
     /// `repl.kill_primary_at` is the deterministic failover drill
     /// schedule: each `(shard, watermark)` kills that shard's primary
     /// right after its applied count reaches the watermark (drills that
     /// would kill the last member are skipped — the drill proves failover,
-    /// not data loss). Replication, like sharding, never changes trained
-    /// bytes; `PipelineReport::failovers` counts the promotions performed.
+    /// not data loss). `PipelineReport::failovers` counts the promotions.
     ///
-    /// `repl.replicas <= 1` with no drills delegates to the sharded path.
+    /// A configuration that cannot be served is a typed [`ServerError`]
+    /// before any thread spawns or any batch trains: model and server
+    /// disagreeing on the hosted tables, or `PooledEmbeddings` mode asked
+    /// for anything but the sequential single-server schedule.
+    // CONTRACT: panic-free
     pub fn try_train_replicated(
-        mut model: DlrmModel,
+        model: DlrmModel,
         server: HostServer,
         dataset: &SyntheticDataset,
         config: &PipelineConfig,
         shard_cfg: &ShardConfig,
         repl: &ReplicationConfig,
     ) -> Result<PipelineReport, ServerError> {
-        if repl.replicas <= 1 && repl.kill_primary_at.is_empty() {
-            return Self::try_train_sharded(model, server, dataset, config, shard_cfg);
-        }
-        if server.mode == ServerMode::PooledEmbeddings {
-            return Err(ServerError::PooledNeedsSequential);
-        }
         let hosted = model.hosted_tables();
-        for (t, _) in &server.tables {
-            assert!(hosted.contains(t), "server hosts table {t} the model does not mark Hosted");
+        if let Some((table, _)) = server.tables.iter().find(|(t, _)| !hosted.contains(t)) {
+            return Err(ServerError::HostedTableMismatch { table: *table, on_server: true });
         }
-        assert_eq!(hosted.len(), server.tables.len(), "every Hosted table needs a server side");
+        if let Some(&table) = hosted.iter().find(|t| !server.tables.iter().any(|(id, _)| id == *t))
+        {
+            return Err(ServerError::HostedTableMismatch { table, on_server: false });
+        }
 
-        let lr = server.lr;
-        let layout = ShardLayout::place_for(shard_cfg, &server.tables);
-        let shard_tables = split_tables(&server.tables, &layout)
-            // PANIC-OK: the layout was placed for exactly these tables.
-            .expect("layout was placed for exactly these tables");
-        let num_shards = shard_tables.len() as u32;
-
-        let schedule = ServingSchedule {
-            first: config.first_batch,
-            count: config.num_batches,
-            batch_size: config.batch_size,
-            pipelined: config.pipelined,
+        let (worker, served) = if server.mode == ServerMode::PooledEmbeddings {
+            if config.pipelined || shard_cfg.num_shards > 1 || repl.replicas > 1 {
+                return Err(ServerError::PooledNeedsSequential);
+            }
+            train_pooled(model, server, dataset, config)
+        } else {
+            // The worker predicts post-update rows with the server's rate.
+            let lr = server.lr;
+            ServingLoop::new(server, config, shard_cfg, repl)?
+                .run(dataset, |prx, gtx| run_worker(model, &hosted, lr, config, prx, gtx))
         };
-        let depth = if config.pipelined { config.prefetch_depth } else { 1 };
-        let (ptx, prx, gtx, grx) = make_queues(depth);
-        if config.overlap_analysis {
-            model.enable_plan_overlap();
-        }
-
-        // TIMING: end-to-end wall clock of the run, reported to the caller.
-        let start = Instant::now();
-        let mut stx = Vec::with_capacity(shard_tables.len());
-        let mut rrx = Vec::with_capacity(shard_tables.len());
-        let mut shard_handles = Vec::with_capacity(shard_tables.len());
-        for (s, sub) in shard_tables.into_iter().enumerate() {
-            let (tx, rx) = bounded::<ShardMsg>(depth.max(1) * 2 + 2);
-            let (rtx, reply_rx) = bounded::<ShardReply>(2);
-            let group = ReplicaGroup::new(
-                HostServer::new(sub, lr),
-                repl.replicas,
-                s as u32,
-                num_shards,
-                repl.log_capacity,
-            );
-            let mut kills: Vec<u64> = repl
-                .kill_primary_at
-                .iter()
-                .filter(|(shard, _)| *shard == s as u32)
-                .map(|&(_, w)| w)
-                .collect();
-            kills.sort_unstable();
-            shard_handles.push(std::thread::spawn(move || replica_serve(group, kills, rx, rtx)));
-            stx.push(tx);
-            rrx.push(reply_rx);
-        }
-        let router_handle = std::thread::spawn({
-            let ds = dataset.clone();
-            let layout = layout.clone();
-            move || route_serve(layout, ds, schedule, stx, rrx, ptx, grx)
-        });
-
-        let caches: HashMap<usize, EmbeddingCache> =
-            hosted.iter().map(|&t| (t, EmbeddingCache::new())).collect();
-        let worker =
-            run_worker(model, caches, lr, config.num_batches, config.overlap_analysis, prx, gtx);
-
-        // PANIC-OK: deliberately propagates a router-thread panic to the caller.
-        let gen_time = router_handle.join().expect("router thread panicked");
-        let mut failovers = 0u64;
-        let shards: Vec<HostServer> = shard_handles
-            .into_iter()
-            .map(|h| {
-                // PANIC-OK: deliberately propagates a shard-thread panic to the caller.
-                let (server, promoted) = h.join().expect("shard thread panicked");
-                failovers += promoted;
-                server
-            })
-            .collect();
-        let wall = start.elapsed();
-
-        let mut meter = CommMeter::default();
-        let mut server_cpu = Duration::ZERO;
-        for s in &shards {
-            meter.h2d_bytes += s.meter.h2d_bytes;
-            meter.d2h_bytes += s.meter.d2h_bytes;
-            meter.p2p_bytes += s.meter.p2p_bytes;
-            meter.kernel_launches += s.meter.kernel_launches;
-            server_cpu += s.cpu_time;
-        }
-        let host_tables =
-            merge_tables(&shards.into_iter().map(|s| s.tables).collect::<Vec<_>>(), &layout)
-                // PANIC-OK: the shards were split under this exact layout.
-                .expect("shards were split under this layout");
 
         let completed_batches = worker.losses.len() as u64;
         let samples = completed_batches as f64 * config.batch_size as f64;
         Ok(PipelineReport {
             completed_batches,
             losses: worker.losses,
-            wall,
-            samples_per_sec: samples / wall.as_secs_f64(),
+            wall: served.wall,
+            samples_per_sec: samples / served.wall.as_secs_f64(),
             stale_hits: worker.stale_hits,
             cache_peak_bytes: worker.cache_peak_bytes,
-            server_meter: meter,
-            server_cpu,
-            loader_cpu: gen_time,
+            server_meter: served.server.meter,
+            server_cpu: served.server.cpu_time,
+            loader_cpu: served.server.gen_time,
             worker_compute: worker.worker_compute,
             model: worker.model,
-            host_tables,
+            host_tables: served.server.tables,
             failure: worker.failure,
-            failovers,
+            failovers: served.failovers,
         })
+    }
+}
+
+/// The sequential reference-DLRM baseline of Figure 16
+/// ([`ServerMode::PooledEmbeddings`]): the CPU runs the full
+/// `EmbeddingBag` forward and backward and pooled `batch x dim`
+/// activations cross the bus, strictly one batch at a time. With no
+/// per-row partition and no staleness there is nothing to shard, queue or
+/// overlap, so this is a plain loop on the calling thread.
+fn train_pooled(
+    mut model: DlrmModel,
+    mut server: HostServer,
+    dataset: &SyntheticDataset,
+    config: &PipelineConfig,
+) -> (WorkerRun, ServerReport) {
+    let mut losses = Vec::with_capacity(config.num_batches as usize);
+    let mut worker_compute = Duration::ZERO;
+    // TIMING: end-to-end wall clock of the run, reported to the caller.
+    let start = Instant::now();
+    for k in 0..config.num_batches {
+        let t0 = thread_cpu_time();
+        let batch = dataset.batch(config.first_batch + k, config.batch_size);
+        server.gen_time += thread_cpu_time() - t0;
+        let pf = server.gather(batch, k);
+        let t0 = thread_cpu_time();
+        let out = model.train_step_hybrid(&pf.batch, &pf.pooled);
+        worker_compute += thread_cpu_time() - t0;
+        losses.push(out.loss);
+        let push = GradientPush {
+            batch_seq: server.applied,
+            tables: Vec::new(),
+            pooled: out.hosted_grads,
+        };
+        server.apply_pooled(&push, &pf.batch);
+    }
+    let wall = start.elapsed();
+    let worker = WorkerRun {
+        model,
+        losses,
+        stale_hits: 0,
+        cache_peak_bytes: 0,
+        worker_compute,
+        failure: None,
+    };
+    (worker, ServerReport { server, failovers: 0, wall })
+}
+
+/// The serving side of a pipeline run: `N` shard threads, each serving a
+/// `K`-member [`ReplicaGroup`], behind one router thread that plays the
+/// host role of Figure 9 — data loader, pre-fetch producer, gradient
+/// consumer. Constructed separately from being run so that a mode the
+/// staleness protocol cannot serve is a typed error at construction time
+/// — not a panic mid-training.
+pub struct ServingLoop {
+    layout: ShardLayout,
+    /// Per shard: its replica group and its sorted kill-drill watermarks.
+    shards: Vec<(ReplicaGroup, Vec<u64>)>,
+    lr: f32,
+    config: PipelineConfig,
+}
+
+impl ServingLoop {
+    /// Places `server`'s tables on `shard_cfg.num_shards` shards (moving
+    /// them: nothing keeps the unsplit tables alive) and wraps each shard
+    /// in a group of `repl.replicas` members.
+    ///
+    /// `PooledEmbeddings` mode runs the full embedding forward/backward on
+    /// the CPU and has neither a per-row partition nor a staleness
+    /// protocol, so it cannot be served from queues at all:
+    /// [`ServerError::PooledNeedsSequential`].
+    pub fn new(
+        server: HostServer,
+        config: &PipelineConfig,
+        shard_cfg: &ShardConfig,
+        repl: &ReplicationConfig,
+    ) -> Result<Self, ServerError> {
+        if server.mode == ServerMode::PooledEmbeddings {
+            return Err(ServerError::PooledNeedsSequential);
+        }
+        let lr = server.lr;
+        let layout = ShardLayout::place_for(shard_cfg, &server.tables);
+        let shard_tables = split_tables_owned(server.tables, &layout)
+            // PANIC-OK: the layout was placed for exactly these tables.
+            .expect("layout was placed for exactly these tables");
+        let num_shards = shard_tables.len() as u32;
+        let shards = (0..num_shards)
+            .zip(shard_tables)
+            .map(|(s, sub)| {
+                let shard = HostServer::new(sub, lr);
+                let group =
+                    ReplicaGroup::new(shard, repl.replicas, s, num_shards, repl.log_capacity);
+                let mut kills: Vec<u64> = repl
+                    .kill_primary_at
+                    .iter()
+                    .filter(|(shard, _)| *shard == s)
+                    .map(|&(_, w)| w)
+                    .collect();
+                kills.sort_unstable();
+                (group, kills)
+            })
+            .collect();
+        Ok(Self { layout, shards, lr, config: *config })
+    }
+
+    /// Runs the serving side to completion against `worker`, which is
+    /// called on this thread with the consumer end of the pre-fetch queue
+    /// and the producer end of the gradient queue: spawns one thread per
+    /// shard and the router, lets the router gather/pre-fetch every
+    /// scheduled batch and scatter every pushed gradient, then performs
+    /// the shutdown handshake — drain the gradient queue until every push
+    /// the worker delivered has reached every shard, or the worker hangs
+    /// up — and joins everything. Worker disappearance at any point
+    /// degrades to a clean early return, never a panic or a wedge.
+    // CONTRACT: panic-free
+    pub fn run<W>(
+        self,
+        dataset: &SyntheticDataset,
+        worker: impl FnOnce(Receiver<PrefetchedBatch>, Sender<GradientPush>) -> W,
+    ) -> (W, ServerReport) {
+        let ServingLoop { layout, shards, lr, config } = self;
+        // The two queues of Figure 9. The pre-fetch capacity is the paper's
+        // queue length: 1 degenerates the pipeline to sequential execution.
+        let depth = if config.pipelined { config.prefetch_depth.max(1) } else { 1 };
+        let (ptx, prx) = bounded(depth);
+        let (gtx, grx) = bounded(depth * 2);
+
+        // TIMING: end-to-end wall clock of the run, reported to the caller.
+        let start = Instant::now();
+        let mut stx = Vec::with_capacity(shards.len());
+        let mut rrx = Vec::with_capacity(shards.len());
+        let mut shard_handles = Vec::with_capacity(shards.len());
+        for (group, kills) in shards {
+            // Intake sized so the router's one outstanding gather plus the
+            // in-flight scattered pushes never wedge it; the reply queue
+            // holds at most that one gather's answer.
+            let (tx, rx) = bounded::<ShardMsg>(depth * 2 + 2);
+            let (rtx, reply_rx) = bounded::<ShardReply>(2);
+            shard_handles.push(std::thread::spawn(move || replica_serve(group, kills, rx, rtx)));
+            stx.push(tx);
+            rrx.push(reply_rx);
+        }
+        let router_handle = std::thread::spawn({
+            let (layout, ds) = (layout.clone(), dataset.clone());
+            move || route_serve(layout, ds, config, stx, rrx, ptx, grx)
+        });
+
+        let out = worker(prx, gtx);
+
+        let mut server = HostServer::new(Vec::new(), lr);
+        // PANIC-OK: deliberately propagates a router-thread panic to the caller.
+        (server.gen_time, server.cpu_time) = router_handle.join().expect("router thread panicked");
+        server.applied = u64::MAX;
+        let mut failovers = 0;
+        let mut shard_tables = Vec::with_capacity(shard_handles.len());
+        for handle in shard_handles {
+            // PANIC-OK: deliberately propagates a shard-thread panic to the caller.
+            let (shard, promoted) = handle.join().expect("shard thread panicked");
+            server.meter.merge(&shard.meter);
+            server.cpu_time += shard.cpu_time;
+            server.applied = server.applied.min(shard.applied);
+            failovers += promoted;
+            shard_tables.push(shard.tables);
+        }
+        let wall = start.elapsed();
+
+        server.tables = merge_tables_owned(shard_tables, &layout)
+            // PANIC-OK: the shards were split under this exact layout.
+            .expect("shards were split under this layout");
+        (out, ServerReport { server, failovers, wall })
     }
 }
 
@@ -482,54 +403,16 @@ struct ShardReply {
     rows: Vec<Matrix>,
 }
 
-/// One shard's intake loop: serve gathers against the shard's sub-tables
-/// and apply scattered pushes through the per-shard
-/// [`HostServer::apply_checked`] stamp domain. Any protocol violation —
-/// an unknown table, a gap, a vanished router — degrades to returning
-/// the shard's final state, never a panic: a production shard must
-/// survive its peers.
-// CONTRACT: panic-free
-fn shard_serve(
-    mut server: HostServer,
-    rx: Receiver<ShardMsg>,
-    reply: Sender<ShardReply>,
-) -> HostServer {
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            ShardMsg::Gather { seq, locals } => {
-                let t0 = thread_cpu_time();
-                let mut rows = Vec::with_capacity(locals.len());
-                let mut bytes = 0usize;
-                for (table_id, locs) in &locals {
-                    let Some((_, bag)) = server.tables.iter().find(|(id, _)| id == table_id) else {
-                        return server; // gather for a table this shard lacks
-                    };
-                    bytes += locs.len() * (4 + bag.dim() * 4);
-                    rows.push(bag.gather_rows(locs));
-                }
-                server.meter.h2d(bytes);
-                server.cpu_time += thread_cpu_time() - t0;
-                if reply.send(ShardReply { seq, applied: server.applied, rows }).is_err() {
-                    break; // router gone
-                }
-            }
-            ShardMsg::Push(push) => {
-                if server.apply_checked(&push).is_err() {
-                    break; // gap or unknown table from a FIFO: degrade
-                }
-            }
-        }
-    }
-    server
-}
-
-/// One replicated shard thread: [`shard_serve`] semantics, but intake
-/// flows through a [`ReplicaGroup`] — every applied push lands on the
-/// primary and all alive backups in lockstep, and the sorted `kills`
-/// schedule executes deterministic primary-kill drills the moment the
-/// applied watermark reaches each entry. A drill that would kill the
-/// last alive member is skipped: the drill proves failover, not data
-/// loss. Returns the surviving primary plus the promotions performed.
+/// One shard thread: serve gathers against the primary's sub-tables and
+/// apply scattered pushes through the [`ReplicaGroup`] — the per-shard
+/// [`HostServer::apply_checked`] stamp domain, appended in lockstep to
+/// every alive backup. The sorted `kills` schedule executes deterministic
+/// primary-kill drills the moment the applied watermark reaches each
+/// entry; a drill that would kill the last alive member is skipped (the
+/// drill proves failover, not data loss). Any protocol violation — an
+/// unknown table, a gap, a vanished router — degrades to returning the
+/// shard's final state, never a panic: a production shard must survive
+/// its peers. Returns the surviving primary plus the promotions performed.
 // CONTRACT: panic-free
 fn replica_serve(
     mut group: ReplicaGroup,
@@ -538,7 +421,7 @@ fn replica_serve(
     reply: Sender<ShardReply>,
 ) -> (HostServer, u64) {
     let mut next_kill = 0usize;
-    while let Ok(msg) = rx.recv() {
+    'serve: while let Ok(msg) = rx.recv() {
         match msg {
             ShardMsg::Gather { seq, locals } => {
                 let Ok(primary) = group.primary_mut() else {
@@ -547,18 +430,13 @@ fn replica_serve(
                 let t0 = thread_cpu_time();
                 let mut rows = Vec::with_capacity(locals.len());
                 let mut bytes = 0usize;
-                let mut unknown = false;
                 for (table_id, locs) in &locals {
                     let Some((_, bag)) = primary.tables.iter().find(|(id, _)| id == table_id)
                     else {
-                        unknown = true; // gather for a table this shard lacks
-                        break;
+                        break 'serve; // gather for a table this shard lacks
                     };
                     bytes += locs.len() * (4 + bag.dim() * 4);
                     rows.push(bag.gather_rows(locs));
-                }
-                if unknown {
-                    break;
                 }
                 primary.meter.h2d(bytes);
                 primary.cpu_time += thread_cpu_time() - t0;
@@ -597,25 +475,29 @@ fn replica_serve(
     }
 }
 
-/// The router thread: plays the [`ServingLoop`] role against N shard
-/// threads. Per batch it computes the global unique rows per table,
-/// scatters them to their owning shards, reassembles the replies into
-/// one [`PrefetchedBatch`] stamped with the minimum per-shard watermark,
-/// and forwards each worker push as per-shard sub-pushes. Returns the
-/// batch-generation CPU time (the data-loader role it also plays).
+/// The router thread: the host of Figure 9 in front of the shard
+/// threads. Per batch it generates the batch (the data-loader role),
+/// computes the global unique rows per table, scatters them to their
+/// owning shards, reassembles the replies into one [`PrefetchedBatch`]
+/// stamped with the minimum per-shard watermark, and forwards each worker
+/// push as per-shard sub-pushes. Returns the batch-generation CPU time
+/// and the CPU time of everything else it did (scatter, stitch: host
+/// serving work the shard meters do not see).
 fn route_serve(
     layout: ShardLayout,
     dataset: SyntheticDataset,
-    schedule: ServingSchedule,
+    config: PipelineConfig,
     stx: Vec<Sender<ShardMsg>>,
     rrx: Vec<Receiver<ShardReply>>,
     ptx: Sender<PrefetchedBatch>,
     grx: Receiver<GradientPush>,
-) -> Duration {
-    let ServingSchedule { first, count, batch_size, pipelined } = schedule;
+) -> (Duration, Duration) {
+    let PipelineConfig { first_batch: first, num_batches: count, batch_size, pipelined, .. } =
+        config;
+    let began = thread_cpu_time();
     let num_shards = stx.len();
     let mut router = ShardRouter::new(layout);
-    let mut scratch = crate::router::ShardScatter::new();
+    let mut scratch = ShardScatter::new();
     let mut gen_time = Duration::ZERO;
     let mut forwarded = 0u64;
     'serve: for k in 0..count {
@@ -656,25 +538,37 @@ fn route_serve(
             }
         }
         let mut applied_through = u64::MAX;
-        let mut shard_rows: Vec<Vec<Matrix>> = Vec::with_capacity(num_shards);
+        let mut shard_rows = Vec::with_capacity(num_shards);
         for rx in &rrx {
             match rx.recv() {
                 Ok(reply) if reply.seq == k => {
                     applied_through = applied_through.min(reply.applied);
-                    shard_rows.push(reply.rows);
+                    shard_rows.push(reply.rows.into_iter());
                 }
                 _ => break 'serve, // shard died or desynchronized
             }
         }
         let mut tables = Vec::with_capacity(plan.len());
-        for (i, (table_id, unique, slots)) in plan.into_iter().enumerate() {
-            let dim = shard_rows[0][i].cols();
-            let mut rows = Matrix::zeros(unique.len(), dim);
-            for (srows, shard_slots) in shard_rows.iter().zip(&slots) {
-                for (j, &slot) in shard_slots.iter().enumerate() {
-                    rows.row_mut(slot as usize).copy_from_slice(srows[i].row(j));
+        for (table_id, unique, slots) in plan {
+            // this table's served rows, one matrix per shard
+            let served: Option<Vec<Matrix>> = shard_rows.iter_mut().map(Iterator::next).collect();
+            let Some(mut served) = served.filter(|m| !m.is_empty()) else {
+                break 'serve; // a shard answered for fewer tables than asked
+            };
+            let rows = match slots.iter().position(|s| s.len() == unique.len()) {
+                // One shard served every row, in request order: its answer
+                // is the stitched result.
+                Some(s) => served.swap_remove(s),
+                None => {
+                    let mut rows = Matrix::zeros(unique.len(), served[0].cols());
+                    for (part, shard_slots) in served.iter().zip(&slots) {
+                        for (j, &slot) in shard_slots.iter().enumerate() {
+                            rows.row_mut(slot as usize).copy_from_slice(part.row(j));
+                        }
+                    }
+                    rows
                 }
-            }
+            };
             tables.push((table_id, unique, rows));
         }
         let pf =
@@ -683,14 +577,10 @@ fn route_serve(
             break; // worker gone
         }
         if !pipelined {
+            // strict alternation: this batch's gradients before the next gather
             match grx.recv() {
-                Ok(push) => {
-                    if forward_push(&mut router, &stx, &push).is_err() {
-                        break;
-                    }
-                    forwarded += 1;
-                }
-                Err(_) => break,
+                Ok(push) if forward_push(&mut router, &stx, &push).is_ok() => forwarded += 1,
+                _ => break,
             }
         }
     }
@@ -699,16 +589,11 @@ fn route_serve(
     // hanging up, so all shards drain to the same watermark.
     while forwarded < count {
         match grx.recv() {
-            Ok(push) => {
-                if forward_push(&mut router, &stx, &push).is_err() {
-                    break;
-                }
-                forwarded += 1;
-            }
-            Err(_) => break,
+            Ok(push) if forward_push(&mut router, &stx, &push).is_ok() => forwarded += 1,
+            _ => break,
         }
     }
-    gen_time
+    (gen_time, thread_cpu_time() - began - gen_time)
 }
 
 /// Scatters one worker push and forwards the per-shard sub-pushes with
@@ -749,61 +634,54 @@ struct WorkerRun {
 
 /// The worker (device) side of the pipeline: consume pre-fetched
 /// batches, train, refresh the caches with post-update rows, push
-/// gradients. Shared verbatim by the single-server and sharded trainers
-/// — the worker is oblivious to how many shards assembled its
-/// [`PrefetchedBatch`].
+/// gradients. The worker is oblivious to how many shards and replicas
+/// assembled its [`PrefetchedBatch`].
 // CONTRACT: panic-free
 fn run_worker(
     mut model: DlrmModel,
-    mut caches: HashMap<usize, EmbeddingCache>,
+    hosted: &[usize],
     lr: f32,
-    num_batches: u64,
-    overlap_analysis: bool,
-    prx: crossbeam::channel::Receiver<crate::server::PrefetchedBatch>,
-    gtx: crossbeam::channel::Sender<GradientPush>,
+    config: &PipelineConfig,
+    prx: Receiver<PrefetchedBatch>,
+    gtx: Sender<GradientPush>,
 ) -> WorkerRun {
-    let mut losses = Vec::with_capacity(num_batches as usize);
+    if config.overlap_analysis {
+        model.enable_plan_overlap();
+    }
+    let mut caches: HashMap<usize, EmbeddingCache> =
+        hosted.iter().map(|&t| (t, EmbeddingCache::new())).collect();
+    let mut losses = Vec::with_capacity(config.num_batches as usize);
     let mut cache_peak = 0usize;
     let mut worker_compute = Duration::ZERO;
     let mut failure = None;
 
-    for k in 0..num_batches {
+    for k in 0..config.num_batches {
         // A vanished server (its thread died or dropped the queue) is a
         // degraded early stop for the worker, not a panic: the partial
         // report still carries every batch that trained.
-        let Ok(mut pf) = prx.recv() else {
+        let Ok(PrefetchedBatch { batch_seq, applied_through, batch, mut tables, .. }) = prx.recv()
+        else {
             break;
         };
-        assert_eq!(pf.batch_seq, k);
-        let batch = std::mem::replace(
-            &mut pf.batch,
-            el_data::MiniBatch {
-                dense: Vec::new(),
-                num_dense: 0,
-                fields: Vec::new(),
-                labels: Vec::new(),
-            },
-        );
+        if batch_seq != k {
+            failure = Some(ServerError::PrefetchOutOfOrder { got: batch_seq, expected: k });
+            break;
+        }
 
         // Queue TT pointer preparation now so it overlaps the host
         // gather work below (cache sync + pooling).
-        if overlap_analysis {
+        if config.overlap_analysis {
             model.prefetch_plans(&batch);
         }
 
         // Stage 1 (Figure 9): synchronize pre-fetched rows with the
-        // cache, then pool them into per-sample embeddings. In pooled
-        // (reference-DLRM) mode the CPU already pooled — use as is.
-        let pooled_mode = !pf.pooled.is_empty();
-        let mut hosted_embs = Vec::with_capacity(pf.tables.len() + pf.pooled.len());
-        for (t, unique, rows) in &mut pf.tables {
+        // cache, then pool them into per-sample embeddings.
+        let mut hosted_embs = Vec::with_capacity(tables.len());
+        for (t, unique, rows) in &mut tables {
             // PANIC-OK: a cache was created for every hosted table at startup.
-            caches.get_mut(t).unwrap().sync(unique, rows, pf.applied_through);
+            caches.get_mut(t).unwrap().sync(unique, rows, applied_through);
             let field = &batch.fields[*t];
             hosted_embs.push((*t, pool_prefetched(&field.indices, &field.offsets, unique, rows)));
-        }
-        for (t, pooled) in &pf.pooled {
-            hosted_embs.push((*t, pooled.clone()));
         }
 
         // Device compute: MLPs + TT tables + interaction.
@@ -814,18 +692,11 @@ fn run_worker(
 
         // Stage 3: aggregate hosted gradients, refresh the cache with
         // the post-update rows (bit-identical to what the server will
-        // hold) and push. Pooled mode ships the raw pooled gradient
-        // back instead (the CPU does the backward there).
-        let mut pushes = Vec::new();
-        let mut pooled_pushes = Vec::new();
+        // hold) and push.
+        let mut pushes = Vec::with_capacity(out.hosted_grads.len());
         for (t, d_emb) in &out.hosted_grads {
-            if pooled_mode {
-                pooled_pushes.push((*t, d_emb.clone()));
-                continue;
-            }
             let field = &batch.fields[*t];
-            let (_, unique, rows) = pf
-                .tables
+            let (_, unique, rows) = tables
                 .iter()
                 .find(|(id, _, _)| id == t)
                 // PANIC-OK: hosted tables and prefetched tables are the same set.
@@ -846,7 +717,7 @@ fn run_worker(
         // queue is ridden out, a wedged or vanished server ends the
         // run gracefully after the retry budget instead of blocking
         // this worker forever.
-        let push = GradientPush { batch_seq: k, tables: pushes, pooled: pooled_pushes };
+        let push = GradientPush { batch_seq: k, tables: pushes, pooled: Vec::new() };
         if let Err((_, cause)) = send_with_retry(&gtx, push, 16, splitmix64(k)) {
             failure = Some(cause);
             break;
@@ -931,7 +802,8 @@ impl PipelineTrainer {
             num_batches: end - ckpt.next_batch,
             ..*config
         };
-        Ok(Self::train(model, server, dataset, &remaining))
+        Self::try_train(model, server, dataset, &remaining)
+            .map_err(|e| CkptError::StateMismatch(e.to_string()))
     }
 
     /// Trains the full schedule in segments of `every` batches, saving a
@@ -941,7 +813,7 @@ impl PipelineTrainer {
     /// Because pipelined training is bit-identical to sequential training
     /// and each segment restarts from exactly the state the previous one
     /// ended with, the final model is byte-identical to a single
-    /// uninterrupted `train` call — checkpointing is pure durability.
+    /// uninterrupted `try_train` call — checkpointing is pure durability.
     pub fn train_with_checkpoints<S: Storage>(
         model: DlrmModel,
         server: HostServer,
@@ -972,17 +844,15 @@ impl PipelineTrainer {
         loop {
             let seg = every.min(end - cursor);
             let seg_cfg = PipelineConfig { first_batch: cursor, num_batches: seg, ..*config };
-            let report = Self::train(next_model, next_server, dataset, &seg_cfg);
+            let report = Self::try_train(next_model, next_server, dataset, &seg_cfg)
+                .map_err(|e| CkptError::StateMismatch(e.to_string()))?;
             cursor += report.completed_batches;
 
             losses.extend_from_slice(&report.losses);
             wall += report.wall;
             stale_hits += report.stale_hits;
             cache_peak = cache_peak.max(report.cache_peak_bytes);
-            meter.h2d_bytes += report.server_meter.h2d_bytes;
-            meter.d2h_bytes += report.server_meter.d2h_bytes;
-            meter.p2p_bytes += report.server_meter.p2p_bytes;
-            meter.kernel_launches += report.server_meter.kernel_launches;
+            meter.merge(&report.server_meter);
             server_cpu += report.server_cpu;
             loader_cpu += report.loader_cpu;
             worker_compute += report.worker_compute;
@@ -1074,6 +944,18 @@ mod tests {
     }
 
     fn run(pipelined: bool, depth: usize, seed: u64) -> PipelineReport {
+        run_topology(pipelined, depth, seed, (1, 1), vec![])
+    }
+
+    /// Trains the shared 12-batch schedule on `shards` x `replicas` with
+    /// the given `(shard, watermark)` primary-kill drills.
+    fn run_topology(
+        pipelined: bool,
+        depth: usize,
+        seed: u64,
+        (shards, replicas): (u32, u32),
+        kills: Vec<(u32, u64)>,
+    ) -> PipelineReport {
         let (model, server, dataset) = setup(seed);
         let config = PipelineConfig {
             batch_size: 64,
@@ -1083,19 +965,86 @@ mod tests {
             pipelined,
             overlap_analysis: pipelined,
         };
-        PipelineTrainer::train(model, server, &dataset, &config)
+        let shard_cfg =
+            ShardConfig { num_shards: shards, rows_per_range: 16, placement_seed: 0xE1 };
+        let repl = ReplicationConfig {
+            replicas,
+            log_capacity: 4,
+            kill_primary_at: kills,
+            ..ReplicationConfig::default()
+        };
+        PipelineTrainer::try_train_replicated(model, server, &dataset, &config, &shard_cfg, &repl)
+            .unwrap()
     }
 
     #[test]
-    fn try_train_rejects_unservable_schedules_before_spawning() {
-        let (model, server, dataset) = setup(9);
-        let server = server.with_mode(crate::server::ServerMode::PooledEmbeddings);
-        let config = PipelineConfig { pipelined: true, ..PipelineConfig::default() };
-        match PipelineTrainer::try_train(model, server, &dataset, &config) {
-            Err(ServerError::PooledNeedsSequential) => {}
-            Err(e) => panic!("wrong error: {e}"),
-            Ok(_) => panic!("pipelined pooled mode must be rejected"),
+    fn pooled_mode_is_a_typed_error_off_the_sequential_single_server() {
+        // The reference-DLRM baseline has no staleness protocol and no
+        // per-row partition: any pipelined, sharded or replicated request
+        // is rejected before a thread spawns or a batch trains.
+        let sequential = PipelineConfig { pipelined: false, ..PipelineConfig::default() };
+        let pipelined = PipelineConfig { pipelined: true, ..sequential };
+        for (config, shards, replicas) in
+            [(pipelined, 1, 1), (sequential, 2, 1), (sequential, 1, 2)]
+        {
+            let (model, server, dataset) = setup(9);
+            let server = server.with_mode(ServerMode::PooledEmbeddings);
+            let shard_cfg = ShardConfig { num_shards: shards, ..ShardConfig::default() };
+            let repl = ReplicationConfig { replicas, ..ReplicationConfig::default() };
+            match PipelineTrainer::try_train_replicated(
+                model, server, &dataset, &config, &shard_cfg, &repl,
+            ) {
+                Err(ServerError::PooledNeedsSequential) => {}
+                Err(e) => panic!("wrong error: {e}"),
+                Ok(_) => panic!("pooled mode at ({shards}, {replicas}) must be rejected"),
+            }
         }
+        // and the serving loop cannot serve the mode from queues at all
+        let (_, server, _) = setup(9);
+        let server = server.with_mode(ServerMode::PooledEmbeddings);
+        let (one_shard, one_replica) = (ShardConfig::default(), ReplicationConfig::default());
+        assert!(matches!(
+            ServingLoop::new(server, &sequential, &one_shard, &one_replica),
+            Err(ServerError::PooledNeedsSequential)
+        ));
+    }
+
+    #[test]
+    fn hosted_table_mismatch_is_a_typed_error_before_spawning() {
+        let config = PipelineConfig::default();
+        // the model marks table 2 Hosted, the server lacks it
+        let (model, mut server, dataset) = setup(9);
+        server.tables.retain(|(t, _)| *t != 2);
+        match PipelineTrainer::try_train(model, server, &dataset, &config) {
+            Err(ServerError::HostedTableMismatch { table: 2, on_server: false }) => {}
+            Err(e) => panic!("wrong error: {e}"),
+            Ok(_) => panic!("a Hosted table without a server side must be rejected"),
+        }
+        // and the reverse: the server hosts table 0, which the model keeps
+        let (model, mut server, dataset) = setup(9);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+        server.tables.push((0, EmbeddingBag::new(400, 8, 0.1, &mut rng)));
+        match PipelineTrainer::try_train(model, server, &dataset, &config) {
+            Err(ServerError::HostedTableMismatch { table: 0, on_server: true }) => {}
+            Err(e) => panic!("wrong error: {e}"),
+            Ok(_) => panic!("a served table the model does not mark Hosted must be rejected"),
+        }
+    }
+
+    #[test]
+    fn desynchronised_prefetch_ends_the_run_with_a_typed_failure() {
+        // A pre-fetch for batch 1 where batch 0 is due: the worker stops
+        // with the cause in the report instead of panicking.
+        let (model, mut server, dataset) = setup(9);
+        let hosted = model.hosted_tables();
+        let config = PipelineConfig { batch_size: 16, num_batches: 4, ..PipelineConfig::default() };
+        let (ptx, prx) = bounded(2);
+        let (gtx, grx) = bounded(2);
+        ptx.send(server.gather(dataset.batch(1, 16), 1)).unwrap();
+        let worker = run_worker(model, &hosted, 0.05, &config, prx, gtx);
+        assert!(worker.losses.is_empty(), "nothing may train on a misdelivered batch");
+        assert_eq!(worker.failure, Some(ServerError::PrefetchOutOfOrder { got: 1, expected: 0 }));
+        assert!(grx.recv().is_err(), "no push, and the gradient queue is hung up");
     }
 
     #[test]
@@ -1113,11 +1062,7 @@ mod tests {
         // exact parameter trajectory of sequential training.
         let seq = run(false, 1, 2);
         let pipe = run(true, 4, 2);
-        assert_eq!(seq.losses, pipe.losses, "loss trajectories diverged");
-        for ((ta, a), (tb, b)) in seq.host_tables.iter().zip(&pipe.host_tables) {
-            assert_eq!(ta, tb);
-            assert_eq!(a.weight.as_slice(), b.weight.as_slice(), "host table {ta} diverged");
-        }
+        assert_same_training(&seq, &pipe);
     }
 
     #[test]
@@ -1135,21 +1080,6 @@ mod tests {
         assert_eq!(r.stale_hits, 0, "sequential mode can never see stale rows");
     }
 
-    fn run_sharded(pipelined: bool, depth: usize, seed: u64, shards: u32) -> PipelineReport {
-        let (model, server, dataset) = setup(seed);
-        let config = PipelineConfig {
-            batch_size: 64,
-            first_batch: 0,
-            num_batches: 12,
-            prefetch_depth: depth,
-            pipelined,
-            overlap_analysis: pipelined,
-        };
-        let shard_cfg =
-            ShardConfig { num_shards: shards, rows_per_range: 16, placement_seed: 0xE1 };
-        PipelineTrainer::try_train_sharded(model, server, &dataset, &config, &shard_cfg).unwrap()
-    }
-
     fn assert_same_training(a: &PipelineReport, b: &PipelineReport) {
         assert_eq!(a.losses, b.losses, "loss trajectories diverged");
         assert_eq!(a.host_tables.len(), b.host_tables.len());
@@ -1161,14 +1091,14 @@ mod tests {
 
     #[test]
     fn sharded_training_matches_single_server_bitwise() {
-        // The tentpole equivalence: an N-way sharded tier trains the
-        // exact bytes of the single server, pipelined or not.
+        // An N-way sharded tier trains the exact bytes of the single
+        // server, pipelined or not.
         let single = run(true, 4, 6);
-        let sharded = run_sharded(true, 4, 6, 3);
+        let sharded = run_topology(true, 4, 6, (3, 1), vec![]);
         assert_eq!(sharded.completed_batches, 12);
         assert_same_training(&single, &sharded);
         let seq_single = run(false, 1, 6);
-        let seq_sharded = run_sharded(false, 1, 6, 3);
+        let seq_sharded = run_topology(false, 1, 6, (3, 1), vec![]);
         assert_same_training(&seq_single, &seq_sharded);
         // and the sharded bus traffic sums to real bytes
         assert!(sharded.server_meter.h2d_bytes > 0);
@@ -1176,45 +1106,11 @@ mod tests {
     }
 
     #[test]
-    fn one_shard_delegates_to_the_single_server_path() {
-        let single = run(true, 4, 7);
-        let one = run_sharded(true, 4, 7, 1);
-        assert_same_training(&single, &one);
-    }
-
-    fn run_replicated(
-        seed: u64,
-        shards: u32,
-        replicas: u32,
-        kills: Vec<(u32, u64)>,
-    ) -> PipelineReport {
-        let (model, server, dataset) = setup(seed);
-        let config = PipelineConfig {
-            batch_size: 64,
-            first_batch: 0,
-            num_batches: 12,
-            prefetch_depth: 4,
-            pipelined: true,
-            overlap_analysis: true,
-        };
-        let shard_cfg =
-            ShardConfig { num_shards: shards, rows_per_range: 16, placement_seed: 0xE1 };
-        let repl = ReplicationConfig {
-            replicas,
-            log_capacity: 4,
-            kill_primary_at: kills,
-            ..ReplicationConfig::default()
-        };
-        PipelineTrainer::try_train_replicated(model, server, &dataset, &config, &shard_cfg, &repl)
-            .unwrap()
-    }
-
-    #[test]
     fn replicated_training_matches_single_server_bitwise() {
         // Replication is pure redundancy: K lockstep copies per shard
         // train the exact bytes of the unreplicated single server.
         let single = run(true, 4, 8);
-        let replicated = run_replicated(8, 3, 2, vec![]);
+        let replicated = run_topology(true, 4, 8, (3, 2), vec![]);
         assert_eq!(replicated.completed_batches, 12);
         assert_eq!(replicated.failovers, 0);
         assert!(replicated.failure.is_none());
@@ -1223,14 +1119,14 @@ mod tests {
 
     #[test]
     fn primary_kills_mid_run_leave_trained_bytes_unchanged() {
-        // The tentpole claim: killing primaries mid-training (including
-        // two adjacent watermarks on shard 0 — a kill during the window
-        // the first promotion just opened) promotes byte-identical
-        // backups and the merged result still matches the never-failed
-        // single server, with no cold restart.
+        // Killing primaries mid-training (including two adjacent
+        // watermarks on shard 0 — a kill during the window the first
+        // promotion just opened) promotes byte-identical backups and the
+        // merged result still matches the never-failed single server,
+        // with no cold restart.
         let single = run(true, 4, 9);
         let kills = vec![(0, 3), (0, 4), (1, 6), (2, 9)];
-        let replicated = run_replicated(9, 3, 3, kills);
+        let replicated = run_topology(true, 4, 9, (3, 3), kills);
         assert_eq!(replicated.completed_batches, 12);
         assert_eq!(replicated.failovers, 4);
         assert!(replicated.failure.is_none());
@@ -1238,35 +1134,29 @@ mod tests {
     }
 
     #[test]
-    fn drills_never_kill_the_last_copy() {
-        // More kills than spare replicas: the drill schedule is clamped
-        // so the final copy survives and the run still completes.
-        let single = run(true, 4, 10);
-        let kills = vec![(0, 2), (0, 5), (0, 8)];
-        let replicated = run_replicated(10, 2, 2, kills);
+    fn primary_kill_on_the_only_shard_leaves_trained_bytes_unchanged() {
+        // N = 1, K = 2: the one shard owns every row (its tables arrived
+        // by move) and loses its primary mid-run.
+        let single = run(true, 4, 12);
+        let replicated = run_topology(true, 4, 12, (1, 2), vec![(0, 5)]);
         assert_eq!(replicated.completed_batches, 12);
-        assert_eq!(replicated.failovers, 1, "only one spare existed to promote");
+        assert_eq!(replicated.failovers, 1);
+        assert!(replicated.failure.is_none());
         assert_same_training(&single, &replicated);
     }
 
     #[test]
-    fn unreplicated_config_delegates_to_the_sharded_path() {
-        let sharded = run_sharded(true, 4, 11, 3);
-        let replicated = run_replicated(11, 3, 1, vec![]);
-        assert_eq!(replicated.failovers, 0);
-        assert_same_training(&sharded, &replicated);
-    }
-
-    #[test]
-    fn sharded_rejects_pooled_mode_with_a_typed_error() {
-        let (model, server, dataset) = setup(8);
-        let server = server.with_mode(crate::server::ServerMode::PooledEmbeddings);
-        let config = PipelineConfig { pipelined: false, ..PipelineConfig::default() };
-        let shard_cfg = ShardConfig { num_shards: 2, ..ShardConfig::default() };
-        match PipelineTrainer::try_train_sharded(model, server, &dataset, &config, &shard_cfg) {
-            Err(ServerError::PooledNeedsSequential) => {}
-            Err(e) => panic!("wrong error: {e}"),
-            Ok(_) => panic!("sharded pooled mode must be rejected"),
+    fn drills_never_kill_the_last_copy() {
+        // More kills than spare replicas: the drill schedule is clamped
+        // so the final copy survives and the run still completes — with
+        // no spare at all (K = 1) every drill is skipped.
+        let single = run(true, 4, 10);
+        let kills = vec![(0, 2), (0, 5), (0, 8)];
+        for (replicas, failovers) in [(2, 1), (1, 0)] {
+            let replicated = run_topology(true, 4, 10, (2, replicas), kills.clone());
+            assert_eq!(replicated.completed_batches, 12);
+            assert_eq!(replicated.failovers, failovers, "one promotion per spare, no more");
+            assert_same_training(&single, &replicated);
         }
     }
 
@@ -1294,11 +1184,11 @@ mod tests {
         };
 
         let (model, server, dataset) = setup_with(21, optimizer, tt_threshold);
-        let oracle = PipelineTrainer::train(model, server, &dataset, &config);
+        let oracle = PipelineTrainer::try_train(model, server, &dataset, &config).unwrap();
 
         let (model, server, dataset) = setup_with(21, optimizer, tt_threshold);
         let head_cfg = PipelineConfig { num_batches: cut, ..config };
-        let head = PipelineTrainer::train(model, server, &dataset, &head_cfg);
+        let head = PipelineTrainer::try_train(model, server, &dataset, &head_cfg).unwrap();
         assert_eq!(head.completed_batches, cut);
         let ckpt = PipelineTrainer::capture(&head.model, &head.host_tables, 0.05, cut);
         // Round-trip through the durable byte format: what resumes is
@@ -1361,7 +1251,7 @@ mod tests {
             overlap_analysis: true,
         };
         let (model, server, dataset) = setup(31);
-        let oracle = PipelineTrainer::train(model, server, &dataset, &config);
+        let oracle = PipelineTrainer::try_train(model, server, &dataset, &config).unwrap();
 
         let (model, server, dataset) = setup(31);
         let storage = Arc::new(MemStorage::new());

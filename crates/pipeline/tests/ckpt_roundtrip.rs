@@ -79,7 +79,7 @@ proptest! {
             pipelined: true,
             overlap_analysis: true,
         };
-        let report = PipelineTrainer::train(model, server, &dataset, &config);
+        let report = PipelineTrainer::try_train(model, server, &dataset, &config).unwrap();
         prop_assert_eq!(report.completed_batches, cut);
 
         // capture → framed bytes
@@ -129,7 +129,7 @@ proptest! {
             pipelined: true,
             overlap_analysis: true,
         };
-        let report = PipelineTrainer::train(model, server, &dataset, &config);
+        let report = PipelineTrainer::try_train(model, server, &dataset, &config).unwrap();
         let ckpt = PipelineTrainer::capture(&report.model, &report.host_tables, 0.05, cut);
         let framed = ckpt.to_framed_bytes();
 

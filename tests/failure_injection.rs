@@ -1,13 +1,18 @@
-//! Failure injection: the parameter server must degrade gracefully when
-//! its worker disappears mid-run — no panics, no lost updates for
-//! gradients that did arrive, clean shutdown of the serving loop.
+//! Failure injection: the serving side of the pipeline — router thread,
+//! shard threads, replica groups — must degrade gracefully when its worker
+//! disappears mid-run, at every topology: no panics, no lost updates for
+//! gradients that did arrive, every thread joined.
 
 use el_rec::data::{DatasetSpec, SyntheticDataset};
 use el_rec::dlrm::embedding_bag::{EmbeddingBag, SparseGrad};
-use el_rec::pipeline::server::{
-    make_queues, GradientPush, HostServer, ServingLoop, ServingSchedule,
-};
+use el_rec::pipeline::server::{GradientPush, HostServer, PrefetchedBatch};
+use el_rec::pipeline::trainer::{PipelineConfig, ServingLoop};
+use el_rec::pipeline::{ReplicationConfig, ShardConfig};
 use rand::SeedableRng;
+
+/// `(shards, replicas)`: the single host server, and a tier with a real
+/// router fan-out and real backups.
+const TOPOLOGIES: [(u32, u32); 2] = [(1, 1), (2, 2)];
 
 fn dataset() -> SyntheticDataset {
     SyntheticDataset::new(DatasetSpec::toy(2, 100, 1_000_000), 31)
@@ -22,12 +27,29 @@ fn server() -> HostServer {
     HostServer::new(tables, 0.1)
 }
 
-fn serving(count: u64, pipelined: bool) -> ServingLoop {
-    let schedule = ServingSchedule { first: 0, count, batch_size: 16, pipelined };
-    ServingLoop::new(server(), schedule).expect("dense-mode server serves any schedule")
+/// A `shards` x `replicas` serving tier scheduled for `count` batches
+/// with pre-fetch queue `depth`. Each test plays the device side as the
+/// closure it hands to `run`; `run` returning at all proves the router
+/// and every shard thread shut down.
+fn serving(
+    (shards, replicas): (u32, u32),
+    (count, depth, pipelined): (u64, usize, bool),
+) -> ServingLoop {
+    let config = PipelineConfig {
+        batch_size: 16,
+        first_batch: 0,
+        num_batches: count,
+        prefetch_depth: depth,
+        pipelined,
+        overlap_analysis: false,
+    };
+    let shard_cfg = ShardConfig { num_shards: shards, rows_per_range: 16, placement_seed: 7 };
+    let repl = ReplicationConfig { replicas, ..ReplicationConfig::default() };
+    ServingLoop::new(server(), &config, &shard_cfg, &repl)
+        .expect("a unique-rows server serves any schedule")
 }
 
-fn unit_push(pf: &el_rec::pipeline::server::PrefetchedBatch) -> GradientPush {
+fn unit_push(pf: &PrefetchedBatch) -> GradientPush {
     let tables = pf
         .tables
         .iter()
@@ -47,89 +69,67 @@ fn unit_push(pf: &el_rec::pipeline::server::PrefetchedBatch) -> GradientPush {
 
 #[test]
 fn worker_vanishing_mid_run_stops_the_server_cleanly() {
-    let ds = dataset();
-    let (ptx, prx, gtx, grx) = make_queues(2);
-    let handle = std::thread::spawn({
-        let ds = ds.clone();
-        move || serving(100, true).run(&ds, ptx, grx)
-    });
-
-    // the "worker" processes three batches, then dies without warning
-    for _ in 0..3 {
-        let pf = prx.recv().unwrap();
-        gtx.send(unit_push(&pf)).unwrap();
+    for topology in TOPOLOGIES {
+        // the "worker" processes three batches, then dies without warning
+        let ((), report) = serving(topology, (100, 2, true)).run(&dataset(), |prx, gtx| {
+            for _ in 0..3 {
+                let pf = prx.recv().unwrap();
+                gtx.send(unit_push(&pf)).unwrap();
+            }
+        });
+        let applied = report.server.applied;
+        assert_eq!(applied, 3, "{topology:?}: updates that arrived must reach every shard");
     }
-    drop(prx);
-    drop(gtx);
-
-    let report = handle.join().expect("server must not panic when the worker dies");
-    assert!(
-        report.server.applied >= 3,
-        "updates that arrived must be applied: {}",
-        report.server.applied
-    );
-    assert!(report.server.applied < 100, "the run cannot have completed");
 }
 
 #[test]
 fn worker_that_never_pushes_gradients_does_not_wedge_the_server() {
-    let ds = dataset();
-    let (ptx, prx, gtx, grx) = make_queues(1);
-    let handle = std::thread::spawn({
-        let ds = ds.clone();
-        move || serving(10, false).run(&ds, ptx, grx) // sequential: blocks on grads
-    });
-    // consume one prefetch, never push, then hang up
-    let _ = prx.recv().unwrap();
-    drop(prx);
-    drop(gtx);
-    let report = handle.join().expect("server must unblock when channels close");
-    assert_eq!(report.server.applied, 0);
+    for topology in TOPOLOGIES {
+        // sequential: the router blocks on the gradients of batch 0;
+        // consume that one prefetch, never push, then hang up
+        let ((), report) = serving(topology, (10, 1, false)).run(&dataset(), |prx, _gtx| {
+            let _ = prx.recv().unwrap();
+        });
+        assert_eq!(report.server.applied, 0, "{topology:?}");
+    }
 }
 
 #[test]
 fn server_tail_drain_applies_late_gradients() {
-    // the worker is slower than the server: pushes arrive after the server
-    // finished prefetching everything.
-    let ds = dataset();
-    let (ptx, prx, gtx, grx) = make_queues(4);
-    let handle = std::thread::spawn({
-        let ds = ds.clone();
-        move || serving(5, true).run(&ds, ptx, grx)
-    });
-    let prefetched: Vec<_> = (0..5).map(|_| prx.recv().unwrap()).collect();
-    // server has now sent everything and is waiting in the drain loop
-    for pf in &prefetched {
-        gtx.send(unit_push(pf)).unwrap();
+    for topology in TOPOLOGIES {
+        // the worker is slower than the server: pushes arrive after the
+        // server finished prefetching everything and waits in its drain
+        let ((), report) = serving(topology, (5, 4, true)).run(&dataset(), |prx, gtx| {
+            let prefetched: Vec<_> = (0..5).map(|_| prx.recv().unwrap()).collect();
+            for pf in &prefetched {
+                gtx.send(unit_push(pf)).unwrap();
+            }
+        });
+        assert_eq!(report.server.applied, 5, "{topology:?}: tail drain must apply every late push");
     }
-    drop(gtx);
-    let report = handle.join().unwrap();
-    assert_eq!(report.server.applied, 5, "tail drain must apply every late push");
 }
 
 #[test]
 fn bounded_prefetch_queue_applies_backpressure() {
-    // with depth 1 and a worker that never consumes, the server must stall
-    // after ~2 batches (1 in the channel + 1 in flight), not run ahead.
-    let ds = dataset();
-    let (ptx, prx, gtx, grx) = make_queues(1);
-    let handle = std::thread::spawn({
-        let ds = ds.clone();
-        move || serving(50, true).run(&ds, ptx, grx)
-    });
-    std::thread::sleep(std::time::Duration::from_millis(200));
-    // nothing consumed: the channel holds exactly its capacity
-    let first = prx.try_recv().expect("one batch must be queued");
-    assert_eq!(first.batch_seq, 0);
-    drop(prx);
-    drop(gtx);
-    let report = handle.join().unwrap();
-    assert!(
-        report.server.applied <= 2,
-        "server ran ahead of the bounded queue: applied {}",
-        report.server.applied
-    );
-    let _ = first;
+    // with depth 1 and a worker that consumes one batch in 200 ms, the
+    // server may gather batch 0 (queued), batch 1 (blocked on the full
+    // queue) and, once batch 0 is taken, batch 2 — never run ahead to 50.
+    let mut single = server();
+    let three_batches: usize =
+        (0..3).map(|k| single.gather(dataset().batch(k, 16), k).payload_bytes()).sum();
+    for topology in TOPOLOGIES {
+        let ((), report) = serving(topology, (50, 1, true)).run(&dataset(), |prx, _gtx| {
+            std::thread::sleep(std::time::Duration::from_millis(200));
+            let first = prx.try_recv().expect("one batch must be queued");
+            assert_eq!(first.batch_seq, 0);
+        });
+        let gathered = report.server.meter.h2d_bytes;
+        assert!(
+            gathered <= three_batches as u64,
+            "{topology:?}: server ran ahead of the bounded queue: gathered {gathered} bytes"
+        );
+        assert_eq!(report.server.applied, 0, "{topology:?}: nothing was ever pushed");
+    }
 }
 
 // ---------------------------------------------------------------------------

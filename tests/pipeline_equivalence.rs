@@ -58,7 +58,7 @@ fn run(pipelined: bool, depth: usize) -> PipelineReport {
         pipelined,
         overlap_analysis: pipelined,
     };
-    PipelineTrainer::train(model, server, &dataset(), &config)
+    PipelineTrainer::try_train(model, server, &dataset(), &config).unwrap()
 }
 
 #[test]
@@ -124,7 +124,7 @@ fn pooled_mode_trains_the_same_model_as_unique_rows() {
         pipelined: false,
         overlap_analysis: false,
     };
-    let pooled = PipelineTrainer::train(model, server, &dataset(), &config);
+    let pooled = PipelineTrainer::try_train(model, server, &dataset(), &config).unwrap();
 
     for (a, b) in unique.losses.iter().zip(&pooled.losses) {
         assert!((a - b).abs() < 1e-5, "serving modes diverged: {a} vs {b}");
