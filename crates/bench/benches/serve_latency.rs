@@ -1,7 +1,7 @@
 //! Tail-latency SLO harness for the online serving tier.
 //!
 //! Replays a deterministic open-loop Poisson/Zipf trace (`el_data::loadgen`)
-//! against `el_serve::serve`, sweeping offered load x batch window x
+//! against `el_serve::serve`, sweeping offered load x batch cap x
 //! precision. Each leg submits requests *on the generated schedule* — never
 //! waiting for responses before the next arrival — so queueing delay lands
 //! in the recorded latencies instead of being hidden by back-pressure
@@ -10,20 +10,25 @@
 //! [`el_serve::LatencyHistogram`].
 //!
 //! The `max_batch = 1` legs are the request-at-a-time baseline: every
-//! admitted request crosses the queues alone and is contracted alone. The
-//! coalesced legs batch up to `max_batch` requests per window, so duplicate
-//! rows across concurrent requests are contracted once (the paper's
-//! Algorithm 1 dedup applied to the request stream). The headline claim the
-//! JSON must support: at equal offered load, coalescing wins on p99 and
-//! sustains more load before shedding.
+//! admitted request is contracted alone. The coalesced legs let a worker
+//! take up to `max_batch` requests that queued while it was busy, so
+//! duplicate rows across concurrent requests are contracted once (the
+//! paper's Algorithm 1 dedup applied to the request stream). Batching is
+//! work-conserving — an idle worker never holds a request back — so the two
+//! claims the JSON must support are: at low load coalescing costs nothing
+//! over the baseline, and at high load it wins on p99 and sustains more
+//! load before shedding.
 //!
 //! Results go to `BENCH_serve_latency.json` (override with
 //! `CRITERION_BENCH_JSON`), one row per leg with p50/p99/p999, shed rate,
 //! dedup and cache counters, and the standard provenance fields.
 //!
 //! `--test` (as passed by `cargo bench -- --test` or the CI `serve-smoke`
-//! job) shrinks the sweep to seconds; the harness exits nonzero if the
-//! calibrated low-load legs shed anything, which is the CI gate.
+//! job) shrinks the sweep to seconds. The harness exits nonzero if a
+//! low-load leg sheds anything, if the low-load `coalesced` p50 exceeds
+//! twice the `naive` p50 of the same run, or if the highest-load
+//! `coalesced` leg sheds — ratios inside one run, so the gate holds on a
+//! shared runner whatever its absolute speed.
 
 use el_core::{InferencePrecision, TtConfig, TtEmbeddingBag};
 use el_data::{OpenLoopConfig, OpenLoopGen};
@@ -36,13 +41,12 @@ const INDICES_PER_REQUEST: usize = 8;
 const NUM_ROWS: usize = 100_000;
 const TRACE_SEED: u64 = 20_220_213;
 
-/// One measured (load, window, precision) leg.
+/// One measured (load, batch cap, precision) leg.
 struct Row {
     mode: &'static str,
     precision: &'static str,
     offered_rps: f64,
     max_batch: usize,
-    max_wait_us: u64,
     requests: usize,
     p50_us: f64,
     p99_us: f64,
@@ -70,13 +74,12 @@ fn precision_name(p: InferencePrecision) -> &'static str {
 }
 
 /// Replays `count` requests at `offered_rps` through a serving tier with
-/// the given batch window and tenant precision, returning the measured leg.
+/// the given batch cap and tenant precision, returning the measured leg.
 fn run_leg(
     table: &TtEmbeddingBag,
     mode: &'static str,
     offered_rps: f64,
     max_batch: usize,
-    max_wait_us: u64,
     precision: InferencePrecision,
     count: usize,
 ) -> Row {
@@ -96,7 +99,7 @@ fn run_leg(
     // instead of stretching the tail. 128 in-flight per tenant is ~10x
     // the deepest backlog any sustainable leg reaches.
     let cfg = ServeConfig { workers: 1, tenant_inflight_cap: 128, ..ServeConfig::default() }
-        .with_batching(max_batch, max_wait_us);
+        .with_max_batch(max_batch);
     let tenants = [TenantConfig { precision }; NUM_TENANTS];
 
     let (hist, report) = serve(table, &cfg, &tenants, |h| {
@@ -164,7 +167,6 @@ fn run_leg(
         precision: precision_name(precision),
         offered_rps,
         max_batch,
-        max_wait_us,
         requests: count,
         p50_us: p50 as f64 / 1e3,
         p99_us: p99 as f64 / 1e3,
@@ -190,7 +192,7 @@ fn render_json(rows: &[Row], provenance: &[(String, String)]) -> String {
         out.push_str(&format!(
             "  {{\"id\":\"serve_latency/{}/{}/rps{:.0}\",\"mode\":\"{}\",\
              \"precision\":\"{}\",\"offered_rps\":{:.0},\"max_batch\":{},\
-             \"max_wait_us\":{},\"requests\":{},\"p50_us\":{:.1},\"p99_us\":{:.1},\
+             \"requests\":{},\"p50_us\":{:.1},\"p99_us\":{:.1},\
              \"p999_us\":{:.1},\"shed_rate\":{:.4},\"completed\":{},\"batches\":{},\
              \"lookups\":{},\"unique_rows\":{},\"cache_hits\":{},\"cache_misses\":{},\
              \"cache_evictions\":{}{prov}}}",
@@ -201,7 +203,6 @@ fn render_json(rows: &[Row], provenance: &[(String, String)]) -> String {
             r.precision,
             r.offered_rps,
             r.max_batch,
-            r.max_wait_us,
             r.requests,
             r.p50_us,
             r.p99_us,
@@ -224,11 +225,11 @@ fn main() {
     let quick = quick_mode();
     let loads: &[f64] =
         if quick { &[500.0, 2_000.0] } else { &[500.0, 4_000.0, 16_000.0, 48_000.0, 96_000.0] };
-    // (mode, max_batch, max_wait_us): batch=1 is the per-request baseline.
-    let windows: &[(&'static str, usize, u64)] = if quick {
-        &[("naive", 1, 0), ("coalesced", 32, 200)]
+    // (mode, max_batch): batch=1 is the per-request baseline.
+    let modes: &[(&'static str, usize)] = if quick {
+        &[("naive", 1), ("coalesced", 32)]
     } else {
-        &[("naive", 1, 0), ("coalesced_narrow", 8, 100), ("coalesced", 32, 200)]
+        &[("naive", 1), ("coalesced_narrow", 8), ("coalesced", 32)]
     };
 
     let mut rng = rand::rngs::StdRng::seed_from_u64(42);
@@ -237,9 +238,8 @@ fn main() {
     let mut rows = Vec::new();
     for &rps in loads {
         let count = if quick { 300 } else { ((rps * 2.0) as usize).clamp(1_000, 40_000) };
-        for &(mode, max_batch, max_wait_us) in windows {
-            let row =
-                run_leg(&table, mode, rps, max_batch, max_wait_us, InferencePrecision::F32, count);
+        for &(mode, max_batch) in modes {
+            let row = run_leg(&table, mode, rps, max_batch, InferencePrecision::F32, count);
             eprintln!(
                 "serve_latency/{}/{}/rps{:.0}: p50 {:.0} us, p99 {:.0} us, p999 {:.0} us, \
                  shed {:.1}%, {} batches, dedup {}/{} rows",
@@ -256,10 +256,10 @@ fn main() {
             );
             rows.push(row);
         }
-        // Quantized lanes at the standard coalescing window: same trace,
-        // smaller resident products.
+        // Quantized lanes at the standard batch cap: same trace, smaller
+        // resident products.
         for precision in [InferencePrecision::Bf16, InferencePrecision::Int8] {
-            let row = run_leg(&table, "coalesced", rps, 32, 200, precision, count);
+            let row = run_leg(&table, "coalesced", rps, 32, precision, count);
             eprintln!(
                 "serve_latency/{}/{}/rps{:.0}: p50 {:.0} us, p99 {:.0} us, shed {:.1}%",
                 row.mode,
@@ -279,38 +279,65 @@ fn main() {
         .expect("writing the serve-latency summary failed");
     println!("wrote serve-latency results to {path}");
 
+    let f32_leg = |mode: &str, rps: f64| {
+        rows.iter().find(|r| r.mode == mode && r.precision == "f32" && r.offered_rps == rps)
+    };
+
     // Headline comparison: coalesced vs per-request p99 at each shared load.
     for &rps in loads {
-        let p99_of = |mode: &str| {
-            rows.iter()
-                .find(|r| r.mode == mode && r.precision == "f32" && r.offered_rps == rps)
-                .map(|r| r.p99_us)
-        };
-        if let (Some(naive), Some(coalesced)) = (p99_of("naive"), p99_of("coalesced")) {
+        if let (Some(naive), Some(coalesced)) = (f32_leg("naive", rps), f32_leg("coalesced", rps)) {
             println!(
-                "rps {rps:.0}: p99 naive {naive:.0} us vs coalesced {coalesced:.0} us ({:.2}x)",
-                naive / coalesced.max(1e-9),
+                "rps {rps:.0}: p99 naive {:.0} us vs coalesced {:.0} us ({:.2}x)",
+                naive.p99_us,
+                coalesced.p99_us,
+                naive.p99_us / coalesced.p99_us.max(1e-9),
             );
         }
     }
 
-    // CI gate: the lowest offered load is calibrated to be comfortably
-    // inside capacity for every window — any shedding there is a
-    // correctness regression (admission control rejecting sustainable
-    // load), not an overload response.
+    // CI gate, on ratios inside this run only (a shared runner's absolute
+    // speed varies, its legs' relative order does not):
+    //  * the lowest offered load is comfortably inside capacity for every
+    //    mode, so any shedding there is admission control rejecting
+    //    sustainable load;
+    //  * with nothing to coalesce, a work-conserving tier answers as fast
+    //    as the request-at-a-time baseline — a `coalesced` p50 beyond twice
+    //    the `naive` one means requests are being held back for a batch;
+    //  * coalescing exists to carry the highest load without shedding (in
+    //    the full sweep a host stall longer than the budgets cover — 5.3 ms
+    //    at 96k rps — trips this; the quick sweep tops out at 2k rps).
     let low = loads.iter().copied().fold(f64::INFINITY, f64::min);
-    let violations: Vec<&Row> =
-        rows.iter().filter(|r| r.offered_rps == low && r.shed_rate > 0.0).collect();
-    if !violations.is_empty() {
-        for r in &violations {
-            eprintln!(
-                "SLO violation: {}/{} shed {:.2}% at the low-load point ({} rps)",
+    let high = loads.iter().copied().fold(0.0, f64::max);
+    let mut violations: Vec<String> = rows
+        .iter()
+        .filter(|r| r.offered_rps == low && r.shed_rate > 0.0)
+        .map(|r| {
+            format!(
+                "{}/{} shed {:.2}% at the low-load point ({low} rps)",
                 r.mode,
                 r.precision,
                 r.shed_rate * 100.0,
-                low,
-            );
+            )
+        })
+        .collect();
+    if let (Some(naive), Some(coalesced)) = (f32_leg("naive", low), f32_leg("coalesced", low)) {
+        if coalesced.p50_us > 2.0 * naive.p50_us {
+            violations.push(format!(
+                "coalesced p50 {:.0} us is more than twice naive p50 {:.0} us at {low} rps",
+                coalesced.p50_us, naive.p50_us,
+            ));
         }
+    }
+    if let Some(r) = f32_leg("coalesced", high).filter(|r| r.shed_rate > 0.0) {
+        violations.push(format!(
+            "coalesced shed {:.2}% at the high-load point ({high} rps)",
+            r.shed_rate * 100.0,
+        ));
+    }
+    for v in &violations {
+        eprintln!("SLO violation: {v}");
+    }
+    if !violations.is_empty() {
         std::process::exit(1);
     }
 }

@@ -9,20 +9,19 @@ use std::env;
 /// Configuration of one serving tier instance.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ServeConfig {
-    /// Maximum requests coalesced into one batched lookup. `1` disables
-    /// coalescing (the request-at-a-time baseline the bench compares
-    /// against).
+    /// Maximum requests coalesced into one batched lookup: the cap on what
+    /// a worker takes from a lane at once (batches fill only while the
+    /// workers are busy; an idle worker serves a lone request at once). `1`
+    /// disables coalescing (the request-at-a-time baseline the bench
+    /// compares against).
     pub max_batch: usize,
-    /// Maximum microseconds a pending batch may age before it is flushed
-    /// even if under-full. `0` flushes immediately (latency-first).
-    pub max_wait_us: u64,
     /// Worker tasks run on the shared rayon pool. Each worker owns its
     /// inference sessions (one per precision lane in use).
     pub workers: usize,
     /// Per-tenant in-flight budget: a tenant with this many unanswered
     /// requests has further submissions shed. This is the fairness
     /// mechanism — one hot tenant can fill at most its own budget, never
-    /// the whole ingress queue.
+    /// the whole of a pending lane.
     pub tenant_inflight_cap: usize,
     /// Prefix-product cache capacity of each worker session.
     pub cache_capacity: usize,
@@ -38,7 +37,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             max_batch: 32,
-            max_wait_us: 200,
             workers: 1,
             tenant_inflight_cap: 256,
             cache_capacity: 4_096,
@@ -57,8 +55,6 @@ impl ServeConfig {
         let d = Self::default();
         Self {
             max_batch: env_usize(env::var("EL_SERVE_MAX_BATCH").ok(), d.max_batch).max(1),
-            max_wait_us: env_usize(env::var("EL_SERVE_MAX_WAIT_US").ok(), d.max_wait_us as usize)
-                as u64,
             workers: env_usize(env::var("EL_SERVE_WORKERS").ok(), d.workers).max(1),
             tenant_inflight_cap: env_usize(
                 env::var("EL_SERVE_QUEUE_CAP").ok(),
@@ -73,10 +69,9 @@ impl ServeConfig {
         }
     }
 
-    /// Builder-style override of the batch window.
-    pub fn with_batching(mut self, max_batch: usize, max_wait_us: u64) -> Self {
+    /// Builder-style override of the batch cap.
+    pub fn with_max_batch(mut self, max_batch: usize) -> Self {
         self.max_batch = max_batch.max(1);
-        self.max_wait_us = max_wait_us;
         self
     }
 }
@@ -101,9 +96,8 @@ mod tests {
     }
 
     #[test]
-    fn with_batching_clamps_to_one() {
-        let c = ServeConfig::default().with_batching(0, 50);
-        assert_eq!(c.max_batch, 1);
-        assert_eq!(c.max_wait_us, 50);
+    fn with_max_batch_clamps_to_one() {
+        assert_eq!(ServeConfig::default().with_max_batch(0).max_batch, 1);
+        assert_eq!(ServeConfig::default().with_max_batch(8).max_batch, 8);
     }
 }

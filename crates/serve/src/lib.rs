@@ -17,10 +17,11 @@
 //!   scatters rows back per request from recycled buffers (zero-alloc in
 //!   steady state; proven by the `// CONTRACT: zero-alloc` analyzer).
 //! * [`server`] — admission control (bounded per-tenant in-flight budgets,
-//!   typed [`server::ServeError::Overloaded`] shedding, never a stall), a
-//!   dispatcher that batches per precision lane up to
-//!   `max_batch`/`max_wait_us`, and workers that run on the shared rayon
-//!   pool with a per-tenant [`el_core::InferencePrecision`].
+//!   typed [`server::ServeError::Overloaded`] shedding, never a stall),
+//!   per-precision pending lanes, and workers on the shared rayon pool that
+//!   pull up to `max_batch` requests from the longest-waiting lane whenever
+//!   they are free: work-conserving batching, where batch size follows load
+//!   and an idle tier answers a lone request at once.
 //! * [`metrics::LatencyHistogram`] — log-bucketed tail-latency accounting
 //!   (p50/p99/p999) for the SLO harness.
 //! * [`hosted::HostedReadTier`] — the sharded, replicated read path for

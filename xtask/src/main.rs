@@ -20,9 +20,10 @@
 //!   Skips with exit 0 (and a loud message) when the nightly `miri`
 //!   component is not installed — e.g. in offline containers; it never
 //!   masks actual findings.
-//! * `tsan` — run the pool stress harness under ThreadSanitizer. Needs
-//!   nightly + the `rust-src` component (`-Zbuild-std`); same
-//!   skip-when-unavailable / fail-on-findings policy.
+//! * `tsan` — run the pool stress harness and the serving tier's
+//!   hand-off tests under ThreadSanitizer. Needs nightly + the `rust-src`
+//!   component (`-Zbuild-std`); same skip-when-unavailable /
+//!   fail-on-findings policy.
 //! * `sim [args...]` — run the deterministic pipeline simulator
 //!   (`crates/sim`): `--sweep N` for a seed sweep (CI mode), `--seed N`
 //!   to replay one failing seed with full diagnostics, `--crash-sweep N`
@@ -68,7 +69,7 @@ fn usage() -> ExitCode {
          analysis-baseline.toml ratchet\n  \
          vendor-hash [--update]  verify (or regenerate) vendor/MANIFEST.fnv1a\n  \
          miri                 run the Miri unsafe-surface subset (needs nightly miri)\n  \
-         tsan                 run the pool stress harness under ThreadSanitizer\n                       \
+         tsan                 run the pool stress + serve hand-off tests under TSan\n                       \
          (needs nightly + rust-src)\n  \
          sim [args...]        run the pipeline simulator (--sweep N | --seed N |\n                       \
          --crash-sweep N | --crash-seed N | --shard-sweep N |\n                       \
@@ -288,28 +289,36 @@ fn cmd_tsan(root: &Path) -> ExitCode {
         eprintln!("xtask tsan: could not determine the host target triple");
         return ExitCode::FAILURE;
     };
-    println!("xtask tsan: pool stress harness on {host} (1/2/4/8-thread subprocesses)");
-    let mut cmd = Command::new("rustup");
-    cmd.args(["run", "nightly", "cargo", "test"])
-        .args(["-Zbuild-std", "--target", &host])
-        .args(["-p", "rayon", "--test", "stress"])
-        .current_dir(root)
-        .env("RUSTFLAGS", "-Zsanitizer=thread")
-        .env("CARGO_TARGET_DIR", root.join("target/tsan"))
-        // TSan reports must fail the run, not just print.
-        .env("TSAN_OPTIONS", "halt_on_error=1");
-    match status_of(&mut cmd) {
-        Ok(true) => {
-            println!("xtask tsan: clean");
-            ExitCode::SUCCESS
-        }
-        Ok(false) => {
-            eprintln!("xtask tsan: FAILED (test failure or data race report)");
-            ExitCode::FAILURE
-        }
-        Err(e) => {
-            eprintln!("xtask tsan: could not spawn rustup: {e}");
-            ExitCode::FAILURE
+    // The rayon shim's queue/latch protocol, and the serving tier's
+    // submit -> pending lanes -> worker hand-off (one mutex + condvar, with
+    // the budget counters and stats as atomics beside it).
+    let runs: &[(&str, &[&str])] = &[
+        ("pool stress harness (1/2/4/8-thread subprocesses)", &["-p", "rayon", "--test", "stress"]),
+        ("serving-tier lock/condvar hand-off", &["-p", "el-serve", "--lib", "server::"]),
+    ];
+    for (what, args) in runs {
+        println!("xtask tsan: {what} on {host}");
+        let mut cmd = Command::new("rustup");
+        cmd.args(["run", "nightly", "cargo", "test"])
+            .args(["-Zbuild-std", "--target", &host])
+            .args(*args)
+            .current_dir(root)
+            .env("RUSTFLAGS", "-Zsanitizer=thread")
+            .env("CARGO_TARGET_DIR", root.join("target/tsan"))
+            // TSan reports must fail the run, not just print.
+            .env("TSAN_OPTIONS", "halt_on_error=1");
+        match status_of(&mut cmd) {
+            Ok(true) => {}
+            Ok(false) => {
+                eprintln!("xtask tsan: FAILED during `{what}` (test failure or data race report)");
+                return ExitCode::FAILURE;
+            }
+            Err(e) => {
+                eprintln!("xtask tsan: could not spawn rustup: {e}");
+                return ExitCode::FAILURE;
+            }
         }
     }
+    println!("xtask tsan: clean");
+    ExitCode::SUCCESS
 }
