@@ -1,611 +1,226 @@
 //! CLI driver for the pipeline simulator (`cargo xtask sim`).
 //!
-//! Four modes:
+//! `sim <scenario> (--seed N | --sweep COUNT) [flags]` — one positional
+//! scenario (`fault`, `crash`, `shard`, `reshard`, `failover`, `netfault`;
+//! see [`el_sim::Scenario`]) and one of two modes:
 //!
-//! * `sim --seed N` — replay one seed with full diagnostics: the derived
-//!   fault plan, the outcome, and every invariant verdict. This is the
-//!   reproduction path DESIGN.md §10 documents for failing sweep seeds.
-//! * `sim --sweep COUNT [--start S]` — sweep seeds `S .. S+COUNT`
-//!   (CI runs this). On a violation the failure record — seed, plan,
+//! * `--seed N` replays one seed with full diagnostics: the derived
+//!   plans, what each phase did, and the verdict of every invariant. This
+//!   is the reproduction path DESIGN.md §10 documents for failing seeds.
+//! * `--sweep COUNT [--start S]` checks seeds `S .. S+COUNT` (CI runs
+//!   this). On a violation the failure record — scenario, seed, plans,
 //!   violation, reproduction command — is printed and written to
-//!   `target/sim/failure-seed-N.txt` for artifact upload, and the
-//!   process exits non-zero.
-//! * `sim --crash-seed N` — replay one crash-recovery scenario: crash the
-//!   process (plus seeded storage faults: mid-protocol deaths, torn
-//!   writes, at-rest rot), recover from the surviving checkpoints, resume,
-//!   and verify the final tables against the sequential oracle.
-//! * `sim --crash-sweep COUNT [--start S]` — sweep crash-recovery seeds;
-//!   failures land in `target/sim/crash-failure-seed-N.txt`.
-//! * `sim --shard-seed N [--shards K]` — replay one multi-shard seed:
-//!   per-shard fault injection, stitched staleness stamps, per-shard and
-//!   merged oracle byte-identity.
-//! * `sim --shard-sweep COUNT [--shards K] [--start S]` — sweep
-//!   multi-shard seeds; failures land in
-//!   `target/sim/shard-failure-seed-N.txt`.
-//! * `sim --reshard-seed N` — replay one elastic-reshard scenario: drain
-//!   through the checkpoint store under storage faults, migrate to a new
-//!   seed-derived layout, resume, verify against the never-resharded
-//!   oracle.
-//! * `sim --reshard-sweep COUNT [--start S]` — sweep reshard-under-crash
-//!   seeds; failures land in `target/sim/reshard-failure-seed-N.txt`.
-//! * `sim --failover-seed N [--replicas K]` — replay one replicated seed:
-//!   kill-the-primary schedules, heartbeat suspicion, promotion, catch-up
-//!   rejoins, and byte-identity of every surviving member.
-//! * `sim --failover-sweep COUNT [--replicas K] [--start S]` — sweep
-//!   kill-the-primary seeds (each MUST complete without a cold restart);
-//!   failures land in `target/sim/failover-failure-seed-N.txt`.
-//! * `sim --netfault-seed N` / `sim --netfault-sweep COUNT` — the same
-//!   verdict over heartbeat-loss and partition windows (false suspicion,
-//!   fencing, retransmission ride-out); failures land in
-//!   `target/sim/netfault-failure-seed-N.txt`.
+//!   `target/sim/<scenario>-failure-seed-N.txt` for artifact upload, and
+//!   the process exits non-zero.
 
-use el_sim::{
-    check_failover_run, check_recovery, check_run, check_shard_run, crash_plans_for_seed,
-    reshard_plans_for_seed, run_crash_sweep, run_failover_sweep, run_netfault_sweep,
-    run_reshard_sweep, run_shard_sweep, run_sweep, sequential_prefix, sharded_prefix,
-    FailoverSimConfig, FaultPlan, Outcome, RecoveryConfig, ShardSimConfig, SimConfig, TraceEvent,
-};
+use el_sim::{replay_seed, run_sweep, RecoveryConfig, Scenario, SweepFailure};
 use std::process::ExitCode;
 
-/// Parsed command-line request.
-struct Args {
-    /// Replay exactly this seed (wins over sweep mode).
-    seed: Option<u64>,
-    /// Replay exactly this crash-recovery seed.
-    crash_seed: Option<u64>,
-    /// Sweep this many seeds.
-    sweep: u64,
-    /// Sweep this many crash-recovery seeds instead of plain seeds.
-    crash_sweep: Option<u64>,
-    /// Replay exactly this multi-shard seed.
-    shard_seed: Option<u64>,
-    /// Sweep this many multi-shard seeds.
-    shard_sweep: Option<u64>,
-    /// Shard count for the multi-shard modes.
-    shards: u32,
-    /// Replay exactly this elastic-reshard seed.
-    reshard_seed: Option<u64>,
-    /// Sweep this many reshard-under-crash seeds.
-    reshard_sweep: Option<u64>,
-    /// Replay exactly this replicated kill-the-primary seed.
-    failover_seed: Option<u64>,
-    /// Sweep this many kill-the-primary seeds.
-    failover_sweep: Option<u64>,
-    /// Replay exactly this network-fault (heartbeat-loss/partition) seed.
-    netfault_seed: Option<u64>,
-    /// Sweep this many network-fault seeds.
-    netfault_sweep: Option<u64>,
-    /// Replicas per shard group for the failover modes.
-    replicas: u32,
-    /// First sweep seed.
-    start: u64,
-    /// Batches per run.
-    batches: u64,
-    /// Staleness bound override.
-    bound: Option<u64>,
-    /// Checkpoint cadence for crash-recovery modes.
-    every: u64,
-    /// Checkpoints retained for crash-recovery modes.
-    retain: usize,
+/// What to do with the scenario.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Mode {
+    /// Replay exactly this seed.
+    Seed(u64),
+    /// Sweep this many seeds from `start`.
+    Sweep { count: u64, start: u64 },
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        seed: None,
-        crash_seed: None,
-        sweep: 100,
-        crash_sweep: None,
-        shard_seed: None,
-        shard_sweep: None,
-        shards: 3,
-        reshard_seed: None,
-        reshard_sweep: None,
-        failover_seed: None,
-        failover_sweep: None,
-        netfault_seed: None,
-        netfault_sweep: None,
-        replicas: 3,
-        start: 0,
-        batches: 24,
-        bound: None,
-        every: 4,
-        retain: 2,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut grab = |name: &str| -> Result<u64, String> {
-            it.next()
-                .ok_or_else(|| format!("{name} needs a value"))?
-                .parse()
-                .map_err(|e| format!("{name}: {e}"))
+/// Parsed command-line request.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Request {
+    scenario: Scenario,
+    mode: Mode,
+    config: RecoveryConfig,
+}
+
+const USAGE: &str = "usage: sim <scenario> (--seed N | --sweep COUNT) [--start S] [--batches N]
+           [--bound B] [--every E] [--retain R] [--shards N] [--replicas K]
+scenarios:
+  fault     single-server faults: stalls, delays, deaths, saturation, drops, duplicates
+  crash     crash -> recover from the checkpoint store under storage faults -> resume
+  shard     per-shard faults: shard death, cross-shard reordering (default 3 shards)
+  reshard   drain -> migrate to a seed-derived layout -> resume, crashing the drain
+  failover  kill-the-primary schedules, completion required (default 3 shards x 3 replicas)
+  netfault  heartbeat-loss and partition windows, completion required (default 3 x 3)
+flags:
+  --seed N      replay one seed with full diagnostics
+  --sweep COUNT invariant-check COUNT seeds
+  --start S     first seed of the sweep (default 0)
+  --batches N   batches per simulated run (default 24)
+  --bound B     staleness bound (default 6)
+  --every E     checkpoint cadence in applied batches (crash, default 4)
+  --retain R    checkpoints retained by the store (crash, default 2)
+  --shards N    shards in the parameter tier
+  --replicas K  members per shard's replica group";
+
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Request, String> {
+    let name = args.next().ok_or(USAGE)?;
+    if name == "--help" {
+        return Err(USAGE.to_string());
+    }
+    let scenario =
+        Scenario::from_name(&name).ok_or_else(|| format!("unknown scenario `{name}`\n{USAGE}"))?;
+    let mut config = scenario.default_config();
+    let (mut seed, mut sweep, mut start) = (None, None, 0);
+    while let Some(flag) = args.next() {
+        let mut grab = || -> Result<u64, String> {
+            let value = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
+            value.parse().map_err(|e| format!("{flag}: {e}"))
         };
         match flag.as_str() {
-            "--seed" => args.seed = Some(grab("--seed")?),
-            "--crash-seed" => args.crash_seed = Some(grab("--crash-seed")?),
-            "--sweep" => args.sweep = grab("--sweep")?,
-            "--crash-sweep" => args.crash_sweep = Some(grab("--crash-sweep")?),
-            "--shard-seed" => args.shard_seed = Some(grab("--shard-seed")?),
-            "--shard-sweep" => args.shard_sweep = Some(grab("--shard-sweep")?),
-            "--shards" => args.shards = grab("--shards")?.clamp(1, 64) as u32,
-            "--reshard-seed" => args.reshard_seed = Some(grab("--reshard-seed")?),
-            "--reshard-sweep" => args.reshard_sweep = Some(grab("--reshard-sweep")?),
-            "--failover-seed" => args.failover_seed = Some(grab("--failover-seed")?),
-            "--failover-sweep" => args.failover_sweep = Some(grab("--failover-sweep")?),
-            "--netfault-seed" => args.netfault_seed = Some(grab("--netfault-seed")?),
-            "--netfault-sweep" => args.netfault_sweep = Some(grab("--netfault-sweep")?),
-            "--replicas" => args.replicas = grab("--replicas")?.clamp(1, 16) as u32,
-            "--start" => args.start = grab("--start")?,
-            "--batches" => args.batches = grab("--batches")?,
-            "--bound" => args.bound = Some(grab("--bound")?),
-            "--every" => args.every = grab("--every")?.max(1),
-            "--retain" => args.retain = grab("--retain")?.max(1) as usize,
-            "--help" | "-h" => return Err(USAGE.to_string()),
+            "--seed" => seed = Some(grab()?),
+            "--sweep" => sweep = Some(grab()?),
+            "--start" => start = grab()?,
+            "--batches" => config.sim.num_batches = grab()?,
+            "--bound" => config.sim.staleness_bound = grab()?,
+            "--every" => config.ckpt_every = grab()?.max(1),
+            "--retain" => config.retain = grab()?.max(1) as usize,
+            "--shards" => config.sim.shard.num_shards = grab()?.clamp(1, 64) as u32,
+            "--replicas" => config.sim.replicas = grab()?.clamp(1, 16) as u32,
+            "--help" => return Err(USAGE.to_string()),
             other => return Err(format!("unknown flag {other}\n{USAGE}")),
         }
     }
-    Ok(args)
+    let mode = match (seed, sweep) {
+        (Some(seed), None) => Mode::Seed(seed),
+        (None, Some(count)) => Mode::Sweep { count, start },
+        _ => return Err(format!("exactly one of --seed and --sweep is required\n{USAGE}")),
+    };
+    scenario.validate(&config)?;
+    Ok(Request { scenario, mode, config })
 }
 
-const USAGE: &str = "usage: sim [--seed N | --sweep COUNT | --crash-seed N | --crash-sweep COUNT
-            | --shard-seed N | --shard-sweep COUNT | --reshard-seed N | --reshard-sweep COUNT
-            | --failover-seed N | --failover-sweep COUNT | --netfault-seed N | --netfault-sweep COUNT]
-           [--start S] [--batches N] [--bound B] [--every K] [--retain R] [--shards K] [--replicas K]
-  --seed N          replay one seed with full diagnostics
-  --sweep COUNT     invariant-check COUNT seeds (default mode, COUNT=100)
-  --crash-seed N    replay one crash-recovery scenario with full diagnostics
-  --crash-sweep COUNT  invariant-check COUNT crash-recovery seeds
-  --shard-seed N    replay one multi-shard seed with full diagnostics
-  --shard-sweep COUNT  invariant-check COUNT multi-shard seeds
-  --shards K        shard count for the multi-shard and failover modes (default 3)
-  --reshard-seed N  replay one elastic-reshard scenario with full diagnostics
-  --reshard-sweep COUNT  invariant-check COUNT reshard-under-crash seeds
-  --failover-seed N replay one replicated kill-the-primary seed with full diagnostics
-  --failover-sweep COUNT  invariant-check COUNT kill-the-primary seeds (completion required)
-  --netfault-seed N replay one heartbeat-loss/partition seed with full diagnostics
-  --netfault-sweep COUNT  invariant-check COUNT network-fault seeds (completion required)
-  --replicas K      members per replica group for the failover modes (default 3)
-  --start S         first seed of the sweep (default 0)
-  --batches N       batches per simulated run (default 24)
-  --bound B         staleness bound override (default 6)
-  --every K         checkpoint cadence in applied batches (crash modes, default 4)
-  --retain R        checkpoints retained by the store (crash modes, default 2)";
-
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
+    let Request { scenario, mode, config } = match parse_args(std::env::args().skip(1)) {
+        Ok(request) => request,
         Err(msg) => {
             eprintln!("{msg}");
             return ExitCode::FAILURE;
         }
     };
-    let mut cfg = SimConfig { num_batches: args.batches, ..SimConfig::default() };
-    if let Some(b) = args.bound {
-        cfg.staleness_bound = b;
-    }
-    let rc = RecoveryConfig { sim: cfg, ckpt_every: args.every, retain: args.retain };
-
-    if let Some(seed) = args.seed {
-        return replay_one(&cfg, seed);
-    }
-    if let Some(seed) = args.crash_seed {
-        return replay_crash(&rc, seed);
-    }
-    if let Some(count) = args.crash_sweep {
-        return crash_sweep(&rc, args.start, count);
-    }
-    let scfg = ShardSimConfig {
-        base: cfg,
-        shard: el_pipeline::ShardConfig {
-            num_shards: args.shards,
-            ..ShardSimConfig::default().shard
-        },
-    };
-    if let Some(seed) = args.shard_seed {
-        return replay_shard(&scfg, seed);
-    }
-    if let Some(count) = args.shard_sweep {
-        return shard_sweep(&scfg, args.start, count);
-    }
-    if let Some(seed) = args.reshard_seed {
-        return replay_reshard(&cfg, seed);
-    }
-    if let Some(count) = args.reshard_sweep {
-        return reshard_sweep(&cfg, args.start, count);
-    }
-    let fcfg = FailoverSimConfig {
-        base: cfg,
-        shard: scfg.shard,
-        replicas: args.replicas,
-        ..FailoverSimConfig::default()
-    };
-    if let Some(seed) = args.failover_seed {
-        return replay_failover(&fcfg, seed, false);
-    }
-    if let Some(count) = args.failover_sweep {
-        return failover_sweep(&fcfg, args.start, count, false);
-    }
-    if let Some(seed) = args.netfault_seed {
-        return replay_failover(&fcfg, seed, true);
-    }
-    if let Some(count) = args.netfault_sweep {
-        return failover_sweep(&fcfg, args.start, count, true);
-    }
-
+    let (name, sim) = (scenario.name(), &config.sim);
     println!(
-        "sweeping {} seeds from {} ({} batches, staleness bound {})",
-        args.sweep, args.start, cfg.num_batches, cfg.staleness_bound
+        "{name}: shards x replicas = {} x {}, {} batches, staleness bound {}, \
+         checkpoint every {} retaining {}",
+        sim.shard.num_shards,
+        sim.replicas,
+        sim.num_batches,
+        sim.staleness_bound,
+        config.ckpt_every,
+        config.retain
     );
-    match run_sweep(&cfg, args.start, args.sweep) {
-        Ok(s) => {
-            println!(
-                "clean: {} seeds ({} completed, {} stalled by fatal faults), \
-                 {} faults injected, {} stale rows corrected",
-                s.seeds, s.completed, s.stalled, s.faults_injected, s.stale_hits
-            );
-            ExitCode::SUCCESS
+    let outcome = match mode {
+        Mode::Seed(seed) => replay_seed(scenario, &config, seed).map(|verdict| {
+            println!("seed {seed}\n{}\n{}", verdict.plans, verdict.story);
+            println!("all invariants hold (exactly-once, staleness bound, replay, oracle)");
+        }),
+        Mode::Sweep { count, start } => {
+            println!("sweeping {count} seeds from {start}");
+            run_sweep(scenario, &config, start, count).map(|summary| println!("{summary}"))
         }
+    };
+    match outcome {
+        Ok(()) => ExitCode::SUCCESS,
         Err(failure) => {
             eprintln!("INVARIANT VIOLATION\n{failure}");
-            write_failure_record(
-                &format!("target/sim/failure-seed-{}.txt", failure.seed),
-                &failure.to_string(),
-            );
+            write_failure_record(&failure);
             ExitCode::FAILURE
         }
     }
 }
 
 /// Writes a failure record for CI artifact upload (best effort).
-fn write_failure_record(path: &str, contents: &str) {
+fn write_failure_record(failure: &SweepFailure) {
+    let path = format!("target/sim/{}-failure-seed-{}.txt", failure.scenario.name(), failure.seed);
     if std::fs::create_dir_all("target/sim")
-        .and_then(|()| std::fs::write(path, format!("{contents}\n")))
+        .and_then(|()| std::fs::write(&path, format!("{failure}\n")))
         .is_ok()
     {
         eprintln!("failure record written to {path}");
     }
 }
 
-fn outcome_name(outcome: Outcome) -> &'static str {
-    match outcome {
-        Outcome::Completed => "completed",
-        Outcome::Stalled => "stalled (fatal fault)",
-        Outcome::OutOfBudget => "out of event budget",
-        Outcome::Crashed => "crashed (process death)",
-    }
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use el_sim::{SimConfig, Violation};
 
-/// Replays one seed and prints everything a debugging session needs.
-fn replay_one(cfg: &SimConfig, seed: u64) -> ExitCode {
-    let plan = FaultPlan::from_seed(seed, cfg.num_batches);
-    println!("seed {seed} — fault plan:\n{plan}");
-    let oracle = sequential_prefix(cfg);
-    match check_run(cfg, &plan, seed, &oracle) {
-        Ok(report) => {
-            println!(
-                "{}: applied {}/{} batches in {} virtual ticks ({} events)",
-                outcome_name(report.outcome),
-                report.applied,
-                cfg.num_batches,
-                report.final_tick,
-                report.events_processed
-            );
-            println!(
-                "tables digest {:#018x} — matches sequential oracle at prefix {}",
-                report.table_digest, report.applied
-            );
-            println!("{} stale prefetched rows corrected by the worker cache", report.stale_hits);
-            println!("all invariants hold (exactly-once, staleness bound, replay, oracle)");
-            ExitCode::SUCCESS
-        }
-        Err(v) => {
-            eprintln!("INVARIANT VIOLATION: {v}");
-            ExitCode::FAILURE
-        }
+    fn parse(line: &str) -> Result<Request, String> {
+        parse_args(line.split_whitespace().map(String::from))
     }
-}
 
-/// Replays one crash-recovery scenario with full diagnostics.
-fn replay_crash(rc: &RecoveryConfig, seed: u64) -> ExitCode {
-    let (plan, storage_plan) = crash_plans_for_seed(seed, rc.sim.num_batches);
-    println!("crash seed {seed} — fault plan:\n{plan}");
-    println!("storage-fault plan:\n{storage_plan}");
-    let oracle = sequential_prefix(&rc.sim);
-    match check_recovery(rc, &plan, &storage_plan, seed, &oracle) {
-        Ok(report) => {
-            let saved =
-                report.phase1.trace.count(|e| matches!(e, TraceEvent::CheckpointSaved { .. }));
-            println!(
-                "phase 1 {}: applied {}/{} batches, {} checkpoints saved",
-                outcome_name(report.phase1.outcome),
-                report.phase1.applied,
-                rc.sim.num_batches,
-                saved
-            );
-            match (&report.phase2, &report.restored_from) {
-                (None, _) => println!("no recovery needed"),
-                (Some(p2), Some(name)) => println!(
-                    "recovered from {name} (applied={}), phase 2 {}: applied {}/{}",
-                    report.resumed_applied,
-                    outcome_name(p2.outcome),
-                    p2.applied,
-                    rc.sim.num_batches
-                ),
-                (Some(p2), None) => println!(
-                    "no valid checkpoint survived — cold restart, phase 2 {}: applied {}/{}",
-                    outcome_name(p2.outcome),
-                    p2.applied,
-                    rc.sim.num_batches
-                ),
-            }
-            println!(
-                "final tables digest {:#018x} — byte-identical to the sequential oracle",
-                report.final_digest
-            );
-            ExitCode::SUCCESS
-        }
-        Err(v) => {
-            eprintln!("INVARIANT VIOLATION: {v}");
-            ExitCode::FAILURE
+    /// CI's nine sweep invocations (`.github/workflows/ci.yml`).
+    const CI_SWEEPS: [&str; 9] = [
+        "fault --sweep 128",
+        "fault --sweep 64 --start 1000 --bound 1",
+        "crash --sweep 96",
+        "crash --sweep 48 --start 500 --every 2 --retain 3",
+        "shard --sweep 96 --shards 3",
+        "reshard --sweep 48",
+        "failover --sweep 96",
+        "failover --sweep 24 --start 500 --replicas 2 --shards 4",
+        "netfault --sweep 48",
+    ];
+
+    #[test]
+    fn a_failure_recipe_reproduces_the_config_its_sweep_ran_with() {
+        for line in CI_SWEEPS {
+            let swept = parse(line).unwrap_or_else(|e| panic!("`{line}` must parse: {e}"));
+            let Mode::Sweep { start, .. } = swept.mode else { panic!("`{line}` is a sweep") };
+            let failure = SweepFailure {
+                scenario: swept.scenario,
+                seed: start + 7,
+                config: swept.config,
+                plans: String::new(),
+                violation: Violation::OutOfBudget,
+            };
+            let recipe = failure.recipe();
+            let args = recipe.strip_prefix("cargo xtask sim ").expect("an xtask command line");
+            let replayed = parse(args).unwrap_or_else(|e| panic!("`{recipe}` must parse: {e}"));
+            assert_eq!(replayed.scenario, swept.scenario, "{recipe}");
+            assert_eq!(replayed.mode, Mode::Seed(start + 7), "{recipe}");
+            assert_eq!(replayed.config, swept.config, "`{line}` -> `{recipe}` lost a flag");
+            assert!(failure.to_string().ends_with(&format!("reproduce with: {recipe}")));
         }
     }
-}
 
-/// Replays one multi-shard seed with full diagnostics.
-fn replay_shard(scfg: &ShardSimConfig, seed: u64) -> ExitCode {
-    let plan = FaultPlan::from_seed_sharded(seed, scfg.base.num_batches, scfg.shard.num_shards);
-    println!("shard seed {seed} ({} shards) — fault plan:\n{plan}", scfg.shard.num_shards);
-    let shard_oracle = sharded_prefix(scfg);
-    let global_oracle = sequential_prefix(&scfg.base);
-    match check_shard_run(scfg, &plan, seed, &shard_oracle, &global_oracle) {
-        Ok(report) => {
-            println!(
-                "{}: applied {:?} of {} batches in {} virtual ticks ({} events)",
-                outcome_name(report.outcome),
-                report.applied,
-                scfg.base.num_batches,
-                report.final_tick,
-                report.events_processed
-            );
-            println!(
-                "merged digest {:#018x} — every shard byte-identical to its oracle prefix",
-                report.merged_digest
-            );
-            println!("{} stale prefetched rows corrected by the worker cache", report.stale_hits);
-            println!("all invariants hold (per-shard exactly-once, stitched staleness, replay)");
-            ExitCode::SUCCESS
-        }
-        Err(v) => {
-            eprintln!("INVARIANT VIOLATION: {v}");
-            ExitCode::FAILURE
-        }
+    #[test]
+    fn scenarios_default_to_the_topology_their_faults_need() {
+        let topology = |line: &str| {
+            let sim = parse(line).unwrap().config.sim;
+            (sim.shard.num_shards, sim.replicas)
+        };
+        assert_eq!(topology("fault --seed 1"), (1, 1));
+        assert_eq!(topology("crash --seed 1"), (1, 1));
+        assert_eq!(topology("shard --seed 1"), (3, 1));
+        assert_eq!(topology("failover --seed 1"), (3, 3));
+        assert_eq!(topology("netfault --seed 1 --shards 2"), (2, 3));
+        let defaults = parse("fault --seed 1").unwrap().config;
+        assert_eq!(defaults.sim, SimConfig::default());
     }
-}
 
-/// Sweeps multi-shard seeds (CI's multi-shard fault matrix).
-fn shard_sweep(scfg: &ShardSimConfig, start: u64, count: u64) -> ExitCode {
-    println!(
-        "shard-sweeping {} seeds from {} ({} shards, {} batches, staleness bound {})",
-        count, start, scfg.shard.num_shards, scfg.base.num_batches, scfg.base.staleness_bound
-    );
-    match run_shard_sweep(scfg, start, count) {
-        Ok(s) => {
-            println!(
-                "clean: {} seeds ({} completed, {} stalled by fatal faults), \
-                 {} faults injected, {} shard deaths fired, {} stale rows corrected",
-                s.seeds, s.completed, s.stalled, s.faults_injected, s.shard_deaths, s.stale_hits
-            );
-            ExitCode::SUCCESS
+    #[test]
+    fn conflicting_or_meaningless_requests_are_usage_errors() {
+        for line in [
+            "",
+            "--sweep 4",
+            "sideways --seed 1",
+            "fault",
+            "fault --seed 1 --sweep 4",
+            "fault --seed",
+            "fault --seed banana",
+            "fault --seed 1 --verbose",
+            // a group of one has nobody to fail over to
+            "failover --seed 0 --replicas 1",
+            "netfault --sweep 4 --replicas 1",
+            // the reshard point needs a batch on either side
+            "reshard --sweep 4 --batches 2",
+            "reshard --sweep 4 --batches 1",
+            "reshard --seed 4 --batches 0",
+        ] {
+            assert!(parse(line).is_err(), "`{line}` must be rejected");
         }
-        Err(failure) => {
-            eprintln!("INVARIANT VIOLATION\n{failure}");
-            write_failure_record(
-                &format!("target/sim/shard-failure-seed-{}.txt", failure.seed),
-                &failure.to_string(),
-            );
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// Replays one replicated seed (kill-the-primary or network-fault
-/// domain) with full diagnostics.
-fn replay_failover(fcfg: &FailoverSimConfig, seed: u64, netfault: bool) -> ExitCode {
-    let plan = if netfault {
-        FaultPlan::from_seed_netfault(seed, fcfg.base.num_batches, fcfg.shard.num_shards)
-    } else {
-        FaultPlan::from_seed_failover(
-            seed,
-            fcfg.base.num_batches,
-            fcfg.shard.num_shards,
-            fcfg.replicas,
-        )
-    };
-    let mode = if netfault { "netfault" } else { "failover" };
-    println!(
-        "{mode} seed {seed} ({} shards x {} replicas) — fault plan:\n{plan}",
-        fcfg.shard.num_shards, fcfg.replicas
-    );
-    let shard_oracle = sharded_prefix(&ShardSimConfig { base: fcfg.base, shard: fcfg.shard });
-    let global_oracle = sequential_prefix(&fcfg.base);
-    match check_failover_run(fcfg, &plan, seed, &shard_oracle, &global_oracle) {
-        Ok(report) => {
-            println!(
-                "{}: group watermarks {:?} of {} batches in {} virtual ticks ({} events)",
-                outcome_name(report.outcome),
-                report.applied,
-                fcfg.base.num_batches,
-                report.final_tick,
-                report.events_processed
-            );
-            let killed = report.trace.count(|e| {
-                matches!(e, TraceEvent::PrimaryDied { .. } | TraceEvent::BackupDied { .. })
-            });
-            let rejoins = report.trace.count(|e| matches!(e, TraceEvent::CatchupInstalled { .. }));
-            println!(
-                "{} members killed, {:?} promotions, {} catch-up rejoins",
-                killed, report.promotions, rejoins
-            );
-            println!(
-                "merged digest {:#018x} — every surviving member byte-identical to its \
-                 oracle prefix",
-                report.merged_digest
-            );
-            println!(
-                "all invariants hold (per-member exactly-once, stitched staleness, \
-                 completion, replay, oracle)"
-            );
-            ExitCode::SUCCESS
-        }
-        Err(v) => {
-            eprintln!("INVARIANT VIOLATION: {v}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// Sweeps replicated seeds (CI's failover matrix). Every seed must
-/// complete — a kill schedule that stalls training is a violation.
-fn failover_sweep(fcfg: &FailoverSimConfig, start: u64, count: u64, netfault: bool) -> ExitCode {
-    let mode = if netfault { "netfault" } else { "failover" };
-    println!(
-        "{mode}-sweeping {} seeds from {} ({} shards x {} replicas, {} batches)",
-        count, start, fcfg.shard.num_shards, fcfg.replicas, fcfg.base.num_batches
-    );
-    let outcome = if netfault {
-        run_netfault_sweep(fcfg, start, count)
-    } else {
-        run_failover_sweep(fcfg, start, count)
-    };
-    match outcome {
-        Ok(s) => {
-            println!(
-                "clean: {} seeds ({} completed — completion is mandatory), {} faults injected, \
-                 {} primaries + {} backups killed, {} promotions, {} catch-up rejoins, \
-                 {} stale rows corrected",
-                s.seeds,
-                s.completed,
-                s.faults_injected,
-                s.primaries_killed,
-                s.backups_killed,
-                s.promotions,
-                s.rejoins,
-                s.stale_hits
-            );
-            ExitCode::SUCCESS
-        }
-        Err(failure) => {
-            eprintln!("INVARIANT VIOLATION\n{failure}");
-            write_failure_record(
-                &format!("target/sim/{mode}-failure-seed-{}.txt", failure.seed),
-                &failure.to_string(),
-            );
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// Replays one elastic-reshard scenario with full diagnostics.
-fn replay_reshard(cfg: &SimConfig, seed: u64) -> ExitCode {
-    let (rc, plan, storage_plan) = reshard_plans_for_seed(seed, cfg);
-    println!(
-        "reshard seed {seed}: {} -> {} shards at batch {} of {}",
-        rc.from.num_shards, rc.to.num_shards, rc.reshard_at, rc.base.num_batches
-    );
-    println!("live fault plan:\n{plan}");
-    println!("storage-fault plan:\n{storage_plan}");
-    let oracle = sequential_prefix(cfg);
-    match el_sim::check_reshard(&rc, &plan, &storage_plan, seed, &oracle) {
-        Ok(report) => {
-            println!(
-                "phase 1 {}: applied {:?} of {} batches{}",
-                outcome_name(report.phase_a.outcome),
-                report.phase_a.applied,
-                rc.reshard_at,
-                if report.drain_crashed { "; drain died mid-protocol" } else { "" }
-            );
-            println!(
-                "recovered from {} (applied={}), phase 2 {}: applied {:?} of {}",
-                report.recovered_from,
-                report.resumed_applied,
-                outcome_name(report.phase_b.outcome),
-                report.phase_b.applied,
-                rc.base.num_batches
-            );
-            println!(
-                "final merged digest {:#018x} — byte-identical to the never-resharded oracle",
-                report.final_digest
-            );
-            ExitCode::SUCCESS
-        }
-        Err(v) => {
-            eprintln!("INVARIANT VIOLATION: {v}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// Sweeps reshard-under-crash seeds (CI's elasticity matrix).
-fn reshard_sweep(cfg: &SimConfig, start: u64, count: u64) -> ExitCode {
-    println!(
-        "reshard-sweeping {} seeds from {} ({} batches, staleness bound {})",
-        count, start, cfg.num_batches, cfg.staleness_bound
-    );
-    match run_reshard_sweep(cfg, start, count) {
-        Ok(s) => {
-            println!(
-                "clean: {} seeds ({} grew, {} shrank; {} drain crashes), recovered via \
-                 {} drain sets / {} pre-drain fallbacks / {} cold restarts, \
-                 {} storage faults injected",
-                s.seeds,
-                s.grew,
-                s.shrank,
-                s.drain_crashes,
-                s.drained,
-                s.fell_back,
-                s.cold_restarts,
-                s.storage_faults
-            );
-            ExitCode::SUCCESS
-        }
-        Err(failure) => {
-            eprintln!("INVARIANT VIOLATION\n{failure}");
-            write_failure_record(
-                &format!("target/sim/reshard-failure-seed-{}.txt", failure.seed),
-                &failure.to_string(),
-            );
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// Sweeps crash-recovery seeds (CI's crash/torn-write matrix).
-fn crash_sweep(rc: &RecoveryConfig, start: u64, count: u64) -> ExitCode {
-    println!(
-        "crash-sweeping {} seeds from {} ({} batches, checkpoint every {}, retain {})",
-        count, start, rc.sim.num_batches, rc.ckpt_every, rc.retain
-    );
-    match run_crash_sweep(rc, start, count) {
-        Ok(s) => {
-            println!(
-                "clean: {} seeds ({} crashed, {} resumed from checkpoint, {} cold restarts), \
-                 {} checkpoints saved, {} saves died mid-protocol, {} storage faults injected",
-                s.seeds,
-                s.crashed,
-                s.resumed,
-                s.cold_restarts,
-                s.checkpoints_saved,
-                s.saves_failed,
-                s.storage_faults
-            );
-            ExitCode::SUCCESS
-        }
-        Err(failure) => {
-            eprintln!("INVARIANT VIOLATION\n{failure}");
-            write_failure_record(
-                &format!("target/sim/crash-failure-seed-{}.txt", failure.seed),
-                &failure.to_string(),
-            );
-            ExitCode::FAILURE
-        }
+        assert!(parse("reshard --sweep 4 --batches 3").is_ok());
+        assert!(parse("failover --seed 0 --replicas 2").is_ok());
     }
 }

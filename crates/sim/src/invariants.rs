@@ -1,43 +1,68 @@
 //! The staleness-protocol invariant checker.
 //!
 //! Four families of invariants, checked after (not during) a run so the
-//! simulation itself stays an unjudged reproduction of events:
+//! simulation itself stays an unjudged reproduction of events. Each is
+//! stated per *member* `(shard, rank)` — a group member is its own stamp
+//! domain — so the same checks cover the single server (`N = K = 1`) and
+//! every sharded or replicated tier:
 //!
-//! 1. **exactly-once** — every acknowledged push was applied, and pushes
-//!    were applied exactly once, in sequence order, no matter how the
-//!    link dropped, duplicated or reordered deliveries;
-//! 2. **staleness bound** — every `PrefetchedBatch` stamp satisfies
-//!    `batch_seq − applied_through ≤ staleness_bound`, and the stamps are
-//!    monotone across gathers (the server's `applied` never regresses);
-//! 3. **schedule independence** — the final tables at `applied = k` are
-//!    byte-identical to the sequential oracle's prefix digest at `k`
-//!    ([`crate::oracle`]);
+//! 1. **exactly-once** — every member applied pushes exactly once, in
+//!    sequence order, across promotion boundaries and with a catch-up
+//!    rejoin resetting that member's domain to the group watermark, and a
+//!    shard acknowledged only what its group applied, no matter how the
+//!    links dropped, duplicated, delayed or reordered deliveries;
+//! 2. **staleness bound** — every gather stamp equals the minimum of the
+//!    per-shard stamps recorded for that batch, satisfies `batch_seq −
+//!    applied_through ≤ staleness_bound`, and never regresses (lockstep
+//!    promotion must not rewind training);
+//! 3. **schedule independence** — every member's final sub-tables at its
+//!    own `applied = k` are byte-identical to the sharded sequential
+//!    oracle's prefix digest at `k` (valid even when faults left shards
+//!    skewed or members dead), and when the shards agree on a watermark
+//!    the merged tables equal the sequential oracle's ([`crate::oracle`]);
 //! 4. **replay determinism** — the same `(config, plan, seed)` reproduces
 //!    the same trace and the same final bytes.
+//!
+//! Whether a run *must finish* is not an invariant of the protocol but of
+//! the scenario that derived its plan (a survivable kill schedule must, a
+//! worker death cannot): [`crate::sweep`] demands it where it applies.
 
 use crate::fault::FaultPlan;
-use crate::oracle::Oracle;
+use crate::oracle::{Oracle, ShardOracle};
 use crate::sim::{run, Outcome, SimConfig, SimReport};
 use crate::trace::TraceEvent;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// A detected invariant violation.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Violation {
-    /// A push was applied more than once (exactly-once broken).
+    /// A member applied a push more than once (exactly-once broken).
     AppliedTwice {
+        /// The member's shard.
+        shard: u32,
+        /// The member's rank.
+        rank: u32,
         /// Re-applied batch.
         seq: u64,
     },
-    /// Applies skipped or reordered sequence numbers.
+    /// A member's applies skipped or reordered sequence numbers —
+    /// lockstep replication, or the in-order intake, broke.
     AppliedOutOfOrder {
+        /// The member's shard.
+        shard: u32,
+        /// The member's rank.
+        rank: u32,
         /// Batch that was applied.
         seq: u64,
-        /// Batch that should have been next.
+        /// Batch that should have been next on that member.
         expected: u64,
     },
-    /// The worker was acknowledged for a push the server never applied.
+    /// The worker was acknowledged by a shard for a push that shard's
+    /// group never applied.
     AckedWithoutApply {
+        /// The acknowledging shard.
+        shard: u32,
         /// Acknowledged batch.
         seq: u64,
     },
@@ -59,8 +84,35 @@ pub enum Violation {
         /// The previous (higher) stamp.
         prev: u64,
     },
-    /// Final tables differ from the sequential oracle at the same
-    /// applied count — the pipeline computed something sequential
+    /// The global gather stamp does not equal the minimum of the
+    /// per-shard stamps recorded for the same batch — the stitched
+    /// staleness bound would be meaningless.
+    StampMismatch {
+        /// Batch whose stamp was stitched wrongly.
+        seq: u64,
+        /// The minimum of the recorded per-shard stamps.
+        stitched: u64,
+        /// The stamp the gather actually carried.
+        stamped: u64,
+    },
+    /// A member's final sub-tables differ from the sharded sequential
+    /// oracle at that member's applied count — a shard, a backup or a
+    /// rejoiner is not byte-identical to what sequential training would
+    /// have produced.
+    MemberDiverged {
+        /// The member's shard.
+        shard: u32,
+        /// The member's rank.
+        rank: u32,
+        /// Batches that member applied.
+        applied: u64,
+        /// Digest the member produced.
+        got: u64,
+        /// Digest the sharded oracle requires.
+        want: u64,
+    },
+    /// The merged final tables differ from the sequential oracle at the
+    /// same applied count — the pipeline computed something sequential
     /// training would not have.
     OracleMismatch {
         /// Applied batches at termination.
@@ -75,9 +127,13 @@ pub enum Violation {
         /// The replayed schedule seed.
         seed: u64,
     },
-    /// A run claimed completion without applying every batch.
-    IncompleteCompletion {
-        /// Batches actually applied.
+    /// A shard is short of the schedule in a run that claimed completion,
+    /// or whose scenario requires it (a survivable failover schedule that
+    /// does not finish training defeats the point of replication).
+    Incomplete {
+        /// The lagging shard.
+        shard: u32,
+        /// Batches that shard's group applied.
         applied: u64,
         /// Batches scheduled.
         expected: u64,
@@ -99,124 +155,20 @@ pub enum Violation {
         /// Digest the oracle requires.
         want: u64,
     },
-    /// One shard applied a push more than once (per-shard exactly-once
-    /// broken).
-    ShardAppliedTwice {
-        /// The re-applying shard.
-        shard: u32,
-        /// Re-applied batch.
-        seq: u64,
-    },
-    /// One shard's applies skipped or reordered sequence numbers.
-    ShardAppliedOutOfOrder {
-        /// The misordering shard.
-        shard: u32,
-        /// Batch that was applied.
-        seq: u64,
-        /// Batch that should have been next on that shard.
-        expected: u64,
-    },
-    /// The worker was acknowledged by a shard for a push that shard never
-    /// applied.
-    ShardAckedWithoutApply {
-        /// The acknowledging shard.
-        shard: u32,
-        /// Acknowledged batch.
-        seq: u64,
-    },
-    /// The global gather stamp does not equal the minimum of the
-    /// per-shard stamps recorded for the same batch — the stitched
-    /// staleness bound would be meaningless.
-    ShardStampMismatch {
-        /// Batch whose stamp was stitched wrongly.
-        seq: u64,
-        /// The minimum of the recorded per-shard stamps.
-        stitched: u64,
-        /// The stamp the gather actually carried.
-        stamped: u64,
-    },
-    /// A sharded run claimed completion with a shard short of the
-    /// schedule.
-    ShardIncomplete {
-        /// The lagging shard.
-        shard: u32,
-        /// Batches that shard applied.
-        applied: u64,
-        /// Batches scheduled.
-        expected: u64,
-    },
-    /// One shard's final sub-tables differ from the sharded sequential
-    /// oracle at that shard's applied count.
-    ShardOracleMismatch {
-        /// The diverging shard.
-        shard: u32,
-        /// Batches that shard applied.
-        applied: u64,
-        /// Digest the shard produced.
-        got: u64,
-        /// Digest the sharded oracle requires.
-        want: u64,
-    },
-    /// One replica-group member applied a push more than once
-    /// (per-member exactly-once broken across promotion/catch-up
-    /// boundaries).
-    ReplicaAppliedTwice {
-        /// The member's shard.
-        shard: u32,
-        /// The member's rank.
-        rank: u32,
-        /// Re-applied batch.
-        seq: u64,
-    },
-    /// One replica-group member's applies skipped or reordered sequence
-    /// numbers — lockstep replication broke.
-    ReplicaAppliedOutOfOrder {
-        /// The member's shard.
-        shard: u32,
-        /// The member's rank.
-        rank: u32,
-        /// Batch that was applied.
-        seq: u64,
-        /// Batch that should have been next on that member.
-        expected: u64,
-    },
-    /// A surviving replica-group member's final sub-tables differ from
-    /// the sharded sequential oracle at that member's applied count —
-    /// a backup (or rejoiner) is not byte-identical to what the primary
-    /// would have trained.
-    ReplicaDiverged {
-        /// The member's shard.
-        shard: u32,
-        /// The member's rank.
-        rank: u32,
-        /// Batches that member applied.
-        applied: u64,
-        /// Digest the member produced.
-        got: u64,
-        /// Digest the sharded oracle requires.
-        want: u64,
-    },
-    /// A survivable failover schedule did not finish training — the
-    /// whole point of replication is completing without a cold restart.
-    FailoverIncomplete {
-        /// The lagging shard group.
-        shard: u32,
-        /// Batches that group applied.
-        applied: u64,
-        /// Batches scheduled.
-        expected: u64,
-    },
 }
 
 impl fmt::Display for Violation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Violation::AppliedTwice { seq } => write!(f, "push {seq} applied more than once"),
-            Violation::AppliedOutOfOrder { seq, expected } => {
-                write!(f, "push {seq} applied while {expected} was next in order")
+            Violation::AppliedTwice { shard, rank, seq } => {
+                write!(f, "shard {shard} rank {rank} applied push {seq} more than once")
             }
-            Violation::AckedWithoutApply { seq } => {
-                write!(f, "push {seq} acknowledged but never applied")
+            Violation::AppliedOutOfOrder { shard, rank, seq, expected } => write!(
+                f,
+                "shard {shard} rank {rank} applied push {seq} while {expected} was next in order"
+            ),
+            Violation::AckedWithoutApply { shard, seq } => {
+                write!(f, "shard {shard} acknowledged push {seq} but never applied it")
             }
             Violation::StalenessExceeded { seq, applied_through, bound } => write!(
                 f,
@@ -228,16 +180,25 @@ impl fmt::Display for Violation {
                 f,
                 "batch {seq} stamped applied_through={applied_through} after a stamp of {prev}"
             ),
+            Violation::StampMismatch { seq, stitched, stamped } => write!(
+                f,
+                "batch {seq} gathered with stamp {stamped} but the per-shard minimum is {stitched}"
+            ),
+            Violation::MemberDiverged { shard, rank, applied, got, want } => write!(
+                f,
+                "shard {shard} rank {rank}'s sub-tables at applied={applied} digest to \
+                 {got:#018x}, sharded oracle requires {want:#018x}"
+            ),
             Violation::OracleMismatch { applied, got, want } => write!(
                 f,
-                "tables at applied={applied} digest to {got:#018x}, \
+                "merged tables at applied={applied} digest to {got:#018x}, \
                  sequential oracle requires {want:#018x}"
             ),
             Violation::ReplayDiverged { seed } => {
                 write!(f, "replay of schedule seed {seed} diverged")
             }
-            Violation::IncompleteCompletion { applied, expected } => {
-                write!(f, "run completed with {applied}/{expected} batches applied")
+            Violation::Incomplete { shard, applied, expected } => {
+                write!(f, "shard {shard} ended at {applied}/{expected} batches applied")
             }
             Violation::OutOfBudget => write!(f, "event budget exhausted (livelock)"),
             Violation::RecoveryIncomplete { applied, expected } => {
@@ -248,340 +209,53 @@ impl fmt::Display for Violation {
                 "recovered run's tables digest to {got:#018x}, \
                  sequential oracle requires {want:#018x}"
             ),
-            Violation::ShardAppliedTwice { shard, seq } => {
-                write!(f, "shard {shard} applied push {seq} more than once")
-            }
-            Violation::ShardAppliedOutOfOrder { shard, seq, expected } => {
-                write!(f, "shard {shard} applied push {seq} while {expected} was next in order")
-            }
-            Violation::ShardAckedWithoutApply { shard, seq } => {
-                write!(f, "shard {shard} acknowledged push {seq} but never applied it")
-            }
-            Violation::ShardStampMismatch { seq, stitched, stamped } => write!(
-                f,
-                "batch {seq} gathered with stamp {stamped} but the per-shard minimum is {stitched}"
-            ),
-            Violation::ShardIncomplete { shard, applied, expected } => {
-                write!(f, "run completed with shard {shard} at {applied}/{expected} batches")
-            }
-            Violation::ShardOracleMismatch { shard, applied, got, want } => write!(
-                f,
-                "shard {shard}'s sub-tables at applied={applied} digest to {got:#018x}, \
-                 sharded oracle requires {want:#018x}"
-            ),
-            Violation::ReplicaAppliedTwice { shard, rank, seq } => {
-                write!(f, "shard {shard} rank {rank} applied push {seq} more than once")
-            }
-            Violation::ReplicaAppliedOutOfOrder { shard, rank, seq, expected } => write!(
-                f,
-                "shard {shard} rank {rank} applied push {seq} while {expected} was next in order"
-            ),
-            Violation::ReplicaDiverged { shard, rank, applied, got, want } => write!(
-                f,
-                "shard {shard} rank {rank}'s sub-tables at applied={applied} digest to \
-                 {got:#018x}, sharded oracle requires {want:#018x}"
-            ),
-            Violation::FailoverIncomplete { shard, applied, expected } => write!(
-                f,
-                "survivable failover schedule left shard {shard} at {applied}/{expected} batches"
-            ),
         }
     }
 }
 
-/// Checks the trace-level invariants (exactly-once, staleness bound,
-/// stamp monotonicity, outcome consistency) of one finished run.
+/// The violation a run short of its schedule amounts to, naming the
+/// furthest-behind shard; `None` when every shard finished.
+pub(crate) fn incomplete(report: &SimReport, cfg: &SimConfig) -> Option<Violation> {
+    let (shard, &applied) = report.applied.iter().enumerate().min_by_key(|(_, &a)| a)?;
+    (applied != cfg.num_batches).then_some(Violation::Incomplete {
+        shard: shard as u32,
+        applied,
+        expected: cfg.num_batches,
+    })
+}
+
+/// Checks the trace-level invariants (per-member exactly-once, no phantom
+/// acks, the stitched staleness bound, stamp monotonicity, outcome
+/// consistency) of one finished run.
 pub fn check_trace(report: &SimReport, cfg: &SimConfig) -> Result<(), Violation> {
     if report.outcome == Outcome::OutOfBudget {
         return Err(Violation::OutOfBudget);
     }
-    let mut next_apply = 0u64;
+    let num_shards = cfg.shard.num_shards.max(1) as usize;
+    let mut next_apply = vec![vec![0u64; cfg.replicas.max(1) as usize]; num_shards];
     let mut last_stamp = 0u64;
-    for e in &report.trace.events {
-        match *e {
-            TraceEvent::Applied { seq } => {
-                if seq < next_apply {
-                    return Err(Violation::AppliedTwice { seq });
-                }
-                if seq > next_apply {
-                    return Err(Violation::AppliedOutOfOrder { seq, expected: next_apply });
-                }
-                next_apply += 1;
-            }
-            TraceEvent::Acked { seq } if seq >= next_apply => {
-                return Err(Violation::AckedWithoutApply { seq });
-            }
-            TraceEvent::Gathered { seq, applied_through } => {
-                if seq - applied_through > cfg.staleness_bound {
-                    return Err(Violation::StalenessExceeded {
-                        seq,
-                        applied_through,
-                        bound: cfg.staleness_bound,
-                    });
-                }
-                if applied_through < last_stamp {
-                    return Err(Violation::StampRegressed {
-                        seq,
-                        applied_through,
-                        prev: last_stamp,
-                    });
-                }
-                last_stamp = applied_through;
-            }
-            TraceEvent::PrefetchSynced { seq, applied_through }
-                if seq - applied_through > cfg.staleness_bound =>
-            {
-                return Err(Violation::StalenessExceeded {
-                    seq,
-                    applied_through,
-                    bound: cfg.staleness_bound,
-                });
-            }
-            _ => {}
-        }
-    }
-    if next_apply != report.applied {
-        // the trace and the server disagree about progress
-        return Err(Violation::AppliedOutOfOrder { seq: report.applied, expected: next_apply });
-    }
-    if report.outcome == Outcome::Completed && report.applied != cfg.num_batches {
-        return Err(Violation::IncompleteCompletion {
-            applied: report.applied,
-            expected: cfg.num_batches,
-        });
-    }
-    Ok(())
-}
-
-/// Checks schedule independence: the run's final tables must digest to
-/// the oracle's prefix at the same applied count — even for runs a fault
-/// cut short.
-pub fn check_against_oracle(report: &SimReport, oracle: &Oracle) -> Result<(), Violation> {
-    let want = oracle.prefix_digests[report.applied as usize];
-    if report.table_digest != want {
-        return Err(Violation::OracleMismatch {
-            applied: report.applied,
-            got: report.table_digest,
-            want,
-        });
-    }
-    Ok(())
-}
-
-/// Runs `(cfg, plan, seed)` twice, demands bit-identical traces and
-/// tables, then checks every trace- and oracle-level invariant on the
-/// result. This is the full per-seed verdict the sweep and the CLI use.
-pub fn check_run(
-    cfg: &SimConfig,
-    plan: &FaultPlan,
-    schedule_seed: u64,
-    oracle: &Oracle,
-) -> Result<SimReport, Violation> {
-    let a = run(cfg, plan, schedule_seed);
-    let b = run(cfg, plan, schedule_seed);
-    if a.trace != b.trace || a.table_digest != b.table_digest || a.final_tick != b.final_tick {
-        return Err(Violation::ReplayDiverged { seed: schedule_seed });
-    }
-    check_trace(&a, cfg)?;
-    check_against_oracle(&a, oracle)?;
-    Ok(a)
-}
-
-/// Checks the trace-level invariants of one finished **sharded** run:
-/// per-shard exactly-once (in-order, no duplicates, no phantom acks),
-/// the stitched staleness bound (every gather stamp equals the minimum
-/// of the per-shard stamps and respects the global bound), stamp
-/// monotonicity, and outcome consistency.
-pub fn check_shard_trace(
-    report: &crate::shard::ShardSimReport,
-    cfg: &crate::shard::ShardSimConfig,
-) -> Result<(), Violation> {
-    if report.outcome == Outcome::OutOfBudget {
-        return Err(Violation::OutOfBudget);
-    }
-    let num_shards = cfg.shard.num_shards as usize;
-    let mut next_apply = vec![0u64; num_shards];
-    let mut last_stamp = 0u64;
-    // per-shard stamps recorded for the batch currently being gathered
-    let mut stamps: std::collections::BTreeMap<u64, Vec<u64>> = std::collections::BTreeMap::new();
+    // per-shard stamps recorded for each gathered batch
+    let mut stamps: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+    let stale = |seq: u64, applied_through: u64| {
+        (seq - applied_through > cfg.staleness_bound).then_some(Violation::StalenessExceeded {
+            seq,
+            applied_through,
+            bound: cfg.staleness_bound,
+        })
+    };
     for e in &report.trace.events {
         match *e {
             TraceEvent::Resumed { applied } => {
-                next_apply = vec![applied; num_shards];
+                next_apply.iter_mut().flatten().for_each(|slot| *slot = applied);
                 last_stamp = applied;
             }
-            TraceEvent::ShardApplied { shard, seq } => {
-                let s = shard as usize;
-                if seq < next_apply[s] {
-                    return Err(Violation::ShardAppliedTwice { shard, seq });
-                }
-                if seq > next_apply[s] {
-                    return Err(Violation::ShardAppliedOutOfOrder {
-                        shard,
-                        seq,
-                        expected: next_apply[s],
-                    });
-                }
-                next_apply[s] += 1;
-            }
-            TraceEvent::ShardAcked { shard, seq } if seq >= next_apply[shard as usize] => {
-                return Err(Violation::ShardAckedWithoutApply { shard, seq });
-            }
-            TraceEvent::ShardStamped { seq, applied, .. } => {
-                stamps.entry(seq).or_default().push(applied);
-            }
-            TraceEvent::Gathered { seq, applied_through } => {
-                let stitched = stamps
-                    .get(&seq)
-                    .filter(|v| v.len() == num_shards)
-                    .and_then(|v| v.iter().min().copied());
-                if stitched != Some(applied_through) {
-                    return Err(Violation::ShardStampMismatch {
-                        seq,
-                        stitched: stitched.unwrap_or(u64::MAX),
-                        stamped: applied_through,
-                    });
-                }
-                if seq - applied_through > cfg.base.staleness_bound {
-                    return Err(Violation::StalenessExceeded {
-                        seq,
-                        applied_through,
-                        bound: cfg.base.staleness_bound,
-                    });
-                }
-                if applied_through < last_stamp {
-                    return Err(Violation::StampRegressed {
-                        seq,
-                        applied_through,
-                        prev: last_stamp,
-                    });
-                }
-                last_stamp = applied_through;
-            }
-            TraceEvent::PrefetchSynced { seq, applied_through }
-                if seq - applied_through > cfg.base.staleness_bound =>
-            {
-                return Err(Violation::StalenessExceeded {
-                    seq,
-                    applied_through,
-                    bound: cfg.base.staleness_bound,
-                });
-            }
-            _ => {}
-        }
-    }
-    for (s, (&traced, &reported)) in next_apply.iter().zip(&report.applied).enumerate() {
-        if traced != reported {
-            // the trace and the shard disagree about progress
-            return Err(Violation::ShardAppliedOutOfOrder {
-                shard: s as u32,
-                seq: reported,
-                expected: traced,
-            });
-        }
-    }
-    if report.outcome == Outcome::Completed {
-        for (s, &applied) in report.applied.iter().enumerate() {
-            if applied != cfg.base.num_batches {
-                return Err(Violation::ShardIncomplete {
-                    shard: s as u32,
-                    applied,
-                    expected: cfg.base.num_batches,
-                });
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Checks schedule independence of a sharded run per shard and globally:
-/// every shard's final sub-tables must digest to the sharded oracle's
-/// prefix at that shard's own applied count (valid even when faults left
-/// the shards skewed), and when all shards agree on an applied count the
-/// merged tables must equal the global sequential oracle at that prefix.
-pub fn check_shard_against_oracle(
-    report: &crate::shard::ShardSimReport,
-    shard_oracle: &crate::oracle::ShardOracle,
-    global_oracle: &Oracle,
-) -> Result<(), Violation> {
-    for (s, (&got, &applied)) in report.shard_digests.iter().zip(&report.applied).enumerate() {
-        let want = shard_oracle.per_shard[s][applied as usize];
-        if got != want {
-            return Err(Violation::ShardOracleMismatch { shard: s as u32, applied, got, want });
-        }
-    }
-    if let [first, rest @ ..] = report.applied.as_slice() {
-        if rest.iter().all(|a| a == first) {
-            let want = global_oracle.prefix_digests[*first as usize];
-            if report.merged_digest != want {
-                return Err(Violation::OracleMismatch {
-                    applied: *first,
-                    got: report.merged_digest,
-                    want,
-                });
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Runs a sharded `(cfg, plan, seed)` twice, demands bit-identical traces
-/// and tables, then checks every shard-trace and oracle invariant. The
-/// full per-seed verdict of the multi-shard sweep.
-pub fn check_shard_run(
-    cfg: &crate::shard::ShardSimConfig,
-    plan: &FaultPlan,
-    schedule_seed: u64,
-    shard_oracle: &crate::oracle::ShardOracle,
-    global_oracle: &Oracle,
-) -> Result<crate::shard::ShardSimReport, Violation> {
-    let a = crate::shard::run_sharded(cfg, plan, schedule_seed);
-    let b = crate::shard::run_sharded(cfg, plan, schedule_seed);
-    if a.trace != b.trace
-        || a.merged_digest != b.merged_digest
-        || a.shard_digests != b.shard_digests
-        || a.final_tick != b.final_tick
-    {
-        return Err(Violation::ReplayDiverged { seed: schedule_seed });
-    }
-    check_shard_trace(&a, cfg)?;
-    check_shard_against_oracle(&a, shard_oracle, global_oracle)?;
-    Ok(a)
-}
-
-/// Checks the trace-level invariants of one finished **replicated** run:
-/// per-member exactly-once (every `(shard, rank)` applies in sequence
-/// order with no duplicates, across promotion boundaries, with
-/// catch-up rejoins resetting that member's stamp domain to the group
-/// watermark), no phantom acks (a shard acks only what its group
-/// applied), the stitched staleness bound, stamp monotonicity (lockstep
-/// promotion must never regress a stamp), and outcome consistency.
-pub fn check_failover_trace(
-    report: &crate::failover::FailoverSimReport,
-    cfg: &crate::failover::FailoverSimConfig,
-) -> Result<(), Violation> {
-    if report.outcome == Outcome::OutOfBudget {
-        return Err(Violation::OutOfBudget);
-    }
-    let num_shards = cfg.shard.num_shards as usize;
-    let replicas = cfg.replicas.max(1) as usize;
-    let mut next_apply = vec![vec![0u64; replicas]; num_shards];
-    let mut last_stamp = 0u64;
-    let mut stamps: std::collections::BTreeMap<u64, Vec<u64>> = std::collections::BTreeMap::new();
-    for e in &report.trace.events {
-        match *e {
-            TraceEvent::ReplicaApplied { shard, rank, seq } => {
+            TraceEvent::Applied { shard, rank, seq } => {
                 let slot = &mut next_apply[shard as usize][rank as usize];
                 if seq < *slot {
-                    return Err(Violation::ReplicaAppliedTwice { shard, rank, seq });
+                    return Err(Violation::AppliedTwice { shard, rank, seq });
                 }
                 if seq > *slot {
-                    return Err(Violation::ReplicaAppliedOutOfOrder {
-                        shard,
-                        rank,
-                        seq,
-                        expected: *slot,
-                    });
+                    return Err(Violation::AppliedOutOfOrder { shard, rank, seq, expected: *slot });
                 }
                 *slot += 1;
             }
@@ -590,13 +264,13 @@ pub fn check_failover_trace(
                 // its stamp domain resumes there
                 next_apply[shard as usize][rank as usize] = applied;
             }
-            TraceEvent::ShardAcked { shard, seq } => {
+            TraceEvent::Acked { shard, seq } => {
                 let group = next_apply[shard as usize].iter().max().copied().unwrap_or(0);
                 if seq >= group {
-                    return Err(Violation::ShardAckedWithoutApply { shard, seq });
+                    return Err(Violation::AckedWithoutApply { shard, seq });
                 }
             }
-            TraceEvent::ShardStamped { seq, applied, .. } => {
+            TraceEvent::Stamped { seq, applied, .. } => {
                 stamps.entry(seq).or_default().push(applied);
             }
             TraceEvent::Gathered { seq, applied_through } => {
@@ -605,23 +279,19 @@ pub fn check_failover_trace(
                     .filter(|v| v.len() == num_shards)
                     .and_then(|v| v.iter().min().copied());
                 if stitched != Some(applied_through) {
-                    return Err(Violation::ShardStampMismatch {
+                    return Err(Violation::StampMismatch {
                         seq,
                         stitched: stitched.unwrap_or(u64::MAX),
                         stamped: applied_through,
                     });
                 }
-                if seq - applied_through > cfg.base.staleness_bound {
-                    return Err(Violation::StalenessExceeded {
-                        seq,
-                        applied_through,
-                        bound: cfg.base.staleness_bound,
-                    });
+                if let Some(v) = stale(seq, applied_through) {
+                    return Err(v);
                 }
                 if applied_through < last_stamp {
                     // lockstep replication guarantees a promoted backup
                     // is at the old primary's watermark: regression here
-                    // means failover rewound training
+                    // means the tier rewound training
                     return Err(Violation::StampRegressed {
                         seq,
                         applied_through,
@@ -630,133 +300,90 @@ pub fn check_failover_trace(
                 }
                 last_stamp = applied_through;
             }
-            TraceEvent::PrefetchSynced { seq, applied_through }
-                if seq - applied_through > cfg.base.staleness_bound =>
-            {
-                return Err(Violation::StalenessExceeded {
-                    seq,
-                    applied_through,
-                    bound: cfg.base.staleness_bound,
-                });
+            TraceEvent::PrefetchSynced { seq, applied_through } => {
+                if let Some(v) = stale(seq, applied_through) {
+                    return Err(v);
+                }
             }
             _ => {}
         }
     }
-    for (s, members) in report.member_applied.iter().enumerate() {
-        for (r, reported) in members.iter().enumerate() {
-            // dead members keep whatever the trace last said; survivors
-            // must agree with it exactly
-            if let Some(reported) = *reported {
-                if next_apply[s][r] != reported {
-                    return Err(Violation::ReplicaAppliedOutOfOrder {
-                        shard: s as u32,
-                        rank: r as u32,
-                        seq: reported,
-                        expected: next_apply[s][r],
-                    });
-                }
-            }
-        }
-    }
-    if report.outcome == Outcome::Completed {
-        for (s, &applied) in report.applied.iter().enumerate() {
-            if applied != cfg.base.num_batches {
-                return Err(Violation::ShardIncomplete {
-                    shard: s as u32,
-                    applied,
-                    expected: cfg.base.num_batches,
-                });
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Checks byte-identity of a replicated run against the oracles: every
-/// surviving member of every group (primary, backups, and catch-up
-/// rejoiners alike) must digest to the sharded sequential oracle's
-/// prefix at that member's own applied count, and when the groups agree
-/// on a watermark the merged tables must equal the global sequential
-/// oracle at that prefix.
-pub fn check_failover_against_oracle(
-    report: &crate::failover::FailoverSimReport,
-    shard_oracle: &crate::oracle::ShardOracle,
-    global_oracle: &Oracle,
-) -> Result<(), Violation> {
-    for (s, (digests, applieds)) in
-        report.member_digests.iter().zip(&report.member_applied).enumerate()
-    {
-        for (r, (digest, applied)) in digests.iter().zip(applieds).enumerate() {
-            let (Some(got), Some(applied)) = (*digest, *applied) else { continue };
-            let want = shard_oracle.per_shard[s][applied as usize];
-            if got != want {
-                return Err(Violation::ReplicaDiverged {
+    for (s, members) in report.members.iter().enumerate() {
+        for (r, member) in members.iter().enumerate() {
+            if next_apply[s][r] != member.applied {
+                // the trace and the member disagree about progress
+                return Err(Violation::AppliedOutOfOrder {
                     shard: s as u32,
                     rank: r as u32,
-                    applied,
-                    got,
+                    seq: member.applied,
+                    expected: next_apply[s][r],
+                });
+            }
+        }
+    }
+    match incomplete(report, cfg) {
+        Some(v) if report.outcome == Outcome::Completed => Err(v),
+        _ => Ok(()),
+    }
+}
+
+/// Checks schedule independence per member and globally: every member
+/// of every group — primaries, backups, catch-up rejoiners and the dead
+/// alike — must digest to the sharded oracle's prefix at that member's
+/// own applied count, and when the groups agree on a watermark the merged
+/// tables must equal the sequential oracle at that prefix. Valid even for
+/// runs a fault cut short.
+pub fn check_against_oracle(
+    report: &SimReport,
+    shard_oracle: &ShardOracle,
+    global_oracle: &Oracle,
+) -> Result<(), Violation> {
+    for (s, members) in report.members.iter().enumerate() {
+        for (r, m) in members.iter().enumerate() {
+            let want = shard_oracle.per_shard[s][m.applied as usize];
+            if m.digest != want {
+                return Err(Violation::MemberDiverged {
+                    shard: s as u32,
+                    rank: r as u32,
+                    applied: m.applied,
+                    got: m.digest,
                     want,
                 });
             }
         }
     }
-    if let [first, rest @ ..] = report.applied.as_slice() {
-        if rest.iter().all(|a| a == first) {
-            let want = global_oracle.prefix_digests[*first as usize];
-            if report.merged_digest != want {
-                return Err(Violation::OracleMismatch {
-                    applied: *first,
-                    got: report.merged_digest,
-                    want,
-                });
-            }
+    let applied = report.min_applied();
+    if report.applied.iter().all(|&a| a == applied) {
+        let want = global_oracle.prefix_digests[applied as usize];
+        if report.merged_digest != want {
+            return Err(Violation::OracleMismatch { applied, got: report.merged_digest, want });
         }
     }
     Ok(())
 }
 
-/// Runs a replicated `(cfg, plan, seed)` twice, demands bit-identical
-/// traces and bytes, **requires completion** (every plan the failover
-/// and netfault sweeps derive is survivable by construction — leaving
-/// at least one member per group alive — so a run that fails to finish
-/// is a failover bug, not an acceptable fault outcome), then checks
-/// every replica-trace and oracle invariant. The full per-seed verdict
-/// of the failover sweeps.
-pub fn check_failover_run(
-    cfg: &crate::failover::FailoverSimConfig,
+/// Runs `(cfg, plan, seed)` twice, demands bit-identical traces and
+/// bytes, then checks every trace- and oracle-level invariant on the
+/// result. This is the full per-seed verdict the sweeps and the CLI use,
+/// at every topology.
+pub fn check_run(
+    cfg: &SimConfig,
     plan: &FaultPlan,
     schedule_seed: u64,
-    shard_oracle: &crate::oracle::ShardOracle,
+    shard_oracle: &ShardOracle,
     global_oracle: &Oracle,
-) -> Result<crate::failover::FailoverSimReport, Violation> {
-    let a = crate::failover::run_failover(cfg, plan, schedule_seed);
-    let b = crate::failover::run_failover(cfg, plan, schedule_seed);
+) -> Result<SimReport, Violation> {
+    let a = run(cfg, plan, schedule_seed);
+    let b = run(cfg, plan, schedule_seed);
     if a.trace != b.trace
         || a.merged_digest != b.merged_digest
-        || a.member_digests != b.member_digests
+        || a.members != b.members
         || a.final_tick != b.final_tick
     {
         return Err(Violation::ReplayDiverged { seed: schedule_seed });
     }
-    if a.outcome == Outcome::OutOfBudget {
-        return Err(Violation::OutOfBudget);
-    }
-    if a.outcome != Outcome::Completed {
-        let (shard, applied) = a
-            .applied
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, &ap)| ap)
-            .map(|(s, &ap)| (s as u32, ap))
-            .unwrap_or((0, 0));
-        return Err(Violation::FailoverIncomplete {
-            shard,
-            applied,
-            expected: cfg.base.num_batches,
-        });
-    }
-    check_failover_trace(&a, cfg)?;
-    check_failover_against_oracle(&a, shard_oracle, global_oracle)?;
+    check_trace(&a, cfg)?;
+    check_against_oracle(&a, shard_oracle, global_oracle)?;
     Ok(a)
 }
 
@@ -764,206 +391,190 @@ pub fn check_failover_run(
 mod tests {
     use super::*;
     use crate::fault::Fault;
-    use crate::oracle::sequential_prefix;
+    use crate::oracle::{sequential_prefix, sharded_prefix};
+
+    fn at(shards: u32, replicas: u32) -> SimConfig {
+        SimConfig::default().with_topology(shards, replicas)
+    }
+
+    /// The `(N, K)` cells every topology-independent claim is checked at.
+    const TOPOLOGIES: [(u32, u32); 6] = [(1, 1), (1, 2), (2, 1), (3, 1), (2, 2), (3, 3)];
 
     #[test]
-    fn fault_free_run_passes_every_check() {
-        let cfg = SimConfig::default();
-        let oracle = sequential_prefix(&cfg);
-        let report = check_run(&cfg, &FaultPlan::none(), 1, &oracle).expect("clean run");
-        assert_eq!(report.outcome, Outcome::Completed);
+    fn every_topology_trains_the_sequential_bytes() {
+        for (shards, replicas) in TOPOLOGIES {
+            let cfg = at(shards, replicas);
+            let cell = format!("{shards} x {replicas}");
+            let (so, go) = (sharded_prefix(&cfg), sequential_prefix(&cfg));
+            let want = go.prefix_digests[cfg.num_batches as usize];
+
+            let clean = check_run(&cfg, &FaultPlan::none(), 1, &so, &go)
+                .unwrap_or_else(|v| panic!("{cell} fault-free: {v}"));
+            assert_eq!(clean.outcome, Outcome::Completed, "{cell}");
+            assert_eq!(clean.merged_digest, want, "{cell}");
+            assert_eq!(
+                clean.trace.count(|e| matches!(e, TraceEvent::Applied { .. })) as u64,
+                cfg.num_batches * u64::from(shards * replicas),
+                "{cell}: every member applies every batch exactly once"
+            );
+            assert!(!clean.trace.any(|e| matches!(e, TraceEvent::PushBounced { .. })), "{cell}");
+            assert!(clean.promotions.iter().all(|&p| p == 0), "{cell}: no fault, no failover");
+            assert!(clean.stale_hits > 0, "{cell}: pipelining must create staleness to correct");
+            for members in &clean.members {
+                assert_eq!(members.len(), replicas as usize, "{cell}");
+                assert!(members.iter().all(|m| m.alive && *m == members[0]), "{cell}: lockstep");
+            }
+
+            // a seeded plan the topology must ride out: a kill schedule
+            // where there are spares, else link faults that kill nothing
+            // (sharded seed 7 derives a prefetch delay and a saturation
+            // window whatever the shard count)
+            let plan = if replicas > 1 {
+                FaultPlan::from_seed_failover(3, cfg.num_batches, shards, replicas)
+            } else {
+                FaultPlan::from_seed_sharded(7, cfg.num_batches, shards)
+            };
+            assert!(plan.faults.len() >= 2, "{cell}: [{plan}]");
+            let faulted = check_run(&cfg, &plan, 5, &so, &go)
+                .unwrap_or_else(|v| panic!("{cell} under [{plan}]: {v}"));
+            assert_eq!(faulted.outcome, Outcome::Completed, "{cell} under [{plan}]");
+            assert_eq!(faulted.merged_digest, want, "{cell} under [{plan}]");
+        }
     }
 
     #[test]
     fn faulted_runs_still_match_the_oracle_prefix() {
-        let cfg = SimConfig::default();
-        let oracle = sequential_prefix(&cfg);
-        for plan in [
-            FaultPlan::with(vec![Fault::WorkerDeath { at_batch: 9 }]),
-            FaultPlan::with(vec![Fault::ServerDeath { after_applied: 4 }]),
-            FaultPlan::with(vec![
-                Fault::DropPush { seq: 1, delivery: 1 },
-                Fault::GradQueueSaturation { start: 20, ticks: 30 },
-            ]),
-        ] {
-            let report = check_run(&cfg, &plan, 77, &oracle)
+        let plans = [
+            (at(1, 1), vec![Fault::WorkerDeath { at_batch: 9 }]),
+            (at(1, 1), vec![Fault::ShardDeath { shard: 0, after_applied: 4 }]),
+            (at(1, 1), vec![Fault::Crash { after_applied: 6 }]),
+            (
+                at(1, 1),
+                vec![
+                    Fault::DropShardPush { shard: 0, seq: 1, delivery: 1 },
+                    Fault::ShardSaturation { shard: 0, start: 20, ticks: 30 },
+                ],
+            ),
+            (at(3, 3), vec![Fault::PrimaryDeath { shard: 0, after_applied: 6 }]),
+            (at(3, 3), vec![Fault::WorkerDeath { at_batch: 5 }]),
+        ];
+        for (cfg, faults) in plans {
+            let plan = FaultPlan::with(faults);
+            let (so, go) = (sharded_prefix(&cfg), sequential_prefix(&cfg));
+            let report = check_run(&cfg, &plan, 77, &so, &go)
                 .unwrap_or_else(|v| panic!("plan [{plan}] violated: {v}"));
             // partial progress still matches the sequential prefix exactly
-            assert_eq!(report.table_digest, oracle.prefix_digests[report.applied as usize]);
+            assert_eq!(
+                report.merged_digest,
+                go.prefix_digests[report.min_applied() as usize],
+                "plan [{plan}]"
+            );
+            // whether an unfinished run is acceptable is the scenario's call
+            assert_eq!(incomplete(&report, &cfg).is_none(), report.outcome == Outcome::Completed);
         }
     }
 
-    #[test]
-    fn checker_catches_a_double_apply() {
-        let cfg = SimConfig::default();
-        let mut report = run(&cfg, &FaultPlan::none(), 1);
-        report.trace.push(TraceEvent::Applied { seq: 3 });
-        assert_eq!(check_trace(&report, &cfg), Err(Violation::AppliedTwice { seq: 3 }));
-    }
+    /// One corruption of a finished run and the violation that must name
+    /// it (given the last shard and rank).
+    type Case = (&'static str, fn(&mut SimReport, &SimConfig), fn(&Violation, u32, u32) -> bool);
 
+    /// The checker must have the power to catch each bug class — at the
+    /// single server, where the per-tier checkers used to demonstrate it,
+    /// and at 3 × 3, where the unified checker newly applies. Each case
+    /// corrupts the *last* shard's *last* member of a fault-free run, but
+    /// for the last, which claims completion of a run a worker death cut
+    /// short.
     #[test]
-    fn checker_catches_a_stale_stamp() {
-        let cfg = SimConfig::default();
-        let mut report = run(&cfg, &FaultPlan::none(), 1);
-        report
-            .trace
-            .push(TraceEvent::Gathered { seq: 23, applied_through: 23 - cfg.staleness_bound - 1 });
-        assert!(matches!(
-            check_trace(&report, &cfg),
-            Err(Violation::StalenessExceeded { seq: 23, .. })
-        ));
-    }
-
-    #[test]
-    fn checker_catches_a_phantom_ack() {
-        let cfg = SimConfig { num_batches: 0, ..SimConfig::default() };
-        let mut report = run(&cfg, &FaultPlan::none(), 1);
-        report.trace.push(TraceEvent::Acked { seq: 5 });
-        assert_eq!(check_trace(&report, &cfg), Err(Violation::AckedWithoutApply { seq: 5 }));
-    }
-
-    #[test]
-    fn shard_checker_passes_a_clean_multi_shard_run() {
-        let cfg = crate::shard::ShardSimConfig::default();
-        let shard_oracle = crate::oracle::sharded_prefix(&cfg);
-        let global_oracle = sequential_prefix(&cfg.base);
-        let report = check_shard_run(&cfg, &FaultPlan::none(), 1, &shard_oracle, &global_oracle)
-            .expect("clean sharded run");
-        assert_eq!(report.outcome, Outcome::Completed);
-    }
-
-    #[test]
-    fn shard_checker_catches_a_per_shard_double_apply() {
-        let cfg = crate::shard::ShardSimConfig::default();
-        let mut report = crate::shard::run_sharded(&cfg, &FaultPlan::none(), 1);
-        report.trace.push(TraceEvent::ShardApplied { shard: 1, seq: 3 });
-        assert_eq!(
-            check_shard_trace(&report, &cfg),
-            Err(Violation::ShardAppliedTwice { shard: 1, seq: 3 })
-        );
-    }
-
-    #[test]
-    fn shard_checker_catches_a_mis_stitched_stamp() {
-        let cfg = crate::shard::ShardSimConfig::default();
-        let mut report = crate::shard::run_sharded(&cfg, &FaultPlan::none(), 1);
-        // a gather stamp with no per-shard stamps backing it cannot be
-        // the minimum of anything
-        let seq = cfg.base.num_batches;
-        report.trace.push(TraceEvent::Gathered { seq, applied_through: seq });
-        assert!(matches!(
-            check_shard_trace(&report, &cfg),
-            Err(Violation::ShardStampMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn shard_checker_catches_a_phantom_shard_ack() {
-        let cfg = crate::shard::ShardSimConfig::default();
-        let mut report = crate::shard::run_sharded(&cfg, &FaultPlan::none(), 1);
-        report.trace.push(TraceEvent::ShardAcked { shard: 2, seq: cfg.base.num_batches });
-        assert!(matches!(
-            check_shard_trace(&report, &cfg),
-            Err(Violation::ShardAckedWithoutApply { shard: 2, .. })
-        ));
-    }
-
-    #[test]
-    fn shard_checker_catches_sub_table_corruption() {
-        let cfg = crate::shard::ShardSimConfig::default();
-        let shard_oracle = crate::oracle::sharded_prefix(&cfg);
-        let global_oracle = sequential_prefix(&cfg.base);
-        let mut report = crate::shard::run_sharded(&cfg, &FaultPlan::none(), 1);
-        report.shard_digests[0] ^= 1;
-        assert!(matches!(
-            check_shard_against_oracle(&report, &shard_oracle, &global_oracle),
-            Err(Violation::ShardOracleMismatch { shard: 0, .. })
-        ));
-    }
-
-    #[test]
-    fn failover_checker_passes_a_clean_replicated_run() {
-        let cfg = crate::failover::FailoverSimConfig::default();
-        let shard_oracle = crate::oracle::sharded_prefix(&crate::shard::ShardSimConfig {
-            base: cfg.base,
-            shard: cfg.shard,
-        });
-        let global_oracle = sequential_prefix(&cfg.base);
-        let report = check_failover_run(&cfg, &FaultPlan::none(), 1, &shard_oracle, &global_oracle)
-            .expect("clean replicated run");
-        assert_eq!(report.outcome, Outcome::Completed);
-    }
-
-    #[test]
-    fn failover_checker_passes_a_primary_kill_schedule() {
-        let cfg = crate::failover::FailoverSimConfig::default();
-        let shard_oracle = crate::oracle::sharded_prefix(&crate::shard::ShardSimConfig {
-            base: cfg.base,
-            shard: cfg.shard,
-        });
-        let global_oracle = sequential_prefix(&cfg.base);
-        let plan = FaultPlan::with(vec![Fault::PrimaryDeath { shard: 0, after_applied: 6 }]);
-        let report = check_failover_run(&cfg, &plan, 3, &shard_oracle, &global_oracle)
-            .unwrap_or_else(|v| panic!("kill schedule violated: {v}"));
-        assert!(report.promotions[0] >= 1);
-    }
-
-    #[test]
-    fn failover_checker_catches_a_per_member_double_apply() {
-        let cfg = crate::failover::FailoverSimConfig::default();
-        let mut report = crate::failover::run_failover(&cfg, &FaultPlan::none(), 1);
-        report.trace.push(TraceEvent::ReplicaApplied { shard: 1, rank: 2, seq: 3 });
-        assert_eq!(
-            check_failover_trace(&report, &cfg),
-            Err(Violation::ReplicaAppliedTwice { shard: 1, rank: 2, seq: 3 })
-        );
-    }
-
-    #[test]
-    fn failover_checker_catches_a_diverged_backup() {
-        let cfg = crate::failover::FailoverSimConfig::default();
-        let shard_oracle = crate::oracle::sharded_prefix(&crate::shard::ShardSimConfig {
-            base: cfg.base,
-            shard: cfg.shard,
-        });
-        let global_oracle = sequential_prefix(&cfg.base);
-        let mut report = crate::failover::run_failover(&cfg, &FaultPlan::none(), 1);
-        if let Some(d) = report.member_digests[0][1].as_mut() {
-            *d ^= 1;
+    fn checker_catches_each_corruption_at_both_ends_of_the_matrix() {
+        let cases: [Case; 8] = [
+            (
+                "double apply",
+                |r, c| {
+                    let (shard, rank) = (c.shard.num_shards - 1, c.replicas - 1);
+                    r.trace.push(TraceEvent::Applied { shard, rank, seq: 3 });
+                },
+                |v, s, k| *v == Violation::AppliedTwice { shard: s, rank: k, seq: 3 },
+            ),
+            (
+                "skipped apply",
+                |r, c| {
+                    let (shard, rank) = (c.shard.num_shards - 1, c.replicas - 1);
+                    r.trace.push(TraceEvent::Applied { shard, rank, seq: c.num_batches + 1 });
+                },
+                |v, s, k| {
+                    matches!(*v, Violation::AppliedOutOfOrder { shard, rank, .. }
+                        if (shard, rank) == (s, k))
+                },
+            ),
+            (
+                "phantom ack",
+                |r, c| {
+                    let shard = c.shard.num_shards - 1;
+                    r.trace.push(TraceEvent::Acked { shard, seq: c.num_batches });
+                },
+                |v, s, _| matches!(*v, Violation::AckedWithoutApply { shard, .. } if shard == s),
+            ),
+            (
+                "stale stamp",
+                |r, c| {
+                    let (seq, stamp) = (c.num_batches, c.num_batches - c.staleness_bound - 1);
+                    for shard in 0..c.shard.num_shards {
+                        r.trace.push(TraceEvent::Stamped { shard, seq, applied: stamp });
+                    }
+                    r.trace.push(TraceEvent::Gathered { seq, applied_through: stamp });
+                },
+                |v, _, _| matches!(*v, Violation::StalenessExceeded { .. }),
+            ),
+            (
+                "mis-stitched stamp",
+                // a gather stamp with no per-shard stamps backing it
+                // cannot be the minimum of anything
+                |r, c| {
+                    let seq = c.num_batches;
+                    r.trace.push(TraceEvent::Gathered { seq, applied_through: seq });
+                },
+                |v, _, _| matches!(*v, Violation::StampMismatch { .. }),
+            ),
+            (
+                "diverged member",
+                |r, _| r.members.last_mut().unwrap().last_mut().unwrap().digest ^= 1,
+                |v, s, k| {
+                    matches!(*v, Violation::MemberDiverged { shard, rank, .. }
+                        if (shard, rank) == (s, k))
+                },
+            ),
+            (
+                "corrupted merged tables",
+                |r, _| r.merged_digest ^= 1,
+                |v, _, _| matches!(*v, Violation::OracleMismatch { .. }),
+            ),
+            (
+                "incomplete completion",
+                |r, _| r.outcome = Outcome::Completed,
+                |v, _, _| matches!(*v, Violation::Incomplete { applied: 5, .. }),
+            ),
+        ];
+        for (shards, replicas) in [(1, 1), (3, 3)] {
+            let cfg = at(shards, replicas);
+            let (so, go) = (sharded_prefix(&cfg), sequential_prefix(&cfg));
+            for (name, corrupt, names_it) in cases {
+                let plan = match name {
+                    "incomplete completion" => {
+                        FaultPlan::with(vec![Fault::WorkerDeath { at_batch: 5 }])
+                    }
+                    _ => FaultPlan::none(),
+                };
+                let mut report = run(&cfg, &plan, 1);
+                corrupt(&mut report, &cfg);
+                let verdict = check_trace(&report, &cfg)
+                    .and_then(|()| check_against_oracle(&report, &so, &go));
+                let violation = verdict.expect_err(name);
+                assert!(
+                    names_it(&violation, shards - 1, replicas - 1),
+                    "{shards} x {replicas}, {name}: wrong violation `{violation}`"
+                );
+            }
         }
-        assert!(matches!(
-            check_failover_against_oracle(&report, &shard_oracle, &global_oracle),
-            Err(Violation::ReplicaDiverged { shard: 0, rank: 1, .. })
-        ));
-    }
-
-    #[test]
-    fn failover_checker_requires_completion() {
-        let cfg = crate::failover::FailoverSimConfig::default();
-        let shard_oracle = crate::oracle::sharded_prefix(&crate::shard::ShardSimConfig {
-            base: cfg.base,
-            shard: cfg.shard,
-        });
-        let global_oracle = sequential_prefix(&cfg.base);
-        // a worker death is NOT survivable by failover; the replicated
-        // checker must flag the unfinished schedule rather than accept it
-        let plan = FaultPlan::with(vec![Fault::WorkerDeath { at_batch: 5 }]);
-        assert!(matches!(
-            check_failover_run(&cfg, &plan, 1, &shard_oracle, &global_oracle),
-            Err(Violation::FailoverIncomplete { .. })
-        ));
-    }
-
-    #[test]
-    fn checker_catches_table_corruption() {
-        let cfg = SimConfig::default();
-        let oracle = sequential_prefix(&cfg);
-        let mut report = run(&cfg, &FaultPlan::none(), 1);
-        report.table_digest ^= 1;
-        assert!(matches!(
-            check_against_oracle(&report, &oracle),
-            Err(Violation::OracleMismatch { .. })
-        ));
     }
 
     #[test]

@@ -4,39 +4,40 @@
 //! end-to-end by real threads, which can only witness the interleavings
 //! the OS scheduler happens to produce. This crate removes the scheduler:
 //! a virtual clock and a seeded discrete-event queue ([`clock`]) drive
-//! the *real* `HostServer`, `EmbeddingCache` and pooling/aggregation
-//! kernels through arbitrary interleavings, while a seeded [`fault::FaultPlan`]
-//! injects worker stalls and deaths, server death, prefetch delays,
-//! gradient-queue saturation, and dropped/duplicated gradient deliveries.
+//! the *real* `HostServer`, `ShardRouter`, `EmbeddingCache` and
+//! pooling/aggregation kernels through arbitrary interleavings, at any
+//! topology of `N` shards × `K` replicas, while a seeded
+//! [`fault::FaultPlan`] injects worker stalls and deaths, member, shard
+//! and process death, prefetch delays, intake saturation, dropped,
+//! duplicated and delayed gradient deliveries, heartbeat loss and
+//! partitions.
 //!
 //! Every run is a pure function of `(SimConfig, FaultPlan, seed)` — no
 //! threads, no wall clock — so a failing seed from a CI sweep replays
-//! bit-for-bit on any machine (`cargo xtask sim --seed N`).
+//! bit-for-bit on any machine (`cargo xtask sim <scenario> --seed N`).
 //!
 //! * [`clock`] — virtual time, deterministic event scheduling, splitmix64,
-//! * [`fault`] — the fault model and seeded plan derivation,
+//! * [`fault`] — the fault model and the seeded plan derivations,
 //! * [`trace`] — the observable protocol history of a run,
-//! * [`sim`] — the simulation itself (host, worker, unreliable links),
+//! * [`sim`] — the simulation itself: one event loop over `(N, K)` —
+//!   hosts behind the shard router, lockstep replica groups, heartbeat
+//!   failure detection, promotion, fencing, catch-up, the worker, the
+//!   unreliable links, resumable checkpointing sessions,
 //! * [`oracle`] — the sequential reference with per-batch prefix digests,
-//! * [`invariants`] — exactly-once / staleness-bound / schedule-independence
-//!   / replay-determinism checking,
-//! * [`shard`] — the multi-shard tier simulation: scatter/gather across
-//!   independent `HostServer` shards, per-shard fault injection, and the
-//!   multi-shard seed sweep,
-//! * [`sweep`] — the seed-sweep harness CI runs,
+//!   globally and per shard,
+//! * [`invariants`] — per-member exactly-once / stitched staleness bound
+//!   / schedule-independence / replay-determinism checking,
 //! * [`storage`] — fault-injecting checkpoint storage (crashes between
 //!   atomic-protocol steps, torn writes, at-rest rot),
-//! * [`recovery`] — crash → recover → resume scenarios and the crash
-//!   sweep (checkpoint durability, DESIGN.md §11),
-//! * [`reshard`] — elastic resharding: drain through the checkpoint
-//!   store, migrate row ranges to a new placement, resume — crash-safe at
-//!   every drain step and byte-identical to the never-resharded oracle
-//!   (DESIGN.md §14),
-//! * [`failover`] — the replicated tier: K-member lockstep replica
-//!   groups per shard, heartbeat failure detection, promotion on
-//!   suspicion, checkpoint catch-up rejoins, and the kill-the-primary /
-//!   network-fault sweeps that demand completion byte-identical to the
-//!   sequential oracle (DESIGN.md §15).
+//! * [`recovery`] — the crash → recover → resume scenario (checkpoint
+//!   durability, DESIGN.md §11),
+//! * [`reshard`] — the elastic-resharding scenario: drain through the
+//!   checkpoint store, migrate row ranges to a new placement, resume —
+//!   crash-safe at every drain step and byte-identical to the
+//!   never-resharded oracle (DESIGN.md §14),
+//! * [`sweep`] — the six scenarios (`fault`, `crash`, `shard`,
+//!   `reshard`, `failover`, `netfault`) and the one seed-sweep harness CI
+//!   runs them through.
 //!
 //! See DESIGN.md §10 for the fault model and the invariant statements.
 
@@ -44,13 +45,11 @@
 #![deny(missing_docs)]
 
 pub mod clock;
-pub mod failover;
 pub mod fault;
 pub mod invariants;
 pub mod oracle;
 pub mod recovery;
 pub mod reshard;
-pub mod shard;
 pub mod sim;
 pub mod storage;
 pub mod sweep;
@@ -59,32 +58,20 @@ pub mod trace;
 #[cfg(test)]
 mod proptests;
 
-pub use failover::{
-    run_failover, run_failover_sweep, run_netfault_sweep, FailoverSimConfig, FailoverSimReport,
-    FailoverSweepFailure, FailoverSweepSummary,
-};
 pub use fault::{Fault, FaultPlan};
-pub use invariants::{
-    check_against_oracle, check_failover_against_oracle, check_failover_run, check_failover_trace,
-    check_run, check_shard_against_oracle, check_shard_run, check_shard_trace, check_trace,
-    Violation,
-};
+pub use invariants::{check_against_oracle, check_run, check_trace, Violation};
 pub use oracle::{sequential_prefix, sharded_prefix, Oracle, ShardOracle};
 pub use recovery::{
-    check_recovery, crash_plans_for_seed, run_crash_sweep, run_with_recovery, CrashSweepFailure,
-    CrashSweepSummary, RecoveryConfig, RecoveryReport, SimCheckpoint,
+    check_recovery, crash_plans_for_seed, run_with_recovery, RecoveryConfig, RecoveryReport,
+    SimCheckpoint,
 };
 pub use reshard::{
-    check_reshard, reshard_plans_for_seed, run_reshard, run_reshard_sweep, RecoveredFrom,
-    ReshardConfig, ReshardReport, ReshardSweepFailure, ReshardSweepSummary,
-};
-pub use shard::{
-    run_shard_session, run_shard_sweep, run_sharded, ShardSimConfig, ShardSimReport,
-    ShardSweepFailure, ShardSweepSummary,
+    check_reshard, reshard_plans_for_seed, run_reshard, RecoveredFrom, ReshardConfig, ReshardReport,
 };
 pub use sim::{
-    digest_tables, run, run_session, CkptSink, Outcome, ResumeState, SimConfig, SimReport,
+    digest_tables, run, run_session, CkptSink, MemberState, Outcome, ResumeState, SimConfig,
+    SimReport,
 };
 pub use storage::{FaultyStorage, StorageFault, StorageFaultPlan};
-pub use sweep::{run_sweep, SweepFailure, SweepSummary};
+pub use sweep::{replay_seed, run_sweep, Scenario, SweepFailure, SweepSummary, Verdict};
 pub use trace::{Trace, TraceEvent};

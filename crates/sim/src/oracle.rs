@@ -12,14 +12,14 @@
 //! correctness, because a lost, duplicated or stale-input push would
 //! each perturb the final bytes.
 
-use crate::shard::ShardSimConfig;
 use crate::sim::{build_dataset, build_tables, digest_tables, worker_push, SimConfig};
 use el_dlrm::embedding_bag::EmbeddingBag;
 use el_pipeline::cache::EmbeddingCache;
 use el_pipeline::server::{ApplyOutcome, HostServer};
 use el_pipeline::{split_tables, ShardRouter};
 
-/// The sequential reference for one [`SimConfig`].
+/// The sequential reference for one [`SimConfig`] (its topology plays no
+/// part: the reference is one server, one batch at a time).
 pub struct Oracle {
     /// `prefix_digests[k]` is the table digest after `k` applied batches;
     /// index 0 is the initial (untrained) tables. Length `num_batches + 1`.
@@ -67,25 +67,25 @@ pub struct ShardOracle {
 /// `applied[s] = k` — whatever faults stopped it — must land on
 /// `per_shard[s][k]` exactly: this is the per-shard half of the
 /// schedule-independence invariant, valid even when shards are skewed.
-pub fn sharded_prefix(cfg: &ShardSimConfig) -> ShardOracle {
-    let dataset = build_dataset(&cfg.base);
-    let tables = build_tables(&cfg.base);
+pub fn sharded_prefix(cfg: &SimConfig) -> ShardOracle {
+    let dataset = build_dataset(cfg);
+    let tables = build_tables(cfg);
     let layout = cfg.layout();
-    let mut server = HostServer::new(tables.clone(), cfg.base.lr);
+    let mut server = HostServer::new(tables.clone(), cfg.lr);
     let mut shards: Vec<HostServer> = split_tables(&tables, &layout)
         .expect("the layout places exactly the config's tables")
         .into_iter()
-        .map(|sub| HostServer::new(sub, cfg.base.lr))
+        .map(|sub| HostServer::new(sub, cfg.lr))
         .collect();
     let mut router = ShardRouter::new(layout);
     let mut caches: Vec<(usize, EmbeddingCache)> =
-        (0..cfg.base.num_tables).map(|t| (t, EmbeddingCache::new())).collect();
+        (0..cfg.num_tables).map(|t| (t, EmbeddingCache::new())).collect();
     let mut per_shard: Vec<Vec<u64>> =
         shards.iter().map(|s| vec![digest_tables(&s.tables)]).collect();
-    for k in 0..cfg.base.num_batches {
-        let batch = dataset.batch(k, cfg.base.batch_size);
+    for k in 0..cfg.num_batches {
+        let batch = dataset.batch(k, cfg.batch_size);
         let mut pf = server.gather(batch, k);
-        let push = worker_push(&mut pf, &mut caches, cfg.base.lr, cfg.base.model_seed);
+        let push = worker_push(&mut pf, &mut caches, cfg.lr, cfg.model_seed);
         match server.apply_checked(&push) {
             Ok(ApplyOutcome::Applied) => {}
             other => unreachable!("sequential apply of batch {k} failed: {other:?}"),
@@ -121,15 +121,15 @@ mod tests {
 
     #[test]
     fn sharded_prefixes_agree_with_the_global_oracle() {
-        let cfg = ShardSimConfig::default();
+        let cfg = SimConfig::default().with_topology(3, 1);
         let sharded = sharded_prefix(&cfg);
         assert_eq!(sharded.per_shard.len(), cfg.shard.num_shards as usize);
         for (s, digests) in sharded.per_shard.iter().enumerate() {
-            assert_eq!(digests.len() as u64, cfg.base.num_batches + 1, "shard {s}");
+            assert_eq!(digests.len() as u64, cfg.num_batches + 1, "shard {s}");
         }
         // the stitched final state equals the sequential final state:
         // rebuild the shard servers, replay, merge, and compare digests
-        let tables = crate::sim::build_tables(&cfg.base);
+        let tables = build_tables(&cfg);
         let layout = cfg.layout();
         let split = el_pipeline::split_tables(&tables, &layout).unwrap();
         // per-shard digests are deterministic
@@ -141,6 +141,13 @@ mod tests {
         for (s, sub) in split.iter().enumerate() {
             assert_eq!(sharded.per_shard[s][0], digest_tables(sub));
         }
+    }
+
+    #[test]
+    fn one_shard_is_the_whole_server() {
+        // the degenerate layout splits nothing: the two references agree
+        let cfg = SimConfig::default();
+        assert_eq!(sharded_prefix(&cfg).per_shard, [sequential_prefix(&cfg).prefix_digests]);
     }
 
     #[test]

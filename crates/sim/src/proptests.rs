@@ -1,15 +1,15 @@
 //! Property-based tests over the staleness protocol: arbitrary seeded
 //! schedules, arbitrary explicit fault combinations, and arbitrary
-//! pipeline geometries must all satisfy the invariants in
+//! pipeline geometries and topologies must all satisfy the invariants in
 //! [`crate::invariants`]. Seeds and fault lists are proptest inputs, so
 //! a failing case shrinks to a minimal seed / plan before it is reported.
 
 #![cfg(test)]
 
 use crate::fault::{Fault, FaultPlan};
-use crate::invariants::check_run;
-use crate::oracle::sequential_prefix;
-use crate::sim::SimConfig;
+use crate::invariants::{check_run, Violation};
+use crate::oracle::{sequential_prefix, sharded_prefix};
+use crate::sim::{SimConfig, SimReport};
 use proptest::prelude::*;
 
 /// A small config so each case stays fast; `num_batches` is kept at 12
@@ -26,17 +26,33 @@ fn small_cfg(staleness_bound: u64, prefetch_depth: usize, grad_capacity: usize) 
     }
 }
 
+fn verdict(cfg: &SimConfig, plan: &FaultPlan, seed: u64) -> Result<SimReport, Violation> {
+    check_run(cfg, plan, seed, &sharded_prefix(cfg), &sequential_prefix(cfg))
+}
+
 /// One arbitrary fault for a run of `n` batches.
 fn arb_fault(n: u64) -> impl Strategy<Value = Fault> {
+    let shard = 0u32;
     prop_oneof![
         (0..n, 1u64..64).prop_map(|(at_batch, ticks)| Fault::WorkerStall { at_batch, ticks }),
         (0..n).prop_map(|at_batch| Fault::WorkerDeath { at_batch }),
-        (0..n).prop_map(|after_applied| Fault::ServerDeath { after_applied }),
+        (0..n).prop_map(move |after_applied| Fault::ShardDeath { shard, after_applied }),
         (0..n, 1u64..48).prop_map(|(batch, ticks)| Fault::PrefetchDelay { batch, ticks }),
-        (0..n * 12, 1u64..60)
-            .prop_map(|(start, ticks)| Fault::GradQueueSaturation { start, ticks }),
-        (0..n, 1u32..3).prop_map(|(seq, delivery)| Fault::DropPush { seq, delivery }),
-        (0..n, 1u32..3).prop_map(|(seq, delivery)| Fault::DuplicatePush { seq, delivery }),
+        (0..n * 12, 1u64..60).prop_map(move |(start, ticks)| Fault::ShardSaturation {
+            shard,
+            start,
+            ticks
+        }),
+        (0..n, 1u32..3).prop_map(move |(seq, delivery)| Fault::DropShardPush {
+            shard,
+            seq,
+            delivery
+        }),
+        (0..n, 1u32..3).prop_map(move |(seq, delivery)| Fault::DuplicateShardPush {
+            shard,
+            seq,
+            delivery
+        }),
     ]
 }
 
@@ -48,9 +64,8 @@ proptest! {
     #[test]
     fn seeded_schedules_preserve_invariants(seed in 0u64..u64::MAX) {
         let cfg = small_cfg(6, 4, 8);
-        let oracle = sequential_prefix(&cfg);
         let plan = FaultPlan::from_seed(seed, cfg.num_batches);
-        let verdict = check_run(&cfg, &plan, seed, &oracle);
+        let verdict = verdict(&cfg, &plan, seed);
         prop_assert!(
             verdict.is_ok(),
             "seed {seed}, plan [{plan}]: {}",
@@ -66,30 +81,31 @@ proptest! {
         schedule_seed in 0u64..u64::MAX,
     ) {
         let cfg = small_cfg(6, 4, 8);
-        let oracle = sequential_prefix(&cfg);
         let plan = FaultPlan::with(faults);
-        let verdict = check_run(&cfg, &plan, schedule_seed, &oracle);
+        let verdict = verdict(&cfg, &plan, schedule_seed);
         prop_assert!(verdict.is_ok(), "plan [{plan}]: {}", verdict.unwrap_err());
     }
 
-    /// The invariants hold across pipeline geometries: any staleness
-    /// bound (including 0, fully synchronous), queue depth and gradient
-    /// capacity — the bound is enforced by the gather gate, not by lucky
-    /// queue sizing.
+    /// The invariants hold across pipeline geometries and topologies: any
+    /// staleness bound (including 0, fully synchronous), queue depth,
+    /// gradient capacity, shard count and replication factor — the bound
+    /// is enforced by the gather gate, not by lucky queue sizing, and
+    /// neither seam is visible in the trained bytes.
     #[test]
     fn geometry_never_breaks_the_bound(
         bound in 0u64..8,
         depth in 1usize..6,
         capacity in 1usize..6,
+        shards in 1u32..=4,
+        replicas in 1u32..=3,
         seed in 0u64..u64::MAX,
     ) {
-        let cfg = small_cfg(bound, depth, capacity);
-        let oracle = sequential_prefix(&cfg);
-        let plan = FaultPlan::from_seed(seed, cfg.num_batches);
-        let verdict = check_run(&cfg, &plan, seed, &oracle);
+        let cfg = small_cfg(bound, depth, capacity).with_topology(shards, replicas);
+        let plan = FaultPlan::from_seed_sharded(seed, cfg.num_batches, shards);
+        let verdict = verdict(&cfg, &plan, seed);
         prop_assert!(
             verdict.is_ok(),
-            "bound={bound} depth={depth} cap={capacity} seed={seed}: {}",
+            "bound={bound} depth={depth} cap={capacity} {shards}x{replicas} seed={seed}: {}",
             verdict.unwrap_err()
         );
     }

@@ -31,7 +31,6 @@ use crate::invariants::Violation;
 use crate::oracle::Oracle;
 use crate::sim::{build_tables, run_session, CkptSink, Outcome, ResumeState, SimConfig, SimReport};
 use crate::storage::{FaultyStorage, StorageFaultPlan};
-use crate::trace::TraceEvent;
 use el_dlrm::embedding_bag::EmbeddingBag;
 use el_pipeline::ckpt::{
     encode_frames, CkptError, CkptStore, HostedTableCheckpoint, Section, Storage,
@@ -51,11 +50,11 @@ pub const SIM_CKPT_FORMAT: u32 = 1;
 pub struct SimCheckpoint {
     /// Gradient batches applied when the checkpoint was taken.
     pub applied: u64,
-    /// Which shard slot these tables belong to (0 for a single-server
-    /// checkpoint).
+    /// Which shard slot these tables belong to (0 for a checkpoint of the
+    /// merged global tables).
     pub shard: u32,
     /// Total shards in the layout the checkpoint was drained under (1
-    /// for a single-server checkpoint).
+    /// for a checkpoint of the merged global tables).
     pub num_shards: u32,
     /// Hosted tables as of the checkpoint.
     pub tables: Vec<(usize, EmbeddingBag)>,
@@ -73,7 +72,8 @@ struct SimMeta {
 }
 
 impl SimCheckpoint {
-    /// A single-server checkpoint: slot 0 of a 1-shard layout.
+    /// A checkpoint of the merged global tables: slot 0 of a 1-shard
+    /// layout, whatever layout the running tier used.
     pub fn single(applied: u64, tables: Vec<(usize, EmbeddingBag)>) -> Self {
         Self { applied, shard: 0, num_shards: 1, tables }
     }
@@ -155,27 +155,17 @@ fn parse_json<T: serde::Deserialize>(bytes: &[u8], what: &str) -> Result<T, Ckpt
     serde_json::from_str(text).map_err(|e| CkptError::Corrupt(format!("`{what}` section: {e}")))
 }
 
-/// A [`CkptSink`] that frames [`SimCheckpoint`]s into a [`CkptStore`].
-pub struct StoreSink<S: Storage> {
-    store: CkptStore<S>,
-}
-
-impl<S: Storage> StoreSink<S> {
-    /// Wraps a store.
-    pub fn new(store: CkptStore<S>) -> Self {
-        Self { store }
-    }
-}
-
-impl<S: Storage> CkptSink for StoreSink<S> {
+/// A [`CkptStore`] is a sink: it frames the merged tables as a
+/// [`SimCheckpoint`] and saves them through its atomic protocol.
+impl<S: Storage> CkptSink for CkptStore<S> {
     fn save(&mut self, applied: u64, tables: &[(usize, EmbeddingBag)]) -> Result<(), CkptError> {
         let ckpt = SimCheckpoint::single(applied, tables.to_vec());
-        self.store.save_bytes(&ckpt.to_framed_bytes()).map(|_| ())
+        self.save_bytes(&ckpt.to_framed_bytes()).map(|_| ())
     }
 }
 
 /// Configuration of one crash-recovery scenario.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RecoveryConfig {
     /// The simulated run.
     pub sim: SimConfig,
@@ -208,6 +198,18 @@ pub struct RecoveryReport {
     pub final_digest: u64,
 }
 
+impl fmt::Display for RecoveryReport {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "phase 1 {}", self.phase1)?;
+        let Some(phase2) = &self.phase2 else { return write!(f, "\nno recovery needed") };
+        match &self.restored_from {
+            Some(name) => write!(f, "\nrecovered from {name} (applied={})", self.resumed_applied)?,
+            None => write!(f, "\nno valid checkpoint survived: cold restart")?,
+        }
+        write!(f, "\nphase 2 {phase2}")
+    }
+}
+
 /// Runs one full crash-recovery scenario. Infallible by design: every
 /// fault combination — including "no valid checkpoint survived" — has a
 /// defined recovery (worst case a cold restart), so the only failures are
@@ -222,16 +224,15 @@ pub fn run_with_recovery(
     // MemStorage cannot fail, and the fault timeline starts at the
     // first checkpointed save.
     let storage = FaultyStorage::new(StorageFaultPlan::none());
-    let store =
+    let mut store =
         CkptStore::open(storage.clone(), rc.retain).expect("opening an empty MemStorage store");
     storage.arm(storage_plan.clone());
-    let mut sink = StoreSink::new(store);
 
-    let phase1 = run_session(&rc.sim, plan, schedule_seed, None, Some((&mut sink, rc.ckpt_every)));
+    let phase1 = run_session(&rc.sim, plan, schedule_seed, None, Some((&mut store, rc.ckpt_every)));
     if phase1.outcome == Outcome::Completed {
         return RecoveryReport {
-            resumed_applied: phase1.applied,
-            final_digest: phase1.table_digest,
+            resumed_applied: phase1.min_applied(),
+            final_digest: phase1.merged_digest,
             phase1,
             phase2: None,
             restored_from: None,
@@ -264,7 +265,7 @@ pub fn run_with_recovery(
         None,
     );
     RecoveryReport {
-        final_digest: phase2.table_digest,
+        final_digest: phase2.merged_digest,
         phase1,
         phase2: Some(phase2),
         restored_from,
@@ -295,7 +296,7 @@ pub fn check_recovery(
     let last = a.phase2.as_ref().unwrap_or(&a.phase1);
     if last.outcome != Outcome::Completed {
         return Err(Violation::RecoveryIncomplete {
-            applied: last.applied,
+            applied: last.min_applied(),
             expected: rc.sim.num_batches,
         });
     }
@@ -318,91 +319,6 @@ pub fn crash_plans_for_seed(seed: u64, num_batches: u64) -> (FaultPlan, StorageF
             .push(Fault::Crash { after_applied: splitmix64(seed ^ 0xC4A5_11C4_A511_C4A5) % n });
     }
     (plan, StorageFaultPlan::from_seed(seed))
-}
-
-/// The reproduction record of a failed crash-sweep seed.
-#[derive(Clone, Debug, PartialEq)]
-pub struct CrashSweepFailure {
-    /// The failing seed (derives both plans and the schedule).
-    pub seed: u64,
-    /// The fault plan that seed derived.
-    pub plan: FaultPlan,
-    /// The storage-fault plan that seed derived.
-    pub storage_plan: StorageFaultPlan,
-    /// What went wrong.
-    pub violation: Violation,
-}
-
-impl fmt::Display for CrashSweepFailure {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "seed: {}", self.seed)?;
-        writeln!(f, "violation: {}", self.violation)?;
-        writeln!(f, "fault plan:")?;
-        writeln!(f, "{}", self.plan)?;
-        writeln!(f, "storage-fault plan:")?;
-        writeln!(f, "{}", self.storage_plan)?;
-        write!(f, "reproduce with: cargo xtask sim --crash-seed {}", self.seed)
-    }
-}
-
-/// Aggregate statistics of a clean crash sweep.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CrashSweepSummary {
-    /// Seeds swept.
-    pub seeds: u64,
-    /// Scenarios whose first phase died (crash fault or storage fault).
-    pub crashed: u64,
-    /// Recoveries that resumed from a surviving valid checkpoint.
-    pub resumed: u64,
-    /// Recoveries that found nothing valid and restarted cold.
-    pub cold_restarts: u64,
-    /// Checkpoints made durable across all first phases.
-    pub checkpoints_saved: u64,
-    /// Checkpoint saves that died mid-protocol.
-    pub saves_failed: u64,
-    /// Storage faults injected across all scenarios.
-    pub storage_faults: u64,
-}
-
-/// Sweeps crash-recovery seeds `start .. start + count`, stopping at the
-/// first violation. Every seed derives a plan with at least one process
-/// crash plus seeded storage faults, so every scenario exercises the
-/// recover-and-resume path against the shared sequential oracle.
-pub fn run_crash_sweep(
-    rc: &RecoveryConfig,
-    start: u64,
-    count: u64,
-) -> Result<CrashSweepSummary, CrashSweepFailure> {
-    let oracle = crate::oracle::sequential_prefix(&rc.sim);
-    let mut summary = CrashSweepSummary::default();
-    for seed in start..start.saturating_add(count) {
-        let (plan, storage_plan) = crash_plans_for_seed(seed, rc.sim.num_batches);
-        match check_recovery(rc, &plan, &storage_plan, seed, &oracle) {
-            Ok(report) => {
-                summary.seeds += 1;
-                summary.storage_faults += storage_plan.faults.len() as u64;
-                if report.phase1.outcome == Outcome::Crashed {
-                    summary.crashed += 1;
-                }
-                if report.phase2.is_some() {
-                    match report.restored_from {
-                        Some(_) => summary.resumed += 1,
-                        None => summary.cold_restarts += 1,
-                    }
-                }
-                summary.checkpoints_saved +=
-                    report.phase1.trace.count(|e| matches!(e, TraceEvent::CheckpointSaved { .. }))
-                        as u64;
-                summary.saves_failed +=
-                    report.phase1.trace.count(|e| matches!(e, TraceEvent::CheckpointFailed { .. }))
-                        as u64;
-            }
-            Err(violation) => {
-                return Err(CrashSweepFailure { seed, plan, storage_plan, violation })
-            }
-        }
-    }
-    Ok(summary)
 }
 
 #[cfg(test)]
@@ -531,29 +447,5 @@ mod tests {
             check_recovery(&rc, &plan, &sp, 13, &oracle)
                 .unwrap_or_else(|v| panic!("crash at op {op} violated: {v}"));
         }
-    }
-
-    #[test]
-    fn a_quick_crash_sweep_is_clean_and_diverse() {
-        let rc = rc();
-        let summary =
-            run_crash_sweep(&rc, 0, 30).unwrap_or_else(|f| panic!("crash sweep failed:\n{f}"));
-        assert_eq!(summary.seeds, 30);
-        assert!(summary.crashed > 0, "every seed injects a crash; most must fire");
-        assert!(summary.resumed > 0, "some recoveries must resume from a checkpoint");
-        assert!(summary.checkpoints_saved > 0);
-        assert!(summary.storage_faults > 0, "seeds must inject storage faults");
-    }
-
-    #[test]
-    fn failures_print_a_reproduction_recipe() {
-        let (plan, storage_plan) = crash_plans_for_seed(17, 24);
-        assert!(plan.crash_after().is_some(), "sweep plans always crash");
-        let f =
-            CrashSweepFailure { seed: 17, plan, storage_plan, violation: Violation::OutOfBudget };
-        let text = f.to_string();
-        assert!(text.contains("seed: 17"));
-        assert!(text.contains("storage-fault plan:"));
-        assert!(text.contains("cargo xtask sim --crash-seed 17"));
     }
 }

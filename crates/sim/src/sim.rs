@@ -1,14 +1,37 @@
 //! The discrete-event pipeline simulation.
 //!
-//! One virtual host (the real [`HostServer`]), one virtual worker (the
-//! real [`EmbeddingCache`] plus the real pooling/aggregation helpers from
-//! `el_pipeline::server`), and three virtual links — prefetch delivery,
-//! gradient delivery, acknowledgement — with seeded latency jitter. The
-//! gradient link is *unreliable*: a [`FaultPlan`] may drop or duplicate
-//! individual deliveries, so the worker runs an at-least-once protocol
-//! (retransmit with exponential backoff until acknowledged) and the
-//! server an idempotent intake ([`HostServer::apply_checked`]: duplicates
-//! ignored, out-of-order pushes buffered until the gap fills).
+//! One loop simulates every topology of the parameter tier: `N` shards
+//! (`SimConfig::shard`), each a lockstep group of `K` replicas
+//! (`SimConfig::replicas`). The hosts are real [`HostServer`]s behind the
+//! real [`ShardRouter`]; the one virtual worker runs the real
+//! [`EmbeddingCache`] plus the real pooling/aggregation helpers from
+//! `el_pipeline::server`; the virtual links — prefetch delivery, one
+//! gradient link and one acknowledgement link per shard, heartbeats — have
+//! seeded latency jitter. The single server of the paper's Fig 9 is the
+//! `N = K = 1` case, not a separate code path.
+//!
+//! * **Unreliable gradient links.** A [`FaultPlan`] may drop, duplicate
+//!   or delay individual deliveries toward one shard, saturate one
+//!   shard's intake, or partition a shard away entirely, so the worker
+//!   runs an at-least-once protocol (retransmit with exponential backoff
+//!   until acknowledged) and every group an idempotent intake
+//!   ([`HostServer::apply_checked`]: duplicates ignored, out-of-order
+//!   pushes buffered until the gap fills). Each shard is its own stamp
+//!   domain; a gather's staleness stamp is the per-shard minimum.
+//! * **Lockstep replication.** A group's intake applies to every alive
+//!   member at the same tick, so primary and backups are byte-identical
+//!   at every watermark. With `K ≥ 2` each believed primary beats on the
+//!   jittered [`HeartbeatConfig`] schedule and the worker runs one
+//!   [`FailureDetector`] per shard (the exact types the pipeline trainer
+//!   uses): on suspicion it promotes the next rank cyclically, fences the
+//!   old primary if it still lives, and resends what is unacknowledged.
+//!   A dead backup scheduled to rejoin restores a real framed
+//!   [`SimCheckpoint`] taken from the current primary. A group of one has
+//!   nobody to promote, so it arms no heartbeats and no detector.
+//! * **Durability.** A session may resume from recovered tables and save
+//!   checkpoints of the merged tables through a [`CkptSink`];
+//!   [`crate::fault::Fault::Crash`] and a failed save kill the whole
+//!   process ([`crate::recovery`] drives the restart).
 //!
 //! The worker's gradient is a deterministic *pseudo-loss* of the pooled
 //! embeddings (`d = 0.05 · pooled + bias(seq, table)`). Because it
@@ -23,6 +46,7 @@
 
 use crate::clock::{splitmix64, EventQueue};
 use crate::fault::FaultPlan;
+use crate::recovery::SimCheckpoint;
 use crate::trace::{Trace, TraceEvent};
 use el_data::{DatasetSpec, SyntheticDataset};
 use el_dlrm::embedding_bag::EmbeddingBag;
@@ -31,10 +55,15 @@ use el_pipeline::ckpt::CkptError;
 use el_pipeline::server::{
     aggregate_to_unique, pool_prefetched, ApplyOutcome, GradientPush, HostServer, PrefetchedBatch,
 };
+use el_pipeline::{
+    merge_tables, split_tables, FailureDetector, HeartbeatConfig, ShardConfig, ShardLayout,
+    ShardRouter,
+};
 use el_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 
 /// Base latency of prefetch delivery (host → worker), in ticks.
 const PREFETCH_LATENCY: u64 = 3;
@@ -50,10 +79,20 @@ const RETRY_TIMEOUT: u64 = 24;
 const MAX_RETRIES: u32 = 8;
 /// Exclusive upper bound of the per-message latency jitter.
 const JITTER: u64 = 4;
+/// Base latency of heartbeat delivery (primary → worker), in ticks.
+const HEARTBEAT_LATENCY: u64 = 2;
+/// Ticks between the worker's failure-detector checks of one shard.
+const SUSPECT_CHECK_EVERY: u64 = 6;
+/// Ticks a rejoining member waits for a promoted leader before retrying.
+const REJOIN_RETRY: u64 = 8;
+/// Promotions per shard before the worker declares the shard unreachable
+/// and halts (a livelock fuse, far above what any bounded fault window
+/// can cause: only a group with no live member blows it).
+const PROMOTION_CAP: u32 = 16;
 
 /// Static configuration of one simulated run (everything except the
 /// faults and the schedule seed).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SimConfig {
     /// Seed of the model/data universe: synthetic dataset, initial table
     /// weights, pseudo-loss constants.
@@ -64,11 +103,13 @@ pub struct SimConfig {
     pub batch_size: usize,
     /// Pre-fetch queue capacity (the paper's queue length).
     pub prefetch_depth: usize,
-    /// Gradient-intake buffer capacity; deliveries beyond it bounce.
+    /// Gradient-intake buffer capacity per shard; deliveries beyond it
+    /// bounce.
     pub grad_capacity: usize,
-    /// Maximum tolerated staleness: the host refuses to gather batch `k`
-    /// until `k - applied <= staleness_bound`, so every `PrefetchedBatch`
-    /// stamp satisfies `batch_seq - applied_through <= staleness_bound`.
+    /// Maximum tolerated staleness: the tier refuses to gather batch `k`
+    /// until `k - min(applied) <= staleness_bound`, so every
+    /// `PrefetchedBatch` stamp satisfies `batch_seq - applied_through <=
+    /// staleness_bound`.
     pub staleness_bound: u64,
     /// Hosted embedding tables.
     pub num_tables: usize,
@@ -80,6 +121,15 @@ pub struct SimConfig {
     pub lr: f32,
     /// Safety cap on processed events; exceeding it is an error outcome.
     pub max_events: u64,
+    /// The shard layout knobs (count `N`, row-range size, placement
+    /// seed). One shard is the single-server tier.
+    pub shard: ShardConfig,
+    /// Members per replica group `K` (primary + `K - 1` backups).
+    pub replicas: u32,
+    /// Base ticks between primary heartbeats (`K ≥ 2` only).
+    pub heartbeat_every: u64,
+    /// Ticks of heartbeat silence before the worker suspects a primary.
+    pub suspicion_after: u64,
 }
 
 impl Default for SimConfig {
@@ -96,6 +146,45 @@ impl Default for SimConfig {
             dim: 8,
             lr: 0.05,
             max_events: 100_000,
+            shard: ShardConfig { num_shards: 1, rows_per_range: 16, placement_seed: 0xE1 },
+            replicas: 1,
+            heartbeat_every: 8,
+            suspicion_after: 30,
+        }
+    }
+}
+
+impl SimConfig {
+    /// This config at `shards × replicas` (builder style; both clamp to
+    /// at least one).
+    pub fn with_topology(mut self, shards: u32, replicas: u32) -> Self {
+        self.shard.num_shards = shards.max(1);
+        self.replicas = replicas.max(1);
+        self
+    }
+
+    /// The placement every participant of this config derives.
+    pub fn layout(&self) -> ShardLayout {
+        let sizes: Vec<(usize, usize)> =
+            (0..self.num_tables).map(|t| (t, self.rows_per_table)).collect();
+        ShardLayout::place(&self.shard, &sizes)
+    }
+
+    /// The heartbeat silence the worker tolerates, clamped exactly as the
+    /// detectors' [`HeartbeatConfig`] clamps it so detector timeouts and
+    /// suspect-check scheduling agree.
+    fn suspicion(&self) -> u64 {
+        self.suspicion_after.max(HeartbeatConfig::min_suspicion(self.heartbeat_every.max(1)))
+    }
+
+    /// The jittered heartbeat schedule of one shard's primary.
+    fn heartbeat(&self, shard: u32, schedule_seed: u64) -> HeartbeatConfig {
+        let every = self.heartbeat_every.max(1);
+        HeartbeatConfig {
+            every,
+            suspicion_after: self.suspicion(),
+            jitter: HeartbeatConfig::max_jitter(every),
+            seed: splitmix64(schedule_seed ^ 0x48B8_48B8_48B8_48B8 ^ u64::from(shard)),
         }
     }
 }
@@ -103,10 +192,12 @@ impl Default for SimConfig {
 /// How a run ended.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Outcome {
-    /// Every scheduled batch was gathered, trained, pushed and applied.
+    /// Every scheduled batch was gathered, trained, pushed and applied by
+    /// every shard's group.
     Completed,
-    /// The event queue drained with work outstanding — an actor died or
-    /// gave up, and the rest of the pipeline wound down cleanly.
+    /// The event queue drained with work outstanding — an actor (the
+    /// worker, or every member of some group) died or gave up, and the
+    /// rest of the pipeline wound down cleanly.
     Stalled,
     /// The event budget was exhausted (a livelock; always a bug).
     OutOfBudget,
@@ -117,25 +208,83 @@ pub enum Outcome {
     Crashed,
 }
 
+impl fmt::Display for Outcome {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Outcome::Completed => "completed",
+            Outcome::Stalled => "stalled (fatal fault)",
+            Outcome::OutOfBudget => "out of event budget",
+            Outcome::Crashed => "crashed (process death)",
+        })
+    }
+}
+
+/// Where one group member stood when the run ended. A dead member keeps
+/// the state it died with, so its bytes are still checked against the
+/// oracle prefix at its own watermark.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct MemberState {
+    /// Whether the member was alive at termination.
+    pub alive: bool,
+    /// Gradient batches the member applied.
+    pub applied: u64,
+    /// FNV-1a digest of the member's sub-tables.
+    pub digest: u64,
+}
+
 /// Result of one simulated run.
 #[derive(Debug)]
 pub struct SimReport {
-    /// Terminal state.
+    /// Terminal state ([`Outcome::Completed`] iff **every** group's
+    /// watermark reached the schedule).
     pub outcome: Outcome,
-    /// Gradient batches the server applied.
-    pub applied: u64,
+    /// Per-shard group watermarks at termination (the maximum over that
+    /// group's members — lockstep keeps alive members equal).
+    pub applied: Vec<u64>,
+    /// Per-member final state, `members[shard][rank]`.
+    pub members: Vec<Vec<MemberState>>,
     /// Full protocol trace, in virtual-time order.
     pub trace: Trace,
-    /// FNV-1a digest over the final table weights (byte-identity proxy).
-    pub table_digest: u64,
-    /// The final hosted tables.
-    pub tables: Vec<(usize, EmbeddingBag)>,
+    /// One copy of each shard's final sub-tables — the believed primary's
+    /// when alive, else any survivor's (byte-identical by lockstep), else
+    /// the most advanced corpse's. The drain input of a reshard.
+    pub shard_tables: Vec<Vec<(usize, EmbeddingBag)>>,
+    /// `shard_tables` merged back into the global tables.
+    pub merged_tables: Vec<(usize, EmbeddingBag)>,
+    /// FNV-1a digest of the merged tables (byte-identity proxy).
+    pub merged_digest: u64,
+    /// Promotions the worker performed per shard.
+    pub promotions: Vec<u32>,
     /// Stale pre-fetched rows the worker's cache corrected.
     pub stale_hits: u64,
     /// Virtual time at termination.
     pub final_tick: u64,
     /// Events processed.
     pub events_processed: u64,
+}
+
+impl SimReport {
+    /// The watermark every shard has reached — the tier's `applied`.
+    pub fn min_applied(&self) -> u64 {
+        self.applied.iter().copied().min().unwrap_or(0)
+    }
+}
+
+impl fmt::Display for SimReport {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{}: shards applied {:?} in {} virtual ticks ({} events), {:?} promotions, \
+             {} stale rows corrected, merged digest {:#018x}",
+            self.outcome,
+            self.applied,
+            self.final_tick,
+            self.events_processed,
+            self.promotions,
+            self.stale_hits,
+            self.merged_digest
+        )
+    }
 }
 
 /// The synthetic dataset a config describes (shared with the oracle).
@@ -214,29 +363,33 @@ pub fn digest_tables(tables: &[(usize, EmbeddingBag)]) -> u64 {
     h
 }
 
-/// Durable state a restarted session resumes from: the hosted tables and
-/// the applied-batch watermark of the newest valid checkpoint (or the
-/// initial tables and zero for a cold restart). The simulator uses
-/// *absolute* batch sequence numbers, so resuming sets the gather, train
-/// and apply cursors all to `applied`.
+/// Durable state a restarted session resumes from: the **global** hosted
+/// tables and the applied-batch watermark of the newest valid checkpoint
+/// (or the initial tables and zero for a cold restart). The session
+/// splits the tables under its own layout — which is how a post-reshard
+/// phase restarts under a new placement — and, because the simulator uses
+/// *absolute* batch sequence numbers, sets the gather, train and apply
+/// cursors all to `applied`.
 #[derive(Clone, Debug)]
 pub struct ResumeState {
-    /// Hosted tables as of the checkpoint.
+    /// Global hosted tables as of the checkpoint.
     pub tables: Vec<(usize, EmbeddingBag)>,
     /// Gradient batches applied when the checkpoint was taken.
     pub applied: u64,
 }
 
 /// Where a running session saves checkpoints. The simulator calls
-/// [`CkptSink::save`] synchronously from the server's apply path; an
-/// error means the process died mid-save (the store's atomic protocol
-/// decides what survived) and the run ends [`Outcome::Crashed`].
+/// [`CkptSink::save`] synchronously from the apply path whenever every
+/// shard stands at the same cadence watermark, handing it the merged
+/// global tables; an error means the process died mid-save (the store's
+/// atomic protocol decides what survived) and the run ends
+/// [`Outcome::Crashed`].
 pub trait CkptSink {
     /// Persists `(applied, tables)` durably.
     fn save(&mut self, applied: u64, tables: &[(usize, EmbeddingBag)]) -> Result<(), CkptError>;
 }
 
-/// In-flight gradient push awaiting acknowledgement.
+/// In-flight scattered push awaiting one shard's acknowledgement.
 struct UnackedPush {
     push: GradientPush,
     /// Retransmission attempts fired so far.
@@ -247,18 +400,33 @@ struct UnackedPush {
 
 /// Events on the virtual timeline.
 enum Ev {
-    /// A pre-fetched batch reaches the worker.
+    /// A reassembled pre-fetched batch reaches the worker.
     PrefetchArrive(Box<PrefetchedBatch>),
     /// A worker stall window ends.
     StallOver,
     /// The worker finishes computing a batch.
     ComputeDone(u64),
-    /// A gradient-push delivery reaches the server.
-    PushArrive(Box<GradientPush>),
-    /// An acknowledgement reaches the worker.
-    AckArrive(u64),
-    /// The worker's retransmission timer for a push fires.
-    RetryFire(u64),
+    /// A scattered push delivery reaches one shard's believed primary.
+    PushArrive { shard: u32, push: Box<GradientPush> },
+    /// One shard's acknowledgement reaches the worker.
+    AckArrive { shard: u32, seq: u64 },
+    /// The worker's retransmission timer for one shard's push fires.
+    RetryFire { shard: u32, seq: u64 },
+    /// One shard's believed primary emits its `n`-th heartbeat.
+    HeartbeatFire { shard: u32, n: u64 },
+    /// A heartbeat from `rank` reaches the worker.
+    HeartbeatArrive { shard: u32, rank: u32 },
+    /// The worker's periodic failure-detector check for one shard.
+    SuspectCheck { shard: u32 },
+    /// A dead member's scheduled catch-up rejoin fires.
+    RejoinFire { shard: u32, rank: u32 },
+}
+
+/// One member of a shard's replica group. Death only clears `alive`: the
+/// server keeps the state it died with for the end-of-run oracle check.
+struct Member {
+    server: HostServer,
+    alive: bool,
 }
 
 /// The running simulation state.
@@ -269,12 +437,19 @@ struct Simulation<'a> {
     rng: StdRng,
     dataset: SyntheticDataset,
     trace: Trace,
-    // host
-    server: HostServer,
-    server_alive: bool,
+    // the host tier: groups[shard][rank]
+    router: ShardRouter,
+    groups: Vec<Vec<Member>>,
+    pending: Vec<BTreeMap<u64, GradientPush>>,
+    primary_kills: Vec<Vec<u64>>, // remaining, sorted ascending
+    backup_kills: Vec<Vec<(u32, u64, u64)>>, // remaining (rank, watermark, rejoin)
     next_gather: u64,
-    pending: BTreeMap<u64, GradientPush>,
     occupancy: usize,
+    // worker-side failover state
+    believed: Vec<usize>,
+    promotions: Vec<u32>,
+    detectors: Vec<FailureDetector>,
+    heartbeats: Vec<HeartbeatConfig>,
     // worker
     worker_alive: bool,
     stalled: bool,
@@ -283,7 +458,7 @@ struct Simulation<'a> {
     next_train: u64,
     computing: Option<GradientPush>,
     caches: Vec<(usize, EmbeddingCache)>,
-    unacked: BTreeMap<u64, UnackedPush>,
+    unacked: BTreeMap<(u32, u64), UnackedPush>,
     // durability
     ckpt: Option<(&'a mut dyn CkptSink, u64)>,
     crashed: bool,
@@ -294,11 +469,11 @@ pub fn run(cfg: &SimConfig, plan: &FaultPlan, schedule_seed: u64) -> SimReport {
     run_session(cfg, plan, schedule_seed, None, None)
 }
 
-/// Runs one *session*: [`run`] plus durability. `resume` continues from a
-/// recovered checkpoint instead of the initial tables; `ckpt` saves a
-/// checkpoint through the sink every `every` applied batches (a failed
-/// save kills the process). Either may be `None`; `run` is the
-/// `(None, None)` special case.
+/// Runs one *session*: [`run`] plus durability. `resume` continues from
+/// recovered global tables instead of the initial ones; `ckpt` saves a
+/// checkpoint of the merged tables through the sink every `every` applied
+/// batches (a failed save kills the process). Either may be `None`; `run`
+/// is the `(None, None)` special case.
 pub fn run_session(
     cfg: &SimConfig,
     plan: &FaultPlan,
@@ -306,27 +481,51 @@ pub fn run_session(
     resume: Option<ResumeState>,
     ckpt: Option<(&mut dyn CkptSink, u64)>,
 ) -> SimReport {
-    let mut server = HostServer::new(build_tables(cfg), cfg.lr);
-    let mut start = 0u64;
+    let layout = cfg.layout();
     let mut trace = Trace::default();
-    if let Some(rs) = resume {
-        start = rs.applied;
-        server = HostServer::new(rs.tables, cfg.lr);
-        server.applied = rs.applied;
-        trace.push(TraceEvent::Resumed { applied: rs.applied });
-    }
-    let sim = Simulation {
+    let mut start = 0u64;
+    let global = match resume {
+        Some(rs) => {
+            start = rs.applied;
+            trace.push(TraceEvent::Resumed { applied: rs.applied });
+            rs.tables
+        }
+        None => build_tables(cfg),
+    };
+    let replicas = cfg.replicas.max(1) as usize;
+    let groups: Vec<Vec<Member>> = split_tables(&global, &layout)
+        .expect("the layout places exactly the config's tables")
+        .into_iter()
+        .map(|sub| {
+            (0..replicas)
+                .map(|_| {
+                    let mut server = HostServer::new(sub.clone(), cfg.lr);
+                    server.applied = start;
+                    Member { server, alive: true }
+                })
+                .collect()
+        })
+        .collect();
+    let n = groups.len();
+    let suspicion = cfg.suspicion();
+    let mut sim = Simulation {
         cfg: *cfg,
         plan: plan.clone(),
         q: EventQueue::new(),
         rng: StdRng::seed_from_u64(cfg.model_seed ^ splitmix64(schedule_seed)),
         dataset: build_dataset(cfg),
         trace,
-        server,
-        server_alive: true,
+        router: ShardRouter::new(layout),
+        pending: (0..n).map(|_| BTreeMap::new()).collect(),
+        primary_kills: (0..n).map(|s| plan.primary_deaths(s as u32)).collect(),
+        backup_kills: (0..n).map(|s| plan.backup_deaths(s as u32)).collect(),
+        groups,
         next_gather: start,
-        pending: BTreeMap::new(),
         occupancy: 0,
+        believed: vec![0; n],
+        promotions: vec![0; n],
+        detectors: (0..n).map(|_| FailureDetector::new(suspicion, 0)).collect(),
+        heartbeats: (0..n).map(|s| cfg.heartbeat(s as u32, schedule_seed)).collect(),
         worker_alive: true,
         stalled: false,
         stalls_done: BTreeSet::new(),
@@ -338,12 +537,68 @@ pub fn run_session(
         ckpt,
         crashed: false,
     };
+    // Failure detection needs a peer to fail over to: a group of one arms
+    // no heartbeats and no detector — its death is simply final.
+    if replicas > 1 {
+        for s in 0..n {
+            let first_beat = sim.heartbeats[s].delay(0);
+            sim.q.schedule(first_beat, Ev::HeartbeatFire { shard: s as u32, n: 0 });
+            sim.q.schedule(suspicion, Ev::SuspectCheck { shard: s as u32 });
+        }
+    }
     sim.drive()
 }
 
 impl Simulation<'_> {
     fn jitter(&mut self) -> u64 {
         self.rng.gen_range(0..JITTER)
+    }
+
+    /// One shard group's applied watermark: the maximum over its members.
+    /// Lockstep keeps alive members equal and a rejoiner lands at the
+    /// watermark, so a corpse is never ahead of a survivor; a group with
+    /// no survivor stays frozen at the watermark it died with.
+    fn group_applied(&self, s: usize) -> u64 {
+        self.groups[s].iter().map(|m| m.server.applied).max().unwrap_or(0)
+    }
+
+    /// Whether the shard's believed primary is an alive member.
+    fn believed_alive(&self, s: usize) -> bool {
+        self.groups[s][self.believed[s]].alive
+    }
+
+    fn min_applied(&self) -> u64 {
+        (0..self.groups.len()).map(|s| self.group_applied(s)).min().unwrap_or(0)
+    }
+
+    /// True once the worker no longer needs shard `s`'s recurring
+    /// timers: the group finished the schedule (or the worker is gone).
+    fn shard_done(&self, s: usize) -> bool {
+        !self.worker_alive || self.group_applied(s) >= self.cfg.num_batches
+    }
+
+    /// One copy of every shard's sub-tables (see
+    /// [`SimReport::shard_tables`] for which member is picked).
+    fn shard_tables(&self) -> Vec<Vec<(usize, EmbeddingBag)>> {
+        (0..self.groups.len())
+            .map(|s| {
+                let group = &self.groups[s];
+                let pick = Some(&group[self.believed[s]])
+                    .filter(|m| m.alive)
+                    .or_else(|| group.iter().find(|m| m.alive))
+                    .or_else(|| group.iter().max_by_key(|m| m.server.applied))
+                    .expect("a group has at least one member");
+                pick.server.tables.clone()
+            })
+            .collect()
+    }
+
+    fn merged_tables(
+        &self,
+        shard_tables: &[Vec<(usize, EmbeddingBag)>],
+    ) -> Vec<(usize, EmbeddingBag)> {
+        merge_tables(shard_tables, self.router.layout())
+            .expect("sub-tables always merge under their own layout")
     }
 
     fn drive(mut self) -> SimReport {
@@ -359,92 +614,185 @@ impl Simulation<'_> {
             self.handle(ev);
             self.step();
         }
+        let applied: Vec<u64> = (0..self.groups.len()).map(|s| self.group_applied(s)).collect();
         let outcome = if out_of_budget {
             Outcome::OutOfBudget
         } else if self.crashed {
             Outcome::Crashed
-        } else if self.server.applied == self.cfg.num_batches {
+        } else if applied.iter().all(|&a| a == self.cfg.num_batches) {
             Outcome::Completed
         } else {
             Outcome::Stalled
         };
-        let stale_hits = self.caches.iter().map(|(_, c)| c.stale_hits).sum();
+        let members = self
+            .groups
+            .iter()
+            .map(|g| {
+                g.iter()
+                    .map(|m| MemberState {
+                        alive: m.alive,
+                        applied: m.server.applied,
+                        digest: digest_tables(&m.server.tables),
+                    })
+                    .collect()
+            })
+            .collect();
+        let shard_tables = self.shard_tables();
+        let merged_tables = self.merged_tables(&shard_tables);
         SimReport {
             outcome,
-            applied: self.server.applied,
-            table_digest: digest_tables(&self.server.tables),
-            tables: std::mem::take(&mut self.server.tables),
-            stale_hits,
+            applied,
+            members,
+            merged_digest: digest_tables(&merged_tables),
+            shard_tables,
+            merged_tables,
+            promotions: self.promotions,
+            stale_hits: self.caches.iter().map(|(_, c)| c.stale_hits).sum(),
             final_tick: self.q.now(),
             events_processed: events,
             trace: self.trace,
         }
     }
 
-    /// Runs every immediately-enabled action: server applies, server
-    /// gathers, worker starts compute. Called after each event so no
-    /// wake-up can be missed — enabling conditions only change when some
-    /// event fires.
+    /// Runs every immediately-enabled action: scheduled deaths fire,
+    /// each group drains its intake in lockstep, the router gathers, the
+    /// worker starts compute. Called after each event so no wake-up can
+    /// be missed — enabling conditions only change when some event fires.
     fn step(&mut self) {
-        self.drain_pending();
+        for s in 0..self.groups.len() {
+            self.drain_group(s);
+        }
         self.host_gather();
         self.worker_start();
     }
 
-    /// Kills both actors at once: the process is gone. Only checkpointed
+    /// Kills every actor at once: the process is gone. Only checkpointed
     /// (durable) state survives into a [`crate::recovery`] restart.
     fn crash_now(&mut self) {
         self.crashed = true;
-        self.server_alive = false;
         self.worker_alive = false;
-        self.trace.push(TraceEvent::CrashInjected { applied: self.server.applied });
-        self.pending.clear();
+        self.trace.push(TraceEvent::CrashInjected { applied: self.min_applied() });
+        for m in self.groups.iter_mut().flatten() {
+            m.alive = false;
+        }
+        self.pending.iter_mut().for_each(BTreeMap::clear);
         self.inbox.clear();
         self.computing = None;
         self.unacked.clear();
     }
 
-    /// Applies buffered pushes in order until a gap (or server death).
-    fn drain_pending(&mut self) {
-        while self.server_alive {
-            if let Some(crash) = self.plan.crash_after() {
-                if self.server.applied >= crash && !self.crashed {
-                    self.crash_now();
-                    return;
+    /// Marks one member dead and records which role it died in.
+    fn kill(&mut self, s: usize, rank: usize, applied: u64) {
+        self.groups[s][rank].alive = false;
+        let was_primary = rank == self.believed[s];
+        let (shard, rank) = (s as u32, rank as u32);
+        self.trace.push(if was_primary {
+            TraceEvent::PrimaryDied { shard, rank, applied }
+        } else {
+            TraceEvent::BackupDied { shard, rank, applied }
+        });
+    }
+
+    /// Fires death schedules whose watermark the group has reached. A
+    /// shard death takes every member at once. A primary kill takes
+    /// whoever is believed primary *now* — two kills at adjacent
+    /// watermarks on one shard therefore kill the freshly promoted
+    /// member, the kill-during-promotion case. A kill whose target is
+    /// already dead waits for the next promotion to land on a live
+    /// target.
+    fn fire_deaths(&mut self, s: usize) {
+        let watermark = self.group_applied(s);
+        if self.plan.shard_death_after(s as u32).is_some_and(|w| watermark >= w) {
+            for rank in 0..self.groups[s].len() {
+                if self.groups[s][rank].alive {
+                    self.kill(s, rank, self.groups[s][rank].server.applied);
                 }
             }
-            if let Some(death) = self.plan.server_death_after() {
-                if self.server.applied >= death {
-                    self.server_alive = false;
-                    self.trace.push(TraceEvent::ServerDied { applied: self.server.applied });
-                    self.pending.clear();
-                    return;
+            self.pending[s].clear(); // the intake buffer dies with it
+        }
+        while let Some(&w) = self.primary_kills[s].first() {
+            if watermark < w || !self.believed_alive(s) {
+                break;
+            }
+            self.primary_kills[s].remove(0);
+            let rank = self.believed[s];
+            self.kill(s, rank, self.groups[s][rank].server.applied);
+            self.pending[s].clear();
+        }
+        let (due, later): (Vec<_>, Vec<_>) = std::mem::take(&mut self.backup_kills[s])
+            .into_iter()
+            .partition(|&(_, w, _)| watermark >= w);
+        self.backup_kills[s] = later;
+        for (rank, _, rejoin) in due {
+            let r = rank as usize;
+            // the drill is dropped when its target is the primary now,
+            // is already dead, or is a rank the group does not have
+            if r == self.believed[s] || !self.groups[s].get(r).is_some_and(|m| m.alive) {
+                continue;
+            }
+            self.kill(s, r, watermark);
+            if rejoin > 0 {
+                self.q.schedule(rejoin, Ev::RejoinFire { shard: s as u32, rank });
+            }
+        }
+    }
+
+    /// Applies one group's buffered pushes in order: every alive member
+    /// applies the same push at the same tick (lockstep), so the group
+    /// stays byte-identical at every watermark. Stops at a gap, or while
+    /// the believed primary is dead (intake needs a live primary). Other
+    /// shards are untouched: each shard's stamp domain advances
+    /// independently.
+    fn drain_group(&mut self, s: usize) {
+        loop {
+            if !self.crashed && self.plan.crash_after().is_some_and(|c| self.min_applied() >= c) {
+                self.crash_now();
+                return;
+            }
+            self.fire_deaths(s);
+            if !self.believed_alive(s) {
+                return;
+            }
+            let next = self.group_applied(s);
+            let Some(push) = self.pending[s].remove(&next) else { return };
+            for (rank, m) in self.groups[s].iter_mut().enumerate().filter(|(_, m)| m.alive) {
+                match m.server.apply_checked(&push) {
+                    Ok(ApplyOutcome::Applied) => self.trace.push(TraceEvent::Applied {
+                        shard: s as u32,
+                        rank: rank as u32,
+                        seq: next,
+                    }),
+                    other => unreachable!("lockstep apply of seq {next} must land, got {other:?}"),
                 }
             }
-            let next = self.server.applied;
-            let Some(push) = self.pending.remove(&next) else { return };
-            match self.server.apply_checked(&push) {
-                Ok(ApplyOutcome::Applied) => {
-                    self.trace.push(TraceEvent::Applied { seq: next });
-                    self.schedule_ack(next);
-                }
-                other => unreachable!("in-order drain of seq {next} must apply, got {other:?}"),
+            if !self.plan.partitioned_at(s as u32, self.q.now()) {
+                self.schedule_ack(s as u32, next);
             }
             self.maybe_checkpoint();
         }
     }
 
-    /// Saves a checkpoint when the apply watermark hits the cadence. A
-    /// sink error is a process death mid-save: whatever the store's
-    /// atomic protocol made durable before the failing step is all a
-    /// restart will find.
+    fn schedule_ack(&mut self, shard: u32, seq: u64) {
+        let d = ACK_LATENCY + self.jitter();
+        self.q.schedule(d, Ev::AckArrive { shard, seq });
+    }
+
+    /// Saves a checkpoint of the merged tables when every shard stands at
+    /// the same cadence watermark (checkpoints are whole-process: a
+    /// skewed tier has no single `applied` to resume from). A sink error
+    /// is a process death mid-save: whatever the store's atomic protocol
+    /// made durable before the failing step is all a restart will find.
     fn maybe_checkpoint(&mut self) {
-        let applied = self.server.applied;
-        let Some((sink, every)) = self.ckpt.as_mut() else { return };
-        if !applied.is_multiple_of(*every) {
+        let Some(every) = self.ckpt.as_ref().map(|(_, every)| *every) else { return };
+        let applied = self.min_applied();
+        if !applied.is_multiple_of(every)
+            || (0..self.groups.len()).any(|s| self.group_applied(s) != applied)
+        {
             return;
         }
-        match sink.save(applied, &self.server.tables) {
+        let tables = self.merged_tables(&self.shard_tables());
+        let (sink, _) = self.ckpt.as_mut().expect("checked above");
+        match sink.save(applied, &tables) {
             Ok(()) => self.trace.push(TraceEvent::CheckpointSaved { applied }),
             Err(_) => {
                 self.trace.push(TraceEvent::CheckpointFailed { applied });
@@ -453,19 +801,50 @@ impl Simulation<'_> {
         }
     }
 
-    /// Gathers while the pre-fetch queue has room and the staleness gate
-    /// allows: batch `k` may only be gathered once `k - applied` is
-    /// within the configured bound, which is what makes the bound a
-    /// protocol *guarantee* rather than an accident of queue sizing.
+    /// Gathers while every shard has a live, reachable believed primary,
+    /// the pre-fetch queue has room, and the **stitched** staleness gate
+    /// allows: batch `k` may only be gathered once `k - min(applied)` is
+    /// within the configured bound, so the reassembled stamp (the
+    /// per-shard minimum) always satisfies the global bound — which is
+    /// what makes the bound a protocol *guarantee* rather than an
+    /// accident of queue sizing.
     fn host_gather(&mut self) {
-        while self.server_alive
-            && self.next_gather < self.cfg.num_batches
-            && self.occupancy < self.cfg.prefetch_depth
-            && self.next_gather - self.server.applied <= self.cfg.staleness_bound
-        {
+        let n = self.groups.len();
+        loop {
+            let now = self.q.now();
+            let reachable =
+                (0..n).all(|s| self.believed_alive(s) && !self.plan.partitioned_at(s as u32, now));
+            if !reachable
+                || self.next_gather >= self.cfg.num_batches
+                || self.occupancy >= self.cfg.prefetch_depth
+                || self.next_gather - self.min_applied() > self.cfg.staleness_bound
+            {
+                return;
+            }
             let k = self.next_gather;
+            // the router gathers from one contiguous slice of servers:
+            // lift the believed primaries out and put them back after
+            let mut primaries: Vec<HostServer> = (0..n)
+                .map(|s| {
+                    let placeholder = HostServer::new(Vec::new(), self.cfg.lr);
+                    std::mem::replace(&mut self.groups[s][self.believed[s]].server, placeholder)
+                })
+                .collect();
+            for (s, p) in primaries.iter().enumerate() {
+                self.trace.push(TraceEvent::Stamped {
+                    shard: s as u32,
+                    seq: k,
+                    applied: p.applied,
+                });
+            }
             let batch = self.dataset.batch(k, self.cfg.batch_size);
-            let pf = self.server.gather(batch, k);
+            let pf = self
+                .router
+                .gather(&mut primaries, batch, k)
+                .expect("config-derived layout always routes its own batches");
+            for (s, p) in primaries.into_iter().enumerate() {
+                self.groups[s][self.believed[s]].server = p;
+            }
             self.trace.push(TraceEvent::Gathered { seq: k, applied_through: pf.applied_through });
             let delay = PREFETCH_LATENCY + self.jitter() + self.plan.prefetch_delay(k);
             self.q.schedule(delay, Ev::PrefetchArrive(Box::new(pf)));
@@ -477,7 +856,8 @@ impl Simulation<'_> {
     /// Starts computing the next in-order batch if the worker is idle.
     /// The prefetch link preserves FIFO order toward the worker: batches
     /// are consumed strictly by sequence number even when jitter delivers
-    /// them out of order.
+    /// them out of order. The sharding and replication seams are
+    /// invisible to the worker.
     fn worker_start(&mut self) {
         if !self.worker_alive || self.stalled || self.computing.is_some() {
             return;
@@ -508,30 +888,57 @@ impl Simulation<'_> {
         self.q.schedule(delay, Ev::ComputeDone(seq));
     }
 
-    /// Issues one transmission of the push for `seq` (subject to the
-    /// plan's drop/duplicate faults) and arms the retransmission timer.
-    fn transmit(&mut self, seq: u64) {
-        let Some(ent) = self.unacked.get_mut(&seq) else { return };
+    /// Issues one transmission of the scattered push for `(shard, seq)`
+    /// (subject to the plan's per-shard drop/duplicate/delay faults;
+    /// partition windows drop the delivery on arrival) and arms that
+    /// link's retransmission timer.
+    fn transmit(&mut self, shard: u32, seq: u64) {
+        let Some(ent) = self.unacked.get_mut(&(shard, seq)) else { return };
         ent.deliveries += 1;
         let delivery = ent.deliveries;
         let attempts = ent.attempts;
         let push = ent.push.clone();
-        self.trace.push(TraceEvent::PushSent { seq, delivery });
-        if !self.plan.drops(seq, delivery) {
-            let d = PUSH_LATENCY + self.jitter();
-            self.q.schedule(d, Ev::PushArrive(Box::new(push.clone())));
+        self.trace.push(TraceEvent::PushSent { shard, seq, delivery });
+        let delay_extra = self.plan.shard_delay(shard, seq);
+        if !self.plan.shard_drops(shard, seq, delivery) {
+            let d = PUSH_LATENCY + self.jitter() + delay_extra;
+            self.q.schedule(d, Ev::PushArrive { shard, push: Box::new(push.clone()) });
         }
-        if self.plan.duplicates(seq, delivery) {
-            let d = PUSH_LATENCY + 1 + self.jitter();
-            self.q.schedule(d, Ev::PushArrive(Box::new(push)));
+        if self.plan.shard_duplicates(shard, seq, delivery) {
+            let d = PUSH_LATENCY + 1 + self.jitter() + delay_extra;
+            self.q.schedule(d, Ev::PushArrive { shard, push: Box::new(push) });
         }
         let timeout = RETRY_TIMEOUT << attempts.min(8);
-        self.q.schedule(timeout, Ev::RetryFire(seq));
+        self.q.schedule(timeout, Ev::RetryFire { shard, seq });
     }
 
-    fn schedule_ack(&mut self, seq: u64) {
-        let d = ACK_LATENCY + self.jitter();
-        self.q.schedule(d, Ev::AckArrive(seq));
+    /// The worker's failover action: advance the believed primary to the
+    /// next rank cyclically, fence the old one if it still lives, resend
+    /// everything unacknowledged toward the shard, and grant the new
+    /// primary a fresh suspicion grace period.
+    fn promote(&mut self, s: usize, silent_for: u64) {
+        let old = self.believed[s];
+        let shard = s as u32;
+        self.trace.push(TraceEvent::PrimarySuspected { shard, rank: old as u32, silent_for });
+        self.promotions[s] += 1;
+        self.believed[s] = (old + 1) % self.groups[s].len();
+        if self.groups[s][old].alive {
+            // false suspicion: the deposed primary fences itself off the
+            // write path (lockstep keeps its bytes current as a backup)
+            self.trace.push(TraceEvent::SteppedDown { shard, rank: old as u32 });
+        }
+        let applied = self.groups[s][self.believed[s]].server.applied;
+        self.trace.push(TraceEvent::Promoted { shard, rank: self.believed[s] as u32, applied });
+        let now = self.q.now();
+        self.detectors[s].record_heartbeat(now);
+        let resend: Vec<u64> =
+            self.unacked.keys().filter(|(sh, _)| *sh == shard).map(|&(_, seq)| seq).collect();
+        for seq in resend {
+            if let Some(ent) = self.unacked.get_mut(&(shard, seq)) {
+                ent.attempts = 0;
+            }
+            self.transmit(shard, seq);
+        }
     }
 
     fn handle(&mut self, ev: Ev) {
@@ -551,54 +958,152 @@ impl Simulation<'_> {
                 }
                 let push = self.computing.take().expect("ComputeDone without compute");
                 debug_assert_eq!(push.batch_seq, seq);
-                self.unacked.insert(seq, UnackedPush { push, attempts: 0, deliveries: 0 });
-                self.transmit(seq);
+                let scattered = self
+                    .router
+                    .scatter_push(&push)
+                    .expect("worker pushes of a routed batch always scatter");
+                for (s, shard_push) in scattered.into_iter().enumerate() {
+                    self.unacked.insert(
+                        (s as u32, seq),
+                        UnackedPush { push: shard_push, attempts: 0, deliveries: 0 },
+                    );
+                    self.transmit(s as u32, seq);
+                }
             }
-            Ev::PushArrive(push) => {
-                if !self.server_alive {
-                    return;
+            Ev::PushArrive { shard, push } => {
+                let s = shard as usize;
+                if self.plan.partitioned_at(shard, self.q.now()) {
+                    return; // dropped at the partition boundary
+                }
+                let primary = &self.groups[s][self.believed[s]];
+                if !primary.alive {
+                    return; // delivered to a corpse: retries re-route later
                 }
                 let seq = push.batch_seq;
-                self.trace.push(TraceEvent::PushDelivered { seq });
-                let duplicate = seq < self.server.applied || self.pending.contains_key(&seq);
-                if duplicate {
-                    self.trace.push(TraceEvent::DuplicateIgnored { seq });
-                    if seq < self.server.applied {
-                        // already applied: re-acknowledge so the worker
-                        // stops retransmitting (exactly-once is preserved
-                        // because application, not delivery, is deduped)
-                        self.schedule_ack(seq);
+                self.trace.push(TraceEvent::PushDelivered { shard, seq });
+                if seq < primary.server.applied || self.pending[s].contains_key(&seq) {
+                    self.trace.push(TraceEvent::DuplicateIgnored { shard, seq });
+                    if seq < self.group_applied(s) {
+                        // already applied by the group: re-acknowledge so
+                        // the worker stops retransmitting on this link
+                        // (exactly-once is preserved because application,
+                        // not delivery, is deduped)
+                        self.schedule_ack(shard, seq);
                     }
                     return;
                 }
-                if self.plan.saturated_at(self.q.now())
-                    || self.pending.len() >= self.cfg.grad_capacity
+                if self.plan.shard_saturated_at(shard, self.q.now())
+                    || self.pending[s].len() >= self.cfg.grad_capacity
                 {
-                    self.trace.push(TraceEvent::PushBounced { seq });
+                    self.trace.push(TraceEvent::PushBounced { shard, seq });
                     return;
                 }
-                self.pending.insert(seq, *push);
+                self.pending[s].insert(seq, *push);
             }
-            Ev::AckArrive(seq) => {
-                if self.worker_alive && self.unacked.remove(&seq).is_some() {
-                    self.trace.push(TraceEvent::Acked { seq });
+            Ev::AckArrive { shard, seq } => {
+                if self.worker_alive && self.unacked.remove(&(shard, seq)).is_some() {
+                    self.trace.push(TraceEvent::Acked { shard, seq });
                 }
             }
-            Ev::RetryFire(seq) => {
-                if !self.worker_alive || !self.unacked.contains_key(&seq) {
+            Ev::RetryFire { shard, seq } => {
+                if !self.worker_alive {
                     return;
                 }
-                let ent = self.unacked.get_mut(&seq).expect("checked above");
+                let Some(ent) = self.unacked.get_mut(&(shard, seq)) else { return };
                 ent.attempts += 1;
                 if ent.attempts > MAX_RETRIES {
-                    // retry budget exhausted (the server is gone or the
-                    // queue stayed saturated): degrade, don't livelock
-                    self.unacked.remove(&seq);
-                    self.trace.push(TraceEvent::GaveUp { seq });
+                    // the shard is unreachable beyond every remedy (dead,
+                    // stuck saturated, out of spares): the worker cannot
+                    // make exactly-once progress, so it degrades rather
+                    // than livelocks
+                    self.unacked.remove(&(shard, seq));
+                    self.trace.push(TraceEvent::GaveUp { shard, seq });
                     self.worker_alive = false;
                 } else {
-                    self.transmit(seq);
+                    self.transmit(shard, seq);
                 }
+            }
+            Ev::HeartbeatFire { shard, n } => {
+                let s = shard as usize;
+                let now = self.q.now();
+                // the believed primary beats; a dead one stays silent —
+                // the schedule itself keeps ticking so a promoted
+                // successor resumes beating on the same timeline
+                if self.believed_alive(s)
+                    && !self.plan.heartbeat_lost_at(shard, now)
+                    && !self.plan.partitioned_at(shard, now)
+                {
+                    let rank = self.believed[s] as u32;
+                    let d = HEARTBEAT_LATENCY + self.jitter();
+                    self.q.schedule(d, Ev::HeartbeatArrive { shard, rank });
+                }
+                if !self.shard_done(s) {
+                    let next = self.heartbeats[s].delay(n + 1);
+                    self.q.schedule(next, Ev::HeartbeatFire { shard, n: n + 1 });
+                }
+            }
+            Ev::HeartbeatArrive { shard, rank } => {
+                let s = shard as usize;
+                if self.worker_alive && rank as usize == self.believed[s] {
+                    // beats from a deposed rank are fenced out
+                    self.detectors[s].record_heartbeat(self.q.now());
+                }
+            }
+            Ev::SuspectCheck { shard } => {
+                let s = shard as usize;
+                if self.shard_done(s) {
+                    return;
+                }
+                if self.promotions[s] >= PROMOTION_CAP {
+                    // every rank has been tried many times over and none
+                    // answers — the whole group is gone: degrade rather
+                    // than suspect forever
+                    self.trace.push(TraceEvent::GaveUp { shard, seq: self.next_train });
+                    self.worker_alive = false;
+                    return;
+                }
+                if let Some(silent) = self.detectors[s].suspected(self.q.now()) {
+                    self.promote(s, silent);
+                }
+                self.q.schedule(SUSPECT_CHECK_EVERY, Ev::SuspectCheck { shard });
+            }
+            Ev::RejoinFire { shard, rank } => {
+                let s = shard as usize;
+                let r = rank as usize;
+                if self.groups[s][r].alive {
+                    return;
+                }
+                let leader = &self.groups[s][self.believed[s]];
+                if !leader.alive {
+                    // no primary to catch up from yet: retry after the
+                    // failover machinery has promoted one — unless the
+                    // worker is done with this shard and never will
+                    if !self.shard_done(s) {
+                        self.q.schedule(REJOIN_RETRY, Ev::RejoinFire { shard, rank });
+                    }
+                    return;
+                }
+                // a real checkpoint round-trip: the rejoiner restores the
+                // primary's state through the framed byte format
+                let num_shards = self.groups.len() as u32;
+                let ckpt = SimCheckpoint {
+                    applied: leader.server.applied,
+                    shard,
+                    num_shards,
+                    tables: leader.server.tables.clone(),
+                };
+                let restored = SimCheckpoint::from_framed_bytes(&ckpt.to_framed_bytes())
+                    .expect("a just-encoded checkpoint decodes")
+                    .for_slot(shard, num_shards)
+                    .expect("the slot is its own");
+                let mut server = HostServer::new(restored.tables, self.cfg.lr);
+                server.applied = restored.applied;
+                self.groups[s][r] = Member { server, alive: true };
+                self.trace.push(TraceEvent::CatchupInstalled {
+                    shard,
+                    rank,
+                    applied: restored.applied,
+                });
             }
         }
     }
@@ -608,29 +1113,14 @@ impl Simulation<'_> {
 mod tests {
     use super::*;
     use crate::fault::Fault;
+    use crate::oracle::{sequential_prefix, sharded_prefix};
 
-    #[test]
-    fn fault_free_run_completes() {
-        let cfg = SimConfig::default();
-        let r = run(&cfg, &FaultPlan::none(), 1);
-        assert_eq!(r.outcome, Outcome::Completed);
-        assert_eq!(r.applied, cfg.num_batches);
-        assert_eq!(r.trace.count(|e| matches!(e, TraceEvent::Applied { .. })), 24);
-        assert!(!r.trace.any(|e| matches!(e, TraceEvent::PushBounced { .. })));
-        assert!(r.stale_hits > 0, "pipelining must actually create staleness to correct");
+    fn at(shards: u32, replicas: u32) -> SimConfig {
+        SimConfig::default().with_topology(shards, replicas)
     }
 
-    #[test]
-    fn replay_is_bit_identical() {
-        let cfg = SimConfig::default();
-        for seed in [0u64, 7, 42] {
-            let plan = FaultPlan::from_seed(seed, cfg.num_batches);
-            let a = run(&cfg, &plan, seed);
-            let b = run(&cfg, &plan, seed);
-            assert_eq!(a.trace, b.trace, "trace diverged for seed {seed}");
-            assert_eq!(a.table_digest, b.table_digest, "tables diverged for seed {seed}");
-            assert_eq!(a.final_tick, b.final_tick);
-        }
+    fn final_digest(cfg: &SimConfig) -> u64 {
+        *sequential_prefix(cfg).prefix_digests.last().unwrap()
     }
 
     #[test]
@@ -639,42 +1129,284 @@ mod tests {
         let plan = FaultPlan::with(vec![Fault::WorkerDeath { at_batch: 5 }]);
         let r = run(&cfg, &plan, 3);
         assert_eq!(r.outcome, Outcome::Stalled);
-        assert_eq!(r.applied, 5, "batches 0..5 trained and applied, nothing after");
+        assert_eq!(r.applied, [5], "batches 0..5 trained and applied, nothing after");
         assert!(r.trace.any(|e| matches!(e, TraceEvent::WorkerDied { at_batch: 5 })));
     }
 
     #[test]
-    fn saturation_bounces_then_recovers() {
-        let cfg = SimConfig::default();
-        let plan = FaultPlan::with(vec![Fault::GradQueueSaturation { start: 10, ticks: 40 }]);
-        let r = run(&cfg, &plan, 9);
-        assert_eq!(r.outcome, Outcome::Completed, "retries must ride out the window");
-        assert!(r.trace.any(|e| matches!(e, TraceEvent::PushBounced { .. })));
+    fn shard_death_stops_that_shard_but_not_its_peers() {
+        let cfg = at(3, 1);
+        let plan = FaultPlan::with(vec![Fault::ShardDeath { shard: 1, after_applied: 5 }]);
+        let r = run(&cfg, &plan, 3);
+        assert_eq!(r.outcome, Outcome::Stalled);
+        assert_eq!(r.applied[1], 5, "the dead shard froze at its death watermark");
+        assert!(
+            r.applied.iter().any(|&a| a > 5),
+            "surviving shards kept applying while retries ran: {:?}",
+            r.applied
+        );
+        assert!(r
+            .trace
+            .any(|e| matches!(e, TraceEvent::PrimaryDied { shard: 1, rank: 0, applied: 5 })));
+        assert!(r.trace.any(|e| matches!(e, TraceEvent::GaveUp { shard: 1, .. })));
+        // every shard — the dead one included — still matches its own
+        // oracle prefix
+        let so = sharded_prefix(&cfg);
+        for (s, members) in r.members.iter().enumerate() {
+            assert_eq!(members[0].alive, s != 1);
+            assert_eq!(
+                members[0].digest, so.per_shard[s][members[0].applied as usize],
+                "shard {s} diverged"
+            );
+        }
     }
 
     #[test]
-    fn dropped_and_duplicated_pushes_are_absorbed() {
-        let cfg = SimConfig::default();
-        let plan = FaultPlan::with(vec![
-            Fault::DropPush { seq: 2, delivery: 1 },
-            Fault::DuplicatePush { seq: 3, delivery: 1 },
-        ]);
-        let r = run(&cfg, &plan, 4);
-        assert_eq!(r.outcome, Outcome::Completed);
-        // the drop forced a retransmission of push 2
-        assert!(r.trace.count(|e| matches!(e, TraceEvent::PushSent { seq: 2, .. })) >= 2);
-        // the duplicate of push 3 was delivered twice but applied once
-        assert_eq!(r.trace.count(|e| matches!(e, TraceEvent::Applied { seq: 3 })), 1);
+    fn a_group_with_no_live_member_stalls_the_run_instead_of_panicking() {
+        // K kills of one group's primary leave nobody to promote (the
+        // replicated loop used to panic merging "one survivor per shard");
+        // a shard death takes the whole group at once; and the only copy
+        // of an unreplicated shard dying is the same thing
+        let cases = [
+            (
+                at(3, 3),
+                (4..7).map(|w| Fault::PrimaryDeath { shard: 1, after_applied: w }).collect(),
+            ),
+            (at(3, 3), vec![Fault::ShardDeath { shard: 1, after_applied: 5 }]),
+            (
+                at(3, 3),
+                vec![
+                    Fault::BackupDeath { shard: 1, rank: 2, after_applied: 2, rejoin_after: 400 },
+                    Fault::ShardDeath { shard: 1, after_applied: 5 },
+                ],
+            ),
+            (at(3, 1), vec![Fault::PrimaryDeath { shard: 1, after_applied: 5 }]),
+            // dead before the first gather: the worker never has a push to
+            // give up on, so its promotion fuse must end the run
+            (at(2, 3), vec![Fault::ShardDeath { shard: 1, after_applied: 0 }]),
+        ];
+        for (cfg, faults) in cases {
+            let plan = FaultPlan::with(faults);
+            let r = run(&cfg, &plan, 9);
+            assert_eq!(r.outcome, Outcome::Stalled, "plan [{plan}]");
+            assert!(r.members[1].iter().all(|m| !m.alive), "plan [{plan}]: {:?}", r.members[1]);
+            assert!(r.applied[1] < cfg.num_batches);
+            assert!(
+                r.trace.any(|e| matches!(e, TraceEvent::GaveUp { shard: 1, .. })),
+                "plan [{plan}]: the worker must notice and halt"
+            );
+            // the corpses keep their bytes, so the oracle check still runs
+            let refs = (sharded_prefix(&cfg), sequential_prefix(&cfg));
+            crate::invariants::check_run(&cfg, &plan, 9, &refs.0, &refs.1)
+                .unwrap_or_else(|v| panic!("plan [{plan}] violated: {v}"));
+            // and a scenario that demands completion reports how far the
+            // run got
+            assert!(matches!(
+                crate::invariants::incomplete(&r, &cfg),
+                Some(crate::invariants::Violation::Incomplete { applied, .. })
+                    if applied == r.applied[1]
+            ));
+        }
     }
 
     #[test]
-    fn staleness_gate_holds_on_every_stamp() {
-        let cfg = SimConfig { staleness_bound: 2, ..SimConfig::default() };
-        let r = run(&cfg, &FaultPlan::none(), 5);
-        assert_eq!(r.outcome, Outcome::Completed);
-        for e in &r.trace.events {
-            if let TraceEvent::Gathered { seq, applied_through } = e {
-                assert!(seq - applied_through <= 2, "stamp violates bound: {e:?}");
+    fn faults_that_need_a_peer_are_inert_without_one() {
+        // a group of one exchanges no heartbeats and has no backup rank
+        for cfg in [at(1, 1), at(3, 1)] {
+            let plan = FaultPlan::with(vec![
+                Fault::HeartbeatLoss { shard: 0, start: 0, ticks: 400 },
+                Fault::BackupDeath { shard: 0, rank: 1, after_applied: 3, rejoin_after: 10 },
+            ]);
+            let r = run(&cfg, &plan, 5);
+            assert_eq!(r.outcome, Outcome::Completed);
+            assert_eq!(r.promotions.iter().sum::<u32>(), 0);
+            assert!(!r.trace.any(|e| matches!(
+                e,
+                TraceEvent::PrimarySuspected { .. } | TraceEvent::BackupDied { .. }
+            )));
+            assert_eq!(r.merged_digest, final_digest(&cfg));
+        }
+    }
+
+    #[test]
+    fn saturation_bounces_one_shard_then_recovers() {
+        for cfg in [at(1, 1), at(3, 1)] {
+            let plan =
+                FaultPlan::with(vec![Fault::ShardSaturation { shard: 0, start: 10, ticks: 40 }]);
+            let r = run(&cfg, &plan, 9);
+            assert_eq!(r.outcome, Outcome::Completed, "retries must ride out the window");
+            assert!(r.trace.any(|e| matches!(e, TraceEvent::PushBounced { shard: 0, .. })));
+            // only the saturated shard bounces: its peers receive the same
+            // batches on time (cross-shard delivery reordering)
+            assert!(!r.trace.any(|e| matches!(e, TraceEvent::PushBounced { shard: 1.., .. })));
+        }
+    }
+
+    #[test]
+    fn dropped_duplicated_and_delayed_pushes_are_absorbed() {
+        for cfg in [at(1, 1), at(3, 1), at(2, 2)] {
+            let last = cfg.shard.num_shards - 1;
+            let plan = FaultPlan::with(vec![
+                Fault::DropShardPush { shard: 0, seq: 2, delivery: 1 },
+                Fault::DuplicateShardPush { shard: last, seq: 3, delivery: 1 },
+                Fault::ShardDelay { shard: last, seq: 4, ticks: 30 },
+            ]);
+            let r = run(&cfg, &plan, 4);
+            assert_eq!(r.outcome, Outcome::Completed);
+            assert!(
+                r.trace.count(|e| matches!(e, TraceEvent::PushSent { shard: 0, seq: 2, .. })) >= 2,
+                "the drop forced a retransmission toward shard 0"
+            );
+            assert!(r.trace.any(
+                |e| matches!(e, TraceEvent::DuplicateIgnored { shard, seq: 3 } if *shard == last)
+            ));
+            assert_eq!(
+                r.trace.count(
+                    |e| matches!(e, TraceEvent::Applied { shard, seq: 3, .. } if *shard == last)
+                ),
+                cfg.replicas as usize,
+                "the duplicated delivery was applied exactly once per member"
+            );
+            assert_eq!(r.merged_digest, final_digest(&cfg));
+        }
+    }
+
+    #[test]
+    fn a_tight_staleness_bound_binds_and_holds_at_every_topology() {
+        for cfg in [at(1, 1), at(3, 1), at(2, 2)] {
+            let cfg = SimConfig { staleness_bound: 2, ..cfg };
+            let r = run(&cfg, &FaultPlan::none(), 11);
+            assert_eq!(r.outcome, Outcome::Completed);
+            // every stamp is the per-shard minimum and within the bound
+            crate::invariants::check_trace(&r, &cfg).unwrap_or_else(|v| panic!("{v}"));
+            let lag = |e: &TraceEvent| match *e {
+                TraceEvent::Gathered { seq, applied_through } => seq - applied_through,
+                _ => 0,
+            };
+            assert_eq!(r.trace.events.iter().map(lag).max(), Some(2), "the gate must bind");
+        }
+    }
+
+    #[test]
+    fn resumed_session_continues_from_the_watermark() {
+        for (first, second) in [(at(1, 1), at(1, 1)), (at(3, 1), at(3, 1)), (at(3, 1), at(2, 2))] {
+            // run the first half, resume the second from the merged tables
+            let half = SimConfig { num_batches: 12, ..first };
+            let a = run(&half, &FaultPlan::none(), 2);
+            assert_eq!(a.outcome, Outcome::Completed);
+            let resume = ResumeState { tables: a.merged_tables, applied: 12 };
+            let b = run_session(&second, &FaultPlan::none(), 21, Some(resume), None);
+            assert_eq!(b.outcome, Outcome::Completed);
+            assert!(b.trace.any(|e| matches!(e, TraceEvent::Resumed { applied: 12 })));
+            assert!(!b.trace.any(|e| matches!(e, TraceEvent::Applied { seq: ..12, .. })));
+            assert_eq!(b.merged_digest, final_digest(&second));
+        }
+    }
+
+    #[test]
+    fn checkpoints_capture_the_merged_tables_when_every_shard_agrees() {
+        struct Recorder(Vec<(u64, u64)>);
+        impl CkptSink for Recorder {
+            fn save(&mut self, applied: u64, t: &[(usize, EmbeddingBag)]) -> Result<(), CkptError> {
+                self.0.push((applied, digest_tables(t)));
+                Ok(())
+            }
+        }
+        for cfg in [at(1, 1), at(3, 1)] {
+            let oracle = sequential_prefix(&cfg);
+            let mut sink = Recorder(Vec::new());
+            // a delayed shard skews the watermarks across a cadence point
+            let plan = FaultPlan::with(vec![Fault::ShardDelay { shard: 0, seq: 7, ticks: 40 }]);
+            let r = run_session(&cfg, &plan, 6, None, Some((&mut sink, 4)));
+            assert_eq!(r.outcome, Outcome::Completed);
+            assert_eq!(sink.0.last().map(|s| s.0), Some(24), "the final watermark is a cadence");
+            for (applied, digest) in sink.0 {
+                assert!(applied.is_multiple_of(4));
+                assert_eq!(digest, oracle.prefix_digests[applied as usize], "at {applied}");
+            }
+        }
+    }
+
+    /// Member deaths and network faults a replicated tier must ride out
+    /// with the sequential bytes in every surviving copy, each with the
+    /// trace events that prove the intended path was taken.
+    #[test]
+    fn replication_rides_out_member_deaths_and_network_faults() {
+        use TraceEvent::*;
+        type Saw = fn(&TraceEvent) -> bool;
+        let cases: [(SimConfig, u64, Vec<Fault>, Vec<Saw>); 7] = [
+            // a dead primary is suspected by its silence and the next rank
+            // promoted: it trained the exact bytes the primary would have
+            (
+                at(3, 3),
+                3,
+                vec![Fault::PrimaryDeath { shard: 1, after_applied: 5 }],
+                vec![
+                    |e| matches!(e, PrimaryDied { shard: 1, rank: 0, .. }),
+                    |e| matches!(e, PrimarySuspected { shard: 1, rank: 0, .. }),
+                    |e| matches!(e, Promoted { shard: 1, rank: 1, .. }),
+                ],
+            ),
+            // adjacent watermarks: the second kill lands on the member the
+            // first promotion just installed, burning through both spares
+            (
+                at(3, 3),
+                9,
+                vec![
+                    Fault::PrimaryDeath { shard: 0, after_applied: 4 },
+                    Fault::PrimaryDeath { shard: 0, after_applied: 5 },
+                ],
+                vec![
+                    |e| matches!(e, PrimaryDied { shard: 0, rank: 0, .. }),
+                    |e| matches!(e, PrimaryDied { shard: 0, rank: 1, .. }),
+                    |e| matches!(e, Promoted { shard: 0, rank: 2, .. }),
+                ],
+            ),
+            // a dead backup rejoins through the checkpoint catch-up path
+            (
+                at(3, 3),
+                5,
+                vec![Fault::BackupDeath { shard: 2, rank: 1, after_applied: 4, rejoin_after: 20 }],
+                vec![|e| matches!(e, BackupDied { shard: 2, rank: 1, .. }), |e| {
+                    matches!(e, CatchupInstalled { shard: 2, rank: 1, .. })
+                }],
+            ),
+            // the backup dies, and while it is scheduled to rejoin the
+            // primary dies too: the rejoin must wait for a promoted leader
+            (
+                at(3, 3),
+                11,
+                vec![
+                    Fault::BackupDeath { shard: 0, rank: 1, after_applied: 3, rejoin_after: 25 },
+                    Fault::PrimaryDeath { shard: 0, after_applied: 4 },
+                ],
+                vec![|e| matches!(e, CatchupInstalled { shard: 0, .. })],
+            ),
+            // a 60-tick silent window trips the 30-tick detector; the
+            // healthy-but-silent primary steps down, no split brain
+            (
+                at(3, 3),
+                13,
+                vec![Fault::HeartbeatLoss { shard: 1, start: 10, ticks: 60 }],
+                vec![|e| matches!(e, PrimarySuspected { shard: 1, .. }), |e| {
+                    matches!(e, SteppedDown { shard: 1, rank: 0 })
+                }],
+            ),
+            // partitions are ridden out by retries and failover together
+            (at(3, 3), 17, vec![Fault::Partition { shard: 0, start: 15, ticks: 70 }], vec![]),
+            (at(1, 2), 17, vec![Fault::Partition { shard: 0, start: 15, ticks: 70 }], vec![]),
+        ];
+        for (cfg, seed, faults, saw) in cases {
+            let plan = FaultPlan::with(faults);
+            let r = run(&cfg, &plan, seed);
+            assert_eq!(r.outcome, Outcome::Completed, "plan [{plan}] must be ridden out");
+            assert_eq!(r.merged_digest, final_digest(&cfg), "plan [{plan}]");
+            for (i, saw) in saw.into_iter().enumerate() {
+                assert!(r.trace.any(saw), "plan [{plan}]: expected event {i} never happened");
+            }
+            for members in &r.members {
+                let alive: Vec<_> = members.iter().filter(|m| m.alive).collect();
+                assert!(alive.iter().all(|m| *m == alive[0]), "plan [{plan}]: {members:?}");
             }
         }
     }
@@ -685,6 +1417,6 @@ mod tests {
         let a = run(&cfg, &FaultPlan::none(), 1);
         let shorter = SimConfig { num_batches: 12, ..cfg };
         let b = run(&shorter, &FaultPlan::none(), 1);
-        assert_ne!(a.table_digest, b.table_digest);
+        assert_ne!(a.merged_digest, b.merged_digest);
     }
 }

@@ -1,78 +1,371 @@
-//! Seed sweeps — the CI harness over the simulator.
+//! Scenarios and seed sweeps — the CI harness over the simulator.
 //!
-//! Each seed derives a [`FaultPlan`] and a schedule seed, runs the full
-//! per-seed verdict ([`crate::invariants::check_run`]: replay twice,
-//! check every invariant, compare against the sequential oracle), and the
-//! first violation stops the sweep with everything needed to reproduce
-//! it: the seed, the derived plan, and the violation itself. `cargo xtask
-//! sim --seed N` replays exactly that run.
+//! A [`Scenario`] says how a seed becomes fault plans, what is run and
+//! checked, whether the run must finish, and what a clean seed adds to the
+//! tallies. One harness serves all six: [`replay_seed`] gives the full
+//! per-seed verdict (every run is replayed twice and checked against the
+//! invariants and the sequential oracle), [`run_sweep`] folds a range of
+//! seeds into a [`SweepSummary`], and the first violation stops the sweep
+//! with a [`SweepFailure`] holding everything needed to reproduce it: the
+//! seed, the derived plans, the violation and the exact `cargo xtask sim`
+//! command line, including every flag the sweep ran with.
 
 use crate::fault::FaultPlan;
-use crate::invariants::{check_run, Violation};
-use crate::oracle::sequential_prefix;
+use crate::invariants::{check_run, incomplete, Violation};
+use crate::oracle::{sequential_prefix, sharded_prefix, Oracle, ShardOracle};
+use crate::recovery::{check_recovery, crash_plans_for_seed, RecoveryConfig};
+use crate::reshard::{check_reshard, reshard_plans_for_seed, RecoveredFrom};
 use crate::sim::{Outcome, SimConfig};
+use crate::trace::TraceEvent;
 use std::fmt;
 
-/// The reproduction record of a failed sweep seed.
+/// What a sweep seed means.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Scenario {
+    /// Single-server fault domain ([`FaultPlan::from_seed`]): stalls,
+    /// delays, worker/server death, saturation, dropped and duplicated
+    /// pushes, unrecovered crashes.
+    Fault,
+    /// Crash → recover → resume through the checkpoint store under
+    /// storage faults ([`crate::recovery`]).
+    Crash,
+    /// Per-shard fault domain ([`FaultPlan::from_seed_sharded`]):
+    /// independent shard death and cross-shard delivery reordering.
+    Shard,
+    /// Drain → migrate → resume under a new layout, crashing the drain
+    /// ([`crate::reshard`]).
+    Reshard,
+    /// Kill-the-primary schedules ([`FaultPlan::from_seed_failover`]);
+    /// every seed must finish training without a cold restart.
+    Failover,
+    /// Heartbeat-loss and partition windows
+    /// ([`FaultPlan::from_seed_netfault`]); every seed must finish.
+    Netfault,
+}
+
+/// What the run-based scenarios tally per clean seed.
+const RUN_TALLIES: [&str; 8] = [
+    "completed",
+    "stalled by fatal faults",
+    "faults injected",
+    "primaries killed",
+    "backups killed",
+    "promotions",
+    "catch-up rejoins",
+    "stale rows corrected",
+];
+
+impl Scenario {
+    /// Every scenario, in CLI help order.
+    pub const ALL: [Scenario; 6] = [
+        Scenario::Fault,
+        Scenario::Crash,
+        Scenario::Shard,
+        Scenario::Reshard,
+        Scenario::Failover,
+        Scenario::Netfault,
+    ];
+
+    /// The scenario's CLI name.
+    pub fn name(self) -> &'static str {
+        match self {
+            Scenario::Fault => "fault",
+            Scenario::Crash => "crash",
+            Scenario::Shard => "shard",
+            Scenario::Reshard => "reshard",
+            Scenario::Failover => "failover",
+            Scenario::Netfault => "netfault",
+        }
+    }
+
+    /// The scenario a CLI name denotes.
+    pub fn from_name(name: &str) -> Option<Self> {
+        Self::ALL.into_iter().find(|s| s.name() == name)
+    }
+
+    /// What a bare `sim <scenario>` runs: the default universe at the
+    /// topology this scenario's fault domain needs (one server; three
+    /// shards; three shards of three replicas).
+    pub fn default_config(self) -> RecoveryConfig {
+        let (shards, replicas) = match self {
+            Scenario::Fault | Scenario::Crash | Scenario::Reshard => (1, 1),
+            Scenario::Shard => (3, 1),
+            Scenario::Failover | Scenario::Netfault => (3, 3),
+        };
+        RecoveryConfig {
+            sim: SimConfig::default().with_topology(shards, replicas),
+            ..RecoveryConfig::default()
+        }
+    }
+
+    /// Rejects configurations under which this scenario's seeds cannot
+    /// mean what they promise (the harness itself never panics on them).
+    pub fn validate(self, rc: &RecoveryConfig) -> Result<(), String> {
+        let name = self.name();
+        match self {
+            Scenario::Failover | Scenario::Netfault if rc.sim.replicas < 2 => {
+                Err(format!("{name} needs --replicas >= 2: failing over takes a backup to promote"))
+            }
+            Scenario::Reshard if rc.sim.num_batches < 3 => Err(format!(
+                "{name} needs --batches >= 3: a batch before the reshard point and one after"
+            )),
+            _ => Ok(()),
+        }
+    }
+
+    /// Whether a run that does not finish is itself a violation: the
+    /// plans these scenarios derive are survivable by construction.
+    fn requires_completion(self) -> bool {
+        matches!(self, Scenario::Failover | Scenario::Netfault)
+    }
+
+    /// What this scenario's [`Verdict::tallies`] count, in order.
+    pub fn tally_labels(self) -> &'static [&'static str] {
+        match self {
+            Scenario::Crash => &[
+                "crashed",
+                "resumed from checkpoint",
+                "cold restarts",
+                "checkpoints saved",
+                "saves died mid-protocol",
+                "storage faults injected",
+            ],
+            Scenario::Reshard => &[
+                "grew",
+                "shrank",
+                "drain crashes",
+                "drain sets",
+                "pre-drain fallbacks",
+                "cold restarts",
+                "storage faults injected",
+            ],
+            _ => &RUN_TALLIES,
+        }
+    }
+}
+
+/// What one clean seed did.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Verdict {
+    /// The plans the seed derived, as a failure record prints them.
+    pub plans: String,
+    /// What happened, one line per phase.
+    pub story: String,
+    /// This seed's contribution to each of
+    /// [`Scenario::tally_labels`].
+    pub tallies: Vec<u64>,
+}
+
+/// The reproduction record of a failed seed.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SweepFailure {
-    /// The failing seed (derives both the plan and the schedule).
+    /// The scenario the seed belongs to.
+    pub scenario: Scenario,
+    /// The failing seed (derives the plans and the schedule).
     pub seed: u64,
-    /// The fault plan that seed derived.
-    pub plan: FaultPlan,
+    /// The configuration the seed ran under.
+    pub config: RecoveryConfig,
+    /// The plans that seed derived.
+    pub plans: String,
     /// What went wrong.
     pub violation: Violation,
 }
 
+impl SweepFailure {
+    /// The command line that replays exactly this seed: the scenario, the
+    /// seed, and every flag whose value differs from the scenario's
+    /// default — the seed alone does not determine the plan.
+    pub fn recipe(&self) -> String {
+        let (ran, default) = (&self.config, self.scenario.default_config());
+        let mut cmd = format!("cargo xtask sim {} --seed {}", self.scenario.name(), self.seed);
+        let flags = [
+            ("--batches", ran.sim.num_batches, default.sim.num_batches),
+            ("--bound", ran.sim.staleness_bound, default.sim.staleness_bound),
+            ("--every", ran.ckpt_every, default.ckpt_every),
+            ("--retain", ran.retain as u64, default.retain as u64),
+            ("--shards", ran.sim.shard.num_shards.into(), default.sim.shard.num_shards.into()),
+            ("--replicas", ran.sim.replicas.into(), default.sim.replicas.into()),
+        ];
+        for (flag, ran, default) in flags {
+            if ran != default {
+                cmd.push_str(&format!(" {flag} {ran}"));
+            }
+        }
+        cmd
+    }
+}
+
 impl fmt::Display for SweepFailure {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(f, "scenario: {}", self.scenario.name())?;
         writeln!(f, "seed: {}", self.seed)?;
         writeln!(f, "violation: {}", self.violation)?;
-        writeln!(f, "fault plan:")?;
-        writeln!(f, "{}", self.plan)?;
-        write!(f, "reproduce with: cargo xtask sim --seed {}", self.seed)
+        writeln!(f, "{}", self.plans)?;
+        write!(f, "reproduce with: {}", self.recipe())
     }
 }
 
 /// Aggregate statistics of a clean sweep.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SweepSummary {
+    /// The scenario swept.
+    pub scenario: Scenario,
     /// Seeds swept.
     pub seeds: u64,
-    /// Runs that trained every batch.
-    pub completed: u64,
-    /// Runs a fault legitimately cut short.
-    pub stalled: u64,
-    /// Total faults injected across all plans.
-    pub faults_injected: u64,
-    /// Total stale pre-fetched rows the worker caches corrected.
-    pub stale_hits: u64,
+    /// Per-seed tallies summed, aligned with
+    /// [`Scenario::tally_labels`].
+    pub tallies: Vec<u64>,
 }
 
-/// Sweeps seeds `start .. start + count`, stopping at the first
-/// violation. The oracle is computed once — every seed shares the same
-/// model universe and differs only in faults and scheduling, which is
+impl SweepSummary {
+    /// The summed tally with the given label (0 when the scenario does
+    /// not count it).
+    pub fn tally(&self, label: &str) -> u64 {
+        let at = self.scenario.tally_labels().iter().position(|l| *l == label);
+        at.map_or(0, |i| self.tallies[i])
+    }
+}
+
+impl fmt::Display for SweepSummary {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "clean: {} seeds", self.seeds)?;
+        for (i, (label, n)) in self.scenario.tally_labels().iter().zip(&self.tallies).enumerate() {
+            write!(f, "{} {n} {label}", if i == 0 { ":" } else { "," })?;
+        }
+        Ok(())
+    }
+}
+
+/// The references every seed of one sweep shares: all seeds run in the
+/// same model universe and differ only in faults and scheduling, which is
 /// precisely the schedule-independence claim under test.
-pub fn run_sweep(cfg: &SimConfig, start: u64, count: u64) -> Result<SweepSummary, SweepFailure> {
-    let oracle = sequential_prefix(cfg);
-    let mut summary = SweepSummary::default();
-    for seed in start..start.saturating_add(count) {
-        let plan = FaultPlan::from_seed(seed, cfg.num_batches);
-        match check_run(cfg, &plan, seed, &oracle) {
-            Ok(report) => {
-                summary.seeds += 1;
-                summary.faults_injected += plan.faults.len() as u64;
-                summary.stale_hits += report.stale_hits;
-                match report.outcome {
-                    Outcome::Completed => summary.completed += 1,
-                    // a crash without recovery is just another fatal
-                    // fault; crash *recovery* is swept separately by
-                    // `crate::recovery::run_crash_sweep`
-                    Outcome::Stalled | Outcome::Crashed => summary.stalled += 1,
-                    Outcome::OutOfBudget => unreachable!("check_run rejects budget overruns"),
+struct References {
+    sharded: ShardOracle,
+    global: Oracle,
+}
+
+impl References {
+    fn of(cfg: &SimConfig) -> Self {
+        Self { sharded: sharded_prefix(cfg), global: sequential_prefix(cfg) }
+    }
+}
+
+/// Derives seed `seed`'s plans for `scenario`, runs and checks them.
+fn check_seed(
+    scenario: Scenario,
+    rc: &RecoveryConfig,
+    seed: u64,
+    refs: &References,
+) -> Result<Verdict, Box<SweepFailure>> {
+    let cfg = &rc.sim;
+    let (batches, shards) = (cfg.num_batches, cfg.shard.num_shards);
+    let (plans, checked) = match scenario {
+        Scenario::Crash => {
+            let (plan, storage) = crash_plans_for_seed(seed, batches);
+            let plans = format!("fault plan:\n{plan}\nstorage-fault plan:\n{storage}");
+            let checked = check_recovery(rc, &plan, &storage, seed, &refs.global).map(|r| {
+                let traced = |pred: fn(&TraceEvent) -> bool| r.phase1.trace.count(pred) as u64;
+                let tallies = vec![
+                    u64::from(r.phase1.outcome == Outcome::Crashed),
+                    u64::from(r.phase2.is_some() && r.restored_from.is_some()),
+                    u64::from(r.phase2.is_some() && r.restored_from.is_none()),
+                    traced(|e| matches!(e, TraceEvent::CheckpointSaved { .. })),
+                    traced(|e| matches!(e, TraceEvent::CheckpointFailed { .. })),
+                    storage.faults.len() as u64,
+                ];
+                (r.to_string(), tallies)
+            });
+            (plans, checked)
+        }
+        Scenario::Reshard => {
+            let (rsc, plan, storage) = reshard_plans_for_seed(seed, cfg);
+            let (from, to) = (rsc.from.num_shards, rsc.to.num_shards);
+            let plans = format!(
+                "layout: {from} -> {to} shards, reshard at batch {}\n\
+                 live fault plan:\n{plan}\nstorage-fault plan:\n{storage}",
+                rsc.reshard_at
+            );
+            let checked = check_reshard(&rsc, &plan, &storage, seed, &refs.global).map(|r| {
+                let tallies = vec![
+                    u64::from(to > from),
+                    u64::from(to < from),
+                    u64::from(r.drain_crashed),
+                    u64::from(r.recovered_from == RecoveredFrom::DrainSet),
+                    u64::from(r.recovered_from == RecoveredFrom::PreDrain),
+                    u64::from(r.recovered_from == RecoveredFrom::Cold),
+                    storage.faults.len() as u64,
+                ];
+                (r.to_string(), tallies)
+            });
+            (plans, checked)
+        }
+        _ => {
+            let plan = match scenario {
+                Scenario::Shard => FaultPlan::from_seed_sharded(seed, batches, shards),
+                Scenario::Failover => {
+                    FaultPlan::from_seed_failover(seed, batches, shards, cfg.replicas)
                 }
-            }
-            Err(violation) => return Err(SweepFailure { seed, plan, violation }),
+                Scenario::Netfault => FaultPlan::from_seed_netfault(seed, batches, shards),
+                _ => FaultPlan::from_seed(seed, batches),
+            };
+            let checked = check_run(cfg, &plan, seed, &refs.sharded, &refs.global)
+                .and_then(|r| match incomplete(&r, cfg) {
+                    Some(v) if scenario.requires_completion() => Err(v),
+                    _ => Ok(r),
+                })
+                .map(|r| {
+                    let traced = |pred: fn(&TraceEvent) -> bool| r.trace.count(pred) as u64;
+                    let completed = u64::from(r.outcome == Outcome::Completed);
+                    let tallies = vec![
+                        completed,
+                        // an unrecovered crash is just another fatal fault
+                        // here; crash *recovery* is the crash scenario
+                        1 - completed,
+                        plan.faults.len() as u64,
+                        traced(|e| matches!(e, TraceEvent::PrimaryDied { .. })),
+                        traced(|e| matches!(e, TraceEvent::BackupDied { .. })),
+                        r.promotions.iter().map(|&p| u64::from(p)).sum(),
+                        traced(|e| matches!(e, TraceEvent::CatchupInstalled { .. })),
+                        r.stale_hits,
+                    ];
+                    (r.to_string(), tallies)
+                });
+            (format!("fault plan:\n{plan}"), checked)
+        }
+    };
+    match checked {
+        Ok((story, tallies)) => Ok(Verdict { plans, story, tallies }),
+        Err(violation) => {
+            Err(Box::new(SweepFailure { scenario, seed, config: *rc, plans, violation }))
+        }
+    }
+}
+
+/// The full verdict on one seed of `scenario` under `rc`.
+pub fn replay_seed(
+    scenario: Scenario,
+    rc: &RecoveryConfig,
+    seed: u64,
+) -> Result<Verdict, Box<SweepFailure>> {
+    check_seed(scenario, rc, seed, &References::of(&rc.sim))
+}
+
+/// Sweeps seeds `start .. start + count` of `scenario`, stopping at the
+/// first violation. The oracles are computed once for the whole sweep.
+pub fn run_sweep(
+    scenario: Scenario,
+    rc: &RecoveryConfig,
+    start: u64,
+    count: u64,
+) -> Result<SweepSummary, Box<SweepFailure>> {
+    let refs = References::of(&rc.sim);
+    let mut summary =
+        SweepSummary { scenario, seeds: 0, tallies: vec![0; scenario.tally_labels().len()] };
+    for seed in start..start.saturating_add(count) {
+        let verdict = check_seed(scenario, rc, seed, &refs)?;
+        summary.seeds += 1;
+        for (sum, n) in summary.tallies.iter_mut().zip(verdict.tallies) {
+            *sum += n;
         }
     }
     Ok(summary)
@@ -83,26 +376,85 @@ mod tests {
     use super::*;
 
     #[test]
-    fn a_quick_sweep_is_clean_and_diverse() {
-        let cfg = SimConfig::default();
-        let summary = run_sweep(&cfg, 0, 40).unwrap_or_else(|f| panic!("sweep failed:\n{f}"));
-        assert_eq!(summary.seeds, 40);
-        assert_eq!(summary.seeds, summary.completed + summary.stalled);
-        assert!(summary.completed > 0, "some seeds must complete");
-        assert!(summary.stalled > 0, "some seeds must hit fatal faults");
-        assert!(summary.faults_injected > 0, "plans must actually inject faults");
-        assert!(summary.stale_hits > 0, "pipelining must exercise the cache");
+    fn a_quick_sweep_of_every_scenario_is_clean_and_diverse() {
+        for scenario in Scenario::ALL {
+            let rc = scenario.default_config();
+            let s = run_sweep(scenario, &rc, 0, 30)
+                .unwrap_or_else(|f| panic!("{} sweep failed:\n{f}", scenario.name()));
+            assert_eq!(s.seeds, 30);
+            let line = s.to_string();
+            match scenario {
+                Scenario::Fault | Scenario::Shard => {
+                    assert_eq!(s.tally("completed") + s.tally("stalled by fatal faults"), 30);
+                    assert!(s.tally("completed") > 0, "some seeds must complete: {line}");
+                    assert!(s.tally("stalled by fatal faults") > 0, "some must die: {line}");
+                    assert!(s.tally("primaries killed") > 0, "a server must die: {line}");
+                    assert!(s.tally("faults injected") > 0 && s.tally("stale rows corrected") > 0);
+                }
+                Scenario::Crash => {
+                    assert!(s.tally("crashed") > 0, "every seed injects a crash: {line}");
+                    assert!(s.tally("resumed from checkpoint") > 0, "{line}");
+                    assert!(s.tally("checkpoints saved") > 0, "{line}");
+                    assert!(s.tally("storage faults injected") > 0, "{line}");
+                }
+                Scenario::Reshard => {
+                    assert_eq!(s.tally("grew") + s.tally("shrank"), 30, "{line}");
+                    assert!(s.tally("storage faults injected") > 0, "{line}");
+                    assert!(
+                        s.tally("drain sets") + s.tally("pre-drain fallbacks") > 0,
+                        "recoveries must use the drained state, not only cold restarts: {line}"
+                    );
+                }
+                Scenario::Failover => {
+                    assert_eq!(s.tally("completed"), 30, "every kill schedule must complete");
+                    assert!(s.tally("primaries killed") >= 30, "every seed kills one: {line}");
+                    assert!(s.tally("promotions") >= s.tally("primaries killed"), "{line}");
+                }
+                Scenario::Netfault => {
+                    assert_eq!(s.tally("completed"), 30, "every window must be ridden out");
+                    assert!(s.tally("promotions") > 0, "silence must trip suspicion: {line}");
+                }
+            }
+        }
     }
 
     #[test]
-    fn failures_print_a_reproduction_recipe() {
+    fn a_replayed_seed_tells_its_story() {
+        let v = replay_seed(Scenario::Crash, &Scenario::Crash.default_config(), 17).unwrap();
+        assert!(v.plans.contains("process crashes") && v.plans.contains("storage-fault plan:"));
+        assert!(v.story.contains("phase 1") && v.story.contains("phase 2"), "{}", v.story);
+        assert_eq!(v.tallies.len(), Scenario::Crash.tally_labels().len());
+        let v = replay_seed(Scenario::Reshard, &Scenario::Reshard.default_config(), 17).unwrap();
+        assert!(v.plans.starts_with("layout: "), "{}", v.plans);
+    }
+
+    #[test]
+    fn failures_print_the_plans_and_a_complete_recipe() {
+        let scenario = Scenario::Failover;
+        let mut config = scenario.default_config();
+        config.sim = config.sim.with_topology(4, 2);
         let f = SweepFailure {
-            seed: 17,
-            plan: FaultPlan::from_seed(17, 24),
+            scenario,
+            seed: 509,
+            config,
+            plans: format!("fault plan:\n{}", FaultPlan::from_seed_failover(509, 24, 4, 2)),
             violation: Violation::OutOfBudget,
         };
         let text = f.to_string();
-        assert!(text.contains("seed: 17"));
-        assert!(text.contains("cargo xtask sim --seed 17"));
+        assert!(text.contains("scenario: failover") && text.contains("seed: 509"));
+        assert!(text.contains("fault plan:\n- "));
+        // --shards used to be missing: the recipe derived a 3-shard plan
+        assert!(text.ends_with("cargo xtask sim failover --seed 509 --shards 4 --replicas 2"));
+        let bare = SweepFailure { config: scenario.default_config(), ..f };
+        assert_eq!(bare.recipe(), "cargo xtask sim failover --seed 509");
+    }
+
+    #[test]
+    fn scenario_names_round_trip_and_defaults_are_valid() {
+        for scenario in Scenario::ALL {
+            assert_eq!(Scenario::from_name(scenario.name()), Some(scenario));
+            assert_eq!(scenario.validate(&scenario.default_config()), Ok(()));
+        }
+        assert_eq!(Scenario::from_name("sideways"), None);
     }
 }

@@ -5,15 +5,30 @@
 //! replay determinism can be asserted structurally, not just on final
 //! state.
 
-/// One observed protocol action, in virtual-time order.
+/// One observed protocol action, in virtual-time order. Every intake,
+/// apply and acknowledgement names the shard it happened on (and the
+/// member's rank where members differ), so one vocabulary describes every
+/// `(shards, replicas)` topology: the single server is shard 0, rank 0.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TraceEvent {
-    /// The server gathered batch `seq`, stamping it with its progress.
+    /// The tier gathered batch `seq`, stamping it with its progress.
     Gathered {
         /// Batch sequence number.
         seq: u64,
-        /// Gradient batches the server had applied at gather time.
+        /// The stitched stamp: the minimum per-shard applied watermark
+        /// at gather time.
         applied_through: u64,
+    },
+    /// During a gather, one shard reported its own applied watermark —
+    /// the per-shard stamp the global `Gathered` stamp is stitched
+    /// (min'd) from.
+    Stamped {
+        /// The reporting shard.
+        shard: u32,
+        /// Batch sequence number being gathered.
+        seq: u64,
+        /// That shard's applied watermark at gather time.
+        applied: u64,
     },
     /// The worker synchronized batch `seq`'s pre-fetched rows against its
     /// embedding cache and began computing.
@@ -23,43 +38,64 @@ pub enum TraceEvent {
         /// The staleness stamp the batch carried.
         applied_through: u64,
     },
-    /// The worker transmitted the push for batch `seq` (attempt
-    /// `delivery`, 1-based).
+    /// The worker transmitted batch `seq`'s push toward one shard
+    /// (attempt `delivery`, 1-based).
     PushSent {
+        /// Destination shard.
+        shard: u32,
         /// Batch sequence number.
         seq: u64,
         /// Transmission attempt.
         delivery: u32,
     },
-    /// A push delivery for batch `seq` reached the server.
+    /// A push delivery reached a shard's believed primary.
     PushDelivered {
+        /// Receiving shard.
+        shard: u32,
         /// Batch sequence number.
         seq: u64,
     },
-    /// A delivered push bounced off a saturated gradient intake.
+    /// A delivered push bounced off a saturated shard intake.
     PushBounced {
+        /// Bouncing shard.
+        shard: u32,
         /// Batch sequence number.
         seq: u64,
     },
-    /// A delivered push duplicated one already applied or buffered; it
-    /// was ignored (and re-acknowledged if already applied).
+    /// A delivered push duplicated one that shard had already applied or
+    /// buffered; it was ignored (and re-acknowledged when already
+    /// applied).
     DuplicateIgnored {
+        /// Deduplicating shard.
+        shard: u32,
         /// Batch sequence number.
         seq: u64,
     },
-    /// The server applied the push for batch `seq` to its tables.
+    /// One member of a shard's group applied batch `seq` to its
+    /// sub-tables (primaries and backups alike — the per-member stamp
+    /// domain the exactly-once invariant is checked over).
     Applied {
+        /// The member's shard.
+        shard: u32,
+        /// The member's rank within the group.
+        rank: u32,
         /// Batch sequence number.
         seq: u64,
     },
-    /// The worker received the server's acknowledgement for batch `seq`.
+    /// The worker received one shard's acknowledgement for batch `seq`.
     Acked {
+        /// Acknowledging shard.
+        shard: u32,
         /// Batch sequence number.
         seq: u64,
     },
-    /// The worker exhausted its retry budget for batch `seq` and stopped.
+    /// The worker exhausted its retry budget (or, with nothing in flight,
+    /// its promotion fuse) toward one shard and stopped.
     GaveUp {
-        /// Batch sequence number.
+        /// Unreachable shard.
+        shard: u32,
+        /// The push it gave up on (the batch it was waiting to train when
+        /// the fuse blew).
         seq: u64,
     },
     /// The worker died (fault injection).
@@ -67,9 +103,24 @@ pub enum TraceEvent {
         /// Batch it died on.
         at_batch: u64,
     },
-    /// The server died (fault injection).
-    ServerDied {
+    /// A shard's believed primary died (fault injection). With backups
+    /// the group keeps the shard's state; without, the shard is gone and
+    /// its peers keep running.
+    PrimaryDied {
+        /// The shard whose primary died.
+        shard: u32,
+        /// The dead member's rank within the group.
+        rank: u32,
         /// Batches it had applied when it died.
+        applied: u64,
+    },
+    /// A backup replica died (fault injection).
+    BackupDied {
+        /// The shard whose backup died.
+        shard: u32,
+        /// The dead member's rank.
+        rank: u32,
+        /// Batches the group had applied when it died.
         applied: u64,
     },
     /// A checkpoint was made durable through the session's sink.
@@ -93,98 +144,6 @@ pub enum TraceEvent {
     Resumed {
         /// Applied-batch watermark of the recovered checkpoint (zero for
         /// a cold restart).
-        applied: u64,
-    },
-    /// During a sharded gather, one shard reported its own applied
-    /// watermark — the per-shard stamp the global `Gathered` stamp is
-    /// stitched (min'd) from.
-    ShardStamped {
-        /// The reporting shard.
-        shard: u32,
-        /// Batch sequence number being gathered.
-        seq: u64,
-        /// That shard's applied watermark at gather time.
-        applied: u64,
-    },
-    /// The worker transmitted batch `seq`'s scattered push toward one
-    /// shard (attempt `delivery`, 1-based).
-    ShardPushSent {
-        /// Destination shard.
-        shard: u32,
-        /// Batch sequence number.
-        seq: u64,
-        /// Transmission attempt.
-        delivery: u32,
-    },
-    /// A scattered push delivery reached a shard.
-    ShardPushDelivered {
-        /// Receiving shard.
-        shard: u32,
-        /// Batch sequence number.
-        seq: u64,
-    },
-    /// A delivered scattered push bounced off a saturated shard intake.
-    ShardPushBounced {
-        /// Bouncing shard.
-        shard: u32,
-        /// Batch sequence number.
-        seq: u64,
-    },
-    /// A delivered scattered push duplicated one that shard had already
-    /// applied or buffered; it was ignored (and re-acknowledged when
-    /// already applied).
-    ShardDuplicateIgnored {
-        /// Deduplicating shard.
-        shard: u32,
-        /// Batch sequence number.
-        seq: u64,
-    },
-    /// A shard applied batch `seq`'s scattered push to its sub-tables.
-    ShardApplied {
-        /// Applying shard.
-        shard: u32,
-        /// Batch sequence number.
-        seq: u64,
-    },
-    /// The worker received one shard's acknowledgement for batch `seq`.
-    ShardAcked {
-        /// Acknowledging shard.
-        shard: u32,
-        /// Batch sequence number.
-        seq: u64,
-    },
-    /// The worker exhausted its retry budget toward one shard and
-    /// stopped.
-    ShardGaveUp {
-        /// Unreachable shard.
-        shard: u32,
-        /// Batch sequence number it gave up on.
-        seq: u64,
-    },
-    /// A shard died (fault injection); its peers keep running.
-    ShardDied {
-        /// The dead shard.
-        shard: u32,
-        /// Batches it had applied when it died.
-        applied: u64,
-    },
-    /// A replica-group primary died (fault injection); its backups keep
-    /// the shard's state.
-    PrimaryDied {
-        /// The shard whose primary died.
-        shard: u32,
-        /// The dead member's rank within the group.
-        rank: u32,
-        /// Batches it had applied when it died.
-        applied: u64,
-    },
-    /// A backup replica died (fault injection).
-    BackupDied {
-        /// The shard whose backup died.
-        shard: u32,
-        /// The dead member's rank.
-        rank: u32,
-        /// Batches the group had applied when it died.
         applied: u64,
     },
     /// The worker's failure detector crossed the suspicion timeout for a
@@ -214,24 +173,13 @@ pub enum TraceEvent {
         /// The stepping-down member's rank.
         rank: u32,
     },
-    /// A replica-group member applied batch `seq` (primaries and backups
-    /// alike — the per-member stamp domain the exactly-once invariant is
-    /// checked over).
-    ReplicaApplied {
-        /// The member's shard.
-        shard: u32,
-        /// The member's rank.
-        rank: u32,
-        /// Batch sequence number.
-        seq: u64,
-    },
-    /// A dead member rejoined via snapshot + log-replay catch-up.
+    /// A dead member rejoined via checkpoint catch-up.
     CatchupInstalled {
         /// The rejoining member's shard.
         shard: u32,
         /// The rejoining member's rank.
         rank: u32,
-        /// Applied watermark after replay (the group's watermark).
+        /// Applied watermark after the restore (the group's watermark).
         applied: u64,
     },
 }
@@ -267,11 +215,11 @@ mod tests {
     #[test]
     fn count_and_any_filter() {
         let mut t = Trace::default();
-        t.push(TraceEvent::Applied { seq: 0 });
-        t.push(TraceEvent::Applied { seq: 1 });
-        t.push(TraceEvent::Acked { seq: 0 });
+        t.push(TraceEvent::Applied { shard: 0, rank: 0, seq: 0 });
+        t.push(TraceEvent::Applied { shard: 0, rank: 0, seq: 1 });
+        t.push(TraceEvent::Acked { shard: 0, seq: 0 });
         assert_eq!(t.count(|e| matches!(e, TraceEvent::Applied { .. })), 2);
-        assert!(t.any(|e| matches!(e, TraceEvent::Acked { seq: 0 })));
+        assert!(t.any(|e| matches!(e, TraceEvent::Acked { seq: 0, .. })));
         assert!(!t.any(|e| matches!(e, TraceEvent::GaveUp { .. })));
     }
 }

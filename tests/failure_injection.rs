@@ -140,7 +140,8 @@ fn bounded_prefetch_queue_applies_backpressure() {
 // ---------------------------------------------------------------------------
 
 use el_rec::sim::{
-    check_run, run as sim_run, sequential_prefix, Fault, FaultPlan, Outcome, SimConfig, TraceEvent,
+    check_run, run as sim_run, sequential_prefix, sharded_prefix, Fault, FaultPlan, Outcome,
+    SimConfig, TraceEvent,
 };
 
 #[test]
@@ -152,9 +153,9 @@ fn worker_death_mid_epoch_replays_byte_identical() {
     let a = sim_run(&cfg, &plan, 0xD1E);
     let b = sim_run(&cfg, &plan, 0xD1E);
     assert_eq!(a.outcome, Outcome::Stalled);
-    assert_eq!(a.applied, cfg.num_batches / 2, "everything before the death must be applied");
-    assert_eq!(a.table_digest, b.table_digest, "replay must reproduce the digest");
-    for ((ta, bag_a), (tb, bag_b)) in a.tables.iter().zip(&b.tables) {
+    assert_eq!(a.applied, [cfg.num_batches / 2], "everything before the death must be applied");
+    assert_eq!(a.merged_digest, b.merged_digest, "replay must reproduce the digest");
+    for ((ta, bag_a), (tb, bag_b)) in a.merged_tables.iter().zip(&b.merged_tables) {
         assert_eq!(ta, tb);
         let bytes_a: Vec<u32> = bag_a.weight.as_slice().iter().map(|v| v.to_bits()).collect();
         let bytes_b: Vec<u32> = bag_b.weight.as_slice().iter().map(|v| v.to_bits()).collect();
@@ -165,28 +166,33 @@ fn worker_death_mid_epoch_replays_byte_identical() {
 
 #[test]
 fn server_death_mid_epoch_preserves_applied_prefix() {
+    // the single server is shard 0 of a one-shard tier
     let cfg = SimConfig::default();
-    let oracle = sequential_prefix(&cfg);
-    let plan = FaultPlan::with(vec![Fault::ServerDeath { after_applied: 7 }]);
-    let report = check_run(&cfg, &plan, 21, &oracle).expect("invariants must survive the death");
+    let (shard_oracle, oracle) = (sharded_prefix(&cfg), sequential_prefix(&cfg));
+    let plan = FaultPlan::with(vec![Fault::ShardDeath { shard: 0, after_applied: 7 }]);
+    let report = check_run(&cfg, &plan, 21, &shard_oracle, &oracle)
+        .expect("invariants must survive the death");
     assert_eq!(report.outcome, Outcome::Stalled);
-    assert_eq!(report.applied, 7);
-    assert!(report.trace.any(|e| matches!(e, TraceEvent::ServerDied { applied: 7 })));
+    assert_eq!(report.applied, [7]);
+    assert!(report
+        .trace
+        .any(|e| matches!(e, TraceEvent::PrimaryDied { shard: 0, applied: 7, .. })));
     // the worker notices via retry exhaustion and halts instead of spinning
     assert!(report.trace.any(|e| matches!(e, TraceEvent::GaveUp { .. })));
     // what was applied is exactly the sequential prefix
-    assert_eq!(report.table_digest, oracle.prefix_digests[7]);
+    assert_eq!(report.merged_digest, oracle.prefix_digests[7]);
 }
 
 #[test]
 fn gradient_queue_saturation_is_ridden_out_by_retries() {
     let cfg = SimConfig::default();
-    let oracle = sequential_prefix(&cfg);
+    let (shard_oracle, oracle) = (sharded_prefix(&cfg), sequential_prefix(&cfg));
     let plan = FaultPlan::with(vec![
-        Fault::GradQueueSaturation { start: 8, ticks: 50 },
-        Fault::DropPush { seq: 0, delivery: 1 },
+        Fault::ShardSaturation { shard: 0, start: 8, ticks: 50 },
+        Fault::DropShardPush { shard: 0, seq: 0, delivery: 1 },
     ]);
-    let report = check_run(&cfg, &plan, 4, &oracle).expect("saturation must not break invariants");
+    let report = check_run(&cfg, &plan, 4, &shard_oracle, &oracle)
+        .expect("saturation must not break invariants");
     assert_eq!(report.outcome, Outcome::Completed, "retries must outlast the window");
     assert!(
         report.trace.any(|e| matches!(e, TraceEvent::PushBounced { .. })),

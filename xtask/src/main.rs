@@ -24,18 +24,18 @@
 //!   hand-off tests under ThreadSanitizer. Needs nightly + the `rust-src`
 //!   component (`-Zbuild-std`); same skip-when-unavailable /
 //!   fail-on-findings policy.
-//! * `sim [args...]` — run the deterministic pipeline simulator
-//!   (`crates/sim`): `--sweep N` for a seed sweep (CI mode), `--seed N`
-//!   to replay one failing seed with full diagnostics, `--crash-sweep N`
-//!   for the crash-recovery sweep (process crashes, torn checkpoint
-//!   writes, at-rest rot), `--crash-seed N` to replay one crash-recovery
-//!   scenario, `--shard-sweep` / `--reshard-sweep` for the multi-shard
-//!   and elasticity matrices, and `--failover-sweep N` /
-//!   `--netfault-sweep N` (with `--failover-seed` / `--netfault-seed`
-//!   replay) for the replicated tier: kill-the-primary schedules,
-//!   heartbeat loss, and partitions that must complete byte-identical to
-//!   the sequential oracle. Arguments pass through to the `sim` binary;
-//!   see DESIGN.md §10–§11 and §15.
+//! * `sim <scenario> (--seed N | --sweep COUNT) [flags]` — run the
+//!   deterministic pipeline simulator (`crates/sim`). The scenario says
+//!   what a seed means: `fault` (single-server faults), `crash` (process
+//!   crashes, torn checkpoint writes, at-rest rot, recovery), `shard`
+//!   (per-shard faults), `reshard` (drain, migrate, resume under crash),
+//!   `failover` (kill-the-primary schedules) or `netfault` (heartbeat
+//!   loss, partitions) — the last two must complete byte-identical to
+//!   the sequential oracle. `--sweep COUNT [--start S]` is CI's mode,
+//!   `--seed N` replays one failing seed with full diagnostics;
+//!   `--batches`, `--bound`, `--every`, `--retain`, `--shards` and
+//!   `--replicas` set the run. Arguments pass through to the `sim`
+//!   binary; see DESIGN.md §10–§11 and §14–§15.
 //! * `ckpt [args...]` — checkpoint tooling: `verify <path>` fully checks
 //!   one `.elck` file or a whole store directory, `ls <dir>` lists a
 //!   store, `bench` measures checkpoint size and save/restore time.
@@ -71,9 +71,9 @@ fn usage() -> ExitCode {
          miri                 run the Miri unsafe-surface subset (needs nightly miri)\n  \
          tsan                 run the pool stress + serve hand-off tests under TSan\n                       \
          (needs nightly + rust-src)\n  \
-         sim [args...]        run the pipeline simulator (--sweep N | --seed N |\n                       \
-         --crash-sweep N | --crash-seed N | --shard-sweep N |\n                       \
-         --reshard-sweep N | --failover-sweep N | --netfault-sweep N)\n  \
+         sim <scenario> (--seed N | --sweep COUNT) [flags]\n                       \
+         run the pipeline simulator; scenario is one of fault | crash |\n                       \
+         shard | reshard | failover | netfault (`sim --help` lists flags)\n  \
          ckpt [args...]       checkpoint tooling (verify <path> | ls <dir> | bench)"
     );
     ExitCode::FAILURE
