@@ -11,48 +11,12 @@
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+mod counting_alloc;
 
 use el_core::bag::{TtEmbeddingBag, TtWorkspace};
 use el_core::config::{BackwardStrategy, ForwardStrategy, TtConfig, TtOptions};
 use el_tensor::Matrix;
 use rand::SeedableRng;
-
-struct CountingAlloc;
-
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: a pure pass-through to the System allocator plus a relaxed
-// atomic counter; layout handling and memory validity are exactly the
-// System allocator's.
-unsafe impl GlobalAlloc for CountingAlloc {
-    // SAFETY: same contract as `System::alloc`, which does the real work.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: `layout` is forwarded unchanged; the caller upholds
-        // GlobalAlloc's contract (non-zero size).
-        unsafe { System.alloc(layout) }
-    }
-
-    // SAFETY: same contract as `System::dealloc`.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` was returned by `Self::alloc`/`Self::realloc`,
-        // i.e. by the System allocator, with this same `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    // SAFETY: same contract as `System::realloc`.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: `ptr`/`layout` come from this allocator (hence the
-        // System allocator); `new_size` validity is the caller's contract.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// A pool of CSR batches cycled through warm-up and measurement, so the
 /// measured iterations see exactly the shapes the warm-up grew buffers for.
@@ -76,6 +40,7 @@ fn run_steady_state(options: TtOptions, label: &str) {
 }
 
 fn run_steady_state_sized(options: TtOptions, lookups: usize, overlap: bool, label: &str) {
+    let _exclusive = counting_alloc::exclusive();
     let mut rng = rand::rngs::StdRng::seed_from_u64(7);
     let mut bag = TtEmbeddingBag::new(&TtConfig::new(4096, 32, 8), &mut rng).with_options(options);
     let mut ws = TtWorkspace::new();
@@ -127,13 +92,13 @@ fn run_steady_state_sized(options: TtOptions, lookups: usize, overlap: bool, lab
     // coordinator) fails every attempt.
     let mut new_allocs = 0;
     for _attempt in 0..3 {
-        let before = ALLOC_CALLS.load(Ordering::Relaxed);
+        let before = counting_alloc::calls();
         for (i, (indices, offsets)) in pool.iter().enumerate() {
             queue(i + 1, &bag, &ws);
             bag.forward_into(indices, offsets, &mut ws, &mut out);
             bag.backward_sgd(&out, &mut ws, 0.01);
         }
-        new_allocs = ALLOC_CALLS.load(Ordering::Relaxed) - before;
+        new_allocs = counting_alloc::calls() - before;
         if new_allocs == 0 {
             break;
         }

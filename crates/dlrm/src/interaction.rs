@@ -4,14 +4,157 @@
 //! `F` features of dimension `d` per sample, computes the dot products of
 //! every unordered feature pair, and concatenates those `F*(F-1)/2` scalars
 //! with the bottom-MLP output as the top-MLP input.
-
-// The pair loops index `features[i]`/`features[j]` by position — the index
-// form is the direct transcription of the (i, j) pair enumeration.
-#![allow(clippy::needless_range_loop)]
+//!
+//! Both directions run as a **lane kernel** (DESIGN.md §2.2, "dense
+//! half"): a block of `LANES` samples is transposed into a per-thread
+//! scratch of `F · d` lanes (feature-major for forward, element-major for
+//! backward), so every arithmetic step works on one `[f32; LANES]` vector
+//! holding the same element of eight samples. Each lane performs exactly
+//! the scalar code's operations in the scalar code's order — a dot product
+//! is `acc = 0.0`, then `acc += a * b` for `k` in `0..d`; a feature gradient
+//! adds `gp * v` over its partners in `(i < j)` pair order, skipping
+//! `gp == 0.0` — as separate multiplies and adds (Rust never contracts them
+//! into FMAs), so the results are bit-identical to the per-sample loops the
+//! tests keep as references. A batch of at least `2 × MIN_BAND` samples is
+//! split into bands across the rayon pool, one band per thread, each
+//! writing its own rows of the outputs; a band edge only decides which
+//! thread computes a sample, never how.
 
 use el_tensor::Matrix;
+use rayon::prelude::*;
+use std::cell::RefCell;
 
-/// The feature-interaction layer; stateless, shapes fixed at construction.
+/// Samples per lane block: one vector lane per sample.
+const LANES: usize = 8;
+/// Samples per band below which a batch is not split further: a band must
+/// outweigh the fork/join that sends it to another thread.
+const MIN_BAND: usize = 64;
+
+/// One element (`k` of some feature, or one pair gradient) of a lane block.
+type Lane = [f32; LANES];
+
+/// Per-thread scratch of the band kernels, grow-only: `F · d` feature lanes
+/// and `F(F−1)/2` pair-gradient lanes — tens of kB, whatever the batch.
+#[derive(Default)]
+struct Scratch {
+    z: Vec<Lane>,
+    g: Vec<Lane>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+}
+
+/// Grows `v` to at least `len` entries and returns its first `len`.
+fn prefix<T: Copy + Default>(v: &mut Vec<T>, len: usize) -> &mut [T] {
+    if v.len() < len {
+        v.resize(len, T::default());
+    }
+    &mut v[..len]
+}
+
+/// Rows per band for a batch: the batch split into at most one band per
+/// pool thread and at most one per [`MIN_BAND`] samples, each band a whole
+/// number of lane blocks (only the last band has a short block).
+fn band_rows(batch: usize) -> usize {
+    let bands = rayon::current_num_threads().min(batch / MIN_BAND).max(1);
+    batch.div_ceil(bands).next_multiple_of(LANES).max(LANES)
+}
+
+/// The rows `s .. s + n` of `m` as one slice per lane, from column `c0`
+/// on; lanes `n..` repeat row `s + n - 1` (a block's spare lanes compute
+/// values that are never written out).
+fn lane_rows(m: &Matrix, s: usize, n: usize, c0: usize) -> [&[f32]; LANES] {
+    std::array::from_fn(|l| &m.row(s + l.min(n - 1))[c0..])
+}
+
+/// Transposes samples `s .. s + n` of every feature into lanes:
+/// `z[f * fs + k * ks][l] = features[f][s + l][k]`.
+fn gather_lanes(
+    features: &[&Matrix],
+    s: usize,
+    n: usize,
+    z: &mut [Lane],
+    (fs, ks): (usize, usize),
+) {
+    for (f, feat) in features.iter().enumerate() {
+        let rows = lane_rows(feat, s, n, 0);
+        for k in 0..feat.cols() {
+            z[f * fs + k * ks] = std::array::from_fn(|l| rows[l][k]);
+        }
+    }
+}
+
+/// Dot products of feature `zi` with the `J` consecutive features in `zj`,
+/// lane by lane, each in the scalar order `0.0 + a0*b0 + a1*b1 + …`.
+fn dot_lanes<const J: usize>(zi: &[Lane], zj: &[Lane]) -> [Lane; J] {
+    let d = zi.len();
+    let zj: [&[Lane]; J] = std::array::from_fn(|jj| &zj[jj * d..][..d]);
+    let mut acc = [[0.0f32; LANES]; J];
+    for (k, a) in zi.iter().enumerate() {
+        for (acc_j, zj) in acc.iter_mut().zip(&zj) {
+            let b = &zj[k];
+            for l in 0..LANES {
+                acc_j[l] += a[l] * b[l];
+            }
+        }
+    }
+    acc
+}
+
+/// Adds `gp * v` into `K` accumulated elements of one feature gradient,
+/// lane by lane, where `v` is partner `q`'s element `kk` in `rows[kk][q]`.
+/// A lane whose `gp` is zero keeps its value, as the scalar loop's
+/// `continue` does, so a `±0`, infinite or NaN `v` there never reaches it.
+#[inline(always)]
+fn accumulate<const K: usize>(acc: &mut [Lane; K], gp: &Lane, rows: &[&[Lane]; K], q: usize) {
+    for (a, row) in acc.iter_mut().zip(rows) {
+        let v = &row[q];
+        for l in 0..LANES {
+            let sum = a[l] + gp[l] * v[l];
+            a[l] = if gp[l] == 0.0 { a[l] } else { sum };
+        }
+    }
+}
+
+/// The gradient of feature `f` at `K` consecutive elements, starting from
+/// `init`: one chain over the other features in ascending order — the order
+/// in which the scalar loop over pairs `(i < j)` reaches them. `z` is the
+/// element-major lane block (`z[k * nf + q]`) from the first element on;
+/// `g` holds the pair gradients.
+///
+/// Never inlined: returned as a `[Lane; K]` value, the accumulators are
+/// stored lane-contiguous, and that store is what steers the compiler to
+/// vectorize across lanes rather than across elements (inlined, the
+/// element-contiguous stores into the gradient rows steer it the other way,
+/// into gathers).
+#[inline(never)]
+fn feature_chain<const K: usize>(
+    f: usize,
+    z: &[Lane],
+    g: &[Lane],
+    nf: usize,
+    init: [Lane; K],
+) -> [Lane; K] {
+    // A local, not the argument's memory, so the accumulators live in
+    // registers across the loops.
+    let mut acc = init;
+    let rows: [&[Lane]; K] = std::array::from_fn(|kk| &z[kk * nf..][..nf]);
+    // Partners q < f: pair (q, f), whose index advances by F − q − 2.
+    let mut p = f.wrapping_sub(1);
+    for q in 0..f {
+        accumulate(&mut acc, &g[p], &rows, q);
+        p = p.wrapping_add(nf - q - 2);
+    }
+    // Partners q > f: pairs (f, f+1), (f, f+2), … are contiguous.
+    let first = f * (2 * nf - f - 1) / 2;
+    for (gp, q) in g[first..].iter().zip(f + 1..nf) {
+        accumulate(&mut acc, gp, &rows, q);
+    }
+    acc
+}
+
+/// The interaction layer; stateless, shapes fixed at construction.
 #[derive(Clone, Copy, Debug)]
 pub struct Interaction {
     /// Number of interacting features per sample (1 + number of tables).
@@ -24,6 +167,7 @@ impl Interaction {
     /// An interaction over `num_features` features of width `dim`.
     pub fn new(num_features: usize, dim: usize) -> Self {
         assert!(num_features >= 2, "interaction needs at least two features");
+        assert!(dim >= 1, "interaction features need at least one element");
         Self { num_features, dim }
     }
 
@@ -40,74 +184,226 @@ impl Interaction {
     /// Forward: `features[f]` is a `batch x dim` matrix (feature 0 is the
     /// bottom-MLP output, which is also passed through).
     pub fn forward(&self, features: &[&Matrix]) -> Matrix {
+        let batch = self.check_features(features);
+        let mut out = Matrix::zeros(batch, self.out_dim());
+        let rows = band_rows(batch);
+        out.as_mut_slice()
+            .par_chunks_mut(rows * self.out_dim())
+            .enumerate()
+            .for_each(|(b, band)| self.forward_band(features, b * rows, band));
+        out
+    }
+
+    /// Backward: splits `d_out` into per-feature gradients.
+    pub fn backward(&self, features: &[&Matrix], d_out: &Matrix) -> Vec<Matrix> {
+        let batch = self.check_features(features);
+        assert_eq!(d_out.rows(), batch);
+        assert_eq!(d_out.cols(), self.out_dim());
+
+        let (nf, d) = (self.num_features, self.dim);
+        let mut grads: Vec<Matrix> = (0..nf).map(|_| Matrix::zeros(batch, d)).collect();
+        let rows = band_rows(batch);
+        // Band-major row slices of every gradient: chunk `b` of `slices`
+        // holds band `b`'s rows of feature 0, 1, …, F − 1.
+        let mut per_feature: Vec<_> =
+            grads.iter_mut().map(|g| g.as_mut_slice().chunks_mut(rows * d)).collect();
+        let mut slices: Vec<&mut [f32]> = Vec::with_capacity(batch.div_ceil(rows) * nf);
+        for _ in 0..batch.div_ceil(rows) {
+            slices.extend(per_feature.iter_mut().filter_map(Iterator::next));
+        }
+        slices
+            .par_chunks_mut(nf)
+            .enumerate()
+            .for_each(|(b, band)| self.backward_band(features, d_out, b * rows, band));
+        grads
+    }
+
+    /// Checks the feature shapes and returns the batch size.
+    fn check_features(&self, features: &[&Matrix]) -> usize {
         assert_eq!(features.len(), self.num_features);
         let batch = features[0].rows();
         for f in features {
             assert_eq!(f.rows(), batch, "feature batch mismatch");
             assert_eq!(f.cols(), self.dim, "feature dim mismatch");
         }
-        let mut out = Matrix::zeros(batch, self.out_dim());
-        for s in 0..batch {
-            let dst = out.row_mut(s);
-            dst[..self.dim].copy_from_slice(features[0].row(s));
-            let mut p = self.dim;
-            for i in 0..self.num_features {
-                let fi = features[i].row(s);
-                for j in (i + 1)..self.num_features {
-                    let fj = features[j].row(s);
-                    let mut acc = 0.0f32;
-                    for (a, b) in fi.iter().zip(fj) {
-                        acc += a * b;
-                    }
-                    dst[p] = acc;
-                    p += 1;
-                }
-            }
-        }
-        out
+        batch
     }
 
-    /// Backward: splits `d_out` into per-feature gradients.
-    pub fn backward(&self, features: &[&Matrix], d_out: &Matrix) -> Vec<Matrix> {
-        assert_eq!(features.len(), self.num_features);
-        let batch = features[0].rows();
-        assert_eq!(d_out.rows(), batch);
-        assert_eq!(d_out.cols(), self.out_dim());
-
-        let mut grads: Vec<Matrix> =
-            (0..self.num_features).map(|_| Matrix::zeros(batch, self.dim)).collect();
-        for s in 0..batch {
-            let g = d_out.row(s);
-            // passthrough part
-            grads[0].row_mut(s).copy_from_slice(&g[..self.dim]);
-            let mut p = self.dim;
-            for i in 0..self.num_features {
-                for j in (i + 1)..self.num_features {
-                    let gp = g[p];
-                    p += 1;
-                    if gp == 0.0 {
-                        continue;
+    /// Forward over the output rows `out` (samples from `s0` on).
+    fn forward_band(&self, features: &[&Matrix], s0: usize, out: &mut [f32]) {
+        let (nf, d, od) = (self.num_features, self.dim, self.out_dim());
+        SCRATCH.with(|cell| {
+            let scratch = &mut *cell.borrow_mut();
+            let z = prefix(&mut scratch.z, nf * d);
+            for (blk, out_blk) in out.chunks_mut(LANES * od).enumerate() {
+                let s = s0 + blk * LANES;
+                let n = out_blk.len() / od;
+                gather_lanes(features, s, n, z, (d, 1));
+                for (l, dst) in out_blk.chunks_exact_mut(od).enumerate() {
+                    dst[..d].copy_from_slice(features[0].row(s + l));
+                }
+                let mut p = d;
+                let mut emit = |acc: &[Lane]| {
+                    for (l, dst) in out_blk.chunks_exact_mut(od).enumerate() {
+                        for (o, a) in dst[p..p + acc.len()].iter_mut().zip(acc) {
+                            *o = a[l];
+                        }
                     }
-                    // d(f_i . f_j)/df_i = f_j and vice versa
-                    let fj = features[j].row(s).to_vec();
-                    let fi = features[i].row(s).to_vec();
-                    for (dst, v) in grads[i].row_mut(s).iter_mut().zip(&fj) {
-                        *dst += gp * v;
+                    p += acc.len();
+                };
+                for i in 0..nf {
+                    let zi = &z[i * d..(i + 1) * d];
+                    let mut j = i + 1;
+                    while j + 4 <= nf {
+                        emit(&dot_lanes::<4>(zi, &z[j * d..]));
+                        j += 4;
                     }
-                    for (dst, v) in grads[j].row_mut(s).iter_mut().zip(&fi) {
-                        *dst += gp * v;
+                    for j in j..nf {
+                        emit(&dot_lanes::<1>(zi, &z[j * d..]));
                     }
                 }
             }
-        }
-        grads
+        });
     }
+
+    /// Backward for the band of samples from `s0` on; `out[f]` holds the
+    /// band's rows of feature `f`'s gradient.
+    fn backward_band(
+        &self,
+        features: &[&Matrix],
+        d_out: &Matrix,
+        s0: usize,
+        out: &mut [&mut [f32]],
+    ) {
+        let (nf, d, np) = (self.num_features, self.dim, self.num_pairs());
+        let band = out[0].len() / d;
+        SCRATCH.with(|cell| {
+            let scratch = &mut *cell.borrow_mut();
+            let z = prefix(&mut scratch.z, nf * d);
+            let g = prefix(&mut scratch.g, np);
+            for blk0 in (0..band).step_by(LANES) {
+                let s = s0 + blk0;
+                let n = (band - blk0).min(LANES);
+                // Element-major (`z[k * nf + q]`): the partners of one
+                // element sit side by side.
+                gather_lanes(features, s, n, z, (1, nf));
+                let rows = lane_rows(d_out, s, n, d);
+                for (p, gp) in g.iter_mut().enumerate() {
+                    *gp = std::array::from_fn(|l| rows[l][p]);
+                }
+                // Element chunks outermost: a chunk's lanes of every
+                // feature stay in L1 while all F chains run over them.
+                let block = blk0 * d..(blk0 + n) * d;
+                let mut k0 = 0;
+                while k0 + 4 <= d {
+                    for (f, dst) in out.iter_mut().enumerate() {
+                        let dst = &mut dst[block.clone()];
+                        self.write_chain::<4>(f, k0, (z, g), d_out, s, dst);
+                    }
+                    k0 += 4;
+                }
+                for k0 in k0..d {
+                    for (f, dst) in out.iter_mut().enumerate() {
+                        let dst = &mut dst[block.clone()];
+                        self.write_chain::<1>(f, k0, (z, g), d_out, s, dst);
+                    }
+                }
+            }
+        });
+    }
+
+    /// Runs [`feature_chain`] for elements `k0 .. k0 + K` of feature `f`
+    /// over one lane block and writes them into the block's gradient rows
+    /// `dst`. Feature 0's chain starts from its passthrough gradient.
+    fn write_chain<const K: usize>(
+        &self,
+        f: usize,
+        k0: usize,
+        (z, g): (&[Lane], &[Lane]),
+        d_out: &Matrix,
+        s: usize,
+        dst: &mut [f32],
+    ) {
+        let nf = self.num_features;
+        let mut init = [[0.0f32; LANES]; K];
+        if f == 0 {
+            for l in 0..dst.len() / self.dim {
+                let passthrough = &d_out.row(s + l)[k0..k0 + K];
+                for (acc, &v) in init.iter_mut().zip(passthrough) {
+                    acc[l] = v;
+                }
+            }
+        }
+        let acc = feature_chain::<K>(f, &z[k0 * nf..], g, nf, init);
+        for (l, row) in dst.chunks_exact_mut(self.dim).enumerate() {
+            for (o, a) in row[k0..k0 + K].iter_mut().zip(&acc) {
+                *o = a[l];
+            }
+        }
+    }
+}
+
+/// Today's per-sample scalar forward, kept as the bit-identity oracle.
+#[cfg(test)]
+fn forward_reference(inter: &Interaction, features: &[&Matrix]) -> Matrix {
+    let batch = features[0].rows();
+    let mut out = Matrix::zeros(batch, inter.out_dim());
+    for s in 0..batch {
+        let dst = out.row_mut(s);
+        dst[..inter.dim].copy_from_slice(features[0].row(s));
+        let mut p = inter.dim;
+        for i in 0..inter.num_features {
+            let fi = features[i].row(s);
+            for fj in &features[i + 1..] {
+                let mut acc = 0.0f32;
+                for (a, b) in fi.iter().zip(fj.row(s)) {
+                    acc += a * b;
+                }
+                dst[p] = acc;
+                p += 1;
+            }
+        }
+    }
+    out
+}
+
+/// Today's per-sample scalar backward, kept as the bit-identity oracle.
+#[cfg(test)]
+fn backward_reference(inter: &Interaction, features: &[&Matrix], d_out: &Matrix) -> Vec<Matrix> {
+    let batch = features[0].rows();
+    let mut grads: Vec<Matrix> =
+        (0..inter.num_features).map(|_| Matrix::zeros(batch, inter.dim)).collect();
+    for s in 0..batch {
+        let g = d_out.row(s);
+        grads[0].row_mut(s).copy_from_slice(&g[..inter.dim]);
+        let mut p = inter.dim;
+        for i in 0..inter.num_features {
+            for j in (i + 1)..inter.num_features {
+                let gp = g[p];
+                p += 1;
+                if gp == 0.0 {
+                    continue;
+                }
+                // d(f_i . f_j)/df_i = f_j and vice versa
+                let fj = features[j].row(s).to_vec();
+                let fi = features[i].row(s).to_vec();
+                for (dst, v) in grads[i].row_mut(s).iter_mut().zip(&fj) {
+                    *dst += gp * v;
+                }
+                for (dst, v) in grads[j].row_mut(s).iter_mut().zip(&fi) {
+                    *dst += gp * v;
+                }
+            }
+        }
+    }
+    grads
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn output_layout_is_passthrough_then_pairs() {
@@ -171,5 +467,70 @@ mod tests {
         let a = Matrix::zeros(1, 4);
         let b = Matrix::zeros(1, 3);
         let _ = inter.forward(&[&a, &b]);
+    }
+
+    /// A value drawn from the kinds the skip and the lanes must carry
+    /// through unchanged: ±0, subnormals, and (when `specials`) NaN and ±∞.
+    /// The NaN is the platform's default NaN, the one `∞ − ∞` and `0 · ∞`
+    /// produce, so every NaN in a run has the same bits and their order of
+    /// meeting cannot matter.
+    fn draw(rng: &mut impl Rng, specials: bool) -> f32 {
+        let nan = std::hint::black_box(f32::INFINITY) - std::hint::black_box(f32::INFINITY);
+        match rng.gen_range(0..if specials { 12 } else { 8 }) {
+            0 => 0.0,
+            1 => -0.0,
+            2 => 3.0e-39,
+            3 => -1.0e-40,
+            8 => nan,
+            9 => f32::INFINITY,
+            10 => f32::NEG_INFINITY,
+            _ => rng.gen_range(-1.0..1.0),
+        }
+    }
+
+    fn same_bits(a: &Matrix, b: &Matrix) -> bool {
+        a.rows() == b.rows()
+            && a.cols() == b.cols()
+            && a.as_slice().iter().zip(b.as_slice()).all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
+    proptest! {
+        /// The lane kernel equals the scalar loops bit for bit in both
+        /// directions, across feature counts and widths that leave every
+        /// pair-block and element-block tail, and batches that leave every
+        /// lane-block tail and split into bands.
+        #[test]
+        fn lane_kernel_is_bit_identical_to_the_scalar_loops(
+            nf in 2usize..=30,
+            d in 1usize..=40,
+            batch in prop_oneof![1usize..=70, 120usize..=260],
+            seed in 0u64..1_000_000,
+        ) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let inter = Interaction::new(nf, d);
+            let feats: Vec<Matrix> = (0..nf)
+                .map(|_| Matrix::from_fn(batch, d, |_, _| draw(&mut rng, false)))
+                .collect();
+            let refs: Vec<&Matrix> = feats.iter().collect();
+            let d_out = Matrix::from_fn(batch, inter.out_dim(), |_, _| draw(&mut rng, true));
+
+            prop_assert!(same_bits(&inter.forward(&refs), &forward_reference(&inter, &refs)));
+            let got = inter.backward(&refs, &d_out);
+            let want = backward_reference(&inter, &refs, &d_out);
+            for (f, (g, w)) in got.iter().zip(&want).enumerate() {
+                prop_assert!(same_bits(g, w), "feature {f} gradient differs");
+            }
+        }
+    }
+
+    #[test]
+    fn bands_are_whole_lane_blocks_one_per_thread_at_most() {
+        for batch in [0usize, 1, 7, 8, 63, 64, 127, 128, 129, 1027, 2048] {
+            let rows = band_rows(batch);
+            let bands = batch.div_ceil(rows);
+            assert_eq!(rows % LANES, 0);
+            assert!(bands <= rayon::current_num_threads());
+            assert!(bands <= 1 || batch >= bands * MIN_BAND, "batch {batch}: {bands} bands");
+        }
     }
 }

@@ -1,6 +1,6 @@
 //! Fully-connected layer with explicit-cache backward.
 
-use el_tensor::gemm::{add_at_b, par_gemm, par_gemm_bt};
+use el_tensor::gemm::{par_add_at_b, par_gemm, par_gemm_bt};
 use el_tensor::Matrix;
 use rand::Rng;
 
@@ -41,9 +41,17 @@ impl Linear {
 
     /// `y = x W^T + b` for a batch `x: batch x in`.
     pub fn forward(&self, x: &Matrix) -> Matrix {
+        let mut y = Matrix::zeros(0, 0);
+        self.forward_into(x, &mut y);
+        y
+    }
+
+    /// [`Linear::forward`] into `y`, reshaped to `batch x out` and reusing
+    /// its allocation.
+    pub fn forward_into(&self, x: &Matrix, y: &mut Matrix) {
         assert_eq!(x.cols(), self.in_dim(), "input dim mismatch");
         let (b, o, i) = (x.rows(), self.out_dim(), self.in_dim());
-        let mut y = Matrix::zeros(b, o);
+        y.reset_zeroed(b, o);
         // y = x (b x i) * W^T (i x o): batch rows band out across the
         // pool while the packed kernel absorbs the transpose into its
         // B-panel packing, so W is read in place by every band.
@@ -55,31 +63,37 @@ impl Linear {
                 *v += bv;
             }
         }
-        y
     }
 
     /// Backward: accumulates `dW += dy^T x`, `db += sum(dy)` and returns
     /// `dx = dy W`.
     pub fn backward(&mut self, x: &Matrix, dy: &Matrix) -> Matrix {
+        let mut dx = Matrix::zeros(0, 0);
+        self.backward_into(x, dy, &mut dx);
+        dx
+    }
+
+    /// [`Linear::backward`] writing `dx` into `dx`, reshaped to
+    /// `batch x in` and reusing its allocation.
+    pub fn backward_into(&mut self, x: &Matrix, dy: &Matrix, dx: &mut Matrix) {
         assert_eq!(dy.cols(), self.out_dim());
         assert_eq!(dy.rows(), x.rows());
         let (b, o, i) = (x.rows(), self.out_dim(), self.in_dim());
         // dW (o x i) += dy^T (o x b) * x (b x i)
-        add_at_b(b, o, i, dy.as_slice(), x.as_slice(), self.grad_weight.as_mut_slice());
+        par_add_at_b(b, o, i, dy.as_slice(), x.as_slice(), self.grad_weight.as_mut_slice());
         for row in 0..b {
             for (g, v) in self.grad_bias.iter_mut().zip(dy.row(row)) {
                 *g += v;
             }
         }
         // dx (b x i) = dy (b x o) * W (o x i)
-        let mut dx = Matrix::zeros(b, i);
+        dx.reset_zeroed(b, i);
         par_gemm(b, i, o, 1.0, dy.as_slice(), self.weight.as_slice(), 0.0, dx.as_mut_slice());
-        dx
     }
 
     /// SGD step and gradient reset.
     pub fn step(&mut self, lr: f32) {
-        self.weight.axpy(-lr, &self.grad_weight.clone());
+        self.weight.axpy(-lr, &self.grad_weight);
         for (b, g) in self.bias.iter_mut().zip(&self.grad_bias) {
             *b -= lr * g;
         }

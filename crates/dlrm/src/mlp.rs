@@ -15,9 +15,32 @@ use rand::Rng;
 pub struct Mlp {
     /// Layers, applied in order.
     pub layers: Vec<Linear>,
-    /// Per-layer input caches from the latest forward.
+    /// Per-layer input caches from the latest forward; each step overwrites
+    /// the previous step's buffers.
     #[serde(skip)]
     inputs: Vec<Matrix>,
+    /// The two gradient buffers `backward` alternates between, likewise
+    /// reused from step to step.
+    #[serde(skip)]
+    grads: Vec<Matrix>,
+}
+
+/// Runs `layers` on `x`, writing the ReLU'd output of every layer but the
+/// last into `hidden` (one buffer per hidden layer, reshaped in place), and
+/// returns the last layer's output.
+fn layer_loop(layers: &[Linear], x: &Matrix, hidden: &mut [Matrix]) -> Matrix {
+    assert_eq!(hidden.len() + 1, layers.len(), "one buffer per hidden layer");
+    for (li, layer) in layers[..hidden.len()].iter().enumerate() {
+        let (done, rest) = hidden.split_at_mut(li);
+        let y = &mut rest[0];
+        layer.forward_into(done.last().unwrap_or(x), y);
+        // A select, not a branch: it vectorizes, and keeps -0.0 and NaN
+        // exactly as `if *v < 0.0 { *v = 0.0 }` does.
+        for v in y.as_mut_slice() {
+            *v = if *v < 0.0 { 0.0 } else { *v };
+        }
+    }
+    layers[hidden.len()].forward(hidden.last().unwrap_or(x))
 }
 
 impl Mlp {
@@ -25,7 +48,7 @@ impl Mlp {
     pub fn new(sizes: &[usize], rng: &mut impl Rng) -> Self {
         assert!(sizes.len() >= 2, "an MLP needs at least one layer");
         let layers = sizes.windows(2).map(|w| Linear::new(w[0], w[1], rng)).collect::<Vec<_>>();
-        Self { layers, inputs: Vec::new() }
+        Self { layers, inputs: Vec::new(), grads: Vec::new() }
     }
 
     /// Input feature count.
@@ -40,40 +63,17 @@ impl Mlp {
 
     /// Forward pass, caching activations for backward.
     pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        self.inputs.clear();
-        let mut cur = x.clone();
-        let last = self.layers.len() - 1;
-        for (li, layer) in self.layers.iter().enumerate() {
-            self.inputs.push(cur.clone());
-            let mut y = layer.forward(&cur);
-            if li != last {
-                for v in y.as_mut_slice() {
-                    if *v < 0.0 {
-                        *v = 0.0;
-                    }
-                }
-            }
-            cur = y;
-        }
-        cur
+        self.inputs.resize_with(self.layers.len(), || Matrix::zeros(0, 0));
+        let (x_cache, hidden) = self.inputs.split_at_mut(1);
+        x_cache[0].reset_zeroed(x.rows(), x.cols());
+        x_cache[0].as_mut_slice().copy_from_slice(x.as_slice());
+        layer_loop(&self.layers, x, hidden)
     }
 
     /// Inference-only forward (no caches touched).
     pub fn predict(&self, x: &Matrix) -> Matrix {
-        let mut cur = x.clone();
-        let last = self.layers.len() - 1;
-        for (li, layer) in self.layers.iter().enumerate() {
-            let mut y = layer.forward(&cur);
-            if li != last {
-                for v in y.as_mut_slice() {
-                    if *v < 0.0 {
-                        *v = 0.0;
-                    }
-                }
-            }
-            cur = y;
-        }
-        cur
+        let mut hidden = vec![Matrix::zeros(0, 0); self.layers.len() - 1];
+        layer_loop(&self.layers, x, &mut hidden)
     }
 
     /// Backward pass; accumulates layer gradients and returns `dx`.
@@ -82,22 +82,21 @@ impl Mlp {
     /// Panics when called without a preceding [`Mlp::forward`].
     pub fn backward(&mut self, dy: &Matrix) -> Matrix {
         assert_eq!(self.inputs.len(), self.layers.len(), "backward requires a cached forward");
-        let mut grad = dy.clone();
+        self.grads.resize_with(2, || Matrix::zeros(0, 0));
+        let (grad, spare) = self.grads.split_at_mut(1);
+        let (grad, spare) = (&mut grad[0], &mut spare[0]);
         let last = self.layers.len() - 1;
-        for li in (0..self.layers.len()).rev() {
-            if li != last {
-                // grad flows through the ReLU applied to this layer's output;
-                // the next layer's cached *input* is exactly that activation.
-                let activated = &self.inputs[li + 1];
-                for (g, &a) in grad.as_mut_slice().iter_mut().zip(activated.as_slice()) {
-                    if a <= 0.0 {
-                        *g = 0.0;
-                    }
-                }
+        for li in (1..=last).rev() {
+            let dy_li = if li == last { dy } else { &*grad };
+            self.layers[li].backward_into(&self.inputs[li], dy_li, spare);
+            // dx flows back through the ReLU applied to the previous layer's
+            // output; this layer's cached *input* is exactly that activation.
+            for (g, &a) in spare.as_mut_slice().iter_mut().zip(self.inputs[li].as_slice()) {
+                *g = if a <= 0.0 { 0.0 } else { *g };
             }
-            grad = self.layers[li].backward(&self.inputs[li], &grad);
+            std::mem::swap(grad, spare);
         }
-        grad
+        self.layers[0].backward(&self.inputs[0], if last == 0 { dy } else { grad })
     }
 
     /// SGD step on every layer.
@@ -192,6 +191,26 @@ mod tests {
         let a = mlp.forward(&x);
         let b = mlp.predict(&x);
         assert_eq!(a.as_slice(), b.as_slice());
+    }
+
+    #[test]
+    fn reused_buffers_train_like_a_fresh_mlp_across_batch_sizes() {
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        // Wide enough that the 2048-sample weight gradients are banded.
+        let sizes = [13, 256, 64, 4];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let mut mlp = Mlp::new(&sizes, &mut rng);
+        for batch in [2048, 7, 2048] {
+            let x = Matrix::uniform(batch, 13, 1.0, &mut rng);
+            let dy = Matrix::uniform(batch, 4, 1.0, &mut rng);
+            let mut fresh = Mlp::new(&sizes, &mut rng);
+            fresh.import_params(&mlp.export_params());
+            assert_eq!(bits(&mlp.forward(&x)), bits(&fresh.forward(&x)), "batch {batch}: y");
+            assert_eq!(bits(&mlp.backward(&dy)), bits(&fresh.backward(&dy)), "batch {batch}: dx");
+            let grads = |m: &Mlp| m.export_grads().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(grads(&mlp), grads(&fresh), "batch {batch}: weight gradients");
+            mlp.step(0.1);
+        }
     }
 
     #[test]

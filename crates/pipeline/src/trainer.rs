@@ -105,8 +105,10 @@ pub struct PipelineReport {
     pub server_cpu: Duration,
     /// Measured batch-generation CPU time (data-loader role).
     pub loader_cpu: Duration,
-    /// Measured worker compute time (device-speed cost in the simulated
-    /// model).
+    /// Wall-clock time the worker spent inside its train steps — the
+    /// device stage the simulated device model scales. Wall clock, not the
+    /// worker thread's CPU time: a step runs its GEMMs and interaction
+    /// bands across the rayon pool, and every thread of it is the device.
     pub worker_compute: Duration,
     /// Final worker model state.
     pub model: DlrmModel,
@@ -230,9 +232,12 @@ fn train_pooled(
         let batch = dataset.batch(config.first_batch + k, config.batch_size);
         server.gen_time += thread_cpu_time() - t0;
         let pf = server.gather(batch, k);
-        let t0 = thread_cpu_time();
+        // TIMING: once per batch around the whole step; wall clock because
+        // the step fans out over the rayon pool, whose threads this
+        // thread's CPU clock does not see.
+        let t0 = Instant::now();
         let out = model.train_step_hybrid(&pf.batch, &pf.pooled);
-        worker_compute += thread_cpu_time() - t0;
+        worker_compute += t0.elapsed();
         losses.push(out.loss);
         let push = GradientPush {
             batch_seq: server.applied,
@@ -626,7 +631,8 @@ struct WorkerRun {
     stale_hits: u64,
     /// Peak cache footprint across the run.
     cache_peak_bytes: usize,
-    /// Measured device-compute time.
+    /// Wall-clock time inside the train steps (the device stage), pool
+    /// threads included.
     worker_compute: Duration,
     /// Why the worker stopped early, if it did.
     failure: Option<ServerError>,
@@ -685,9 +691,12 @@ fn run_worker(
         }
 
         // Device compute: MLPs + TT tables + interaction.
-        let t0 = thread_cpu_time();
+        // TIMING: once per batch around the whole step; wall clock because
+        // the step fans out over the rayon pool, whose threads this
+        // thread's CPU clock does not see.
+        let t0 = Instant::now();
         let out = model.train_step_hybrid(&batch, &hosted_embs);
-        worker_compute += thread_cpu_time() - t0;
+        worker_compute += t0.elapsed();
         losses.push(out.loss);
 
         // Stage 3: aggregate hosted gradients, refresh the cache with

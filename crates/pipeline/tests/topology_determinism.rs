@@ -19,6 +19,7 @@ use el_pipeline::server::{aggregate_to_unique, pool_prefetched, GradientPush, Ho
 use el_pipeline::{PipelineConfig, PipelineTrainer, ReplicationConfig, ShardConfig};
 use rand::SeedableRng;
 use std::process::Command;
+use std::time::Duration;
 
 const BATCHES: u64 = 12;
 const BATCH_SIZE: usize = 64;
@@ -131,6 +132,14 @@ fn train(shards: u32, replicas: u32, pipelined: bool) -> u64 {
             .expect("unique-rows training is servable at every topology");
     assert_eq!(report.completed_batches, BATCHES);
     assert_eq!(report.failovers, kills.len() as u64);
+    // The worker's steps run inside the run's wall clock, whatever share
+    // of them the pool's other threads carry.
+    assert!(
+        Duration::ZERO < report.worker_compute && report.worker_compute <= report.wall,
+        "worker compute {:?} outside (0, wall {:?}]",
+        report.worker_compute,
+        report.wall
+    );
     train_hash(&report.losses, &report.host_tables)
 }
 

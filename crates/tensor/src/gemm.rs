@@ -437,6 +437,46 @@ pub fn add_at_b(p: usize, m: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32
     }
 }
 
+/// Row-parallel [`add_at_b`]: `C += A^T * B`, bit-identical to one
+/// [`add_at_b`] call at every pool size.
+///
+/// The rows of `C` split into at most one band per pool thread, each band
+/// carrying at least `PAR_BAND_FLOPS` multiply-adds, so smaller products
+/// stay on one thread: a band would save less than the packed panel it
+/// makes another thread keep. Used by the MLP weight gradient
+/// (`dW += dy^T x`).
+pub fn par_add_at_b(p: usize, m: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+    let bands = (p * m * n / PAR_BAND_FLOPS).clamp(1, rayon::current_num_threads());
+    add_at_b_bands(bands, p, m, n, a, b, c);
+}
+
+/// [`add_at_b`] with the rows of `C` split into up to `bands` bands
+/// across the pool.
+///
+/// At or above `PACK_CUTOFF` each band runs the packed kernel on its own
+/// rows of `C`. That kernel computes an element of `C` from its row of `A^T`
+/// and its column of `B` alone, with depth blocks that depend only on `p`,
+/// so a band edge decides which thread computes an element, never how.
+/// Below the cutoff the product stays on [`add_at_b`]'s rank-1 loop,
+/// unbanded: banding must never move a product from one kernel's
+/// arithmetic to the other's.
+fn add_at_b_bands(bands: usize, p: usize, m: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+    if bands <= 1 || p * m * n < micro::PACK_CUTOFF {
+        return add_at_b(p, m, n, a, b, c);
+    }
+    assert_eq!(a.len(), p * m);
+    assert_eq!(b.len(), p * n);
+    assert_eq!(c.len(), m * n);
+    let rows = m.div_ceil(bands).next_multiple_of(micro::MR);
+    c.par_chunks_mut(rows * n).enumerate().for_each(|(band, c_band)| {
+        // Rows r0.. of A^T are columns r0.. of `a`: the same transposed
+        // layout, offset by r0.
+        let r0 = band * rows;
+        let (a_band, la, lb) = (&a[r0..], Layout::transposed(m), Layout::row_major(n));
+        micro::gemm_packed(c_band.len() / n, n, p, 1.0, a_band, la, b, lb, 1.0, c_band);
+    });
+}
+
 /// Accumulates `C += A * B^T` without materializing the transpose.
 ///
 /// `a` is `m x k`, `b` is `n x k` (so `B^T` is `k x n`), `c` is `m x n`.
@@ -551,6 +591,34 @@ mod tests {
                 gemm(m, n, k, 1.0, &a, ta, &b, tb, 0.0, &mut c_fast);
                 assert_close(&c_ref, &c_fast, 1e-5);
             }
+        }
+    }
+
+    #[test]
+    fn banded_add_at_b_equals_one_unbanded_product() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(6);
+        // (p, m, n): two products under PACK_CUTOFF (the rank-1 loop), two
+        // over it, one with m not a multiple of MR.
+        for &(p, m, n) in &[(7, 5, 9), (40, 30, 20), (300, 64, 40), (200, 37, 50)] {
+            let a = rand_vec(p * m, &mut rng);
+            let b = rand_vec(p * n, &mut rng);
+            let c0 = rand_vec(m * n, &mut rng);
+            let mut want = c0.clone();
+            if p * m * n >= micro::PACK_CUTOFF {
+                let (la, lb) = (Layout::transposed(m), Layout::row_major(n));
+                micro::gemm_packed(m, n, p, 1.0, &a, la, &b, lb, 1.0, &mut want);
+            } else {
+                add_at_b(p, m, n, &a, &b, &mut want);
+            }
+            for bands in [1, 2, 3, 7] {
+                let mut got = c0.clone();
+                add_at_b_bands(bands, p, m, n, &a, &b, &mut got);
+                let same = got.iter().zip(&want).all(|(g, w)| g.to_bits() == w.to_bits());
+                assert!(same, "({p}, {m}, {n}) at {bands} bands");
+            }
+            let mut got = c0.clone();
+            par_add_at_b(p, m, n, &a, &b, &mut got);
+            assert!(got.iter().zip(&want).all(|(g, w)| g.to_bits() == w.to_bits()));
         }
     }
 
