@@ -8,6 +8,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use el_tensor::batched::{batched_gemm, batched_gemm_seq, GemmBatch};
 use el_tensor::gemm::{gemm, gemm_nn, gemm_nn_axpy, gemm_ref, Trans};
 use el_tensor::micro::{gemm_packed, set_kernel, Kernel, Layout};
+use el_tensor::small::{self, Op};
 use rand::{Rng, SeedableRng};
 
 fn rand_vec(n: usize, rng: &mut impl Rng) -> Vec<f32> {
@@ -124,26 +125,38 @@ fn bench_mlp_shapes(c: &mut Criterion) {
     group.finish();
 }
 
+/// TT chain levels as batched launches. Rows count tasks (`throughput_per_iter`
+/// = tasks), so `median_ns / throughput_per_iter` is the per-task time, and
+/// each id names the kernel that ran: the small-shape `table` or `generic`.
 fn bench_batched_gemm(c: &mut Criterion) {
-    // TT slice shapes: (n1 x R1) x (R1 x n2*R2) with n=4, R=32
-    let (m, k, n) = (4usize, 32usize, 4 * 32);
     let mut rng = rand::rngs::StdRng::seed_from_u64(2);
     let mut group = c.benchmark_group("gemm_batched");
-    for &count in &[512usize, 4096] {
-        let a_arena = rand_vec(m * k * count, &mut rng);
-        let b_arena = rand_vec(k * n * count, &mut rng);
-        let mut c_arena = vec![0.0f32; m * n * count];
-        let mut batch = GemmBatch::new(m, n, k);
-        for i in 0..count {
-            batch.push(i * m * k, i * k * n, i * m * n);
+    // (m, n, k): the two forward levels of an order-3, dim-32 table at
+    // rank 16 — on the table — and an n = 4, R = 32 slice that is not.
+    for &(m, n, k) in &[(2usize, 64usize, 16usize), (8, 4, 16), (4, 128, 32)] {
+        let kernel =
+            if small::resolve(Op::GemmNn, [m, n, k]).is_some() { "table" } else { "generic" };
+        for &count in &[512usize, 4096] {
+            let a_arena = rand_vec(m * k * count, &mut rng);
+            let b_arena = rand_vec(k * n * count, &mut rng);
+            let mut c_arena = vec![0.0f32; m * n * count];
+            let mut batch = GemmBatch::new(m, n, k);
+            for i in 0..count {
+                batch.push(i * m * k, i * k * n, i * m * n);
+            }
+            group.throughput(Throughput::Elements(count as u64));
+            let shape = format!("{m}x{n}x{k}/{kernel}");
+            group.bench_with_input(
+                BenchmarkId::new(&format!("parallel/{shape}"), count),
+                &count,
+                |bch, _| bch.iter(|| batched_gemm(&batch, &a_arena, &b_arena, &mut c_arena)),
+            );
+            group.bench_with_input(
+                BenchmarkId::new(&format!("sequential/{shape}"), count),
+                &count,
+                |bch, _| bch.iter(|| batched_gemm_seq(&batch, &a_arena, &b_arena, &mut c_arena)),
+            );
         }
-        group.throughput(Throughput::Elements(batch.flops() as u64));
-        group.bench_with_input(BenchmarkId::new("parallel", count), &count, |bch, _| {
-            bch.iter(|| batched_gemm(&batch, &a_arena, &b_arena, &mut c_arena));
-        });
-        group.bench_with_input(BenchmarkId::new("sequential", count), &count, |bch, _| {
-            bch.iter(|| batched_gemm_seq(&batch, &a_arena, &b_arena, &mut c_arena));
-        });
     }
     group.finish();
 }

@@ -36,13 +36,20 @@ fn batch_pool(rows: usize, pool: usize, lookups: usize) -> Vec<(Vec<u32>, Vec<u3
 }
 
 fn run_steady_state(options: TtOptions, label: &str) {
-    run_steady_state_sized(options, 256, false, label);
+    run_steady_state_sized(options, 8, 256, false, label);
 }
 
-fn run_steady_state_sized(options: TtOptions, lookups: usize, overlap: bool, label: &str) {
+fn run_steady_state_sized(
+    options: TtOptions,
+    rank: usize,
+    lookups: usize,
+    overlap: bool,
+    label: &str,
+) {
     let _exclusive = counting_alloc::exclusive();
     let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-    let mut bag = TtEmbeddingBag::new(&TtConfig::new(4096, 32, 8), &mut rng).with_options(options);
+    let mut bag =
+        TtEmbeddingBag::new(&TtConfig::new(4096, 32, rank), &mut rng).with_options(options);
     let mut ws = TtWorkspace::new();
     let mut out = Matrix::zeros(0, 0);
     let pool = batch_pool(bag.num_rows(), 4, lookups);
@@ -145,6 +152,7 @@ fn parallel_analysis_path_is_allocation_free() {
             parallel_analysis: true,
             fused_pooling: false,
         },
+        8,
         8192,
         false,
         "parallel analysis",
@@ -165,6 +173,7 @@ fn prefetcher_overlapped_loop_is_allocation_free() {
             parallel_analysis: true,
             fused_pooling: false,
         },
+        8,
         8192,
         true,
         "prefetcher overlap",
@@ -219,4 +228,13 @@ fn strategy_mismatch_rebuild_path_is_allocation_free() {
         },
         "naive-forward/aggregated-backward rebuild",
     );
+}
+
+#[test]
+fn rank_16_table_kernels_are_allocation_free() {
+    // The benchmark's rank: every chain product runs a small-shape table
+    // kernel, the backward chain pass fills the shared G_t^T scratch, and
+    // 8192 lookups give the deepest forward level enough tasks to split
+    // across the pool.
+    run_steady_state_sized(TtOptions::default(), 16, 8192, false, "rank 16 table kernels");
 }

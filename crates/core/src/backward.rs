@@ -28,6 +28,7 @@ use crate::bag::{TtEmbeddingBag, TtWorkspace};
 use crate::config::BackwardStrategy;
 use crate::plan::LookupPlan;
 use el_tensor::gemm::{add_a_bt, add_at_b};
+use el_tensor::small::{self, Op};
 use el_tensor::Matrix;
 use rayon::prelude::*;
 
@@ -178,14 +179,25 @@ impl TtEmbeddingBag {
         dprev.resize(prev_count * width_prev, 0.0);
         debug_assert_eq!(width_prev, m * r_prev);
 
+        // The table kernel reads G_t^T, so every digit's slice is
+        // transposed once per call — before the core pass updates G_t.
+        let table = small::resolve(Op::AddABt, [m, r_prev, k_dim]);
+        let mut gt_buf = GT_SCRATCH.take();
+        if table.is_some() {
+            transpose_slices(core_t, r_prev, k_dim, &mut gt_buf);
+        }
+        let gt = &gt_buf[..];
         let run = |(p, out): (usize, &mut [f32])| {
             let lo = level.child_offsets[p] as usize;
             let hi = level.child_offsets[p + 1] as usize;
             for c in lo..hi {
-                let b = &core_t[level.digit[c] as usize * slice_t..][..slice_t];
+                let g = level.digit[c] as usize * slice_t;
                 let dp = &dcur[c * width_t..(c + 1) * width_t];
                 // dP_t[c] viewed as (m, k_dim); G_t slice is (r_prev, k_dim).
-                add_a_bt(m, r_prev, k_dim, dp, b, out);
+                match table {
+                    Some(kern) => kern(dp, &gt[g..g + slice_t], out),
+                    None => add_a_bt(m, r_prev, k_dim, dp, &core_t[g..g + slice_t], out),
+                }
             }
         };
         if self.options.deterministic {
@@ -193,6 +205,7 @@ impl TtEmbeddingBag {
         } else {
             dprev.par_chunks_mut(width_prev).enumerate().for_each(run);
         }
+        GT_SCRATCH.set(gt_buf);
     }
 
     /// `dG_t[g] += P_{t-1}[parent(c)]^T * dP_t[c]` over slots with digit
@@ -224,6 +237,7 @@ impl TtEmbeddingBag {
         // Each digit owns one slice of core t, so writes are disjoint. The
         // per-slice gradient accumulator lives in thread-local storage so
         // the steady-state backward pass performs no heap allocation.
+        let table = small::resolve(Op::AddAtB, [p_rows, r_prev, k_dim]);
         let accumulate = |g: usize, dst: &mut [f32], scale: f32| {
             CORE_GRAD_SCRATCH.with(|cell| {
                 let mut tmp = cell.borrow_mut();
@@ -234,7 +248,10 @@ impl TtEmbeddingBag {
                     let a = &p_arena[parent_off(parent)..][..width_prev];
                     let dp = &dcur[item as usize * width_t..][..width_t];
                     // A is (p_rows, r_prev); dP viewed as (p_rows, k_dim).
-                    add_at_b(p_rows, r_prev, k_dim, a, dp, &mut tmp[..]);
+                    match table {
+                        Some(kern) => kern(a, dp, &mut tmp[..]),
+                        None => add_at_b(p_rows, r_prev, k_dim, a, dp, &mut tmp[..]),
+                    }
                 }
                 for (w, g) in dst.iter_mut().zip(tmp.iter()) {
                     *w += scale * g;
@@ -314,6 +331,27 @@ std::thread_local! {
     /// Per-thread core-gradient slice accumulator for the core pass.
     static CORE_GRAD_SCRATCH: std::cell::RefCell<Vec<f32>> =
         const { std::cell::RefCell::new(Vec::new()) };
+    /// Grow-only `G_t^T` buffer of the chain pass, shared by every table on
+    /// the thread. Taken for the pass and put back, so a pass re-entered on
+    /// the same thread (a pool thread stealing another table's backward)
+    /// finds an empty buffer instead of a borrowed one.
+    static GT_SCRATCH: std::cell::Cell<Vec<f32>> = const { std::cell::Cell::new(Vec::new()) };
+}
+
+/// Writes each `rows x cols` slice of `core` transposed (`cols x rows`) to
+/// the same offset of `out`, growing `out` to at least `core.len()`.
+fn transpose_slices(core: &[f32], rows: usize, cols: usize, out: &mut Vec<f32>) {
+    if out.len() < core.len() {
+        out.resize(core.len(), 0.0);
+    }
+    let slice = rows * cols;
+    for (src, dst) in core.chunks_exact(slice).zip(out.chunks_exact_mut(slice)) {
+        for (r, row) in src.chunks_exact(cols).enumerate() {
+            for (q, &v) in row.iter().enumerate() {
+                dst[q * rows + r] = v;
+            }
+        }
+    }
 }
 
 /// Splits `dlevels` at `t`, returning `(&mut dlevels[t-1], &dlevels[t])`.
@@ -518,6 +556,33 @@ mod tests {
                 assert!((x - y).abs() < 1e-4);
             }
         }
+    }
+
+    /// Totality of the small-shape table: every product the chain issues
+    /// for an order-3, dim-32 table at the workloads' ranks resolves to a
+    /// table kernel; an off-table shape resolves to `None`.
+    #[test]
+    fn every_dim32_level_shape_resolves_to_a_table_kernel() {
+        for rows in [4096, 100_000, 1_000_000] {
+            for rank in [8, 16, 32] {
+                let b = bag(rows, 32, rank, 23);
+                for t in 1..b.order() {
+                    let m = b.prod_n(t - 1);
+                    let r = b.cores.ranks[t];
+                    let n = b.cores.col_dims[t] * b.cores.ranks[t + 1];
+                    for (op, dims) in
+                        [(Op::GemmNn, [m, n, r]), (Op::AddABt, [m, r, n]), (Op::AddAtB, [m, r, n])]
+                    {
+                        let found = small::resolve(op, dims).is_some();
+                        assert!(found, "{rows} rows, rank {rank}: {op:?} {dims:?} off the table");
+                    }
+                }
+            }
+        }
+        // dim 16: col_dims [2, 2, 4], so level 1 is (2, 16, 8).
+        let off = bag(4096, 16, 8, 24);
+        let n = off.cores.col_dims[1] * off.cores.ranks[2];
+        assert!(small::resolve(Op::GemmNn, [off.prod_n(0), n, off.cores.ranks[1]]).is_none());
     }
 
     #[test]

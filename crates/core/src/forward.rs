@@ -22,6 +22,7 @@ use crate::config::ForwardStrategy;
 use crate::plan::LookupPlan;
 use el_tensor::batched::{batched_gemm, batched_gemm_seq, GemmBatch};
 use el_tensor::gemm::gemm_nn;
+use el_tensor::small::{self, Op};
 use el_tensor::Matrix;
 use rayon::prelude::*;
 
@@ -254,6 +255,7 @@ impl TtEmbeddingBag {
         let a_arena: &[f32] = if t == 1 { &self.cores.cores[0] } else { &bufs[t - 1][..] };
         let core_t = &self.cores.cores[t];
         let level0_digits = &plan.levels[0].digit;
+        let table = small::resolve(Op::GemmNn, [m, n_b, k]);
 
         out.reset_zeroed(plan.batch_size, dim);
         let out_rows = out.as_mut_slice();
@@ -295,16 +297,11 @@ impl TtEmbeddingBag {
                     level.parent[slot] as usize * parent_width
                 };
                 let b_off = level.digit[slot] as usize * slice_t;
-                gemm_nn(
-                    m,
-                    n_b,
-                    k,
-                    1.0,
-                    &a_arena[a_off..a_off + m * k],
-                    &core_t[b_off..b_off + slice_t],
-                    0.0,
-                    &mut scr.prod,
-                );
+                let (a, b) = (&a_arena[a_off..a_off + m * k], &core_t[b_off..b_off + slice_t]);
+                match table {
+                    Some(kern) => kern(a, b, &mut scr.prod),
+                    None => gemm_nn(m, n_b, k, 1.0, a, b, 0.0, &mut scr.prod),
+                }
                 for &sample in refs {
                     let dst = &mut out_rows[sample as usize * dim..(sample as usize + 1) * dim];
                     for (o, &v) in dst.iter_mut().zip(&scr.prod) {

@@ -19,6 +19,7 @@
 
 use crate::gemm::{gemm_nn, gemm_sum_nn};
 use crate::micro::{self, Layout};
+use crate::small::{self, Op, SmallGemm};
 use rayon::prelude::*;
 
 /// One small GEMM inside a batch: element offsets of A, B and C inside their
@@ -130,14 +131,20 @@ pub fn batched_gemm(batch: &GemmBatch, a_arena: &[f32], b_arena: &[f32], c_arena
 
     let c_ptr = SendPtr(c_arena.as_mut_ptr());
     let (alpha, beta) = (batch.alpha, batch.beta);
+    let table = table_kernel(batch);
 
     // One small GEMM is far below the fork/join break-even point, so tasks
     // are processed in chunks sized by flops: each chunk carries roughly
     // CHUNK_FLOPS multiply-adds regardless of the per-task shape, so tiny
     // TT-slice products coalesce into few forks while big tasks still
-    // spread across workers.
+    // spread across workers. A level of at least SPLIT_TASKS tasks gives
+    // every pool thread a chunk even when its flops would fit in one:
+    // tasks write disjoint C regions, so the split cannot change bits.
     let task_flops = (m * n * k).max(1);
-    let chunk = (CHUNK_FLOPS / task_flops).max(1);
+    let mut chunk = (CHUNK_FLOPS / task_flops).max(1);
+    if batch.tasks.len() >= SPLIT_TASKS {
+        chunk = chunk.min(batch.tasks.len().div_ceil(rayon::current_num_threads()));
+    }
     batch.tasks.par_chunks(chunk).for_each(|tasks| {
         // Tasks are pushed in slot order, so tasks reading the same A block
         // (all children of one chain slot) sit in contiguous runs. Each run
@@ -152,7 +159,12 @@ pub fn batched_gemm(batch: &GemmBatch, a_arena: &[f32], b_arena: &[f32], c_arena
             }
             let a = &a_arena[a_off..a_off + a_len];
             let group = &tasks[i..j];
-            let packable = group.len() > 1 && m * n * k >= micro::PACK_CUTOFF && k <= micro::KC;
+            // Table shapes sit below PACK_CUTOFF except under Miri's
+            // smaller cutoff; the guard keeps them on the table there too.
+            let packable = table.is_none()
+                && group.len() > 1
+                && m * n * k >= micro::PACK_CUTOFF
+                && k <= micro::KC;
             if packable {
                 micro::with_packed_a(m, k, a, Layout::row_major(k), |a_pack| {
                     for t in group {
@@ -183,7 +195,11 @@ pub fn batched_gemm(batch: &GemmBatch, a_arena: &[f32], b_arena: &[f32], c_arena
                         let base = c_ptr;
                         std::slice::from_raw_parts_mut(base.0.add(t.c), c_len)
                     };
-                    gemm_nn(m, n, k, alpha, a, &b_arena[t.b..t.b + b_len], beta, c);
+                    let b = &b_arena[t.b..t.b + b_len];
+                    match table {
+                        Some(kern) => kern(a, b, c),
+                        None => gemm_nn(m, n, k, alpha, a, b, beta, c),
+                    }
                 }
             }
             i = j;
@@ -196,22 +212,37 @@ pub fn batched_gemm(batch: &GemmBatch, a_arena: &[f32], b_arena: &[f32], c_arena
 /// which is cheaper than materializing run boundaries up front.
 const CHUNK_FLOPS: usize = 1 << 21;
 
-/// Sequential execution of the same batch; the oracle for tests and the
-/// fallback used when the caller is already inside a parallel region.
+/// Task count from which [`batched_gemm`] splits a level across every pool
+/// thread whatever its flops.
+const SPLIT_TASKS: usize = 256;
+
+/// The [`small`] table kernel for `batch`'s shape, when the batch is a plain
+/// `C = A·B` (`alpha = 1`, `beta = 0`, as every Eff-TT chain level is).
+fn table_kernel(batch: &GemmBatch) -> Option<SmallGemm> {
+    if batch.alpha != 1.0 || batch.beta != 0.0 {
+        return None;
+    }
+    small::resolve(Op::GemmNn, [batch.m, batch.n, batch.k])
+}
+
+/// Sequential execution of the same batch, with the same per-task
+/// arithmetic as [`batched_gemm`]; the oracle for tests, the
+/// `deterministic` path, and the fallback used when the caller is already
+/// inside a parallel region.
 pub fn batched_gemm_seq(batch: &GemmBatch, a_arena: &[f32], b_arena: &[f32], c_arena: &mut [f32]) {
     let (m, n, k) = (batch.m, batch.n, batch.k);
     let (a_len, b_len, c_len) = (m * k, k * n, m * n);
+    let table = table_kernel(batch);
     for t in &batch.tasks {
-        gemm_nn(
-            m,
-            n,
-            k,
-            batch.alpha,
+        let (a, b, c) = (
             &a_arena[t.a..t.a + a_len],
             &b_arena[t.b..t.b + b_len],
-            batch.beta,
             &mut c_arena[t.c..t.c + c_len],
         );
+        match table {
+            Some(kern) => kern(a, b, c),
+            None => gemm_nn(m, n, k, batch.alpha, a, b, batch.beta, c),
+        }
     }
 }
 
@@ -361,6 +392,38 @@ mod tests {
         batched_gemm_seq(&batch, &a_arena, &b_arena, &mut c_seq);
         for (i, (x, y)) in c_par.iter().zip(&c_seq).enumerate() {
             assert!((x - y).abs() <= 1e-4 * (1.0 + y.abs()), "mismatch at {i}: {x} vs {y}");
+        }
+    }
+
+    /// A TT-chain level on the small-shape table, long enough to be split
+    /// across the pool: both entry points equal one generic `gemm_nn` per
+    /// task bit for bit, and an off-table alpha stays on the generic path.
+    #[test]
+    fn table_levels_match_generic_gemm_bit_for_bit() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(14);
+        let (m, n, k) = (8, 4, 16);
+        assert!(small::resolve(Op::GemmNn, [m, n, k]).is_some());
+        let count = if cfg!(miri) { 8 } else { SPLIT_TASKS + 37 };
+        let a_arena = rand_vec(m * k * 5, &mut rng);
+        let b_arena = rand_vec(k * n * 7, &mut rng);
+        for alpha in [1.0, 0.5] {
+            let mut batch = GemmBatch::new(m, n, k);
+            batch.alpha = alpha;
+            for i in 0..count {
+                batch.push(i / 60 * m * k, i % 7 * k * n, i * m * n);
+            }
+            let mut want = vec![f32::NAN; m * n * count];
+            for t in &batch.tasks {
+                let (a, b) = (&a_arena[t.a..t.a + m * k], &b_arena[t.b..t.b + k * n]);
+                gemm_nn(m, n, k, alpha, a, b, 0.0, &mut want[t.c..t.c + m * n]);
+            }
+            let mut par = vec![f32::NAN; m * n * count];
+            let mut seq = vec![f32::NAN; m * n * count];
+            batched_gemm(&batch, &a_arena, &b_arena, &mut par);
+            batched_gemm_seq(&batch, &a_arena, &b_arena, &mut seq);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&par), bits(&want), "alpha {alpha}");
+            assert_eq!(bits(&seq), bits(&want), "alpha {alpha}");
         }
     }
 

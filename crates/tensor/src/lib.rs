@@ -17,6 +17,8 @@
 //!   equally-shaped small GEMMs over a thread pool (the
 //!   `cublasGemmBatchedEx` stand-in that EL-Rec's Algorithm 1 prepares
 //!   arguments for),
+//! * [`small`] — the shape-resolved kernel table for the Eff-TT chain's
+//!   small products, bit-identical to the generic loops it replaces,
 //! * [`svd`] — one-sided Jacobi SVD, accurate for the small/skinny matrices
 //!   that arise during TT-SVD,
 //! * [`tt`] — TT-SVD decomposition of a dense matrix reshaped as a
@@ -32,6 +34,7 @@ pub mod matrix;
 pub mod micro;
 pub mod shape;
 pub mod shard;
+pub mod small;
 pub mod svd;
 pub mod tt;
 

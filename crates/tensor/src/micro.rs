@@ -14,11 +14,11 @@
 //!
 //! The register tile itself is provided by one of several interchangeable
 //! micro-kernels (the [`Kernel`] registry, DESIGN.md §2.2): a portable
-//! scalar form, an auto-vectorized FMA form, and hand-written AVX2 /
-//! AVX-512 / NEON intrinsics kernels. Dispatch is decided once per GEMM
-//! from runtime CPU detection, overridable via the `EL_KERNEL` environment
-//! variable (`portable|autovec|avx2|avx512|neon`), the legacy
-//! `EL_FORCE_PORTABLE` escape hatch, or the [`set_kernel`] test hook.
+//! scalar form, an auto-vectorized FMA form, and hand-written AVX2 / NEON
+//! intrinsics kernels. Dispatch is decided once per GEMM from runtime CPU
+//! detection, overridable via the `EL_KERNEL` environment variable
+//! (`portable|autovec|avx2|neon`), the legacy `EL_FORCE_PORTABLE` escape
+//! hatch, or the [`set_kernel`] test hook.
 //!
 //! Packing is parameterized by row/column **strides** ([`Layout`]), so a
 //! transposed operand costs nothing extra: the transpose is absorbed while
@@ -295,66 +295,6 @@ unsafe fn ukr_avx2(kc: usize, a: &[f32], b: &[f32], acc: &mut [[f32; NR]; MR]) {
     }
 }
 
-/// Hand-written AVX-512F micro-kernel: one 16-lane `__m512` accumulator per
-/// tile row (`NR == 16`), so the whole `MR x NR` tile is six zmm registers
-/// and each depth step is one broadcast + one FMA per row.
-///
-/// Same per-element arithmetic as `ukr_fma`/`ukr_avx2` (bit-equal
-/// results); never auto-selected — see [`Kernel::Avx512`].
-///
-/// # Safety
-/// The caller must have verified AVX-512F support at runtime
-/// (`is_x86_feature_detected!`) before calling; in-bounds access is
-/// guaranteed by the panel-length assert on entry.
-#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-#[target_feature(enable = "avx512f")]
-unsafe fn ukr_avx512(kc: usize, a: &[f32], b: &[f32], acc: &mut [[f32; NR]; MR]) {
-    #[cfg(target_arch = "x86")]
-    use core::arch::x86::*;
-    #[cfg(target_arch = "x86_64")]
-    use core::arch::x86_64::*;
-
-    assert!(a.len() >= kc * MR && b.len() >= kc * NR, "packed panel shorter than kc");
-    // SAFETY: the 16-wide loads at `b[p*NR]` (`NR == 16`) and scalar reads
-    // `a[p*MR + i]` with `p < kc`, `i < MR` are covered by the length
-    // assert above, and each `acc` row is exactly one 16-lane spill. The
-    // AVX-512F instructions are available per this function's caller
-    // contract.
-    unsafe {
-        let mut t: [__m512; MR] = [_mm512_setzero_ps(); MR];
-        for (i, row) in acc.iter().enumerate() {
-            t[i] = _mm512_loadu_ps(row.as_ptr());
-        }
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        macro_rules! step {
-            ($p:expr) => {{
-                let p = $p;
-                let bv = _mm512_loadu_ps(bp.add(p * NR));
-                for (i, tr) in t.iter_mut().enumerate() {
-                    let av = _mm512_set1_ps(*ap.add(p * MR + i));
-                    *tr = _mm512_fmadd_ps(av, bv, *tr);
-                }
-            }};
-        }
-        let mut p = 0;
-        while p + 4 <= kc {
-            step!(p);
-            step!(p + 1);
-            step!(p + 2);
-            step!(p + 3);
-            p += 4;
-        }
-        while p < kc {
-            step!(p);
-            p += 1;
-        }
-        for (i, row) in acc.iter_mut().enumerate() {
-            _mm512_storeu_ps(row.as_mut_ptr(), t[i]);
-        }
-    }
-}
-
 /// Hand-written NEON micro-kernel for aarch64: four 4-lane `float32x4_t`
 /// vectors per tile row (24 q-registers of accumulator out of 32), one
 /// broadcast + four FMAs per (row, depth) step.
@@ -427,19 +367,13 @@ pub enum Kernel {
     Autovec = 3,
     /// Hand-written AVX2+FMA intrinsics kernel (`ukr_avx2`).
     Avx2 = 4,
-    /// Hand-written AVX-512F intrinsics kernel. Opt-in only (`EL_KERNEL=
-    /// avx512` or [`set_kernel`]): license-based downclocking can make
-    /// 512-bit vectors a net loss on mixed workloads, so auto-detection
-    /// never selects it.
-    Avx512 = 5,
     /// Hand-written NEON intrinsics kernel, auto-selected on aarch64.
-    Neon = 6,
+    Neon = 5,
 }
 
 impl Kernel {
     /// Every registry entry, in override-name order.
-    pub const ALL: [Kernel; 5] =
-        [Kernel::Portable, Kernel::Autovec, Kernel::Avx2, Kernel::Avx512, Kernel::Neon];
+    pub const ALL: [Kernel; 4] = [Kernel::Portable, Kernel::Autovec, Kernel::Avx2, Kernel::Neon];
 
     /// The provenance / `EL_KERNEL` name of this kernel.
     pub fn name(self) -> &'static str {
@@ -447,7 +381,6 @@ impl Kernel {
             Kernel::Portable => "portable",
             Kernel::Autovec => "autovec+fma",
             Kernel::Avx2 => "avx2",
-            Kernel::Avx512 => "avx512",
             Kernel::Neon => "neon",
         }
     }
@@ -459,7 +392,6 @@ impl Kernel {
             "portable" => Some(Kernel::Portable),
             "autovec" | "autovec+fma" => Some(Kernel::Autovec),
             "avx2" => Some(Kernel::Avx2),
-            "avx512" => Some(Kernel::Avx512),
             "neon" => Some(Kernel::Neon),
             _ => None,
         }
@@ -474,11 +406,9 @@ impl Kernel {
             Kernel::Autovec | Kernel::Avx2 => {
                 std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma")
             }
-            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-            Kernel::Avx512 => std::is_x86_feature_detected!("avx512f"),
             Kernel::Neon => cfg!(target_arch = "aarch64"),
             #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
-            Kernel::Autovec | Kernel::Avx2 | Kernel::Avx512 => false,
+            Kernel::Autovec | Kernel::Avx2 => false,
         }
     }
 }
@@ -495,8 +425,7 @@ fn decode(v: u8) -> Kernel {
     match v {
         3 => Kernel::Autovec,
         4 => Kernel::Avx2,
-        5 => Kernel::Avx512,
-        6 => Kernel::Neon,
+        5 => Kernel::Neon,
         _ => Kernel::Portable,
     }
 }
@@ -515,7 +444,7 @@ fn decode(v: u8) -> Kernel {
 ///    pointer-arithmetic paths onto code Miri can check;
 /// 5. auto-detection: the fastest hand-written kernel whose CPU-feature
 ///    contract holds (AVX2 on x86 with AVX2+FMA, NEON on aarch64),
-///    otherwise portable. AVX-512 is never auto-selected.
+///    otherwise portable.
 pub fn selected_kernel() -> Kernel {
     if cfg!(miri) {
         return Kernel::Portable;
@@ -651,10 +580,6 @@ fn run_ukr(kern: Kernel, kc: usize, a: &[f32], b: &[f32], acc: &mut [[f32; NR]; 
         // SAFETY: as above — Avx2 is only selectable after runtime
         // detection of AVX2+FMA.
         Kernel::Avx2 => unsafe { ukr_avx2(kc, a, b, acc) },
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        // SAFETY: Avx512 is only selectable after runtime detection of
-        // AVX-512F (it is never auto-selected).
-        Kernel::Avx512 => unsafe { ukr_avx512(kc, a, b, acc) },
         #[cfg(target_arch = "aarch64")]
         // SAFETY: Neon is only selectable on aarch64, where NEON is a
         // baseline feature of the target.
@@ -1284,7 +1209,7 @@ mod tests {
 
     /// Register-tile agreement at the micro-kernel level, across depths
     /// that exercise the 4x unroll and its remainders: every
-    /// FMA-contracted variant (autovec / avx2 / avx512 / neon) is
+    /// FMA-contracted variant (autovec / avx2 / neon) is
     /// **bit-exact** against the others (identical per-element operation
     /// order), and each stays within one rounding step per accumulation of
     /// the portable mul-then-add kernel.
@@ -1318,7 +1243,7 @@ mod tests {
             }
 
             let mut fused_tiles: Vec<[[f32; NR]; MR]> = Vec::new();
-            for kern in [Kernel::Autovec, Kernel::Avx2, Kernel::Avx512, Kernel::Neon] {
+            for kern in [Kernel::Autovec, Kernel::Avx2, Kernel::Neon] {
                 if !kern.supported() {
                     continue;
                 }
