@@ -17,8 +17,7 @@
 use el_bench::{bench_batches, bench_scale, fmt_speedup, print_table, section};
 use el_data::{DatasetSpec, SyntheticDataset};
 use el_dlrm::{DlrmConfig, DlrmModel, EmbeddingLayer};
-use el_pipeline::device::DeviceSpec;
-use el_pipeline::parallel::ring_allreduce_bytes;
+use el_pipeline::device::{ring_allreduce_bytes, DeviceSpec};
 use rand::SeedableRng;
 use std::time::Instant;
 

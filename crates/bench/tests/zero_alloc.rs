@@ -130,9 +130,7 @@ fn reuse_aggregated_fused_path_is_allocation_free() {
             forward: ForwardStrategy::Reuse,
             backward: BackwardStrategy::Aggregated,
             fused_update: true,
-            deterministic: false,
             parallel_analysis: false,
-            fused_pooling: false,
         },
         "reuse/aggregated/fused",
     );
@@ -148,9 +146,7 @@ fn parallel_analysis_path_is_allocation_free() {
             forward: ForwardStrategy::Reuse,
             backward: BackwardStrategy::Aggregated,
             fused_update: true,
-            deterministic: false,
             parallel_analysis: true,
-            fused_pooling: false,
         },
         8,
         8192,
@@ -169,9 +165,7 @@ fn prefetcher_overlapped_loop_is_allocation_free() {
             forward: ForwardStrategy::Reuse,
             backward: BackwardStrategy::Aggregated,
             fused_update: true,
-            deterministic: false,
             parallel_analysis: true,
-            fused_pooling: false,
         },
         8,
         8192,
@@ -187,29 +181,9 @@ fn unfused_materialized_gradients_are_allocation_free() {
             forward: ForwardStrategy::Reuse,
             backward: BackwardStrategy::Aggregated,
             fused_update: false,
-            deterministic: false,
             parallel_analysis: false,
-            fused_pooling: false,
         },
         "reuse/aggregated/unfused",
-    );
-}
-
-#[test]
-fn fused_pooling_path_is_allocation_free() {
-    // The fused lookup+GEMM pooling path keeps its per-thread digit-group
-    // scratch in thread-local storage, so the steady state stays free of
-    // allocation just like the materialize-then-pool path.
-    run_steady_state(
-        TtOptions {
-            forward: ForwardStrategy::Reuse,
-            backward: BackwardStrategy::Aggregated,
-            fused_update: true,
-            deterministic: false,
-            parallel_analysis: false,
-            fused_pooling: true,
-        },
-        "reuse/aggregated/fused-pooling",
     );
 }
 
@@ -222,9 +196,7 @@ fn strategy_mismatch_rebuild_path_is_allocation_free() {
             forward: ForwardStrategy::Naive,
             backward: BackwardStrategy::Aggregated,
             fused_update: true,
-            deterministic: false,
             parallel_analysis: false,
-            fused_pooling: false,
         },
         "naive-forward/aggregated-backward rebuild",
     );

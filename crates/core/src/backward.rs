@@ -21,8 +21,8 @@
 //! 3. **Fused TT-core update** — with `fused_update` the SGD step happens
 //!    inside the core pass, so gradients never round-trip through memory;
 //!    the unfused path materializes them into gradient arenas and applies a
-//!    separate update pass (what TT-Rec pays, and what the data-parallel
-//!    trainer needs for all-reduce).
+//!    separate update pass (what TT-Rec pays, and what Adagrad needs: its
+//!    step reads the whole core gradient).
 
 use crate::bag::{TtEmbeddingBag, TtWorkspace};
 use crate::config::BackwardStrategy;
@@ -50,8 +50,8 @@ impl TtEmbeddingBag {
     }
 
     /// Computes core gradients into `ws.grads` without touching the
-    /// parameters — the entry point for data-parallel training, where
-    /// gradients are all-reduced across workers before [`Self::apply_grads`].
+    /// parameters — the entry point for optimizers other than SGD (Adagrad
+    /// steps each core from these gradients).
     pub fn backward_grads(&mut self, d_out: &Matrix, ws: &mut TtWorkspace) {
         self.backward_pass(d_out, ws, UpdateMode::Materialize);
     }
@@ -200,11 +200,7 @@ impl TtEmbeddingBag {
                 }
             }
         };
-        if self.options.deterministic {
-            dprev.chunks_mut(width_prev).enumerate().for_each(run);
-        } else {
-            dprev.par_chunks_mut(width_prev).enumerate().for_each(run);
-        }
+        dprev.par_chunks_mut(width_prev).enumerate().for_each(run);
         GT_SCRATCH.set(gt_buf);
     }
 
@@ -264,29 +260,16 @@ impl TtEmbeddingBag {
                 // Ordering guarantee: the chain pass for this level already
                 // consumed G_t, so updating it here cannot corrupt any
                 // remaining gradient computation.
-                if self.options.deterministic {
-                    core_t
-                        .chunks_mut(slice_t)
-                        .enumerate()
-                        .for_each(|(g, dst)| accumulate(g, dst, -lr));
-                } else {
-                    core_t
-                        .par_chunks_mut(slice_t)
-                        .enumerate()
-                        .for_each(|(g, dst)| accumulate(g, dst, -lr));
-                }
+                core_t
+                    .par_chunks_mut(slice_t)
+                    .enumerate()
+                    .for_each(|(g, dst)| accumulate(g, dst, -lr));
             }
             UpdateMode::Materialize => {
                 let mut grad = std::mem::take(&mut ws.grads[t]);
-                if self.options.deterministic {
-                    grad.chunks_mut(slice_t)
-                        .enumerate()
-                        .for_each(|(g, dst)| accumulate(g, dst, 1.0));
-                } else {
-                    grad.par_chunks_mut(slice_t)
-                        .enumerate()
-                        .for_each(|(g, dst)| accumulate(g, dst, 1.0));
-                }
+                grad.par_chunks_mut(slice_t)
+                    .enumerate()
+                    .for_each(|(g, dst)| accumulate(g, dst, 1.0));
                 ws.grads[t] = grad;
             }
         }
@@ -424,12 +407,8 @@ mod tests {
 
         let grads_for = |strategy: BackwardStrategy| {
             let mut b = bag(50, 16, 6, 13);
-            b.options = TtOptions {
-                backward: strategy,
-                fused_update: false,
-                deterministic: true,
-                ..TtOptions::default()
-            };
+            b.options =
+                TtOptions { backward: strategy, fused_update: false, ..TtOptions::default() };
             let mut ws = TtWorkspace::new();
             let _ = b.forward(&indices, &offsets, &mut ws);
             b.backward_grads(&d_out, &mut ws);
@@ -455,7 +434,6 @@ mod tests {
         let run = |fused: bool| {
             let mut b = bag(40, 8, 4, 15);
             b.options.fused_update = fused;
-            b.options.deterministic = true;
             let mut ws = TtWorkspace::new();
             let _ = b.forward(&indices, &offsets, &mut ws);
             b.backward_sgd(&d_out, &mut ws, 0.05);
@@ -535,9 +513,7 @@ mod tests {
             forward: ForwardStrategy::Naive,
             backward: BackwardStrategy::Aggregated,
             fused_update: false,
-            deterministic: true,
             parallel_analysis: true,
-            fused_pooling: false,
         };
         let mut ws = TtWorkspace::new();
         let _ = mixed.forward(&indices, &offsets, &mut ws);
@@ -545,8 +521,7 @@ mod tests {
         let got = ws.grads.clone();
 
         let mut pure = bag(12, 8, 3, 21);
-        pure.options =
-            TtOptions { fused_update: false, deterministic: true, ..TtOptions::default() };
+        pure.options = TtOptions { fused_update: false, ..TtOptions::default() };
         let mut ws2 = TtWorkspace::new();
         let _ = pure.forward(&indices, &offsets, &mut ws2);
         pure.backward_grads(&d_out, &mut ws2);

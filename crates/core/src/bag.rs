@@ -200,8 +200,8 @@ impl TtEmbeddingBag {
         &self.cores
     }
 
-    /// Mutable access to the cores — used by the data-parallel trainer to
-    /// install all-reduced parameters.
+    /// Mutable access to the cores — used by optimizers that step the
+    /// cores outside the fused SGD update (Adagrad).
     pub fn cores_mut(&mut self) -> &mut TtCores {
         &mut self.cores
     }

@@ -36,23 +36,11 @@ pub struct TtOptions {
     /// "Fused TT Core Update"). When false, gradients are materialized and a
     /// separate update pass runs — the extra memory traffic TT-Rec pays.
     pub fused_update: bool,
-    /// Run level kernels sequentially in slot order, making backward sums
-    /// bit-reproducible (used by the pipeline equivalence tests).
-    pub deterministic: bool,
     /// Prepare lookup pointers with the rayon-parallel builder
     /// (`LookupPlan::par_build_into`, paper Algorithm 1 run in parallel).
     /// Bit-identical to the sequential builder and safe to leave on: below
     /// the size cutoff (or on a one-thread pool) the sequential path runs.
     pub parallel_analysis: bool,
-    /// Fuse the final chain level and sum-pooling into one pass: the
-    /// per-lookup TT product rows are pooled inside the packed kernel's
-    /// A-panel loader (`el_tensor::batched::pooled_gemm`), so the
-    /// `(slots x dim)` last-level buffer is never written or re-read.
-    /// Forward results match the materialize-then-pool path up to f32
-    /// summation order. Defaults off; `#[serde(default)]` keeps configs
-    /// from before this field readable.
-    #[serde(default)]
-    pub fused_pooling: bool,
 }
 
 impl Default for TtOptions {
@@ -61,9 +49,7 @@ impl Default for TtOptions {
             forward: ForwardStrategy::Reuse,
             backward: BackwardStrategy::Aggregated,
             fused_update: true,
-            deterministic: false,
             parallel_analysis: true,
-            fused_pooling: false,
         }
     }
 }
@@ -77,9 +63,7 @@ impl TtOptions {
             forward: ForwardStrategy::Naive,
             backward: BackwardStrategy::PerLookup,
             fused_update: false,
-            deterministic: false,
             parallel_analysis: true,
-            fused_pooling: false,
         }
     }
 }

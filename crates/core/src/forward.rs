@@ -20,34 +20,9 @@
 use crate::bag::{TtEmbeddingBag, TtWorkspace};
 use crate::config::ForwardStrategy;
 use crate::plan::LookupPlan;
-use el_tensor::batched::{batched_gemm, batched_gemm_seq, GemmBatch};
-use el_tensor::gemm::gemm_nn;
-use el_tensor::small::{self, Op};
+use el_tensor::batched::{batched_gemm, GemmBatch};
 use el_tensor::Matrix;
 use rayon::prelude::*;
-
-use std::cell::RefCell;
-
-std::thread_local! {
-    /// Recycled fused-pooling scratch: the inverted slot -> sample CSR
-    /// (`starts`, `cursor`, `samples`) plus one stack-sized product row
-    /// (`prod`), so the steady-state forward allocates nothing.
-    static FUSED_POOL_SCRATCH: std::cell::RefCell<FusedPoolScratch> =
-        RefCell::new(FusedPoolScratch::default());
-}
-
-/// Scratch buffers for [`TtEmbeddingBag::fused_pool_into`].
-#[derive(Default)]
-struct FusedPoolScratch {
-    /// CSR row starts of the inverted slot -> sample map (`len = slots+1`).
-    starts: Vec<u32>,
-    /// Per-slot write cursors while filling `samples`.
-    cursor: Vec<u32>,
-    /// Sample ids referencing each slot, with multiplicity (`len = lookups`).
-    samples: Vec<u32>,
-    /// One decompressed embedding row (`len = dim`).
-    prod: Vec<f32>,
-}
 
 impl TtEmbeddingBag {
     /// Looks up and sum-pools a batch given in CSR form, storing the plan
@@ -112,20 +87,8 @@ impl TtEmbeddingBag {
         analysis.accumulate(&mut ws.timers.analysis_ns);
 
         let fwd = crate::timing::probe();
-        if self.options.fused_pooling {
-            // Fused path (tensor-side lookup+GEMM fusion): compute levels up
-            // to the reuse buffer only, then pool the final chain level
-            // directly inside the packed A-panel loader — the `(slots x
-            // dim)` last-level buffer is never materialized. The backward
-            // pass never reads that buffer either (its deepest chain pass
-            // consumes `levels[d-2]`), so training works unchanged.
-            let d = self.order();
-            self.compute_levels_upto(&plan, &mut ws.levels, &mut ws.batch, d - 1);
-            self.fused_pool_into(&plan, &ws.levels, out);
-        } else {
-            self.compute_levels(&plan, &mut ws.levels, &mut ws.batch);
-            self.pool_into(&plan, ws.levels.last().map_or(&[][..], |b| &b[..]), out);
-        }
+        self.compute_levels(&plan, &mut ws.levels, &mut ws.batch);
+        self.pool_into(&plan, ws.levels.last().map_or(&[][..], |b| &b[..]), out);
         fwd.accumulate(&mut ws.timers.forward_ns);
         ws.timers.batches += 1;
         ws.plan = Some(plan);
@@ -166,26 +129,11 @@ impl TtEmbeddingBag {
         bufs: &mut Vec<Vec<f32>>,
         batch: &mut GemmBatch,
     ) {
-        self.compute_levels_upto(plan, bufs, batch, self.order());
-    }
-
-    /// [`Self::compute_levels`] truncated to the levels `1..end`. The fused
-    /// pooling path passes `end = d - 1` so the last chain level — the
-    /// decompressed unique rows — is pooled inside the GEMM kernel instead
-    /// of being materialized here.
-    pub(crate) fn compute_levels_upto(
-        &self,
-        plan: &LookupPlan,
-        bufs: &mut Vec<Vec<f32>>,
-        batch: &mut GemmBatch,
-        end: usize,
-    ) {
         let d = self.order();
-        debug_assert!(end <= d);
         bufs.resize_with(d, Vec::new);
         bufs[0].clear();
 
-        for t in 1..end {
+        for t in 1..d {
             let level = &plan.levels[t];
             let width = self.level_width(t);
             // m/k/n of every GEMM at this level (uniform — the batched
@@ -217,99 +165,8 @@ impl TtEmbeddingBag {
             debug_assert_eq!(m * n, width);
             ensure_len_f32(cur, level.len() * width);
             let a_arena: &[f32] = if t == 1 { &self.cores.cores[0] } else { &prev[..] };
-            if self.options.deterministic {
-                batched_gemm_seq(batch, a_arena, &self.cores.cores[t], cur);
-            } else {
-                batched_gemm(batch, a_arena, &self.cores.cores[t], cur);
-            }
+            batched_gemm(batch, a_arena, &self.cores.cores[t], cur);
         }
-    }
-
-    /// Fused pooling: sum-pool the *final chain level* straight out of the
-    /// GEMM that produces it (paper §III-A taken one step further — the
-    /// decompressed unique rows never hit memory).
-    ///
-    /// Each unique last-level slot's product `P_{d-2}[parent] *
-    /// G_{d-1}[digit]` is computed once into a cache-resident scratch row
-    /// and immediately scattered into every sample that references the
-    /// slot, via an inverted slot -> sample CSR rebuilt per batch from the
-    /// plan. Deduplication is preserved (each unique row is decompressed
-    /// exactly once, like the materialized path) but the `uniques x dim`
-    /// buffer round-trip is gone: the only `dim`-wide traffic is the
-    /// accumulation into the output rows themselves. The pass is
-    /// sequential — inline scatter trades thread-parallelism for zero
-    /// materialization — and therefore deterministic.
-    // CONTRACT: zero-alloc
-    fn fused_pool_into(&self, plan: &LookupPlan, bufs: &[Vec<f32>], out: &mut Matrix) {
-        let d = self.order();
-        let t = d - 1;
-        let level = &plan.levels[t];
-        let u = level.len();
-        let m = self.prod_n(t - 1);
-        let k = self.cores.ranks[t];
-        let n_b = self.cores.col_dims[t] * self.cores.ranks[t + 1];
-        let dim = self.dim();
-        debug_assert_eq!(m * n_b, dim);
-        let parent_width = if t == 1 { self.cores.slice_len(0) } else { self.level_width(t - 1) };
-        let slice_t = self.cores.slice_len(t);
-        let a_arena: &[f32] = if t == 1 { &self.cores.cores[0] } else { &bufs[t - 1][..] };
-        let core_t = &self.cores.cores[t];
-        let level0_digits = &plan.levels[0].digit;
-        let table = small::resolve(Op::GemmNn, [m, n_b, k]);
-
-        out.reset_zeroed(plan.batch_size, dim);
-        let out_rows = out.as_mut_slice();
-        FUSED_POOL_SCRATCH.with(|cell| {
-            let scr = &mut *cell.borrow_mut();
-            // Invert lookup_slot into slot -> referencing samples (with
-            // multiplicity): counting sort, O(lookups + slots).
-            scr.starts.clear();
-            scr.starts.resize(u + 1, 0);
-            for &slot in &plan.lookup_slot {
-                scr.starts[slot as usize + 1] += 1;
-            }
-            for i in 0..u {
-                scr.starts[i + 1] += scr.starts[i];
-            }
-            scr.cursor.clear();
-            scr.cursor.extend_from_slice(&scr.starts[..u]);
-            resize_u32(&mut scr.samples, plan.lookup_slot.len());
-            for s in 0..plan.batch_size {
-                let lo = plan.sample_offsets[s] as usize;
-                let hi = plan.sample_offsets[s + 1] as usize;
-                for &slot in &plan.lookup_slot[lo..hi] {
-                    let cur = &mut scr.cursor[slot as usize];
-                    scr.samples[*cur as usize] = s as u32;
-                    *cur += 1;
-                }
-            }
-
-            resize_f32(&mut scr.prod, dim);
-            for slot in 0..u {
-                let refs = &scr.samples[scr.starts[slot] as usize..scr.starts[slot + 1] as usize];
-                if refs.is_empty() {
-                    continue;
-                }
-                let a_off = if t == 1 {
-                    let p = level.parent[slot] as usize;
-                    level0_digits[p] as usize * parent_width
-                } else {
-                    level.parent[slot] as usize * parent_width
-                };
-                let b_off = level.digit[slot] as usize * slice_t;
-                let (a, b) = (&a_arena[a_off..a_off + m * k], &core_t[b_off..b_off + slice_t]);
-                match table {
-                    Some(kern) => kern(a, b, &mut scr.prod),
-                    None => gemm_nn(m, n_b, k, 1.0, a, b, 0.0, &mut scr.prod),
-                }
-                for &sample in refs {
-                    let dst = &mut out_rows[sample as usize * dim..(sample as usize + 1) * dim];
-                    for (o, &v) in dst.iter_mut().zip(&scr.prod) {
-                        *o += v;
-                    }
-                }
-            }
-        });
     }
 
     /// Sum-pools decompressed rows into per-sample embeddings.
@@ -333,18 +190,6 @@ impl TtEmbeddingBag {
 fn split_levels(bufs: &mut [Vec<f32>], t: usize) -> (&Vec<f32>, &mut Vec<f32>) {
     let (lo, hi) = bufs.split_at_mut(t);
     (&lo[t - 1], &mut hi[0])
-}
-
-/// Sizes a `u32` scratch to exactly `len` elements, recycling capacity.
-fn resize_u32(buf: &mut Vec<u32>, len: usize) {
-    buf.clear();
-    buf.resize(len, 0);
-}
-
-/// Sizes an `f32` scratch to exactly `len` elements, recycling capacity.
-fn resize_f32(buf: &mut Vec<f32>, len: usize) {
-    buf.clear();
-    buf.resize(len, 0.0);
 }
 
 /// Sizes `buf` to exactly `len` elements without reallocating on shrink;
@@ -445,91 +290,6 @@ mod tests {
         for (a, e) in rows.row(1).iter().zip(&expect) {
             assert!((a - e).abs() < 1e-5);
         }
-    }
-
-    #[test]
-    fn deterministic_mode_matches_parallel() {
-        let mut b = bag(80, 16, 8, 6);
-        let indices: Vec<u32> = (0..200).map(|i| (i * 13) % 80).collect();
-        let offsets: Vec<u32> = (0..=50).map(|s| s * 4).collect();
-        let mut ws = TtWorkspace::new();
-        let par = b.forward(&indices, &offsets, &mut ws);
-        b.options.deterministic = true;
-        let seq = b.forward(&indices, &offsets, &mut ws);
-        assert_eq!(par.as_slice(), seq.as_slice());
-    }
-
-    #[test]
-    fn fused_pooling_matches_materialize_then_pool() {
-        // Duplicate lookups, shared digits across samples, empty samples —
-        // everything the digit-grouping in fused_pool_into must handle.
-        let b = bag(60, 16, 6, 30);
-        let mut fused = bag(60, 16, 6, 30);
-        fused.options.fused_pooling = true;
-        let indices: Vec<u32> = (0..48).map(|i| (i * 11) % 60).collect();
-        let mut offsets: Vec<u32> = (0..=12).map(|s| s * 4).collect();
-        offsets[3] = offsets[2]; // one empty sample
-        let mut ws = TtWorkspace::new();
-        let want = b.forward(&indices, &offsets, &mut ws);
-        let got = fused.forward(&indices, &offsets, &mut ws);
-        assert!(got.max_abs_diff(&want) < 1e-5, "diff {}", got.max_abs_diff(&want));
-    }
-
-    #[test]
-    fn fused_pooling_matches_reference_on_order_2_and_4() {
-        for (order, rows, dim) in [(2usize, 36, 16), (4, 81, 16)] {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(31 + order as u64);
-            let cfg = TtConfig::with_order(rows, dim, 6, order);
-            let mut b = TtEmbeddingBag::new(&cfg, &mut rng);
-            b.options.fused_pooling = true;
-            let indices: Vec<u32> = (0..20).map(|i| (i * 7) % rows as u32).collect();
-            let offsets: Vec<u32> = (0..=5).map(|s| s * 4).collect();
-            let mut ws = TtWorkspace::new();
-            let got = b.forward(&indices, &offsets, &mut ws);
-            let want = pool_reference(&b, &indices, &offsets);
-            assert!(
-                got.max_abs_diff(&want) < 1e-5,
-                "order {order}: diff {}",
-                got.max_abs_diff(&want)
-            );
-        }
-    }
-
-    #[test]
-    fn fused_pooling_forward_supports_backward() {
-        // The fused forward skips materializing the last level; backward
-        // must still produce the same updated cores as the unfused pipeline.
-        let indices: Vec<u32> = (0..30).map(|i| (i * 7) % 40).collect();
-        let offsets: Vec<u32> = (0..=6).map(|s| s * 5).collect();
-        let run = |fused_pooling: bool| {
-            let mut b = bag(40, 8, 4, 32);
-            b.options.deterministic = true;
-            b.options.fused_pooling = fused_pooling;
-            let mut ws = TtWorkspace::new();
-            let out = b.forward(&indices, &offsets, &mut ws);
-            b.backward_sgd(&out, &mut ws, 0.05);
-            b.cores().cores.clone()
-        };
-        let fused = run(true);
-        let plain = run(false);
-        for (f, u) in fused.iter().zip(&plain) {
-            for (x, y) in f.iter().zip(u) {
-                assert!((x - y).abs() < 1e-5, "{x} vs {y}");
-            }
-        }
-    }
-
-    #[test]
-    fn fused_pooling_composes_with_naive_forward() {
-        let mut b = bag(50, 16, 8, 33);
-        b.options.forward = crate::config::ForwardStrategy::Naive;
-        b.options.fused_pooling = true;
-        let indices: Vec<u32> = (0..24).map(|i| (i * 5) % 50).collect();
-        let offsets: Vec<u32> = (0..=6).map(|s| s * 4).collect();
-        let mut ws = TtWorkspace::new();
-        let got = b.forward(&indices, &offsets, &mut ws);
-        let want = pool_reference(&b, &indices, &offsets);
-        assert!(got.max_abs_diff(&want) < 1e-5);
     }
 
     #[test]

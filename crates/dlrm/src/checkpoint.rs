@@ -480,6 +480,39 @@ mod tests {
     }
 
     #[test]
+    fn tt_options_with_retired_fields_still_load() {
+        // Checkpoints written before `deterministic` and `fused_pooling`
+        // were removed carry six `TtOptions` fields; the two retired keys
+        // are ignored and the four live ones restore.
+        let (mut model, ds) = trained_model();
+        for t in &mut model.tables {
+            if let EmbeddingLayer::Tt(bag, _) = t {
+                bag.options = TtOptions {
+                    forward: el_core::ForwardStrategy::Naive,
+                    backward: el_core::BackwardStrategy::PerLookup,
+                    fused_update: false,
+                    parallel_analysis: false,
+                };
+            }
+        }
+        let json = String::from_utf8(DlrmCheckpoint::capture(&model).to_bytes()).unwrap();
+        let live = r#""fused_update":false,"parallel_analysis":false}"#;
+        let retired = r#""fused_update":false,"deterministic":true,"parallel_analysis":false,"fused_pooling":true}"#;
+        assert_eq!(json.matches(live).count(), 3, "one options object per TT table");
+        let old = json.replace(live, retired);
+
+        let mut restored = DlrmCheckpoint::from_bytes(old.as_bytes()).unwrap().restore().unwrap();
+        for t in &restored.tables {
+            let EmbeddingLayer::Tt(bag, _) = t else { panic!("every table is TT") };
+            assert_eq!(bag.options.forward, el_core::ForwardStrategy::Naive);
+            assert_eq!(bag.options.backward, el_core::BackwardStrategy::PerLookup);
+            assert!(!bag.options.fused_update && !bag.options.parallel_analysis);
+        }
+        let batch = ds.batch(4, 32);
+        assert_eq!(model.predict(&batch), restored.predict(&batch));
+    }
+
+    #[test]
     fn mismatched_opt_states_are_rejected() {
         let (model, _) = trained_model_with(OptimizerKind::Adagrad { eps: 1e-8 });
         let (other, _) = trained_model_with(OptimizerKind::Adagrad { eps: 1e-8 });

@@ -131,7 +131,7 @@ impl Linear {
         self.weight.len() + self.bias.len()
     }
 
-    /// Serializes parameters into a flat buffer (for all-reduce).
+    /// Serializes parameters into a flat buffer.
     pub fn export_params(&self, out: &mut Vec<f32>) {
         out.extend_from_slice(self.weight.as_slice());
         out.extend_from_slice(&self.bias);

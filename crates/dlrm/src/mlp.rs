@@ -124,7 +124,7 @@ impl Mlp {
         self.layers.iter().map(Linear::param_count).sum()
     }
 
-    /// Serializes all parameters (for replication / all-reduce).
+    /// Serializes all parameters (to copy one MLP's weights into another).
     pub fn export_params(&self) -> Vec<f32> {
         let mut buf = Vec::with_capacity(self.param_count());
         for layer in &self.layers {
@@ -140,30 +140,6 @@ impl Mlp {
             off += layer.import_params(&data[off..]);
         }
         assert_eq!(off, data.len(), "parameter buffer length mismatch");
-    }
-
-    /// Serializes accumulated gradients without clearing them.
-    pub fn export_grads(&self) -> Vec<f32> {
-        let mut buf = Vec::with_capacity(self.param_count());
-        for layer in &self.layers {
-            buf.extend_from_slice(layer.grad_weight.as_slice());
-            buf.extend_from_slice(&layer.grad_bias);
-        }
-        buf
-    }
-
-    /// Replaces accumulated gradients (after all-reduce).
-    pub fn import_grads(&mut self, data: &[f32]) {
-        let mut off = 0;
-        for layer in &mut self.layers {
-            let w = layer.grad_weight.len();
-            layer.grad_weight.as_mut_slice().copy_from_slice(&data[off..off + w]);
-            off += w;
-            let b = layer.grad_bias.len();
-            layer.grad_bias.copy_from_slice(&data[off..off + b]);
-            off += b;
-        }
-        assert_eq!(off, data.len());
     }
 }
 
@@ -207,8 +183,11 @@ mod tests {
             fresh.import_params(&mlp.export_params());
             assert_eq!(bits(&mlp.forward(&x)), bits(&fresh.forward(&x)), "batch {batch}: y");
             assert_eq!(bits(&mlp.backward(&dy)), bits(&fresh.backward(&dy)), "batch {batch}: dx");
-            let grads = |m: &Mlp| m.export_grads().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(grads(&mlp), grads(&fresh), "batch {batch}: weight gradients");
+            for (l, f) in mlp.layers.iter().zip(&fresh.layers) {
+                assert_eq!(bits(&l.grad_weight), bits(&f.grad_weight), "batch {batch}: dW");
+                let bias = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bias(&l.grad_bias), bias(&f.grad_bias), "batch {batch}: db");
+            }
             mlp.step(0.1);
         }
     }
@@ -262,20 +241,12 @@ mod tests {
     }
 
     #[test]
-    fn params_round_trip_and_grads_transfer() {
+    fn params_round_trip() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        let mut a = Mlp::new(&[4, 8, 2], &mut rng);
+        let a = Mlp::new(&[4, 8, 2], &mut rng);
         let mut b = Mlp::new(&[4, 8, 2], &mut rng);
         b.import_params(&a.export_params());
         let x = Matrix::uniform(3, 4, 1.0, &mut rng);
-        assert_eq!(a.predict(&x).as_slice(), b.predict(&x).as_slice());
-
-        let _ = a.forward(&x);
-        let dy = Matrix::full(3, 2, 1.0);
-        let _ = a.backward(&dy);
-        b.import_grads(&a.export_grads());
-        a.step(0.1);
-        b.step(0.1);
         assert_eq!(a.predict(&x).as_slice(), b.predict(&x).as_slice());
     }
 

@@ -520,125 +520,6 @@ impl DlrmModel {
         StepOutput { loss, hosted_grads }
     }
 
-    /// Length of the flat gradient vector produced by
-    /// [`DlrmModel::train_step_defer`].
-    pub fn grad_len(&self) -> usize {
-        let mut len = self.bottom.param_count() + self.top.param_count();
-        for t in &self.tables {
-            len += match t {
-                EmbeddingLayer::Dense(b) => b.weight.len(),
-                EmbeddingLayer::Tt(b, _) => b.param_count(),
-                EmbeddingLayer::Hosted { .. } => 0,
-                EmbeddingLayer::Quantized(_) | EmbeddingLayer::Bf16(_) => 0,
-            };
-        }
-        len
-    }
-
-    /// One training step that *collects* gradients instead of applying
-    /// them, for data-parallel training: the returned flat vector has a
-    /// fixed layout (bottom MLP, top MLP, then each table), so identical
-    /// replicas can all-reduce it and call
-    /// [`DlrmModel::apply_grad_vector`].
-    ///
-    /// Dense tables contribute their full (mostly zero) gradient so the
-    /// layout is worker-independent; use TT tables for anything large.
-    pub fn train_step_defer(&mut self, batch: &MiniBatch) -> (f32, Vec<f32>) {
-        assert!(self.hosted_tables().is_empty(), "hosted tables cannot be all-reduced");
-        assert!(
-            self.optimizer == OptimizerKind::Sgd,
-            "deferred (all-reduce) training applies plain SGD; switch the optimizer"
-        );
-        let dense = self.dense_matrix(batch);
-        let z0 = self.bottom.forward(&dense);
-        let embs = self.embedding_forward(batch, &[]);
-        let mut features: Vec<&Matrix> = Vec::with_capacity(1 + embs.len());
-        features.push(&z0);
-        features.extend(embs.iter());
-        let inter_out = self.interaction.forward(&features);
-        let logits = self.top.forward(&inter_out);
-        let (loss, d_logits) = bce_with_logits(&logits, &batch.labels);
-        let d_inter = self.top.backward(&d_logits);
-        let feat_grads = self.interaction.backward(&features, &d_inter);
-        drop(features);
-        let _ = self.bottom.backward(&feat_grads[0]);
-
-        let mut flat = Vec::with_capacity(self.grad_len());
-        flat.extend(self.bottom.export_grads());
-        flat.extend(self.top.export_grads());
-        for (t, grad) in feat_grads.iter().skip(1).enumerate() {
-            let field = &batch.fields[t];
-            match &mut self.tables[t] {
-                EmbeddingLayer::Dense(bag) => {
-                    let sparse = bag.sparse_grad(&field.indices, &field.offsets, grad);
-                    let mut full = vec![0.0f32; bag.weight.len()];
-                    let dim = bag.dim();
-                    for (slot, &i) in sparse.indices.iter().enumerate() {
-                        full[i as usize * dim..(i as usize + 1) * dim]
-                            .copy_from_slice(&sparse.values[slot * dim..(slot + 1) * dim]);
-                    }
-                    flat.extend(full);
-                }
-                EmbeddingLayer::Tt(bag, ws) => {
-                    bag.backward_grads(grad, ws);
-                    for g in ws.grads() {
-                        flat.extend_from_slice(g);
-                    }
-                }
-                EmbeddingLayer::Hosted { .. } => unreachable!(),
-                EmbeddingLayer::Quantized(_) | EmbeddingLayer::Bf16(_) => {
-                    panic!("quantized tables round-trip their updates and cannot be all-reduced")
-                }
-            }
-        }
-        // MLP grads were exported; clear them so the next step starts clean.
-        self.bottom.import_grads(&vec![0.0; self.bottom.param_count()]);
-        self.top.import_grads(&vec![0.0; self.top.param_count()]);
-        debug_assert_eq!(flat.len(), self.grad_len());
-        (loss, flat)
-    }
-
-    /// Applies a flat gradient vector (layout of
-    /// [`DlrmModel::train_step_defer`]) with SGD.
-    pub fn apply_grad_vector(&mut self, flat: &[f32]) {
-        assert_eq!(flat.len(), self.grad_len(), "gradient vector layout mismatch");
-        let lr = self.lr;
-        let mut off = 0;
-        let b = self.bottom.param_count();
-        self.bottom.import_grads(&flat[off..off + b]);
-        self.bottom.step(lr);
-        off += b;
-        let t = self.top.param_count();
-        self.top.import_grads(&flat[off..off + t]);
-        self.top.step(lr);
-        off += t;
-        for table in &mut self.tables {
-            match table {
-                EmbeddingLayer::Dense(bag) => {
-                    let n = bag.weight.len();
-                    for (w, g) in bag.weight.as_mut_slice().iter_mut().zip(&flat[off..off + n]) {
-                        *w -= lr * g;
-                    }
-                    off += n;
-                }
-                EmbeddingLayer::Tt(bag, _) => {
-                    for k in 0..bag.order() {
-                        let core = &mut bag.cores_mut().cores[k];
-                        let n = core.len();
-                        for (w, g) in core.iter_mut().zip(&flat[off..off + n]) {
-                            *w -= lr * g;
-                        }
-                        off += n;
-                    }
-                }
-                EmbeddingLayer::Hosted { .. }
-                | EmbeddingLayer::Quantized(_)
-                | EmbeddingLayer::Bf16(_) => {}
-            }
-        }
-        assert_eq!(off, flat.len());
-    }
-
     /// Probability predictions for a batch (no parameter updates; TT
     /// workspaces are still exercised because lookup shares the training
     /// kernels).
@@ -882,46 +763,6 @@ mod tests {
     }
 
     #[test]
-    fn deferred_step_equals_direct_step() {
-        // A single worker applying its own deferred gradients must match
-        // the in-place train_step exactly (same arithmetic, same order).
-        let batch = toy_data().batch(0, 32);
-
-        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
-        let mut direct = DlrmModel::new(&toy_config(), &mut rng);
-        if let EmbeddingLayer::Tt(bag, _) = &mut direct.tables[1] {
-            bag.options.fused_update = false;
-            bag.options.deterministic = true;
-        }
-        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
-        let mut deferred = DlrmModel::new(&toy_config(), &mut rng);
-        if let EmbeddingLayer::Tt(bag, _) = &mut deferred.tables[1] {
-            bag.options.deterministic = true;
-        }
-
-        let l1 = direct.train_step(&batch);
-        let (l2, flat) = deferred.train_step_defer(&batch);
-        assert!((l1 - l2).abs() < 1e-6);
-        deferred.apply_grad_vector(&flat);
-
-        let check = toy_data().batch(5, 16);
-        let p1 = direct.predict(&check);
-        let p2 = deferred.predict(&check);
-        for (a, b) in p1.iter().zip(&p2) {
-            assert!((a - b).abs() < 1e-4, "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn grad_len_matches_vector() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(10);
-        let mut model = DlrmModel::new(&toy_config(), &mut rng);
-        let batch = toy_data().batch(0, 8);
-        let (_, flat) = model.train_step_defer(&batch);
-        assert_eq!(flat.len(), model.grad_len());
-    }
-
-    #[test]
     fn adagrad_training_reduces_loss() {
         let mut cfg = toy_config();
         cfg.optimizer = OptimizerKind::Adagrad { eps: 1e-8 };
@@ -958,16 +799,6 @@ mod tests {
             sgd.iter().zip(&ada).any(|(a, b)| (a - b).abs() > 1e-6),
             "optimizers should produce different parameter updates"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "plain SGD")]
-    fn deferred_step_rejects_adagrad() {
-        let mut cfg = toy_config();
-        cfg.optimizer = OptimizerKind::Adagrad { eps: 1e-8 };
-        let mut rng = rand::rngs::StdRng::seed_from_u64(13);
-        let mut model = DlrmModel::new(&cfg, &mut rng);
-        let _ = model.train_step_defer(&toy_data().batch(0, 8));
     }
 
     #[test]

@@ -22,8 +22,7 @@
 
 use el_core::{TtConfig, TtEmbeddingBag, TtWorkspace};
 use el_dlrm::embedding_bag::EmbeddingBag;
-use el_pipeline::device::{CommMeter, DeviceSpec};
-use el_pipeline::parallel::ring_allreduce_bytes;
+use el_pipeline::device::{ring_allreduce_bytes, CommMeter, DeviceSpec};
 use rand::SeedableRng;
 use std::time::Instant;
 

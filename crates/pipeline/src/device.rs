@@ -191,6 +191,17 @@ impl CommMeter {
     }
 }
 
+/// Bytes one worker moves for a ring all-reduce of `elements` f32 values
+/// across `workers` participants (2·(W-1)/W·payload) — the gradient
+/// exchange of the data-parallel configuration in the paper's Figs 12/13.
+pub fn ring_allreduce_bytes(elements: usize, workers: usize) -> u64 {
+    if workers <= 1 {
+        return 0;
+    }
+    let payload = (elements * std::mem::size_of::<f32>()) as f64;
+    (2.0 * (workers as f64 - 1.0) / workers as f64 * payload) as u64
+}
+
 /// Combines the three cost components — device compute (scaled by the
 /// device's speedup), host compute (CPU speed, unscaled) and metered bus
 /// traffic — into the simulated end-to-end time the framework benches
@@ -247,6 +258,13 @@ mod tests {
         // the same transfer takes twice as long over the T4's x8 link
         let t4 = m.simulated_time(&DeviceSpec::t4());
         assert!((t4.as_secs_f64() - 2.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn ring_volume_formula() {
+        assert_eq!(ring_allreduce_bytes(1000, 1), 0);
+        let b4 = ring_allreduce_bytes(1000, 4);
+        assert_eq!(b4, (2.0f64 * 3.0 / 4.0 * 4000.0) as u64);
     }
 
     #[test]

@@ -19,8 +19,6 @@
 //! * [`trainer`] — the three-stage pipelined trainer (Figure 9): one
 //!   driver over N shards x K replicas, of which the single host server
 //!   is `N = K = 1` and the sequential baseline is queue depth 1,
-//! * [`parallel`] — data-parallel multi-worker training with gradient
-//!   all-reduce (the Fig. 12/13 EL-Rec configuration),
 //! * [`placement`] — the heterogeneous per-table planner (dense / TT-rank
 //!   ladder / hosted) that replaces TT-Rec's homogeneous compression.
 
@@ -29,7 +27,6 @@
 pub mod cache;
 pub mod ckpt;
 pub mod device;
-pub mod parallel;
 pub mod placement;
 pub mod replica;
 pub mod router;
@@ -39,7 +36,6 @@ pub mod trainer;
 pub use cache::EmbeddingCache;
 pub use ckpt::{CkptError, CkptStore, FsStorage, MemStorage, Storage, TrainingCheckpoint};
 pub use device::{CommMeter, DeviceSpec};
-pub use parallel::DataParallelTrainer;
 pub use placement::{plan_placement, PlacementPlan, PlannerConfig, TablePlacement};
 pub use replica::{
     FailureDetector, GradientLog, HeartbeatConfig, ReplicaError, ReplicaGroup, ReplicationConfig,

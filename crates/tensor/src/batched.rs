@@ -17,7 +17,7 @@
 //! regions of all tasks to be pairwise disjoint; this is checked with an
 //! `O(t log t)` validation in debug builds and trusted in release builds.
 
-use crate::gemm::{gemm_nn, gemm_sum_nn};
+use crate::gemm::gemm_nn;
 use crate::micro::{self, Layout};
 use crate::small::{self, Op, SmallGemm};
 use rayon::prelude::*;
@@ -226,9 +226,8 @@ fn table_kernel(batch: &GemmBatch) -> Option<SmallGemm> {
 }
 
 /// Sequential execution of the same batch, with the same per-task
-/// arithmetic as [`batched_gemm`]; the oracle for tests, the
-/// `deterministic` path, and the fallback used when the caller is already
-/// inside a parallel region.
+/// arithmetic as [`batched_gemm`]: the test oracle that the parallel split
+/// must match bit for bit.
 pub fn batched_gemm_seq(batch: &GemmBatch, a_arena: &[f32], b_arena: &[f32], c_arena: &mut [f32]) {
     let (m, n, k) = (batch.m, batch.n, batch.k);
     let (a_len, b_len, c_len) = (m * k, k * n, m * n);
@@ -243,38 +242,6 @@ pub fn batched_gemm_seq(batch: &GemmBatch, a_arena: &[f32], b_arena: &[f32], c_a
             Some(kern) => kern(a, b, c),
             None => gemm_nn(m, n, k, batch.alpha, a, b, batch.beta, c),
         }
-    }
-}
-
-/// One fused pooled-lookup+GEMM product: `C += (Σ_b A_b) * B` with each
-/// `A_b` the row-major `m x k` block of `a_arena` at `offsets[b]`.
-///
-/// The dispatcher of the fused-pooling path (EL-Rec's lookup+GEMM fusion):
-/// the per-lookup TT partial products named by the offsets — which come
-/// straight from a lookup plan's CSR slot lists — are pooled *inside* the
-/// kernel, so the intermediate `(lookups x dim)` matrix of the
-/// materialize-then-pool path is never written or re-read. Large shapes go
-/// through the packed A-panel loader ([`micro::with_packed_a_sum`]), which
-/// folds the sum while packing; small shapes (the common TT-slice sizes)
-/// run the summed axpy kernel [`gemm_sum_nn`].
-pub fn pooled_gemm(
-    m: usize,
-    n: usize,
-    k: usize,
-    a_arena: &[f32],
-    offsets: &[usize],
-    b: &[f32],
-    c: &mut [f32],
-) {
-    if offsets.is_empty() || m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    if m * n * k >= micro::PACK_CUTOFF && k <= micro::KC {
-        micro::with_packed_a_sum(m, k, a_arena, offsets, |apack| {
-            micro::gemm_prepacked_a(m, n, k, 1.0, apack, b, micro::Layout::row_major(n), 1.0, c);
-        });
-    } else {
-        gemm_sum_nn(m, n, k, a_arena, offsets, b, c);
     }
 }
 
@@ -479,82 +446,5 @@ mod tests {
             let region = &c[(count - 1 - i) * m * n..][..m * n];
             assert!(region.iter().all(|&x| x == i as f32 + 1.0), "task {i} wrote {region:?}");
         }
-    }
-
-    /// Materialize-then-multiply oracle for [`pooled_gemm`]: sums the A
-    /// blocks into a dense matrix first, then runs the reference GEMM.
-    fn pooled_oracle(
-        m: usize,
-        n: usize,
-        k: usize,
-        a_arena: &[f32],
-        offsets: &[usize],
-        b: &[f32],
-        c: &mut [f32],
-    ) {
-        let mut a_sum = vec![0.0f32; m * k];
-        for &off in offsets {
-            for (s, &v) in a_sum.iter_mut().zip(&a_arena[off..off + m * k]) {
-                *s += v;
-            }
-        }
-        use crate::gemm::Trans;
-        crate::gemm::gemm_ref(m, n, k, 1.0, &a_sum, Trans::No, b, Trans::No, 1.0, c);
-    }
-
-    #[test]
-    fn pooled_gemm_small_shapes_match_oracle() {
-        // Below PACK_CUTOFF: exercises the gemm_sum_nn axpy path, including
-        // overlapping and repeated offsets (a slot pooled twice).
-        let mut rng = rand::rngs::StdRng::seed_from_u64(12);
-        for &(m, n, k) in &[(1, 1, 1), (3, 5, 4), (6, 16, 8), (7, 17, 9)] {
-            let a_arena = rand_vec(m * k * 4 + 3, &mut rng);
-            let b = rand_vec(k * n, &mut rng);
-            let offsets = [0, m * k, 3, 0, 2 * m * k];
-            let mut c = rand_vec(m * n, &mut rng);
-            let mut c_ref = c.clone();
-            pooled_gemm(m, n, k, &a_arena, &offsets, &b, &mut c);
-            pooled_oracle(m, n, k, &a_arena, &offsets, &b, &mut c_ref);
-            for (i, (x, y)) in c.iter().zip(&c_ref).enumerate() {
-                assert!(
-                    (x - y).abs() <= 1e-4 * (1.0 + y.abs()),
-                    "({m},{n},{k}) mismatch at {i}: {x} vs {y}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn pooled_gemm_packed_path_matches_oracle() {
-        // Above PACK_CUTOFF with k <= KC: exercises the with_packed_a_sum
-        // packed path. With the miri-shrunk constants a toy shape qualifies,
-        // so the packed loader also runs under Miri.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(13);
-        let (m, n, k) = if cfg!(miri) { (6, 12, 8) } else { (48, 96, 64) };
-        assert!(m * n * k >= micro::PACK_CUTOFF && k <= micro::KC);
-        let a_arena = rand_vec(m * k * 3, &mut rng);
-        let b = rand_vec(k * n, &mut rng);
-        let offsets = [2 * m * k, 0, m * k, 0];
-        let mut c = rand_vec(m * n, &mut rng);
-        let mut c_ref = c.clone();
-        pooled_gemm(m, n, k, &a_arena, &offsets, &b, &mut c);
-        pooled_oracle(m, n, k, &a_arena, &offsets, &b, &mut c_ref);
-        for (i, (x, y)) in c.iter().zip(&c_ref).enumerate() {
-            assert!((x - y).abs() <= 1e-4 * (1.0 + y.abs()), "mismatch at {i}: {x} vs {y}");
-        }
-    }
-
-    #[test]
-    fn pooled_gemm_empty_offsets_is_noop() {
-        let mut c = vec![7.0; 6];
-        pooled_gemm(2, 3, 4, &[0.0; 8], &[], &[0.0; 12], &mut c);
-        assert!(c.iter().all(|&x| x == 7.0));
-    }
-
-    #[test]
-    #[should_panic]
-    fn pooled_gemm_out_of_bounds_offset_panics() {
-        let mut c = vec![0.0; 4];
-        pooled_gemm(2, 2, 2, &[0.0; 8], &[100], &[0.0; 4], &mut c);
     }
 }

@@ -185,86 +185,6 @@ pub fn gemm_nn_axpy(
     }
 }
 
-/// Summed-A accumulating GEMM: `C += (Σ_b A_b) * B`, where each `A_b` is
-/// the row-major `m x k` block of `a_arena` starting at `offsets[b]`.
-///
-/// This is the small-shape fused-pooling kernel (EL-Rec's pooled
-/// lookup+GEMM): the pooled operand — the sum of per-lookup TT partial
-/// products addressed by a lookup plan's CSR offsets — is consumed inline,
-/// folded into the broadcast scalar of the axpy loop, and never
-/// materialized. An empty `offsets` is an empty sum: `C` is untouched.
-///
-/// Large shapes should go through
-/// [`pooled_gemm`](crate::batched::pooled_gemm), which routes them into the
-/// packed loader ([`micro::with_packed_a_sum`]) instead.
-pub fn gemm_sum_nn(
-    m: usize,
-    n: usize,
-    k: usize,
-    a_arena: &[f32],
-    offsets: &[usize],
-    b: &[f32],
-    c: &mut [f32],
-) {
-    assert_eq!(b.len(), k * n);
-    assert_eq!(c.len(), m * n);
-    for &off in offsets {
-        assert!(off + m * k <= a_arena.len(), "summed A block escapes its arena");
-    }
-    if offsets.is_empty() || m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    // Small pooled operands (the common TT fused-pooling shapes: `m*k` =
-    // `dim * rank / n_t`) are summed once, panel-major, into a stack
-    // buffer and handed to the tuned GEMM — panel-major accumulation
-    // streams each A block sequentially instead of striding across all of
-    // them per element, and the single `gemm_nn` call amortizes blocking
-    // overhead that would otherwise be paid per depth block.
-    const SUM_STACK: usize = 256;
-    if m * k <= SUM_STACK {
-        let mut a_sum = [0.0f32; SUM_STACK];
-        let a_sum = &mut a_sum[..m * k];
-        for &off in offsets {
-            for (s, &v) in a_sum.iter_mut().zip(&a_arena[off..off + m * k]) {
-                *s += v;
-            }
-        }
-        gemm_nn(m, n, k, 1.0, a_sum, b, 1.0, c);
-        return;
-    }
-    for i in 0..m {
-        let c_row = &mut c[i * n..(i + 1) * n];
-        let mut p0 = 0;
-        while p0 < k {
-            let pb = KB.min(k - p0);
-            // Pool the A rows once per depth block (stack scratch), then
-            // stream B as in `gemm_nn_axpy`.
-            let mut a_sum = [0.0f32; KB];
-            for (pp, s) in a_sum[..pb].iter_mut().enumerate() {
-                let idx = i * k + p0 + pp;
-                let mut acc = 0.0f32;
-                for &off in offsets {
-                    acc += a_arena[off + idx];
-                }
-                *s = acc;
-            }
-            let mut j0 = 0;
-            while j0 < n {
-                let jb = NB.min(n - j0);
-                for (pp, &av) in a_sum[..pb].iter().enumerate() {
-                    let b_row = &b[(p0 + pp) * n + j0..(p0 + pp) * n + j0 + jb];
-                    let c_blk = &mut c_row[j0..j0 + jb];
-                    for (cv, &bv) in c_blk.iter_mut().zip(b_row) {
-                        *cv += av * bv;
-                    }
-                }
-                j0 += jb;
-            }
-            p0 += pb;
-        }
-    }
-}
-
 /// General GEMM with transpose flags.
 ///
 /// The `Trans::No/No` case dispatches to [`gemm_nn`]. Transposed operands

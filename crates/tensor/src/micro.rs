@@ -22,11 +22,7 @@
 //!
 //! Packing is parameterized by row/column **strides** ([`Layout`]), so a
 //! transposed operand costs nothing extra: the transpose is absorbed while
-//! packing instead of being materialized into a scratch matrix. The
-//! summed-A variant ([`pack_a_sum`]) goes one step further and folds a
-//! *sum of blocks* — addressed by caller-supplied arena offsets, e.g. the
-//! CSR slot lists of a lookup plan — into the panels while packing, so a
-//! pooled operand is never materialized outside the pack buffer.
+//! packing instead of being materialized into a scratch matrix.
 //!
 //! Cache blocking follows BLIS: `KC x NR` slivers of packed `B` stream from
 //! L1, the `MC x KC` packed `A` block sits in L2, and the `KC x NC` packed
@@ -91,9 +87,6 @@ thread_local! {
     // closure, so it must not be shared with the per-call `A_PACK` that
     // `gemm_packed` borrows internally.
     static A_SHARED_PACK: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-    // Same story for `with_packed_a_sum` (the fused-pooling loader), which
-    // may run inside code that also uses `with_packed_a`.
-    static A_SUM_PACK: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Grow-only resize: reuses capacity, never shrinks, and only zero-fills
@@ -121,40 +114,6 @@ fn pack_a(a: &[f32], la: Layout, i0: usize, mc: usize, p0: usize, kc: usize, buf
             let col = base + p * la.cs;
             for i in 0..mr {
                 buf[dst + i] = a[col + i * la.rs];
-            }
-            for i in mr..MR {
-                buf[dst + i] = 0.0;
-            }
-            dst += MR;
-        }
-        ir += MR;
-    }
-}
-
-/// Packs the elementwise **sum** of several row-major `m x k` blocks of
-/// `arena` (block `b` starting at `offsets[b]`) into MR-row panels with the
-/// exact layout of `pack_a`.
-///
-/// This is the fused-pooling A-panel loader: the offsets come straight from
-/// a lookup plan's CSR slot lists, so the pooled operand (the sum of
-/// per-lookup TT partial products) is consumed here and never materialized
-/// outside the pack buffer.
-pub fn pack_a_sum(arena: &[f32], offsets: &[usize], m: usize, k: usize, buf: &mut [f32]) {
-    for &off in offsets {
-        assert!(off + m * k <= arena.len(), "summed A block escapes its arena");
-    }
-    let mut dst = 0;
-    let mut ir = 0;
-    while ir < m {
-        let mr = MR.min(m - ir);
-        for p in 0..k {
-            for i in 0..mr {
-                let idx = (ir + i) * k + p;
-                let mut acc = 0.0f32;
-                for &off in offsets {
-                    acc += arena[off + idx];
-                }
-                buf[dst + i] = acc;
             }
             for i in mr..MR {
                 buf[dst + i] = 0.0;
@@ -777,35 +736,8 @@ pub fn with_packed_a<R>(
     })
 }
 
-/// Packs the sum of the row-major `m x k` blocks of `arena` addressed by
-/// `offsets` (see [`pack_a_sum`]; requires `k <= KC`) into a dedicated
-/// thread-local buffer and hands the packed panels to `f` — the
-/// fused-pooling entry point: the pooled operand exists only inside the
-/// pack buffer.
-///
-/// Like [`with_packed_a`] this must not be re-entered on the same thread,
-/// but the two compose freely with each other (separate buffers), so a
-/// fused-pooling product may run inside a shared-A batch group.
-pub fn with_packed_a_sum<R>(
-    m: usize,
-    k: usize,
-    arena: &[f32],
-    offsets: &[usize],
-    f: impl FnOnce(&[f32]) -> R,
-) -> R {
-    assert!(k <= KC, "summed-A packing requires k <= KC");
-    let need = m.div_ceil(MR) * MR * k;
-    A_SUM_PACK.with(|ac| {
-        let buf = &mut *ac.borrow_mut();
-        ensure_len(buf, need);
-        pack_a_sum(arena, offsets, m, k, &mut buf[..need]);
-        f(&buf[..need])
-    })
-}
-
 /// `C = alpha * A * B + beta * C` with `A` already packed by
-/// [`with_packed_a`] or [`with_packed_a_sum`] (so `k <= KC` and the whole
-/// depth is one block).
+/// [`with_packed_a`] (so `k <= KC` and the whole depth is one block).
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_prepacked_a(
     m: usize,
@@ -1276,61 +1208,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// `pack_a_sum` over one block is exactly `pack_a`, and over several
-    /// blocks equals packing the materialized sum — including zero-padded
-    /// row tails.
-    #[test]
-    fn pack_a_sum_matches_materialized_sum() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(49);
-        for &(m, k, blocks) in &[(1usize, 1usize, 1usize), (MR, 3, 2), (MR + 2, 7, 4), (13, 5, 3)] {
-            let arena = rand_vec(blocks * m * k + 11, &mut rng);
-            // deliberately overlapping / unordered offsets
-            let offsets: Vec<usize> = (0..blocks).rev().map(|b| b * m * k + (b % 2) * 3).collect();
-            let mut summed = vec![0.0f32; m * k];
-            for &off in &offsets {
-                for (s, &v) in summed.iter_mut().zip(&arena[off..off + m * k]) {
-                    *s += v;
-                }
-            }
-            let need = m.div_ceil(MR) * MR * k;
-            let mut want = vec![f32::NAN; need];
-            pack_a(&summed, Layout::row_major(k), 0, m, 0, k, &mut want);
-            let mut got = vec![f32::NAN; need];
-            pack_a_sum(&arena, &offsets, m, k, &mut got);
-            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-                assert!((g - w).abs() <= 1e-5, "packed index {i}: {g} vs {w}");
-            }
-        }
-    }
-
-    /// A fused-pooling product via `with_packed_a_sum` + `gemm_prepacked_a`
-    /// equals materializing the pooled operand and multiplying it, and the
-    /// loader composes with `with_packed_a` on the same thread.
-    #[test]
-    fn with_packed_a_sum_matches_materialize_then_multiply() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(50);
-        let (m, n, k, blocks) = if cfg!(miri) { (5, 20, 6, 3) } else { (11, 100, 24, 5) };
-        let arena = rand_vec(blocks * m * k, &mut rng);
-        let offsets: Vec<usize> = (0..blocks).map(|b| b * m * k).collect();
-        let b = rand_vec(k * n, &mut rng);
-        let mut summed = vec![0.0f32; m * k];
-        for &off in &offsets {
-            for (s, &v) in summed.iter_mut().zip(&arena[off..off + m * k]) {
-                *s += v;
-            }
-        }
-        let mut want = rand_vec(m * n, &mut rng);
-        let mut got = want.clone();
-        gemm_ref(m, n, k, 1.0, &summed, Trans::No, &b, Trans::No, 1.0, &mut want);
-        with_packed_a(m, k, &arena[..m * k], Layout::row_major(k), |_outer| {
-            // composition check: the sum loader must not disturb an open
-            // shared-A pack
-            with_packed_a_sum(m, k, &arena, &offsets, |apack| {
-                gemm_prepacked_a(m, n, k, 1.0, apack, &b, Layout::row_major(n), 1.0, &mut got);
-            });
-        });
-        assert_close(&want, &got, 1e-4);
     }
 }

@@ -251,37 +251,4 @@ proptest! {
         }
         micro::set_kernel(None);
     }
-
-    /// `pooled_gemm` (CSR-pooled A panels consumed inside the kernel)
-    /// matches materialize-then-multiply on arbitrary shapes and offset
-    /// lists, including repeated and overlapping panels.
-    #[test]
-    fn pooled_gemm_matches_materialized_sum(
-        m in arb_dim(),
-        n in arb_dim(),
-        k in arb_dim(),
-        seed in 0u64..1000,
-        panel_picks in proptest::collection::vec(0usize..8, 0..10),
-    ) {
-        let panels = 8usize;
-        let arena = fill(seed, panels.max(1) * m * k);
-        let b = fill(seed ^ 0x5A5A, k * n);
-        let offsets: Vec<usize> = panel_picks.iter().map(|&p| p * m * k).collect();
-
-        let mut a_sum = vec![0.0f32; m * k];
-        for &off in &offsets {
-            for (s, &v) in a_sum.iter_mut().zip(&arena[off..off + m * k]) {
-                *s += v;
-            }
-        }
-        let mut want = fill(seed ^ 0x777, m * n);
-        let mut got = want.clone();
-        gemm_ref(m, n, k, 1.0, &a_sum, Trans::No, &b, Trans::No, 1.0, &mut want);
-        el_tensor::batched::pooled_gemm(m, n, k, &arena, &offsets, &b, &mut got);
-
-        let bound = tol(&want, k * offsets.len().max(1));
-        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-            prop_assert!((g - w).abs() <= bound, "c[{i}]: {g} vs {w}");
-        }
-    }
 }

@@ -31,10 +31,9 @@ fn setup() -> (DlrmModel, HostServer) {
     };
     let mut rng = rand::rngs::StdRng::seed_from_u64(5);
     let mut model = DlrmModel::new(&cfg, &mut rng);
-    // table 0 -> TT on device (deterministic kernels for bit-equality)
+    // table 0 -> TT on device
     let tt_cfg = el_rec::core::TtConfig::new(500, 8, 8);
-    let mut tt = el_rec::core::TtEmbeddingBag::new(&tt_cfg, &mut rng);
-    tt.options.deterministic = true;
+    let tt = el_rec::core::TtEmbeddingBag::new(&tt_cfg, &mut rng);
     model.tables[0] = EmbeddingLayer::Tt(Box::new(tt), el_rec::core::TtWorkspace::new());
 
     let mut host = Vec::new();

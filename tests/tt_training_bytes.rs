@@ -5,9 +5,10 @@
 //! synthetic output gradient, through `forward` + `backward_sgd` only (no
 //! MLP, so nothing here depends on the packed-GEMM tier). The FNV-1a hash
 //! of every pooled output and every final core must equal one constant
-//! under the default options, `deterministic: true` and `fused_update:
-//! false`, in this process and in children pinned to 1 and 4 pool threads.
-//! Any kernel change that moves a bit of a TT chain fails here.
+//! under the default options, `parallel_analysis: false` (the sequential
+//! plan builder) and `fused_update: false`, in this process and in children
+//! pinned to 1 and 4 pool threads. Any kernel change that moves a bit of a
+//! TT chain fails here.
 
 use el_core::{TtConfig, TtEmbeddingBag, TtOptions, TtWorkspace};
 use el_pipeline::ckpt::Fnv1a;
@@ -83,7 +84,7 @@ fn trained_hash() -> u64 {
     let batches = batches();
     let option_sets = [
         TtOptions::default(),
-        TtOptions { deterministic: true, ..TtOptions::default() },
+        TtOptions { parallel_analysis: false, ..TtOptions::default() },
         TtOptions { fused_update: false, ..TtOptions::default() },
     ];
     let mut h = Fnv1a::new();

@@ -77,9 +77,7 @@ fn gradient_updates_match_between_strategy_pairs() {
         forward: ForwardStrategy::Reuse,
         backward: BackwardStrategy::PerLookup,
         fused_update: false,
-        deterministic: false,
         parallel_analysis: true,
-        fused_pooling: false,
     });
     for (a, b) in eff.iter().zip(&ttrec) {
         for (x, y) in a.iter().zip(b) {
