@@ -50,6 +50,21 @@ impl TtEmbeddingBag {
         ws: &mut TtWorkspace,
         out: &mut Matrix,
     ) {
+        self.analyze(indices, offsets, ws);
+        self.forward_analyzed(ws, out);
+    }
+
+    /// Pointer preparation of a batch, the first half of
+    /// [`TtEmbeddingBag::forward_into`]: claims the plan a prefetcher built
+    /// for exactly this batch, or builds it inline, and keeps it in `ws`
+    /// for [`TtEmbeddingBag::forward_analyzed`].
+    ///
+    /// With a prefetcher installed this blocks until the prefetcher's
+    /// build, which runs on the rayon pool, is done, so it must not be
+    /// called from a pool task: waiting there can leave no thread to run
+    /// that build.
+    // CONTRACT: zero-alloc
+    pub fn analyze(&self, indices: &[u32], offsets: &[u32], ws: &mut TtWorkspace) {
         for &i in indices {
             assert!((i as usize) < self.num_rows(), "index {i} out of {} rows", self.num_rows());
         }
@@ -85,13 +100,21 @@ impl TtEmbeddingBag {
             }
         }
         analysis.accumulate(&mut ws.timers.analysis_ns);
+        ws.plan = Some(plan);
+    }
 
+    /// The chained GEMMs and pooling of the batch the last
+    /// [`TtEmbeddingBag::analyze`] on `ws` prepared, the second half of
+    /// [`TtEmbeddingBag::forward_into`]. Never blocks on a prefetcher.
+    // CONTRACT: zero-alloc
+    pub fn forward_analyzed(&self, ws: &mut TtWorkspace, out: &mut Matrix) {
         let fwd = crate::timing::probe();
-        self.compute_levels(&plan, &mut ws.levels, &mut ws.batch);
-        self.pool_into(&plan, ws.levels.last().map_or(&[][..], |b| &b[..]), out);
+        // PANIC-OK: documented API contract — forward without analysis is a caller bug.
+        let plan = ws.plan.as_ref().expect("forward_analyzed requires a preceding analyze");
+        self.compute_levels(plan, &mut ws.levels, &mut ws.batch);
+        self.pool_into(plan, ws.levels.last().map_or(&[][..], |b| &b[..]), out);
         fwd.accumulate(&mut ws.timers.forward_ns);
         ws.timers.batches += 1;
-        ws.plan = Some(plan);
     }
 
     /// Queues analysis of a *future* batch on the workspace's prefetcher so

@@ -75,24 +75,31 @@ impl QuantizedEmbeddingBag {
     pub fn dequantize_row(&self, r: usize, out: &mut [f32]) {
         let (s, z) = (self.scales[r], self.zeros[r]);
         for (o, &q) in out.iter_mut().zip(&self.codes[r * self.dim..(r + 1) * self.dim]) {
-            *o = q as f32 * s + z;
+            *o = dequantize(q, s, z);
         }
     }
 
     /// Sum-pooled lookup (dequantize + add).
     pub fn forward(&self, indices: &[u32], offsets: &[u32]) -> Matrix {
-        let mut out = Matrix::zeros(offsets.len() - 1, self.dim);
-        let mut row = vec![0.0f32; self.dim];
+        let mut out = Matrix::zeros(0, 0);
+        self.forward_into(indices, offsets, &mut out);
+        out
+    }
+
+    /// [`QuantizedEmbeddingBag::forward`] into a caller-owned output matrix,
+    /// reshaped and zeroed in place.
+    pub fn forward_into(&self, indices: &[u32], offsets: &[u32], out: &mut Matrix) {
+        out.reset_zeroed(offsets.len() - 1, self.dim);
         for s in 0..offsets.len() - 1 {
             let dst = out.row_mut(s);
             for &i in &indices[offsets[s] as usize..offsets[s + 1] as usize] {
-                self.dequantize_row(i as usize, &mut row);
-                for (d, v) in dst.iter_mut().zip(&row) {
-                    *d += v;
+                let r = i as usize;
+                let (s, z) = (self.scales[r], self.zeros[r]);
+                for (d, &q) in dst.iter_mut().zip(&self.codes[r * self.dim..(r + 1) * self.dim]) {
+                    *d += dequantize(q, s, z);
                 }
             }
         }
-        out
     }
 
     /// Sparse SGD step in quantized space: dequantize the touched row,
@@ -150,6 +157,12 @@ pub(crate) fn quantize(v: f32, s: f32, z: f32) -> i8 {
     ((v - z) / s).round().clamp(-127.0, 127.0) as i8
 }
 
+/// The value code `q` stands for under scale `s` and zero point `z`.
+#[inline]
+fn dequantize(q: i8, s: f32, z: f32) -> f32 {
+    q as f32 * s + z
+}
+
 /// bfloat16 helpers: truncate the f32 mantissa to 7 bits (round to nearest
 /// even on the dropped bits).
 #[inline]
@@ -198,7 +211,15 @@ impl Bf16EmbeddingBag {
 
     /// Sum-pooled lookup.
     pub fn forward(&self, indices: &[u32], offsets: &[u32]) -> Matrix {
-        let mut out = Matrix::zeros(offsets.len() - 1, self.dim);
+        let mut out = Matrix::zeros(0, 0);
+        self.forward_into(indices, offsets, &mut out);
+        out
+    }
+
+    /// [`Bf16EmbeddingBag::forward`] into a caller-owned output matrix,
+    /// reshaped and zeroed in place.
+    pub fn forward_into(&self, indices: &[u32], offsets: &[u32], out: &mut Matrix) {
+        out.reset_zeroed(offsets.len() - 1, self.dim);
         for s in 0..offsets.len() - 1 {
             let dst = out.row_mut(s);
             for &i in &indices[offsets[s] as usize..offsets[s + 1] as usize] {
@@ -208,7 +229,6 @@ impl Bf16EmbeddingBag {
                 }
             }
         }
-        out
     }
 
     /// Sparse SGD step with bf16 round-tripping.

@@ -49,6 +49,11 @@ impl StageProbe {
 /// `analysis_ns` counts pointer preparation — including any time spent
 /// waiting on a plan prefetcher, so overlap shows up as analysis time
 /// *shrinking* relative to the inline build.
+///
+/// Each record is one table's own wall time. A DLRM step runs its tables
+/// side by side across the pool, so records merged over tables add up
+/// overlapping per-table wall times: the sum is not a share of the step
+/// and can exceed the stage's wall time.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StageTimers {
     /// Batch analysis: plan build or prefetcher hand-off wait.

@@ -58,6 +58,8 @@ pub enum CkptError {
     /// A checkpoint store scan found no checkpoint that passes
     /// verification.
     NoValidCheckpoint,
+    /// A checkpointed run was asked to save every zero batches.
+    ZeroInterval,
 }
 
 impl fmt::Display for CkptError {
@@ -72,6 +74,9 @@ impl fmt::Display for CkptError {
             }
             CkptError::Io(why) => write!(f, "checkpoint IO failed: {why}"),
             CkptError::NoValidCheckpoint => write!(f, "no valid checkpoint found"),
+            CkptError::ZeroInterval => {
+                write!(f, "checkpoint interval must be at least one batch")
+            }
         }
     }
 }

@@ -8,6 +8,17 @@
 
 use el_tensor::Matrix;
 use rand::Rng;
+use std::cell::Cell;
+
+/// A row with no slot in [`SLOT_OF`].
+const NO_SLOT: u32 = u32::MAX;
+
+thread_local! {
+    /// Row → gradient slot of [`EmbeddingBag::sparse_grad`], grow-only
+    /// (to the largest table seen on the thread) and all [`NO_SLOT`]
+    /// between calls.
+    static SLOT_OF: Cell<Vec<u32>> = const { Cell::new(Vec::new()) };
+}
 
 /// A dense embedding table with sum pooling over CSR `(indices, offsets)`.
 #[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
@@ -52,9 +63,17 @@ impl EmbeddingBag {
 
     /// Sum-pooled lookup.
     pub fn forward(&self, indices: &[u32], offsets: &[u32]) -> Matrix {
-        let dim = self.dim();
+        let mut out = Matrix::zeros(0, 0);
+        self.forward_into(indices, offsets, &mut out);
+        out
+    }
+
+    /// [`EmbeddingBag::forward`] into a caller-owned output matrix, which is
+    /// reshaped and zeroed in place (no allocation once it has the
+    /// capacity).
+    pub fn forward_into(&self, indices: &[u32], offsets: &[u32], out: &mut Matrix) {
         let batch = offsets.len() - 1;
-        let mut out = Matrix::zeros(batch, dim);
+        out.reset_zeroed(batch, self.dim());
         for s in 0..batch {
             let dst = out.row_mut(s);
             for &i in &indices[offsets[s] as usize..offsets[s + 1] as usize] {
@@ -64,29 +83,51 @@ impl EmbeddingBag {
                 }
             }
         }
-        out
     }
 
-    /// Computes the sparse gradient of a batch without touching weights.
+    /// Computes the sparse gradient of a batch without touching weights:
+    /// the gradient rows of every lookup summed per unique row (the paper's
+    /// in-advance aggregation, §III-B), unique rows ascending.
+    ///
+    /// A per-thread row → slot map finds each lookup's slot in O(1). Only
+    /// the rows of this batch are set, and they are reset before returning.
+    /// The map is taken out of its cell for the call, so a panic
+    /// mid-call drops it instead of leaving stale slots behind.
     pub fn sparse_grad(&self, indices: &[u32], offsets: &[u32], d_out: &Matrix) -> SparseGrad {
         let dim = self.dim();
         assert_eq!(d_out.cols(), dim);
         assert_eq!(d_out.rows() + 1, offsets.len());
-        let mut unique: Vec<u32> = indices.to_vec();
+        let mut slot_of = SLOT_OF.take();
+        if slot_of.len() < self.num_rows() {
+            slot_of.resize(self.num_rows(), NO_SLOT);
+        }
+        let mut unique: Vec<u32> = Vec::with_capacity(indices.len());
+        for &i in indices {
+            let slot = &mut slot_of[i as usize];
+            if *slot == NO_SLOT {
+                // Marks the row seen; its slot is written after the sort.
+                *slot = 0;
+                unique.push(i);
+            }
+        }
         unique.sort_unstable();
-        unique.dedup();
-        // PANIC-OK: `unique` is built from exactly these indices above.
-        let slot_of = |i: u32| unique.binary_search(&i).expect("index seen in batch");
+        for (slot, &i) in unique.iter().enumerate() {
+            slot_of[i as usize] = slot as u32;
+        }
         let mut values = vec![0.0f32; unique.len() * dim];
         for s in 0..d_out.rows() {
             let g = d_out.row(s);
             for &i in &indices[offsets[s] as usize..offsets[s + 1] as usize] {
-                let slot = slot_of(i);
+                let slot = slot_of[i as usize] as usize;
                 for (v, gv) in values[slot * dim..(slot + 1) * dim].iter_mut().zip(g) {
                     *v += gv;
                 }
             }
         }
+        for &i in &unique {
+            slot_of[i as usize] = NO_SLOT;
+        }
+        SLOT_OF.set(slot_of);
         SparseGrad { indices: unique, values, dim }
     }
 
@@ -180,6 +221,87 @@ mod tests {
         // 3 lookups of index 3, each with gradient 1.0
         assert!((g.values[0] - 3.0).abs() < 1e-6);
         assert!((g.values[4] - 1.0).abs() < 1e-6);
+    }
+
+    /// The sort + binary-search aggregation `sparse_grad` replaced, kept as
+    /// its bit-identity oracle.
+    fn sparse_grad_reference(
+        bag: &EmbeddingBag,
+        indices: &[u32],
+        offsets: &[u32],
+        d_out: &Matrix,
+    ) -> SparseGrad {
+        let dim = bag.dim();
+        let mut unique: Vec<u32> = indices.to_vec();
+        unique.sort_unstable();
+        unique.dedup();
+        let slot_of = |i: u32| unique.binary_search(&i).expect("index seen in batch");
+        let mut values = vec![0.0f32; unique.len() * dim];
+        for s in 0..d_out.rows() {
+            let g = d_out.row(s);
+            for &i in &indices[offsets[s] as usize..offsets[s + 1] as usize] {
+                let slot = slot_of(i);
+                for (v, gv) in values[slot * dim..(slot + 1) * dim].iter_mut().zip(g) {
+                    *v += gv;
+                }
+            }
+        }
+        SparseGrad { indices: unique, values, dim }
+    }
+
+    /// A CSR batch over `rows` rows: bags of 0..=5 lookups (every fourth
+    /// empty), drawn from a few hot rows — so duplicates within and across
+    /// bags are common — plus rows 0 and `rows - 1`.
+    fn batch(rows: usize, samples: usize, rng: &mut impl rand::Rng) -> (Vec<u32>, Vec<u32>) {
+        let last = rows as u32 - 1;
+        let hot: Vec<u32> = (0..4).map(|_| rng.gen_range(0..=last)).collect();
+        let (mut indices, mut offsets) = (Vec::new(), vec![0u32]);
+        for s in 0..samples {
+            let len = if s % 4 == 3 { 0 } else { rng.gen_range(0..=5usize) };
+            for _ in 0..len {
+                indices.push(match rng.gen_range(0..6usize) {
+                    0 => 0,
+                    1 => last,
+                    2 => rng.gen_range(0..=last),
+                    k => hot[k - 2],
+                });
+            }
+            offsets.push(indices.len() as u32);
+        }
+        (indices, offsets)
+    }
+
+    fn same_grad(a: &SparseGrad, b: &SparseGrad) -> bool {
+        a.dim == b.dim
+            && a.indices == b.indices
+            && a.values.len() == b.values.len()
+            && a.values.iter().zip(&b.values).all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
+    proptest::proptest! {
+        /// The row → slot map aggregates exactly as sort + binary search
+        /// did, bit for bit. Two tables of different sizes run back to back
+        /// on this thread, then the first again: a slot left set by either
+        /// call would misplace the next call's gradients.
+        #[test]
+        fn slot_map_matches_sort_and_binary_search(
+            rows_a in 1usize..=40,
+            rows_b in 41usize..=300,
+            samples in 1usize..=24,
+            seed in 0u64..1_000_000,
+        ) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut run = |rows: usize| {
+                let bag = EmbeddingBag::new(rows, 3, 0.5, &mut rng);
+                let (indices, offsets) = batch(rows, samples, &mut rng);
+                let d_out = Matrix::uniform(samples, 3, 1.0, &mut rng);
+                let got = bag.sparse_grad(&indices, &offsets, &d_out);
+                same_grad(&got, &sparse_grad_reference(&bag, &indices, &offsets, &d_out))
+            };
+            for rows in [rows_a, rows_b, rows_a] {
+                proptest::prop_assert!(run(rows), "{rows} rows: aggregation differs");
+            }
+        }
     }
 
     #[test]

@@ -21,9 +21,10 @@ use crate::mlp::Mlp;
 use crate::optim::{Adagrad, OptimizerKind};
 use el_core::quantized::{Bf16EmbeddingBag, QuantizedEmbeddingBag};
 use el_core::{StageTimers, TtConfig, TtEmbeddingBag, TtWorkspace};
-use el_data::{DatasetSpec, MiniBatch};
+use el_data::{DatasetSpec, MiniBatch, SparseField};
 use el_tensor::Matrix;
 use rand::Rng;
+use rayon::prelude::*;
 
 /// One sparse field's embedding table.
 // Variant sizes intentionally differ: `Dense` embeds the table handle while
@@ -68,6 +69,96 @@ impl EmbeddingLayer {
             EmbeddingLayer::Hosted { .. } => 0,
             EmbeddingLayer::Quantized(b) => b.footprint_bytes(),
             EmbeddingLayer::Bf16(b) => b.footprint_bytes(),
+        }
+    }
+
+    /// Pooled lookup of field `t` of a `rows`-sample batch into `out`. A
+    /// hosted table copies the pooled rows its owner shipped with the batch.
+    /// A TT table with a plan prefetcher must have been analyzed already
+    /// (see [`EmbeddingLayer::analyze_prefetched`]).
+    fn forward_into(
+        &mut self,
+        t: usize,
+        field: &SparseField,
+        rows: usize,
+        hosted: &[(usize, Matrix)],
+        out: &mut Matrix,
+    ) {
+        let (indices, offsets) = (&field.indices[..], &field.offsets[..]);
+        match self {
+            EmbeddingLayer::Dense(bag) => bag.forward_into(indices, offsets, out),
+            EmbeddingLayer::Tt(bag, ws) => {
+                if ws.plan_prefetcher().is_none() {
+                    bag.analyze(indices, offsets, ws);
+                }
+                bag.forward_analyzed(ws, out);
+            }
+            EmbeddingLayer::Quantized(bag) => bag.forward_into(indices, offsets, out),
+            EmbeddingLayer::Bf16(bag) => bag.forward_into(indices, offsets, out),
+            EmbeddingLayer::Hosted { dim } => {
+                let (_, pooled) = hosted
+                    .iter()
+                    .find(|(idx, _)| *idx == t)
+                    // PANIC-OK: trainer ships every hosted table with each batch.
+                    .unwrap_or_else(|| panic!("hosted table {t} missing its embeddings"));
+                assert_eq!(pooled.rows(), rows);
+                assert_eq!(pooled.cols(), *dim);
+                out.reset_zeroed(pooled.rows(), *dim);
+                out.as_mut_slice().copy_from_slice(pooled.as_slice());
+            }
+        }
+    }
+
+    /// Pointer preparation of a TT table that has a plan prefetcher: claims
+    /// the prefetched plan, or builds the plan on a miss. The hand-off
+    /// blocks until the prefetcher's build, which runs on the rayon pool,
+    /// is done, so this runs on the calling thread before the forward fork.
+    /// Inside the fork, the threads that build would be the ones waiting:
+    /// a two-thread pool deadlocked there (`tests/plan_overlap.rs`). Other
+    /// tables analyze inside the fork.
+    fn analyze_prefetched(&mut self, field: &SparseField) {
+        if let EmbeddingLayer::Tt(bag, ws) = self {
+            if ws.plan_prefetcher().is_some() {
+                bag.analyze(&field.indices, &field.offsets, ws);
+            }
+        }
+    }
+
+    /// Backward and update of one table from the gradient of its pooled
+    /// output; `state` is the table's Adagrad state, `None` under SGD. A
+    /// hosted table has nothing to update here: its gradient is handed back
+    /// to the caller.
+    fn backward(
+        &mut self,
+        field: &SparseField,
+        grad: &Matrix,
+        state: Option<&mut [Adagrad]>,
+        lr: f32,
+    ) {
+        let (indices, offsets) = (&field.indices[..], &field.offsets[..]);
+        match self {
+            EmbeddingLayer::Dense(bag) => match state {
+                None => bag.backward_sgd(indices, offsets, grad, lr),
+                Some(state) => bag.backward_adagrad(indices, offsets, grad, lr, &mut state[0]),
+            },
+            EmbeddingLayer::Tt(bag, ws) => match state {
+                None => bag.backward_sgd(grad, ws, lr),
+                Some(state) => {
+                    // Adagrad needs materialized core gradients; the
+                    // fused-update shortcut is SGD-specific (paper §III-B).
+                    bag.backward_grads(grad, ws);
+                    let cores = &mut bag.cores_mut().cores;
+                    for ((core, grads), state) in cores.iter_mut().zip(ws.grads()).zip(state) {
+                        state.step(core, grads, lr);
+                    }
+                }
+            },
+            EmbeddingLayer::Hosted { .. } => {}
+            // The low-bit tables round-trip every update through their
+            // storage format; Adagrad has no stable accumulator target
+            // there, so they apply plain SGD under either optimizer.
+            EmbeddingLayer::Quantized(bag) => bag.backward_sgd(indices, offsets, grad, lr),
+            EmbeddingLayer::Bf16(bag) => bag.backward_sgd(indices, offsets, grad, lr),
         }
     }
 }
@@ -168,6 +259,8 @@ pub struct DlrmModel {
     pub optimizer: OptimizerKind,
     /// Adagrad accumulators; `None` under SGD.
     opt_states: Option<AdagradStates>,
+    /// Per-table pooled embeddings of the last forward, reused across steps.
+    pooled: Vec<Matrix>,
 }
 
 impl DlrmModel {
@@ -243,6 +336,7 @@ impl DlrmModel {
             lr: config.lr,
             optimizer: config.optimizer,
             opt_states,
+            pooled: Vec::new(),
         }
     }
 
@@ -288,7 +382,7 @@ impl DlrmModel {
                 })
             }
         };
-        Self { bottom, tables, interaction, top, lr, optimizer, opt_states }
+        Self { bottom, tables, interaction, top, lr, optimizer, opt_states, pooled: Vec::new() }
     }
 
     /// Reassembles a model and installs previously captured optimizer
@@ -407,7 +501,8 @@ impl DlrmModel {
     }
 
     /// Stage timers summed over all TT tables (analysis vs forward vs
-    /// backward wall time).
+    /// backward wall time). The tables run side by side, so this adds
+    /// overlapping per-table wall times; it is not a share of the step.
     pub fn stage_timers(&self) -> StageTimers {
         let mut total = StageTimers::default();
         for t in &self.tables {
@@ -443,13 +538,11 @@ impl DlrmModel {
     ) -> StepOutput {
         let dense = self.dense_matrix(batch);
         let z0 = self.bottom.forward(&dense);
+        self.embedding_forward(batch, hosted_embeddings);
 
-        // Embedding forward per table.
-        let embs: Vec<Matrix> = self.embedding_forward(batch, hosted_embeddings);
-
-        let mut features: Vec<&Matrix> = Vec::with_capacity(1 + embs.len());
+        let mut features: Vec<&Matrix> = Vec::with_capacity(1 + self.pooled.len());
         features.push(&z0);
-        features.extend(embs.iter());
+        features.extend(self.pooled.iter());
         let inter_out = self.interaction.forward(&features);
 
         let logits = self.top.forward(&inter_out);
@@ -460,50 +553,21 @@ impl DlrmModel {
         let feat_grads = self.interaction.backward(&features, &d_inter);
         drop(features);
 
-        let mut hosted_grads = Vec::new();
+        // Every table's backward and update, across the pool (see
+        // `embedding_forward`).
         let lr = self.lr;
-        for (t, grad) in feat_grads.iter().skip(1).enumerate() {
-            let field = &batch.fields[t];
-            match &mut self.tables[t] {
-                EmbeddingLayer::Dense(bag) => match &mut self.opt_states {
-                    None => bag.backward_sgd(&field.indices, &field.offsets, grad, lr),
-                    Some(states) => bag.backward_adagrad(
-                        &field.indices,
-                        &field.offsets,
-                        grad,
-                        lr,
-                        &mut states.tables[t][0],
-                    ),
-                },
-                EmbeddingLayer::Tt(bag, ws) => match &mut self.opt_states {
-                    None => bag.backward_sgd(grad, ws, lr),
-                    Some(states) => {
-                        // Adagrad needs materialized core gradients; the
-                        // fused-update shortcut is SGD-specific (paper
-                        // §III-B).
-                        bag.backward_grads(grad, ws);
-                        for (k, state) in states.tables[t].iter_mut().enumerate() {
-                            let grads = &ws.grads()[k];
-                            // state.step borrows core mutably
-                            let core = &mut bag.cores_mut().cores[k];
-                            state.step(core, grads, lr);
-                        }
-                    }
-                },
-                EmbeddingLayer::Hosted { .. } => {
-                    hosted_grads.push((t, grad.clone()));
-                }
-                // The low-bit tables round-trip every update through their
-                // storage format; Adagrad has no stable accumulator target
-                // there, so they apply plain SGD under either optimizer.
-                EmbeddingLayer::Quantized(bag) => {
-                    bag.backward_sgd(&field.indices, &field.offsets, grad, lr);
-                }
-                EmbeddingLayer::Bf16(bag) => {
-                    bag.backward_sgd(&field.indices, &field.offsets, grad, lr);
-                }
-            }
-        }
+        let mut states: Vec<Option<&mut [Adagrad]>> = match &mut self.opt_states {
+            Some(states) => states.tables.iter_mut().map(|s| Some(&mut s[..])).collect(),
+            None => self.tables.iter().map(|_| None).collect(),
+        };
+        self.tables
+            .par_iter_mut()
+            .zip(&batch.fields)
+            .zip(&feat_grads[1..])
+            .zip(&mut states)
+            .for_each(|(((table, field), grad), state)| {
+                table.backward(field, grad, state.as_deref_mut(), lr)
+            });
 
         let _ = self.bottom.backward(&feat_grads[0]);
         match &mut self.opt_states {
@@ -517,6 +581,14 @@ impl DlrmModel {
             }
         }
 
+        // Hosted tables' gradients go back to their owner, in table order.
+        let tables = &self.tables;
+        let hosted_grads = feat_grads
+            .into_iter()
+            .skip(1)
+            .enumerate()
+            .filter(|(t, _)| matches!(tables[*t], EmbeddingLayer::Hosted { .. }))
+            .collect();
         StepOutput { loss, hosted_grads }
     }
 
@@ -526,10 +598,10 @@ impl DlrmModel {
     pub fn predict(&mut self, batch: &MiniBatch) -> Vec<f32> {
         let dense = self.dense_matrix(batch);
         let z0 = self.bottom.predict(&dense);
-        let embs = self.embedding_forward(batch, &[]);
-        let mut features: Vec<&Matrix> = Vec::with_capacity(1 + embs.len());
+        self.embedding_forward(batch, &[]);
+        let mut features: Vec<&Matrix> = Vec::with_capacity(1 + self.pooled.len());
         features.push(&z0);
-        features.extend(embs.iter());
+        features.extend(self.pooled.iter());
         let inter_out = self.interaction.forward(&features);
         let logits = self.top.predict(&inter_out);
         predict_proba(&logits)
@@ -550,29 +622,24 @@ impl DlrmModel {
         }
     }
 
-    fn embedding_forward(&mut self, batch: &MiniBatch, hosted: &[(usize, Matrix)]) -> Vec<Matrix> {
+    /// Every table's pooled lookup into `self.pooled`, the tables spread
+    /// across the rayon pool (the table-wise axis of two-dimensional sparse
+    /// parallelism, inside one worker). Tables touch only their own weights
+    /// and workspace, so the bytes are those of a sequential walk. The
+    /// outputs are reused across steps.
+    fn embedding_forward(&mut self, batch: &MiniBatch, hosted: &[(usize, Matrix)]) {
         assert_eq!(batch.fields.len(), self.tables.len(), "field/table count mismatch");
-        let mut out = Vec::with_capacity(self.tables.len());
-        for (t, field) in batch.fields.iter().enumerate() {
-            let emb = match &mut self.tables[t] {
-                EmbeddingLayer::Dense(bag) => bag.forward(&field.indices, &field.offsets),
-                EmbeddingLayer::Tt(bag, ws) => bag.forward(&field.indices, &field.offsets, ws),
-                EmbeddingLayer::Quantized(bag) => bag.forward(&field.indices, &field.offsets),
-                EmbeddingLayer::Bf16(bag) => bag.forward(&field.indices, &field.offsets),
-                EmbeddingLayer::Hosted { dim } => {
-                    let found = hosted
-                        .iter()
-                        .find(|(idx, _)| *idx == t)
-                        // PANIC-OK: trainer ships every hosted table with each batch.
-                        .unwrap_or_else(|| panic!("hosted table {t} missing its embeddings"));
-                    assert_eq!(found.1.rows(), batch.batch_size());
-                    assert_eq!(found.1.cols(), *dim);
-                    found.1.clone()
-                }
-            };
-            out.push(emb);
+        let rows = batch.batch_size();
+        self.pooled.resize_with(self.tables.len(), || Matrix::zeros(0, 0));
+        for (table, field) in self.tables.iter_mut().zip(&batch.fields) {
+            table.analyze_prefetched(field);
         }
-        out
+        self.tables
+            .par_iter_mut()
+            .enumerate()
+            .zip(&batch.fields)
+            .zip(&mut self.pooled)
+            .for_each(|(((t, table), field), out)| table.forward_into(t, field, rows, hosted, out));
     }
 
     fn dense_matrix(&self, batch: &MiniBatch) -> Matrix {

@@ -823,6 +823,8 @@ impl PipelineTrainer {
     /// and each segment restarts from exactly the state the previous one
     /// ended with, the final model is byte-identical to a single
     /// uninterrupted `try_train` call — checkpointing is pure durability.
+    ///
+    /// `every == 0` is [`CkptError::ZeroInterval`], before anything trains.
     pub fn train_with_checkpoints<S: Storage>(
         model: DlrmModel,
         server: HostServer,
@@ -831,7 +833,9 @@ impl PipelineTrainer {
         store: &mut CkptStore<S>,
         every: u64,
     ) -> Result<(PipelineReport, Vec<String>), CkptError> {
-        assert!(every > 0, "checkpoint interval must be at least one batch");
+        if every == 0 {
+            return Err(CkptError::ZeroInterval);
+        }
         let lr = server.lr;
         let mode = server.mode;
         let end = config.first_batch + config.num_batches;
@@ -1282,5 +1286,24 @@ mod tests {
         assert_eq!(latest.next_batch, 12);
         // Retention kept only the newest 2 of the 3 saved.
         assert_eq!(store.names_newest_first().unwrap().len(), 2);
+    }
+
+    #[test]
+    fn zero_checkpoint_interval_is_a_typed_error() {
+        use crate::ckpt::{CkptStore, MemStorage};
+        use std::sync::Arc;
+
+        let (model, server, dataset) = setup(32);
+        let storage = Arc::new(MemStorage::new());
+        let mut store = CkptStore::open(Arc::clone(&storage), 2).unwrap();
+        let config = PipelineConfig { num_batches: 4, ..PipelineConfig::default() };
+        match PipelineTrainer::train_with_checkpoints(
+            model, server, &dataset, &config, &mut store, 0,
+        ) {
+            Err(CkptError::ZeroInterval) => {}
+            Err(e) => panic!("wrong error: {e}"),
+            Ok(_) => panic!("a zero checkpoint interval must be rejected"),
+        }
+        assert!(store.names_newest_first().unwrap().is_empty(), "nothing may be saved");
     }
 }

@@ -10,11 +10,14 @@
 //! pinned to 1 and 4 pool threads. Any kernel change that moves a bit of a
 //! TT chain fails here.
 
+use common::XorShift;
 use el_core::{TtConfig, TtEmbeddingBag, TtOptions, TtWorkspace};
 use el_pipeline::ckpt::Fnv1a;
 use el_tensor::Matrix;
 use rand::SeedableRng;
-use std::process::Command;
+use std::time::Duration;
+
+mod common;
 
 const ROWS: usize = 4096;
 const DIM: usize = 32;
@@ -27,19 +30,6 @@ const LR: f32 = 0.05;
 
 /// The hash every run must reproduce.
 const REFERENCE: u64 = 0x5938_b30c_adfa_4c83;
-
-/// xorshift64 — a generator defined here, so the batches cannot drift with
-/// any library.
-struct XorShift(u64);
-
-impl XorShift {
-    fn unit(&mut self) -> f64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        (self.0 >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
 
 /// CSR batches of Zipf(1.1) rows; popularity rank `r` maps to row `r *
 /// 2654435761 mod ROWS`, so the hot rows spread over every core digit.
@@ -113,23 +103,8 @@ fn tt_training_bytes_match_reference() {
     assert_eq!(hash, REFERENCE, "TT training bytes moved: {hash:#018x}");
 }
 
-/// Re-execs the reference test with the pool pinned: a pool's size is
-/// fixed at first use within a process.
+/// Re-runs the reference test with the pool pinned to 1 and 4 threads.
 #[test]
 fn tt_training_bytes_are_pool_size_invariant() {
-    let exe = std::env::current_exe().expect("current_exe");
-    for threads in ["1", "4"] {
-        let out = Command::new(&exe)
-            .args(["tt_training_bytes_match_reference", "--exact", "--nocapture"])
-            .env("RAYON_NUM_THREADS", threads)
-            .output()
-            .expect("spawning the pinned-pool child failed");
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        assert!(
-            out.status.success() && stdout.contains("1 passed"),
-            "RAYON_NUM_THREADS={threads}: {}\n{stdout}\n{}",
-            out.status,
-            String::from_utf8_lossy(&out.stderr),
-        );
-    }
+    common::rerun_pinned("tt_training_bytes_match_reference", &[1, 4], Duration::from_secs(600));
 }
