@@ -83,12 +83,6 @@ fn main() {
                 EmbeddingLayer::Tt(bag, ws) => {
                     std::hint::black_box(bag.forward(&field.indices, &field.offsets, ws));
                 }
-                EmbeddingLayer::Quantized(bag) => {
-                    std::hint::black_box(bag.forward(&field.indices, &field.offsets));
-                }
-                EmbeddingLayer::Bf16(bag) => {
-                    std::hint::black_box(bag.forward(&field.indices, &field.offsets));
-                }
                 EmbeddingLayer::Hosted { .. } => {}
             }
         }

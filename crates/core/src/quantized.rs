@@ -81,15 +81,7 @@ impl QuantizedEmbeddingBag {
 
     /// Sum-pooled lookup (dequantize + add).
     pub fn forward(&self, indices: &[u32], offsets: &[u32]) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.forward_into(indices, offsets, &mut out);
-        out
-    }
-
-    /// [`QuantizedEmbeddingBag::forward`] into a caller-owned output matrix,
-    /// reshaped and zeroed in place.
-    pub fn forward_into(&self, indices: &[u32], offsets: &[u32], out: &mut Matrix) {
-        out.reset_zeroed(offsets.len() - 1, self.dim);
+        let mut out = Matrix::zeros(offsets.len() - 1, self.dim);
         for s in 0..offsets.len() - 1 {
             let dst = out.row_mut(s);
             for &i in &indices[offsets[s] as usize..offsets[s + 1] as usize] {
@@ -100,6 +92,7 @@ impl QuantizedEmbeddingBag {
                 }
             }
         }
+        out
     }
 
     /// Sparse SGD step in quantized space: dequantize the touched row,
@@ -211,15 +204,7 @@ impl Bf16EmbeddingBag {
 
     /// Sum-pooled lookup.
     pub fn forward(&self, indices: &[u32], offsets: &[u32]) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.forward_into(indices, offsets, &mut out);
-        out
-    }
-
-    /// [`Bf16EmbeddingBag::forward`] into a caller-owned output matrix,
-    /// reshaped and zeroed in place.
-    pub fn forward_into(&self, indices: &[u32], offsets: &[u32], out: &mut Matrix) {
-        out.reset_zeroed(offsets.len() - 1, self.dim);
+        let mut out = Matrix::zeros(offsets.len() - 1, self.dim);
         for s in 0..offsets.len() - 1 {
             let dst = out.row_mut(s);
             for &i in &indices[offsets[s] as usize..offsets[s + 1] as usize] {
@@ -229,6 +214,7 @@ impl Bf16EmbeddingBag {
                 }
             }
         }
+        out
     }
 
     /// Sparse SGD step with bf16 round-tripping.

@@ -154,10 +154,6 @@ pub enum TableCheckpoint {
         /// Embedding dimension.
         dim: usize,
     },
-    /// int8-quantized table (codes plus per-row affine parameters).
-    Quantized(el_core::quantized::QuantizedEmbeddingBag),
-    /// bfloat16-storage table.
-    Bf16(el_core::quantized::Bf16EmbeddingBag),
 }
 
 /// Serializable snapshot of a whole model.
@@ -203,8 +199,6 @@ impl DlrmCheckpoint {
                     options: bag.options.clone(),
                 },
                 EmbeddingLayer::Hosted { dim } => TableCheckpoint::Hosted { dim: *dim },
-                EmbeddingLayer::Quantized(bag) => TableCheckpoint::Quantized(bag.clone()),
-                EmbeddingLayer::Bf16(bag) => TableCheckpoint::Bf16(bag.clone()),
             })
             .collect();
         let mut opt_states = model.opt_states().cloned();
@@ -248,8 +242,6 @@ impl DlrmCheckpoint {
                     TtWorkspace::new(),
                 ),
                 TableCheckpoint::Hosted { dim } => EmbeddingLayer::Hosted { dim },
-                TableCheckpoint::Quantized(bag) => EmbeddingLayer::Quantized(bag),
-                TableCheckpoint::Bf16(bag) => EmbeddingLayer::Bf16(bag),
             })
             .collect();
         if matches!(self.optimizer, OptimizerKind::Adagrad { .. }) && self.opt_states.is_none() {
@@ -415,23 +407,21 @@ mod tests {
     }
 
     #[test]
-    fn low_bit_tables_round_trip() {
-        let (mut model, ds) = trained_model();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-        model.tables[0] = EmbeddingLayer::Quantized(
-            el_core::quantized::QuantizedEmbeddingBag::new(1500, 8, 0.1, &mut rng),
-        );
-        model.tables[2] =
-            EmbeddingLayer::Bf16(el_core::quantized::Bf16EmbeddingBag::new(1500, 8, 0.1, &mut rng));
-        let batch = ds.batch(3, 32);
-        let want = model.predict(&batch);
-        let bytes = DlrmCheckpoint::capture(&model).to_bytes();
-        let mut restored =
-            DlrmCheckpoint::from_bytes(&bytes).expect("parse").restore().expect("restore");
-        assert!(matches!(restored.tables[0], EmbeddingLayer::Quantized(_)));
-        assert!(matches!(restored.tables[2], EmbeddingLayer::Bf16(_)));
-        let got = restored.predict(&batch);
-        assert_eq!(want, got, "low-bit tables must restore bit-exactly");
+    fn low_bit_tables_are_a_typed_error() {
+        // Files written while int8 and bf16 tables still trained in the
+        // model carry `Quantized` / `Bf16` table variants. Loading one
+        // fails with a corruption error that names the variant.
+        let cfg = DlrmConfig::for_spec(&DatasetSpec::toy(2, 50, 1_000), 8, usize::MAX, 8);
+        let model = DlrmModel::new(&cfg, &mut rand::rngs::StdRng::seed_from_u64(11));
+        let json = String::from_utf8(DlrmCheckpoint::capture(&model).to_bytes()).unwrap();
+        assert_eq!(json.matches(r#"{"Dense":"#).count(), 2, "one entry per dense table");
+        for variant in ["Quantized", "Bf16"] {
+            let old = json.replace(r#"{"Dense":"#, &format!(r#"{{"{variant}":"#));
+            match DlrmCheckpoint::from_bytes(old.as_bytes()) {
+                Err(CkptError::Corrupt(msg)) => assert!(msg.contains(variant), "{msg}"),
+                other => panic!("expected Corrupt, got {:?}", other.map(|_| "a checkpoint")),
+            }
+        }
     }
 
     #[test]

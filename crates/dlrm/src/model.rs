@@ -9,9 +9,6 @@
 //!   else (host memory behind the parameter server); its pooled embeddings
 //!   arrive from outside and its gradients are handed back, which is how
 //!   the pipeline trainer of `el-pipeline` drives the model.
-//! * [`EmbeddingLayer::Quantized`] / [`EmbeddingLayer::Bf16`] — int8 / bf16
-//!   tables (the low-bit compression family of the paper's §I), trained
-//!   with plain SGD round-tripping through the storage format.
 
 use crate::embedding_bag::EmbeddingBag;
 use crate::interaction::Interaction;
@@ -19,7 +16,6 @@ use crate::loss::{bce_with_logits, predict_proba};
 use crate::metrics;
 use crate::mlp::Mlp;
 use crate::optim::{Adagrad, OptimizerKind};
-use el_core::quantized::{Bf16EmbeddingBag, QuantizedEmbeddingBag};
 use el_core::{StageTimers, TtConfig, TtEmbeddingBag, TtWorkspace};
 use el_data::{DatasetSpec, MiniBatch, SparseField};
 use el_tensor::Matrix;
@@ -41,12 +37,6 @@ pub enum EmbeddingLayer {
         /// Embedding dimension served by the external owner.
         dim: usize,
     },
-    /// int8 table with per-row affine parameters (paper §I's low-bit
-    /// family). Trains with SGD only: every update round-trips through the
-    /// quantized codes, which is exactly the accuracy tax the paper cites.
-    Quantized(QuantizedEmbeddingBag),
-    /// bfloat16-storage table (the milder low-bit variant). SGD only.
-    Bf16(Bf16EmbeddingBag),
 }
 
 impl EmbeddingLayer {
@@ -56,8 +46,6 @@ impl EmbeddingLayer {
             EmbeddingLayer::Dense(b) => b.dim(),
             EmbeddingLayer::Tt(b, _) => b.dim(),
             EmbeddingLayer::Hosted { dim } => *dim,
-            EmbeddingLayer::Quantized(b) => b.dim(),
-            EmbeddingLayer::Bf16(b) => b.dim(),
         }
     }
 
@@ -67,8 +55,6 @@ impl EmbeddingLayer {
             EmbeddingLayer::Dense(b) => b.footprint_bytes(),
             EmbeddingLayer::Tt(b, _) => b.footprint_bytes(),
             EmbeddingLayer::Hosted { .. } => 0,
-            EmbeddingLayer::Quantized(b) => b.footprint_bytes(),
-            EmbeddingLayer::Bf16(b) => b.footprint_bytes(),
         }
     }
 
@@ -93,8 +79,6 @@ impl EmbeddingLayer {
                 }
                 bag.forward_analyzed(ws, out);
             }
-            EmbeddingLayer::Quantized(bag) => bag.forward_into(indices, offsets, out),
-            EmbeddingLayer::Bf16(bag) => bag.forward_into(indices, offsets, out),
             EmbeddingLayer::Hosted { dim } => {
                 let (_, pooled) = hosted
                     .iter()
@@ -154,11 +138,6 @@ impl EmbeddingLayer {
                 }
             },
             EmbeddingLayer::Hosted { .. } => {}
-            // The low-bit tables round-trip every update through their
-            // storage format; Adagrad has no stable accumulator target
-            // there, so they apply plain SGD under either optimizer.
-            EmbeddingLayer::Quantized(bag) => bag.backward_sgd(indices, offsets, grad, lr),
-            EmbeddingLayer::Bf16(bag) => bag.backward_sgd(indices, offsets, grad, lr),
         }
     }
 }
@@ -287,57 +266,11 @@ impl DlrmModel {
             })
             .collect();
 
-        let interaction = Interaction::new(1 + tables.len(), config.dim);
-        let mut top_sizes = vec![interaction.out_dim()];
+        let mut top_sizes = vec![Interaction::new(1 + tables.len(), config.dim).out_dim()];
         top_sizes.extend_from_slice(&config.top_hidden);
         top_sizes.push(1);
         let top = Mlp::new(&top_sizes, rng);
-
-        let opt_states = match config.optimizer {
-            OptimizerKind::Sgd => None,
-            OptimizerKind::Adagrad { eps } => {
-                let make = |mut states: Vec<Adagrad>| {
-                    for s in &mut states {
-                        s.eps = eps;
-                    }
-                    states
-                };
-                Some(AdagradStates {
-                    bottom: make(bottom.adagrad_states()),
-                    top: make(top.adagrad_states()),
-                    tables: tables
-                        .iter()
-                        .map(|t| {
-                            make(match t {
-                                EmbeddingLayer::Dense(b) => {
-                                    vec![Adagrad::new(b.weight.len())]
-                                }
-                                EmbeddingLayer::Tt(b, _) => {
-                                    b.cores().cores.iter().map(|c| Adagrad::new(c.len())).collect()
-                                }
-                                // Quantized tables train SGD-only (no
-                                // stable parameter identity to accumulate
-                                // over), so like Hosted they carry no state.
-                                EmbeddingLayer::Hosted { .. }
-                                | EmbeddingLayer::Quantized(_)
-                                | EmbeddingLayer::Bf16(_) => Vec::new(),
-                            })
-                        })
-                        .collect(),
-                })
-            }
-        };
-
-        Self {
-            bottom,
-            tables,
-            interaction,
-            top,
-            lr: config.lr,
-            optimizer: config.optimizer,
-            opt_states,
-            pooled: Vec::new(),
-        }
+        Self::from_parts(bottom, tables, top, config.lr, config.optimizer)
     }
 
     /// Reassembles a model from pre-built components (checkpoint restore).
@@ -370,12 +303,7 @@ impl DlrmModel {
                                 EmbeddingLayer::Tt(b, _) => {
                                     b.cores().cores.iter().map(|c| Adagrad::new(c.len())).collect()
                                 }
-                                // Quantized tables train SGD-only (no
-                                // stable parameter identity to accumulate
-                                // over), so like Hosted they carry no state.
-                                EmbeddingLayer::Hosted { .. }
-                                | EmbeddingLayer::Quantized(_)
-                                | EmbeddingLayer::Bf16(_) => Vec::new(),
+                                EmbeddingLayer::Hosted { .. } => Vec::new(),
                             })
                         })
                         .collect(),
@@ -685,70 +613,6 @@ mod tests {
         assert!(matches!(model.tables[0], EmbeddingLayer::Dense(_)));
         assert!(matches!(model.tables[1], EmbeddingLayer::Tt(_, _)));
         assert!(matches!(model.tables[2], EmbeddingLayer::Dense(_)));
-    }
-
-    /// Replaces table 0 with an int8 table and table 2 with a bf16 table
-    /// (same shapes), leaving the TT table in the middle.
-    fn with_low_bit_tables(mut model: DlrmModel) -> DlrmModel {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
-        model.tables[0] =
-            EmbeddingLayer::Quantized(QuantizedEmbeddingBag::new(100, 8, 0.1, &mut rng));
-        model.tables[2] = EmbeddingLayer::Bf16(Bf16EmbeddingBag::new(50, 8, 0.1, &mut rng));
-        model
-    }
-
-    #[test]
-    fn low_bit_tables_train_under_sgd() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(4);
-        let mut model = with_low_bit_tables(DlrmModel::new(&toy_config(), &mut rng));
-        let data = toy_data();
-        let before: Vec<f32> = model.predict(&data.batch(9, 32));
-        let mut last = f32::INFINITY;
-        for i in 0..30 {
-            last = model.train_step(&data.batch(i % 8, 128));
-            assert!(last.is_finite(), "loss diverged at step {i}");
-        }
-        assert!(last > 0.0);
-        // The quantized/bf16 tables (and everything else) moved: predictions
-        // on a held-out batch changed.
-        let after: Vec<f32> = model.predict(&data.batch(9, 32));
-        assert!(before.iter().zip(&after).any(|(a, b)| (a - b).abs() > 1e-6));
-    }
-
-    #[test]
-    fn low_bit_tables_fall_back_to_sgd_under_adagrad() {
-        // An Adagrad model with quantized tables must train: the dense/TT
-        // tables use Adagrad, the low-bit tables silently apply SGD (they
-        // have no stable parameter identity for accumulators).
-        let mut config = toy_config();
-        config.optimizer = OptimizerKind::Adagrad { eps: 1e-8 };
-        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        let base = with_low_bit_tables(DlrmModel::new(&config, &mut rng));
-        let mut model = DlrmModel::from_parts(
-            base.bottom.clone(),
-            base.tables,
-            base.top.clone(),
-            config.lr,
-            config.optimizer,
-        );
-        let data = toy_data();
-        for i in 0..10 {
-            let loss = model.train_step(&data.batch(i, 64));
-            assert!(loss.is_finite() && loss > 0.0);
-        }
-    }
-
-    #[test]
-    fn low_bit_tables_report_compressed_footprints() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(6);
-        let model = with_low_bit_tables(DlrmModel::new(&toy_config(), &mut rng));
-        // int8 codes cost 1 byte/value plus two f32 affine params per row;
-        // at dim 8 that is exactly half the dense f32 table.
-        let dense_bytes = 100 * 8 * 4;
-        let EmbeddingLayer::Quantized(q) = &model.tables[0] else { panic!("table 0") };
-        assert!(q.footprint_bytes() <= dense_bytes / 2, "int8 should be >=2x smaller at dim 8");
-        let EmbeddingLayer::Bf16(b) = &model.tables[2] else { panic!("table 2") };
-        assert!(b.footprint_bytes() <= 50 * 8 * 2 + 64, "bf16 should be ~2x smaller");
     }
 
     #[test]

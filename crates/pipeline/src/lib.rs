@@ -18,16 +18,13 @@
 //!   of hosted tables on N shards, K lockstep replicas per shard,
 //! * [`trainer`] — the three-stage pipelined trainer (Figure 9): one
 //!   driver over N shards x K replicas, of which the single host server
-//!   is `N = K = 1` and the sequential baseline is queue depth 1,
-//! * [`placement`] — the heterogeneous per-table planner (dense / TT-rank
-//!   ladder / hosted) that replaces TT-Rec's homogeneous compression.
+//!   is `N = K = 1` and the sequential baseline is queue depth 1.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod cache;
 pub mod ckpt;
 pub mod device;
-pub mod placement;
 pub mod replica;
 pub mod router;
 pub mod server;
@@ -36,7 +33,6 @@ pub mod trainer;
 pub use cache::EmbeddingCache;
 pub use ckpt::{CkptError, CkptStore, FsStorage, MemStorage, Storage, TrainingCheckpoint};
 pub use device::{CommMeter, DeviceSpec};
-pub use placement::{plan_placement, PlacementPlan, PlannerConfig, TablePlacement};
 pub use replica::{
     FailureDetector, GradientLog, HeartbeatConfig, ReplicaError, ReplicaGroup, ReplicationConfig,
 };

@@ -25,23 +25,11 @@ pub struct ServeConfig {
     pub tenant_inflight_cap: usize,
     /// Prefix-product cache capacity of each worker session.
     pub cache_capacity: usize,
-    /// Maximum applied-batch lag a hosted-read failover copy may serve
-    /// with ([`crate::hosted::HostedReadTier`]): a backup further behind
-    /// the shard's freshest watermark than this is unreadable, and the
-    /// lookup returns a typed error instead of silently-stale rows.
-    /// Mirrors the training pipeline's gather staleness bound.
-    pub read_staleness_bound: u64,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        Self {
-            max_batch: 32,
-            workers: 1,
-            tenant_inflight_cap: 256,
-            cache_capacity: 4_096,
-            read_staleness_bound: 6,
-        }
+        Self { max_batch: 32, workers: 1, tenant_inflight_cap: 256, cache_capacity: 4_096 }
     }
 }
 
@@ -62,10 +50,6 @@ impl ServeConfig {
             )
             .max(1),
             cache_capacity: env_usize(env::var("EL_SERVE_CACHE_CAP").ok(), d.cache_capacity).max(1),
-            read_staleness_bound: env_usize(
-                env::var("EL_SERVE_READ_STALENESS").ok(),
-                d.read_staleness_bound as usize,
-            ) as u64,
         }
     }
 

@@ -24,14 +24,6 @@
 //!   and an idle tier answers a lone request at once.
 //! * [`metrics::LatencyHistogram`] — log-bucketed tail-latency accounting
 //!   (p50/p99/p999) for the SLO harness.
-//! * [`hosted::HostedReadTier`] — the sharded, replicated read path for
-//!   hosted (uncompressed) tables: pooled lookups resolve each row
-//!   through the training tier's consistent-hash placement
-//!   (`el_pipeline::router`, DESIGN.md §14), bit-identical to the
-//!   unsharded table; when a shard's primary copy is down, reads fail
-//!   over to a backup within the configured staleness bound
-//!   (degraded reads, DESIGN.md §15) instead of shedding admitted
-//!   lookups, and return a typed error beyond it.
 //!
 //! The `serve_latency` bench (crates/bench) drives this tier with the
 //! open-loop Zipf generator from `el_data::loadgen` and records the
@@ -41,13 +33,11 @@
 
 pub mod batch;
 pub mod config;
-pub mod hosted;
 pub mod metrics;
 pub mod server;
 pub mod timing;
 
 pub use batch::{Coalescer, ServeRequest, ServeResponse};
 pub use config::ServeConfig;
-pub use hosted::{HostedReadTier, ReadError};
-pub use metrics::{DegradedReadCounters, LatencyHistogram};
+pub use metrics::LatencyHistogram;
 pub use server::{serve, ServeError, ServeHandle, ServeReport, TenantConfig};

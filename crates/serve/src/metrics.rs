@@ -109,42 +109,6 @@ impl Default for LatencyHistogram {
     }
 }
 
-/// Counters of the hosted tier's degraded-read path: how many pooled
-/// lookups were served at all, and how many of those rode a backup copy
-/// instead of the primary. Atomic so the read path can stay `&self`.
-#[derive(Debug, Default)]
-pub struct DegradedReadCounters {
-    served: std::sync::atomic::AtomicU64,
-    degraded: std::sync::atomic::AtomicU64,
-}
-
-impl DegradedReadCounters {
-    /// Fresh zeroed counters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one served lookup; `degraded` marks a backup-served one.
-    pub fn note(&self, degraded: bool) {
-        use std::sync::atomic::Ordering::Relaxed;
-        self.served.fetch_add(1, Relaxed);
-        if degraded {
-            self.degraded.fetch_add(1, Relaxed);
-        }
-    }
-
-    /// Lookups served (healthy and degraded alike — nothing admitted is
-    /// shed by a failover).
-    pub fn served(&self) -> u64 {
-        self.served.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Lookups that were served from a backup copy.
-    pub fn degraded(&self) -> u64 {
-        self.degraded.load(std::sync::atomic::Ordering::Relaxed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,16 +162,6 @@ mod tests {
         assert_eq!(a.count(), both.count());
         assert_eq!(a.percentiles(), both.percentiles());
         assert_eq!(a.max_ns(), both.max_ns());
-    }
-
-    #[test]
-    fn degraded_counters_split_served_from_degraded() {
-        let c = DegradedReadCounters::new();
-        c.note(false);
-        c.note(true);
-        c.note(false);
-        assert_eq!(c.served(), 3);
-        assert_eq!(c.degraded(), 1);
     }
 
     #[test]

@@ -486,7 +486,6 @@ mod tests {
             workers: 1,
             tenant_inflight_cap: 4,
             cache_capacity: 64,
-            ..ServeConfig::default()
         };
         let tenants = [TenantConfig::default(), TenantConfig::default()];
         let ((sheds, admitted, t1_ok), report) = serve(&t, &cfg, &tenants, |h| {

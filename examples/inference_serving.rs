@@ -1,39 +1,21 @@
-//! Inference serving: frozen model, placement plan, hot-prefix cache.
+//! Inference serving: a frozen TT table behind a hot-prefix cache.
 //!
 //! ```text
 //! cargo run --release --example inference_serving
 //! ```
 //!
-//! After training, EL-Rec's artifacts serve lookups too: the placement
-//! planner sizes the deployment, the checkpoint round-trips the model, and
+//! After training, EL-Rec's TT tables serve lookups too:
 //! `TtInferenceSession` accelerates frozen-table lookups with a persistent
 //! cache of hot prefix products (the cross-batch extension of §III-A's
 //! reuse idea).
 
 use el_rec::core::{TtConfig, TtEmbeddingBag, TtInferenceSession, TtWorkspace};
 use el_rec::data::{DatasetSpec, SyntheticDataset};
-use el_rec::pipeline::device::DeviceSpec;
-use el_rec::pipeline::placement::{plan_placement, uniform_profiles, PlannerConfig};
 use rand::SeedableRng;
 use std::time::Instant;
 
 fn main() {
-    // 1. Size a deployment for the Criteo-Kaggle schema on a V100.
-    let spec = DatasetSpec::criteo_kaggle(1.0);
-    let plan = plan_placement(
-        &uniform_profiles(&spec.table_cardinalities),
-        64,
-        &DeviceSpec::v100(),
-        &PlannerConfig::default(),
-    );
-    let (dense, tt, hosted) = plan.class_counts();
-    println!(
-        "placement plan (full Kaggle schema, dim 64, V100): {dense} dense + {tt} TT + \
-         {hosted} hosted; {:.1} MB on device",
-        plan.device_bytes as f64 / 1e6
-    );
-
-    // 2. Serve zipf traffic from one frozen TT table with and without the
+    // 1. Serve zipf traffic from one frozen TT table with and without the
     //    hot-prefix cache.
     let rows = 500_000;
     let mut gen_spec = DatasetSpec::toy(1, rows, usize::MAX / 2);
@@ -75,7 +57,7 @@ fn main() {
         baseline.as_secs_f64() / cached.as_secs_f64()
     );
 
-    // 3. Correctness: the cached path returns the training kernel's values.
+    // 2. Correctness: the cached path returns the training kernel's values.
     let (idx, off) = &batches[0];
     let a = table.forward(idx, off, &mut ws);
     let b = session.lookup(idx, off);

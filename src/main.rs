@@ -4,7 +4,6 @@
 //! el-rec train --dataset kaggle --scale 0.002 --batches 100 --checkpoint model.json
 //! el-rec eval  --checkpoint model.json --dataset kaggle --scale 0.002
 //! el-rec stats --dataset avazu --scale 0.005
-//! el-rec plan  --dataset terabyte --dim 128 --device v100
 //! ```
 //!
 //! Argument parsing is hand-rolled (`--key value` pairs) to keep the
@@ -12,15 +11,10 @@
 
 #![forbid(unsafe_code)]
 
-use el_rec::core::TtConfig;
 use el_rec::data::stats::AccessHistogram;
 use el_rec::data::{DatasetSpec, MiniBatch, SyntheticDataset};
 use el_rec::dlrm::checkpoint::DlrmCheckpoint;
-use el_rec::dlrm::{DlrmConfig, DlrmModel, OptimizerKind};
-use el_rec::pipeline::device::DeviceSpec;
-use el_rec::pipeline::placement::{
-    plan_placement, uniform_profiles, PlannerConfig, TablePlacement,
-};
+use el_rec::dlrm::{DlrmConfig, DlrmModel, EmbeddingLayer, OptimizerKind};
 use el_rec::reorder::{ReorderConfig, Reorderer};
 use rand::SeedableRng;
 use std::collections::HashMap;
@@ -43,7 +37,6 @@ fn main() -> ExitCode {
         "train" => cmd_train(&opts),
         "eval" => cmd_eval(&opts),
         "stats" => cmd_stats(&opts),
-        "plan" => cmd_plan(&opts),
         "help" | "--help" | "-h" => {
             println!("{USAGE}");
             Ok(())
@@ -69,8 +62,7 @@ USAGE:
                 [--checkpoint PATH]
   el-rec eval   --checkpoint PATH [--dataset ...] [--scale F] [--batches N]
                 [--batch-size N] [--seed N]
-  el-rec stats  [--dataset ...] [--scale F] [--batch-size N]
-  el-rec plan   [--dataset ...] [--dim N] [--device v100|t4] [--hbm-fraction F]";
+  el-rec stats  [--dataset ...] [--scale F] [--batch-size N]";
 
 struct Opts {
     map: HashMap<String, String>,
@@ -202,6 +194,7 @@ fn cmd_eval(opts: &Opts) -> Result<(), String> {
         .restore()
         .map_err(|e| format!("restoring checkpoint: {e}"))?;
     let ds = dataset_from(opts)?;
+    check_fits(&model, ds.spec())?;
     let batches: u64 = opts.get("batches", 8)?;
     let batch_size: usize = opts.get("batch-size", 512)?;
     let eval: Vec<MiniBatch> = (0..batches).map(|b| ds.batch(1_000_000 + b, batch_size)).collect();
@@ -213,6 +206,39 @@ fn cmd_eval(opts: &Opts) -> Result<(), String> {
         m.log_loss,
         batches as usize * batch_size
     );
+    Ok(())
+}
+
+/// Checks that `model` can score batches of `spec`: the same dense-feature
+/// count, the same number of tables, and each table the dataset's row count.
+fn check_fits(model: &DlrmModel, spec: &DatasetSpec) -> Result<(), String> {
+    let mismatch = |what: String| Err(format!("checkpoint does not fit {}: {what}", spec.name));
+    if model.bottom.in_dim() != spec.num_dense.max(1) {
+        return mismatch(format!(
+            "model takes {} dense features, dataset has {}",
+            model.bottom.in_dim(),
+            spec.num_dense
+        ));
+    }
+    if model.num_tables() != spec.num_sparse() {
+        return mismatch(format!(
+            "model has {} tables, dataset has {} sparse features",
+            model.num_tables(),
+            spec.num_sparse()
+        ));
+    }
+    for (t, (table, &card)) in model.tables.iter().zip(&spec.table_cardinalities).enumerate() {
+        let rows = match table {
+            EmbeddingLayer::Dense(bag) => bag.num_rows(),
+            EmbeddingLayer::Tt(bag, _) => bag.num_rows(),
+            EmbeddingLayer::Hosted { .. } => {
+                return mismatch(format!("table {t} is hosted and has no rows in the checkpoint"))
+            }
+        };
+        if rows != card {
+            return mismatch(format!("table {t} has {rows} rows, dataset has {card}"));
+        }
+    }
     Ok(())
 }
 
@@ -248,46 +274,6 @@ fn cmd_stats(opts: &Opts) -> Result<(), String> {
     println!(
         "  avg unique indices per {batch_size}-sample batch: {:.0}",
         unique_sum as f64 / n_batches as f64
-    );
-    Ok(())
-}
-
-fn cmd_plan(opts: &Opts) -> Result<(), String> {
-    let ds = dataset_from(opts)?;
-    let dim: usize = opts.get("dim", 128)?;
-    let device = match opts.get_str("device", "v100").as_str() {
-        "v100" => DeviceSpec::v100(),
-        "t4" => DeviceSpec::t4(),
-        other => return Err(format!("unknown device {other:?}")),
-    };
-    let mut config = PlannerConfig::default();
-    config.hbm_fraction = opts.get("hbm-fraction", config.hbm_fraction)?;
-
-    let profiles = uniform_profiles(&ds.spec().table_cardinalities);
-    let plan = plan_placement(&profiles, dim, &device, &config);
-    let (dense, tt, hosted) = plan.class_counts();
-    println!(
-        "placement for {} at dim {dim} on {} ({:.0}% HBM budget):",
-        ds.spec().name,
-        device.name,
-        config.hbm_fraction * 100.0
-    );
-    for (t, placement) in plan.tables.iter().enumerate() {
-        let card = ds.spec().table_cardinalities[t];
-        let desc = match placement {
-            TablePlacement::DenseDevice => "dense on device".to_string(),
-            TablePlacement::TtDevice { rank } => {
-                let ratio = TtConfig::new(card, dim, *rank).compression_ratio();
-                format!("TT rank {rank} on device ({ratio:.0}x smaller)")
-            }
-            TablePlacement::Hosted => "host memory (parameter server)".to_string(),
-        };
-        println!("  table {t:>2} ({card:>10} rows): {desc}");
-    }
-    println!(
-        "summary: {dense} dense + {tt} TT + {hosted} hosted; device {:.2} MB, host {:.2} MB",
-        plan.device_bytes as f64 / 1e6,
-        plan.host_bytes as f64 / 1e6
     );
     Ok(())
 }

@@ -36,19 +36,6 @@ fn stats_reports_skew() {
 }
 
 #[test]
-fn plan_places_every_table() {
-    let out = el_rec()
-        .args(["plan", "--dataset", "kaggle", "--scale", "1.0", "--dim", "64", "--device", "t4"])
-        .output()
-        .expect("spawn");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("summary:"));
-    // 26 tables must all be listed
-    assert!(text.matches("table ").count() >= 26, "{text}");
-}
-
-#[test]
 fn train_checkpoint_eval_round_trip() {
     let ckpt = std::env::temp_dir().join("el_rec_cli_test.json");
     let out = el_rec()
@@ -89,6 +76,32 @@ fn train_checkpoint_eval_round_trip() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("accuracy"), "{text}");
     assert!(text.contains("auc"));
+}
+
+#[test]
+fn eval_on_a_mismatched_dataset_fails_cleanly() {
+    let ckpt = std::env::temp_dir().join("el_rec_cli_mismatch.json");
+    let path = ckpt.to_str().unwrap();
+    let out = el_rec()
+        .args(["train", "--dataset", "toy", "--scale", "0.05", "--batches", "2"])
+        .args(["--checkpoint", path])
+        .output()
+        .expect("spawn");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+
+    // Another schema (dense features, table count), then the same schema
+    // at another scale (row counts).
+    for data in [&["--dataset", "kaggle"][..], &["--dataset", "toy", "--scale", "0.5"]] {
+        let out = el_rec()
+            .args(["eval", "--checkpoint", path, "--batches", "1", "--batch-size", "64"])
+            .args(data)
+            .output()
+            .expect("spawn");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{data:?}: {err}");
+        assert!(err.contains("error:") && !err.contains("panicked"), "{data:?}: {err}");
+    }
+    std::fs::remove_file(&ckpt).ok();
 }
 
 #[test]

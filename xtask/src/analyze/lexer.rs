@@ -1,9 +1,9 @@
 //! A self-contained Rust lexer for the static-analysis engine.
 //!
-//! The point of lexing (instead of the stripped-line scanning `lint.rs`
-//! does) is that every downstream rule sees *tokens*: string and comment
-//! contents can neither trigger a rule nor satisfy one, and constructs the
-//! line scanner cannot handle — raw strings containing Rust code, nested
+//! The point of lexing (instead of scanning stripped lines) is that every
+//! downstream rule sees *tokens*: string and comment contents can neither
+//! trigger a rule nor satisfy one, and constructs a line scanner cannot
+//! handle — raw strings containing Rust code, nested
 //! block comments, `'a` lifetimes next to `'a'` char literals — are exact.
 //!
 //! The lexer keeps comments in the token stream (rules need them: `SAFETY`

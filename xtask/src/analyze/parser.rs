@@ -153,6 +153,9 @@ pub struct ParsedFile {
     pub attr_lines: BTreeSet<u32>,
     /// Lines carrying at least one non-comment token.
     pub code_lines: BTreeSet<u32>,
+    /// Inner attribute texts (`#![…]` without the brackets), in file
+    /// order: on a crate root, the crate-level attributes.
+    pub inner_attrs: Vec<String>,
     /// Outer attribute groups by *end* line: `end -> [(start, text)]`.
     attrs_by_end: BTreeMap<u32, Vec<(u32, String)>>,
 }
@@ -314,7 +317,9 @@ fn collect_attrs(toks: &[Tok], out: &mut ParsedFile) {
         for l in t.line..=end_line {
             out.attr_lines.insert(l);
         }
-        if !inner {
+        if inner {
+            out.inner_attrs.push(text);
+        } else {
             out.attrs_by_end.entry(end_line).or_default().push((t.line, text));
         }
         i = k + 1;
@@ -1121,6 +1126,7 @@ mod tests {
         let f = parse_file("t.rs", src);
         assert!(f.fns[0].attrs.is_empty(), "{:?}", f.fns[0].attrs);
         assert!(f.attr_lines.contains(&1));
+        assert_eq!(f.inner_attrs, ["deny(missing_docs)"]);
     }
 
     #[test]

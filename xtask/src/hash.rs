@@ -11,9 +11,27 @@
 //! adversary could just regenerate the manifest anyway.
 
 use std::collections::BTreeMap;
+use std::fmt;
 use std::path::{Path, PathBuf};
 
-use crate::lint::Violation;
+/// One drift finding, pointing at a file.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Violation {
+    /// Repo-relative file the finding is about.
+    pub file: PathBuf,
+    /// 1-based line, or 0 for whole-file findings.
+    pub line: usize,
+    /// Short rule identifier (stable, greppable).
+    pub rule: &'static str,
+    /// Human explanation.
+    pub msg: String,
+}
+
+impl fmt::Display for Violation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}:{}: [{}] {}", self.file.display(), self.line, self.rule, self.msg)
+    }
+}
 
 pub const MANIFEST: &str = "vendor/MANIFEST.fnv1a";
 

@@ -1,18 +1,15 @@
 //! Repo automation library (`cargo xtask …`).
 //!
 //! Split out of the binary so integration tests (and the fixture-driven
-//! analyzer tests in particular) can call the lint/analysis engines as a
+//! analyzer tests in particular) can call the analysis engine as a
 //! library instead of shelling out.
 //!
-//! * [`lint`] — the legacy stripped-line lints + crate-attribute and
-//!   vendor-drift checks.
 //! * [`analyze`] — the token-level workspace analyzer behind
-//!   `cargo xtask analyze` (lexer, item parser, call graph, contract
-//!   checks, ratcheted baseline).
-//! * [`hash`] — the FNV-1a vendor manifest.
+//!   `cargo xtask analyze` and `cargo xtask lint` (lexer, item parser,
+//!   call graph, contract checks, source conventions, ratcheted baseline).
+//! * [`hash`] — the FNV-1a vendor manifest and its drift check.
 
 #![forbid(unsafe_code)]
 
 pub mod analyze;
 pub mod hash;
-pub mod lint;

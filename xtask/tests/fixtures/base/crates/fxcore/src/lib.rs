@@ -3,6 +3,8 @@
 //! `xtask/tests/fixtures/overlays/` each replace this file with a copy
 //! seeded with exactly one violation.
 
+#![forbid(unsafe_code)]
+
 /// Reused scratch buffers so the hot path allocates nothing.
 #[derive(Default)]
 pub struct Scratch {

@@ -2,6 +2,8 @@
 //! here so violations seeded into `fxcore` are reported with a
 //! cross-crate call chain.
 
+#![forbid(unsafe_code)]
+
 use fxcore::step;
 
 // CONTRACT: panic-free

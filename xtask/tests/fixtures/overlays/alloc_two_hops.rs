@@ -1,6 +1,8 @@
 //! Seeded violation: an allocating call two hops below the
 //! `// CONTRACT: zero-alloc` root (`hot -> mid -> deep -> with_capacity`).
 
+#![forbid(unsafe_code)]
+
 /// Reused scratch buffers so the hot path allocates nothing.
 #[derive(Default)]
 pub struct Scratch {

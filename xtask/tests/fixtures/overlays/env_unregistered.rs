@@ -1,6 +1,8 @@
 //! Seeded violation: an `EL_*` environment read with no row in
 //! `docs/env-vars.md`.
 
+#![forbid(unsafe_code)]
+
 /// Reused scratch buffers so the hot path allocates nothing.
 #[derive(Default)]
 pub struct Scratch {

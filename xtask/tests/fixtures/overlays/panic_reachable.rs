@@ -2,6 +2,8 @@
 //! `// CONTRACT: panic-free` pipeline root in the sibling crate
 //! (`fxpipe::drive -> step -> unwrap`).
 
+#![forbid(unsafe_code)]
+
 /// Reused scratch buffers so the hot path allocates nothing.
 #[derive(Default)]
 pub struct Scratch {

@@ -2,6 +2,8 @@
 //! comment (the comment present here talks about something else, so
 //! token-level adjacency must still flag it).
 
+#![deny(unsafe_op_in_unsafe_fn)]
+
 /// Reused scratch buffers so the hot path allocates nothing.
 #[derive(Default)]
 pub struct Scratch {
