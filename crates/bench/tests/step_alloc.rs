@@ -1,9 +1,9 @@
 //! Heap allocations of a whole DLRM train step must not grow with the batch.
 //!
-//! A step allocates a fixed handful of matrices (the embedding outputs, the
-//! interaction output and gradients, each MLP's last output); the per-sample
-//! work — the pairwise interaction above all — must run in recycled
-//! buffers. A counting global allocator compares one `train_step` at batch
+//! A step allocates a fixed handful of buffers (the dense input, each MLP's
+//! last output, the loss gradient, the band lists of the pool forks); the
+//! per-sample work — the pairwise interaction above all — must run in
+//! recycled buffers. A counting global allocator compares one `train_step` at batch
 //! 2048 with one at batch 256, both after warm-up at both sizes.
 //!
 //! Its own test binary (not a test in `zero_alloc.rs`), so that file's
@@ -52,7 +52,8 @@ fn train_step_allocations_do_not_grow_with_the_batch() {
 
     let (small, large) = (data.batch(0, 256), data.batch(1, 2048));
     // Warm-up at both sizes: every recycled buffer (TT workspaces, MLP
-    // caches, per-thread lane scratch, GEMM packs) reaches its 2048 shape.
+    // caches, the interaction's outputs and per-thread scratch, GEMM packs)
+    // reaches its 2048 shape.
     for _ in 0..3 {
         model.train_step(&small);
         model.train_step(&large);

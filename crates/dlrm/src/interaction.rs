@@ -5,40 +5,45 @@
 //! every unordered feature pair, and concatenates those `F*(F-1)/2` scalars
 //! with the bottom-MLP output as the top-MLP input.
 //!
-//! Both directions run as a **lane kernel** (DESIGN.md §2.2, "dense
-//! half"): a block of `LANES` samples is transposed into a per-thread
-//! scratch of `F · d` lanes (feature-major for forward, element-major for
-//! backward), so every arithmetic step works on one `[f32; LANES]` vector
-//! holding the same element of eight samples. Each lane performs exactly
-//! the scalar code's operations in the scalar code's order — a dot product
-//! is `acc = 0.0`, then `acc += a * b` for `k` in `0..d`; a feature gradient
-//! adds `gp * v` over its partners in `(i < j)` pair order, skipping
-//! `gp == 0.0` — as separate multiplies and adds (Rust never contracts them
-//! into FMAs), so the results are bit-identical to the per-sample loops the
-//! tests keep as references. A batch of at least `2 × MIN_BAND` samples is
-//! split into bands across the rayon pool, one band per thread, each
-//! writing its own rows of the outputs; a band edge only decides which
-//! thread computes a sample, never how.
+//! The forward is a **lane kernel** (DESIGN.md §2.2, "dense half"): a block
+//! of `LANES` samples is transposed feature-major into a per-thread scratch
+//! of `F · d` lanes, so every arithmetic step works on one `[f32; LANES]`
+//! vector holding the same element of eight samples. The backward runs per
+//! sample on the features in place: the pair gradients of the sample's
+//! `d_out` row are the strict upper triangle of an `F × F` matrix `G`, a
+//! per-thread scratch holds `G + Gᵀ` (zero diagonal), and feature `f`'s
+//! gradient is row `f` of `(G + Gᵀ)·Z`, one register chunk of elements at
+//! a time. Both do exactly the scalar code's operations in the scalar
+//! code's order — a dot product is `acc = 0.0`, then `acc += a * b` for `k`
+//! in `0..d`; a feature gradient adds `gp * v` over its partners in
+//! ascending order, skipping `gp == 0.0` — as separate multiplies and adds
+//! (Rust never contracts them into FMAs), so the results are bit-identical
+//! to the per-sample loops the tests keep as references.
+//! A batch of at least `2 × MIN_BAND` samples is split into bands across
+//! the rayon pool, one band per thread, each writing its own rows of the
+//! outputs; a band edge only decides which thread computes a sample, never
+//! how.
 
 use el_tensor::Matrix;
 use rayon::prelude::*;
 use std::cell::RefCell;
 
-/// Samples per lane block: one vector lane per sample.
+/// Samples per lane block of the forward: one vector lane per sample.
 const LANES: usize = 8;
 /// Samples per band below which a batch is not split further: a band must
 /// outweigh the fork/join that sends it to another thread.
 const MIN_BAND: usize = 64;
 
-/// One element (`k` of some feature, or one pair gradient) of a lane block.
+/// One element `k` of some feature across a lane block.
 type Lane = [f32; LANES];
 
-/// Per-thread scratch of the band kernels, grow-only: `F · d` feature lanes
-/// and `F(F−1)/2` pair-gradient lanes — tens of kB, whatever the batch.
+/// Per-thread scratch of the band kernels, grow-only: the forward's `F · d`
+/// feature lanes and the backward's `F × F` matrix `G + Gᵀ` — tens of kB,
+/// whatever the batch.
 #[derive(Default)]
 struct Scratch {
     z: Vec<Lane>,
-    g: Vec<Lane>,
+    g: Vec<f32>,
 }
 
 thread_local! {
@@ -53,6 +58,14 @@ fn prefix<T: Copy + Default>(v: &mut Vec<T>, len: usize) -> &mut [T] {
     &mut v[..len]
 }
 
+/// Gives `m` the shape `rows x cols`, keeping its contents when it already
+/// has it: the kernels write every element of their outputs.
+fn fit(m: &mut Matrix, rows: usize, cols: usize) {
+    if (m.rows(), m.cols()) != (rows, cols) {
+        m.reset_zeroed(rows, cols);
+    }
+}
+
 /// Rows per band for a batch: the batch split into at most one band per
 /// pool thread and at most one per [`MIN_BAND`] samples, each band a whole
 /// number of lane blocks (only the last band has a short block).
@@ -61,26 +74,16 @@ fn band_rows(batch: usize) -> usize {
     batch.div_ceil(bands).next_multiple_of(LANES).max(LANES)
 }
 
-/// The rows `s .. s + n` of `m` as one slice per lane, from column `c0`
-/// on; lanes `n..` repeat row `s + n - 1` (a block's spare lanes compute
-/// values that are never written out).
-fn lane_rows(m: &Matrix, s: usize, n: usize, c0: usize) -> [&[f32]; LANES] {
-    std::array::from_fn(|l| &m.row(s + l.min(n - 1))[c0..])
-}
-
-/// Transposes samples `s .. s + n` of every feature into lanes:
-/// `z[f * fs + k * ks][l] = features[f][s + l][k]`.
-fn gather_lanes(
-    features: &[&Matrix],
-    s: usize,
-    n: usize,
-    z: &mut [Lane],
-    (fs, ks): (usize, usize),
-) {
+/// Transposes samples `s .. s + n` of every feature into feature-major
+/// lanes, `z[f * d + k][l] = features[f][s + l][k]`; lanes `n..` repeat
+/// sample `s + n - 1` (a block's spare lanes compute values that are never
+/// written out).
+fn gather_lanes(features: &[&Matrix], s: usize, n: usize, z: &mut [Lane]) {
     for (f, feat) in features.iter().enumerate() {
-        let rows = lane_rows(feat, s, n, 0);
-        for k in 0..feat.cols() {
-            z[f * fs + k * ks] = std::array::from_fn(|l| rows[l][k]);
+        let d = feat.cols();
+        let rows: [&[f32]; LANES] = std::array::from_fn(|l| feat.row(s + l.min(n - 1)));
+        for (k, lane) in z[f * d..(f + 1) * d].iter_mut().enumerate() {
+            *lane = std::array::from_fn(|l| rows[l][k]);
         }
     }
 }
@@ -102,56 +105,62 @@ fn dot_lanes<const J: usize>(zi: &[Lane], zj: &[Lane]) -> [Lane; J] {
     acc
 }
 
-/// Adds `gp * v` into `K` accumulated elements of one feature gradient,
-/// lane by lane, where `v` is partner `q`'s element `kk` in `rows[kk][q]`.
-/// A lane whose `gp` is zero keeps its value, as the scalar loop's
-/// `continue` does, so a `±0`, infinite or NaN `v` there never reaches it.
+/// Adds `g[q] * z_q[k0 .. k0 + K]` into `dst[k0 .. k0 + K]` for every
+/// partner `q` in ascending order, where `z_q` is `features[q]`'s row `s`
+/// (at `row0 = s · d`), skipping a zero `g[q]` as the scalar loop's
+/// `continue` does (so a `±0`, infinite or NaN partner never reaches the
+/// sum). The `K` accumulators stay in registers across all partners and
+/// are stored once.
 #[inline(always)]
-fn accumulate<const K: usize>(acc: &mut [Lane; K], gp: &Lane, rows: &[&[Lane]; K], q: usize) {
-    for (a, row) in acc.iter_mut().zip(rows) {
-        let v = &row[q];
-        for l in 0..LANES {
-            let sum = a[l] + gp[l] * v[l];
-            a[l] = if gp[l] == 0.0 { a[l] } else { sum };
+fn accumulate_chunk<const K: usize>(
+    g: &[f32],
+    features: &[&Matrix],
+    row0: usize,
+    k0: usize,
+    dst: &mut [f32],
+) {
+    let dst = &mut dst[k0..k0 + K];
+    let mut acc = [0.0f32; K];
+    acc.copy_from_slice(dst);
+    let at = row0 + k0;
+    for (&gq, feat) in g.iter().zip(features) {
+        if gq == 0.0 {
+            continue;
+        }
+        let v = &feat.as_slice()[at..at + K];
+        for k in 0..K {
+            acc[k] += gq * v[k];
         }
     }
+    dst.copy_from_slice(&acc);
 }
 
-/// The gradient of feature `f` at `K` consecutive elements, starting from
-/// `init`: one chain over the other features in ascending order — the order
-/// in which the scalar loop over pairs `(i < j)` reaches them. `z` is the
-/// element-major lane block (`z[k * nf + q]`) from the first element on;
-/// `g` holds the pair gradients.
-///
-/// Never inlined: returned as a `[Lane; K]` value, the accumulators are
-/// stored lane-contiguous, and that store is what steers the compiler to
-/// vectorize across lanes rather than across elements (inlined, the
-/// element-contiguous stores into the gradient rows steer it the other way,
-/// into gathers).
-#[inline(never)]
-fn feature_chain<const K: usize>(
-    f: usize,
-    z: &[Lane],
-    g: &[Lane],
-    nf: usize,
-    init: [Lane; K],
-) -> [Lane; K] {
-    // A local, not the argument's memory, so the accumulators live in
-    // registers across the loops.
-    let mut acc = init;
-    let rows: [&[Lane]; K] = std::array::from_fn(|kk| &z[kk * nf..][..nf]);
-    // Partners q < f: pair (q, f), whose index advances by F − q − 2.
-    let mut p = f.wrapping_sub(1);
-    for q in 0..f {
-        accumulate(&mut acc, &g[p], &rows, q);
-        p = p.wrapping_add(nf - q - 2);
+/// Row `f` of `(G + Gᵀ)·Z` for sample `s` added into `dst`, with `g` that
+/// row of `G + Gᵀ`: register chunks of 32, then 16, 8 and 4 elements, then
+/// single elements, so every width `d` runs mostly in wide chunks.
+fn gradient_row(g: &[f32], features: &[&Matrix], s: usize, dst: &mut [f32]) {
+    let d = dst.len();
+    let row0 = s * d;
+    let mut k0 = 0;
+    while k0 + 32 <= d {
+        accumulate_chunk::<32>(g, features, row0, k0, dst);
+        k0 += 32;
     }
-    // Partners q > f: pairs (f, f+1), (f, f+2), … are contiguous.
-    let first = f * (2 * nf - f - 1) / 2;
-    for (gp, q) in g[first..].iter().zip(f + 1..nf) {
-        accumulate(&mut acc, gp, &rows, q);
+    if k0 + 16 <= d {
+        accumulate_chunk::<16>(g, features, row0, k0, dst);
+        k0 += 16;
     }
-    acc
+    if k0 + 8 <= d {
+        accumulate_chunk::<8>(g, features, row0, k0, dst);
+        k0 += 8;
+    }
+    if k0 + 4 <= d {
+        accumulate_chunk::<4>(g, features, row0, k0, dst);
+        k0 += 4;
+    }
+    for k0 in k0..d {
+        accumulate_chunk::<1>(g, features, row0, k0, dst);
+    }
 }
 
 /// The interaction layer; stateless, shapes fixed at construction.
@@ -184,24 +193,44 @@ impl Interaction {
     /// Forward: `features[f]` is a `batch x dim` matrix (feature 0 is the
     /// bottom-MLP output, which is also passed through).
     pub fn forward(&self, features: &[&Matrix]) -> Matrix {
+        let mut out = Matrix::zeros(self.check_features(features), self.out_dim());
+        self.forward_into(features, &mut out);
+        out
+    }
+
+    /// [`Interaction::forward`] into `out`, reshaped to `batch x out_dim`
+    /// and reusing its allocation.
+    pub fn forward_into(&self, features: &[&Matrix], out: &mut Matrix) {
         let batch = self.check_features(features);
-        let mut out = Matrix::zeros(batch, self.out_dim());
+        fit(out, batch, self.out_dim());
         let rows = band_rows(batch);
         out.as_mut_slice()
             .par_chunks_mut(rows * self.out_dim())
             .enumerate()
             .for_each(|(b, band)| self.forward_band(features, b * rows, band));
-        out
     }
 
     /// Backward: splits `d_out` into per-feature gradients.
     pub fn backward(&self, features: &[&Matrix], d_out: &Matrix) -> Vec<Matrix> {
         let batch = self.check_features(features);
+        let mut grads: Vec<Matrix> =
+            features.iter().map(|_| Matrix::zeros(batch, self.dim)).collect();
+        self.backward_into(features, d_out, &mut grads);
+        grads
+    }
+
+    /// [`Interaction::backward`] into `grads`, resized to one `batch x dim`
+    /// matrix per feature and reusing their allocations.
+    pub fn backward_into(&self, features: &[&Matrix], d_out: &Matrix, grads: &mut Vec<Matrix>) {
+        let batch = self.check_features(features);
         assert_eq!(d_out.rows(), batch);
         assert_eq!(d_out.cols(), self.out_dim());
 
         let (nf, d) = (self.num_features, self.dim);
-        let mut grads: Vec<Matrix> = (0..nf).map(|_| Matrix::zeros(batch, d)).collect();
+        grads.resize_with(nf, || Matrix::zeros(0, 0));
+        for g in grads.iter_mut() {
+            fit(g, batch, d);
+        }
         let rows = band_rows(batch);
         // Band-major row slices of every gradient: chunk `b` of `slices`
         // holds band `b`'s rows of feature 0, 1, …, F − 1.
@@ -215,7 +244,6 @@ impl Interaction {
             .par_chunks_mut(nf)
             .enumerate()
             .for_each(|(b, band)| self.backward_band(features, d_out, b * rows, band));
-        grads
     }
 
     /// Checks the feature shapes and returns the batch size.
@@ -230,6 +258,7 @@ impl Interaction {
     }
 
     /// Forward over the output rows `out` (samples from `s0` on).
+    // CONTRACT: zero-alloc
     fn forward_band(&self, features: &[&Matrix], s0: usize, out: &mut [f32]) {
         let (nf, d, od) = (self.num_features, self.dim, self.out_dim());
         SCRATCH.with(|cell| {
@@ -238,7 +267,7 @@ impl Interaction {
             for (blk, out_blk) in out.chunks_mut(LANES * od).enumerate() {
                 let s = s0 + blk * LANES;
                 let n = out_blk.len() / od;
-                gather_lanes(features, s, n, z, (d, 1));
+                gather_lanes(features, s, n, z);
                 for (l, dst) in out_blk.chunks_exact_mut(od).enumerate() {
                     dst[..d].copy_from_slice(features[0].row(s + l));
                 }
@@ -268,6 +297,7 @@ impl Interaction {
 
     /// Backward for the band of samples from `s0` on; `out[f]` holds the
     /// band's rows of feature `f`'s gradient.
+    // CONTRACT: zero-alloc
     fn backward_band(
         &self,
         features: &[&Matrix],
@@ -275,71 +305,36 @@ impl Interaction {
         s0: usize,
         out: &mut [&mut [f32]],
     ) {
-        let (nf, d, np) = (self.num_features, self.dim, self.num_pairs());
+        let (nf, d) = (self.num_features, self.dim);
         let band = out[0].len() / d;
         SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
-            let z = prefix(&mut scratch.z, nf * d);
-            let g = prefix(&mut scratch.g, np);
-            for blk0 in (0..band).step_by(LANES) {
-                let s = s0 + blk0;
-                let n = (band - blk0).min(LANES);
-                // Element-major (`z[k * nf + q]`): the partners of one
-                // element sit side by side.
-                gather_lanes(features, s, n, z, (1, nf));
-                let rows = lane_rows(d_out, s, n, d);
-                for (p, gp) in g.iter_mut().enumerate() {
-                    *gp = std::array::from_fn(|l| rows[l][p]);
-                }
-                // Element chunks outermost: a chunk's lanes of every
-                // feature stay in L1 while all F chains run over them.
-                let block = blk0 * d..(blk0 + n) * d;
-                let mut k0 = 0;
-                while k0 + 4 <= d {
-                    for (f, dst) in out.iter_mut().enumerate() {
-                        let dst = &mut dst[block.clone()];
-                        self.write_chain::<4>(f, k0, (z, g), d_out, s, dst);
+            let g = prefix(&mut scratch.g, nf * nf);
+            for i in 0..band {
+                let s = s0 + i;
+                let row = d_out.row(s);
+                // `G + Gᵀ` of the sample: pair (a, b)'s gradient at [a][b]
+                // and [b][a]; the zero diagonal takes the partner skip.
+                let mut pairs = row[d..].iter();
+                for a in 0..nf {
+                    g[a * nf + a] = 0.0;
+                    for (b, &gp) in (a + 1..nf).zip(&mut pairs) {
+                        g[a * nf + b] = gp;
+                        g[b * nf + a] = gp;
                     }
-                    k0 += 4;
                 }
-                for k0 in k0..d {
-                    for (f, dst) in out.iter_mut().enumerate() {
-                        let dst = &mut dst[block.clone()];
-                        self.write_chain::<1>(f, k0, (z, g), d_out, s, dst);
+                for (f, dst) in out.iter_mut().enumerate() {
+                    let dst = &mut dst[i * d..(i + 1) * d];
+                    // Feature 0 starts from its passthrough gradient.
+                    if f == 0 {
+                        dst.copy_from_slice(&row[..d]);
+                    } else {
+                        dst.fill(0.0);
                     }
+                    gradient_row(&g[f * nf..(f + 1) * nf], features, s, dst);
                 }
             }
         });
-    }
-
-    /// Runs [`feature_chain`] for elements `k0 .. k0 + K` of feature `f`
-    /// over one lane block and writes them into the block's gradient rows
-    /// `dst`. Feature 0's chain starts from its passthrough gradient.
-    fn write_chain<const K: usize>(
-        &self,
-        f: usize,
-        k0: usize,
-        (z, g): (&[Lane], &[Lane]),
-        d_out: &Matrix,
-        s: usize,
-        dst: &mut [f32],
-    ) {
-        let nf = self.num_features;
-        let mut init = [[0.0f32; LANES]; K];
-        if f == 0 {
-            for l in 0..dst.len() / self.dim {
-                let passthrough = &d_out.row(s + l)[k0..k0 + K];
-                for (acc, &v) in init.iter_mut().zip(passthrough) {
-                    acc[l] = v;
-                }
-            }
-        }
-        let acc = feature_chain::<K>(f, &z[k0 * nf..], g, nf, init);
-        for (l, row) in dst.chunks_exact_mut(self.dim).enumerate() {
-            for (o, a) in row[k0..k0 + K].iter_mut().zip(&acc) {
-                *o = a[l];
-            }
-        }
     }
 }
 
@@ -469,7 +464,7 @@ mod tests {
         let _ = inter.forward(&[&a, &b]);
     }
 
-    /// A value drawn from the kinds the skip and the lanes must carry
+    /// A value drawn from the kinds the skip and the kernels must carry
     /// through unchanged: ±0, subnormals, and (when `specials`) NaN and ±∞.
     /// The NaN is the platform's default NaN, the one `∞ − ∞` and `0 · ∞`
     /// produce, so every NaN in a run has the same bits and their order of
@@ -495,21 +490,25 @@ mod tests {
     }
 
     proptest! {
-        /// The lane kernel equals the scalar loops bit for bit in both
+        /// The kernels equal the scalar loops bit for bit in both
         /// directions, across feature counts and widths that leave every
-        /// pair-block and element-block tail, and batches that leave every
-        /// lane-block tail and split into bands.
+        /// pair-block and element-chunk tail, and batches that leave every
+        /// lane-block tail and split into bands. Half the cases put NaN and
+        /// ±∞ into the features too, where a gradient that does not skip a
+        /// zero pair gradient turns `0 · ∞` into NaN; the other half keep
+        /// the features finite, where the sums' order shows.
         #[test]
-        fn lane_kernel_is_bit_identical_to_the_scalar_loops(
+        fn kernels_are_bit_identical_to_the_scalar_loops(
             nf in 2usize..=30,
             d in 1usize..=40,
             batch in prop_oneof![1usize..=70, 120usize..=260],
+            feature_specials in bool::ANY,
             seed in 0u64..1_000_000,
         ) {
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             let inter = Interaction::new(nf, d);
             let feats: Vec<Matrix> = (0..nf)
-                .map(|_| Matrix::from_fn(batch, d, |_, _| draw(&mut rng, false)))
+                .map(|_| Matrix::from_fn(batch, d, |_, _| draw(&mut rng, feature_specials)))
                 .collect();
             let refs: Vec<&Matrix> = feats.iter().collect();
             let d_out = Matrix::from_fn(batch, inter.out_dim(), |_, _| draw(&mut rng, true));

@@ -240,6 +240,10 @@ pub struct DlrmModel {
     opt_states: Option<AdagradStates>,
     /// Per-table pooled embeddings of the last forward, reused across steps.
     pooled: Vec<Matrix>,
+    /// The interaction's output and per-feature gradients, reused across
+    /// steps.
+    inter_out: Matrix,
+    inter_grads: Vec<Matrix>,
 }
 
 impl DlrmModel {
@@ -310,7 +314,18 @@ impl DlrmModel {
                 })
             }
         };
-        Self { bottom, tables, interaction, top, lr, optimizer, opt_states, pooled: Vec::new() }
+        Self {
+            bottom,
+            tables,
+            interaction,
+            top,
+            lr,
+            optimizer,
+            opt_states,
+            pooled: Vec::new(),
+            inter_out: Matrix::zeros(0, 0),
+            inter_grads: Vec::new(),
+        }
     }
 
     /// Reassembles a model and installs previously captured optimizer
@@ -471,14 +486,14 @@ impl DlrmModel {
         let mut features: Vec<&Matrix> = Vec::with_capacity(1 + self.pooled.len());
         features.push(&z0);
         features.extend(self.pooled.iter());
-        let inter_out = self.interaction.forward(&features);
+        self.interaction.forward_into(&features, &mut self.inter_out);
 
-        let logits = self.top.forward(&inter_out);
+        let logits = self.top.forward(&self.inter_out);
         let (loss, d_logits) = bce_with_logits(&logits, &batch.labels);
 
         // Backward.
         let d_inter = self.top.backward(&d_logits);
-        let feat_grads = self.interaction.backward(&features, &d_inter);
+        self.interaction.backward_into(&features, &d_inter, &mut self.inter_grads);
         drop(features);
 
         // Every table's backward and update, across the pool (see
@@ -491,13 +506,13 @@ impl DlrmModel {
         self.tables
             .par_iter_mut()
             .zip(&batch.fields)
-            .zip(&feat_grads[1..])
+            .zip(&self.inter_grads[1..])
             .zip(&mut states)
             .for_each(|(((table, field), grad), state)| {
                 table.backward(field, grad, state.as_deref_mut(), lr)
             });
 
-        let _ = self.bottom.backward(&feat_grads[0]);
+        let _ = self.bottom.backward(&self.inter_grads[0]);
         match &mut self.opt_states {
             None => {
                 self.top.step(lr);
@@ -510,12 +525,13 @@ impl DlrmModel {
         }
 
         // Hosted tables' gradients go back to their owner, in table order.
-        let tables = &self.tables;
-        let hosted_grads = feat_grads
-            .into_iter()
-            .skip(1)
+        let hosted_grads = self
+            .tables
+            .iter()
+            .zip(&mut self.inter_grads[1..])
             .enumerate()
-            .filter(|(t, _)| matches!(tables[*t], EmbeddingLayer::Hosted { .. }))
+            .filter(|(_, (table, _))| matches!(table, EmbeddingLayer::Hosted { .. }))
+            .map(|(t, (_, grad))| (t, std::mem::take(grad)))
             .collect();
         StepOutput { loss, hosted_grads }
     }
@@ -530,8 +546,8 @@ impl DlrmModel {
         let mut features: Vec<&Matrix> = Vec::with_capacity(1 + self.pooled.len());
         features.push(&z0);
         features.extend(self.pooled.iter());
-        let inter_out = self.interaction.forward(&features);
-        let logits = self.top.predict(&inter_out);
+        self.interaction.forward_into(&features, &mut self.inter_out);
+        let logits = self.top.predict(&self.inter_out);
         predict_proba(&logits)
     }
 

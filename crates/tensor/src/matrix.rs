@@ -8,8 +8,8 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// A dense row-major matrix of `f32`.
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+/// A dense row-major matrix of `f32`; the default is the empty `0 x 0` one.
+#[derive(Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Matrix {
     data: Vec<f32>,
     rows: usize,
