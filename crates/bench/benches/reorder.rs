@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use el_core::LookupPlan;
 use el_data::{DatasetSpec, SyntheticDataset};
 use el_reorder::graph::IndexGraphBuilder;
-use el_reorder::{label_propagation, louvain, Reorderer};
+use el_reorder::{louvain, Reorderer};
 use el_tensor::shape::balanced_factorization;
 
 fn bench_plan_build(c: &mut Criterion) {
@@ -56,7 +56,6 @@ fn bench_reorder_pipeline(c: &mut Criterion) {
     }
     let graph = builder.build();
     c.bench_function("louvain", |b| b.iter(|| louvain(&graph)));
-    c.bench_function("label_propagation", |b| b.iter(|| label_propagation(&graph, 16)));
 
     c.bench_function("bijection_fit_end_to_end", |b| {
         b.iter(|| Reorderer::default().fit(rows, &lists));

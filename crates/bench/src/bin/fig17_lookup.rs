@@ -37,9 +37,7 @@ fn main() {
 
     let profile: Vec<_> = (0..6u64).map(|b| ds.batch(b, 2048)).collect();
     let lists: Vec<&[u32]> = profile.iter().map(|b| &b.fields[0].indices[..]).collect();
-    let bijection =
-        Reorderer::new(ReorderConfig { hot_ratio: 0.05, seed: 2, ..ReorderConfig::default() })
-            .fit(rows, &lists);
+    let bijection = Reorderer::new(ReorderConfig { hot_ratio: 0.05, seed: 2 }).fit(rows, &lists);
 
     let mut rng = rand::rngs::StdRng::seed_from_u64(9);
     let config = TtConfig::new(rows, 32, 32);

@@ -40,9 +40,7 @@ fn main() {
 
     let profile: Vec<_> = (0..6u64).map(|b| ds.batch(b, 2048)).collect();
     let lists: Vec<&[u32]> = profile.iter().map(|b| &b.fields[0].indices[..]).collect();
-    let bijection =
-        Reorderer::new(ReorderConfig { hot_ratio: 0.05, seed: 2, ..ReorderConfig::default() })
-            .fit(rows, &lists);
+    let bijection = Reorderer::new(ReorderConfig { hot_ratio: 0.05, seed: 2 }).fit(rows, &lists);
 
     let config = TtConfig::new(rows, 32, 32);
     let make = |options: TtOptions| {

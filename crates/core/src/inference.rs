@@ -23,95 +23,11 @@ use crate::plan::{LookupPlan, PlanScratch};
 use el_tensor::gemm::gemm_nn;
 use el_tensor::Matrix;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Numeric storage of the cached prefix products (training stays f32; this
-/// only affects the inference cache). Low-bit storage shrinks the resident
-/// cache — the embedding-compression direction the paper's §I calls
-/// "feasible for inference" — at a bounded accuracy cost (see the
-/// divergence proptests).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub enum InferencePrecision {
-    /// Full-precision products; bit-identical to the training forward.
-    #[default]
-    F32,
-    /// bfloat16 products (2x smaller cache, ~2^-8 relative error).
-    Bf16,
-    /// int8 products with per-product affine parameters (4x smaller cache).
-    Int8,
-}
-
-/// Storage of one cached prefix product, in the session's precision.
-enum ProductStore {
-    F32(Vec<f32>),
-    Bf16(Vec<u16>),
-    Int8 { codes: Vec<i8>, scale: f32, zero: f32 },
-}
-
-impl ProductStore {
-    fn empty(precision: InferencePrecision) -> Self {
-        match precision {
-            InferencePrecision::F32 => ProductStore::F32(Vec::new()),
-            InferencePrecision::Bf16 => ProductStore::Bf16(Vec::new()),
-            InferencePrecision::Int8 => {
-                ProductStore::Int8 { codes: Vec::new(), scale: 1.0, zero: 0.0 }
-            }
-        }
-    }
-
-    /// Encodes `src` into this store, recycling the existing buffer. The
-    /// variant is fixed at slot creation (one precision per session).
-    fn store(&mut self, src: &[f32]) {
-        match self {
-            ProductStore::F32(buf) => {
-                buf.clear();
-                buf.extend_from_slice(src);
-            }
-            ProductStore::Bf16(buf) => {
-                buf.clear();
-                buf.extend(src.iter().map(|&v| crate::quantized::f32_to_bf16(v)));
-            }
-            ProductStore::Int8 { codes, scale, zero } => {
-                let (s, z) = crate::quantized::row_params(src);
-                *scale = s;
-                *zero = z;
-                codes.clear();
-                codes.extend(src.iter().map(|&v| crate::quantized::quantize(v, s, z)));
-            }
-        }
-    }
-
-    /// Decodes into `out` (`out.len()` must equal the stored length).
-    fn dequantize_into(&self, out: &mut [f32]) {
-        match self {
-            ProductStore::F32(buf) => out.copy_from_slice(buf),
-            ProductStore::Bf16(buf) => {
-                for (o, &q) in out.iter_mut().zip(buf) {
-                    *o = crate::quantized::bf16_to_f32(q);
-                }
-            }
-            ProductStore::Int8 { codes, scale, zero } => {
-                for (o, &q) in out.iter_mut().zip(codes) {
-                    *o = q as f32 * scale + zero;
-                }
-            }
-        }
-    }
-
-    /// Heap bytes of the stored product (+ affine parameters for int8).
-    fn bytes(&self) -> usize {
-        match self {
-            ProductStore::F32(buf) => buf.len() * 4,
-            ProductStore::Bf16(buf) => buf.len() * 2,
-            ProductStore::Int8 { codes, .. } => codes.len() + 8,
-        }
-    }
-}
 
 /// One cached partial product in the slot slab.
 struct Slot {
     prefix: u64,
-    product: ProductStore,
+    product: Vec<f32>,
     /// Second-chance bit: set on every use, cleared (once) by the clock
     /// sweep before a slot becomes an eviction candidate.
     referenced: bool,
@@ -133,46 +49,28 @@ pub struct TtInferenceSession<'a> {
     /// Clock hand: next eviction candidate.
     hand: usize,
     capacity: usize,
-    /// Storage precision of the cached prefix products.
-    precision: InferencePrecision,
     /// Ping-pong scratch for prefix-chain products (reused across misses).
     chain_ping: Vec<f32>,
     chain_pong: Vec<f32>,
     digit_scratch: Vec<usize>,
-    /// Per-unique decoded prefix products, snapshotted at resolution time
-    /// (reused across lookups).
-    dequant_arena: Vec<f32>,
+    /// Per-unique prefix products, snapshotted at resolution time (reused
+    /// across lookups).
+    arena: Vec<f32>,
     /// Recycled batch analysis (plan + sort scratch) so steady-state
     /// [`TtInferenceSession::lookup_into`] allocates nothing.
     plan: LookupPlan,
     plan_scratch: PlanScratch,
-    /// Prefix products served from the cache. Atomics so a serving tier can
-    /// snapshot counters through a shared reference while the session is
-    /// parked between batches; all updates go through `&mut self` and use
-    /// relaxed ordering (they are statistics, not synchronization).
-    hits: AtomicU64,
+    /// Prefix products served from the cache.
+    hits: u64,
     /// Prefix products computed fresh.
-    misses: AtomicU64,
+    misses: u64,
     /// Cached products displaced by the clock hand.
-    evictions: AtomicU64,
+    evictions: u64,
 }
 
 impl<'a> TtInferenceSession<'a> {
-    /// A full-precision session over `table` caching at most `capacity`
-    /// prefix products.
+    /// A session over `table` caching at most `capacity` prefix products.
     pub fn new(table: &'a TtEmbeddingBag, capacity: usize) -> Self {
-        Self::with_precision(table, capacity, InferencePrecision::F32)
-    }
-
-    /// A session whose cached products are stored in `precision`. Training
-    /// is untouched (the table stays f32); only the inference cache and the
-    /// lookups served from it take the quantization error, which the
-    /// divergence proptests bound.
-    pub fn with_precision(
-        table: &'a TtEmbeddingBag,
-        capacity: usize,
-        precision: InferencePrecision,
-    ) -> Self {
         assert!(capacity > 0, "cache capacity must be positive");
         let reserve = capacity.min(1 << 20);
         Self {
@@ -181,22 +79,16 @@ impl<'a> TtInferenceSession<'a> {
             slots: Vec::with_capacity(reserve),
             hand: 0,
             capacity,
-            precision,
             chain_ping: Vec::new(),
             chain_pong: Vec::new(),
             digit_scratch: Vec::new(),
-            dequant_arena: Vec::new(),
+            arena: Vec::new(),
             plan: LookupPlan::default(),
             plan_scratch: PlanScratch::default(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            hits: 0,
+            misses: 0,
+            evictions: 0,
         }
-    }
-
-    /// Storage precision of the cached products.
-    pub fn precision(&self) -> InferencePrecision {
-        self.precision
     }
 
     /// Embedding dimension of the served table.
@@ -212,17 +104,17 @@ impl<'a> TtInferenceSession<'a> {
 
     /// Prefix products served from the cache so far.
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.hits
     }
 
     /// Prefix products computed fresh so far.
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.misses
     }
 
     /// Cached products displaced by the clock hand so far.
     pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
+        self.evictions
     }
 
     /// Cache hit rate so far.
@@ -246,9 +138,9 @@ impl<'a> TtInferenceSession<'a> {
         self.slots.is_empty()
     }
 
-    /// Cache footprint in bytes, per the actual storage precision.
+    /// Cache footprint in bytes.
     pub fn footprint_bytes(&self) -> usize {
-        self.slots.iter().map(|s| s.product.bytes() + std::mem::size_of::<Slot>()).sum()
+        self.slots.iter().map(|s| s.product.len() * 4 + std::mem::size_of::<Slot>()).sum()
     }
 
     /// Sum-pooled lookup with the same semantics as
@@ -292,7 +184,7 @@ impl<'a> TtInferenceSession<'a> {
         let m_last = *cores.row_dims.last().unwrap() as u64;
 
         // Pass 1: resolve every unique index's prefix product, cache-first,
-        // decoding each unique product (once per unique, not per lookup)
+        // copying each unique product (once per unique, not per lookup)
         // into the recycled arena.
         let prefix_width = table.level_width(d - 2);
         let rows_per_prefix = prefix_width / cores.ranks[d - 1];
@@ -300,23 +192,22 @@ impl<'a> TtInferenceSession<'a> {
         // The product is snapshotted into the arena at resolution time
         // because a later admit in the same batch may evict this slot (the
         // clock hand does not know about in-flight resolutions).
-        self.dequant_arena.resize(uniques.len() * prefix_width, 0.0);
+        self.arena.resize(uniques.len() * prefix_width, 0.0);
         for (slot, &value) in uniques.values.iter().enumerate() {
             let prefix = value / m_last;
             let cached = match self.map.get(&prefix) {
                 Some(&s) => {
-                    *self.hits.get_mut() += 1;
+                    self.hits += 1;
                     self.slots[s as usize].referenced = true;
                     s as usize
                 }
                 None => {
-                    *self.misses.get_mut() += 1;
+                    self.misses += 1;
                     self.admit(prefix)
                 }
             };
-            self.slots[cached]
-                .product
-                .dequantize_into(&mut self.dequant_arena[slot * prefix_width..][..prefix_width]);
+            self.arena[slot * prefix_width..][..prefix_width]
+                .copy_from_slice(&self.slots[cached].product);
         }
 
         // Pass 2: pooling fused into the final chain GEMM — each lookup's
@@ -337,7 +228,7 @@ impl<'a> TtInferenceSession<'a> {
                     cores.col_dims[d - 1],
                     cores.ranks[d - 1],
                     1.0,
-                    &self.dequant_arena[slot * prefix_width..][..prefix_width],
+                    &self.arena[slot * prefix_width..][..prefix_width],
                     &cores.cores[d - 1][digit_last * slice_last..(digit_last + 1) * slice_last],
                     1.0,
                     dst,
@@ -356,11 +247,7 @@ impl<'a> TtInferenceSession<'a> {
             // New entries start unreferenced: they must be touched again
             // before the hand returns or they are the next to go, which is
             // what keeps one-shot cold prefixes from displacing hot ones.
-            self.slots.push(Slot {
-                prefix,
-                product: ProductStore::empty(self.precision),
-                referenced: false,
-            });
+            self.slots.push(Slot { prefix, product: Vec::new(), referenced: false });
             self.slots.len() - 1
         } else {
             // Second chance: skip referenced slots (clearing their bit) so
@@ -378,16 +265,16 @@ impl<'a> TtInferenceSession<'a> {
             }
             let idx = self.hand;
             self.hand += 1;
-            *self.evictions.get_mut() += 1;
+            self.evictions += 1;
             self.map.remove(&self.slots[idx].prefix);
             self.slots[idx].prefix = prefix;
             self.slots[idx].referenced = false;
             idx
         };
-        // Encode the product into the slot's recycled buffer, in the
-        // session's storage precision.
-        let slot = &mut self.slots[idx];
-        slot.product.store(&self.chain_ping);
+        // Copy the product into the slot's recycled buffer.
+        let product = &mut self.slots[idx].product;
+        product.clear();
+        product.extend_from_slice(&self.chain_ping);
         self.map.insert(prefix, idx as u32);
         idx
     }
@@ -455,66 +342,6 @@ mod tests {
         assert!(cold.max_abs_diff(&want) < 1e-5);
         assert!(warm.max_abs_diff(&want) < 1e-5);
         assert!(session.hits() > 0, "second pass must hit the cache");
-    }
-
-    #[test]
-    fn bf16_session_divergence_is_bounded() {
-        let t = table(500, 9);
-        let mut ws = TtWorkspace::new();
-        let mut session = TtInferenceSession::with_precision(&t, 64, InferencePrecision::Bf16);
-        assert_eq!(session.precision(), InferencePrecision::Bf16);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(10);
-        for _ in 0..5 {
-            let indices: Vec<u32> = (0..40).map(|_| rng.gen_range(0..500)).collect();
-            let offsets: Vec<u32> = (0..=10).map(|s| s * 4).collect();
-            let want = t.forward(&indices, &offsets, &mut ws);
-            let got = session.lookup(&indices, &offsets);
-            let scale = want.as_slice().iter().fold(1.0f32, |m, v| m.max(v.abs()));
-            assert!(
-                got.max_abs_diff(&want) < 0.02 * scale,
-                "bf16 diverged by {} (scale {scale})",
-                got.max_abs_diff(&want)
-            );
-        }
-    }
-
-    #[test]
-    fn int8_session_divergence_is_bounded() {
-        let t = table(500, 11);
-        let mut ws = TtWorkspace::new();
-        let mut session = TtInferenceSession::with_precision(&t, 64, InferencePrecision::Int8);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(12);
-        for _ in 0..5 {
-            let indices: Vec<u32> = (0..40).map(|_| rng.gen_range(0..500)).collect();
-            let offsets: Vec<u32> = (0..=10).map(|s| s * 4).collect();
-            let want = t.forward(&indices, &offsets, &mut ws);
-            let got = session.lookup(&indices, &offsets);
-            let scale = want.as_slice().iter().fold(1.0f32, |m, v| m.max(v.abs()));
-            assert!(
-                got.max_abs_diff(&want) < 0.05 * scale,
-                "int8 diverged by {} (scale {scale})",
-                got.max_abs_diff(&want)
-            );
-        }
-    }
-
-    #[test]
-    fn quantized_sessions_shrink_the_cache_footprint() {
-        let t = table(2_000, 13);
-        let indices: Vec<u32> = (0..256).collect();
-        let offsets: Vec<u32> = (0..=256u32).collect();
-        let foot = |precision| {
-            let mut s = TtInferenceSession::with_precision(&t, 1024, precision);
-            let _ = s.lookup(&indices, &offsets);
-            (s.footprint_bytes(), s.len())
-        };
-        let (f32b, n32) = foot(InferencePrecision::F32);
-        let (bf16b, n16) = foot(InferencePrecision::Bf16);
-        let (int8b, n8) = foot(InferencePrecision::Int8);
-        assert_eq!(n32, n16);
-        assert_eq!(n32, n8);
-        assert!(bf16b < f32b, "bf16 cache {bf16b} should be smaller than f32 {f32b}");
-        assert!(int8b < bf16b, "int8 cache {int8b} should be smaller than bf16 {bf16b}");
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub mod timing;
 
 pub use bag::{ReuseStats, TtEmbeddingBag, TtWorkspace};
 pub use config::{BackwardStrategy, ForwardStrategy, TtConfig, TtOptions};
-pub use inference::{InferencePrecision, TtInferenceSession};
+pub use inference::TtInferenceSession;
 pub use plan::{Csr, Level, LookupPlan, PAR_BUILD_CUTOFF};
 pub use prefetch::PlanPrefetcher;
 pub use quantized::{Bf16EmbeddingBag, QuantizedEmbeddingBag};

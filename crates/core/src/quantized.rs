@@ -130,7 +130,7 @@ impl QuantizedEmbeddingBag {
     }
 }
 
-pub(crate) fn row_params(row: &[f32]) -> (f32, f32) {
+fn row_params(row: &[f32]) -> (f32, f32) {
     let (mut lo, mut hi) = (f32::INFINITY, f32::NEG_INFINITY);
     for &v in row {
         lo = lo.min(v);
@@ -146,7 +146,7 @@ pub(crate) fn row_params(row: &[f32]) -> (f32, f32) {
 }
 
 #[inline]
-pub(crate) fn quantize(v: f32, s: f32, z: f32) -> i8 {
+fn quantize(v: f32, s: f32, z: f32) -> i8 {
     ((v - z) / s).round().clamp(-127.0, 127.0) as i8
 }
 

@@ -385,11 +385,8 @@ fn run_tt(
 
     let mut bijections: Vec<Option<IndexBijection>> = vec![None; spec.num_sparse()];
     if reorder {
-        let reorderer = Reorderer::new(ReorderConfig {
-            hot_ratio: params.hot_ratio,
-            seed: params.seed,
-            ..ReorderConfig::default()
-        });
+        let reorderer =
+            Reorderer::new(ReorderConfig { hot_ratio: params.hot_ratio, seed: params.seed });
         let profile: Vec<MiniBatch> = (0..params.profile_batches)
             .map(|b| dataset.batch(params.first + b, params.batch_size))
             .collect();

@@ -16,19 +16,7 @@
 //! training time is a single gather per batch (`SparseField::remap`).
 
 use crate::graph::{hot_mask, IndexGraphBuilder};
-use crate::labelprop::label_propagation;
 use crate::louvain::louvain;
-
-/// Which community-detection algorithm the reorderer runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CommunityAlgorithm {
-    /// Modularity-maximizing Louvain (the paper's choice; best quality).
-    Louvain,
-    /// Label propagation — much faster, slightly lower modularity; useful
-    /// when profiling windows are huge or reordering must be refreshed
-    /// online.
-    LabelPropagation,
-}
 
 /// Configuration of the reordering stage.
 #[derive(Clone, Copy, Debug)]
@@ -37,13 +25,11 @@ pub struct ReorderConfig {
     pub hot_ratio: f64,
     /// Seed of the edge-sampling RNG for very large batches.
     pub seed: u64,
-    /// Community-detection algorithm.
-    pub algorithm: CommunityAlgorithm,
 }
 
 impl Default for ReorderConfig {
     fn default() -> Self {
-        Self { hot_ratio: 0.05, seed: 0x51_EC, algorithm: CommunityAlgorithm::Louvain }
+        Self { hot_ratio: 0.05, seed: 0x51_EC }
     }
 }
 
@@ -126,10 +112,7 @@ impl Reorderer {
             builder.add_batch(batch);
         }
         let graph = builder.build();
-        let partition = match self.config.algorithm {
-            CommunityAlgorithm::Louvain => louvain(&graph),
-            CommunityAlgorithm::LabelPropagation => label_propagation(&graph, 16),
-        };
+        let partition = louvain(&graph);
 
         // Assemble the new ordering: hot block first (frequency order) ...
         let mut order: Vec<u32> = Vec::with_capacity(cardinality);
@@ -195,8 +178,7 @@ mod tests {
 
     #[test]
     fn hot_indices_move_to_front_by_frequency() {
-        let r =
-            Reorderer::new(ReorderConfig { hot_ratio: 0.2, seed: 1, ..ReorderConfig::default() });
+        let r = Reorderer::new(ReorderConfig { hot_ratio: 0.2, seed: 1 });
         // index 7 hottest, index 3 second (hot_count = 2 of 10)
         let batches: Vec<Vec<u32>> = vec![vec![7, 7, 7, 3, 3, 1], vec![7, 3, 2], vec![7, 0]];
         let refs: Vec<&[u32]> = batches.iter().map(|b| b.as_slice()).collect();
@@ -208,8 +190,7 @@ mod tests {
     #[test]
     fn cooccurring_indices_become_neighbors() {
         // Two co-occurrence clusters scattered across the index space.
-        let r =
-            Reorderer::new(ReorderConfig { hot_ratio: 0.0, seed: 2, ..ReorderConfig::default() });
+        let r = Reorderer::new(ReorderConfig { hot_ratio: 0.0, seed: 2 });
         let a = [0u32, 17, 34, 51];
         let b = [8u32, 25, 42, 59];
         let mut batches: Vec<Vec<u32>> = Vec::new();
@@ -243,18 +224,6 @@ mod tests {
         assert!(b.validate().is_err());
         let b = IndexBijection { forward: vec![0, 5], inverse: vec![0, 1] };
         assert!(b.validate().is_err());
-    }
-
-    #[test]
-    fn label_propagation_also_yields_valid_bijections() {
-        let r = Reorderer::new(ReorderConfig {
-            hot_ratio: 0.05,
-            seed: 4,
-            algorithm: CommunityAlgorithm::LabelPropagation,
-        });
-        let batches: Vec<Vec<u32>> = vec![vec![0, 5, 9], vec![5, 9, 3], vec![1, 2, 7]];
-        let refs: Vec<&[u32]> = batches.iter().map(|b| b.as_slice()).collect();
-        r.fit(12, &refs).validate().unwrap();
     }
 
     proptest! {

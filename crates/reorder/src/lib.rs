@@ -22,11 +22,9 @@
 
 pub mod bijection;
 pub mod graph;
-pub mod labelprop;
 pub mod louvain;
 pub mod metrics;
 
-pub use bijection::{CommunityAlgorithm, IndexBijection, ReorderConfig, Reorderer};
+pub use bijection::{IndexBijection, ReorderConfig, Reorderer};
 pub use graph::IndexGraph;
-pub use labelprop::label_propagation;
 pub use louvain::{louvain, modularity, Partition};

@@ -118,9 +118,7 @@ mod tests {
         let refs: Vec<&[u32]> = batches.iter().map(|b| b.as_slice()).collect();
         let before = mean_reuse_opportunity(&refs, 8);
 
-        let bij =
-            Reorderer::new(ReorderConfig { hot_ratio: 0.0, seed: 3, ..ReorderConfig::default() })
-                .fit(256, &refs);
+        let bij = Reorderer::new(ReorderConfig { hot_ratio: 0.0, seed: 3 }).fit(256, &refs);
         let remapped: Vec<Vec<u32>> =
             batches.iter().map(|b| b.iter().map(|&i| bij.forward[i as usize]).collect()).collect();
         let refs2: Vec<&[u32]> = remapped.iter().map(|b| b.as_slice()).collect();

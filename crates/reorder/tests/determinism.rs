@@ -6,7 +6,7 @@
 //! re-exec this test binary, following `vendor/rayon/tests/stress.rs`,
 //! because a pool's size is fixed at first use within a process.
 
-use el_reorder::{CommunityAlgorithm, IndexBijection, ReorderConfig, Reorderer};
+use el_reorder::{IndexBijection, ReorderConfig, Reorderer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::process::Command;
@@ -36,8 +36,7 @@ fn workload(seed: u64) -> Vec<Vec<u32>> {
 fn fit(seed: u64) -> IndexBijection {
     let batches = workload(seed);
     let views: Vec<&[u32]> = batches.iter().map(|b| b.as_slice()).collect();
-    let config = ReorderConfig { algorithm: CommunityAlgorithm::Louvain, ..Default::default() };
-    Reorderer::new(config).fit(CARDINALITY, &views)
+    Reorderer::default().fit(CARDINALITY, &views)
 }
 
 /// FNV-1a over the forward map — the whole bijection, since `inverse` is
@@ -137,12 +136,11 @@ proptest! {
     /// The fitted bijection is a true permutation — checked from first
     /// principles (sorted forward map is exactly 0..n, and inverse∘forward
     /// is the identity), independently of `IndexBijection::validate`, for
-    /// both community algorithms and arbitrary workloads.
+    /// arbitrary workloads.
     #[test]
     fn fit_is_a_true_permutation(
         seed in 0u64..10_000,
         card in 2usize..120,
-        use_labelprop in proptest::bool::ANY,
         hot_pct in 0u32..30,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -150,15 +148,7 @@ proptest! {
             .map(|_| (0..12).map(|_| rng.gen_range(0..card as u32)).collect())
             .collect();
         let views: Vec<&[u32]> = batches.iter().map(|b| b.as_slice()).collect();
-        let config = ReorderConfig {
-            hot_ratio: f64::from(hot_pct) / 100.0,
-            seed,
-            algorithm: if use_labelprop {
-                CommunityAlgorithm::LabelPropagation
-            } else {
-                CommunityAlgorithm::Louvain
-            },
-        };
+        let config = ReorderConfig { hot_ratio: f64::from(hot_pct) / 100.0, seed };
         let bij = Reorderer::new(config).fit(card, &views);
         prop_assert_eq!(bij.forward.len(), card);
         prop_assert_eq!(bij.inverse.len(), card);

@@ -16,28 +16,24 @@
 //!   serves it through [`el_core::TtInferenceSession::lookup_into`], and
 //!   scatters rows back per request from recycled buffers (zero-alloc in
 //!   steady state; proven by the `// CONTRACT: zero-alloc` analyzer).
-//! * [`server`] — admission control (bounded per-tenant in-flight budgets,
-//!   typed [`server::ServeError::Overloaded`] shedding, never a stall),
-//!   per-precision pending lanes, and workers on the shared rayon pool that
-//!   pull up to `max_batch` requests from the longest-waiting lane whenever
-//!   they are free: work-conserving batching, where batch size follows load
-//!   and an idle tier answers a lone request at once.
-//! * [`metrics::LatencyHistogram`] — log-bucketed tail-latency accounting
-//!   (p50/p99/p999) for the SLO harness.
+//! * [`server`] — admission control (requests are checked against the
+//!   table's rows, then against bounded per-tenant in-flight budgets, with
+//!   typed [`server::ServeError`] rejections, never a stall), one pending
+//!   queue, and workers on the shared rayon pool that pull up to
+//!   `max_batch` requests from it whenever they are free: work-conserving
+//!   batching, where batch size follows load and an idle tier answers a
+//!   lone request at once.
 //!
-//! The `serve_latency` bench (crates/bench) drives this tier with the
-//! open-loop Zipf generator from `el_data::loadgen` and records the
-//! tail-latency/shed-rate surface to `BENCH_serve_latency.json`.
+//! The benchmark package (`perf/`) drives this tier open loop in its
+//! `serve_low` and `serve_high` workloads.
 
 #![forbid(unsafe_code)]
 
 pub mod batch;
 pub mod config;
-pub mod metrics;
 pub mod server;
 pub mod timing;
 
 pub use batch::{Coalescer, ServeRequest, ServeResponse};
 pub use config::ServeConfig;
-pub use metrics::LatencyHistogram;
 pub use server::{serve, ServeError, ServeHandle, ServeReport, TenantConfig};

@@ -1,29 +1,25 @@
 //! The serving tier's coalescing must be *invisible* to clients: batching
-//! requests together (in any interleaving, at any precision) has to return
-//! byte-for-byte the answer each request would have gotten alone.
+//! requests together (in any interleaving) has to return byte-for-byte the
+//! answer each request would have gotten alone.
 //!
 //! Property 1 drives the [`el_serve::Coalescer`] directly — one coalesced
 //! batch vs. the same requests issued sequentially, each through its own
 //! fresh session, compared with exact `==` on the f32 output. This holds
-//! even for the quantized lanes because every product is dequantized from
-//! the same stored representation on both the hit and the miss path.
+//! because every product is read from the same cached copy on both the hit
+//! and the miss path.
 //!
 //! Property 2 re-partitions the same request set into arbitrary
 //! sub-batches served through *one* session, so cache state evolves
 //! differently (hits where the one-shot batch saw misses) — the answers
 //! must still be identical.
 //!
-//! Property 3 bounds the quantized serving output against the f32 training
-//! forward exactly as the PR 6 inference tests do: bf16 within 2% and int8
-//! within 6% of the output magnitude.
+//! Property 3 bounds the coalesced serving output against the training
+//! forward: within 1e-5 of the output magnitude.
 
-use el_core::{InferencePrecision, TtConfig, TtEmbeddingBag, TtInferenceSession, TtWorkspace};
+use el_core::{TtConfig, TtEmbeddingBag, TtInferenceSession, TtWorkspace};
 use el_serve::{Coalescer, ServeRequest};
 use proptest::prelude::*;
 use rand::SeedableRng;
-
-const PRECISIONS: [InferencePrecision; 3] =
-    [InferencePrecision::F32, InferencePrecision::Bf16, InferencePrecision::Int8];
 
 /// A random small table: order 2..=4, rows 6..=200, dim in {4, 8, 16}.
 fn arb_config() -> impl Strategy<Value = TtConfig> {
@@ -56,14 +52,10 @@ fn make_reqs(raw: &[Vec<u32>], num_rows: usize) -> Vec<ServeRequest> {
 
 /// The per-request oracle: each request served alone through a fresh
 /// session (no shared cache state, no batching).
-fn sequential_oracle(
-    table: &TtEmbeddingBag,
-    reqs: &[ServeRequest],
-    precision: InferencePrecision,
-) -> Vec<Vec<f32>> {
+fn sequential_oracle(table: &TtEmbeddingBag, reqs: &[ServeRequest]) -> Vec<Vec<f32>> {
     reqs.iter()
         .map(|r| {
-            let mut session = TtInferenceSession::with_precision(table, 64, precision);
+            let mut session = TtInferenceSession::new(table, 64);
             session.lookup(&r.indices, &[0, r.indices.len() as u32]).as_slice().to_vec()
         })
         .collect()
@@ -72,26 +64,23 @@ fn sequential_oracle(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// One coalesced batch == per-request sequential issuance, exactly,
-    /// at every precision.
+    /// One coalesced batch == per-request sequential issuance, exactly.
     #[test]
     fn coalesced_batch_is_byte_identical_to_sequential(
         (config, seed) in arb_config().prop_flat_map(|c| (Just(c), 0u64..1000)),
         raw in arb_requests(),
     ) {
         let table = make_table(&config, seed);
-        for precision in PRECISIONS {
-            let mut reqs = make_reqs(&raw, config.num_rows);
-            let want = sequential_oracle(&table, &reqs, precision);
-            let mut session = TtInferenceSession::with_precision(&table, 64, precision);
-            let mut co = Coalescer::new();
-            co.process_into(&mut session, &mut reqs);
-            for (r, w) in reqs.iter().zip(&want) {
-                prop_assert_eq!(
-                    r.out.as_slice(), w.as_slice(),
-                    "{:?}: request {} diverged under coalescing", precision, r.id
-                );
-            }
+        let mut reqs = make_reqs(&raw, config.num_rows);
+        let want = sequential_oracle(&table, &reqs);
+        let mut session = TtInferenceSession::new(&table, 64);
+        let mut co = Coalescer::new();
+        co.process_into(&mut session, &mut reqs);
+        for (r, w) in reqs.iter().zip(&want) {
+            prop_assert_eq!(
+                r.out.as_slice(), w.as_slice(),
+                "request {} diverged under coalescing", r.id
+            );
         }
     }
 
@@ -103,12 +92,10 @@ proptest! {
         (config, seed) in arb_config().prop_flat_map(|c| (Just(c), 0u64..1000)),
         raw in arb_requests(),
         cuts in proptest::collection::vec(0usize..13, 0..5),
-        precision_sel in 0usize..3,
     ) {
         let table = make_table(&config, seed);
-        let precision = PRECISIONS[precision_sel];
         let mut reqs = make_reqs(&raw, config.num_rows);
-        let want = sequential_oracle(&table, &reqs, precision);
+        let want = sequential_oracle(&table, &reqs);
 
         // cuts -> a partition of [0, len) into consecutive sub-batches
         let mut bounds: Vec<usize> = cuts.iter().map(|&c| c % (reqs.len() + 1)).collect();
@@ -117,7 +104,7 @@ proptest! {
         bounds.sort_unstable();
         bounds.dedup();
 
-        let mut session = TtInferenceSession::with_precision(&table, 64, precision);
+        let mut session = TtInferenceSession::new(&table, 64);
         let mut co = Coalescer::new();
         for w in bounds.windows(2) {
             co.process_into(&mut session, &mut reqs[w[0]..w[1]]);
@@ -125,44 +112,38 @@ proptest! {
         for (r, w) in reqs.iter().zip(&want) {
             prop_assert_eq!(
                 r.out.as_slice(), w.as_slice(),
-                "{:?}: request {} diverged under re-partitioning", precision, r.id
+                "request {} diverged under re-partitioning", r.id
             );
         }
     }
 
-    /// Coalesced quantized serving stays within the PR 6 divergence bounds
-    /// of the f32 training forward: bf16 2%, int8 6% of output magnitude.
+    /// Coalesced serving stays within 1e-5 of the training forward, in
+    /// units of the output magnitude.
     #[test]
-    fn coalesced_quantized_output_is_bounded_against_training_forward(
+    fn coalesced_output_is_bounded_against_training_forward(
         (config, seed) in arb_config().prop_flat_map(|c| (Just(c), 0u64..1000)),
         raw in arb_requests(),
     ) {
         let table = make_table(&config, seed);
         let mut ws = TtWorkspace::new();
-        for (precision, tol) in [
-            (InferencePrecision::F32, 1e-5f32),
-            (InferencePrecision::Bf16, 0.02),
-            (InferencePrecision::Int8, 0.06),
-        ] {
-            let mut reqs = make_reqs(&raw, config.num_rows);
-            let mut session = TtInferenceSession::with_precision(&table, 64, precision);
-            let mut co = Coalescer::new();
-            co.process_into(&mut session, &mut reqs);
-            for r in &reqs {
-                let want = table.forward(&r.indices, &[0, r.indices.len() as u32], &mut ws);
-                let scale = want.as_slice().iter().fold(1.0f32, |m, v| m.max(v.abs()));
-                let diff = r
-                    .out
-                    .iter()
-                    .zip(want.as_slice())
-                    .map(|(a, b)| (a - b).abs())
-                    .fold(0.0f32, f32::max);
-                prop_assert!(
-                    diff < tol * scale,
-                    "{:?}: request {} diverged from training forward by {} (scale {})",
-                    precision, r.id, diff, scale
-                );
-            }
+        let mut reqs = make_reqs(&raw, config.num_rows);
+        let mut session = TtInferenceSession::new(&table, 64);
+        let mut co = Coalescer::new();
+        co.process_into(&mut session, &mut reqs);
+        for r in &reqs {
+            let want = table.forward(&r.indices, &[0, r.indices.len() as u32], &mut ws);
+            let scale = want.as_slice().iter().fold(1.0f32, |m, v| m.max(v.abs()));
+            let diff = r
+                .out
+                .iter()
+                .zip(want.as_slice())
+                .map(|(a, b)| (a - b).abs())
+                .fold(0.0f32, f32::max);
+            prop_assert!(
+                diff < 1e-5 * scale,
+                "request {} diverged from training forward by {} (scale {})",
+                r.id, diff, scale
+            );
         }
     }
 }

@@ -26,8 +26,7 @@ fn main() {
     // Offline profiling: collect batches and fit the bijection.
     let profile: Vec<_> = (0..10u64).map(|b| dataset.batch(b, 1024)).collect();
     let lists: Vec<&[u32]> = profile.iter().map(|b| &b.fields[0].indices[..]).collect();
-    let reorderer =
-        Reorderer::new(ReorderConfig { hot_ratio: 0.05, seed: 1, ..ReorderConfig::default() });
+    let reorderer = Reorderer::new(ReorderConfig { hot_ratio: 0.05, seed: 1 });
     let t0 = Instant::now();
     let bijection = reorderer.fit(rows, &lists);
     println!("fitted bijection over {rows} indices in {:.2?}", t0.elapsed());

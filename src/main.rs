@@ -149,8 +149,7 @@ fn cmd_train(opts: &Opts) -> Result<(), String> {
     // optional offline reordering of the large tables
     let mut bijections = vec![None; model.num_tables()];
     if opts.has_flag("reorder") {
-        let reorderer =
-            Reorderer::new(ReorderConfig { hot_ratio: 0.05, seed, ..ReorderConfig::default() });
+        let reorderer = Reorderer::new(ReorderConfig { hot_ratio: 0.05, seed });
         let profile: Vec<MiniBatch> = (0..8).map(|b| ds.batch(b, batch_size)).collect();
         for &t in &ds.spec().large_tables(tt_threshold) {
             let lists: Vec<&[u32]> = profile.iter().map(|b| &b.fields[t].indices[..]).collect();

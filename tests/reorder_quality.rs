@@ -18,9 +18,7 @@ fn reordering_raises_reuse_opportunity_on_synthetic_communities() {
     let ds = dataset(rows);
     let profile: Vec<_> = (0..8u64).map(|b| ds.batch(b, 1024)).collect();
     let lists: Vec<&[u32]> = profile.iter().map(|b| &b.fields[0].indices[..]).collect();
-    let bij =
-        Reorderer::new(ReorderConfig { hot_ratio: 0.05, seed: 1, ..ReorderConfig::default() })
-            .fit(rows, &lists);
+    let bij = Reorderer::new(ReorderConfig { hot_ratio: 0.05, seed: 1 }).fit(rows, &lists);
     bij.validate().unwrap();
 
     let eval: Vec<_> = (100..106u64).map(|b| ds.batch(b, 1024)).collect();
@@ -50,9 +48,7 @@ fn reordering_reduces_forward_gemm_tasks() {
     let ds = dataset(rows);
     let profile: Vec<_> = (0..8u64).map(|b| ds.batch(b, 2048)).collect();
     let lists: Vec<&[u32]> = profile.iter().map(|b| &b.fields[0].indices[..]).collect();
-    let bij =
-        Reorderer::new(ReorderConfig { hot_ratio: 0.05, seed: 2, ..ReorderConfig::default() })
-            .fit(rows, &lists);
+    let bij = Reorderer::new(ReorderConfig { hot_ratio: 0.05, seed: 2 }).fit(rows, &lists);
 
     let cfg = TtConfig::new(rows, 32, 16);
     let batch = ds.batch(200, 2048);

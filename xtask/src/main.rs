@@ -287,7 +287,7 @@ fn cmd_tsan(root: &Path) -> ExitCode {
         return ExitCode::FAILURE;
     };
     // The rayon shim's queue/latch protocol, and the serving tier's
-    // submit -> pending lanes -> worker hand-off (one mutex + condvar, with
+    // submit -> pending queue -> worker hand-off (one mutex + condvar, with
     // the budget counters and stats as atomics beside it).
     let runs: &[(&str, &[&str])] = &[
         ("pool stress harness (1/2/4/8-thread subprocesses)", &["-p", "rayon", "--test", "stress"]),
