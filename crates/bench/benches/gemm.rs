@@ -108,7 +108,8 @@ fn bench_kernel_sweep(c: &mut Criterion) {
 }
 
 /// MLP-layer shapes (DLRM top/bottom nets): batch x out x in with the
-/// weight matrix read transposed in place — the Linear::forward path.
+/// weight matrix read transposed in place — the product every MLP forward
+/// band runs per layer (`Linear::forward_rows`).
 fn bench_mlp_shapes(c: &mut Criterion) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(4);
     let mut group = c.benchmark_group("gemm_mlp");

@@ -24,6 +24,7 @@
 //! outputs; a band edge only decides which thread computes a sample, never
 //! how.
 
+use crate::band::{fit, fork_bands};
 use el_tensor::Matrix;
 use rayon::prelude::*;
 use std::cell::RefCell;
@@ -56,14 +57,6 @@ fn prefix<T: Copy + Default>(v: &mut Vec<T>, len: usize) -> &mut [T] {
         v.resize(len, T::default());
     }
     &mut v[..len]
-}
-
-/// Gives `m` the shape `rows x cols`, keeping its contents when it already
-/// has it: the kernels write every element of their outputs.
-fn fit(m: &mut Matrix, rows: usize, cols: usize) {
-    if (m.rows(), m.cols()) != (rows, cols) {
-        m.reset_zeroed(rows, cols);
-    }
 }
 
 /// Rows per band for a batch: the batch split into at most one band per
@@ -231,19 +224,9 @@ impl Interaction {
         for g in grads.iter_mut() {
             fit(g, batch, d);
         }
-        let rows = band_rows(batch);
-        // Band-major row slices of every gradient: chunk `b` of `slices`
-        // holds band `b`'s rows of feature 0, 1, …, F − 1.
-        let mut per_feature: Vec<_> =
-            grads.iter_mut().map(|g| g.as_mut_slice().chunks_mut(rows * d)).collect();
-        let mut slices: Vec<&mut [f32]> = Vec::with_capacity(batch.div_ceil(rows) * nf);
-        for _ in 0..batch.div_ceil(rows) {
-            slices.extend(per_feature.iter_mut().filter_map(Iterator::next));
-        }
-        slices
-            .par_chunks_mut(nf)
-            .enumerate()
-            .for_each(|(b, band)| self.backward_band(features, d_out, b * rows, band));
+        fork_bands(grads.iter_mut(), band_rows(batch), |s0, band| {
+            self.backward_band(features, d_out, s0, band)
+        });
     }
 
     /// Checks the feature shapes and returns the batch size.

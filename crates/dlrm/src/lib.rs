@@ -18,6 +18,7 @@
 
 #![forbid(unsafe_code)]
 
+mod band;
 pub mod checkpoint;
 pub mod embedding_bag;
 pub mod interaction;

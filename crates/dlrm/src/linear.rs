@@ -1,6 +1,6 @@
 //! Fully-connected layer with explicit-cache backward.
 
-use el_tensor::gemm::{par_add_at_b, par_gemm, par_gemm_bt};
+use el_tensor::gemm::{gemm, gemm_nn, par_add_at_b, Trans};
 use el_tensor::Matrix;
 use rand::Rng;
 
@@ -41,25 +41,26 @@ impl Linear {
 
     /// `y = x W^T + b` for a batch `x: batch x in`.
     pub fn forward(&self, x: &Matrix) -> Matrix {
-        let mut y = Matrix::zeros(0, 0);
-        self.forward_into(x, &mut y);
+        assert_eq!(x.cols(), self.in_dim(), "input dim mismatch");
+        let mut y = Matrix::zeros(x.rows(), self.out_dim());
+        self.forward_rows(x.as_slice(), y.as_mut_slice());
         y
     }
 
-    /// [`Linear::forward`] into `y`, reshaped to `batch x out` and reusing
-    /// its allocation.
-    pub fn forward_into(&self, x: &Matrix, y: &mut Matrix) {
-        assert_eq!(x.cols(), self.in_dim(), "input dim mismatch");
-        let (b, o, i) = (x.rows(), self.out_dim(), self.in_dim());
-        y.reset_zeroed(b, o);
-        // y = x (b x i) * W^T (i x o): batch rows band out across the
-        // pool while the packed kernel absorbs the transpose into its
-        // B-panel packing, so W is read in place by every band.
-        par_gemm_bt(b, o, i, 1.0, x.as_slice(), self.weight.as_slice(), 0.0, y.as_mut_slice());
-        let bias = &self.bias;
-        for row in 0..b {
-            let dst = &mut y.as_mut_slice()[row * o..(row + 1) * o];
-            for (v, bv) in dst.iter_mut().zip(bias) {
+    /// [`Linear::forward`] on the rows held in `x` (`rows x in`), written
+    /// to `y` (`rows x out`). The product is `x·Wᵀ` through [`gemm`], whose
+    /// packed kernel absorbs the transpose into its B packing, so `W` is
+    /// read in place; the bias follows row by row.
+    // CONTRACT: zero-alloc
+    pub(crate) fn forward_rows(&self, x: &[f32], y: &mut [f32]) {
+        let (o, i) = (self.out_dim(), self.in_dim());
+        let rows = y.len() / o;
+        // The small-product path (`gemm_ref`) scales the old `y` by beta = 0
+        // rather than overwriting it, so `y` starts from +0.0.
+        y.fill(0.0);
+        gemm(rows, o, i, 1.0, x, Trans::No, self.weight.as_slice(), Trans::Yes, 0.0, y);
+        for dst in y.chunks_exact_mut(o) {
+            for (v, bv) in dst.iter_mut().zip(&self.bias) {
                 *v += bv;
             }
         }
@@ -68,27 +69,33 @@ impl Linear {
     /// Backward: accumulates `dW += dy^T x`, `db += sum(dy)` and returns
     /// `dx = dy W`.
     pub fn backward(&mut self, x: &Matrix, dy: &Matrix) -> Matrix {
-        let mut dx = Matrix::zeros(0, 0);
-        self.backward_into(x, dy, &mut dx);
+        self.accumulate_grads(x, dy);
+        let mut dx = Matrix::zeros(x.rows(), self.in_dim());
+        self.input_grad_rows(dy.as_slice(), dx.as_mut_slice());
         dx
     }
 
-    /// [`Linear::backward`] writing `dx` into `dx`, reshaped to
-    /// `batch x in` and reusing its allocation.
-    pub fn backward_into(&mut self, x: &Matrix, dy: &Matrix, dx: &mut Matrix) {
+    /// `dx = dy·W` on the rows held in `dy` (`rows x out`), written to `dx`
+    /// (`rows x in`).
+    // CONTRACT: zero-alloc
+    pub(crate) fn input_grad_rows(&self, dy: &[f32], dx: &mut [f32]) {
+        let (o, i) = (self.out_dim(), self.in_dim());
+        gemm_nn(dx.len() / i, i, o, 1.0, dy, self.weight.as_slice(), 0.0, dx);
+    }
+
+    /// The whole-batch weight reductions: `dW += dyᵀ·x` (row bands of `dW`
+    /// across the pool, [`par_add_at_b`]) and `db += Σ dy`, summed in row
+    /// order.
+    pub(crate) fn accumulate_grads(&mut self, x: &Matrix, dy: &Matrix) {
         assert_eq!(dy.cols(), self.out_dim());
         assert_eq!(dy.rows(), x.rows());
         let (b, o, i) = (x.rows(), self.out_dim(), self.in_dim());
-        // dW (o x i) += dy^T (o x b) * x (b x i)
         par_add_at_b(b, o, i, dy.as_slice(), x.as_slice(), self.grad_weight.as_mut_slice());
         for row in 0..b {
             for (g, v) in self.grad_bias.iter_mut().zip(dy.row(row)) {
                 *g += v;
             }
         }
-        // dx (b x i) = dy (b x o) * W (o x i)
-        dx.reset_zeroed(b, i);
-        par_gemm(b, i, o, 1.0, dy.as_slice(), self.weight.as_slice(), 0.0, dx.as_mut_slice());
     }
 
     /// SGD step and gradient reset.

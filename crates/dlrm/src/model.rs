@@ -10,6 +10,7 @@
 //!   arrive from outside and its gradients are handed back, which is how
 //!   the pipeline trainer of `el-pipeline` drives the model.
 
+use crate::band::fit;
 use crate::embedding_bag::EmbeddingBag;
 use crate::interaction::Interaction;
 use crate::loss::{bce_with_logits, predict_proba};
@@ -240,10 +241,17 @@ pub struct DlrmModel {
     opt_states: Option<AdagradStates>,
     /// Per-table pooled embeddings of the last forward, reused across steps.
     pooled: Vec<Matrix>,
-    /// The interaction's output and per-feature gradients, reused across
-    /// steps.
+    /// The bottom MLP's input and output. The input is moved into the MLP
+    /// for the step and taken back after its backward.
+    dense: Matrix,
+    z0: Matrix,
+    /// The interaction's output (the top MLP's input, moved in and taken
+    /// back like `dense`) and per-feature gradients.
     inter_out: Matrix,
     inter_grads: Vec<Matrix>,
+    /// The top MLP's output and input gradient.
+    logits: Matrix,
+    d_inter: Matrix,
 }
 
 impl DlrmModel {
@@ -323,8 +331,12 @@ impl DlrmModel {
             optimizer,
             opt_states,
             pooled: Vec::new(),
-            inter_out: Matrix::zeros(0, 0),
+            dense: Matrix::default(),
+            z0: Matrix::default(),
+            inter_out: Matrix::default(),
             inter_grads: Vec::new(),
+            logits: Matrix::default(),
+            d_inter: Matrix::default(),
         }
     }
 
@@ -479,21 +491,22 @@ impl DlrmModel {
         batch: &MiniBatch,
         hosted_embeddings: &[(usize, Matrix)],
     ) -> StepOutput {
-        let dense = self.dense_matrix(batch);
-        let z0 = self.bottom.forward(&dense);
+        let dense = self.dense_input(batch);
+        self.bottom.forward_owned(dense, &mut self.z0);
         self.embedding_forward(batch, hosted_embeddings);
 
         let mut features: Vec<&Matrix> = Vec::with_capacity(1 + self.pooled.len());
-        features.push(&z0);
+        features.push(&self.z0);
         features.extend(self.pooled.iter());
         self.interaction.forward_into(&features, &mut self.inter_out);
 
-        let logits = self.top.forward(&self.inter_out);
-        let (loss, d_logits) = bce_with_logits(&logits, &batch.labels);
+        self.top.forward_owned(std::mem::take(&mut self.inter_out), &mut self.logits);
+        let (loss, d_logits) = bce_with_logits(&self.logits, &batch.labels);
 
         // Backward.
-        let d_inter = self.top.backward(&d_logits);
-        self.interaction.backward_into(&features, &d_inter, &mut self.inter_grads);
+        self.top.backward_into(&d_logits, Some(&mut self.d_inter));
+        self.inter_out = self.top.take_input();
+        self.interaction.backward_into(&features, &self.d_inter, &mut self.inter_grads);
         drop(features);
 
         // Every table's backward and update, across the pool (see
@@ -512,7 +525,9 @@ impl DlrmModel {
                 table.backward(field, grad, state.as_deref_mut(), lr)
             });
 
-        let _ = self.bottom.backward(&self.inter_grads[0]);
+        // The bottom MLP's input gradient would have no reader.
+        self.bottom.backward_into(&self.inter_grads[0], None);
+        self.dense = self.bottom.take_input();
         match &mut self.opt_states {
             None => {
                 self.top.step(lr);
@@ -540,8 +555,9 @@ impl DlrmModel {
     /// workspaces are still exercised because lookup shares the training
     /// kernels).
     pub fn predict(&mut self, batch: &MiniBatch) -> Vec<f32> {
-        let dense = self.dense_matrix(batch);
+        let dense = self.dense_input(batch);
         let z0 = self.bottom.predict(&dense);
+        self.dense = dense;
         self.embedding_forward(batch, &[]);
         let mut features: Vec<&Matrix> = Vec::with_capacity(1 + self.pooled.len());
         features.push(&z0);
@@ -586,12 +602,19 @@ impl DlrmModel {
             .for_each(|(((t, table), field), out)| table.forward_into(t, field, rows, hosted, out));
     }
 
-    fn dense_matrix(&self, batch: &MiniBatch) -> Matrix {
+    /// The batch's dense features as the bottom MLP's input, in the
+    /// model's reused buffer, taken out of the model for the step.
+    fn dense_input(&mut self, batch: &MiniBatch) -> Matrix {
+        let mut dense = std::mem::take(&mut self.dense);
         if batch.num_dense == 0 {
             // Bottom MLP still needs an input; feed a constant.
-            return Matrix::full(batch.batch_size(), self.bottom.in_dim(), 1.0);
+            fit(&mut dense, batch.batch_size(), self.bottom.in_dim());
+            dense.as_mut_slice().fill(1.0);
+        } else {
+            fit(&mut dense, batch.batch_size(), batch.num_dense);
+            dense.as_mut_slice().copy_from_slice(&batch.dense);
         }
-        Matrix::from_vec(batch.batch_size(), batch.num_dense, batch.dense.clone())
+        dense
     }
 }
 

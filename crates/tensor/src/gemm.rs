@@ -10,8 +10,12 @@
 //!   register-blocked micro-kernel in [`crate::micro`];
 //! * [`gemm`] — adds transpose flags; transposed operands are absorbed by
 //!   the packing strides, never materialized;
-//! * [`par_gemm`] — rayon row-parallel wrapper with flop-sized bands for
-//!   the larger MLP layers.
+//! * [`add_at_b`] / [`par_add_at_b`] — `C += Aᵀ·B`, the second banded
+//!   across the pool (the MLP weight gradient).
+//!
+//! The MLPs band their forward and input-gradient products themselves,
+//! one fork per direction over batch rows (`el_dlrm::mlp`); this module's
+//! kernels are what each band calls.
 //!
 //! All kernels compute `C = alpha * op(A) * op(B) + beta * C` on row-major
 //! slices, mirroring the BLAS `sgemm` contract closely enough that the
@@ -86,8 +90,9 @@ const KB: usize = 128;
 /// `m*n*k` at which transposed operands switch from the reference loop to
 /// the packed kernel. Much lower than [`micro::PACK_CUTOFF`]: the strided
 /// reads of the reference loop are already painful at modest sizes, and
-/// packing absorbs the transpose for free.
-const TRANS_PACK_CUTOFF: usize = 1 << 12;
+/// packing absorbs the transpose for free. Public so that callers that
+/// band a product by rows can keep every band on the whole product's side.
+pub const TRANS_PACK_CUTOFF: usize = 1 << 12;
 
 /// Sequential GEMM on row-major, non-transposed operands:
 /// `C = alpha * A * B + beta * C`.
@@ -230,96 +235,6 @@ pub fn gemm(
     }
 }
 
-/// Row-parallel GEMM for the large MLP products: `C = alpha*A*B + beta*C`.
-///
-/// Rows of `C` are split into contiguous bands sized by flops — each band
-/// carries roughly `PAR_BAND_FLOPS` multiply-adds, enough to amortize
-/// fork/join while leaving several chunks per worker for stealing. Falls
-/// back to the sequential kernel when the whole problem is too small.
-// BLAS-style signature: callers read it like `sgemm`.
-#[allow(clippy::too_many_arguments)]
-pub fn par_gemm(
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: f32,
-    a: &[f32],
-    b: &[f32],
-    beta: f32,
-    c: &mut [f32],
-) {
-    assert_eq!(a.len(), m * k);
-    assert_eq!(b.len(), k * n);
-    assert_eq!(c.len(), m * n);
-
-    // ~1 MFLOP cutoff: below this the fork/join overhead dominates.
-    if m * n * k < 1 << 20 {
-        return gemm_nn(m, n, k, alpha, a, b, beta, c);
-    }
-
-    // Rows per band so that one band is ~PAR_BAND_FLOPS of work, capped so
-    // every worker still sees at least two chunks.
-    let by_flops = (PAR_BAND_FLOPS / (2 * n * k).max(1)).max(1);
-    let by_threads = m.div_ceil(rayon::current_num_threads() * 2).max(1);
-    let band = by_flops.min(by_threads);
-    c.par_chunks_mut(band * n).enumerate().for_each(|(bi, c_band)| {
-        let row0 = bi * band;
-        let rows = c_band.len() / n;
-        gemm_nn(rows, n, k, alpha, &a[row0 * k..(row0 + rows) * k], b, beta, c_band);
-    });
-}
-
-/// Work target per parallel band of [`par_gemm`] (multiply-adds).
-const PAR_BAND_FLOPS: usize = 1 << 22;
-
-/// Row-parallel `C = alpha*A*B^T + beta*C` with `B` stored `n x k`
-/// row-major (the PyTorch `Linear` weight layout).
-///
-/// Bands of `C` rows run the transpose-absorbing packed kernel, so `B` is
-/// read in place by every band while the batch dimension fans out across
-/// the pool. Falls back to the sequential [`gemm`] path when the problem
-/// is too small to amortize dispatch.
-// BLAS-style signature: callers read it like `sgemm`.
-#[allow(clippy::too_many_arguments)]
-pub fn par_gemm_bt(
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: f32,
-    a: &[f32],
-    b: &[f32],
-    beta: f32,
-    c: &mut [f32],
-) {
-    assert_eq!(a.len(), m * k);
-    assert_eq!(b.len(), n * k);
-    assert_eq!(c.len(), m * n);
-
-    if m * n * k < 1 << 20 {
-        return gemm(m, n, k, alpha, a, Trans::No, b, Trans::Yes, beta, c);
-    }
-
-    let by_flops = (PAR_BAND_FLOPS / (2 * n * k).max(1)).max(1);
-    let by_threads = m.div_ceil(rayon::current_num_threads() * 2).max(1);
-    let band = by_flops.min(by_threads);
-    c.par_chunks_mut(band * n).enumerate().for_each(|(bi, c_band)| {
-        let row0 = bi * band;
-        let rows = c_band.len() / n;
-        gemm(
-            rows,
-            n,
-            k,
-            alpha,
-            &a[row0 * k..(row0 + rows) * k],
-            Trans::No,
-            b,
-            Trans::Yes,
-            beta,
-            c_band,
-        );
-    });
-}
-
 /// Accumulates `C += A^T * B` without materializing the transpose.
 ///
 /// `a` is `p x m` (so `A^T` is `m x p`), `b` is `p x n`, `c` is `m x n`.
@@ -369,6 +284,9 @@ pub fn par_add_at_b(p: usize, m: usize, n: usize, a: &[f32], b: &[f32], c: &mut 
     let bands = (p * m * n / PAR_BAND_FLOPS).clamp(1, rayon::current_num_threads());
     add_at_b_bands(bands, p, m, n, a, b, c);
 }
+
+/// Work floor per band of [`par_add_at_b`] (multiply-adds).
+const PAR_BAND_FLOPS: usize = 1 << 22;
 
 /// [`add_at_b`] with the rows of `C` split into up to `bands` bands
 /// across the pool.
@@ -539,34 +457,6 @@ mod tests {
             let mut got = c0.clone();
             par_add_at_b(p, m, n, &a, &b, &mut got);
             assert!(got.iter().zip(&want).all(|(g, w)| g.to_bits() == w.to_bits()));
-        }
-    }
-
-    #[test]
-    fn par_gemm_matches_sequential_on_large_shape() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        let (m, n, k) = (128, 96, 160);
-        let a = rand_vec(m * k, &mut rng);
-        let b = rand_vec(k * n, &mut rng);
-        let mut c_seq = vec![0.0; m * n];
-        let mut c_par = vec![0.0; m * n];
-        gemm_nn(m, n, k, 1.0, &a, &b, 0.0, &mut c_seq);
-        par_gemm(m, n, k, 1.0, &a, &b, 0.0, &mut c_par);
-        assert_close(&c_seq, &c_par, 1e-5);
-    }
-
-    #[test]
-    fn par_gemm_bt_matches_reference() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(6);
-        // Small shape takes the sequential fallback, large the banded path.
-        for &(m, n, k) in &[(9, 13, 7), (192, 80, 128)] {
-            let a = rand_vec(m * k, &mut rng);
-            let b = rand_vec(n * k, &mut rng); // n x k row-major, used as B^T
-            let mut c_ref = vec![0.5; m * n];
-            let mut c_par = vec![0.5; m * n];
-            gemm_ref(m, n, k, 1.5, &a, Trans::No, &b, Trans::Yes, 2.0, &mut c_ref);
-            par_gemm_bt(m, n, k, 1.5, &a, &b, 2.0, &mut c_par);
-            assert_close(&c_ref, &c_par, 1e-4);
         }
     }
 

@@ -4,7 +4,7 @@
 //! arbitrary alpha/beta, and batched launches with shared-A runs.
 
 use el_tensor::batched::{batched_gemm, batched_gemm_seq, GemmBatch};
-use el_tensor::gemm::{add_a_bt, add_at_b, gemm, gemm_nn, gemm_ref, par_gemm, Trans};
+use el_tensor::gemm::{add_a_bt, add_at_b, gemm, gemm_nn, gemm_ref, Trans};
 use el_tensor::micro::{self, gemm_packed, Kernel, Layout, MR, NR};
 use proptest::prelude::*;
 
@@ -110,8 +110,7 @@ proptest! {
         }
     }
 
-    /// The axpy path, the packed path, and the parallel entry point all
-    /// compute the same NN product.
+    /// The axpy path and the packed path compute the same NN product.
     #[test]
     fn nn_entry_points_agree(
         (m, n, k) in (arb_dim(), arb_dim(), arb_dim()),
@@ -126,11 +125,8 @@ proptest! {
         let t = tol(&want, k);
         let mut nn = vec![0.0f32; m * n];
         gemm_nn(m, n, k, 1.0, &a, &b, 0.0, &mut nn);
-        let mut par = vec![0.0f32; m * n];
-        par_gemm(m, n, k, 1.0, &a, &b, 0.0, &mut par);
         for i in 0..want.len() {
             prop_assert!((nn[i] - want[i]).abs() <= t);
-            prop_assert!((par[i] - want[i]).abs() <= t);
         }
     }
 
