@@ -119,12 +119,6 @@ impl TtConfig {
         Self { num_rows, dim, row_dims, col_dims, ranks, init_std: 0.05 }
     }
 
-    /// Overrides the init scale.
-    pub fn with_init_std(mut self, std: f32) -> Self {
-        self.init_std = std;
-        self
-    }
-
     /// Number of cores.
     pub fn order(&self) -> usize {
         self.row_dims.len()

@@ -134,13 +134,6 @@ impl TtEmbeddingBag {
         }
     }
 
-    /// Decompresses individual rows (one lookup per output row, no
-    /// pooling). Convenience wrapper used by tests and the cache layer.
-    pub fn lookup_rows(&self, indices: &[u32], ws: &mut TtWorkspace) -> Matrix {
-        let offsets: Vec<u32> = (0..=indices.len() as u32).collect();
-        self.forward(indices, &offsets, ws)
-    }
-
     /// Executes the chained batched GEMMs for `plan` into `bufs`.
     ///
     /// `bufs[t]` receives the level-`t` partial products; `bufs[0]` is left
@@ -299,20 +292,6 @@ mod tests {
         let mut scaled = once.clone();
         scaled.scale(3.0);
         assert!(thrice.max_abs_diff(&scaled) < 1e-5);
-    }
-
-    #[test]
-    fn lookup_rows_decompresses_each_index() {
-        let b = bag(30, 8, 4, 5);
-        let mut ws = TtWorkspace::new();
-        let rows = b.lookup_rows(&[1, 2, 1], &mut ws);
-        assert_eq!(rows.rows(), 3);
-        assert_eq!(rows.row(0), rows.row(2));
-        let mut expect = vec![0.0f32; 8];
-        b.reconstruct_row(2, &mut expect);
-        for (a, e) in rows.row(1).iter().zip(&expect) {
-            assert!((a - e).abs() < 1e-5);
-        }
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub use inference::TtInferenceSession;
 pub use plan::{Csr, Level, LookupPlan, PAR_BUILD_CUTOFF};
 pub use prefetch::PlanPrefetcher;
 pub use quantized::{Bf16EmbeddingBag, QuantizedEmbeddingBag};
-pub use timing::{set_timing_enabled, StageTimers};
+pub use timing::StageTimers;
 
 #[cfg(test)]
 mod proptests;

@@ -71,13 +71,6 @@ impl Csr {
         self.offsets.len().saturating_sub(1)
     }
 
-    /// Builds a CSR from `(group, item)` assignments given the group count.
-    pub fn from_assignments(groups: usize, assignments: &[u32]) -> Csr {
-        let mut csr = Csr::default();
-        csr.rebuild(groups, assignments, &mut Vec::new());
-        csr
-    }
-
     /// Rebuilds in place from `(group, item)` assignments, reusing the
     /// offset/item allocations; `cursor` is caller-provided scratch so the
     /// counting sort needs no allocation either.

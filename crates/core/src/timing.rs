@@ -6,41 +6,25 @@
 //! [`StageTimers`] record updated by the kernels through this module.
 //!
 //! All `Instant::now()` calls of the library hot loops live here (enforced
-//! by `cargo xtask lint`'s `instant-now` rule), behind one runtime switch:
-//! [`set_timing_enabled`]`(false)` turns every probe into a no-op, so the
-//! counters cost nothing when nobody is reading them.
+//! by `cargo xtask lint`'s `instant-now` rule). Every probe reads the
+//! clock.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
-
-static TIMING_ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Globally enables or disables stage timing (cheap relaxed flag).
-pub fn set_timing_enabled(on: bool) {
-    TIMING_ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether stage timing is currently enabled.
-pub fn timing_enabled() -> bool {
-    TIMING_ENABLED.load(Ordering::Relaxed)
-}
 
 /// An in-flight stage measurement; resolves into a counter on
 /// [`StageProbe::accumulate`].
 #[must_use]
-pub struct StageProbe(Option<Instant>);
+pub struct StageProbe(Instant);
 
-/// Starts a stage probe (no-op while timing is disabled).
+/// Starts a stage probe.
 pub fn probe() -> StageProbe {
-    StageProbe(timing_enabled().then(Instant::now))
+    StageProbe(Instant::now())
 }
 
 impl StageProbe {
     /// Adds the elapsed nanoseconds since the probe started to `counter`.
     pub fn accumulate(self, counter: &mut u64) {
-        if let Some(t0) = self.0 {
-            *counter += t0.elapsed().as_nanos() as u64;
-        }
+        *counter += self.0.elapsed().as_nanos() as u64;
     }
 }
 
@@ -90,23 +74,16 @@ impl StageTimers {
 mod tests {
     use super::*;
 
-    // One test covers both switch states: tests run concurrently and the
-    // flag is global, so splitting would race.
     #[test]
-    fn probes_follow_the_global_switch() {
-        set_timing_enabled(true);
+    fn probes_accumulate_elapsed_time() {
         let mut ns = 0u64;
         let p = probe();
         std::hint::black_box((0..10_000u64).sum::<u64>());
         p.accumulate(&mut ns);
         assert!(ns > 0);
-
-        set_timing_enabled(false);
-        assert!(!timing_enabled());
-        let mut off = 0u64;
-        probe().accumulate(&mut off);
-        assert_eq!(off, 0);
-        set_timing_enabled(true);
+        let first = ns;
+        probe().accumulate(&mut ns);
+        assert!(ns >= first);
     }
 
     #[test]

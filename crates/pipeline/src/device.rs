@@ -24,13 +24,6 @@ pub fn thread_cpu_time() -> Duration {
     Duration::new(ts.tv_sec as u64, ts.tv_nsec as u32)
 }
 
-/// Measures the per-thread CPU time consumed by `f`.
-pub fn cpu_timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
-    let start = thread_cpu_time();
-    let out = f();
-    (out, thread_cpu_time() - start)
-}
-
 /// Static description of one accelerator.
 #[derive(Clone, Copy, Debug)]
 pub struct DeviceSpec {

@@ -38,13 +38,6 @@ pub struct ReplicationConfig {
     /// Members per shard group (primary + backups). `1` is the
     /// unreplicated degenerate: no log, no failover.
     pub replicas: u32,
-    /// Ticks between primary heartbeats (before jitter).
-    pub heartbeat_every: u64,
-    /// Ticks of heartbeat silence before a primary is suspected. Clamped
-    /// to at least `heartbeat_every + max_jitter + 1` (see
-    /// [`HeartbeatConfig::min_suspicion`]) so one maximally jittered gap
-    /// can never trip it.
-    pub suspicion_after: u64,
     /// Gradient-log retention: when the log holds this many entries a
     /// snapshot is refreshed and the log trimmed, bounding catch-up memory.
     pub log_capacity: usize,
@@ -57,27 +50,7 @@ pub struct ReplicationConfig {
 
 impl Default for ReplicationConfig {
     fn default() -> Self {
-        Self {
-            replicas: 1,
-            heartbeat_every: 8,
-            suspicion_after: 30,
-            log_capacity: 64,
-            kill_primary_at: Vec::new(),
-        }
-    }
-}
-
-impl ReplicationConfig {
-    /// The heartbeat schedule this config implies.
-    pub fn heartbeat(&self, seed: u64) -> HeartbeatConfig {
-        HeartbeatConfig {
-            every: self.heartbeat_every,
-            suspicion_after: self
-                .suspicion_after
-                .max(HeartbeatConfig::min_suspicion(self.heartbeat_every)),
-            jitter: HeartbeatConfig::max_jitter(self.heartbeat_every),
-            seed,
-        }
+        Self { replicas: 1, log_capacity: 64, kill_primary_at: Vec::new() }
     }
 }
 
@@ -631,16 +604,16 @@ mod tests {
         assert_eq!(HeartbeatConfig::max_jitter(8), 4);
         assert_eq!(HeartbeatConfig::min_suspicion(8), 13);
         assert_eq!(HeartbeatConfig::min_suspicion(1), 3);
-        // A user-set timeout of heartbeat_every + 1 must be raised past
-        // interval + max jitter, or every jittered beat would look late.
-        let cfg = ReplicationConfig {
-            heartbeat_every: 8,
-            suspicion_after: 9,
-            ..ReplicationConfig::default()
-        };
-        let hb = cfg.heartbeat(0);
-        assert_eq!(hb.suspicion_after, 13);
-        assert!((0..64).all(|n| hb.delay(n) < hb.suspicion_after));
+        // At the clamped timeout, no maximally jittered beat looks late.
+        for every in [1, 2, 8, 31] {
+            let hb = HeartbeatConfig {
+                every,
+                suspicion_after: HeartbeatConfig::min_suspicion(every),
+                jitter: HeartbeatConfig::max_jitter(every),
+                seed: 0xE1 ^ every,
+            };
+            assert!((0..256).all(|n| hb.delay(n) < hb.suspicion_after));
+        }
     }
 
     #[test]

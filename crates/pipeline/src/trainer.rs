@@ -980,12 +980,7 @@ mod tests {
         };
         let shard_cfg =
             ShardConfig { num_shards: shards, rows_per_range: 16, placement_seed: 0xE1 };
-        let repl = ReplicationConfig {
-            replicas,
-            log_capacity: 4,
-            kill_primary_at: kills,
-            ..ReplicationConfig::default()
-        };
+        let repl = ReplicationConfig { replicas, log_capacity: 4, kill_primary_at: kills };
         PipelineTrainer::try_train_replicated(model, server, &dataset, &config, &shard_cfg, &repl)
             .unwrap()
     }

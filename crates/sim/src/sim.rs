@@ -170,9 +170,10 @@ impl SimConfig {
         ShardLayout::place(&self.shard, &sizes)
     }
 
-    /// The heartbeat silence the worker tolerates, clamped exactly as the
-    /// detectors' [`HeartbeatConfig`] clamps it so detector timeouts and
-    /// suspect-check scheduling agree.
+    /// The heartbeat silence the worker tolerates, clamped to at least
+    /// [`HeartbeatConfig::min_suspicion`] so one maximally jittered gap can
+    /// never trip a detector. Detector timeouts and suspect-check
+    /// scheduling both read it, so they agree.
     fn suspicion(&self) -> u64 {
         self.suspicion_after.max(HeartbeatConfig::min_suspicion(self.heartbeat_every.max(1)))
     }

@@ -19,7 +19,7 @@
 
 use crate::gemm::gemm_nn;
 use crate::micro::{self, Layout};
-use crate::small::{self, Op, SmallGemm};
+use crate::small::{self, Op};
 use rayon::prelude::*;
 
 /// One small GEMM inside a batch: element offsets of A, B and C inside their
@@ -34,7 +34,7 @@ pub struct GemmTask {
     pub c: usize,
 }
 
-/// A batch of equally-shaped GEMMs: `C_i = alpha * A_i * B_i + beta * C_i`.
+/// A batch of equally-shaped GEMMs: `C_i = A_i * B_i`, overwriting `C_i`.
 #[derive(Clone, Debug)]
 pub struct GemmBatch {
     /// Rows of each A/C block.
@@ -43,10 +43,6 @@ pub struct GemmBatch {
     pub n: usize,
     /// Inner dimension.
     pub k: usize,
-    /// Scale on the product.
-    pub alpha: f32,
-    /// Scale on the existing C contents.
-    pub beta: f32,
     /// The pointer list.
     pub tasks: Vec<GemmTask>,
 }
@@ -60,9 +56,9 @@ impl Default for GemmBatch {
 }
 
 impl GemmBatch {
-    /// An empty batch of the given shape with `alpha = 1`, `beta = 0`.
+    /// An empty batch of the given shape.
     pub fn new(m: usize, n: usize, k: usize) -> Self {
-        Self { m, n, k, alpha: 1.0, beta: 0.0, tasks: Vec::new() }
+        Self { m, n, k, tasks: Vec::new() }
     }
 
     /// Reshapes the batch in place for a new level, clearing the task list
@@ -71,8 +67,6 @@ impl GemmBatch {
         self.m = m;
         self.n = n;
         self.k = k;
-        self.alpha = 1.0;
-        self.beta = 0.0;
         self.tasks.clear();
     }
 
@@ -130,8 +124,7 @@ pub fn batched_gemm(batch: &GemmBatch, a_arena: &[f32], b_arena: &[f32], c_arena
     debug_assert!(outputs_disjoint(&batch.tasks, c_len), "C regions of tasks must be disjoint");
 
     let c_ptr = SendPtr(c_arena.as_mut_ptr());
-    let (alpha, beta) = (batch.alpha, batch.beta);
-    let table = table_kernel(batch);
+    let table = small::resolve(Op::GemmNn, [m, n, k]);
 
     // One small GEMM is far below the fork/join break-even point, so tasks
     // are processed in chunks sized by flops: each chunk carries roughly
@@ -179,11 +172,11 @@ pub fn batched_gemm(batch: &GemmBatch, a_arena: &[f32], b_arena: &[f32], c_arena
                             m,
                             n,
                             k,
-                            alpha,
+                            1.0,
                             a_pack,
                             &b_arena[t.b..t.b + b_len],
                             Layout::row_major(n),
-                            beta,
+                            0.0,
                             c,
                         );
                     }
@@ -198,7 +191,7 @@ pub fn batched_gemm(batch: &GemmBatch, a_arena: &[f32], b_arena: &[f32], c_arena
                     let b = &b_arena[t.b..t.b + b_len];
                     match table {
                         Some(kern) => kern(a, b, c),
-                        None => gemm_nn(m, n, k, alpha, a, b, beta, c),
+                        None => gemm_nn(m, n, k, 1.0, a, b, 0.0, c),
                     }
                 }
             }
@@ -216,22 +209,13 @@ const CHUNK_FLOPS: usize = 1 << 21;
 /// thread whatever its flops.
 const SPLIT_TASKS: usize = 256;
 
-/// The [`small`] table kernel for `batch`'s shape, when the batch is a plain
-/// `C = A·B` (`alpha = 1`, `beta = 0`, as every Eff-TT chain level is).
-fn table_kernel(batch: &GemmBatch) -> Option<SmallGemm> {
-    if batch.alpha != 1.0 || batch.beta != 0.0 {
-        return None;
-    }
-    small::resolve(Op::GemmNn, [batch.m, batch.n, batch.k])
-}
-
 /// Sequential execution of the same batch, with the same per-task
 /// arithmetic as [`batched_gemm`]: the test oracle that the parallel split
 /// must match bit for bit.
 pub fn batched_gemm_seq(batch: &GemmBatch, a_arena: &[f32], b_arena: &[f32], c_arena: &mut [f32]) {
     let (m, n, k) = (batch.m, batch.n, batch.k);
     let (a_len, b_len, c_len) = (m * k, k * n, m * n);
-    let table = table_kernel(batch);
+    let table = small::resolve(Op::GemmNn, [m, n, k]);
     for t in &batch.tasks {
         let (a, b, c) = (
             &a_arena[t.a..t.a + a_len],
@@ -240,7 +224,7 @@ pub fn batched_gemm_seq(batch: &GemmBatch, a_arena: &[f32], b_arena: &[f32], c_a
         );
         match table {
             Some(kern) => kern(a, b, c),
-            None => gemm_nn(m, n, k, batch.alpha, a, b, batch.beta, c),
+            None => gemm_nn(m, n, k, 1.0, a, b, 0.0, c),
         }
     }
 }
@@ -298,20 +282,6 @@ mod tests {
     }
 
     #[test]
-    fn beta_accumulates_into_existing_c() {
-        let (m, n, k) = (1, 1, 1);
-        let a_arena = vec![3.0];
-        let b_arena = vec![4.0];
-        let mut c = vec![5.0];
-        let mut batch = GemmBatch::new(m, n, k);
-        batch.alpha = 2.0;
-        batch.beta = 1.0;
-        batch.push(0, 0, 0);
-        batched_gemm(&batch, &a_arena, &b_arena, &mut c);
-        assert_eq!(c[0], 2.0 * 12.0 + 5.0);
-    }
-
-    #[test]
     #[should_panic(expected = "out of bounds")]
     fn out_of_bounds_task_panics() {
         let mut batch = GemmBatch::new(2, 2, 2);
@@ -364,7 +334,7 @@ mod tests {
 
     /// A TT-chain level on the small-shape table, long enough to be split
     /// across the pool: both entry points equal one generic `gemm_nn` per
-    /// task bit for bit, and an off-table alpha stays on the generic path.
+    /// task bit for bit.
     #[test]
     fn table_levels_match_generic_gemm_bit_for_bit() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(14);
@@ -373,25 +343,22 @@ mod tests {
         let count = if cfg!(miri) { 8 } else { SPLIT_TASKS + 37 };
         let a_arena = rand_vec(m * k * 5, &mut rng);
         let b_arena = rand_vec(k * n * 7, &mut rng);
-        for alpha in [1.0, 0.5] {
-            let mut batch = GemmBatch::new(m, n, k);
-            batch.alpha = alpha;
-            for i in 0..count {
-                batch.push(i / 60 * m * k, i % 7 * k * n, i * m * n);
-            }
-            let mut want = vec![f32::NAN; m * n * count];
-            for t in &batch.tasks {
-                let (a, b) = (&a_arena[t.a..t.a + m * k], &b_arena[t.b..t.b + k * n]);
-                gemm_nn(m, n, k, alpha, a, b, 0.0, &mut want[t.c..t.c + m * n]);
-            }
-            let mut par = vec![f32::NAN; m * n * count];
-            let mut seq = vec![f32::NAN; m * n * count];
-            batched_gemm(&batch, &a_arena, &b_arena, &mut par);
-            batched_gemm_seq(&batch, &a_arena, &b_arena, &mut seq);
-            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&par), bits(&want), "alpha {alpha}");
-            assert_eq!(bits(&seq), bits(&want), "alpha {alpha}");
+        let mut batch = GemmBatch::new(m, n, k);
+        for i in 0..count {
+            batch.push(i / 60 * m * k, i % 7 * k * n, i * m * n);
         }
+        let mut want = vec![f32::NAN; m * n * count];
+        for t in &batch.tasks {
+            let (a, b) = (&a_arena[t.a..t.a + m * k], &b_arena[t.b..t.b + k * n]);
+            gemm_nn(m, n, k, 1.0, a, b, 0.0, &mut want[t.c..t.c + m * n]);
+        }
+        let mut par = vec![f32::NAN; m * n * count];
+        let mut seq = vec![f32::NAN; m * n * count];
+        batched_gemm(&batch, &a_arena, &b_arena, &mut par);
+        batched_gemm_seq(&batch, &a_arena, &b_arena, &mut seq);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&par), bits(&want));
+        assert_eq!(bits(&seq), bits(&want));
     }
 
     #[test]

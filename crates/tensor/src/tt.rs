@@ -67,13 +67,6 @@ impl TtCores {
         &self.cores[k][t * len..(t + 1) * len]
     }
 
-    /// Mutable variant of [`TtCores::slice`].
-    #[inline]
-    pub fn slice_mut(&mut self, k: usize, t: usize) -> &mut [f32] {
-        let len = self.slice_len(k);
-        &mut self.cores[k][t * len..(t + 1) * len]
-    }
-
     /// Randomly initialized cores.
     ///
     /// Entries are drawn i.i.d. Gaussian with a per-core standard deviation

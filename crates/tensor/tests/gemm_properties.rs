@@ -203,7 +203,7 @@ proptest! {
     /// reference within a per-accumulation-step f32 ulp bound, on tail
     /// shapes that exercise partial MR x NR tiles and depth remainders.
     /// Runs the portable baseline first so the property also holds under
-    /// `EL_FORCE_PORTABLE=1` / Miri (where only Portable is exercised).
+    /// `EL_KERNEL=portable` / Miri (where only Portable is exercised).
     #[test]
     fn kernel_variants_agree_with_portable(
         m in arb_dim(),

@@ -16,6 +16,7 @@ use el_rec::data::{DatasetSpec, MiniBatch, SyntheticDataset};
 use el_rec::dlrm::checkpoint::DlrmCheckpoint;
 use el_rec::dlrm::{DlrmConfig, DlrmModel, EmbeddingLayer, OptimizerKind};
 use el_rec::reorder::{ReorderConfig, Reorderer};
+use el_rec::tensor::shape::factorize;
 use rand::SeedableRng;
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -77,6 +78,14 @@ impl Opts {
         }
     }
 
+    /// A size flag, which must be positive.
+    fn get_positive(&self, key: &str, default: usize) -> Result<usize, String> {
+        match self.get(key, default)? {
+            0 => Err(format!("--{key} must be positive")),
+            v => Ok(v),
+        }
+    }
+
     fn get_str(&self, key: &str, default: &str) -> String {
         self.map.get(key).cloned().unwrap_or_else(|| default.to_string())
     }
@@ -122,12 +131,21 @@ fn dataset_from(opts: &Opts) -> Result<SyntheticDataset, String> {
 fn cmd_train(opts: &Opts) -> Result<(), String> {
     let ds = dataset_from(opts)?;
     let batches: u64 = opts.get("batches", 50)?;
-    let batch_size: usize = opts.get("batch-size", 512)?;
-    let dim: usize = opts.get("dim", 16)?;
-    let rank: usize = opts.get("rank", 16)?;
+    let batch_size = opts.get_positive("batch-size", 512)?;
+    let dim = opts.get_positive("dim", 16)?;
+    let rank = opts.get_positive("rank", 16)?;
     let tt_threshold: usize = opts.get("tt-threshold", 2_000)?;
     let lr: f32 = opts.get("lr", 0.05)?;
     let seed: u64 = opts.get("seed", 42)?;
+    // The same test `TtConfig::new` asserts for every TT table.
+    if !ds.spec().large_tables(tt_threshold).is_empty()
+        && factorize(dim, 3).iter().product::<usize>() != dim
+    {
+        return Err(format!(
+            "--dim {dim} does not split into three factors, which a TT table needs \
+             (pick a dim with small factors, e.g. a power of two)"
+        ));
+    }
 
     let mut cfg = DlrmConfig::for_spec(ds.spec(), dim, tt_threshold, rank);
     cfg.lr = lr;
@@ -188,14 +206,14 @@ fn cmd_train(opts: &Opts) -> Result<(), String> {
 
 fn cmd_eval(opts: &Opts) -> Result<(), String> {
     let path = opts.map.get("checkpoint").ok_or("eval requires --checkpoint PATH")?;
+    let batches: u64 = opts.get("batches", 8)?;
+    let batch_size = opts.get_positive("batch-size", 512)?;
     let mut model = DlrmCheckpoint::load_file(path)
         .map_err(|e| format!("loading checkpoint: {e}"))?
         .restore()
         .map_err(|e| format!("restoring checkpoint: {e}"))?;
     let ds = dataset_from(opts)?;
     check_fits(&model, ds.spec())?;
-    let batches: u64 = opts.get("batches", 8)?;
-    let batch_size: usize = opts.get("batch-size", 512)?;
     let eval: Vec<MiniBatch> = (0..batches).map(|b| ds.batch(1_000_000 + b, batch_size)).collect();
     let m = model.evaluate(&eval);
     println!(
@@ -243,7 +261,7 @@ fn check_fits(model: &DlrmModel, spec: &DatasetSpec) -> Result<(), String> {
 
 fn cmd_stats(opts: &Opts) -> Result<(), String> {
     let ds = dataset_from(opts)?;
-    let batch_size: usize = opts.get("batch-size", 1024)?;
+    let batch_size = opts.get_positive("batch-size", 1024)?;
     let spec = ds.spec();
     println!(
         "{}: {} dense + {} sparse features, {} total embedding rows",

@@ -110,3 +110,33 @@ fn eval_without_checkpoint_fails_with_message() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("requires --checkpoint"));
 }
+
+#[test]
+fn malformed_size_flags_fail_with_the_flag_name() {
+    let ckpt = std::env::temp_dir().join("el_rec_cli_flags.json");
+    let path = ckpt.to_str().unwrap();
+    let out = el_rec()
+        .args(["train", "--dataset", "toy", "--scale", "0.05", "--batches", "1"])
+        .args(["--checkpoint", path])
+        .output()
+        .expect("spawn");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+
+    let train = ["train", "--batches", "2"];
+    let eval = ["eval", "--checkpoint", path, "--dataset", "toy", "--scale", "0.05"];
+    let cases: [(&[&str], &str, &str); 6] = [
+        (&train, "--dim", "13"),
+        (&train, "--dim", "0"),
+        (&train, "--rank", "0"),
+        (&train, "--batch-size", "0"),
+        (&eval, "--batch-size", "0"),
+        (&["stats", "--dataset", "toy"], "--batch-size", "0"),
+    ];
+    for (cmd, flag, value) in cases {
+        let out = el_rec().args(cmd).args([flag, value]).output().expect("spawn");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{cmd:?} {flag} {value}: {err}");
+        assert!(err.contains(flag) && !err.contains("panicked"), "{cmd:?} {flag} {value}: {err}");
+    }
+    std::fs::remove_file(&ckpt).ok();
+}

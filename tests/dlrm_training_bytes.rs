@@ -35,7 +35,7 @@ const STEPS: u64 = 5;
 const ZIPF_EXPONENT: f64 = 1.1;
 
 /// The hash every run must reproduce under a fused multiply-add tier
-/// (`avx2`, `autovec+fma`) ...
+/// (`avx2`) ...
 const REFERENCE_FUSED: u64 = 0x7de8_39b2_d474_f93d;
 /// ... and under the `portable` tier.
 const REFERENCE_PORTABLE: u64 = 0xee9a_72e5_b4d3_3a43;

@@ -16,14 +16,9 @@
 //!   obligations, crate-root unsafe attributes), matched on tokens so
 //!   strings/comments can neither trigger nor suppress them.
 //!
-//! Findings are diffed against the committed `analysis-baseline.toml`
-//! ratchet ([`baseline`]): pre-existing violations are tolerated, new ones
-//! fail, and fixed ones must be removed from the baseline (also checked),
-//! so the codebase monotonically improves. The [`rules`] findings are
-//! never baselined: any one of them fails the run.
+//! Any finding fails the run; there is no baseline of tolerated ones.
 
 pub mod alloc;
-pub mod baseline;
 pub mod envreg;
 pub mod lexer;
 pub mod model;
@@ -35,9 +30,9 @@ use std::fmt;
 use std::fs;
 use std::path::Path;
 
-/// One analysis finding. `rule`/`file`/`context`/`detail` form the
-/// line-number-independent baseline key; `line`/`msg`/`chain` are for the
-/// human diagnostic only.
+/// One analysis finding. `rule`/`file`/`context`/`detail` identify it
+/// independently of line numbers (the rules dedup on them);
+/// `line`/`msg`/`chain` are for the human diagnostic only.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Finding {
     pub rule: String,
@@ -73,8 +68,7 @@ pub struct Report {
     pub crates_analyzed: usize,
 }
 
-/// Runs every analysis over the repo at `root`. Does not consult the
-/// baseline — callers diff via [`baseline::check`].
+/// Runs every analysis over the repo at `root`.
 pub fn run_analyses(root: &Path) -> Report {
     let ws = model::build_workspace(root);
     let mut findings = Vec::new();
@@ -88,66 +82,36 @@ pub fn run_analyses(root: &Path) -> Report {
     Report { findings, fns_analyzed, crates_analyzed: ws.crates.len() }
 }
 
-/// Full `cargo xtask analyze` entry point: run, diff against the
-/// baseline, write the report artifact, print diagnostics. Returns
-/// `Err(count)` with the number of blocking problems when the build
-/// should fail.
-pub fn run(root: &Path, update_baseline: bool) -> Result<(), usize> {
+/// Full `cargo xtask analyze` entry point: run, write the report artifact,
+/// print diagnostics. Returns `Err(count)` with the number of findings
+/// when there are any: every finding fails the run, and waivers live in
+/// the source (`// PANIC-OK:` comments, registry rows).
+pub fn run(root: &Path) -> Result<(), usize> {
     let report = run_analyses(root);
-    let baseline_path = root.join("analysis-baseline.toml");
+    write_artifact(root, &report);
 
-    if update_baseline {
-        let tolerable: Vec<Finding> =
-            report.findings.iter().filter(|f| !is_source_rule(&f.rule)).cloned().collect();
-        let text = baseline::render(&tolerable);
-        fs::write(&baseline_path, text).expect("writing analysis-baseline.toml");
-        println!(
-            "analyze: baseline regenerated with {} tolerated finding(s) across {} crate(s), {} fn(s)",
-            tolerable.len(),
-            report.crates_analyzed,
-            report.fns_analyzed
-        );
-        write_artifact(root, &report, &[]);
-        return Ok(());
-    }
-
-    let mut base = baseline::load(&baseline_path);
-    base.retain(|(rule, ..), _| !is_source_rule(rule));
-    let diff = baseline::check(&report.findings, &base);
-
-    write_artifact(root, &report, &diff.problems);
-
-    for p in &diff.problems {
-        eprintln!("{p}");
+    for f in &report.findings {
+        eprintln!("{f}");
     }
     println!(
-        "analyze: {} crate(s), {} fn(s), {} finding(s) ({} tolerated by baseline, {} new, {} stale baseline row(s))",
+        "analyze: {} crate(s), {} fn(s), {} finding(s)",
         report.crates_analyzed,
         report.fns_analyzed,
-        report.findings.len(),
-        diff.tolerated,
-        diff.new_count,
-        diff.stale_count
+        report.findings.len()
     );
-    if diff.problems.is_empty() {
+    if report.findings.is_empty() {
         Ok(())
     } else {
         eprintln!(
-            "analyze: FAILED — fix the new finding(s), add `// PANIC-OK: <reason>` / registry rows where justified, or run `cargo xtask analyze --update-baseline` for stale rows"
+            "analyze: FAILED — fix the finding(s), or add `// PANIC-OK: <reason>` / registry rows where justified"
         );
-        Err(diff.problems.len())
+        Err(report.findings.len())
     }
 }
 
-/// Whether `rule` is one of the [`rules::RULES`], which the baseline
-/// never tolerates.
-fn is_source_rule(rule: &str) -> bool {
-    rules::RULES.contains(&rule)
-}
-
 /// Writes `target/analyze/report.txt` (the CI artifact) with every
-/// finding and every blocking problem.
-fn write_artifact(root: &Path, report: &Report, problems: &[String]) {
+/// finding.
+fn write_artifact(root: &Path, report: &Report) {
     let dir = root.join("target").join("analyze");
     if fs::create_dir_all(&dir).is_err() {
         return;
@@ -159,15 +123,6 @@ fn write_artifact(root: &Path, report: &Report, problems: &[String]) {
         report.fns_analyzed,
         report.findings.len()
     ));
-    if !problems.is_empty() {
-        out.push_str("== blocking problems ==\n");
-        for p in problems {
-            out.push_str(p);
-            out.push('\n');
-        }
-        out.push('\n');
-    }
-    out.push_str("== all findings (including baseline-tolerated) ==\n");
     for f in &report.findings {
         out.push_str(&f.to_string());
         out.push('\n');

@@ -2,8 +2,7 @@
 //!
 //! Every trigger is a token and every justification is a comment token,
 //! so strings and comments can neither trigger nor suppress a rule (a
-//! multi-line raw string holding Rust code is just a string). The
-//! baseline never tolerates these rules ([`RULES`]):
+//! multi-line raw string holding Rust code is just a string):
 //!
 //! - `safety-comment` — the unsafe keyword at a code position needs an
 //!   adjacent `// SAFETY:` comment (same line, or directly above across
@@ -24,10 +23,6 @@ use super::parser::{parse_file, ParsedFile};
 use super::Finding;
 use std::fs;
 use std::path::{Path, PathBuf};
-
-/// The rules of this module, by finding `rule` name.
-pub const RULES: [&str; 5] =
-    ["safety-comment", "lock-unwrap", "instant-now", "target-feature-contract", "crate-attrs"];
 
 /// Strips doc-comment decoration (`/`, `!`, `*`) and leading whitespace
 /// from a comment token's text.

@@ -6,7 +6,7 @@
 //!
 //! * [`analyze`] — the token-level workspace analyzer behind
 //!   `cargo xtask analyze` and `cargo xtask lint` (lexer, item parser,
-//!   call graph, contract checks, source conventions, ratcheted baseline).
+//!   call graph, contract checks, source conventions).
 //! * [`hash`] — the FNV-1a vendor manifest and its drift check.
 
 #![forbid(unsafe_code)]

@@ -3,16 +3,14 @@
 //! Commands:
 //!
 //! * `lint` — the vendored crate drift check of [`hash`] plus the
-//!   analyzer; exits nonzero on any drift or blocking finding.
-//! * `analyze [--update-baseline]` — the token-level workspace analyzer
+//!   analyzer; exits nonzero on any drift or finding.
+//! * `analyze` — the token-level workspace analyzer
 //!   ([`xtask::analyze`]): zero-alloc reachability for `// CONTRACT:
 //!   zero-alloc` fns, panic-path audit for `// CONTRACT: panic-free`
 //!   loops, env-var registry drift against `docs/env-vars.md`, and the
 //!   source conventions (SAFETY comments, crate-root unsafe attributes,
-//!   lock unwraps, clock reads, `target_feature` contracts). Findings are
-//!   diffed against the `analysis-baseline.toml` ratchet;
-//!   `--update-baseline` regenerates it. Writes
-//!   `target/analyze/report.txt` (the CI artifact).
+//!   lock unwraps, clock reads, `target_feature` contracts). Any finding
+//!   fails. Writes `target/analyze/report.txt` (the CI artifact).
 //! * `vendor-hash [--update]` — verify (or regenerate) the FNV-1a content
 //!   manifest `vendor/MANIFEST.fnv1a`.
 //! * `miri` — run the Miri-sized unsafe-surface test subset under Miri.
@@ -64,8 +62,7 @@ fn usage() -> ExitCode {
         "usage: cargo xtask <command>\n\n\
          commands:\n  \
          lint                 vendor drift check + analyzer\n  \
-         analyze [--update-baseline]  token-level workspace analysis vs the\n                       \
-         analysis-baseline.toml ratchet\n  \
+         analyze              token-level workspace analysis (fails on any finding)\n  \
          vendor-hash [--update]  verify (or regenerate) vendor/MANIFEST.fnv1a\n  \
          miri                 run the Miri unsafe-surface subset (needs nightly miri)\n  \
          tsan                 run the pool stress + serve hand-off tests under TSan\n                       \
@@ -83,7 +80,7 @@ fn main() -> ExitCode {
     let root = repo_root();
     match args.first().map(String::as_str) {
         Some("lint") => cmd_lint(&root),
-        Some("analyze") => cmd_analyze(&root, args.iter().any(|a| a == "--update-baseline")),
+        Some("analyze") => cmd_analyze(&root),
         Some("vendor-hash") => cmd_vendor_hash(&root, args.iter().any(|a| a == "--update")),
         Some("miri") => cmd_miri(&root),
         Some("tsan") => cmd_tsan(&root),
@@ -102,7 +99,7 @@ fn cmd_lint(root: &Path) -> ExitCode {
     for v in &drift {
         eprintln!("{v}");
     }
-    let analyze_ok = analyze::run(root, false).is_ok();
+    let analyze_ok = analyze::run(root).is_ok();
     if drift.is_empty() && analyze_ok {
         println!("xtask lint: clean");
         return ExitCode::SUCCESS;
@@ -113,8 +110,8 @@ fn cmd_lint(root: &Path) -> ExitCode {
     ExitCode::FAILURE
 }
 
-fn cmd_analyze(root: &Path, update_baseline: bool) -> ExitCode {
-    match analyze::run(root, update_baseline) {
+fn cmd_analyze(root: &Path) -> ExitCode {
+    match analyze::run(root) {
         Ok(()) => ExitCode::SUCCESS,
         Err(_) => ExitCode::FAILURE,
     }
@@ -241,7 +238,6 @@ fn cmd_miri(root: &Path) -> ExitCode {
             .args(*args)
             .current_dir(root)
             .env("RAYON_NUM_THREADS", threads)
-            .env("EL_FORCE_PORTABLE", "1")
             .env("MIRIFLAGS", if *threads == "1" { "" } else { "-Zmiri-ignore-leaks" });
         match status_of(&mut cmd) {
             Ok(true) => {}

@@ -59,7 +59,7 @@ fn report(root: &Path) -> String {
 #[test]
 fn clean_base_tree_passes() {
     let root = scratch("clean");
-    assert_eq!(xtask::analyze::run(&root, false), Ok(()));
+    assert_eq!(xtask::analyze::run(&root), Ok(()));
     let rep = report(&root);
     assert!(rep.contains("0 finding(s)"), "{rep}");
 }
@@ -69,7 +69,7 @@ fn alloc_two_hops_fails_with_call_chain() {
     let root = scratch("alloc");
     let src = seed(&root, "alloc_two_hops.rs");
     let sink_line = line_of(&src, "with_capacity");
-    assert!(xtask::analyze::run(&root, false).is_err());
+    assert!(xtask::analyze::run(&root).is_err());
     let rep = report(&root);
     assert!(rep.contains("[zero-alloc]"), "{rep}");
     // span of the allocating call
@@ -85,7 +85,7 @@ fn panic_reachable_fails_across_crates() {
     let root = scratch("panic");
     let src = seed(&root, "panic_reachable.rs");
     let site_line = line_of(&src, ".unwrap()");
-    assert!(xtask::analyze::run(&root, false).is_err());
+    assert!(xtask::analyze::run(&root).is_err());
     let rep = report(&root);
     assert!(rep.contains("[panic-path]"), "{rep}");
     assert!(rep.contains(&format!("crates/fxcore/src/lib.rs:{site_line}")), "{rep}");
@@ -99,7 +99,7 @@ fn panic_reachable_fails_across_crates() {
 fn unregistered_env_var_fails() {
     let root = scratch("env");
     seed(&root, "env_unregistered.rs");
-    assert!(xtask::analyze::run(&root, false).is_err());
+    assert!(xtask::analyze::run(&root).is_err());
     let rep = report(&root);
     assert!(rep.contains("[env-registry]"), "{rep}");
     assert!(rep.contains("EL_FIXTURE_UNREGISTERED"), "{rep}");
@@ -114,7 +114,7 @@ fn stale_registry_row_fails() {
     let mut text = fs::read_to_string(&reg).unwrap();
     text.push_str("| `EL_FIXTURE_GHOST` | nowhere | A knob nobody reads. |\n");
     fs::write(&reg, text).unwrap();
-    assert!(xtask::analyze::run(&root, false).is_err());
+    assert!(xtask::analyze::run(&root).is_err());
     let rep = report(&root);
     assert!(rep.contains("EL_FIXTURE_GHOST"), "{rep}");
 }
@@ -125,7 +125,7 @@ fn unsafe_without_safety_comment_fails() {
     let src = seed(&root, "unsafe_no_safety.rs");
     let kw = ["un", "safe"].concat(); // keep this test file lint-clean
     let site_line = line_of(&src, &format!("{kw} {{"));
-    assert!(xtask::analyze::run(&root, false).is_err());
+    assert!(xtask::analyze::run(&root).is_err());
     let rep = report(&root);
     assert!(rep.contains("[safety-comment]"), "{rep}");
     assert!(rep.contains(&format!("crates/fxcore/src/lib.rs:{site_line}")), "{rep}");
@@ -140,7 +140,7 @@ fn missing_crate_attrs_fail_the_run() {
     let p = root.join("crates/fxpipe/src/lib.rs");
     let src = fs::read_to_string(&p).unwrap();
     fs::write(&p, src.replace(&format!("#![forbid({kw}_code)]\n"), "")).unwrap();
-    assert!(xtask::analyze::run(&root, false).is_err());
+    assert!(xtask::analyze::run(&root).is_err());
     let rep = report(&root);
     assert!(rep.contains("crates/fxpipe/src/lib.rs:1: [crate-attrs]"), "{rep}");
     assert!(rep.contains(&format!("forbid({kw}_code)")), "{rep}");
@@ -151,60 +151,8 @@ fn missing_crate_attrs_fail_the_run() {
         .replace(&format!("#![deny({kw}_op_in_{kw}_fn)]\n"), "")
         .replace("// speed matters here", "// SAFETY: callers pass a non-empty slice");
     fs::write(root.join("crates/fxcore/src/lib.rs"), src).unwrap();
-    assert!(xtask::analyze::run(&root, false).is_err());
+    assert!(xtask::analyze::run(&root).is_err());
     let rep = report(&root);
     assert!(rep.contains("crates/fxcore/src/lib.rs:1: [crate-attrs]"), "{rep}");
     assert!(!rep.contains("[safety-comment]"), "{rep}");
-}
-
-#[test]
-fn the_baseline_does_not_tolerate_source_rules() {
-    let root = scratch("rules-strict");
-    seed(&root, "unsafe_no_safety.rs");
-    assert_eq!(xtask::analyze::run(&root, true), Ok(()));
-    let baseline = fs::read_to_string(root.join("analysis-baseline.toml")).unwrap();
-    assert!(!baseline.contains("safety-comment"), "{baseline}");
-    // A row rendered from the exact finding is dropped on load.
-    let findings = xtask::analyze::run_analyses(&root).findings;
-    assert!(findings.iter().any(|f| f.rule == "safety-comment"));
-    fs::write(root.join("analysis-baseline.toml"), xtask::analyze::baseline::render(&findings))
-        .unwrap();
-    assert!(xtask::analyze::run(&root, false).is_err(), "a baselined safety-comment still fails");
-    assert!(report(&root).contains("[safety-comment]"));
-}
-
-#[test]
-fn baseline_ratchet_tolerates_then_forces_shrink() {
-    let root = scratch("ratchet");
-    let clean = fs::read_to_string(root.join("crates/fxcore/src/lib.rs")).unwrap();
-    seed(&root, "panic_reachable.rs");
-
-    // 1. new violation with an empty baseline: fail
-    assert!(xtask::analyze::run(&root, false).is_err());
-
-    // 2. baseline it: subsequent runs tolerate it
-    assert_eq!(xtask::analyze::run(&root, true), Ok(()));
-    let baseline = fs::read_to_string(root.join("analysis-baseline.toml")).unwrap();
-    assert!(baseline.contains("[[violation]]"), "{baseline}");
-    assert_eq!(xtask::analyze::run(&root, false), Ok(()));
-
-    // 3. a *second* new violation is still rejected (ratchet, not a cap):
-    //    keep the baselined panic, add an unregistered env read
-    let p = root.join("crates/fxcore/src/lib.rs");
-    let mut s = fs::read_to_string(&p).unwrap();
-    s.push_str("\n/// Reads a knob nobody registered (second seeded violation).\n");
-    s.push_str("pub fn knob2() -> Option<String> {\n");
-    s.push_str("    std::env::var(\"EL_FIXTURE_SECOND\").ok()\n}\n");
-    fs::write(&p, &s).unwrap();
-    assert!(xtask::analyze::run(&root, false).is_err());
-
-    // 4. fix everything: the stale baseline row itself now fails the run
-    fs::write(root.join("crates/fxcore/src/lib.rs"), &clean).unwrap();
-    assert!(xtask::analyze::run(&root, false).is_err(), "stale baseline row must fail");
-
-    // 5. shrinking the baseline restores a clean run
-    assert_eq!(xtask::analyze::run(&root, true), Ok(()));
-    let baseline = fs::read_to_string(root.join("analysis-baseline.toml")).unwrap();
-    assert!(!baseline.contains("[[violation]]"), "{baseline}");
-    assert_eq!(xtask::analyze::run(&root, false), Ok(()));
 }
