@@ -1,8 +1,8 @@
 //! CLI driver for the pipeline simulator (`cargo xtask sim`).
 //!
 //! `sim <scenario> (--seed N | --sweep COUNT) [flags]` — one positional
-//! scenario (`fault`, `crash`, `shard`, `reshard`, `failover`, `netfault`;
-//! see [`el_sim::Scenario`]) and one of two modes:
+//! scenario (`fault`, `crash`, `shard`, `failover`, `netfault`; see
+//! [`el_sim::Scenario`]) and one of two modes:
 //!
 //! * `--seed N` replays one seed with full diagnostics: the derived
 //!   plans, what each phase did, and the verdict of every invariant. This
@@ -39,7 +39,6 @@ scenarios:
   fault     single-server faults: stalls, delays, deaths, saturation, drops, duplicates
   crash     crash -> recover from the checkpoint store under storage faults -> resume
   shard     per-shard faults: shard death, cross-shard reordering (default 3 shards)
-  reshard   drain -> migrate to a seed-derived layout -> resume, crashing the drain
   failover  kill-the-primary schedules, completion required (default 3 shards x 3 replicas)
   netfault  heartbeat-loss and partition windows, completion required (default 3 x 3)
 flags:
@@ -149,22 +148,20 @@ mod tests {
         parse_args(line.split_whitespace().map(String::from))
     }
 
-    /// CI's nine sweep invocations (`.github/workflows/ci.yml`).
-    const CI_SWEEPS: [&str; 9] = [
-        "fault --sweep 128",
-        "fault --sweep 64 --start 1000 --bound 1",
-        "crash --sweep 96",
-        "crash --sweep 48 --start 500 --every 2 --retain 3",
-        "shard --sweep 96 --shards 3",
-        "reshard --sweep 48",
-        "failover --sweep 96",
-        "failover --sweep 24 --start 500 --replicas 2 --shards 4",
-        "netfault --sweep 48",
-    ];
+    /// CI's sweep invocations: the arguments of every `run: cargo xtask
+    /// sim …` step in the workflow, read from the workflow itself.
+    fn ci_sweeps() -> Vec<&'static str> {
+        include_str!("../../../../.github/workflows/ci.yml")
+            .lines()
+            .filter_map(|line| line.trim().strip_prefix("run: cargo xtask sim "))
+            .collect()
+    }
 
     #[test]
     fn a_failure_recipe_reproduces_the_config_its_sweep_ran_with() {
-        for line in CI_SWEEPS {
+        let sweeps = ci_sweeps();
+        assert!(!sweeps.is_empty(), "the CI workflow must run at least one sweep");
+        for line in sweeps {
             let swept = parse(line).unwrap_or_else(|e| panic!("`{line}` must parse: {e}"));
             let Mode::Sweep { start, .. } = swept.mode else { panic!("`{line}` is a sweep") };
             let failure = SweepFailure {
@@ -213,14 +210,9 @@ mod tests {
             // a group of one has nobody to fail over to
             "failover --seed 0 --replicas 1",
             "netfault --sweep 4 --replicas 1",
-            // the reshard point needs a batch on either side
-            "reshard --sweep 4 --batches 2",
-            "reshard --sweep 4 --batches 1",
-            "reshard --seed 4 --batches 0",
         ] {
             assert!(parse(line).is_err(), "`{line}` must be rejected");
         }
-        assert!(parse("reshard --sweep 4 --batches 3").is_ok());
         assert!(parse("failover --seed 0 --replicas 2").is_ok());
     }
 }

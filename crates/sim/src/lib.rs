@@ -31,13 +31,9 @@
 //!   atomic-protocol steps, torn writes, at-rest rot),
 //! * [`recovery`] — the crash → recover → resume scenario (checkpoint
 //!   durability, DESIGN.md §11),
-//! * [`reshard`] — the elastic-resharding scenario: drain through the
-//!   checkpoint store, migrate row ranges to a new placement, resume —
-//!   crash-safe at every drain step and byte-identical to the
-//!   never-resharded oracle (DESIGN.md §14),
-//! * [`sweep`] — the six scenarios (`fault`, `crash`, `shard`,
-//!   `reshard`, `failover`, `netfault`) and the one seed-sweep harness CI
-//!   runs them through.
+//! * [`sweep`] — the five scenarios (`fault`, `crash`, `shard`,
+//!   `failover`, `netfault`) and the one seed-sweep harness CI runs them
+//!   through.
 //!
 //! See DESIGN.md §10 for the fault model and the invariant statements.
 
@@ -49,7 +45,6 @@ pub mod fault;
 pub mod invariants;
 pub mod oracle;
 pub mod recovery;
-pub mod reshard;
 pub mod sim;
 pub mod storage;
 pub mod sweep;
@@ -64,9 +59,6 @@ pub use oracle::{sequential_prefix, sharded_prefix, Oracle, ShardOracle};
 pub use recovery::{
     check_recovery, crash_plans_for_seed, run_with_recovery, RecoveryConfig, RecoveryReport,
     SimCheckpoint,
-};
-pub use reshard::{
-    check_reshard, reshard_plans_for_seed, run_reshard, RecoveredFrom, ReshardConfig, ReshardReport,
 };
 pub use sim::{
     digest_tables, run, run_session, CkptSink, MemberState, Outcome, ResumeState, SimConfig,

@@ -1,6 +1,6 @@
 //! The sequential reference execution.
 //!
-//! The embedding cache's contract (DESIGN.md §5) is that pipelined
+//! The embedding cache's contract (DESIGN.md §10, invariant 3) is that pipelined
 //! training computes *exactly* what sequential training computes — the
 //! cache corrects every stale pre-fetched row before the worker touches
 //! it. The oracle runs the same model universe strictly sequentially

@@ -53,7 +53,7 @@ pub struct SimCheckpoint {
     /// Which shard slot these tables belong to (0 for a checkpoint of the
     /// merged global tables).
     pub shard: u32,
-    /// Total shards in the layout the checkpoint was drained under (1
+    /// Total shards in the layout the checkpoint was taken under (1
     /// for a checkpoint of the merged global tables).
     pub num_shards: u32,
     /// Hosted tables as of the checkpoint.

@@ -246,11 +246,9 @@ pub struct SimReport {
     pub members: Vec<Vec<MemberState>>,
     /// Full protocol trace, in virtual-time order.
     pub trace: Trace,
-    /// One copy of each shard's final sub-tables — the believed primary's
-    /// when alive, else any survivor's (byte-identical by lockstep), else
-    /// the most advanced corpse's. The drain input of a reshard.
-    pub shard_tables: Vec<Vec<(usize, EmbeddingBag)>>,
-    /// `shard_tables` merged back into the global tables.
+    /// The global tables, merged from one copy of each shard's final
+    /// sub-tables: the believed primary's when alive, else any survivor's
+    /// (byte-identical by lockstep), else the most advanced corpse's.
     pub merged_tables: Vec<(usize, EmbeddingBag)>,
     /// FNV-1a digest of the merged tables (byte-identity proxy).
     pub merged_digest: u64,
@@ -367,8 +365,7 @@ pub fn digest_tables(tables: &[(usize, EmbeddingBag)]) -> u64 {
 /// Durable state a restarted session resumes from: the **global** hosted
 /// tables and the applied-batch watermark of the newest valid checkpoint
 /// (or the initial tables and zero for a cold restart). The session
-/// splits the tables under its own layout — which is how a post-reshard
-/// phase restarts under a new placement — and, because the simulator uses
+/// splits the tables under its own layout and, because the simulator uses
 /// *absolute* batch sequence numbers, sets the gather, train and apply
 /// cursors all to `applied`.
 #[derive(Clone, Debug)]
@@ -579,7 +576,7 @@ impl Simulation<'_> {
     }
 
     /// One copy of every shard's sub-tables (see
-    /// [`SimReport::shard_tables`] for which member is picked).
+    /// [`SimReport::merged_tables`] for which member is picked).
     fn shard_tables(&self) -> Vec<Vec<(usize, EmbeddingBag)>> {
         (0..self.groups.len())
             .map(|s| {
@@ -594,11 +591,9 @@ impl Simulation<'_> {
             .collect()
     }
 
-    fn merged_tables(
-        &self,
-        shard_tables: &[Vec<(usize, EmbeddingBag)>],
-    ) -> Vec<(usize, EmbeddingBag)> {
-        merge_tables(shard_tables, self.router.layout())
+    /// The shards' sub-tables merged back into the global tables.
+    fn merged_tables(&self) -> Vec<(usize, EmbeddingBag)> {
+        merge_tables(&self.shard_tables(), self.router.layout())
             .expect("sub-tables always merge under their own layout")
     }
 
@@ -638,14 +633,12 @@ impl Simulation<'_> {
                     .collect()
             })
             .collect();
-        let shard_tables = self.shard_tables();
-        let merged_tables = self.merged_tables(&shard_tables);
+        let merged_tables = self.merged_tables();
         SimReport {
             outcome,
             applied,
             members,
             merged_digest: digest_tables(&merged_tables),
-            shard_tables,
             merged_tables,
             promotions: self.promotions,
             stale_hits: self.caches.iter().map(|(_, c)| c.stale_hits).sum(),
@@ -791,7 +784,7 @@ impl Simulation<'_> {
         {
             return;
         }
-        let tables = self.merged_tables(&self.shard_tables());
+        let tables = self.merged_tables();
         let (sink, _) = self.ckpt.as_mut().expect("checked above");
         match sink.save(applied, &tables) {
             Ok(()) => self.trace.push(TraceEvent::CheckpointSaved { applied }),

@@ -2,7 +2,7 @@
 //!
 //! A [`Scenario`] says how a seed becomes fault plans, what is run and
 //! checked, whether the run must finish, and what a clean seed adds to the
-//! tallies. One harness serves all six: [`replay_seed`] gives the full
+//! tallies. One harness serves all five: [`replay_seed`] gives the full
 //! per-seed verdict (every run is replayed twice and checked against the
 //! invariants and the sequential oracle), [`run_sweep`] folds a range of
 //! seeds into a [`SweepSummary`], and the first violation stops the sweep
@@ -14,7 +14,6 @@ use crate::fault::FaultPlan;
 use crate::invariants::{check_run, incomplete, Violation};
 use crate::oracle::{sequential_prefix, sharded_prefix, Oracle, ShardOracle};
 use crate::recovery::{check_recovery, crash_plans_for_seed, RecoveryConfig};
-use crate::reshard::{check_reshard, reshard_plans_for_seed, RecoveredFrom};
 use crate::sim::{Outcome, SimConfig};
 use crate::trace::TraceEvent;
 use std::fmt;
@@ -32,9 +31,6 @@ pub enum Scenario {
     /// Per-shard fault domain ([`FaultPlan::from_seed_sharded`]):
     /// independent shard death and cross-shard delivery reordering.
     Shard,
-    /// Drain → migrate → resume under a new layout, crashing the drain
-    /// ([`crate::reshard`]).
-    Reshard,
     /// Kill-the-primary schedules ([`FaultPlan::from_seed_failover`]);
     /// every seed must finish training without a cold restart.
     Failover,
@@ -57,14 +53,8 @@ const RUN_TALLIES: [&str; 8] = [
 
 impl Scenario {
     /// Every scenario, in CLI help order.
-    pub const ALL: [Scenario; 6] = [
-        Scenario::Fault,
-        Scenario::Crash,
-        Scenario::Shard,
-        Scenario::Reshard,
-        Scenario::Failover,
-        Scenario::Netfault,
-    ];
+    pub const ALL: [Scenario; 5] =
+        [Scenario::Fault, Scenario::Crash, Scenario::Shard, Scenario::Failover, Scenario::Netfault];
 
     /// The scenario's CLI name.
     pub fn name(self) -> &'static str {
@@ -72,7 +62,6 @@ impl Scenario {
             Scenario::Fault => "fault",
             Scenario::Crash => "crash",
             Scenario::Shard => "shard",
-            Scenario::Reshard => "reshard",
             Scenario::Failover => "failover",
             Scenario::Netfault => "netfault",
         }
@@ -88,7 +77,7 @@ impl Scenario {
     /// shards; three shards of three replicas).
     pub fn default_config(self) -> RecoveryConfig {
         let (shards, replicas) = match self {
-            Scenario::Fault | Scenario::Crash | Scenario::Reshard => (1, 1),
+            Scenario::Fault | Scenario::Crash => (1, 1),
             Scenario::Shard => (3, 1),
             Scenario::Failover | Scenario::Netfault => (3, 3),
         };
@@ -101,13 +90,10 @@ impl Scenario {
     /// Rejects configurations under which this scenario's seeds cannot
     /// mean what they promise (the harness itself never panics on them).
     pub fn validate(self, rc: &RecoveryConfig) -> Result<(), String> {
-        let name = self.name();
         match self {
-            Scenario::Failover | Scenario::Netfault if rc.sim.replicas < 2 => {
-                Err(format!("{name} needs --replicas >= 2: failing over takes a backup to promote"))
-            }
-            Scenario::Reshard if rc.sim.num_batches < 3 => Err(format!(
-                "{name} needs --batches >= 3: a batch before the reshard point and one after"
+            Scenario::Failover | Scenario::Netfault if rc.sim.replicas < 2 => Err(format!(
+                "{} needs --replicas >= 2: failing over takes a backup to promote",
+                self.name()
             )),
             _ => Ok(()),
         }
@@ -128,15 +114,6 @@ impl Scenario {
                 "cold restarts",
                 "checkpoints saved",
                 "saves died mid-protocol",
-                "storage faults injected",
-            ],
-            Scenario::Reshard => &[
-                "grew",
-                "shrank",
-                "drain crashes",
-                "drain sets",
-                "pre-drain fallbacks",
-                "cold restarts",
                 "storage faults injected",
             ],
             _ => &RUN_TALLIES,
@@ -277,28 +254,6 @@ fn check_seed(
             });
             (plans, checked)
         }
-        Scenario::Reshard => {
-            let (rsc, plan, storage) = reshard_plans_for_seed(seed, cfg);
-            let (from, to) = (rsc.from.num_shards, rsc.to.num_shards);
-            let plans = format!(
-                "layout: {from} -> {to} shards, reshard at batch {}\n\
-                 live fault plan:\n{plan}\nstorage-fault plan:\n{storage}",
-                rsc.reshard_at
-            );
-            let checked = check_reshard(&rsc, &plan, &storage, seed, &refs.global).map(|r| {
-                let tallies = vec![
-                    u64::from(to > from),
-                    u64::from(to < from),
-                    u64::from(r.drain_crashed),
-                    u64::from(r.recovered_from == RecoveredFrom::DrainSet),
-                    u64::from(r.recovered_from == RecoveredFrom::PreDrain),
-                    u64::from(r.recovered_from == RecoveredFrom::Cold),
-                    storage.faults.len() as u64,
-                ];
-                (r.to_string(), tallies)
-            });
-            (plans, checked)
-        }
         _ => {
             let plan = match scenario {
                 Scenario::Shard => FaultPlan::from_seed_sharded(seed, batches, shards),
@@ -397,14 +352,6 @@ mod tests {
                     assert!(s.tally("checkpoints saved") > 0, "{line}");
                     assert!(s.tally("storage faults injected") > 0, "{line}");
                 }
-                Scenario::Reshard => {
-                    assert_eq!(s.tally("grew") + s.tally("shrank"), 30, "{line}");
-                    assert!(s.tally("storage faults injected") > 0, "{line}");
-                    assert!(
-                        s.tally("drain sets") + s.tally("pre-drain fallbacks") > 0,
-                        "recoveries must use the drained state, not only cold restarts: {line}"
-                    );
-                }
                 Scenario::Failover => {
                     assert_eq!(s.tally("completed"), 30, "every kill schedule must complete");
                     assert!(s.tally("primaries killed") >= 30, "every seed kills one: {line}");
@@ -424,8 +371,6 @@ mod tests {
         assert!(v.plans.contains("process crashes") && v.plans.contains("storage-fault plan:"));
         assert!(v.story.contains("phase 1") && v.story.contains("phase 2"), "{}", v.story);
         assert_eq!(v.tallies.len(), Scenario::Crash.tally_labels().len());
-        let v = replay_seed(Scenario::Reshard, &Scenario::Reshard.default_config(), 17).unwrap();
-        assert!(v.plans.starts_with("layout: "), "{}", v.plans);
     }
 
     #[test]

@@ -117,6 +117,10 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
 
 fn dataset_from(opts: &Opts) -> Result<SyntheticDataset, String> {
     let scale: f64 = opts.get("scale", 0.002)?;
+    // `scale = 1.0` is the real cardinalities; past it the tables overflow.
+    if !(scale > 0.0 && scale <= 1.0) {
+        return Err(format!("--scale must be in (0, 1], got {scale}"));
+    }
     let seed: u64 = opts.get("seed", 42)?;
     let spec = match opts.get_str("dataset", "kaggle").as_str() {
         "kaggle" => DatasetSpec::criteo_kaggle(scale),
@@ -136,6 +140,9 @@ fn cmd_train(opts: &Opts) -> Result<(), String> {
     let rank = opts.get_positive("rank", 16)?;
     let tt_threshold: usize = opts.get("tt-threshold", 2_000)?;
     let lr: f32 = opts.get("lr", 0.05)?;
+    if !(lr.is_finite() && lr > 0.0) {
+        return Err(format!("--lr must be finite and positive, got {lr}"));
+    }
     let seed: u64 = opts.get("seed", 42)?;
     // The same test `TtConfig::new` asserts for every TT table.
     if !ds.spec().large_tables(tt_threshold).is_empty()

@@ -124,13 +124,20 @@ fn malformed_size_flags_fail_with_the_flag_name() {
 
     let train = ["train", "--batches", "2"];
     let eval = ["eval", "--checkpoint", path, "--dataset", "toy", "--scale", "0.05"];
-    let cases: [(&[&str], &str, &str); 6] = [
+    let cases: [(&[&str], &str, &str); 13] = [
         (&train, "--dim", "13"),
         (&train, "--dim", "0"),
         (&train, "--rank", "0"),
         (&train, "--batch-size", "0"),
         (&eval, "--batch-size", "0"),
         (&["stats", "--dataset", "toy"], "--batch-size", "0"),
+        (&["stats"], "--scale", "inf"),
+        (&["stats"], "--scale", "1e12"),
+        (&["stats"], "--scale", "0"),
+        (&["stats"], "--scale", "-1"),
+        (&["stats"], "--scale", "nan"),
+        (&train, "--lr", "nan"),
+        (&train, "--lr", "-0.1"),
     ];
     for (cmd, flag, value) in cases {
         let out = el_rec().args(cmd).args([flag, value]).output().expect("spawn");

@@ -6,7 +6,7 @@
 //! `vec!`, …). Amortized grow-only operations the hot path deliberately
 //! uses on recycled buffers — `resize`, `reserve`, `push`, `extend`,
 //! `clone` — are excluded by design; those are covered by the dynamic
-//! counting-allocator tests (DESIGN.md §3), which verify steady-state
+//! counting-allocator tests (DESIGN.md §2.2), which verify steady-state
 //! allocation counts the static pass cannot. Vendor crates (rayon et al.)
 //! are outside the call graph; the boundary is documented in DESIGN.md
 //! §12.

@@ -25,13 +25,12 @@
 //!   deterministic pipeline simulator (`crates/sim`). The scenario says
 //!   what a seed means: `fault` (single-server faults), `crash` (process
 //!   crashes, torn checkpoint writes, at-rest rot, recovery), `shard`
-//!   (per-shard faults), `reshard` (drain, migrate, resume under crash),
-//!   `failover` (kill-the-primary schedules) or `netfault` (heartbeat
-//!   loss, partitions) — the last two must complete byte-identical to
-//!   the sequential oracle. `--sweep COUNT [--start S]` is CI's mode,
-//!   `--seed N` replays one failing seed with full diagnostics;
-//!   `--batches`, `--bound`, `--every`, `--retain`, `--shards` and
-//!   `--replicas` set the run. Arguments pass through to the `sim`
+//!   (per-shard faults), `failover` (kill-the-primary schedules) or
+//!   `netfault` (heartbeat loss, partitions) — the last two must
+//!   complete byte-identical to the sequential oracle. `--sweep COUNT
+//!   [--start S]` is CI's mode, `--seed N` replays one failing seed with
+//!   full diagnostics; `--batches`, `--bound`, `--every`, `--retain`,
+//!   `--shards` and `--replicas` set the run. Arguments pass through to the `sim`
 //!   binary; see DESIGN.md §10–§11 and §14–§15.
 //! * `ckpt [args...]` — checkpoint tooling: `verify <path>` fully checks
 //!   one `.elck` file or a whole store directory, `ls <dir>` lists a
@@ -69,7 +68,7 @@ fn usage() -> ExitCode {
          (needs nightly + rust-src)\n  \
          sim <scenario> (--seed N | --sweep COUNT) [flags]\n                       \
          run the pipeline simulator; scenario is one of fault | crash |\n                       \
-         shard | reshard | failover | netfault (`sim --help` lists flags)\n  \
+         shard | failover | netfault (`sim --help` lists flags)\n  \
          ckpt [args...]       checkpoint tooling (verify <path> | ls <dir> | bench)"
     );
     ExitCode::FAILURE
