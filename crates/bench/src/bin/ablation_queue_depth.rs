@@ -7,8 +7,8 @@
 
 use el_bench::{bench_batches, bench_scale, fmt_bytes, fmt_secs, print_table, section};
 use el_data::{DatasetSpec, SyntheticDataset};
-use el_dlrm::{DlrmConfig, DlrmModel, EmbeddingLayer};
-use el_pipeline::device::DeviceSpec;
+use el_dlrm::{DlrmConfig, DlrmModel};
+use el_frameworks::{DeviceSpec, DeviceWork};
 use el_pipeline::server::HostServer;
 use el_pipeline::trainer::{PipelineConfig, PipelineTrainer};
 use rand::SeedableRng;
@@ -19,16 +19,7 @@ fn setup(ds: &SyntheticDataset) -> (DlrmModel, HostServer) {
     cfg.top_hidden = vec![32];
     let mut rng = rand::rngs::StdRng::seed_from_u64(7);
     let mut model = DlrmModel::new(&cfg, &mut rng);
-    let mut host = Vec::new();
-    for (t, &card) in ds.spec().table_cardinalities.iter().enumerate() {
-        if card >= 2_000 {
-            if let EmbeddingLayer::Dense(bag) =
-                std::mem::replace(&mut model.tables[t], EmbeddingLayer::Hosted { dim: 16 })
-            {
-                host.push((t, bag));
-            }
-        }
-    }
+    let host = model.host_dense_tables(|t| ds.spec().table_cardinalities[t] >= 2_000);
     (model, HostServer::new(host, cfg.lr))
 }
 
@@ -52,11 +43,14 @@ fn main() {
         };
         let report = PipelineTrainer::try_train(model, server, &ds, &config)
             .expect("unique-rows serving accepts any schedule");
-        let host = report.server_cpu.as_secs_f64() / device.host_scale
-            + report.server_meter.simulated_time(&device).as_secs_f64();
-        let dev = report.worker_compute.as_secs_f64() / device.compute_scale;
-        let modeled =
-            if depth > 1 { host.max(dev) + host.min(dev) / num_batches as f64 } else { host + dev };
+        let mut model = report.model;
+        let probe = ds.batch(config.first_batch, config.batch_size);
+        let work = DeviceWork {
+            host: report.server_cpu,
+            bus: report.server_meter,
+            ..DeviceWork::split(&mut model, &probe, report.worker_compute, num_batches)
+        };
+        let modeled = device.time(&work, num_batches, config.pipelined);
         rows.push(vec![
             depth.to_string(),
             fmt_secs(modeled),

@@ -8,8 +8,7 @@
 
 use el_bench::{bench_batches, bench_scale, fmt_secs, fmt_speedup, print_table, section};
 use el_data::{DatasetSpec, SyntheticDataset};
-use el_frameworks::{run_framework, FrameworkKind, FrameworkReport, RunParams};
-use el_pipeline::device::DeviceSpec;
+use el_frameworks::{run_framework, DeviceSpec, FrameworkKind, FrameworkReport, RunParams};
 
 fn main() {
     let scale = bench_scale(0.01);
@@ -45,13 +44,15 @@ fn main() {
             "Figure 11: end-to-end speedup over DLRM, single {} (simulated comm)",
             device.name
         ));
+        // every framework here runs host and device one after the other
+        let time = |r: &FrameworkReport| device.time(&r.work, num_batches, false);
         let mut rows = Vec::new();
         for (name, runs) in &reports {
             let mut cells = vec![name.clone()];
-            let baseline = runs[0].simulated_total(&device).as_secs_f64();
+            let baseline = time(&runs[0]);
             cells.push(format!("{} (1.00x)", fmt_secs(baseline)));
             for r in &runs[1..] {
-                let t = r.simulated_total(&device).as_secs_f64();
+                let t = time(r);
                 cells.push(format!("{} ({})", fmt_secs(t), fmt_speedup(baseline / t)));
             }
             rows.push(cells);

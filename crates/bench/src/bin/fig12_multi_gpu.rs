@@ -10,25 +10,26 @@
 //!   parallel, so every batch additionally pays an all-to-all embedding
 //!   exchange forward and backward.
 //!
-//! Per-batch compute is measured on the real kernels; communication is
+//! Per-batch compute is measured on the real kernels and turned into
+//! device time by kernel class (`el_frameworks::device`); communication is
 //! metered and charged to the PCIe link (the bottleneck hop of the
-//! p3.8xlarge topology). Throughput = W * batch / (compute/scale + comm).
+//! p3.8xlarge topology). Throughput = W * batch / (device time + comm).
 
 use el_bench::{bench_batches, bench_scale, fmt_speedup, print_table, section};
 use el_data::{DatasetSpec, SyntheticDataset};
 use el_dlrm::{DlrmConfig, DlrmModel, EmbeddingLayer};
-use el_pipeline::device::{ring_allreduce_bytes, DeviceSpec};
+use el_frameworks::device::{ring_allreduce_bytes, DeviceSpec, DeviceWork};
 use rand::SeedableRng;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-/// Measured mean per-batch train-step CPU seconds.
-fn per_batch_compute(model: &mut DlrmModel, ds: &SyntheticDataset, batch: usize, n: u64) -> f64 {
+/// Measured train-step wall of `n` batches.
+fn train_wall(model: &mut DlrmModel, ds: &SyntheticDataset, batch: usize, n: u64) -> Duration {
     let _ = model.train_step(&ds.batch(1_000, batch)); // warmup
     let start = Instant::now();
     for k in 0..n {
         let _ = model.train_step(&ds.batch(k, batch));
     }
-    start.elapsed().as_secs_f64() / n as f64
+    start.elapsed()
 }
 
 fn main() {
@@ -52,8 +53,8 @@ fn main() {
 
     let mut elrec = make(threshold);
     let mut dlrm = make(usize::MAX);
-    let c_el = per_batch_compute(&mut elrec, &ds, batch_size, num_steps);
-    let c_dlrm = per_batch_compute(&mut dlrm, &ds, batch_size, num_steps);
+    let wall_el = train_wall(&mut elrec, &ds, batch_size, num_steps);
+    let wall_dlrm = train_wall(&mut dlrm, &ds, batch_size, num_steps);
     // All-reduce payload: MLP grads + TT-core grads. Small dense tables
     // sync sparse gradients whose volume is negligible (unique rows per
     // batch), matching real data-parallel embedding replication.
@@ -68,39 +69,23 @@ fn main() {
         .sum();
     let grad_bytes_el = mlp_bytes + tt_bytes;
 
-    // Split each model's step into kernel classes: dense lookups are
-    // memory-bound gathers, everything else (MLP, interaction, TT chains)
-    // is GEMM-class math. Measured on a representative batch.
+    // Split each model's step into kernel classes on a representative
+    // batch: dense lookups are memory-bound gathers, TT chains their own
+    // class, everything else (MLP, interaction) GEMM-class math.
     let probe = ds.batch(999, batch_size);
-    let emb_time = |model: &mut DlrmModel| -> f64 {
-        let t0 = Instant::now();
-        for (t, table) in model.tables.iter_mut().enumerate() {
-            let field = &probe.fields[t];
-            match table {
-                EmbeddingLayer::Dense(bag) => {
-                    std::hint::black_box(bag.forward(&field.indices, &field.offsets));
-                }
-                EmbeddingLayer::Tt(bag, ws) => {
-                    std::hint::black_box(bag.forward(&field.indices, &field.offsets, ws));
-                }
-                EmbeddingLayer::Hosted { .. } => {}
-            }
-        }
-        t0.elapsed().as_secs_f64() * 2.0 // forward + backward
-    };
-    let gather_dlrm = emb_time(&mut dlrm).min(c_dlrm);
-    let tt_el = emb_time(&mut elrec).min(c_el); // GEMM class
-    let mlp_dlrm = c_dlrm - gather_dlrm;
-    let mlp_el = c_el - tt_el;
-    let dev_time_dlrm = mlp_dlrm / device.gemm_scale + gather_dlrm / device.gather_scale;
-    let dev_time_el = (mlp_el + tt_el) / device.gemm_scale;
+    let work_dlrm = DeviceWork::split(&mut dlrm, &probe, wall_dlrm, num_steps);
+    let work_el = DeviceWork::split(&mut elrec, &probe, wall_el, num_steps);
+    let dev_time_dlrm = device.device_secs(&work_dlrm) / num_steps as f64;
+    let dev_time_el = device.device_secs(&work_el) / num_steps as f64;
 
+    let ms = |d: Duration| d.as_secs_f64() * 1e3 / num_steps as f64;
     eprintln!(
-        "  [fig12] c_dlrm={:.1}ms (gather {:.1}ms) c_el={:.1}ms (tt {:.1}ms) large={large}",
-        c_dlrm * 1e3,
-        gather_dlrm * 1e3,
-        c_el * 1e3,
-        tt_el * 1e3
+        "  [fig12] c_dlrm={:.1}ms (gather {:.1}ms) c_el={:.1}ms (tt {:.1}ms, gather {:.1}ms) large={large}",
+        ms(wall_dlrm),
+        ms(work_dlrm.gather),
+        ms(wall_el),
+        ms(work_el.tt),
+        ms(work_el.gather),
     );
     section(&format!("Figure 12: multi-GPU training throughput ({}, simulated)", device.name));
     let mut rows = Vec::new();

@@ -7,7 +7,7 @@
 
 use el_bench::{bench_batches, bench_scale, fmt_bytes, print_table, section};
 use el_frameworks::large_table::{large_table_throughput, LargeTableParams, ShardingStrategy};
-use el_pipeline::device::DeviceSpec;
+use el_frameworks::DeviceSpec;
 
 fn main() {
     let scale = bench_scale(0.05);

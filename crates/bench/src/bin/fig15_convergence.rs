@@ -44,7 +44,8 @@ fn train_curve(
 fn main() {
     let scale = bench_scale(0.0003);
     let num_batches = bench_batches(80);
-    let window = 10usize;
+    // one point per 10 batches; a shorter run is one window
+    let window = 10.min(num_batches as usize);
     let ds = SyntheticDataset::new(DatasetSpec::criteo_terabyte(scale), 61);
 
     section("Figure 15: training-loss convergence (terabyte-shaped synthetic)");

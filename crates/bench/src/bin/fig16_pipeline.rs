@@ -18,14 +18,14 @@
 
 use el_bench::{bench_batches, bench_scale, fmt_secs, fmt_speedup, print_table, section};
 use el_data::{DatasetSpec, SyntheticDataset};
-use el_dlrm::{DlrmConfig, DlrmModel, EmbeddingLayer};
-use el_pipeline::device::DeviceSpec;
+use el_dlrm::{DlrmConfig, DlrmModel};
+use el_frameworks::{DeviceSpec, DeviceWork};
 use el_pipeline::server::{HostServer, ServerMode};
 use el_pipeline::trainer::{PipelineConfig, PipelineTrainer};
 use rand::SeedableRng;
 
-/// Builds a model + host server: the largest table stays on the device
-/// (TT when `tt` is set), every other large table is hosted.
+/// Builds a model + host server: with `tt` the largest table is TT on the
+/// device, and every dense table of at least `threshold` rows is hosted.
 fn setup(
     ds: &SyntheticDataset,
     tt: bool,
@@ -46,22 +46,7 @@ fn setup(
     cfg.top_hidden = vec![32];
     let mut rng = rand::rngs::StdRng::seed_from_u64(7);
     let mut model = DlrmModel::new(&cfg, &mut rng);
-
-    let mut host = Vec::new();
-    for (t, &card) in spec.table_cardinalities.iter().enumerate() {
-        let device_resident = (tt && t == largest) || card < threshold;
-        if !device_resident {
-            let dense =
-                match std::mem::replace(&mut model.tables[t], EmbeddingLayer::Hosted { dim: 16 }) {
-                    EmbeddingLayer::Dense(bag) => bag,
-                    other => {
-                        model.tables[t] = other;
-                        continue;
-                    }
-                };
-            host.push((t, dense));
-        }
-    }
+    let host = model.host_dense_tables(|t| spec.table_cardinalities[t] >= threshold);
     (model, HostServer::new(host, cfg.lr).with_mode(mode))
 }
 
@@ -94,17 +79,14 @@ fn main() {
         };
         let report = PipelineTrainer::try_train(model, server, &ds, &config)
             .expect("only the sequential leg serves pooled embeddings");
-
-        let host_stage = report.server_cpu.as_secs_f64() / device.host_scale
-            + report.server_meter.simulated_time(&device).as_secs_f64();
-        let device_stage = report.worker_compute.as_secs_f64() / device.compute_scale;
-        let total = if pipelined {
-            // stages overlap; the shorter one hides behind the longer,
-            // plus one batch of pipeline fill
-            host_stage.max(device_stage) + host_stage.min(device_stage) / num_batches as f64
-        } else {
-            host_stage + device_stage
+        let mut model = report.model;
+        let probe = ds.batch(config.first_batch, config.batch_size);
+        let work = DeviceWork {
+            host: report.server_cpu,
+            bus: report.server_meter,
+            ..DeviceWork::split(&mut model, &probe, report.worker_compute, num_batches)
         };
+        let total = device.time(&work, num_batches, pipelined);
         let samples = (num_batches as usize * config.batch_size) as f64;
         let throughput = samples / total;
         if baseline == 0.0 {
@@ -114,8 +96,8 @@ fn main() {
             name.to_string(),
             format!("{throughput:.0}"),
             fmt_speedup(throughput / baseline),
-            fmt_secs(host_stage),
-            fmt_secs(device_stage),
+            fmt_secs(device.host_secs(&work)),
+            fmt_secs(device.device_secs(&work)),
             report.stale_hits.to_string(),
         ]);
     }

@@ -29,8 +29,9 @@ fn main() {
     for kind in FrameworkKind::all() {
         let run = run_framework(kind, &ds, &params);
         let r = &run.report;
-        let per_batch = r.meter.total_bytes() as f64 / params.num_batches as f64;
-        let wall = r.device_wall.as_secs_f64() + r.cpu_wall.as_secs_f64();
+        let w = &r.work;
+        let per_batch = w.bus.total_bytes() as f64 / params.num_batches as f64;
+        let wall = (w.gemm + w.tt + w.gather + w.host).as_secs_f64();
         if kind == FrameworkKind::DlrmPs {
             dense_wall = wall;
         }

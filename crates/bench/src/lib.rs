@@ -115,14 +115,49 @@ pub fn fmt_speedup(x: f64) -> String {
 }
 
 /// Reads a scale factor from `EL_BENCH_SCALE`, with an
-/// experiment-specific default.
+/// experiment-specific default. A bad value ends the process with exit
+/// code 1 (see [`parse_scale`]).
 pub fn bench_scale(default: f64) -> f64 {
-    std::env::var("EL_BENCH_SCALE").ok().and_then(|v| v.parse().ok()).unwrap_or(default)
+    let raw = std::env::var("EL_BENCH_SCALE").ok();
+    or_exit(parse_scale(raw.as_deref()), default)
 }
 
-/// Reads an iteration override from `EL_BENCH_BATCHES`.
+/// Reads an iteration override from `EL_BENCH_BATCHES`. A bad value ends
+/// the process with exit code 1 (see [`parse_batches`]).
 pub fn bench_batches(default: u64) -> u64 {
-    std::env::var("EL_BENCH_BATCHES").ok().and_then(|v| v.parse().ok()).unwrap_or(default)
+    let raw = std::env::var("EL_BENCH_BATCHES").ok();
+    or_exit(parse_batches(raw.as_deref()), default)
+}
+
+/// Checks a raw `EL_BENCH_SCALE`: unset is `None`; a set value must be a
+/// number in (0, 1], the rule of `el-rec --scale` (1 is the real
+/// cardinalities).
+fn parse_scale(raw: Option<&str>) -> Result<Option<f64>, String> {
+    let Some(raw) = raw else { return Ok(None) };
+    match raw.parse::<f64>() {
+        Ok(scale) if scale > 0.0 && scale <= 1.0 => Ok(Some(scale)),
+        _ => Err(format!("EL_BENCH_SCALE must be a number in (0, 1], got {raw:?}")),
+    }
+}
+
+/// Checks a raw `EL_BENCH_BATCHES`: unset is `None`; a set value must be a
+/// positive integer.
+fn parse_batches(raw: Option<&str>) -> Result<Option<u64>, String> {
+    let Some(raw) = raw else { return Ok(None) };
+    match raw.parse::<u64>() {
+        Ok(batches) if batches > 0 => Ok(Some(batches)),
+        _ => Err(format!("EL_BENCH_BATCHES must be a positive integer, got {raw:?}")),
+    }
+}
+
+fn or_exit<T>(parsed: Result<Option<T>, String>, default: T) -> T {
+    match parsed {
+        Ok(value) => value.unwrap_or(default),
+        Err(msg) => {
+            eprintln!("error: {msg}");
+            std::process::exit(1)
+        }
+    }
 }
 
 #[cfg(test)]
@@ -145,8 +180,23 @@ mod tests {
     }
 
     #[test]
-    fn env_overrides_parse() {
-        assert_eq!(bench_scale(0.5), 0.5);
-        assert_eq!(bench_batches(7), 7);
+    fn env_overrides_accept_valid_values() {
+        assert_eq!(parse_scale(None), Ok(None));
+        assert_eq!(parse_scale(Some("0.0005")), Ok(Some(0.0005)));
+        assert_eq!(parse_scale(Some("1")), Ok(Some(1.0)));
+        assert_eq!(parse_batches(None), Ok(None));
+        assert_eq!(parse_batches(Some("2")), Ok(Some(2)));
+    }
+
+    #[test]
+    fn env_overrides_reject_bad_values_by_name() {
+        for bad in ["0", "-1", "nan", "inf", "1.5", "abc", ""] {
+            let err = parse_scale(Some(bad)).unwrap_err();
+            assert!(err.contains("EL_BENCH_SCALE"), "{bad:?}: {err}");
+        }
+        for bad in ["0", "-1", "1.5", "abc", ""] {
+            let err = parse_batches(Some(bad)).unwrap_err();
+            assert!(err.contains("EL_BENCH_BATCHES"), "{bad:?}: {err}");
+        }
     }
 }

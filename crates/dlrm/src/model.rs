@@ -406,6 +406,27 @@ impl DlrmModel {
         self.tables.len()
     }
 
+    /// Moves every `Dense` table whose index `pick` accepts out of the
+    /// model, leaving `Hosted { dim }` behind, and returns the moved tables
+    /// with their indices for a parameter server. Other tables stay put.
+    pub fn host_dense_tables(
+        &mut self,
+        mut pick: impl FnMut(usize) -> bool,
+    ) -> Vec<(usize, EmbeddingBag)> {
+        let mut host = Vec::new();
+        for (t, table) in self.tables.iter_mut().enumerate() {
+            if matches!(table, EmbeddingLayer::Dense(_)) && pick(t) {
+                let dim = table.dim();
+                if let EmbeddingLayer::Dense(bag) =
+                    std::mem::replace(table, EmbeddingLayer::Hosted { dim })
+                {
+                    host.push((t, bag));
+                }
+            }
+        }
+        host
+    }
+
     /// Table indices served by the parameter server.
     pub fn hosted_tables(&self) -> Vec<usize> {
         self.tables
@@ -720,6 +741,19 @@ mod tests {
         assert_eq!(out.hosted_grads[0].1.rows(), 16);
         // gradient actually flows: not all zeros
         assert!(out.hosted_grads[0].1.as_slice().iter().any(|&g| g != 0.0));
+    }
+
+    #[test]
+    fn hosting_moves_only_the_picked_dense_tables() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(6);
+        let mut model = DlrmModel::new(&toy_config(), &mut rng);
+        // table 1 is TT: picked, but not dense, so it stays
+        let host = model.host_dense_tables(|t| t >= 1);
+        assert_eq!(host.iter().map(|(t, bag)| (*t, bag.dim())).collect::<Vec<_>>(), [(2, 8)]);
+        assert_eq!(model.hosted_tables(), vec![2]);
+        assert!(matches!(model.tables[0], EmbeddingLayer::Dense(_)));
+        assert!(matches!(model.tables[1], EmbeddingLayer::Tt(..)));
+        assert_eq!(model.tables[2].dim(), 8);
     }
 
     #[test]

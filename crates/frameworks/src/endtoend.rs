@@ -2,17 +2,19 @@
 //!
 //! Every framework trains the *same* model mathematics on the same data —
 //! what differs is where embedding parameters live and what crosses the
-//! bus. Compute time is measured; bus traffic is metered and converted to
-//! time by the device model, so the reported end-to-end numbers carry the
-//! shape of the paper's single-GPU comparison.
+//! bus. Compute time is measured and split into kernel classes; bus
+//! traffic is metered; the device model ([`crate::device`]) converts both
+//! to time, so the reported end-to-end numbers carry the shape of the
+//! paper's single-GPU comparison.
 
+use crate::device::DeviceWork;
 use el_core::TtOptions;
 use el_data::stats::AccessHistogram;
 use el_data::{MiniBatch, SyntheticDataset};
 use el_dlrm::{DlrmConfig, DlrmModel, EmbeddingLayer};
-use el_pipeline::device::{CommMeter, DeviceSpec};
 use el_pipeline::server::{HostServer, ServerMode};
 use el_pipeline::trainer::{PipelineConfig, PipelineTrainer};
+use el_pipeline::CommMeter;
 use el_reorder::{IndexBijection, ReorderConfig, Reorderer};
 use rand::SeedableRng;
 use std::time::{Duration, Instant};
@@ -100,42 +102,16 @@ impl Default for RunParams {
 pub struct FrameworkReport {
     /// Framework display name.
     pub name: String,
-    /// Measured compute that runs on the *device* (scaled by the device's
-    /// speedup in the simulated total).
-    pub device_wall: Duration,
-    /// The part of `device_wall` that is memory-bound gather/scatter work
-    /// (dense embedding lookups) rather than GEMM-class math; the device
-    /// model scales the two differently.
-    pub device_gather: Duration,
-    /// Measured compute that runs on the *host* — parameter-server gathers
-    /// and updates, FAE's cold-path work (stays at CPU speed).
-    pub cpu_wall: Duration,
-    /// Bus traffic the strategy would generate.
-    pub meter: CommMeter,
+    /// Measured device compute by kernel class, host compute (parameter
+    /// server gathers and updates, FAE's cold path) and bus traffic; a
+    /// [`crate::DeviceSpec`] turns it into time.
+    pub work: DeviceWork,
     /// Per-batch losses.
     pub losses: Vec<f32>,
     /// Samples trained.
     pub samples: usize,
     /// Device-resident embedding bytes (Table III).
     pub device_embedding_bytes: usize,
-}
-
-impl FrameworkReport {
-    /// End-to-end simulated time on `device`: GEMM-class device compute
-    /// divided by `gemm_scale`, gather-class by `gather_scale`, host
-    /// compute unscaled, plus bus time.
-    pub fn simulated_total(&self, device: &DeviceSpec) -> Duration {
-        let gemm =
-            (self.device_wall.saturating_sub(self.device_gather)).as_secs_f64() / device.gemm_scale;
-        let gather = self.device_gather.as_secs_f64() / device.gather_scale;
-        Duration::from_secs_f64(gemm + gather + self.cpu_wall.as_secs_f64() / device.host_scale)
-            + self.meter.simulated_time(device)
-    }
-
-    /// Simulated training throughput in samples/second.
-    pub fn throughput(&self, device: &DeviceSpec) -> f64 {
-        self.samples as f64 / self.simulated_total(device).as_secs_f64()
-    }
 }
 
 /// A completed run: report, final model and (for EL-Rec) the index
@@ -200,19 +176,8 @@ fn run_dlrm_ps(dataset: &SyntheticDataset, params: &RunParams) -> FrameworkRun {
     let mut model = DlrmModel::new(&cfg, &mut rng);
 
     // Move large tables to the host.
-    let mut host = Vec::new();
-    for (t, &card) in dataset.spec().table_cardinalities.iter().enumerate() {
-        if card >= params.large_threshold {
-            let dense = match std::mem::replace(
-                &mut model.tables[t],
-                EmbeddingLayer::Hosted { dim: params.dim },
-            ) {
-                EmbeddingLayer::Dense(bag) => bag,
-                _ => unreachable!("threshold MAX keeps every table dense"),
-            };
-            host.push((t, dense));
-        }
-    }
+    let cards = &dataset.spec().table_cardinalities;
+    let host = model.host_dense_tables(|t| cards[t] >= params.large_threshold);
     // Reference DLRM: the CPU runs the full EmbeddingBag forward/backward
     // and ships pooled batch x dim activations/gradients.
     let server = HostServer::new(host, params.lr).with_mode(ServerMode::PooledEmbeddings);
@@ -228,6 +193,12 @@ fn run_dlrm_ps(dataset: &SyntheticDataset, params: &RunParams) -> FrameworkRun {
         .expect("the pooled baseline is scheduled sequentially on one server");
     let mut model = report.model;
     let device_bytes = model.embedding_footprint_bytes();
+    let probe = dataset.batch(params.first, params.batch_size);
+    let work = DeviceWork {
+        host: report.server_cpu,
+        bus: report.server_meter,
+        ..DeviceWork::split(&mut model, &probe, report.worker_compute, params.num_batches)
+    };
     // Reinstall the final host tables so the model is self-contained for
     // evaluation.
     for (t, bag) in report.host_tables {
@@ -237,10 +208,7 @@ fn run_dlrm_ps(dataset: &SyntheticDataset, params: &RunParams) -> FrameworkRun {
     FrameworkRun {
         report: FrameworkReport {
             name: FrameworkKind::DlrmPs.name().into(),
-            device_wall: report.worker_compute,
-            device_gather: Duration::ZERO,
-            cpu_wall: report.server_cpu,
-            meter: report.server_meter,
+            work,
             losses: report.losses,
             samples: (params.num_batches as usize) * params.batch_size,
             device_embedding_bytes: device_bytes,
@@ -332,21 +300,12 @@ fn run_fae(dataset: &SyntheticDataset, params: &RunParams) -> FrameworkRun {
     }
     let cold_frac = cold_sample_total as f64 / sample_total.max(1) as f64;
     eprintln!("  [FAE] cold-sample fraction: {:.0}% (paper profiled ~25%)", cold_frac * 100.0);
-    // Estimate the gather-class share of device compute: dense embedding
-    // forward (x2 for backward) on a representative batch, extrapolated.
     let probe = dataset.batch(params.first, params.batch_size);
-    // TIMING: one-off gather-share probe after the measured loop.
-    let t_emb = Instant::now();
-    for (t, table) in model.tables.iter().enumerate() {
-        if let EmbeddingLayer::Dense(bag) = table {
-            let field = &probe.fields[t];
-            let out = bag.forward(&field.indices, &field.offsets);
-            std::hint::black_box(&out);
-        }
-    }
-    let device_gather =
-        Duration::from_secs_f64(t_emb.elapsed().as_secs_f64() * 2.0 * params.num_batches as f64)
-            .min(device_wall);
+    let work = DeviceWork {
+        host: cpu_wall,
+        bus: meter,
+        ..DeviceWork::split(&mut model, &probe, device_wall, params.num_batches)
+    };
     let device_bytes: usize = large
         .iter()
         .map(|&t| {
@@ -357,10 +316,7 @@ fn run_fae(dataset: &SyntheticDataset, params: &RunParams) -> FrameworkRun {
     FrameworkRun {
         report: FrameworkReport {
             name: FrameworkKind::Fae.name().into(),
-            device_wall,
-            device_gather,
-            cpu_wall,
-            meter,
+            work,
             losses,
             samples: (params.num_batches as usize) * params.batch_size,
             device_embedding_bytes: device_bytes,
@@ -416,13 +372,18 @@ fn run_tt(
     let wall = start.elapsed();
     let kind = if reorder { FrameworkKind::ElRec } else { FrameworkKind::TtRec };
     let device_bytes = model.embedding_footprint_bytes();
+    // everything fits on the device: no host work, no bus traffic
+    let mut probe = dataset.batch(params.first, params.batch_size);
+    for (t, bij) in bijections.iter().enumerate() {
+        if let Some(b) = bij {
+            probe.fields[t].remap(&b.forward);
+        }
+    }
+    let work = DeviceWork::split(&mut model, &probe, wall, params.num_batches);
     FrameworkRun {
         report: FrameworkReport {
             name: kind.name().into(),
-            device_wall: wall,
-            device_gather: Duration::ZERO,
-            cpu_wall: Duration::ZERO,
-            meter: CommMeter::new(), // everything fits on the device
+            work,
             losses,
             samples: (params.num_batches as usize) * params.batch_size,
             device_embedding_bytes: device_bytes,
@@ -466,7 +427,8 @@ mod tests {
             let run = run_framework(kind, &ds, &p);
             assert_eq!(run.report.losses.len(), 6, "{}", run.report.name);
             assert!(run.report.losses.iter().all(|l| l.is_finite()));
-            assert!(run.report.device_wall > Duration::ZERO);
+            let w = &run.report.work;
+            assert!(w.gemm + w.tt + w.gather > Duration::ZERO);
         }
     }
 
@@ -477,8 +439,8 @@ mod tests {
         let dlrm = run_framework(FrameworkKind::DlrmPs, &ds, &p);
         let fae = run_framework(FrameworkKind::Fae, &ds, &p);
         let elrec = run_framework(FrameworkKind::ElRec, &ds, &p);
-        assert!(dlrm.report.meter.total_bytes() > fae.report.meter.total_bytes());
-        assert_eq!(elrec.report.meter.total_bytes(), 0);
+        assert!(dlrm.report.work.bus.total_bytes() > fae.report.work.bus.total_bytes());
+        assert_eq!(elrec.report.work.bus.total_bytes(), 0);
     }
 
     #[test]
@@ -495,18 +457,15 @@ mod tests {
     }
 
     #[test]
-    fn elrec_beats_dlrm_on_simulated_time() {
+    fn elrec_beats_dlrm_on_device_time() {
         let ds = dataset();
         let p = params();
         let dlrm = run_framework(FrameworkKind::DlrmPs, &ds, &p);
         let elrec = run_framework(FrameworkKind::ElRec, &ds, &p);
-        let dev = DeviceSpec::v100();
-        assert!(
-            elrec.report.simulated_total(&dev) < dlrm.report.simulated_total(&dev),
-            "EL-Rec {:?} vs DLRM {:?}",
-            elrec.report.simulated_total(&dev),
-            dlrm.report.simulated_total(&dev)
-        );
+        let dev = crate::DeviceSpec::v100();
+        let [elrec, dlrm] =
+            [elrec, dlrm].map(|run| dev.time(&run.report.work, p.num_batches, false));
+        assert!(elrec < dlrm, "EL-Rec {elrec} s vs DLRM {dlrm} s");
     }
 
     #[test]

@@ -20,9 +20,10 @@
 //! transfers. Communication is metered at *full* size — it depends only on
 //! batch size, dim and worker count.
 
+use crate::device::{ring_allreduce_bytes, DeviceSpec, DeviceWork};
 use el_core::{TtConfig, TtEmbeddingBag, TtWorkspace};
 use el_dlrm::embedding_bag::EmbeddingBag;
-use el_pipeline::device::{ring_allreduce_bytes, CommMeter, DeviceSpec};
+use el_pipeline::CommMeter;
 use rand::SeedableRng;
 use std::time::Instant;
 
@@ -152,7 +153,7 @@ fn elrec_tt(params: &LargeTableParams, device: &DeviceSpec) -> LargeTableResult 
         let out = table.forward(&indices, &offsets, &mut ws);
         table.backward_sgd(&out, &mut ws, 0.01);
     }
-    let c_tt = start.elapsed().as_secs_f64() / params.num_batches as f64;
+    let c_tt = start.elapsed().div_f64(params.num_batches as f64);
 
     // Data parallel: every device trains its own batch concurrently. The
     // only communication is the ring all-reduce of core gradients, which
@@ -161,7 +162,7 @@ fn elrec_tt(params: &LargeTableParams, device: &DeviceSpec) -> LargeTableResult 
     let mut meter = CommMeter::new();
     let ring = ring_allreduce_bytes(table.param_count(), params.workers);
     meter.p2p((ring * params.num_batches) as usize);
-    let compute = c_tt / device.tt_scale;
+    let compute = device.device_secs(&DeviceWork { tt: c_tt, ..DeviceWork::default() });
     let comm = ring as f64 / device.p2p_bps;
     let step_time = compute.max(comm);
     let samples_per_step = (params.batch_size * params.workers) as f64;
@@ -195,14 +196,15 @@ fn dense_sharded(
         let out = table.forward(&indices, &offsets);
         table.backward_sgd(&indices, &offsets, &out, 0.01);
     }
-    let c_batch = start.elapsed().as_secs_f64() / params.num_batches as f64;
+    let c_batch = start.elapsed().div_f64(params.num_batches as f64);
 
     // Global batch scales with workers (the standard multi-GPU convention).
     // Row sharding: each device owns 1/W of the rows and in expectation
     // gathers (batch*W)/W = batch rows per step -> per-device compute is
     // one measured batch. Column sharding: each device computes its dim/W
     // slice for ALL batch*W samples -> W measured (narrow) batches.
-    let per_device_compute = if column_wise { c_batch * w } else { c_batch } / device.gather_scale;
+    let gather = if column_wise { c_batch.mul_f64(w) } else { c_batch };
+    let per_device_compute = device.device_secs(&DeviceWork { gather, ..DeviceWork::default() });
 
     // All-to-all embeddings forward + gradients backward: per step the
     // fabric carries 2 * batchW * dim * 4 * (W-1)/W bytes, spread over W

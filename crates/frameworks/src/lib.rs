@@ -13,14 +13,18 @@
 //! | HugeCTR \[18\] | row-wise model-parallel sharding | [`large_table`] comm/compute model on real kernels |
 //! | TorchRec \[40\] | column-wise sharding ("4D parallelism") | [`large_table`] |
 //!
-//! End-to-end comparisons report **measured** compute time plus **metered**
-//! communication converted to time through the device model (see
-//! `el-pipeline::device` and DESIGN.md's substitution table).
+//! End-to-end comparisons report **measured** compute time, split into
+//! kernel classes, plus **metered** communication, and [`device`] turns
+//! both into device time. It is the one device-time model: every figure
+//! charges GEMM, TT-chain, gather and host work at that class's scale (see
+//! DESIGN.md §2.1 and its substitution table).
 
 #![forbid(unsafe_code)]
 
+pub mod device;
 pub mod endtoend;
 pub mod large_table;
 
+pub use device::{DeviceSpec, DeviceWork};
 pub use endtoend::{run_framework, FrameworkKind, FrameworkReport, FrameworkRun, RunParams};
 pub use large_table::{large_table_throughput, LargeTableParams, ShardingStrategy};

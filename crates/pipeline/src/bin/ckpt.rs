@@ -12,7 +12,7 @@
 //!   numbers EXPERIMENTS.md reports).
 
 use el_dlrm::checkpoint::DlrmCheckpoint;
-use el_dlrm::{DlrmConfig, DlrmModel, EmbeddingLayer, OptimizerKind};
+use el_dlrm::{DlrmConfig, DlrmModel, OptimizerKind};
 use el_pipeline::ckpt::{verify_bytes, CkptInfo, CkptStore, FsStorage};
 use el_pipeline::trainer::PipelineTrainer;
 use rand::SeedableRng;
@@ -227,14 +227,8 @@ fn bench_state(
     };
     let mut rng = rand::rngs::StdRng::seed_from_u64(42);
     let mut model = DlrmModel::new(&cfg, &mut rng);
-    let mut host = Vec::new();
-    for t in [2usize, 3] {
-        let dense = match std::mem::replace(&mut model.tables[t], EmbeddingLayer::Hosted { dim }) {
-            EmbeddingLayer::Dense(bag) => bag,
-            _ => unreachable!("tables 2 and 3 are below any TT threshold"),
-        };
-        host.push((t, dense));
-    }
+    // tables 2 and 3 are below any TT threshold
+    let host = model.host_dense_tables(|t| t == 2 || t == 3);
     (model, host)
 }
 

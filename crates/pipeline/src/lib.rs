@@ -5,9 +5,9 @@
 //! in host memory, served through a **pre-fetch queue** and a **gradient
 //! queue** so CPU-side gathering/updating overlaps GPU-side training.
 //!
-//! * [`device`] — the simulated-device cost model (HBM capacity, PCIe /
-//!   NVLink bandwidth, kernel-launch overhead) standing in for the paper's
-//!   V100/T4 testbeds; see DESIGN.md's substitution table,
+//! * [`device`] — what a run measures for the device model: per-thread
+//!   CPU time and the metered bus traffic ([`CommMeter`]); the V100/T4
+//!   model that turns them into device time is `el_frameworks::device`,
 //! * [`cache`] — the embedding cache that resolves the read-after-write
 //!   conflict of pipelined training (paper §V-B, Figure 10), implemented
 //!   with version watermarks (provably equivalent to the paper's
@@ -32,7 +32,7 @@ pub mod trainer;
 
 pub use cache::EmbeddingCache;
 pub use ckpt::{CkptError, CkptStore, FsStorage, MemStorage, Storage, TrainingCheckpoint};
-pub use device::{CommMeter, DeviceSpec};
+pub use device::CommMeter;
 pub use replica::{
     FailureDetector, GradientLog, HeartbeatConfig, ReplicaError, ReplicaGroup, ReplicationConfig,
 };

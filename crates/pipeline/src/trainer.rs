@@ -910,7 +910,7 @@ impl PipelineTrainer {
 mod tests {
     use super::*;
     use el_data::DatasetSpec;
-    use el_dlrm::{DlrmConfig, EmbeddingLayer};
+    use el_dlrm::DlrmConfig;
     use rand::SeedableRng;
 
     fn setup(seed: u64) -> (DlrmModel, HostServer, SyntheticDataset) {
@@ -944,15 +944,7 @@ mod tests {
         let mut model = DlrmModel::new(&cfg, &mut rng);
 
         // host tables 1 and 2; table 0 stays on the worker
-        let mut host = Vec::new();
-        for t in [1usize, 2] {
-            let dense =
-                match std::mem::replace(&mut model.tables[t], EmbeddingLayer::Hosted { dim: 8 }) {
-                    EmbeddingLayer::Dense(bag) => bag,
-                    _ => unreachable!(),
-                };
-            host.push((t, dense));
-        }
+        let host = model.host_dense_tables(|t| t == 1 || t == 2);
         (model, HostServer::new(host, 0.05), dataset)
     }
 

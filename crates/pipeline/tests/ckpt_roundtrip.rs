@@ -7,7 +7,7 @@
 
 use el_data::{DatasetSpec, SyntheticDataset};
 use el_dlrm::checkpoint::DlrmCheckpoint;
-use el_dlrm::{DlrmConfig, DlrmModel, EmbeddingLayer, OptimizerKind};
+use el_dlrm::{DlrmConfig, DlrmModel, OptimizerKind};
 use el_pipeline::ckpt::{CkptStore, MemStorage};
 use el_pipeline::server::HostServer;
 use el_pipeline::{PipelineConfig, PipelineTrainer};
@@ -41,15 +41,7 @@ fn setup(
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let mut model = DlrmModel::new(&cfg, &mut rng);
 
-    let mut host = Vec::new();
-    for t in [1usize, 2] {
-        let dense = match std::mem::replace(&mut model.tables[t], EmbeddingLayer::Hosted { dim: 8 })
-        {
-            EmbeddingLayer::Dense(bag) => bag,
-            _ => unreachable!(),
-        };
-        host.push((t, dense));
-    }
+    let host = model.host_dense_tables(|t| t == 1 || t == 2);
     (model, HostServer::new(host, 0.05), dataset)
 }
 

@@ -14,7 +14,7 @@
 //!    frequent under skewed access.
 
 use el_rec::data::{DatasetSpec, SyntheticDataset};
-use el_rec::dlrm::{DlrmConfig, DlrmModel, EmbeddingLayer};
+use el_rec::dlrm::{DlrmConfig, DlrmModel};
 use el_rec::pipeline::server::HostServer;
 use el_rec::pipeline::trainer::{PipelineConfig, PipelineTrainer};
 use rand::SeedableRng;
@@ -26,16 +26,7 @@ fn build(dataset: &SyntheticDataset) -> (DlrmModel, HostServer) {
     let mut model = DlrmModel::new(&config, &mut rng);
 
     // Host every table with >= 1000 rows; the rest stay on the worker.
-    let mut host = Vec::new();
-    for (t, &card) in dataset.spec().table_cardinalities.iter().enumerate() {
-        if card >= 1000 {
-            if let EmbeddingLayer::Dense(bag) =
-                std::mem::replace(&mut model.tables[t], EmbeddingLayer::Hosted { dim: 16 })
-            {
-                host.push((t, bag));
-            }
-        }
-    }
+    let host = model.host_dense_tables(|t| dataset.spec().table_cardinalities[t] >= 1000);
     (model, HostServer::new(host, config.lr))
 }
 

@@ -213,7 +213,7 @@ fn cmd_train(opts: &Opts) -> Result<(), String> {
 
 fn cmd_eval(opts: &Opts) -> Result<(), String> {
     let path = opts.map.get("checkpoint").ok_or("eval requires --checkpoint PATH")?;
-    let batches: u64 = opts.get("batches", 8)?;
+    let batches = opts.get_positive("batches", 8)? as u64;
     let batch_size = opts.get_positive("batch-size", 512)?;
     let mut model = DlrmCheckpoint::load_file(path)
         .map_err(|e| format!("loading checkpoint: {e}"))?

@@ -124,12 +124,13 @@ fn malformed_size_flags_fail_with_the_flag_name() {
 
     let train = ["train", "--batches", "2"];
     let eval = ["eval", "--checkpoint", path, "--dataset", "toy", "--scale", "0.05"];
-    let cases: [(&[&str], &str, &str); 13] = [
+    let cases: [(&[&str], &str, &str); 14] = [
         (&train, "--dim", "13"),
         (&train, "--dim", "0"),
         (&train, "--rank", "0"),
         (&train, "--batch-size", "0"),
         (&eval, "--batch-size", "0"),
+        (&eval, "--batches", "0"),
         (&["stats", "--dataset", "toy"], "--batch-size", "0"),
         (&["stats"], "--scale", "inf"),
         (&["stats"], "--scale", "1e12"),

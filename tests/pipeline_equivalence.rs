@@ -36,14 +36,7 @@ fn setup() -> (DlrmModel, HostServer) {
     let tt = el_rec::core::TtEmbeddingBag::new(&tt_cfg, &mut rng);
     model.tables[0] = EmbeddingLayer::Tt(Box::new(tt), el_rec::core::TtWorkspace::new());
 
-    let mut host = Vec::new();
-    for t in [1usize, 2] {
-        if let EmbeddingLayer::Dense(bag) =
-            std::mem::replace(&mut model.tables[t], EmbeddingLayer::Hosted { dim: 8 })
-        {
-            host.push((t, bag));
-        }
-    }
+    let host = model.host_dense_tables(|t| t == 1 || t == 2);
     (model, HostServer::new(host, 0.05))
 }
 
