@@ -29,20 +29,31 @@
 
 use std::fmt::Display;
 
-/// Provenance fields for `BENCH_*.json` rows: which micro-kernel variant
-/// was dispatched, what the host CPU supports, and how wide the rayon pool
-/// is. Attached via `Criterion::provenance` so every recorded number can be
+/// Provenance fields for `BENCH_*.json` rows and figure output: which
+/// micro-kernel variant was dispatched, what the host CPU supports, how
+/// many cores the process may use, and how wide the rayon pool is.
+/// Attached via `Criterion::provenance` so every recorded number can be
 /// traced to the code path and machine that produced it.
 pub fn provenance_fields() -> Vec<(String, String)> {
+    let nproc = std::thread::available_parallelism().map_or(1, usize::from);
     vec![
         ("kernel".to_string(), el_tensor::micro::active_kernel().to_string()),
         ("cpu_features".to_string(), el_tensor::micro::cpu_features()),
+        ("nproc".to_string(), nproc.to_string()),
         ("rayon_threads".to_string(), rayon::current_num_threads().to_string()),
     ]
 }
 
-/// Prints a boxed section header.
+/// Prints a boxed section header. The first call in a process prints one
+/// `provenance:` line first ([`provenance_fields`]), so every figure
+/// binary states where its numbers came from.
 pub fn section(title: &str) {
+    static PROVENANCE: std::sync::Once = std::sync::Once::new();
+    PROVENANCE.call_once(|| {
+        let fields: Vec<String> =
+            provenance_fields().iter().map(|(k, v)| format!("{k}={v}")).collect();
+        println!("provenance: {}", fields.join(" "));
+    });
     println!();
     println!("=== {title} ===");
 }
@@ -116,14 +127,14 @@ pub fn fmt_speedup(x: f64) -> String {
 
 /// Reads a scale factor from `EL_BENCH_SCALE`, with an
 /// experiment-specific default. A bad value ends the process with exit
-/// code 1 (see [`parse_scale`]).
+/// code 1 (see `parse_scale`).
 pub fn bench_scale(default: f64) -> f64 {
     let raw = std::env::var("EL_BENCH_SCALE").ok();
     or_exit(parse_scale(raw.as_deref()), default)
 }
 
 /// Reads an iteration override from `EL_BENCH_BATCHES`. A bad value ends
-/// the process with exit code 1 (see [`parse_batches`]).
+/// the process with exit code 1 (see `parse_batches`).
 pub fn bench_batches(default: u64) -> u64 {
     let raw = std::env::var("EL_BENCH_BATCHES").ok();
     or_exit(parse_batches(raw.as_deref()), default)

@@ -21,7 +21,12 @@
 //! * entries with `pushed_at < applied_through` can never be needed again
 //!   (the server copy already includes them), so the watermark advancing
 //!   evicts them — the moment the paper's LC counter would reach zero.
+//!
+//! [`WorkerCache`] is the worker's side of Figure 9 around this cache —
+//! stage 1 and stage 3 — written once for the threaded trainer and the
+//! simulator, which differ only in the gradient in between.
 
+use crate::server::{aggregate_to_unique, pool_prefetched, GradientPush, PrefetchedBatch};
 use el_tensor::Matrix;
 use std::collections::HashMap;
 
@@ -107,6 +112,74 @@ impl EmbeddingCache {
     /// Bytes held by cached rows (the memory the LC system bounds).
     pub fn footprint_bytes(&self) -> usize {
         self.entries.values().map(|(v, _)| v.len() * std::mem::size_of::<f32>() + 16).sum()
+    }
+}
+
+/// The worker's side of the hosted-table protocol: one [`EmbeddingCache`]
+/// per hosted table, in the order every [`PrefetchedBatch`] lists them
+/// (fixed once at startup), so a step walks tables, caches and gradients
+/// in lockstep and never looks a table up.
+#[derive(Clone, Debug)]
+pub struct WorkerCache {
+    caches: Vec<EmbeddingCache>,
+    /// The server's SGD rate, for predicting post-update rows.
+    lr: f32,
+}
+
+impl WorkerCache {
+    /// Empty caches for `tables` hosted tables.
+    pub fn new(tables: usize, lr: f32) -> Self {
+        Self { caches: vec![EmbeddingCache::new(); tables], lr }
+    }
+
+    /// Stage 1: syncs every pre-fetched table with its cache, then
+    /// sum-pools it into per-sample embeddings (in pre-fetch order).
+    pub fn pool(&mut self, pf: &mut PrefetchedBatch) -> Vec<(usize, Matrix)> {
+        let mut pooled = Vec::with_capacity(pf.tables.len());
+        for ((t, unique, rows), cache) in pf.tables.iter_mut().zip(&mut self.caches) {
+            cache.sync(unique, rows, pf.applied_through);
+            let field = &pf.batch.fields[*t];
+            pooled.push((*t, pool_prefetched(&field.indices, &field.offsets, unique, rows)));
+        }
+        pooled
+    }
+
+    /// Stage 3: aggregates each table's pooled gradient (`grads`, in
+    /// pre-fetch order) per unique row, refreshes the cache with the
+    /// predicted post-update rows — bit-identical to what the server will
+    /// hold once it applies the push — and returns the push.
+    pub fn gradient_push(
+        &mut self,
+        pf: &PrefetchedBatch,
+        grads: &[(usize, Matrix)],
+    ) -> GradientPush {
+        let mut tables = Vec::with_capacity(grads.len());
+        for (((t, unique, rows), cache), (_, d_emb)) in
+            pf.tables.iter().zip(&mut self.caches).zip(grads)
+        {
+            let field = &pf.batch.fields[*t];
+            let grad = aggregate_to_unique(&field.indices, &field.offsets, unique, d_emb);
+            let mut updated = rows.clone();
+            for slot in 0..unique.len() {
+                let g = &grad.values[slot * grad.dim..(slot + 1) * grad.dim];
+                for (w, gv) in updated.row_mut(slot).iter_mut().zip(g) {
+                    *w -= self.lr * gv;
+                }
+            }
+            cache.insert(unique, &updated, pf.batch_seq);
+            tables.push((*t, grad));
+        }
+        GradientPush { batch_seq: pf.batch_seq, tables, pooled: Vec::new() }
+    }
+
+    /// Stale pre-fetched rows corrected so far.
+    pub fn stale_hits(&self) -> u64 {
+        self.caches.iter().map(|c| c.stale_hits).sum()
+    }
+
+    /// Bytes the caches hold now.
+    pub fn footprint_bytes(&self) -> usize {
+        self.caches.iter().map(EmbeddingCache::footprint_bytes).sum()
     }
 }
 

@@ -11,7 +11,8 @@
 //! * [`cache`] — the embedding cache that resolves the read-after-write
 //!   conflict of pipelined training (paper §V-B, Figure 10), implemented
 //!   with version watermarks (provably equivalent to the paper's
-//!   life-cycle counters),
+//!   life-cycle counters), and [`WorkerCache`], the worker's stage 1 and
+//!   stage 3 around it,
 //! * [`server`] — the host-memory parameter server and the messages of
 //!   its two queues,
 //! * [`router`] / [`replica`] — the topology: consistent-hash placement
@@ -30,14 +31,14 @@ pub mod router;
 pub mod server;
 pub mod trainer;
 
-pub use cache::EmbeddingCache;
+pub use cache::{EmbeddingCache, WorkerCache};
 pub use ckpt::{CkptError, CkptStore, FsStorage, MemStorage, Storage, TrainingCheckpoint};
 pub use device::CommMeter;
 pub use replica::{
     FailureDetector, GradientLog, HeartbeatConfig, ReplicaError, ReplicaGroup, ReplicationConfig,
 };
 pub use router::{
-    merge_tables, split_tables, RouterError, RowRoute, ShardConfig, ShardLayout, ShardRouter,
-    ShardScatter, TableOwnership,
+    merge_tables, split_tables, PendingGather, RouterError, RowRoute, ShardConfig, ShardLayout,
+    ShardRequest, ShardRouter, ShardScatter, TableOwnership,
 };
 pub use trainer::{PipelineConfig, PipelineReport, PipelineTrainer};

@@ -11,11 +11,15 @@
 //!
 //! The [`ShardRouter`] is the seam the rest of the system sees:
 //!
-//! * [`ShardRouter::gather`] fans a batch's unique rows out across the
-//!   shards and reassembles a [`PrefetchedBatch`] byte-identical to the
-//!   single-server gather, stamped with the **minimum** per-shard
-//!   `applied` watermark (the global staleness stamp is stitched from
-//!   the per-shard stamp domains);
+//! * a gather has two halves, written once and run by both the threaded
+//!   trainer's router thread and the simulator: [`ShardRouter::fan_out`]
+//!   computes per table the batch's sorted unique rows, each shard's
+//!   local rows and the slots that put them back; each shard answers its
+//!   request with [`HostServer::serve_rows`]; and [`ShardRouter::stitch`]
+//!   reassembles the replies into a [`PrefetchedBatch`] byte-identical to
+//!   the single-server gather, stamped with the **minimum** reply
+//!   watermark (the global staleness stamp is stitched from the
+//!   per-shard stamp domains);
 //! * [`ShardRouter::scatter_push`] splits one worker [`GradientPush`]
 //!   into one push **per shard** — every shard receives a push for every
 //!   batch (possibly with empty per-table gradients), so each shard's
@@ -31,9 +35,13 @@
 //! entry's `pushed_at`, the shard owning that row has necessarily
 //! applied the update, so the served row already equals the cached
 //! prediction. Per-shard skew therefore never changes trained bytes.
+//!
+//! [`HostServer`]: crate::server::HostServer
+//! [`HostServer::serve_rows`]: crate::server::HostServer::serve_rows
+//! [`HostServer::apply_checked`]: crate::server::HostServer::apply_checked
 
 use crate::replica::splitmix64;
-use crate::server::{GradientPush, HostServer, PrefetchedBatch};
+use crate::server::{GradientPush, PrefetchedBatch, ShardRows};
 use el_data::MiniBatch;
 use el_dlrm::embedding_bag::{EmbeddingBag, SparseGrad};
 use el_tensor::Matrix;
@@ -74,6 +82,12 @@ pub enum RouterError {
     /// The sharded tier serves `UniqueRows` mode only; pooled-embedding
     /// payloads cannot be row-partitioned.
     PooledUnsupported,
+    /// A shard's reply does not answer the gather being stitched: it is
+    /// for another batch, or it carries fewer tables than were asked.
+    ReplyMismatch {
+        /// The shard whose reply was rejected.
+        shard: u32,
+    },
 }
 
 impl fmt::Display for RouterError {
@@ -88,6 +102,9 @@ impl fmt::Display for RouterError {
             }
             RouterError::PooledUnsupported => {
                 write!(f, "the sharded tier serves UniqueRows mode only")
+            }
+            RouterError::ReplyMismatch { shard } => {
+                write!(f, "shard {shard}'s reply does not answer the gather being stitched")
             }
         }
     }
@@ -200,8 +217,8 @@ impl ShardLayout {
         Self { num_shards, rows_per_range, placement_seed: cfg.placement_seed, tables }
     }
 
-    /// Places the tables a [`HostServer`] hosts (id + row count taken
-    /// from the bags themselves).
+    /// Places the tables a [`crate::server::HostServer`] hosts (id + row
+    /// count taken from the bags themselves).
     pub fn place_for(cfg: &ShardConfig, tables: &[(usize, EmbeddingBag)]) -> Self {
         let sizes: Vec<(usize, usize)> =
             tables.iter().map(|(t, bag)| (*t, bag.num_rows())).collect();
@@ -322,8 +339,8 @@ impl ShardScatter {
 ///
 /// Every shard receives **every** table (possibly with zero rows — the
 /// dimension is preserved), so shard servers are uniform: any push can
-/// name any table and [`HostServer::apply_checked`]'s table validation
-/// still holds per shard.
+/// name any table and per-shard table validation
+/// ([`crate::server::HostServer::apply_checked`]) still holds.
 pub fn split_tables(
     tables: &[(usize, EmbeddingBag)],
     layout: &ShardLayout,
@@ -443,6 +460,23 @@ fn merge_with(
     Ok(merged)
 }
 
+/// What one shard is asked to serve for a gather: `(table id,
+/// shard-local rows)` per placed table, in layout order.
+pub type ShardRequest = Vec<(usize, Vec<u32>)>;
+
+/// A gather between its two halves: what [`ShardRouter::fan_out`] sent
+/// and [`ShardRouter::stitch`] needs to put the replies back together.
+#[derive(Debug)]
+pub struct PendingGather {
+    /// Sequence number of the batch being gathered.
+    seq: u64,
+    /// The batch itself, handed on to the worker with its rows.
+    batch: MiniBatch,
+    /// Per placed table: `(table id, unique sorted rows, per shard the
+    /// slots of the unique rows that shard serves)`.
+    tables: Vec<(usize, Vec<u32>, Vec<Vec<u32>>)>,
+}
+
 /// The scatter/gather front of the sharded parameter tier.
 pub struct ShardRouter {
     layout: ShardLayout,
@@ -460,63 +494,78 @@ impl ShardRouter {
         &self.layout
     }
 
-    /// Gathers batch `seq` by fanning out across the shards and
-    /// reassembling the global [`PrefetchedBatch`]: per table, the
-    /// globally unique sorted indices are scattered to their owning
-    /// shards, each shard serves its local rows, and the slot lists put
-    /// every row back in its global position. The staleness stamp is the
-    /// **minimum** per-shard `applied` watermark (see the module docs
-    /// for why this preserves byte-identity under shard skew).
-    pub fn gather(
+    /// The fan-out half of a gather: per placed table, the batch's
+    /// globally unique rows (sorted) are routed to their owning shards.
+    /// Returns the pending gather, which the stitch half
+    /// ([`ShardRouter::stitch`]) completes, and one request per shard:
+    /// `(table id, shard-local rows)` in layout order, for
+    /// [`crate::server::HostServer::serve_rows`].
+    pub fn fan_out(
         &mut self,
-        shards: &mut [HostServer],
         batch: MiniBatch,
         seq: u64,
-    ) -> Result<PrefetchedBatch, RouterError> {
-        if shards.len() != self.layout.num_shards() as usize {
-            return Err(RouterError::ShardCountMismatch {
-                expected: self.layout.num_shards(),
-                got: shards.len() as u32,
-            });
-        }
-        if shards.iter().any(|s| s.mode != crate::server::ServerMode::UniqueRows) {
-            return Err(RouterError::PooledUnsupported);
-        }
-        let applied_through = shards.iter().map(|s| s.applied).min().unwrap_or(0);
+    ) -> Result<(PendingGather, Vec<ShardRequest>), RouterError> {
+        let num_shards = self.layout.num_shards() as usize;
         let mut tables = Vec::with_capacity(self.layout.tables().len());
-        for t in 0..self.layout.tables().len() {
-            let table_id = self.layout.tables()[t].table_id;
-            let field = &batch.fields[table_id];
-            let mut unique: Vec<u32> = field.indices.clone();
+        let mut requests: Vec<ShardRequest> = vec![Vec::new(); num_shards];
+        for t in self.layout.tables() {
+            let mut unique: Vec<u32> = batch.fields[t.table_id].indices.clone();
             unique.sort_unstable();
             unique.dedup();
-            self.scratch.reset(shards.len());
-            self.layout.scatter_into(table_id, &unique, &mut self.scratch)?;
-            let dim = shards[0]
-                .tables
-                .iter()
-                .find(|(id, _)| *id == table_id)
-                .map(|(_, bag)| bag.dim())
-                .ok_or(RouterError::UnknownTable(table_id))?;
-            let mut rows = Matrix::zeros(unique.len(), dim);
-            for (s, shard) in shards.iter_mut().enumerate() {
-                let locals = &self.scratch.locals[s];
-                if locals.is_empty() {
-                    continue;
-                }
-                let bag = &shard
-                    .tables
-                    .iter()
-                    .find(|(id, _)| *id == table_id)
-                    .ok_or(RouterError::UnknownTable(table_id))?
-                    .1;
-                let served = bag.gather_rows(locals);
-                for (j, &slot) in self.scratch.slots[s].iter().enumerate() {
-                    rows.row_mut(slot as usize).copy_from_slice(served.row(j));
-                }
-                // the H2D bytes this shard's share of the transfer costs
-                shard.meter.h2d(locals.len() * (4 + dim * 4));
+            self.scratch.reset(num_shards);
+            self.layout.scatter_into(t.table_id, &unique, &mut self.scratch)?;
+            for (request, locals) in requests.iter_mut().zip(&self.scratch.locals) {
+                request.push((t.table_id, locals.clone()));
             }
+            tables.push((t.table_id, unique, self.scratch.slots.clone()));
+        }
+        Ok((PendingGather { seq, batch, tables }, requests))
+    }
+
+    /// The stitch half of a gather: turns the shards' replies (one per
+    /// shard, in shard order) into the global [`PrefetchedBatch`], every
+    /// row back in its slot, byte-identical to the single-server gather.
+    /// The staleness stamp is the **minimum** reply watermark (see the
+    /// module docs for why this preserves byte-identity under shard
+    /// skew). A table that one shard served whole passes through with no
+    /// copy. A reply for another batch, or with fewer tables than asked,
+    /// is [`RouterError::ReplyMismatch`].
+    pub fn stitch(
+        &self,
+        pending: PendingGather,
+        replies: Vec<ShardRows>,
+    ) -> Result<PrefetchedBatch, RouterError> {
+        let PendingGather { seq, batch, tables: plan } = pending;
+        if replies.len() != self.layout.num_shards() as usize {
+            return Err(RouterError::ShardCountMismatch {
+                expected: self.layout.num_shards(),
+                got: replies.len() as u32,
+            });
+        }
+        if let Some(s) = replies.iter().position(|r| r.seq != seq) {
+            return Err(RouterError::ReplyMismatch { shard: s as u32 });
+        }
+        let applied_through = replies.iter().map(|r| r.applied).min().unwrap_or(0);
+        let mut served: Vec<_> = replies.into_iter().map(|r| r.rows.into_iter()).collect();
+        let mut tables = Vec::with_capacity(plan.len());
+        for (table_id, unique, slots) in plan {
+            // this table's served rows, one matrix per shard
+            let mut parts = Vec::with_capacity(served.len());
+            for (s, rows) in served.iter_mut().enumerate() {
+                parts.push(rows.next().ok_or(RouterError::ReplyMismatch { shard: s as u32 })?);
+            }
+            let rows = match slots.iter().position(|s| s.len() == unique.len()) {
+                Some(s) => parts.swap_remove(s),
+                None => {
+                    let mut rows = Matrix::zeros(unique.len(), parts[0].cols());
+                    for (part, shard_slots) in parts.iter().zip(&slots) {
+                        for (j, &slot) in shard_slots.iter().enumerate() {
+                            rows.row_mut(slot as usize).copy_from_slice(part.row(j));
+                        }
+                    }
+                    rows
+                }
+            };
             tables.push((table_id, unique, rows));
         }
         Ok(PrefetchedBatch { batch_seq: seq, applied_through, batch, tables, pooled: Vec::new() })
@@ -526,7 +575,8 @@ impl ShardRouter {
     /// push carries **every** table (with an empty gradient when the
     /// shard owns none of the touched rows), so every shard's stamp
     /// domain advances exactly once per batch and per-shard
-    /// [`HostServer::apply_checked`] sees a gap-free sequence.
+    /// [`crate::server::HostServer::apply_checked`] sees a gap-free
+    /// sequence.
     pub fn scatter_push(&mut self, push: &GradientPush) -> Result<Vec<GradientPush>, RouterError> {
         if !push.pooled.is_empty() {
             return Err(RouterError::PooledUnsupported);
@@ -562,7 +612,7 @@ impl ShardRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::{ApplyOutcome, ServerError};
+    use crate::server::{ApplyOutcome, HostServer, ServerError};
     use el_data::{DatasetSpec, SyntheticDataset};
     use proptest::prelude::*;
     use rand::SeedableRng;
@@ -622,49 +672,101 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sharded_gather_matches_single_server() {
-        let tables = bags(&[50, 50], 8, 1);
-        let ds = SyntheticDataset::new(DatasetSpec::toy(2, 50, 10_000), 3);
-        let cfg = ShardConfig { num_shards: 3, rows_per_range: 6, placement_seed: 9 };
-        let layout = ShardLayout::place_for(&cfg, &tables);
-        let mut single = HostServer::new(tables.clone(), 0.1);
-        let mut shards: Vec<HostServer> = split_tables(&tables, &layout)
-            .unwrap()
-            .into_iter()
-            .map(|sub| HostServer::new(sub, 0.1))
-            .collect();
-        let mut router = ShardRouter::new(layout);
-        let batch = ds.batch(0, 16);
-        let want = single.gather(batch.clone(), 0);
-        let got = router.gather(&mut shards, batch, 0).unwrap();
+    /// The single server over `tables`, the same tables split onto the
+    /// shards `cfg` places, and the router over that placement.
+    fn tier(
+        tables: &[(usize, EmbeddingBag)],
+        cfg: ShardConfig,
+    ) -> (HostServer, Vec<HostServer>, ShardRouter) {
+        let layout = ShardLayout::place_for(&cfg, tables);
+        let split = split_tables(tables, &layout).unwrap();
+        let shards = split.into_iter().map(|sub| HostServer::new(sub, 0.1)).collect();
+        (HostServer::new(tables.to_vec(), 0.1), shards, ShardRouter::new(layout))
+    }
+
+    /// Every shard serving its own request of a fan-out.
+    fn serve(shards: &mut [HostServer], requests: &[ShardRequest], seq: u64) -> Vec<ShardRows> {
+        shards.iter_mut().zip(requests).map(|(s, r)| s.serve_rows(seq, r).unwrap()).collect()
+    }
+
+    /// A gather through both halves.
+    fn gather(
+        router: &mut ShardRouter,
+        shards: &mut [HostServer],
+        batch: MiniBatch,
+        seq: u64,
+    ) -> PrefetchedBatch {
+        let (pending, requests) = router.fan_out(batch, seq).unwrap();
+        router.stitch(pending, serve(shards, &requests, seq)).unwrap()
+    }
+
+    fn assert_same_rows(got: &PrefetchedBatch, want: &PrefetchedBatch) {
         assert_eq!(got.batch_seq, want.batch_seq);
-        assert_eq!(got.applied_through, want.applied_through);
         assert_eq!(got.tables.len(), want.tables.len());
         for ((ta, ua, ra), (tb, ub, rb)) in got.tables.iter().zip(&want.tables) {
-            assert_eq!(ta, tb);
-            assert_eq!(ua, ub);
+            assert_eq!((ta, ua), (tb, ub));
             assert_eq!(ra.as_slice(), rb.as_slice());
         }
     }
 
     #[test]
+    fn stitch_stamps_the_slowest_shard_watermark() {
+        // A skewed tier: shards at watermarks 5, 2 and 7. The stitched
+        // stamp is the minimum — a stamp above any shard's watermark would
+        // let the worker's cache evict an entry whose update that shard
+        // has not applied — and the rows are the single server's bytes.
+        let cfg = ShardConfig { num_shards: 3, rows_per_range: 6, placement_seed: 9 };
+        let (mut single, mut shards, mut router) = tier(&bags(&[50, 50], 8, 4), cfg);
+        for (shard, applied) in shards.iter_mut().zip([5, 2, 7]) {
+            shard.applied = applied;
+        }
+        let batch = SyntheticDataset::new(DatasetSpec::toy(2, 50, 10_000), 5).batch(0, 16);
+        let want = single.gather(batch.clone(), 0);
+        let (pending, requests) = router.fan_out(batch, 0).unwrap();
+        assert!(
+            requests.iter().all(|r| r.iter().any(|(_, locals)| !locals.is_empty())),
+            "every shard must serve a share, so the rows are really stitched"
+        );
+        let got = router.stitch(pending, serve(&mut shards, &requests, 0)).unwrap();
+        assert_eq!(got.applied_through, 2);
+        assert_same_rows(&got, &want);
+        // the shards' H2D meters add up to the single server's
+        let h2d: u64 = shards.iter().map(|s| s.meter.h2d_bytes).sum();
+        assert_eq!(h2d, single.meter.h2d_bytes);
+    }
+
+    #[test]
+    fn stitch_rejects_replies_that_do_not_answer_the_gather() {
+        let cfg = ShardConfig { num_shards: 2, rows_per_range: 4, placement_seed: 2 };
+        let (_, mut shards, mut router) = tier(&bags(&[30, 30], 4, 6), cfg);
+        let ds = SyntheticDataset::new(DatasetSpec::toy(2, 30, 10_000), 3);
+        type Corrupt = fn(&mut Vec<ShardRows>);
+        let cases: [(Corrupt, RouterError); 3] = [
+            // a reply for another batch
+            (|r| r[1].seq = 2, RouterError::ReplyMismatch { shard: 1 }),
+            // a reply with fewer tables than asked
+            (|r| drop(r[0].rows.pop()), RouterError::ReplyMismatch { shard: 0 }),
+            // a shard that never answered
+            (|r| drop(r.pop()), RouterError::ShardCountMismatch { expected: 2, got: 1 }),
+        ];
+        for (corrupt, want) in cases {
+            let (pending, requests) = router.fan_out(ds.batch(3, 8), 3).unwrap();
+            let mut replies = serve(&mut shards, &requests, 3);
+            corrupt(&mut replies);
+            assert_eq!(router.stitch(pending, replies).err(), Some(want));
+        }
+        // and a shard asked for a table it lacks refuses to serve
+        let unknown = shards[0].serve_rows(3, &[(9, vec![0])]);
+        assert_eq!(unknown.err(), Some(ServerError::UnknownTable(9)));
+    }
+
+    #[test]
     fn scattered_apply_matches_single_server_apply() {
-        let tables = bags(&[40, 40], 4, 2);
         let ds = SyntheticDataset::new(DatasetSpec::toy(2, 40, 10_000), 3);
         let cfg = ShardConfig { num_shards: 3, rows_per_range: 5, placement_seed: 3 };
-        let layout = ShardLayout::place_for(&cfg, &tables);
-        let mut single = HostServer::new(tables.clone(), 0.1);
-        let mut shards: Vec<HostServer> = split_tables(&tables, &layout)
-            .unwrap()
-            .into_iter()
-            .map(|sub| HostServer::new(sub, 0.1))
-            .collect();
-        let mut router = ShardRouter::new(layout.clone());
+        let (mut single, mut shards, mut router) = tier(&bags(&[40, 40], 4, 2), cfg);
         for k in 0..4u64 {
-            let batch = ds.batch(k, 8);
-            let pf = single.gather(batch.clone(), k);
-            let _ = router.gather(&mut shards, batch, k).unwrap();
+            let pf = single.gather(ds.batch(k, 8), k);
             // unit gradient on every unique row
             let push = GradientPush {
                 batch_seq: k,
@@ -705,15 +807,8 @@ mod tests {
 
     #[test]
     fn scatter_push_keeps_duplicate_and_gap_semantics_per_shard() {
-        let tables = bags(&[30], 4, 8);
         let cfg = ShardConfig { num_shards: 2, rows_per_range: 4, placement_seed: 11 };
-        let layout = ShardLayout::place_for(&cfg, &tables);
-        let mut shards: Vec<HostServer> = split_tables(&tables, &layout)
-            .unwrap()
-            .into_iter()
-            .map(|sub| HostServer::new(sub, 0.1))
-            .collect();
-        let mut router = ShardRouter::new(layout);
+        let (_, mut shards, mut router) = tier(&bags(&[30], 4, 8), cfg);
         let push = GradientPush {
             batch_seq: 0,
             tables: vec![(0, SparseGrad { indices: vec![3, 17], values: vec![1.0; 8], dim: 4 })],
@@ -802,27 +897,14 @@ mod tests {
             placement_seed in 0u64..u64::MAX,
             batch_seed in 0u64..64,
         ) {
-            let tables = bags(&[60, 37], 8, 13);
             let cfg = ShardConfig { num_shards, rows_per_range, placement_seed };
-            let layout = ShardLayout::place_for(&cfg, &tables);
-            let mut single = HostServer::new(tables.clone(), 0.1);
-            let mut shards: Vec<HostServer> = split_tables(&tables, &layout)
-                .unwrap()
-                .into_iter()
-                .map(|sub| HostServer::new(sub, 0.1))
-                .collect();
-            let mut router = ShardRouter::new(layout);
+            let (mut single, mut shards, mut router) = tier(&bags(&[60, 37], 8, 13), cfg);
             let ds = SyntheticDataset::new(DatasetSpec::toy(2, 37, 10_000), 3);
             let batch = ds.batch(batch_seed, 16);
             let want = single.gather(batch.clone(), batch_seed);
-            let got = router.gather(&mut shards, batch, batch_seed).unwrap();
+            let got = gather(&mut router, &mut shards, batch, batch_seed);
             prop_assert_eq!(got.applied_through, want.applied_through);
-            prop_assert_eq!(got.tables.len(), want.tables.len());
-            for ((ta, ua, ra), (tb, ub, rb)) in got.tables.iter().zip(&want.tables) {
-                prop_assert_eq!(ta, tb);
-                prop_assert_eq!(ua, ub);
-                prop_assert_eq!(ra.as_slice(), rb.as_slice());
-            }
+            assert_same_rows(&got, &want);
         }
 
         /// Split→merge is the identity across resharding events: splitting

@@ -157,6 +157,18 @@ impl PrefetchedBatch {
     }
 }
 
+/// One shard's answer to its share of a fanned-out gather
+/// ([`HostServer::serve_rows`]).
+#[derive(Clone, Debug)]
+pub struct ShardRows {
+    /// Sequence number of the batch being answered.
+    pub seq: u64,
+    /// The shard's applied watermark when it served.
+    pub applied: u64,
+    /// Served rows, one matrix per requested table, in request order.
+    pub rows: Vec<Matrix>,
+}
+
 /// Gradients pushed back for one batch.
 #[derive(Clone, Debug)]
 pub struct GradientPush {
@@ -274,6 +286,31 @@ impl HostServer {
         self.meter.h2d(pf.payload_bytes());
         self.cpu_time += thread_cpu_time() - t0;
         pf
+    }
+
+    /// The shard side of a fanned-out gather
+    /// ([`crate::router::ShardRouter::fan_out`]): serves each requested
+    /// `(table id, local rows)` in order, stamped with this server's
+    /// watermark and metered as H2D traffic. A table this server does not
+    /// host is [`ServerError::UnknownTable`].
+    pub fn serve_rows(
+        &mut self,
+        seq: u64,
+        requests: &[(usize, Vec<u32>)],
+    ) -> Result<ShardRows, ServerError> {
+        let t0 = thread_cpu_time();
+        let mut rows = Vec::with_capacity(requests.len());
+        let mut bytes = 0usize;
+        for (table_id, locals) in requests {
+            let Some((_, bag)) = self.tables.iter().find(|(id, _)| id == table_id) else {
+                return Err(ServerError::UnknownTable(*table_id));
+            };
+            bytes += locals.len() * (4 + bag.dim() * 4);
+            rows.push(bag.gather_rows(locals));
+        }
+        self.meter.h2d(bytes);
+        self.cpu_time += thread_cpu_time() - t0;
+        Ok(ShardRows { seq, applied: self.applied, rows })
     }
 
     /// Applies one pushed gradient batch with SGD, tolerating the delivery

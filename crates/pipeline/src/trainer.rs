@@ -26,26 +26,24 @@
 //! and the `topology_determinism` matrix assert this; see `crate::router`
 //! for the min-stamp argument and `crate::replica` for lockstep).
 
-use crate::cache::EmbeddingCache;
+use crate::cache::WorkerCache;
 use crate::ckpt::{
     CkptError, CkptStore, HostedTableCheckpoint, ServerCheckpoint, Storage, TrainingCheckpoint,
 };
 use crate::device::{thread_cpu_time, CommMeter};
 use crate::replica::{splitmix64, ReplicaGroup, ReplicationConfig};
 use crate::router::{
-    merge_tables_owned, split_tables_owned, ShardConfig, ShardLayout, ShardRouter, ShardScatter,
+    merge_tables_owned, split_tables_owned, ShardConfig, ShardLayout, ShardRequest, ShardRouter,
 };
 use crate::server::{
-    aggregate_to_unique, pool_prefetched, send_with_retry, GradientPush, HostServer,
-    PrefetchedBatch, ServerError, ServerMode, ServerReport,
+    send_with_retry, GradientPush, HostServer, PrefetchedBatch, ServerError, ServerMode,
+    ServerReport, ShardRows,
 };
 use crossbeam::channel::{bounded, Receiver, Sender};
 use el_data::SyntheticDataset;
 use el_dlrm::checkpoint::DlrmCheckpoint;
 use el_dlrm::embedding_bag::EmbeddingBag;
 use el_dlrm::DlrmModel;
-use el_tensor::Matrix;
-use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 /// Pipeline run configuration.
@@ -184,10 +182,13 @@ impl PipelineTrainer {
             }
             train_pooled(model, server, dataset, config)
         } else {
-            // The worker predicts post-update rows with the server's rate.
-            let lr = server.lr;
+            // The serving loop lists the tables in ascending id order, the
+            // model's hosted order, and the checks above make them one set:
+            // tables, caches and gradients line up. The worker predicts
+            // post-update rows with the server's rate.
+            let cache = WorkerCache::new(hosted.len(), server.lr);
             ServingLoop::new(server, config, shard_cfg, repl)?
-                .run(dataset, |prx, gtx| run_worker(model, &hosted, lr, config, prx, gtx))
+                .run(dataset, |prx, gtx| run_worker(model, cache, config, prx, gtx))
         };
 
         let completed_batches = worker.losses.len() as u64;
@@ -275,14 +276,15 @@ pub struct ServingLoop {
 impl ServingLoop {
     /// Places `server`'s tables on `shard_cfg.num_shards` shards (moving
     /// them: nothing keeps the unsplit tables alive) and wraps each shard
-    /// in a group of `repl.replicas` members.
+    /// in a group of `repl.replicas` members. The tables are placed in
+    /// ascending id order, so every pre-fetched batch lists them so.
     ///
     /// `PooledEmbeddings` mode runs the full embedding forward/backward on
     /// the CPU and has neither a per-row partition nor a staleness
     /// protocol, so it cannot be served from queues at all:
     /// [`ServerError::PooledNeedsSequential`].
     pub fn new(
-        server: HostServer,
+        mut server: HostServer,
         config: &PipelineConfig,
         shard_cfg: &ShardConfig,
         repl: &ReplicationConfig,
@@ -291,6 +293,7 @@ impl ServingLoop {
             return Err(ServerError::PooledNeedsSequential);
         }
         let lr = server.lr;
+        server.tables.sort_unstable_by_key(|(t, _)| *t);
         let layout = ShardLayout::place_for(shard_cfg, &server.tables);
         let shard_tables = split_tables_owned(server.tables, &layout)
             // PANIC-OK: the layout was placed for exactly these tables.
@@ -347,7 +350,7 @@ impl ServingLoop {
             // in-flight scattered pushes never wedge it; the reply queue
             // holds at most that one gather's answer.
             let (tx, rx) = bounded::<ShardMsg>(depth * 2 + 2);
-            let (rtx, reply_rx) = bounded::<ShardReply>(2);
+            let (rtx, reply_rx) = bounded::<ShardRows>(2);
             shard_handles.push(std::thread::spawn(move || replica_serve(group, kills, rx, rtx)));
             stx.push(tx);
             rrx.push(reply_rx);
@@ -385,67 +388,46 @@ impl ServingLoop {
 
 /// One request to a shard server thread.
 enum ShardMsg {
-    /// Serve these shard-local rows (`(table id, local rows)` in layout
-    /// order) for batch `seq`.
+    /// Serve this shard's share of the gather of batch `seq`.
     Gather {
         /// Batch sequence number (echoed in the reply).
         seq: u64,
         /// Per table: shard-local row indices to serve.
-        locals: Vec<(usize, Vec<u32>)>,
+        locals: ShardRequest,
     },
     /// Apply this scattered gradient push.
     Push(GradientPush),
 }
 
-/// One shard's answer to a [`ShardMsg::Gather`].
-struct ShardReply {
-    /// Batch sequence number of the gather being answered.
-    seq: u64,
-    /// The shard's applied-push watermark at serving time — one input to
-    /// the stitched (min-over-shards) global staleness stamp.
-    applied: u64,
-    /// Served rows, one matrix per requested table, in request order.
-    rows: Vec<Matrix>,
-}
-
-/// One shard thread: serve gathers against the primary's sub-tables and
-/// apply scattered pushes through the [`ReplicaGroup`] — the per-shard
-/// [`HostServer::apply_checked`] stamp domain, appended in lockstep to
-/// every alive backup. The sorted `kills` schedule executes deterministic
-/// primary-kill drills the moment the applied watermark reaches each
-/// entry; a drill that would kill the last alive member is skipped (the
-/// drill proves failover, not data loss). Any protocol violation — an
-/// unknown table, a gap, a vanished router — degrades to returning the
-/// shard's final state, never a panic: a production shard must survive
-/// its peers. Returns the surviving primary plus the promotions performed.
+/// One shard thread: serve gathers from the primary's sub-tables
+/// ([`HostServer::serve_rows`]) and apply scattered pushes through the
+/// [`ReplicaGroup`] — the per-shard [`HostServer::apply_checked`] stamp
+/// domain, appended in lockstep to every alive backup. The sorted `kills`
+/// schedule executes deterministic primary-kill drills the moment the
+/// applied watermark reaches each entry; a drill that would kill the last
+/// alive member is skipped (the drill proves failover, not data loss).
+/// Any protocol violation — an unknown table, a gap, a vanished router —
+/// degrades to returning the shard's final state, never a panic: a
+/// production shard must survive its peers. Returns the surviving primary
+/// plus the promotions performed.
 // CONTRACT: panic-free
 fn replica_serve(
     mut group: ReplicaGroup,
     kills: Vec<u64>,
     rx: Receiver<ShardMsg>,
-    reply: Sender<ShardReply>,
+    reply: Sender<ShardRows>,
 ) -> (HostServer, u64) {
     let mut next_kill = 0usize;
-    'serve: while let Ok(msg) = rx.recv() {
+    while let Ok(msg) = rx.recv() {
         match msg {
             ShardMsg::Gather { seq, locals } => {
                 let Ok(primary) = group.primary_mut() else {
                     break; // whole group dead: degrade
                 };
-                let t0 = thread_cpu_time();
-                let mut rows = Vec::with_capacity(locals.len());
-                let mut bytes = 0usize;
-                for (table_id, locs) in &locals {
-                    let Some((_, bag)) = primary.tables.iter().find(|(id, _)| id == table_id)
-                    else {
-                        break 'serve; // gather for a table this shard lacks
-                    };
-                    bytes += locs.len() * (4 + bag.dim() * 4);
-                    rows.push(bag.gather_rows(locs));
-                }
-                primary.meter.h2d(bytes);
-                primary.cpu_time += thread_cpu_time() - t0;
-                if reply.send(ShardReply { seq, applied: group.applied(), rows }).is_err() {
+                let Ok(rows) = primary.serve_rows(seq, &locals) else {
+                    break; // gather for a table this shard lacks
+                };
+                if reply.send(rows).is_err() {
                     break; // router gone
                 }
             }
@@ -481,28 +463,25 @@ fn replica_serve(
 }
 
 /// The router thread: the host of Figure 9 in front of the shard
-/// threads. Per batch it generates the batch (the data-loader role),
-/// computes the global unique rows per table, scatters them to their
-/// owning shards, reassembles the replies into one [`PrefetchedBatch`]
-/// stamped with the minimum per-shard watermark, and forwards each worker
-/// push as per-shard sub-pushes. Returns the batch-generation CPU time
-/// and the CPU time of everything else it did (scatter, stitch: host
-/// serving work the shard meters do not see).
+/// threads. Per batch it generates the batch (the data-loader role), fans
+/// the gather out to the owning shards and stitches their replies into one
+/// [`PrefetchedBatch`] ([`ShardRouter::fan_out`] / [`ShardRouter::stitch`]),
+/// and forwards each worker push as per-shard sub-pushes. Returns the
+/// batch-generation CPU time and the CPU time of everything else it did
+/// (fan-out, stitch: host serving work the shard meters do not see).
 fn route_serve(
     layout: ShardLayout,
     dataset: SyntheticDataset,
     config: PipelineConfig,
     stx: Vec<Sender<ShardMsg>>,
-    rrx: Vec<Receiver<ShardReply>>,
+    rrx: Vec<Receiver<ShardRows>>,
     ptx: Sender<PrefetchedBatch>,
     grx: Receiver<GradientPush>,
 ) -> (Duration, Duration) {
     let PipelineConfig { first_batch: first, num_batches: count, batch_size, pipelined, .. } =
         config;
     let began = thread_cpu_time();
-    let num_shards = stx.len();
     let mut router = ShardRouter::new(layout);
-    let mut scratch = ShardScatter::new();
     let mut gen_time = Duration::ZERO;
     let mut forwarded = 0u64;
     'serve: for k in 0..count {
@@ -519,65 +498,24 @@ fn route_serve(
         let batch = dataset.batch(first + k, batch_size);
         gen_time += thread_cpu_time() - t0;
 
-        // Fan-out plan: per table the global unique rows, their per-shard
-        // split, and the slot lists that put served rows back in place.
-        let mut plan: Vec<(usize, Vec<u32>, Vec<Vec<u32>>)> = Vec::new();
-        let mut locals: Vec<Vec<(usize, Vec<u32>)>> = vec![Vec::new(); num_shards];
-        for t in router.layout().tables() {
-            let field = &batch.fields[t.table_id];
-            let mut unique: Vec<u32> = field.indices.clone();
-            unique.sort_unstable();
-            unique.dedup();
-            scratch.reset(num_shards);
-            if router.layout().scatter_into(t.table_id, &unique, &mut scratch).is_err() {
-                break 'serve; // an index outside the placed rows: degrade
-            }
-            for (s, shard_locals) in locals.iter_mut().enumerate() {
-                shard_locals.push((t.table_id, scratch.locals[s].clone()));
-            }
-            plan.push((t.table_id, unique, scratch.slots.clone()));
-        }
-        for (tx, l) in stx.iter().zip(locals) {
-            if tx.send(ShardMsg::Gather { seq: k, locals: l }).is_err() {
+        let Ok((pending, requests)) = router.fan_out(batch, k) else {
+            break; // an index outside the placed rows: degrade
+        };
+        for (tx, locals) in stx.iter().zip(requests) {
+            if tx.send(ShardMsg::Gather { seq: k, locals }).is_err() {
                 break 'serve; // shard gone
             }
         }
-        let mut applied_through = u64::MAX;
-        let mut shard_rows = Vec::with_capacity(num_shards);
+        let mut replies = Vec::with_capacity(rrx.len());
         for rx in &rrx {
-            match rx.recv() {
-                Ok(reply) if reply.seq == k => {
-                    applied_through = applied_through.min(reply.applied);
-                    shard_rows.push(reply.rows.into_iter());
-                }
-                _ => break 'serve, // shard died or desynchronized
-            }
-        }
-        let mut tables = Vec::with_capacity(plan.len());
-        for (table_id, unique, slots) in plan {
-            // this table's served rows, one matrix per shard
-            let served: Option<Vec<Matrix>> = shard_rows.iter_mut().map(Iterator::next).collect();
-            let Some(mut served) = served.filter(|m| !m.is_empty()) else {
-                break 'serve; // a shard answered for fewer tables than asked
+            let Ok(reply) = rx.recv() else {
+                break 'serve; // shard died
             };
-            let rows = match slots.iter().position(|s| s.len() == unique.len()) {
-                // One shard served every row, in request order: its answer
-                // is the stitched result.
-                Some(s) => served.swap_remove(s),
-                None => {
-                    let mut rows = Matrix::zeros(unique.len(), served[0].cols());
-                    for (part, shard_slots) in served.iter().zip(&slots) {
-                        for (j, &slot) in shard_slots.iter().enumerate() {
-                            rows.row_mut(slot as usize).copy_from_slice(part.row(j));
-                        }
-                    }
-                    rows
-                }
-            };
-            tables.push((table_id, unique, rows));
+            replies.push(reply);
         }
-        let pf =
-            PrefetchedBatch { batch_seq: k, applied_through, batch, tables, pooled: Vec::new() };
+        let Ok(pf) = router.stitch(pending, replies) else {
+            break; // a shard desynchronized
+        };
         if ptx.send(pf).is_err() {
             break; // worker gone
         }
@@ -639,14 +577,14 @@ struct WorkerRun {
 }
 
 /// The worker (device) side of the pipeline: consume pre-fetched
-/// batches, train, refresh the caches with post-update rows, push
-/// gradients. The worker is oblivious to how many shards and replicas
-/// assembled its [`PrefetchedBatch`].
+/// batches, run the [`WorkerCache`]'s stage 1, train, run its stage 3
+/// (cache refresh with post-update rows) and push the gradients. The
+/// worker is oblivious to how many shards and replicas assembled its
+/// [`PrefetchedBatch`].
 // CONTRACT: panic-free
 fn run_worker(
     mut model: DlrmModel,
-    hosted: &[usize],
-    lr: f32,
+    mut cache: WorkerCache,
     config: &PipelineConfig,
     prx: Receiver<PrefetchedBatch>,
     gtx: Sender<GradientPush>,
@@ -654,8 +592,6 @@ fn run_worker(
     if config.overlap_analysis {
         model.enable_plan_overlap();
     }
-    let mut caches: HashMap<usize, EmbeddingCache> =
-        hosted.iter().map(|&t| (t, EmbeddingCache::new())).collect();
     let mut losses = Vec::with_capacity(config.num_batches as usize);
     let mut cache_peak = 0usize;
     let mut worker_compute = Duration::ZERO;
@@ -665,79 +601,50 @@ fn run_worker(
         // A vanished server (its thread died or dropped the queue) is a
         // degraded early stop for the worker, not a panic: the partial
         // report still carries every batch that trained.
-        let Ok(PrefetchedBatch { batch_seq, applied_through, batch, mut tables, .. }) = prx.recv()
-        else {
+        let Ok(mut pf) = prx.recv() else {
             break;
         };
-        if batch_seq != k {
-            failure = Some(ServerError::PrefetchOutOfOrder { got: batch_seq, expected: k });
+        if pf.batch_seq != k {
+            failure = Some(ServerError::PrefetchOutOfOrder { got: pf.batch_seq, expected: k });
             break;
         }
 
         // Queue TT pointer preparation now so it overlaps the host
         // gather work below (cache sync + pooling).
         if config.overlap_analysis {
-            model.prefetch_plans(&batch);
+            model.prefetch_plans(&pf.batch);
         }
 
         // Stage 1 (Figure 9): synchronize pre-fetched rows with the
         // cache, then pool them into per-sample embeddings.
-        let mut hosted_embs = Vec::with_capacity(tables.len());
-        for (t, unique, rows) in &mut tables {
-            // PANIC-OK: a cache was created for every hosted table at startup.
-            caches.get_mut(t).unwrap().sync(unique, rows, applied_through);
-            let field = &batch.fields[*t];
-            hosted_embs.push((*t, pool_prefetched(&field.indices, &field.offsets, unique, rows)));
-        }
+        let hosted_embs = cache.pool(&mut pf);
 
         // Device compute: MLPs + TT tables + interaction.
         // TIMING: once per batch around the whole step; wall clock because
         // the step fans out over the rayon pool, whose threads this
         // thread's CPU clock does not see.
         let t0 = Instant::now();
-        let out = model.train_step_hybrid(&batch, &hosted_embs);
+        let out = model.train_step_hybrid(&pf.batch, &hosted_embs);
         worker_compute += t0.elapsed();
         losses.push(out.loss);
 
-        // Stage 3: aggregate hosted gradients, refresh the cache with
-        // the post-update rows (bit-identical to what the server will
-        // hold) and push.
-        let mut pushes = Vec::with_capacity(out.hosted_grads.len());
-        for (t, d_emb) in &out.hosted_grads {
-            let field = &batch.fields[*t];
-            let (_, unique, rows) = tables
-                .iter()
-                .find(|(id, _, _)| id == t)
-                // PANIC-OK: hosted tables and prefetched tables are the same set.
-                .expect("hosted gradient for a table that was not prefetched");
-            let grad = aggregate_to_unique(&field.indices, &field.offsets, unique, d_emb);
-            let mut updated = rows.clone();
-            for (slot, _) in unique.iter().enumerate() {
-                let g = &grad.values[slot * grad.dim..(slot + 1) * grad.dim];
-                for (w, gv) in updated.row_mut(slot).iter_mut().zip(g) {
-                    *w -= lr * gv;
-                }
-            }
-            // PANIC-OK: a cache was created for every hosted table at startup.
-            caches.get_mut(t).unwrap().insert(unique, &updated, k);
-            pushes.push((*t, grad));
-        }
-        // Bounded retry with backoff: a transiently saturated gradient
-        // queue is ridden out, a wedged or vanished server ends the
-        // run gracefully after the retry budget instead of blocking
+        // Stage 3: aggregate, refresh the cache with the post-update rows
+        // and push. Bounded retry with backoff: a transiently saturated
+        // gradient queue is ridden out, a wedged or vanished server ends
+        // the run gracefully after the retry budget instead of blocking
         // this worker forever.
-        let push = GradientPush { batch_seq: k, tables: pushes, pooled: Vec::new() };
+        let push = cache.gradient_push(&pf, &out.hosted_grads);
         if let Err((_, cause)) = send_with_retry(&gtx, push, 16, splitmix64(k)) {
             failure = Some(cause);
             break;
         }
 
-        cache_peak = cache_peak.max(caches.values().map(EmbeddingCache::footprint_bytes).sum());
+        cache_peak = cache_peak.max(cache.footprint_bytes());
     }
     drop(gtx);
     WorkerRun {
         model,
-        stale_hits: caches.values().map(|c| c.stale_hits).sum(),
+        stale_hits: cache.stale_hits(),
         losses,
         cache_peak_bytes: cache_peak,
         worker_compute,
@@ -1036,12 +943,12 @@ mod tests {
         // A pre-fetch for batch 1 where batch 0 is due: the worker stops
         // with the cause in the report instead of panicking.
         let (model, mut server, dataset) = setup(9);
-        let hosted = model.hosted_tables();
+        let cache = WorkerCache::new(model.hosted_tables().len(), 0.05);
         let config = PipelineConfig { batch_size: 16, num_batches: 4, ..PipelineConfig::default() };
         let (ptx, prx) = bounded(2);
         let (gtx, grx) = bounded(2);
         ptx.send(server.gather(dataset.batch(1, 16), 1)).unwrap();
-        let worker = run_worker(model, &hosted, 0.05, &config, prx, gtx);
+        let worker = run_worker(model, cache, &config, prx, gtx);
         assert!(worker.losses.is_empty(), "nothing may train on a misdelivered batch");
         assert_eq!(worker.failure, Some(ServerError::PrefetchOutOfOrder { got: 1, expected: 0 }));
         assert!(grx.recv().is_err(), "no push, and the gradient queue is hung up");
@@ -1063,6 +970,18 @@ mod tests {
         let seq = run(false, 1, 2);
         let pipe = run(true, 4, 2);
         assert_same_training(&seq, &pipe);
+    }
+
+    #[test]
+    fn server_table_order_does_not_move_a_byte() {
+        // A server handed its tables in descending order trains the bytes
+        // of the ascending one: the serving loop fixes one order.
+        let (model, mut server, dataset) = setup(2);
+        server.tables.reverse();
+        let config =
+            PipelineConfig { batch_size: 64, num_batches: 12, ..PipelineConfig::default() };
+        let r = PipelineTrainer::try_train(model, server, &dataset, &config).unwrap();
+        assert_same_training(&run(config.pipelined, config.prefetch_depth, 2), &r);
     }
 
     #[test]

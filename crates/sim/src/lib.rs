@@ -4,11 +4,12 @@
 //! end-to-end by real threads, which can only witness the interleavings
 //! the OS scheduler happens to produce. This crate removes the scheduler:
 //! a virtual clock and a seeded discrete-event queue ([`clock`]) drive
-//! the *real* `HostServer`, `ShardRouter`, `EmbeddingCache` and
-//! pooling/aggregation kernels through arbitrary interleavings, at any
-//! topology of `N` shards × `K` replicas, while a seeded
-//! [`fault::FaultPlan`] injects worker stalls and deaths, member, shard
-//! and process death, prefetch delays, intake saturation, dropped,
+//! the hosted-table protocol the threaded trainer runs — the router's
+//! fan-out and stitch halves, the shard-side `HostServer::serve_rows` and
+//! `apply_checked`, the worker's `WorkerCache` stages — through arbitrary
+//! interleavings, at any topology of `N` shards × `K` replicas, while a
+//! seeded [`fault::FaultPlan`] injects worker stalls and deaths, member,
+//! shard and process death, prefetch delays, intake saturation, dropped,
 //! duplicated and delayed gradient deliveries, heartbeat loss and
 //! partitions.
 //!

@@ -14,9 +14,8 @@
 
 use crate::sim::{build_dataset, build_tables, digest_tables, worker_push, SimConfig};
 use el_dlrm::embedding_bag::EmbeddingBag;
-use el_pipeline::cache::EmbeddingCache;
 use el_pipeline::server::{ApplyOutcome, HostServer};
-use el_pipeline::{split_tables, ShardRouter};
+use el_pipeline::{split_tables, WorkerCache};
 
 /// The sequential reference for one [`SimConfig`] (its topology plays no
 /// part: the reference is one server, one batch at a time).
@@ -28,30 +27,39 @@ pub struct Oracle {
     pub final_tables: Vec<(usize, EmbeddingBag)>,
 }
 
-/// Runs the sequential reference and captures every prefix digest.
-pub fn sequential_prefix(cfg: &SimConfig) -> Oracle {
+/// Runs the sequential reference — gather, train, apply, one batch at a
+/// time on one server — handing `after` the tables before the first batch
+/// and after every applied batch. Returns the final tables.
+fn run_sequential(
+    cfg: &SimConfig,
+    mut after: impl FnMut(&[(usize, EmbeddingBag)]),
+) -> Vec<(usize, EmbeddingBag)> {
     let dataset = build_dataset(cfg);
     let mut server = HostServer::new(build_tables(cfg), cfg.lr);
-    let mut caches: Vec<(usize, EmbeddingCache)> =
-        (0..cfg.num_tables).map(|t| (t, EmbeddingCache::new())).collect();
-    let mut prefix_digests = Vec::with_capacity(cfg.num_batches as usize + 1);
-    prefix_digests.push(digest_tables(&server.tables));
+    let mut worker = WorkerCache::new(cfg.num_tables, cfg.lr);
+    after(&server.tables);
     for k in 0..cfg.num_batches {
-        let batch = dataset.batch(k, cfg.batch_size);
-        let mut pf = server.gather(batch, k);
+        let mut pf = server.gather(dataset.batch(k, cfg.batch_size), k);
         debug_assert_eq!(pf.applied_through, k, "sequential gather is never stale");
-        let push = worker_push(&mut pf, &mut caches, cfg.lr, cfg.model_seed);
+        let push = worker_push(&mut pf, &mut worker, cfg.model_seed);
         match server.apply_checked(&push) {
             Ok(ApplyOutcome::Applied) => {}
             other => unreachable!("sequential apply of batch {k} failed: {other:?}"),
         }
-        prefix_digests.push(digest_tables(&server.tables));
+        after(&server.tables);
     }
-    Oracle { prefix_digests, final_tables: server.tables }
+    server.tables
+}
+
+/// Runs the sequential reference and captures every prefix digest.
+pub fn sequential_prefix(cfg: &SimConfig) -> Oracle {
+    let mut prefix_digests = Vec::with_capacity(cfg.num_batches as usize + 1);
+    let final_tables = run_sequential(cfg, |tables| prefix_digests.push(digest_tables(tables)));
+    Oracle { prefix_digests, final_tables }
 }
 
 /// The sequential reference of the **sharded** tier: per-shard prefix
-/// digests stitched from the same strictly-sequential execution as
+/// digests of the same strictly-sequential execution as
 /// [`sequential_prefix`].
 pub struct ShardOracle {
     /// `per_shard[s][k]` is shard `s`'s sub-table digest after `s` has
@@ -60,45 +68,24 @@ pub struct ShardOracle {
     pub per_shard: Vec<Vec<u64>>,
 }
 
-/// Runs the sequential reference with the sharded tier alongside: every
-/// batch is gathered from and applied to a single global server (the
-/// trusted baseline) *and* scattered onto per-shard sub-servers, digesting
-/// each shard after each apply. A sharded run whose shard `s` stopped at
-/// `applied[s] = k` — whatever faults stopped it — must land on
-/// `per_shard[s][k]` exactly: this is the per-shard half of the
-/// schedule-independence invariant, valid even when shards are skewed.
+/// Runs the sequential reference and digests every prefix split under
+/// the config's layout. A shard's sub-tables after `k` scattered pushes
+/// are its split of the global tables after `k` (routing moves bytes, it
+/// never recomputes them), so the reference needs neither the router nor
+/// shard servers — the code the simulation runs. A sharded run whose
+/// shard `s` stopped at `applied[s] = k` — whatever faults stopped it —
+/// must land on `per_shard[s][k]` exactly: this is the per-shard half of
+/// the schedule-independence invariant, valid even when shards are skewed.
 pub fn sharded_prefix(cfg: &SimConfig) -> ShardOracle {
-    let dataset = build_dataset(cfg);
-    let tables = build_tables(cfg);
     let layout = cfg.layout();
-    let mut server = HostServer::new(tables.clone(), cfg.lr);
-    let mut shards: Vec<HostServer> = split_tables(&tables, &layout)
-        .expect("the layout places exactly the config's tables")
-        .into_iter()
-        .map(|sub| HostServer::new(sub, cfg.lr))
-        .collect();
-    let mut router = ShardRouter::new(layout);
-    let mut caches: Vec<(usize, EmbeddingCache)> =
-        (0..cfg.num_tables).map(|t| (t, EmbeddingCache::new())).collect();
-    let mut per_shard: Vec<Vec<u64>> =
-        shards.iter().map(|s| vec![digest_tables(&s.tables)]).collect();
-    for k in 0..cfg.num_batches {
-        let batch = dataset.batch(k, cfg.batch_size);
-        let mut pf = server.gather(batch, k);
-        let push = worker_push(&mut pf, &mut caches, cfg.lr, cfg.model_seed);
-        match server.apply_checked(&push) {
-            Ok(ApplyOutcome::Applied) => {}
-            other => unreachable!("sequential apply of batch {k} failed: {other:?}"),
+    let mut per_shard = vec![Vec::new(); layout.num_shards() as usize];
+    run_sequential(cfg, |tables| {
+        let split =
+            split_tables(tables, &layout).expect("the layout places exactly the config's tables");
+        for (digests, sub) in per_shard.iter_mut().zip(&split) {
+            digests.push(digest_tables(sub));
         }
-        let scattered = router.scatter_push(&push).expect("oracle pushes always scatter");
-        for (s, shard_push) in scattered.iter().enumerate() {
-            match shards[s].apply_checked(shard_push) {
-                Ok(ApplyOutcome::Applied) => {}
-                other => unreachable!("sequential shard apply of batch {k} failed: {other:?}"),
-            }
-            per_shard[s].push(digest_tables(&shards[s].tables));
-        }
-    }
+    });
     ShardOracle { per_shard }
 }
 

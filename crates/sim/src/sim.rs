@@ -2,12 +2,15 @@
 //!
 //! One loop simulates every topology of the parameter tier: `N` shards
 //! (`SimConfig::shard`), each a lockstep group of `K` replicas
-//! (`SimConfig::replicas`). The hosts are real [`HostServer`]s behind the
-//! real [`ShardRouter`]; the one virtual worker runs the real
-//! [`EmbeddingCache`] plus the real pooling/aggregation helpers from
-//! `el_pipeline::server`; the virtual links — prefetch delivery, one
-//! gradient link and one acknowledgement link per shard, heartbeats — have
-//! seeded latency jitter. The single server of the paper's Fig 9 is the
+//! (`SimConfig::replicas`). It runs the code the threaded trainer runs,
+//! not a copy of it: every gather is [`ShardRouter::fan_out`], one
+//! [`HostServer::serve_rows`] per believed primary and
+//! [`ShardRouter::stitch`], every push is [`ShardRouter::scatter_push`]
+//! into [`HostServer::apply_checked`], and the one virtual worker is a
+//! [`WorkerCache`] whose two stages surround a pseudo-loss instead of the
+//! model's step. The virtual links — prefetch delivery, one gradient link
+//! and one acknowledgement link per shard, heartbeats — have seeded
+//! latency jitter. The single server of the paper's Fig 9 is the
 //! `N = K = 1` case, not a separate code path.
 //!
 //! * **Unreliable gradient links.** A [`FaultPlan`] may drop, duplicate
@@ -50,14 +53,11 @@ use crate::recovery::SimCheckpoint;
 use crate::trace::{Trace, TraceEvent};
 use el_data::{DatasetSpec, SyntheticDataset};
 use el_dlrm::embedding_bag::EmbeddingBag;
-use el_pipeline::cache::EmbeddingCache;
 use el_pipeline::ckpt::CkptError;
-use el_pipeline::server::{
-    aggregate_to_unique, pool_prefetched, ApplyOutcome, GradientPush, HostServer, PrefetchedBatch,
-};
+use el_pipeline::server::{ApplyOutcome, GradientPush, HostServer, PrefetchedBatch};
 use el_pipeline::{
     merge_tables, split_tables, FailureDetector, HeartbeatConfig, ShardConfig, ShardLayout,
-    ShardRouter,
+    ShardRouter, WorkerCache,
 };
 use el_tensor::Matrix;
 use rand::rngs::StdRng;
@@ -310,37 +310,23 @@ fn pseudo_loss_grad(pooled: &Matrix, seq: u64, table: usize, model_seed: u64) ->
     Matrix::from_vec(pooled.rows(), pooled.cols(), data)
 }
 
-/// One worker training step over a pre-fetched batch: cache sync, pool,
-/// pseudo-loss gradient, per-unique-row aggregation, predicted-update
-/// cache refresh — the exact stage-1/stage-3 sequence of
-/// `el_pipeline::trainer`. Shared by the simulation and the sequential
-/// oracle (which runs it with staleness zero).
+/// One worker training step over a pre-fetched batch: the real
+/// [`WorkerCache`] stage 1 (cache sync, pooling) and stage 3
+/// (aggregation, predicted-update cache refresh, the push) of
+/// `el_pipeline::trainer`, with the pseudo-loss gradient in place of the
+/// model's. Shared by the simulation and the sequential oracle (which
+/// runs it with staleness zero).
 pub(crate) fn worker_push(
     pf: &mut PrefetchedBatch,
-    caches: &mut [(usize, EmbeddingCache)],
-    lr: f32,
+    worker: &mut WorkerCache,
     model_seed: u64,
 ) -> GradientPush {
-    let mut tables = Vec::with_capacity(pf.tables.len());
-    for (t, unique, rows) in &mut pf.tables {
-        let cache =
-            &mut caches.iter_mut().find(|(id, _)| id == t).expect("cache per hosted table").1;
-        cache.sync(unique, rows, pf.applied_through);
-        let field = &pf.batch.fields[*t];
-        let pooled = pool_prefetched(&field.indices, &field.offsets, unique, rows);
-        let d_out = pseudo_loss_grad(&pooled, pf.batch_seq, *t, model_seed);
-        let grad = aggregate_to_unique(&field.indices, &field.offsets, unique, &d_out);
-        let mut updated = rows.clone();
-        for slot in 0..unique.len() {
-            let g = &grad.values[slot * grad.dim..(slot + 1) * grad.dim];
-            for (w, gv) in updated.row_mut(slot).iter_mut().zip(g) {
-                *w -= lr * gv;
-            }
-        }
-        cache.insert(unique, &updated, pf.batch_seq);
-        tables.push((*t, grad));
-    }
-    GradientPush { batch_seq: pf.batch_seq, tables, pooled: Vec::new() }
+    let grads: Vec<(usize, Matrix)> = worker
+        .pool(pf)
+        .into_iter()
+        .map(|(t, pooled)| (t, pseudo_loss_grad(&pooled, pf.batch_seq, t, model_seed)))
+        .collect();
+    worker.gradient_push(pf, &grads)
 }
 
 /// FNV-1a digest of table ids and weight bit patterns — the
@@ -455,7 +441,7 @@ struct Simulation<'a> {
     inbox: BTreeMap<u64, PrefetchedBatch>,
     next_train: u64,
     computing: Option<GradientPush>,
-    caches: Vec<(usize, EmbeddingCache)>,
+    worker: WorkerCache,
     unacked: BTreeMap<(u32, u64), UnackedPush>,
     // durability
     ckpt: Option<(&'a mut dyn CkptSink, u64)>,
@@ -530,7 +516,7 @@ pub fn run_session(
         inbox: BTreeMap::new(),
         next_train: start,
         computing: None,
-        caches: (0..cfg.num_tables).map(|t| (t, EmbeddingCache::new())).collect(),
+        worker: WorkerCache::new(cfg.num_tables, cfg.lr),
         unacked: BTreeMap::new(),
         ckpt,
         crashed: false,
@@ -641,7 +627,7 @@ impl Simulation<'_> {
             merged_digest: digest_tables(&merged_tables),
             merged_tables,
             promotions: self.promotions,
-            stale_hits: self.caches.iter().map(|(_, c)| c.stale_hits).sum(),
+            stale_hits: self.worker.stale_hits(),
             final_tick: self.q.now(),
             events_processed: events,
             trace: self.trace,
@@ -816,29 +802,28 @@ impl Simulation<'_> {
                 return;
             }
             let k = self.next_gather;
-            // the router gathers from one contiguous slice of servers:
-            // lift the believed primaries out and put them back after
-            let mut primaries: Vec<HostServer> = (0..n)
-                .map(|s| {
-                    let placeholder = HostServer::new(Vec::new(), self.cfg.lr);
-                    std::mem::replace(&mut self.groups[s][self.believed[s]].server, placeholder)
-                })
-                .collect();
-            for (s, p) in primaries.iter().enumerate() {
+            // the trainer's router thread, one call at a time: fan out,
+            // each believed primary serves its share, stitch
+            let batch = self.dataset.batch(k, self.cfg.batch_size);
+            let (pending, requests) = self
+                .router
+                .fan_out(batch, k)
+                .expect("config-derived layout always routes its own batches");
+            let mut replies = Vec::with_capacity(n);
+            for (s, locals) in requests.iter().enumerate() {
+                let reply = self.groups[s][self.believed[s]]
+                    .server
+                    .serve_rows(k, locals)
+                    .expect("every shard hosts every table");
                 self.trace.push(TraceEvent::Stamped {
                     shard: s as u32,
                     seq: k,
-                    applied: p.applied,
+                    applied: reply.applied,
                 });
+                replies.push(reply);
             }
-            let batch = self.dataset.batch(k, self.cfg.batch_size);
-            let pf = self
-                .router
-                .gather(&mut primaries, batch, k)
-                .expect("config-derived layout always routes its own batches");
-            for (s, p) in primaries.into_iter().enumerate() {
-                self.groups[s][self.believed[s]].server = p;
-            }
+            let pf =
+                self.router.stitch(pending, replies).expect("every shard answered this gather");
             self.trace.push(TraceEvent::Gathered { seq: k, applied_through: pf.applied_through });
             let delay = PREFETCH_LATENCY + self.jitter() + self.plan.prefetch_delay(k);
             self.q.schedule(delay, Ev::PrefetchArrive(Box::new(pf)));
@@ -875,7 +860,7 @@ impl Simulation<'_> {
         }
         self.occupancy -= 1;
         self.trace.push(TraceEvent::PrefetchSynced { seq, applied_through: pf.applied_through });
-        let push = worker_push(&mut pf, &mut self.caches, self.cfg.lr, self.cfg.model_seed);
+        let push = worker_push(&mut pf, &mut self.worker, self.cfg.model_seed);
         self.computing = Some(push);
         self.next_train += 1;
         let delay = COMPUTE_LATENCY + self.jitter();
