@@ -10,21 +10,21 @@
 //! promoted backup resumes from its own watermark and the min-stamp stitch
 //! of the sharded gather path (DESIGN.md §14) already tolerates the skew.
 //!
-//! The module also provides the clock-agnostic failure-detection pieces
-//! the simulator and the trainer share: [`HeartbeatConfig`] (typed
-//! heartbeat interval / suspicion timeout with deterministic seeded
-//! jitter) and [`FailureDetector`] (a last-heard watermark over abstract
-//! `u64` ticks, so virtual-clock simulation and wall-clock serving use the
-//! same arithmetic).
+//! Everything a group does once a failure is known — [`ReplicaGroup::kill`],
+//! the cyclic [`ReplicaGroup::promote`] step with its fence, and the
+//! [`ReplicaGroup::catch_up`] rejoin — is written once, here: the
+//! simulator's failover scenarios and the trainer's kill drill drive the
+//! same calls. Detecting a failure is not: heartbeats and the suspicion
+//! timeout live with their only user, the simulator (`el_sim::clock`).
 
 use crate::ckpt::ServerCheckpoint;
 use crate::server::{ApplyOutcome, GradientPush, HostServer, ServerError};
 use std::collections::VecDeque;
 use std::fmt;
 
-/// SplitMix64 — the one-instruction-wide seed mixer used for deterministic
-/// jitter (same constants as `el_sim::clock::splitmix64`; duplicated here
-/// because el-sim depends on this crate, not the other way around).
+/// SplitMix64 — the seed mixer of every deterministic derivation in the
+/// workspace (placement, retry jitter, and the simulator's fault plans,
+/// latencies and pseudo-loss): small, stateless and well distributed.
 pub fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -118,11 +118,6 @@ impl GradientLog {
         Self { base, entries: VecDeque::new(), capacity: capacity.max(1) }
     }
 
-    /// Oldest retained sequence number.
-    pub fn base(&self) -> u64 {
-        self.base
-    }
-
     /// Sequence number the next append must carry.
     pub fn next_seq(&self) -> u64 {
         self.base + self.entries.len() as u64
@@ -173,10 +168,18 @@ impl GradientLog {
     }
 }
 
+/// One member of a [`ReplicaGroup`]. Death only clears `alive`: the
+/// server keeps the state it died with, so a corpse can still be checked
+/// against the sequential reference at its own watermark.
+struct Member {
+    server: HostServer,
+    alive: bool,
+}
+
 /// One shard's replica group: lockstep primary + backups over the same
 /// exactly-once stamp domain.
 pub struct ReplicaGroup {
-    members: Vec<Option<HostServer>>,
+    members: Vec<Member>,
     primary: usize,
     log: GradientLog,
     /// Catch-up base; `None` in a group of one, which has nobody to catch
@@ -185,14 +188,6 @@ pub struct ReplicaGroup {
     shard: u32,
     num_shards: u32,
     failovers: u64,
-}
-
-/// Clones a server's durable state (tables, lr, applied) into a fresh
-/// member with its own meters.
-fn clone_member(server: &HostServer) -> HostServer {
-    let mut m = HostServer::new(server.tables.clone(), server.lr);
-    m.applied = server.applied;
-    m
 }
 
 impl ReplicaGroup {
@@ -213,9 +208,12 @@ impl ReplicaGroup {
         let log = GradientLog::new(server.applied, log_capacity);
         let mut members = Vec::with_capacity(replicas as usize);
         for _ in 1..replicas {
-            members.push(Some(clone_member(&server)));
+            // a fresh member with its own meters: tables, lr, applied
+            let mut backup = HostServer::new(server.tables.clone(), server.lr);
+            backup.applied = server.applied;
+            members.push(Member { server: backup, alive: true });
         }
-        members.insert(0, Some(server));
+        members.insert(0, Member { server, alive: true });
         Self { members, primary: 0, log, snapshot, shard, num_shards, failovers: 0 }
     }
 
@@ -226,7 +224,7 @@ impl ReplicaGroup {
 
     /// Number of alive members.
     pub fn alive(&self) -> u32 {
-        self.members.iter().filter(|m| m.is_some()).count() as u32
+        self.members.iter().filter(|m| m.alive).count() as u32
     }
 
     /// Promotions performed so far.
@@ -234,40 +232,65 @@ impl ReplicaGroup {
         self.failovers
     }
 
-    /// The primary's applied watermark (0 if the whole group is dead).
+    /// The group watermark: the maximum applied count over all members,
+    /// the dead included. Lockstep keeps alive members equal and a
+    /// rejoiner lands at the watermark, so a corpse is never ahead of a
+    /// survivor, and a group with no survivor stays at the watermark it
+    /// died with.
     pub fn applied(&self) -> u64 {
-        self.members[self.primary].as_ref().map_or(0, |s| s.applied)
+        self.members.iter().map(|m| m.server.applied).max().unwrap_or(0)
     }
 
-    /// Borrows the primary.
+    /// The rank holding the primary role (alive or not).
+    pub fn primary_rank(&self) -> u32 {
+        self.primary as u32
+    }
+
+    /// Member `rank`'s state — a dead member keeps what it died with —
+    /// and whether it is alive; `None` for a rank the group lacks.
+    pub fn member(&self, rank: u32) -> Option<(&HostServer, bool)> {
+        self.members.get(rank as usize).map(|m| (&m.server, m.alive))
+    }
+
+    /// The primary's index; [`ReplicaError::DeadMember`] while the role
+    /// sits on a dead rank.
+    fn live_primary(&self) -> Result<usize, ReplicaError> {
+        let rank = self.primary;
+        self.members[rank].alive.then_some(rank).ok_or(ReplicaError::DeadMember(rank as u32))
+    }
+
+    /// Borrows the primary; [`ReplicaError::DeadMember`] while the role
+    /// sits on a dead rank.
     pub fn primary(&self) -> Result<&HostServer, ReplicaError> {
-        self.members[self.primary].as_ref().ok_or(ReplicaError::NoAliveMembers)
+        Ok(&self.members[self.live_primary()?].server)
     }
 
     /// Mutably borrows the primary (for gather-side meter accounting —
     /// gathers read the primary only, so backups stay byte-identical).
     pub fn primary_mut(&mut self) -> Result<&mut HostServer, ReplicaError> {
-        self.members[self.primary].as_mut().ok_or(ReplicaError::NoAliveMembers)
+        let rank = self.live_primary()?;
+        Ok(&mut self.members[rank].server)
     }
 
     /// Applies one push through the whole group: exactly-once intake at
     /// the primary, then the stamped push goes to the log and to every
     /// alive backup (idempotent over the same stamp domain). Duplicates
-    /// are absorbed at the primary and never re-replicated. A backup
-    /// whose intake rejects a lockstep push has diverged from the stamp
-    /// domain; it is killed (it can rejoin via [`ReplicaGroup::catch_up`])
-    /// rather than aborting mid-replication, which would leave the
-    /// primary ahead of the log and the remaining backups.
+    /// are absorbed at the primary and never re-replicated. A dead
+    /// primary is the typed [`ReplicaError::DeadMember`]: intake waits
+    /// for a promotion onto a live rank. A backup whose intake rejects a
+    /// lockstep push has diverged from the stamp domain; it is killed (it
+    /// can rejoin via [`ReplicaGroup::catch_up`]) rather than aborting
+    /// mid-replication, which would leave the primary ahead of the log
+    /// and the remaining backups.
     pub fn apply_checked(&mut self, push: &GradientPush) -> Result<ApplyOutcome, ReplicaError> {
+        let rank = self.live_primary()?;
         // Refresh the snapshot from the *pre-push* primary before a full
         // log would trim away the entry this push is about to append.
         let replicated = self.snapshot.is_some();
         if replicated && self.log.full() {
             self.checkpoint();
         }
-        let rank = self.primary;
-        let primary = self.members[rank].as_mut().ok_or(ReplicaError::NoAliveMembers)?;
-        let outcome = primary.apply_checked(push)?;
+        let outcome = self.members[rank].server.apply_checked(push)?;
         if outcome == ApplyOutcome::Duplicate {
             return Ok(outcome);
         }
@@ -278,64 +301,58 @@ impl ReplicaGroup {
             self.log.append(push.clone())?;
         }
         for (r, member) in self.members.iter_mut().enumerate() {
-            if r == rank {
-                continue;
-            }
             // Lockstep keeps backups at the primary's watermark, so this
             // is Applied (or Duplicate right after a catch-up); an Err is
             // a diverged member, removed so the group stays consistent.
-            if member.as_mut().is_some_and(|b| b.apply_checked(push).is_err()) {
-                *member = None;
+            if r != rank && member.alive && member.server.apply_checked(push).is_err() {
+                member.alive = false;
             }
         }
         Ok(outcome)
     }
 
     /// Refreshes the retained snapshot from the primary's *pre-push* state
-    /// and trims the log below it, bounding replay length. No-op when the
-    /// group is dead or has no backups to catch up.
+    /// and trims the log below it, bounding replay length. No-op while the
+    /// primary is dead or when the group has no backups to catch up.
     pub fn checkpoint(&mut self) {
-        if let (Some(primary), Some(snapshot)) =
-            (self.members[self.primary].as_ref(), self.snapshot.as_mut())
-        {
-            *snapshot = ServerCheckpoint::capture_shard(primary, self.shard, self.num_shards);
+        let primary = &self.members[self.primary];
+        if let (true, Some(snapshot)) = (primary.alive, self.snapshot.as_mut()) {
+            *snapshot =
+                ServerCheckpoint::capture_shard(&primary.server, self.shard, self.num_shards);
             self.log.truncate_below(snapshot.applied);
         }
     }
 
-    /// Kills the current primary and promotes the next alive rank
-    /// (cyclically). Because replication is lockstep, the promoted backup
-    /// is byte-identical to the dead primary at the same watermark —
-    /// training continues without a cold restart. Returns the new primary
-    /// rank.
-    pub fn kill_primary(&mut self) -> Result<u32, ReplicaError> {
-        self.members[self.primary] = None;
-        let n = self.members.len();
-        for step in 1..n {
-            let r = (self.primary + step) % n;
-            if self.members[r].is_some() {
-                self.primary = r;
-                self.failovers += 1;
-                return Ok(r as u32);
-            }
+    /// Kills member `rank`, primary or backup, keeping its state. Killing
+    /// the primary moves no role: the group takes no intake until
+    /// [`ReplicaGroup::promote`] hands the role on.
+    pub fn kill(&mut self, rank: u32) -> Result<(), ReplicaError> {
+        let members = self.members();
+        let member = self
+            .members
+            .get_mut(rank as usize)
+            .ok_or(ReplicaError::UnknownRank { rank, members })?;
+        if !member.alive {
+            return Err(ReplicaError::DeadMember(rank));
         }
-        Err(ReplicaError::NoAliveMembers)
+        member.alive = false;
+        Ok(())
     }
 
-    /// Kills a backup by rank (killing the primary through this is a
-    /// typed error — use [`ReplicaGroup::kill_primary`], which promotes).
-    pub fn kill_backup(&mut self, rank: u32) -> Result<(), ReplicaError> {
-        let idx = rank as usize;
-        if idx >= self.members.len() {
-            return Err(ReplicaError::UnknownRank { rank, members: self.members() });
-        }
-        if idx == self.primary {
-            return Err(ReplicaError::DeadMember(rank));
-        }
-        if self.members[idx].take().is_none() {
-            return Err(ReplicaError::DeadMember(rank));
-        }
-        Ok(())
+    /// The failover step: hands the primary role to the next rank
+    /// cyclically and counts one failover. The step does not skip dead
+    /// ranks — a promotion onto a corpse makes the next apply the typed
+    /// [`ReplicaError::DeadMember`] and the caller promotes again. Because
+    /// replication is lockstep, a live promoted backup is byte-identical
+    /// to the old primary at the same watermark, so training continues
+    /// without a cold restart. Returns the deposed rank when it is still
+    /// alive: it is fenced off the write path and stays on as a backup,
+    /// its bytes kept current by lockstep.
+    pub fn promote(&mut self) -> Option<u32> {
+        let deposed = self.primary;
+        self.primary = (deposed + 1) % self.members.len();
+        self.failovers += 1;
+        (self.members[deposed].alive && self.primary != deposed).then_some(deposed as u32)
     }
 
     /// Revives a dead member through the catch-up path: restore the
@@ -344,11 +361,10 @@ impl ReplicaGroup {
     /// and resumes receiving lockstep appends. A group of one retains
     /// nothing to revive its only member from: [`ReplicaError::NoAliveMembers`].
     pub fn catch_up(&mut self, rank: u32) -> Result<(), ReplicaError> {
-        let idx = rank as usize;
-        if idx >= self.members.len() {
-            return Err(ReplicaError::UnknownRank { rank, members: self.members() });
-        }
-        if self.members[idx].is_some() {
+        let members = self.members();
+        let member =
+            self.members.get(rank as usize).ok_or(ReplicaError::UnknownRank { rank, members })?;
+        if member.alive {
             return Ok(()); // already alive: nothing to do
         }
         let snapshot = self.snapshot.as_ref().ok_or(ReplicaError::NoAliveMembers)?;
@@ -356,99 +372,46 @@ impl ReplicaGroup {
         for push in self.log.entries_from(revived.applied)? {
             revived.apply_checked(push)?;
         }
-        self.members[idx] = Some(revived);
+        self.members[rank as usize] = Member { server: revived, alive: true };
         Ok(())
     }
 
     /// Whether every alive member is byte-identical (same watermark, same
-    /// table bytes) — the replication invariant the failover tests assert.
+    /// table bytes) to a live primary — the replication invariant the
+    /// failover tests assert.
     pub fn verify_consistent(&self) -> bool {
         let Ok(primary) = self.primary() else { return false };
-        self.members.iter().flatten().all(|m| {
-            m.applied == primary.applied
-                && m.tables.len() == primary.tables.len()
-                && m.tables.iter().zip(&primary.tables).all(|((ia, a), (ib, b))| {
+        self.members.iter().filter(|m| m.alive).all(|m| {
+            m.server.applied == primary.applied
+                && m.server.tables.len() == primary.tables.len()
+                && m.server.tables.iter().zip(&primary.tables).all(|((ia, a), (ib, b))| {
                     ia == ib && a.weight.as_slice() == b.weight.as_slice()
                 })
         })
     }
 
-    /// Consumes the group, returning the final primary (the state the
-    /// trainer merges).
+    /// The rank [`ReplicaGroup::survivor`] picks.
+    fn survivor_rank(&self) -> usize {
+        let key = |(r, m): &(usize, &Member)| (m.alive, *r == self.primary, m.server.applied);
+        self.members.iter().enumerate().max_by_key(key).map_or(self.primary, |(r, _)| r)
+    }
+
+    /// The member whose state stands for the group in a merge of the
+    /// shards: the primary when alive, else a survivor (byte-identical by
+    /// lockstep), else the most advanced corpse.
+    pub fn survivor(&self) -> &HostServer {
+        &self.members[self.survivor_rank()].server
+    }
+
+    /// Consumes the group, returning the state the trainer merges (the
+    /// [`ReplicaGroup::survivor`]); [`ReplicaError::NoAliveMembers`] once
+    /// every member is dead.
     pub fn into_primary(mut self) -> Result<HostServer, ReplicaError> {
-        self.members[self.primary].take().ok_or(ReplicaError::NoAliveMembers)
-    }
-}
-
-/// Heartbeat schedule with deterministic seeded jitter: interval `every`
-/// plus `splitmix64(seed ^ n) % (jitter + 1)` for the n-th beat — the same
-/// seed always yields the same schedule, so seeded sim replays stay
-/// bit-for-bit while distinct shards decorrelate.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct HeartbeatConfig {
-    /// Base ticks between heartbeats.
-    pub every: u64,
-    /// Ticks of silence before suspicion.
-    pub suspicion_after: u64,
-    /// Maximum jitter added to each interval.
-    pub jitter: u64,
-    /// Jitter seed (mix in the shard/rank identity).
-    pub seed: u64,
-}
-
-impl HeartbeatConfig {
-    /// Maximum jitter a beat interval of `every` ticks carries (half the
-    /// interval, at least one tick).
-    pub fn max_jitter(every: u64) -> u64 {
-        (every / 2).max(1)
-    }
-
-    /// Minimum safe suspicion timeout for a beat interval of `every`
-    /// ticks: one full interval plus its maximum jitter plus one tick,
-    /// so a single maximally jittered heartbeat gap can never trip the
-    /// detector on its own.
-    pub fn min_suspicion(every: u64) -> u64 {
-        every + Self::max_jitter(every) + 1
-    }
-
-    /// Delay before the `n`-th heartbeat.
-    pub fn delay(&self, n: u64) -> u64 {
-        self.every + splitmix64(self.seed ^ n) % (self.jitter + 1)
-    }
-}
-
-/// Clock-agnostic failure detector over abstract `u64` ticks: records the
-/// last time a heartbeat was heard and reports suspicion after a typed
-/// timeout. Works identically under the simulator's virtual clock and a
-/// wall-clock tick source.
-#[derive(Clone, Copy, Debug)]
-pub struct FailureDetector {
-    suspicion_after: u64,
-    last_heard: u64,
-}
-
-impl FailureDetector {
-    /// A detector that considers `now` the moment it last heard from the
-    /// peer (grace on creation and on failover).
-    pub fn new(suspicion_after: u64, now: u64) -> Self {
-        Self { suspicion_after: suspicion_after.max(1), last_heard: now }
-    }
-
-    /// Records a heartbeat (monotone: a late-delivered old beat never
-    /// moves the watermark backwards).
-    pub fn record_heartbeat(&mut self, now: u64) {
-        self.last_heard = self.last_heard.max(now);
-    }
-
-    /// Ticks since the peer was last heard.
-    pub fn silent_for(&self, now: u64) -> u64 {
-        now.saturating_sub(self.last_heard)
-    }
-
-    /// `Some(silent_for)` once silence reaches the suspicion timeout.
-    pub fn suspected(&self, now: u64) -> Option<u64> {
-        let silent = self.silent_for(now);
-        (silent >= self.suspicion_after).then_some(silent)
+        if self.alive() == 0 {
+            return Err(ReplicaError::NoAliveMembers);
+        }
+        let rank = self.survivor_rank();
+        Ok(self.members.swap_remove(rank).server)
     }
 }
 
@@ -486,6 +449,15 @@ mod tests {
     }
 
     #[test]
+    fn splitmix_is_deterministic_and_spreads() {
+        assert_eq!(splitmix64(1), splitmix64(1));
+        assert_ne!(splitmix64(1), splitmix64(2));
+        // low bits must differ across consecutive seeds (used modulo small n)
+        let lows: std::collections::HashSet<u64> = (0..64).map(|x| splitmix64(x) % 16).collect();
+        assert!(lows.len() > 8);
+    }
+
+    #[test]
     fn lockstep_replication_keeps_members_byte_identical() {
         let mut group = ReplicaGroup::new(test_server(1), 3, 0, 1, 16);
         for seq in 0..10 {
@@ -501,20 +473,31 @@ mod tests {
     #[test]
     fn promotion_is_byte_identical_to_the_never_failed_run() {
         let mut plain = test_server(2);
-        let mut group = ReplicaGroup::new(test_server(2), 2, 0, 1, 32);
+        let mut group = ReplicaGroup::new(test_server(2), 3, 0, 1, 32);
         for seq in 0..6 {
             plain.apply_checked(&push_for(seq)).unwrap();
             group.apply_checked(&push_for(seq)).unwrap();
         }
-        let new_primary = group.kill_primary().unwrap();
-        assert_eq!(new_primary, 1);
-        assert_eq!(group.applied(), 6, "promoted backup resumes at the same watermark");
-        for seq in 6..12 {
+        // a promotion away from a live primary fences it: it stays on as
+        // a backup, byte-identical through further applies
+        assert_eq!(group.promote(), Some(0), "the live deposed primary is fenced");
+        assert_eq!((group.primary_rank(), group.alive()), (1, 3));
+        for seq in 6..9 {
+            plain.apply_checked(&push_for(seq)).unwrap();
+            group.apply_checked(&push_for(seq)).unwrap();
+            assert!(group.verify_consistent(), "fenced member diverged at seq {seq}");
+        }
+        // a dead primary is deposed without a fence
+        group.kill(1).unwrap();
+        assert_eq!(group.promote(), None);
+        assert_eq!(group.applied(), 9, "promoted backup resumes at the same watermark");
+        for seq in 9..12 {
             plain.apply_checked(&push_for(seq)).unwrap();
             group.apply_checked(&push_for(seq)).unwrap();
         }
         assert_eq!(digest(group.primary().unwrap()), digest(&plain));
-        assert_eq!(group.failovers(), 1);
+        assert_eq!(digest(group.member(0).unwrap().0), digest(&plain));
+        assert_eq!(group.failovers(), 2);
     }
 
     #[test]
@@ -523,7 +506,7 @@ mod tests {
         for seq in 0..4 {
             group.apply_checked(&push_for(seq)).unwrap();
         }
-        group.kill_backup(2).unwrap();
+        group.kill(2).unwrap();
         for seq in 4..9 {
             group.apply_checked(&push_for(seq)).unwrap();
         }
@@ -539,7 +522,7 @@ mod tests {
         // capacity 2: the log trims aggressively, but checkpoints refresh
         // the snapshot, so catch-up still succeeds from the snapshot
         let mut group = ReplicaGroup::new(test_server(4), 2, 0, 1, 2);
-        group.kill_backup(1).unwrap();
+        group.kill(1).unwrap();
         for seq in 0..8 {
             group.apply_checked(&push_for(seq)).unwrap();
         }
@@ -562,7 +545,7 @@ mod tests {
         for capacity in [3usize, 5, 6, 7] {
             for stop in 1u64..16 {
                 let mut group = ReplicaGroup::new(test_server(7), 2, 0, 1, capacity);
-                group.kill_backup(1).unwrap();
+                group.kill(1).unwrap();
                 for seq in 0..stop {
                     group.apply_checked(&push_for(seq)).unwrap();
                 }
@@ -586,7 +569,7 @@ mod tests {
         // Force a stamp-domain divergence on backup 1: the next lockstep
         // push is stamped ahead of its watermark, so its intake reports a
         // gap instead of applying.
-        group.members[1].as_mut().unwrap().applied -= 1;
+        group.members[1].server.applied -= 1;
         assert_eq!(group.apply_checked(&push_for(3)).unwrap(), ApplyOutcome::Applied);
         assert_eq!(group.alive(), 2, "the diverged backup must be killed");
         assert!(group.verify_consistent(), "survivors stay byte-identical");
@@ -600,61 +583,36 @@ mod tests {
     }
 
     #[test]
-    fn suspicion_clamp_covers_a_maximally_jittered_gap() {
-        assert_eq!(HeartbeatConfig::max_jitter(8), 4);
-        assert_eq!(HeartbeatConfig::min_suspicion(8), 13);
-        assert_eq!(HeartbeatConfig::min_suspicion(1), 3);
-        // At the clamped timeout, no maximally jittered beat looks late.
-        for every in [1, 2, 8, 31] {
-            let hb = HeartbeatConfig {
-                every,
-                suspicion_after: HeartbeatConfig::min_suspicion(every),
-                jitter: HeartbeatConfig::max_jitter(every),
-                seed: 0xE1 ^ every,
-            };
-            assert!((0..256).all(|n| hb.delay(n) < hb.suspicion_after));
-        }
-    }
-
-    #[test]
-    fn killing_everyone_is_a_typed_error() {
-        let mut group = ReplicaGroup::new(test_server(5), 2, 0, 1, 8);
-        group.kill_primary().unwrap();
-        assert_eq!(group.kill_primary(), Err(ReplicaError::NoAliveMembers));
+    fn promotion_onto_a_dead_rank_is_a_typed_error_until_the_next_step() {
+        let mut group = ReplicaGroup::new(test_server(5), 3, 0, 1, 8);
+        group.apply_checked(&push_for(0)).unwrap();
+        group.kill(1).unwrap();
+        group.kill(0).unwrap();
+        assert_eq!(group.primary().err(), Some(ReplicaError::DeadMember(0)));
+        // the cyclic step does not skip the corpse at rank 1
+        assert_eq!(group.promote(), None);
+        assert_eq!(group.apply_checked(&push_for(1)), Err(ReplicaError::DeadMember(1)));
+        assert_eq!(group.promote(), None);
+        assert_eq!(group.apply_checked(&push_for(1)), Ok(ApplyOutcome::Applied));
+        assert_eq!((group.primary_rank(), group.failovers(), group.applied()), (2, 2, 2));
+        // corpses keep the state they died with
+        assert_eq!(group.member(1).map(|(m, alive)| (m.applied, alive)), Some((1, false)));
+        group.kill(2).unwrap();
         assert!(group.primary().is_err());
+        assert_eq!(group.survivor().applied, 2, "the most advanced corpse stands for the group");
+        assert_eq!(group.into_primary().err(), Some(ReplicaError::NoAliveMembers));
     }
 
     #[test]
-    fn kill_backup_rejects_primary_and_unknown_ranks() {
+    fn kill_rejects_unknown_and_dead_ranks() {
         let mut group = ReplicaGroup::new(test_server(6), 2, 0, 1, 8);
-        assert_eq!(group.kill_backup(0), Err(ReplicaError::DeadMember(0)));
-        assert!(matches!(group.kill_backup(7), Err(ReplicaError::UnknownRank { rank: 7, .. })));
-        group.kill_backup(1).unwrap();
-        assert_eq!(group.kill_backup(1), Err(ReplicaError::DeadMember(1)));
-    }
-
-    #[test]
-    fn failure_detector_suspects_after_typed_timeout() {
-        let mut det = FailureDetector::new(30, 100);
-        assert_eq!(det.suspected(129), None);
-        assert_eq!(det.suspected(130), Some(30));
-        det.record_heartbeat(125);
-        assert_eq!(det.suspected(130), None);
-        assert_eq!(det.silent_for(140), 15);
-        // a late old beat never regresses the watermark
-        det.record_heartbeat(60);
-        assert_eq!(det.silent_for(140), 15);
-    }
-
-    #[test]
-    fn heartbeat_jitter_is_deterministic_and_bounded() {
-        let hb = HeartbeatConfig { every: 8, suspicion_after: 30, jitter: 4, seed: 0xE1 };
-        let a: Vec<u64> = (0..32).map(|n| hb.delay(n)).collect();
-        let b: Vec<u64> = (0..32).map(|n| hb.delay(n)).collect();
-        assert_eq!(a, b, "same seed, same schedule");
-        assert!(a.iter().all(|&d| (8..=12).contains(&d)));
-        let other = HeartbeatConfig { seed: 0xE2, ..hb };
-        assert_ne!(a, (0..32).map(|n| other.delay(n)).collect::<Vec<_>>());
+        assert!(matches!(group.kill(7), Err(ReplicaError::UnknownRank { rank: 7, .. })));
+        group.kill(1).unwrap();
+        assert_eq!(group.kill(1), Err(ReplicaError::DeadMember(1)));
+        // the primary dies like any member; its role stays put
+        group.kill(0).unwrap();
+        assert_eq!((group.primary_rank(), group.alive()), (0, 0));
+        assert_eq!(group.kill(0), Err(ReplicaError::DeadMember(0)));
     }
 
     #[test]
@@ -676,7 +634,8 @@ mod tests {
         // the existing typed errors, not a revival from state it never kept
         assert_eq!(group.catch_up(0), Ok(()), "alive: nothing to do");
         assert!(matches!(group.catch_up(1), Err(ReplicaError::UnknownRank { rank: 1, .. })));
-        assert_eq!(group.kill_primary(), Err(ReplicaError::NoAliveMembers));
+        assert_eq!(group.promote(), None, "the role has nowhere to move");
+        group.kill(0).unwrap();
         assert_eq!(group.catch_up(0), Err(ReplicaError::NoAliveMembers));
         assert!(group.into_primary().is_err());
     }
@@ -701,11 +660,13 @@ mod tests {
                 plain.apply_checked(&push_for(seq)).unwrap();
                 group.apply_checked(&push_for(seq)).unwrap();
                 if seq + 1 == kill_at {
-                    group.kill_primary().unwrap();
+                    group.kill(group.primary_rank()).unwrap();
+                    group.promote();
                 }
             }
             if kill_at == 0 {
-                group.kill_primary().unwrap();
+                group.kill(group.primary_rank()).unwrap();
+                group.promote();
             }
             prop_assert!(group.verify_consistent());
             prop_assert_eq!(digest(group.primary().unwrap()), digest(&plain));

@@ -422,7 +422,7 @@ fn replica_serve(
         match msg {
             ShardMsg::Gather { seq, locals } => {
                 let Ok(primary) = group.primary_mut() else {
-                    break; // whole group dead: degrade
+                    break; // the primary role sits on a dead rank: degrade
                 };
                 let Ok(rows) = primary.serve_rows(seq, &locals) else {
                     break; // gather for a table this shard lacks
@@ -436,17 +436,17 @@ fn replica_serve(
                     break; // gap or unknown table from a FIFO: degrade
                 }
                 // Failover drill: kill the primary once its watermark
-                // reaches the next scheduled point. Adjacent watermarks
-                // exercise kill-during-promotion; lockstep replication
-                // makes the promoted backup byte-identical, so training
-                // continues as if nothing happened.
+                // reaches the next scheduled point and promote the next
+                // rank — the steps the simulator's failover scenarios
+                // take on suspicion. Adjacent watermarks exercise
+                // kill-during-promotion; lockstep replication makes the
+                // promoted backup byte-identical, so training continues
+                // as if nothing happened.
                 while next_kill < kills.len() && group.applied() >= kills[next_kill] {
                     next_kill += 1;
-                    if group.alive() <= 1 {
-                        continue; // never drill away the last copy
-                    }
-                    if group.kill_primary().is_err() {
-                        break;
+                    // never drill away the last copy
+                    if group.alive() > 1 && group.kill(group.primary_rank()).is_ok() {
+                        group.promote();
                     }
                 }
             }
@@ -455,8 +455,9 @@ fn replica_serve(
     let failovers = group.failovers();
     match group.into_primary() {
         Ok(server) => (server, failovers),
-        // PANIC-OK: the drill loop never kills the last alive member, so
-        // a dead group here means the group was constructed dead (zero
+        // PANIC-OK: the drill loop never kills the last alive member and
+        // a diverged backup dies only beside a live primary, so a dead
+        // group here means the group was constructed dead (zero
         // replicas), which `ReplicaGroup::new` forbids.
         Err(_) => unreachable!("replica drills never kill the last member"),
     }

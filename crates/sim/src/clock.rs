@@ -1,4 +1,5 @@
-//! Virtual time and the deterministic event queue.
+//! Virtual time, the deterministic event queue, and the failure
+//! detection that runs on them.
 //!
 //! The simulator never reads a real clock (consistent with the repo's
 //! `instant-now` lint): time is a `u64` tick counter that only advances
@@ -11,7 +12,15 @@
 //! * **monotonicity** — popping asserts that virtual time never moves
 //!   backwards, so a handler scheduling into the past is a bug caught at
 //!   the source.
+//!
+//! A primary beats on a seeded, jittered [`HeartbeatConfig`] schedule and
+//! the worker runs one [`FailureDetector`] per shard over the same ticks.
+//! Detection lives here because the simulator is its only user; what a
+//! group does once a failure is suspected is `el_pipeline::ReplicaGroup`'s
+//! `kill`, `promote` and `catch_up`, which the trainer's kill drill calls
+//! too.
 
+use el_pipeline::replica::splitmix64;
 use std::collections::BinaryHeap;
 
 /// One scheduled event. Ordering compares `(time, ticket)` only — the
@@ -94,15 +103,74 @@ impl<E> EventQueue<E> {
     }
 }
 
-/// splitmix64 — the simulator's seed-mixing primitive. Small, stateless
-/// and well distributed; used to derive independent deterministic streams
-/// (fault parameters, latency jitter, pseudo-loss constants) from one
-/// master seed without coupling them.
-pub fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+/// Heartbeat schedule with deterministic seeded jitter: interval `every`
+/// plus `splitmix64(seed ^ n) % (jitter + 1)` for the n-th beat — the same
+/// seed always yields the same schedule, so seeded replays stay
+/// bit-for-bit while distinct shards decorrelate.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct HeartbeatConfig {
+    /// Base ticks between heartbeats.
+    pub every: u64,
+    /// Ticks of silence before suspicion.
+    pub suspicion_after: u64,
+    /// Maximum jitter added to each interval.
+    pub jitter: u64,
+    /// Jitter seed (mix in the shard/rank identity).
+    pub seed: u64,
+}
+
+impl HeartbeatConfig {
+    /// Maximum jitter a beat interval of `every` ticks carries (half the
+    /// interval, at least one tick).
+    pub fn max_jitter(every: u64) -> u64 {
+        (every / 2).max(1)
+    }
+
+    /// Minimum safe suspicion timeout for a beat interval of `every`
+    /// ticks: one full interval plus its maximum jitter plus one tick,
+    /// so a single maximally jittered heartbeat gap can never trip the
+    /// detector on its own.
+    pub fn min_suspicion(every: u64) -> u64 {
+        every + Self::max_jitter(every) + 1
+    }
+
+    /// Delay before the `n`-th heartbeat.
+    pub fn delay(&self, n: u64) -> u64 {
+        self.every + splitmix64(self.seed ^ n) % (self.jitter + 1)
+    }
+}
+
+/// Failure detector over virtual ticks: records the last time a
+/// heartbeat was heard and reports suspicion after a typed timeout.
+#[derive(Clone, Copy, Debug)]
+pub struct FailureDetector {
+    suspicion_after: u64,
+    last_heard: u64,
+}
+
+impl FailureDetector {
+    /// A detector that considers `now` the moment it last heard from the
+    /// peer (grace on creation and on failover).
+    pub fn new(suspicion_after: u64, now: u64) -> Self {
+        Self { suspicion_after: suspicion_after.max(1), last_heard: now }
+    }
+
+    /// Records a heartbeat (monotone: a late-delivered old beat never
+    /// moves the watermark backwards).
+    pub fn record_heartbeat(&mut self, now: u64) {
+        self.last_heard = self.last_heard.max(now);
+    }
+
+    /// Ticks since the peer was last heard.
+    pub fn silent_for(&self, now: u64) -> u64 {
+        now.saturating_sub(self.last_heard)
+    }
+
+    /// `Some(silent_for)` once silence reaches the suspicion timeout.
+    pub fn suspected(&self, now: u64) -> Option<u64> {
+        let silent = self.silent_for(now);
+        (silent >= self.suspicion_after).then_some(silent)
+    }
 }
 
 #[cfg(test)]
@@ -145,11 +213,43 @@ mod tests {
     }
 
     #[test]
-    fn splitmix_is_deterministic_and_spreads() {
-        assert_eq!(splitmix64(1), splitmix64(1));
-        assert_ne!(splitmix64(1), splitmix64(2));
-        // low bits must differ across consecutive seeds (used modulo small n)
-        let lows: std::collections::HashSet<u64> = (0..64).map(|x| splitmix64(x) % 16).collect();
-        assert!(lows.len() > 8);
+    fn suspicion_clamp_covers_a_maximally_jittered_gap() {
+        assert_eq!(HeartbeatConfig::max_jitter(8), 4);
+        assert_eq!(HeartbeatConfig::min_suspicion(8), 13);
+        assert_eq!(HeartbeatConfig::min_suspicion(1), 3);
+        // At the clamped timeout, no maximally jittered beat looks late.
+        for every in [1, 2, 8, 31] {
+            let hb = HeartbeatConfig {
+                every,
+                suspicion_after: HeartbeatConfig::min_suspicion(every),
+                jitter: HeartbeatConfig::max_jitter(every),
+                seed: 0xE1 ^ every,
+            };
+            assert!((0..256).all(|n| hb.delay(n) < hb.suspicion_after));
+        }
+    }
+
+    #[test]
+    fn failure_detector_suspects_after_typed_timeout() {
+        let mut det = FailureDetector::new(30, 100);
+        assert_eq!(det.suspected(129), None);
+        assert_eq!(det.suspected(130), Some(30));
+        det.record_heartbeat(125);
+        assert_eq!(det.suspected(130), None);
+        assert_eq!(det.silent_for(140), 15);
+        // a late old beat never regresses the watermark
+        det.record_heartbeat(60);
+        assert_eq!(det.silent_for(140), 15);
+    }
+
+    #[test]
+    fn heartbeat_jitter_is_deterministic_and_bounded() {
+        let hb = HeartbeatConfig { every: 8, suspicion_after: 30, jitter: 4, seed: 0xE1 };
+        let a: Vec<u64> = (0..32).map(|n| hb.delay(n)).collect();
+        let b: Vec<u64> = (0..32).map(|n| hb.delay(n)).collect();
+        assert_eq!(a, b, "same seed, same schedule");
+        assert!(a.iter().all(|&d| (8..=12).contains(&d)));
+        let other = HeartbeatConfig { seed: 0xE2, ..hb };
+        assert_ne!(a, (0..32).map(|n| other.delay(n)).collect::<Vec<_>>());
     }
 }

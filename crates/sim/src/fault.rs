@@ -13,7 +13,7 @@
 //! `ShardDeath { shard: 0, .. }`. A fault naming a shard or rank the
 //! topology does not have never fires.
 
-use crate::clock::splitmix64;
+use el_pipeline::replica::splitmix64;
 use std::fmt;
 
 /// One injected fault.
@@ -116,7 +116,7 @@ pub enum Fault {
     },
     /// Backup replica `rank` of shard `shard` dies after the group has
     /// applied `after_applied` batches, optionally rejoining later
-    /// through the checkpoint catch-up path.
+    /// through the group's catch-up path (snapshot plus log replay).
     BackupDeath {
         /// The shard whose backup dies.
         shard: u32,

@@ -5,25 +5,27 @@
 //! the OS scheduler happens to produce. This crate removes the scheduler:
 //! a virtual clock and a seeded discrete-event queue ([`clock`]) drive
 //! the hosted-table protocol the threaded trainer runs — the router's
-//! fan-out and stitch halves, the shard-side `HostServer::serve_rows` and
-//! `apply_checked`, the worker's `WorkerCache` stages — through arbitrary
-//! interleavings, at any topology of `N` shards × `K` replicas, while a
-//! seeded [`fault::FaultPlan`] injects worker stalls and deaths, member,
-//! shard and process death, prefetch delays, intake saturation, dropped,
-//! duplicated and delayed gradient deliveries, heartbeat loss and
-//! partitions.
+//! fan-out and stitch halves, the shard-side `HostServer::serve_rows`,
+//! the `ReplicaGroup` every shard is, the worker's `WorkerCache` stages —
+//! through arbitrary interleavings, at any topology of `N` shards × `K`
+//! replicas, while a seeded [`fault::FaultPlan`] injects worker stalls
+//! and deaths, member, shard and process death, prefetch delays, intake
+//! saturation, dropped, duplicated and delayed gradient deliveries,
+//! heartbeat loss and partitions.
 //!
 //! Every run is a pure function of `(SimConfig, FaultPlan, seed)` — no
 //! threads, no wall clock — so a failing seed from a CI sweep replays
 //! bit-for-bit on any machine (`cargo xtask sim <scenario> --seed N`).
 //!
-//! * [`clock`] — virtual time, deterministic event scheduling, splitmix64,
+//! * [`clock`] — virtual time, deterministic event scheduling, the
+//!   heartbeat schedule and the failure detector,
 //! * [`fault`] — the fault model and the seeded plan derivations,
 //! * [`trace`] — the observable protocol history of a run,
 //! * [`sim`] — the simulation itself: one event loop over `(N, K)` —
-//!   hosts behind the shard router, lockstep replica groups, heartbeat
-//!   failure detection, promotion, fencing, catch-up, the worker, the
-//!   unreliable links, resumable checkpointing sessions,
+//!   hosts behind the shard router, each shard the trainer's own
+//!   `ReplicaGroup` (lockstep apply, promotion, fencing, catch-up),
+//!   heartbeat failure detection, the worker, the unreliable links,
+//!   resumable checkpointing sessions,
 //! * [`oracle`] — the sequential reference with per-batch prefix digests,
 //!   globally and per shard,
 //! * [`invariants`] — per-member exactly-once / stitched staleness bound

@@ -25,7 +25,6 @@
 //! the oracle prefix at `c`, so resuming from it can only converge back
 //! to the oracle.
 
-use crate::clock::splitmix64;
 use crate::fault::{Fault, FaultPlan};
 use crate::invariants::Violation;
 use crate::oracle::Oracle;
@@ -35,6 +34,7 @@ use el_dlrm::embedding_bag::EmbeddingBag;
 use el_pipeline::ckpt::{
     encode_frames, CkptError, CkptStore, HostedTableCheckpoint, Section, Storage,
 };
+use el_pipeline::replica::splitmix64;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
@@ -76,20 +76,6 @@ impl SimCheckpoint {
     /// layout, whatever layout the running tier used.
     pub fn single(applied: u64, tables: Vec<(usize, EmbeddingBag)>) -> Self {
         Self { applied, shard: 0, num_shards: 1, tables }
-    }
-
-    /// Validates that this checkpoint belongs to slot `shard` of an
-    /// `num_shards`-wide layout, rejecting a layout or slot change with a
-    /// typed [`CkptError::StateMismatch`] instead of silently resuming
-    /// the wrong sub-tables.
-    pub fn for_slot(self, shard: u32, num_shards: u32) -> Result<Self, CkptError> {
-        if self.shard != shard || self.num_shards != num_shards {
-            return Err(CkptError::StateMismatch(format!(
-                "checkpoint is shard {}/{} but slot {}/{} was requested",
-                self.shard, self.num_shards, shard, num_shards
-            )));
-        }
-        Ok(self)
     }
 
     /// Serializes into the framed container.
@@ -350,28 +336,8 @@ mod tests {
                 assert_eq!(info.next_batch, 7);
             }
         }
-    }
-
-    #[test]
-    fn sim_checkpoint_rejects_a_layout_or_slot_change() {
-        let tables = build_tables(&SimConfig::default());
-        let ckpt = SimCheckpoint { applied: 7, shard: 1, num_shards: 4, tables };
-        // the right slot passes through unchanged
-        let same = ckpt.clone().for_slot(1, 4).unwrap();
-        assert_eq!((same.shard, same.num_shards), (1, 4));
-        // wrong slot and wrong layout are both typed rejections
-        for (shard, num_shards) in [(2, 4), (1, 2), (0, 1)] {
-            match ckpt.clone().for_slot(shard, num_shards) {
-                Err(CkptError::StateMismatch(msg)) => {
-                    assert!(msg.contains("1/4"), "message names the stored slot: {msg}");
-                }
-                Err(other) => panic!("slot {shard}/{num_shards} must be StateMismatch: {other:?}"),
-                Ok(_) => panic!("slot {shard}/{num_shards} must be rejected"),
-            }
-        }
         // an impossible slot on disk is corruption, not a resume target
-        let mut bad = ckpt.clone();
-        bad.shard = 9;
+        let bad = SimCheckpoint { applied: 7, shard: 9, num_shards: 4, tables };
         let bytes = bad.to_framed_bytes();
         assert!(matches!(SimCheckpoint::from_framed_bytes(&bytes), Err(CkptError::Corrupt(_))));
     }

@@ -4,9 +4,9 @@
 //! (`SimConfig::shard`), each a lockstep group of `K` replicas
 //! (`SimConfig::replicas`). It runs the code the threaded trainer runs,
 //! not a copy of it: every gather is [`ShardRouter::fan_out`], one
-//! [`HostServer::serve_rows`] per believed primary and
+//! [`HostServer::serve_rows`] per primary and
 //! [`ShardRouter::stitch`], every push is [`ShardRouter::scatter_push`]
-//! into [`HostServer::apply_checked`], and the one virtual worker is a
+//! into [`ReplicaGroup::apply_checked`], and the one virtual worker is a
 //! [`WorkerCache`] whose two stages surround a pseudo-loss instead of the
 //! model's step. The virtual links — prefetch delivery, one gradient link
 //! and one acknowledgement link per shard, heartbeats — have seeded
@@ -21,16 +21,18 @@
 //!   ([`HostServer::apply_checked`]: duplicates ignored, out-of-order
 //!   pushes buffered until the gap fills). Each shard is its own stamp
 //!   domain; a gather's staleness stamp is the per-shard minimum.
-//! * **Lockstep replication.** A group's intake applies to every alive
-//!   member at the same tick, so primary and backups are byte-identical
-//!   at every watermark. With `K ≥ 2` each believed primary beats on the
-//!   jittered [`HeartbeatConfig`] schedule and the worker runs one
-//!   [`FailureDetector`] per shard (the exact types the pipeline trainer
-//!   uses): on suspicion it promotes the next rank cyclically, fences the
-//!   old primary if it still lives, and resends what is unacknowledged.
-//!   A dead backup scheduled to rejoin restores a real framed
-//!   [`SimCheckpoint`] taken from the current primary. A group of one has
-//!   nobody to promote, so it arms no heartbeats and no detector.
+//! * **Lockstep replication.** Every shard is the trainer's own
+//!   [`ReplicaGroup`]: its [`ReplicaGroup::apply_checked`] applies each
+//!   push to every alive member at the same tick, so primary and backups
+//!   are byte-identical at every watermark. With `K ≥ 2` each primary
+//!   beats on the jittered [`HeartbeatConfig`] schedule and the worker
+//!   runs one [`FailureDetector`] per shard (both in [`crate::clock`]):
+//!   on suspicion it takes the group's [`ReplicaGroup::promote`] step,
+//!   which fences the old primary if it still lives, and resends what is
+//!   unacknowledged. A dead backup scheduled to rejoin goes through
+//!   [`ReplicaGroup::catch_up`] (snapshot plus gradient-log replay). A
+//!   group of one has nobody to promote, so it arms no heartbeats and no
+//!   detector.
 //! * **Durability.** A session may resume from recovered tables and save
 //!   checkpoints of the merged tables through a [`CkptSink`];
 //!   [`crate::fault::Fault::Crash`] and a failed save kill the whole
@@ -47,17 +49,16 @@
 //! `(SimConfig, FaultPlan, schedule_seed)`, so any failing seed replays
 //! bit-for-bit.
 
-use crate::clock::{splitmix64, EventQueue};
+use crate::clock::{EventQueue, FailureDetector, HeartbeatConfig};
 use crate::fault::FaultPlan;
-use crate::recovery::SimCheckpoint;
 use crate::trace::{Trace, TraceEvent};
 use el_data::{DatasetSpec, SyntheticDataset};
 use el_dlrm::embedding_bag::EmbeddingBag;
 use el_pipeline::ckpt::CkptError;
+use el_pipeline::replica::splitmix64;
 use el_pipeline::server::{ApplyOutcome, GradientPush, HostServer, PrefetchedBatch};
 use el_pipeline::{
-    merge_tables, split_tables, FailureDetector, HeartbeatConfig, ShardConfig, ShardLayout,
-    ShardRouter, WorkerCache,
+    merge_tables, split_tables, ReplicaGroup, ShardConfig, ShardLayout, ShardRouter, WorkerCache,
 };
 use el_tensor::Matrix;
 use rand::rngs::StdRng;
@@ -88,7 +89,11 @@ const REJOIN_RETRY: u64 = 8;
 /// Promotions per shard before the worker declares the shard unreachable
 /// and halts (a livelock fuse, far above what any bounded fault window
 /// can cause: only a group with no live member blows it).
-const PROMOTION_CAP: u32 = 16;
+const PROMOTION_CAP: u64 = 16;
+/// Gradient-log entries a group retains for catch-up. Small and not a
+/// power of two, so the sweeps refresh the snapshot every few batches and
+/// the log's ring wraps its allocation.
+const LOG_CAPACITY: usize = 5;
 
 /// Static configuration of one simulated run (everything except the
 /// faults and the schedule seed).
@@ -239,21 +244,20 @@ pub struct SimReport {
     /// Terminal state ([`Outcome::Completed`] iff **every** group's
     /// watermark reached the schedule).
     pub outcome: Outcome,
-    /// Per-shard group watermarks at termination (the maximum over that
-    /// group's members — lockstep keeps alive members equal).
+    /// Per-shard group watermarks at termination
+    /// ([`ReplicaGroup::applied`]).
     pub applied: Vec<u64>,
     /// Per-member final state, `members[shard][rank]`.
     pub members: Vec<Vec<MemberState>>,
     /// Full protocol trace, in virtual-time order.
     pub trace: Trace,
     /// The global tables, merged from one copy of each shard's final
-    /// sub-tables: the believed primary's when alive, else any survivor's
-    /// (byte-identical by lockstep), else the most advanced corpse's.
+    /// sub-tables ([`ReplicaGroup::survivor`]).
     pub merged_tables: Vec<(usize, EmbeddingBag)>,
     /// FNV-1a digest of the merged tables (byte-identity proxy).
     pub merged_digest: u64,
     /// Promotions the worker performed per shard.
-    pub promotions: Vec<u32>,
+    pub promotions: Vec<u64>,
     /// Stale pre-fetched rows the worker's cache corrected.
     pub stale_hits: u64,
     /// Virtual time at termination.
@@ -390,13 +394,13 @@ enum Ev {
     StallOver,
     /// The worker finishes computing a batch.
     ComputeDone(u64),
-    /// A scattered push delivery reaches one shard's believed primary.
+    /// A scattered push delivery reaches one shard's primary.
     PushArrive { shard: u32, push: Box<GradientPush> },
     /// One shard's acknowledgement reaches the worker.
     AckArrive { shard: u32, seq: u64 },
     /// The worker's retransmission timer for one shard's push fires.
     RetryFire { shard: u32, seq: u64 },
-    /// One shard's believed primary emits its `n`-th heartbeat.
+    /// One shard's primary emits its `n`-th heartbeat.
     HeartbeatFire { shard: u32, n: u64 },
     /// A heartbeat from `rank` reaches the worker.
     HeartbeatArrive { shard: u32, rank: u32 },
@@ -404,13 +408,6 @@ enum Ev {
     SuspectCheck { shard: u32 },
     /// A dead member's scheduled catch-up rejoin fires.
     RejoinFire { shard: u32, rank: u32 },
-}
-
-/// One member of a shard's replica group. Death only clears `alive`: the
-/// server keeps the state it died with for the end-of-run oracle check.
-struct Member {
-    server: HostServer,
-    alive: bool,
 }
 
 /// The running simulation state.
@@ -421,17 +418,15 @@ struct Simulation<'a> {
     rng: StdRng,
     dataset: SyntheticDataset,
     trace: Trace,
-    // the host tier: groups[shard][rank]
+    // the host tier: one replica group per shard
     router: ShardRouter,
-    groups: Vec<Vec<Member>>,
+    groups: Vec<ReplicaGroup>,
     pending: Vec<BTreeMap<u64, GradientPush>>,
     primary_kills: Vec<Vec<u64>>, // remaining, sorted ascending
     backup_kills: Vec<Vec<(u32, u64, u64)>>, // remaining (rank, watermark, rejoin)
     next_gather: u64,
     occupancy: usize,
-    // worker-side failover state
-    believed: Vec<usize>,
-    promotions: Vec<u32>,
+    // worker-side failure detection
     detectors: Vec<FailureDetector>,
     heartbeats: Vec<HeartbeatConfig>,
     // worker
@@ -476,18 +471,16 @@ pub fn run_session(
         }
         None => build_tables(cfg),
     };
-    let replicas = cfg.replicas.max(1) as usize;
-    let groups: Vec<Vec<Member>> = split_tables(&global, &layout)
-        .expect("the layout places exactly the config's tables")
-        .into_iter()
-        .map(|sub| {
-            (0..replicas)
-                .map(|_| {
-                    let mut server = HostServer::new(sub.clone(), cfg.lr);
-                    server.applied = start;
-                    Member { server, alive: true }
-                })
-                .collect()
+    let replicas = cfg.replicas.max(1);
+    let subs =
+        split_tables(&global, &layout).expect("the layout places exactly the config's tables");
+    let num_shards = subs.len() as u32;
+    let groups: Vec<ReplicaGroup> = (0..num_shards)
+        .zip(subs)
+        .map(|(s, sub)| {
+            let mut server = HostServer::new(sub, cfg.lr);
+            server.applied = start;
+            ReplicaGroup::new(server, replicas, s, num_shards, LOG_CAPACITY)
         })
         .collect();
     let n = groups.len();
@@ -506,8 +499,6 @@ pub fn run_session(
         groups,
         next_gather: start,
         occupancy: 0,
-        believed: vec![0; n],
-        promotions: vec![0; n],
         detectors: (0..n).map(|_| FailureDetector::new(suspicion, 0)).collect(),
         heartbeats: (0..n).map(|s| cfg.heartbeat(s as u32, schedule_seed)).collect(),
         worker_alive: true,
@@ -538,48 +529,25 @@ impl Simulation<'_> {
         self.rng.gen_range(0..JITTER)
     }
 
-    /// One shard group's applied watermark: the maximum over its members.
-    /// Lockstep keeps alive members equal and a rejoiner lands at the
-    /// watermark, so a corpse is never ahead of a survivor; a group with
-    /// no survivor stays frozen at the watermark it died with.
-    fn group_applied(&self, s: usize) -> u64 {
-        self.groups[s].iter().map(|m| m.server.applied).max().unwrap_or(0)
-    }
-
-    /// Whether the shard's believed primary is an alive member.
-    fn believed_alive(&self, s: usize) -> bool {
-        self.groups[s][self.believed[s]].alive
+    /// Whether the shard's primary role sits on an alive member.
+    fn primary_alive(&self, s: usize) -> bool {
+        self.groups[s].primary().is_ok()
     }
 
     fn min_applied(&self) -> u64 {
-        (0..self.groups.len()).map(|s| self.group_applied(s)).min().unwrap_or(0)
+        self.groups.iter().map(ReplicaGroup::applied).min().unwrap_or(0)
     }
 
     /// True once the worker no longer needs shard `s`'s recurring
     /// timers: the group finished the schedule (or the worker is gone).
     fn shard_done(&self, s: usize) -> bool {
-        !self.worker_alive || self.group_applied(s) >= self.cfg.num_batches
-    }
-
-    /// One copy of every shard's sub-tables (see
-    /// [`SimReport::merged_tables`] for which member is picked).
-    fn shard_tables(&self) -> Vec<Vec<(usize, EmbeddingBag)>> {
-        (0..self.groups.len())
-            .map(|s| {
-                let group = &self.groups[s];
-                let pick = Some(&group[self.believed[s]])
-                    .filter(|m| m.alive)
-                    .or_else(|| group.iter().find(|m| m.alive))
-                    .or_else(|| group.iter().max_by_key(|m| m.server.applied))
-                    .expect("a group has at least one member");
-                pick.server.tables.clone()
-            })
-            .collect()
+        !self.worker_alive || self.groups[s].applied() >= self.cfg.num_batches
     }
 
     /// The shards' sub-tables merged back into the global tables.
     fn merged_tables(&self) -> Vec<(usize, EmbeddingBag)> {
-        merge_tables(&self.shard_tables(), self.router.layout())
+        let shards: Vec<_> = self.groups.iter().map(|g| g.survivor().tables.clone()).collect();
+        merge_tables(&shards, self.router.layout())
             .expect("sub-tables always merge under their own layout")
     }
 
@@ -596,7 +564,7 @@ impl Simulation<'_> {
             self.handle(ev);
             self.step();
         }
-        let applied: Vec<u64> = (0..self.groups.len()).map(|s| self.group_applied(s)).collect();
+        let applied: Vec<u64> = self.groups.iter().map(ReplicaGroup::applied).collect();
         let outcome = if out_of_budget {
             Outcome::OutOfBudget
         } else if self.crashed {
@@ -610,11 +578,12 @@ impl Simulation<'_> {
             .groups
             .iter()
             .map(|g| {
-                g.iter()
-                    .map(|m| MemberState {
-                        alive: m.alive,
-                        applied: m.server.applied,
-                        digest: digest_tables(&m.server.tables),
+                (0..g.members())
+                    .filter_map(|r| g.member(r))
+                    .map(|(m, alive)| MemberState {
+                        alive,
+                        applied: m.applied,
+                        digest: digest_tables(&m.tables),
                     })
                     .collect()
             })
@@ -626,7 +595,7 @@ impl Simulation<'_> {
             members,
             merged_digest: digest_tables(&merged_tables),
             merged_tables,
-            promotions: self.promotions,
+            promotions: self.groups.iter().map(ReplicaGroup::failovers).collect(),
             stale_hits: self.worker.stale_hits(),
             final_tick: self.q.now(),
             events_processed: events,
@@ -652,8 +621,11 @@ impl Simulation<'_> {
         self.crashed = true;
         self.worker_alive = false;
         self.trace.push(TraceEvent::CrashInjected { applied: self.min_applied() });
-        for m in self.groups.iter_mut().flatten() {
-            m.alive = false;
+        for group in &mut self.groups {
+            for rank in 0..group.members() {
+                // already-dead members stay as they are
+                let _ = group.kill(rank);
+            }
         }
         self.pending.iter_mut().for_each(BTreeMap::clear);
         self.inbox.clear();
@@ -661,42 +633,46 @@ impl Simulation<'_> {
         self.unacked.clear();
     }
 
-    /// Marks one member dead and records which role it died in.
-    fn kill(&mut self, s: usize, rank: usize, applied: u64) {
-        self.groups[s][rank].alive = false;
-        let was_primary = rank == self.believed[s];
-        let (shard, rank) = (s as u32, rank as u32);
-        self.trace.push(if was_primary {
+    /// Kills one member through [`ReplicaGroup::kill`] and records which
+    /// role it died in. Returns whether it died: a rank the group lacks or
+    /// a member already dead is left alone.
+    fn kill(&mut self, s: usize, rank: u32) -> bool {
+        let group = &mut self.groups[s];
+        if group.kill(rank).is_err() {
+            return false;
+        }
+        // the corpse keeps the state it died with
+        let applied = group.member(rank).map_or(0, |(m, _)| m.applied);
+        let shard = s as u32;
+        self.trace.push(if rank == group.primary_rank() {
             TraceEvent::PrimaryDied { shard, rank, applied }
         } else {
             TraceEvent::BackupDied { shard, rank, applied }
         });
+        true
     }
 
     /// Fires death schedules whose watermark the group has reached. A
     /// shard death takes every member at once. A primary kill takes
-    /// whoever is believed primary *now* — two kills at adjacent
+    /// whoever holds the primary role *now* — two kills at adjacent
     /// watermarks on one shard therefore kill the freshly promoted
     /// member, the kill-during-promotion case. A kill whose target is
     /// already dead waits for the next promotion to land on a live
     /// target.
     fn fire_deaths(&mut self, s: usize) {
-        let watermark = self.group_applied(s);
+        let watermark = self.groups[s].applied();
         if self.plan.shard_death_after(s as u32).is_some_and(|w| watermark >= w) {
-            for rank in 0..self.groups[s].len() {
-                if self.groups[s][rank].alive {
-                    self.kill(s, rank, self.groups[s][rank].server.applied);
-                }
+            for rank in 0..self.groups[s].members() {
+                self.kill(s, rank);
             }
             self.pending[s].clear(); // the intake buffer dies with it
         }
         while let Some(&w) = self.primary_kills[s].first() {
-            if watermark < w || !self.believed_alive(s) {
+            if watermark < w || !self.primary_alive(s) {
                 break;
             }
             self.primary_kills[s].remove(0);
-            let rank = self.believed[s];
-            self.kill(s, rank, self.groups[s][rank].server.applied);
+            self.kill(s, self.groups[s].primary_rank());
             self.pending[s].clear();
         }
         let (due, later): (Vec<_>, Vec<_>) = std::mem::take(&mut self.backup_kills[s])
@@ -704,25 +680,22 @@ impl Simulation<'_> {
             .partition(|&(_, w, _)| watermark >= w);
         self.backup_kills[s] = later;
         for (rank, _, rejoin) in due {
-            let r = rank as usize;
             // the drill is dropped when its target is the primary now,
             // is already dead, or is a rank the group does not have
-            if r == self.believed[s] || !self.groups[s].get(r).is_some_and(|m| m.alive) {
-                continue;
-            }
-            self.kill(s, r, watermark);
-            if rejoin > 0 {
+            if rank != self.groups[s].primary_rank() && self.kill(s, rank) && rejoin > 0 {
                 self.q.schedule(rejoin, Ev::RejoinFire { shard: s as u32, rank });
             }
         }
     }
 
-    /// Applies one group's buffered pushes in order: every alive member
-    /// applies the same push at the same tick (lockstep), so the group
-    /// stays byte-identical at every watermark. Stops at a gap, or while
-    /// the believed primary is dead (intake needs a live primary). Other
-    /// shards are untouched: each shard's stamp domain advances
-    /// independently.
+    /// Applies one group's buffered pushes in order through
+    /// [`ReplicaGroup::apply_checked`]: every alive member applies the
+    /// same push at the same tick (lockstep), and each member lockstep
+    /// promised the push to is traced as having applied it, so a member
+    /// that silently fell behind shows up against its own watermark.
+    /// Stops at a gap, or while the primary is dead (intake needs a live
+    /// primary). Other shards are untouched: each shard's stamp domain
+    /// advances independently.
     fn drain_group(&mut self, s: usize) {
         loop {
             if !self.crashed && self.plan.crash_after().is_some_and(|c| self.min_applied() >= c) {
@@ -730,20 +703,21 @@ impl Simulation<'_> {
                 return;
             }
             self.fire_deaths(s);
-            if !self.believed_alive(s) {
+            if !self.primary_alive(s) {
                 return;
             }
-            let next = self.group_applied(s);
+            let group = &mut self.groups[s];
+            let next = group.applied();
             let Some(push) = self.pending[s].remove(&next) else { return };
-            for (rank, m) in self.groups[s].iter_mut().enumerate().filter(|(_, m)| m.alive) {
-                match m.server.apply_checked(&push) {
-                    Ok(ApplyOutcome::Applied) => self.trace.push(TraceEvent::Applied {
-                        shard: s as u32,
-                        rank: rank as u32,
-                        seq: next,
-                    }),
-                    other => unreachable!("lockstep apply of seq {next} must land, got {other:?}"),
-                }
+            let alive: Vec<u32> = (0..group.members())
+                .filter(|&r| group.member(r).is_some_and(|(_, alive)| alive))
+                .collect();
+            match group.apply_checked(&push) {
+                Ok(ApplyOutcome::Applied) => {}
+                other => unreachable!("the in-order push {next} must land, got {other:?}"),
+            }
+            for rank in alive {
+                self.trace.push(TraceEvent::Applied { shard: s as u32, rank, seq: next });
             }
             if !self.plan.partitioned_at(s as u32, self.q.now()) {
                 self.schedule_ack(s as u32, next);
@@ -765,9 +739,7 @@ impl Simulation<'_> {
     fn maybe_checkpoint(&mut self) {
         let Some(every) = self.ckpt.as_ref().map(|(_, every)| *every) else { return };
         let applied = self.min_applied();
-        if !applied.is_multiple_of(every)
-            || (0..self.groups.len()).any(|s| self.group_applied(s) != applied)
-        {
+        if !applied.is_multiple_of(every) || self.groups.iter().any(|g| g.applied() != applied) {
             return;
         }
         let tables = self.merged_tables();
@@ -781,7 +753,7 @@ impl Simulation<'_> {
         }
     }
 
-    /// Gathers while every shard has a live, reachable believed primary,
+    /// Gathers while every shard has a live, reachable primary,
     /// the pre-fetch queue has room, and the **stitched** staleness gate
     /// allows: batch `k` may only be gathered once `k - min(applied)` is
     /// within the configured bound, so the reassembled stamp (the
@@ -793,7 +765,7 @@ impl Simulation<'_> {
         loop {
             let now = self.q.now();
             let reachable =
-                (0..n).all(|s| self.believed_alive(s) && !self.plan.partitioned_at(s as u32, now));
+                (0..n).all(|s| self.primary_alive(s) && !self.plan.partitioned_at(s as u32, now));
             if !reachable
                 || self.next_gather >= self.cfg.num_batches
                 || self.occupancy >= self.cfg.prefetch_depth
@@ -803,7 +775,7 @@ impl Simulation<'_> {
             }
             let k = self.next_gather;
             // the trainer's router thread, one call at a time: fan out,
-            // each believed primary serves its share, stitch
+            // each primary serves its share, stitch
             let batch = self.dataset.batch(k, self.cfg.batch_size);
             let (pending, requests) = self
                 .router
@@ -811,8 +783,9 @@ impl Simulation<'_> {
                 .expect("config-derived layout always routes its own batches");
             let mut replies = Vec::with_capacity(n);
             for (s, locals) in requests.iter().enumerate() {
-                let reply = self.groups[s][self.believed[s]]
-                    .server
+                let reply = self.groups[s]
+                    .primary_mut()
+                    .expect("every primary is alive: checked above")
                     .serve_rows(k, locals)
                     .expect("every shard hosts every table");
                 self.trace.push(TraceEvent::Stamped {
@@ -891,23 +864,22 @@ impl Simulation<'_> {
         self.q.schedule(timeout, Ev::RetryFire { shard, seq });
     }
 
-    /// The worker's failover action: advance the believed primary to the
-    /// next rank cyclically, fence the old one if it still lives, resend
-    /// everything unacknowledged toward the shard, and grant the new
-    /// primary a fresh suspicion grace period.
+    /// The worker's failover action: the group's
+    /// [`ReplicaGroup::promote`] step (which fences the old primary if it
+    /// still lives), then resend everything unacknowledged toward the
+    /// shard and grant the new primary a fresh suspicion grace period.
     fn promote(&mut self, s: usize, silent_for: u64) {
-        let old = self.believed[s];
+        let group = &mut self.groups[s];
         let shard = s as u32;
-        self.trace.push(TraceEvent::PrimarySuspected { shard, rank: old as u32, silent_for });
-        self.promotions[s] += 1;
-        self.believed[s] = (old + 1) % self.groups[s].len();
-        if self.groups[s][old].alive {
-            // false suspicion: the deposed primary fences itself off the
-            // write path (lockstep keeps its bytes current as a backup)
-            self.trace.push(TraceEvent::SteppedDown { shard, rank: old as u32 });
+        let rank = group.primary_rank();
+        self.trace.push(TraceEvent::PrimarySuspected { shard, rank, silent_for });
+        if let Some(rank) = group.promote() {
+            // false suspicion: the fenced primary stays on as a backup
+            self.trace.push(TraceEvent::SteppedDown { shard, rank });
         }
-        let applied = self.groups[s][self.believed[s]].server.applied;
-        self.trace.push(TraceEvent::Promoted { shard, rank: self.believed[s] as u32, applied });
+        let rank = group.primary_rank();
+        let applied = group.member(rank).map_or(0, |(m, _)| m.applied);
+        self.trace.push(TraceEvent::Promoted { shard, rank, applied });
         let now = self.q.now();
         self.detectors[s].record_heartbeat(now);
         let resend: Vec<u64> =
@@ -954,15 +926,14 @@ impl Simulation<'_> {
                 if self.plan.partitioned_at(shard, self.q.now()) {
                     return; // dropped at the partition boundary
                 }
-                let primary = &self.groups[s][self.believed[s]];
-                if !primary.alive {
+                let Ok(primary) = self.groups[s].primary() else {
                     return; // delivered to a corpse: retries re-route later
-                }
+                };
                 let seq = push.batch_seq;
                 self.trace.push(TraceEvent::PushDelivered { shard, seq });
-                if seq < primary.server.applied || self.pending[s].contains_key(&seq) {
+                if seq < primary.applied || self.pending[s].contains_key(&seq) {
                     self.trace.push(TraceEvent::DuplicateIgnored { shard, seq });
-                    if seq < self.group_applied(s) {
+                    if seq < self.groups[s].applied() {
                         // already applied by the group: re-acknowledge so
                         // the worker stops retransmitting on this link
                         // (exactly-once is preserved because application,
@@ -1005,14 +976,14 @@ impl Simulation<'_> {
             Ev::HeartbeatFire { shard, n } => {
                 let s = shard as usize;
                 let now = self.q.now();
-                // the believed primary beats; a dead one stays silent —
-                // the schedule itself keeps ticking so a promoted
-                // successor resumes beating on the same timeline
-                if self.believed_alive(s)
+                // the primary beats; a dead one stays silent — the
+                // schedule itself keeps ticking so a promoted successor
+                // resumes beating on the same timeline
+                if self.primary_alive(s)
                     && !self.plan.heartbeat_lost_at(shard, now)
                     && !self.plan.partitioned_at(shard, now)
                 {
-                    let rank = self.believed[s] as u32;
+                    let rank = self.groups[s].primary_rank();
                     let d = HEARTBEAT_LATENCY + self.jitter();
                     self.q.schedule(d, Ev::HeartbeatArrive { shard, rank });
                 }
@@ -1023,7 +994,7 @@ impl Simulation<'_> {
             }
             Ev::HeartbeatArrive { shard, rank } => {
                 let s = shard as usize;
-                if self.worker_alive && rank as usize == self.believed[s] {
+                if self.worker_alive && rank == self.groups[s].primary_rank() {
                     // beats from a deposed rank are fenced out
                     self.detectors[s].record_heartbeat(self.q.now());
                 }
@@ -1033,7 +1004,7 @@ impl Simulation<'_> {
                 if self.shard_done(s) {
                     return;
                 }
-                if self.promotions[s] >= PROMOTION_CAP {
+                if self.groups[s].failovers() >= PROMOTION_CAP {
                     // every rank has been tried many times over and none
                     // answers — the whole group is gone: degrade rather
                     // than suspect forever
@@ -1048,13 +1019,11 @@ impl Simulation<'_> {
             }
             Ev::RejoinFire { shard, rank } => {
                 let s = shard as usize;
-                let r = rank as usize;
-                if self.groups[s][r].alive {
+                if self.groups[s].member(rank).is_some_and(|(_, alive)| alive) {
                     return;
                 }
-                let leader = &self.groups[s][self.believed[s]];
-                if !leader.alive {
-                    // no primary to catch up from yet: retry after the
+                if !self.primary_alive(s) {
+                    // no live primary to rejoin under yet: retry after the
                     // failover machinery has promoted one — unless the
                     // worker is done with this shard and never will
                     if !self.shard_done(s) {
@@ -1062,27 +1031,11 @@ impl Simulation<'_> {
                     }
                     return;
                 }
-                // a real checkpoint round-trip: the rejoiner restores the
-                // primary's state through the framed byte format
-                let num_shards = self.groups.len() as u32;
-                let ckpt = SimCheckpoint {
-                    applied: leader.server.applied,
-                    shard,
-                    num_shards,
-                    tables: leader.server.tables.clone(),
-                };
-                let restored = SimCheckpoint::from_framed_bytes(&ckpt.to_framed_bytes())
-                    .expect("a just-encoded checkpoint decodes")
-                    .for_slot(shard, num_shards)
-                    .expect("the slot is its own");
-                let mut server = HostServer::new(restored.tables, self.cfg.lr);
-                server.applied = restored.applied;
-                self.groups[s][r] = Member { server, alive: true };
-                self.trace.push(TraceEvent::CatchupInstalled {
-                    shard,
-                    rank,
-                    applied: restored.applied,
-                });
+                // the group's snapshot plus its gradient-log replay
+                let group = &mut self.groups[s];
+                group.catch_up(rank).expect("a group with a live primary catches any member up");
+                let applied = group.member(rank).map_or(0, |(m, _)| m.applied);
+                self.trace.push(TraceEvent::CatchupInstalled { shard, rank, applied });
             }
         }
     }
@@ -1198,7 +1151,7 @@ mod tests {
             ]);
             let r = run(&cfg, &plan, 5);
             assert_eq!(r.outcome, Outcome::Completed);
-            assert_eq!(r.promotions.iter().sum::<u32>(), 0);
+            assert_eq!(r.promotions.iter().sum::<u64>(), 0);
             assert!(!r.trace.any(|e| matches!(
                 e,
                 TraceEvent::PrimarySuspected { .. } | TraceEvent::BackupDied { .. }
@@ -1341,7 +1294,7 @@ mod tests {
                     |e| matches!(e, Promoted { shard: 0, rank: 2, .. }),
                 ],
             ),
-            // a dead backup rejoins through the checkpoint catch-up path
+            // a dead backup rejoins through the group's catch-up path
             (
                 at(3, 3),
                 5,

@@ -13,8 +13,8 @@
 //! Like [`crate::fault::FaultPlan`], plans derive deterministically from
 //! a seed, so a failing crash-sweep seed replays bit-for-bit.
 
-use crate::clock::splitmix64;
 use el_pipeline::ckpt::{CkptError, MemStorage, Storage};
+use el_pipeline::replica::splitmix64;
 use parking_lot::Mutex;
 use std::fmt;
 use std::sync::Arc;

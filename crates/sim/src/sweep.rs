@@ -279,7 +279,7 @@ fn check_seed(
                         plan.faults.len() as u64,
                         traced(|e| matches!(e, TraceEvent::PrimaryDied { .. })),
                         traced(|e| matches!(e, TraceEvent::BackupDied { .. })),
-                        r.promotions.iter().map(|&p| u64::from(p)).sum(),
+                        r.promotions.iter().sum(),
                         traced(|e| matches!(e, TraceEvent::CatchupInstalled { .. })),
                         r.stale_hits,
                     ];

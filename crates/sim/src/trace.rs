@@ -48,7 +48,7 @@ pub enum TraceEvent {
         /// Transmission attempt.
         delivery: u32,
     },
-    /// A push delivery reached a shard's believed primary.
+    /// A push delivery reached a shard's primary.
     PushDelivered {
         /// Receiving shard.
         shard: u32,
@@ -103,7 +103,7 @@ pub enum TraceEvent {
         /// Batch it died on.
         at_batch: u64,
     },
-    /// A shard's believed primary died (fault injection). With backups
+    /// A shard's primary died (fault injection). With backups
     /// the group keeps the shard's state; without, the shard is gone and
     /// its peers keep running.
     PrimaryDied {
@@ -151,7 +151,7 @@ pub enum TraceEvent {
     PrimarySuspected {
         /// The suspected shard.
         shard: u32,
-        /// The rank the worker believed was primary.
+        /// The rank that held the primary role.
         rank: u32,
         /// Heartbeat silence in ticks when suspicion fired.
         silent_for: u64,
@@ -173,7 +173,8 @@ pub enum TraceEvent {
         /// The stepping-down member's rank.
         rank: u32,
     },
-    /// A dead member rejoined via checkpoint catch-up.
+    /// A dead member rejoined via the group's catch-up (its retained
+    /// snapshot plus a replay of the gradient log).
     CatchupInstalled {
         /// The rejoining member's shard.
         shard: u32,
