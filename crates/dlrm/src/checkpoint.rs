@@ -1,4 +1,4 @@
-//! Model checkpointing.
+//! The model section of a checkpoint.
 //!
 //! Industry DLRM training runs for days; a training system needs durable
 //! snapshots. [`DlrmCheckpoint`] captures everything trainable (MLPs,
@@ -6,21 +6,15 @@
 //! accumulators) in a serde-serializable form; kernel workspaces and
 //! option flags that only affect speed are rebuilt on load.
 //!
-//! Two durability properties this module owns (DESIGN.md §11):
-//!
-//! * **Typed failure** — [`DlrmCheckpoint::restore`] returns a
-//!   [`CkptError`] instead of panicking, so a corrupt or future-versioned
-//!   file degrades into an error the caller can route around (e.g. fall
-//!   back to an older checkpoint).
-//! * **Atomic replacement** — [`DlrmCheckpoint::save_file`] goes through
-//!   [`atomic_write`] (temp file → fsync → rename → fsync directory), so
-//!   a crash mid-save can never destroy the previous checkpoint: the
-//!   target path always holds either the old bytes or the new bytes.
-//!
-//! Hosted tables are still serialized as dimension stubs *here* because
-//! their parameters live in the parameter server; the full
-//! training-state capture (server tables, push stamps, loader cursor) is
-//! `el_pipeline::ckpt::TrainingCheckpoint`, which embeds this checkpoint.
+//! This module owns the model payload's codec ([`DlrmCheckpoint::capture`],
+//! [`DlrmCheckpoint::restore`], [`DlrmCheckpoint::to_bytes`],
+//! [`DlrmCheckpoint::from_bytes`]) and its typed failure: a corrupt or
+//! future-versioned payload is a [`CkptError`], never a panic. It writes
+//! no file. The one durable format — a framed, checksummed file with this
+//! payload as its `model` section beside the hosted tables and the loader
+//! cursor, saved by one atomic write — is `el_pipeline::ckpt` (DESIGN.md
+//! §11). Hosted tables appear here only as dimension stubs, because their
+//! parameters live in the parameter server.
 
 use crate::embedding_bag::EmbeddingBag;
 use crate::mlp::Mlp;
@@ -30,8 +24,6 @@ use el_core::{TtEmbeddingBag, TtOptions, TtWorkspace};
 use el_tensor::tt::TtCores;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::io::{Read, Write};
-use std::path::Path;
 
 /// Typed checkpoint failure: corruption, versioning and IO are distinct
 /// conditions with distinct recoveries (fall back to an older file, warn
@@ -87,50 +79,6 @@ impl From<std::io::Error> for CkptError {
     fn from(e: std::io::Error) -> Self {
         CkptError::Io(e.to_string())
     }
-}
-
-/// Writes `bytes` to `path` atomically with respect to crashes:
-///
-/// 1. write to a fresh temp file in the **same directory** (rename must
-///    not cross filesystems),
-/// 2. `fsync` the temp file (contents durable before the name switch),
-/// 3. `rename` over the target (POSIX rename replaces atomically),
-/// 4. `fsync` the directory (the new directory entry itself durable).
-///
-/// A crash at any point leaves the target path holding either the
-/// complete old bytes or the complete new bytes — never a torn mix, and
-/// never nothing. This is the write path every checkpoint save uses.
-pub fn atomic_write(path: impl AsRef<Path>, bytes: &[u8]) -> std::io::Result<()> {
-    let path = path.as_ref();
-    let dir = match path.parent() {
-        Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
-        _ => std::path::PathBuf::from("."),
-    };
-    let file_name = path
-        .file_name()
-        .ok_or_else(|| std::io::Error::other("atomic_write target has no file name"))?
-        .to_string_lossy()
-        .into_owned();
-    let tmp = dir.join(format!(".{file_name}.tmp.{}", std::process::id()));
-    let result = (|| {
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(bytes)?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, path)?;
-        // Directory fsync makes the rename itself durable. Not every
-        // filesystem supports opening a directory for sync; failures to
-        // *open* are ignored (best effort), sync failures are not.
-        if let Ok(d) = std::fs::File::open(&dir) {
-            d.sync_all()?;
-        }
-        Ok(())
-    })();
-    if result.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    result
 }
 
 /// Serializable snapshot of one embedding layer.
@@ -263,21 +211,10 @@ impl DlrmCheckpoint {
         .map_err(CkptError::StateMismatch)
     }
 
-    /// Serializes to a writer as JSON.
-    pub fn save(&self, w: impl Write) -> std::io::Result<()> {
-        serde_json::to_writer(w, self).map_err(std::io::Error::other)
-    }
-
-    /// Serializes to a byte vector (the payload checkpoint stores frame).
+    /// Serializes to JSON bytes (the payload of a checkpoint's `model`
+    /// section).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        self.save(&mut buf).expect("serializing to a Vec cannot fail");
-        buf
-    }
-
-    /// Deserializes from a reader.
-    pub fn load(r: impl Read) -> std::io::Result<Self> {
-        serde_json::from_reader(r).map_err(std::io::Error::other)
+        serde_json::to_vec(self).expect("serializing to a Vec cannot fail")
     }
 
     /// Deserializes from bytes with a typed corruption error.
@@ -285,18 +222,6 @@ impl DlrmCheckpoint {
         let text = std::str::from_utf8(bytes)
             .map_err(|e| CkptError::Corrupt(format!("model payload not UTF-8: {e}")))?;
         serde_json::from_str(text).map_err(|e| CkptError::Corrupt(format!("model payload: {e}")))
-    }
-
-    /// Saves to a file path atomically (see [`atomic_write`]): a crash
-    /// mid-save leaves any previous checkpoint at `path` intact.
-    pub fn save_file(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        atomic_write(path, &self.to_bytes())
-    }
-
-    /// Loads from a file path.
-    pub fn load_file(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        let f = std::fs::File::open(path)?;
-        Self::load(std::io::BufReader::new(f))
     }
 }
 
@@ -340,9 +265,8 @@ mod tests {
         let batch = ds.batch(100, 32);
         let before = model.predict(&batch);
 
-        let mut buf = Vec::new();
-        DlrmCheckpoint::capture(&model).save(&mut buf).unwrap();
-        let mut restored = DlrmCheckpoint::load(&buf[..]).unwrap().restore().unwrap();
+        let bytes = DlrmCheckpoint::capture(&model).to_bytes();
+        let mut restored = DlrmCheckpoint::from_bytes(&bytes).unwrap().restore().unwrap();
         let after = restored.predict(&batch);
         assert_eq!(before, after, "restored model must predict identically");
     }
@@ -350,47 +274,10 @@ mod tests {
     #[test]
     fn restored_model_keeps_training() {
         let (model, ds) = trained_model();
-        let mut buf = Vec::new();
-        DlrmCheckpoint::capture(&model).save(&mut buf).unwrap();
-        let mut restored = DlrmCheckpoint::load(&buf[..]).unwrap().restore().unwrap();
+        let bytes = DlrmCheckpoint::capture(&model).to_bytes();
+        let mut restored = DlrmCheckpoint::from_bytes(&bytes).unwrap().restore().unwrap();
         let loss = restored.train_step(&ds.batch(50, 64));
         assert!(loss.is_finite());
-    }
-
-    #[test]
-    fn file_round_trip() {
-        let (model, ds) = trained_model();
-        let path = std::env::temp_dir().join("el_rec_ckpt_test.json");
-        DlrmCheckpoint::capture(&model).save_file(&path).unwrap();
-        let mut restored = DlrmCheckpoint::load_file(&path).unwrap().restore().unwrap();
-        std::fs::remove_file(&path).ok();
-        let batch = ds.batch(7, 16);
-        assert!(restored.predict(&batch).iter().all(|p| p.is_finite()));
-    }
-
-    #[test]
-    fn save_file_replaces_without_truncating_first() {
-        // The old save path opened the target with File::create (truncate
-        // in place) — a crash mid-write destroyed the only copy. The
-        // atomic path must leave the previous file fully intact until the
-        // rename, so after any number of re-saves the file is a complete,
-        // loadable checkpoint and no temp litter remains.
-        let (model, _) = trained_model();
-        let dir = std::env::temp_dir().join(format!("el_rec_atomic_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("ckpt.json");
-        for _ in 0..3 {
-            DlrmCheckpoint::capture(&model).save_file(&path).unwrap();
-            let restored = DlrmCheckpoint::load_file(&path).unwrap().restore();
-            assert!(restored.is_ok(), "every save must leave a loadable file");
-        }
-        let leftovers: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-            .filter(|n| n != "ckpt.json")
-            .collect();
-        assert!(leftovers.is_empty(), "temp litter left behind: {leftovers:?}");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -428,9 +315,8 @@ mod tests {
     fn hosted_tables_round_trip_as_stubs() {
         let (mut model, _) = trained_model();
         model.tables[1] = EmbeddingLayer::Hosted { dim: 8 };
-        let mut buf = Vec::new();
-        DlrmCheckpoint::capture(&model).save(&mut buf).unwrap();
-        let restored = DlrmCheckpoint::load(&buf[..]).unwrap().restore().unwrap();
+        let bytes = DlrmCheckpoint::capture(&model).to_bytes();
+        let restored = DlrmCheckpoint::from_bytes(&bytes).unwrap().restore().unwrap();
         assert_eq!(restored.hosted_tables(), vec![1]);
     }
 

@@ -1,19 +1,23 @@
-//! Crash-consistent checkpoint store for pipeline training (DESIGN.md §11).
+//! Crash-consistent checkpoints: the one durable format of a training run
+//! (DESIGN.md §11).
 //!
-//! [`el_dlrm::checkpoint::DlrmCheckpoint`] snapshots the *worker* model.
-//! This module captures the rest of the training state — the
-//! [`HostServer`]'s hosted tables and applied-gradient stamp, and the
-//! per-worker batch cursors — and makes the whole thing durable:
+//! A [`TrainingCheckpoint`] holds whichever halves of the training state a
+//! writer owns: the device model ([`el_dlrm::checkpoint::DlrmCheckpoint`],
+//! MLPs, TT cores and optimizer accumulators), the [`HostServer`]'s hosted
+//! tables and applied-gradient stamp, and the loader cursor. The CLI saves
+//! a model with no server, the pipeline trainer saves both, and the
+//! simulator's parameter tier saves a server with no model. Every one of
+//! them is made durable the same way:
 //!
-//! * **Framed format** — sections (`meta`, `model`, `server`, `workers`)
-//!   each carry an FNV-1a checksum, and the file ends in a whole-file
-//!   checksum trailer, so *any* single-byte flip or truncation is detected
-//!   and surfaces as a typed [`CkptError::Corrupt`] — never a panic, never
-//!   a silently wrong model.
-//! * **Atomic write protocol** — temp file → fsync file → rename → fsync
-//!   directory, expressed over a pluggable [`Storage`] trait at
-//!   protocol-step granularity so the simulator can crash between every
-//!   step and tear the temp write itself.
+//! * **Framed format** — sections (`meta`, `model`, `server`) each carry
+//!   an FNV-1a checksum, and the file ends in a whole-file checksum
+//!   trailer, so *any* single-byte flip or truncation is detected and
+//!   surfaces as a typed [`CkptError::Corrupt`] — never a panic, never a
+//!   silently wrong model.
+//! * **Atomic write protocol** — [`write_atomic`]: temp file → fsync file
+//!   → rename → fsync directory, expressed over a pluggable [`Storage`]
+//!   trait at protocol-step granularity so the simulator can crash
+//!   between every step and tear the temp write itself.
 //! * **Store semantics** — [`CkptStore`] names checkpoints by a
 //!   monotonically increasing sequence number, retains the newest K,
 //!   maintains an advisory manifest, and recovers by *scanning* for the
@@ -33,7 +37,7 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-pub use el_dlrm::checkpoint::{atomic_write, CkptError};
+pub use el_dlrm::checkpoint::CkptError;
 
 // ---------------------------------------------------------------------------
 // FNV-1a checksums
@@ -213,7 +217,13 @@ pub fn decode_frames(bytes: &[u8]) -> Result<Vec<Section>, CkptError> {
 // ---------------------------------------------------------------------------
 
 /// Payload format version of [`TrainingCheckpoint`] (the `meta` section).
-pub const TRAINING_CKPT_FORMAT: u32 = 1;
+///
+/// * v1 — always a `model` section, plus a `workers` section of per-worker
+///   cursors that was always empty; both still decode (the decoder skips
+///   sections it does not read).
+/// * v2 — no `workers` section, and the `model` section is absent when
+///   the writer holds no model (a parameter tier's checkpoint).
+pub const TRAINING_CKPT_FORMAT: u32 = 2;
 
 /// The `meta` section.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -259,24 +269,33 @@ pub struct ServerCheckpoint {
 }
 
 impl ServerCheckpoint {
-    /// Captures a (single-tier) server's durable state.
-    pub fn capture(server: &HostServer) -> Self {
-        Self::capture_shard(server, 0, 1)
+    /// A single-tier snapshot (shard 0 of 1) of `tables` after `applied`
+    /// gradient batches at learning rate `lr`.
+    pub fn of_tables(tables: Vec<(usize, EmbeddingBag)>, lr: f32, applied: u64) -> Self {
+        Self {
+            tables: tables
+                .into_iter()
+                .map(|(id, table)| HostedTableCheckpoint { id, table })
+                .collect(),
+            lr,
+            applied,
+            shard: 0,
+            num_shards: 1,
+        }
     }
 
     /// Captures one shard of an `num_shards`-way sharded tier.
     pub fn capture_shard(server: &HostServer, shard: u32, num_shards: u32) -> Self {
         Self {
-            tables: server
-                .tables
-                .iter()
-                .map(|(id, table)| HostedTableCheckpoint { id: *id, table: table.clone() })
-                .collect(),
-            lr: server.lr,
-            applied: server.applied,
             shard,
             num_shards,
+            ..Self::of_tables(server.tables.clone(), server.lr, server.applied)
         }
+    }
+
+    /// The hosted tables, each with its model table id.
+    pub fn into_tables(self) -> Vec<(usize, EmbeddingBag)> {
+        self.tables.into_iter().map(|h| (h.id, h.table)).collect()
     }
 
     /// Rebuilds a server (fresh meters/timers; `applied` restored so
@@ -284,9 +303,9 @@ impl ServerCheckpoint {
     /// renumber batch sequences from zero, like the pipeline trainer's
     /// per-segment schedule, reset it themselves).
     pub fn restore(self) -> HostServer {
-        let tables = self.tables.into_iter().map(|h| (h.id, h.table)).collect();
-        let mut server = HostServer::new(tables, self.lr);
-        server.applied = self.applied;
+        let (lr, applied) = (self.lr, self.applied);
+        let mut server = HostServer::new(self.into_tables(), lr);
+        server.applied = applied;
         server
     }
 
@@ -310,31 +329,17 @@ impl ServerCheckpoint {
     }
 }
 
-/// Per-worker loader cursor: the next dataset batch this worker would
-/// train. Staleness bookkeeping (cache watermarks) is rebuilt from the
-/// server's `applied` stamp on resume, so the cursor is the only state a
-/// worker contributes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct WorkerCursor {
-    /// Worker index.
-    pub worker: usize,
-    /// Next dataset batch index this worker trains.
-    pub next_batch: u64,
-}
-
-/// Everything needed to continue a training run byte-identically:
-/// worker model (with optimizer accumulators), server state, and the
-/// loader cursor(s).
+/// Everything needed to continue a training run byte-identically, as far
+/// as the writer holds it: the worker model (with optimizer
+/// accumulators), the server state, and the loader cursor.
 pub struct TrainingCheckpoint {
-    /// Worker model snapshot (format v2: includes Adagrad accumulators).
-    pub model: DlrmCheckpoint,
+    /// Worker model snapshot; `None` for a parameter tier's checkpoint,
+    /// which holds no model.
+    pub model: Option<DlrmCheckpoint>,
     /// Host parameter-server state; `None` when no tables are hosted.
     pub server: Option<ServerCheckpoint>,
-    /// Next dataset batch index the (single-trainer) run would train.
+    /// Next dataset batch index the run would train.
     pub next_batch: u64,
-    /// Per-worker cursors for multi-worker runs (empty for the single
-    /// pipeline trainer, which uses `next_batch`).
-    pub workers: Vec<WorkerCursor>,
 }
 
 impl TrainingCheckpoint {
@@ -344,34 +349,35 @@ impl TrainingCheckpoint {
             serde_json::to_vec(v).expect("serializing to a Vec cannot fail")
         }
         let meta = CkptMeta { format: TRAINING_CKPT_FORMAT, next_batch: self.next_batch };
-        let sections = vec![
-            Section { name: "meta".into(), payload: json(&meta) },
-            Section { name: "model".into(), payload: self.model.to_bytes() },
-            Section { name: "server".into(), payload: json(&self.server) },
-            Section { name: "workers".into(), payload: json(&self.workers) },
-        ];
+        let mut sections = vec![Section { name: "meta".into(), payload: json(&meta) }];
+        if let Some(model) = &self.model {
+            sections.push(Section { name: "model".into(), payload: model.to_bytes() });
+        }
+        sections.push(Section { name: "server".into(), payload: json(&self.server) });
         encode_frames(&sections)
     }
 
     /// Decodes and fully verifies a framed container.
     pub fn from_framed_bytes(bytes: &[u8]) -> Result<Self, CkptError> {
-        let sections = decode_frames(bytes)?;
-        let find = |name: &str| -> Result<&[u8], CkptError> {
-            sections
-                .iter()
-                .find(|s| s.name == name)
-                .map(|s| s.payload.as_slice())
-                .ok_or_else(|| CkptError::Corrupt(format!("missing `{name}` section")))
-        };
-        let meta: CkptMeta = parse_json(find("meta")?, "meta")?;
+        Self::from_sections(&decode_frames(bytes)?)
+    }
+
+    /// Decodes the payloads of verified sections; sections it does not
+    /// read are skipped.
+    fn from_sections(sections: &[Section]) -> Result<Self, CkptError> {
+        let find = |name: &str| sections.iter().find(|s| s.name == name).map(|s| &s.payload[..]);
+        let meta =
+            find("meta").ok_or_else(|| CkptError::Corrupt("missing `meta` section".into()))?;
+        let meta: CkptMeta = parse_json(meta, "meta")?;
         if meta.format == 0 || meta.format > TRAINING_CKPT_FORMAT {
             return Err(CkptError::Version { got: meta.format, supported: TRAINING_CKPT_FORMAT });
         }
+        let server =
+            find("server").ok_or_else(|| CkptError::Corrupt("missing `server` section".into()))?;
         Ok(Self {
-            model: DlrmCheckpoint::from_bytes(find("model")?)?,
-            server: parse_json(find("server")?, "server")?,
+            model: find("model").map(DlrmCheckpoint::from_bytes).transpose()?,
+            server: parse_json(server, "server")?,
             next_batch: meta.next_batch,
-            workers: parse_json(find("workers")?, "workers")?,
         })
     }
 }
@@ -412,6 +418,36 @@ pub trait Storage: Send + Sync {
     fn remove_file(&self, name: &str) -> Result<(), CkptError>;
 }
 
+/// Replaces `name` with `bytes` atomically with respect to crashes — the
+/// one write protocol every durable file goes through:
+///
+/// 1. write the temp file `name.tmp` (same directory, so the rename
+///    cannot cross filesystems),
+/// 2. `sync_file` it (contents durable before the name switch),
+/// 3. `rename` it over `name` (atomic replacement),
+/// 4. `sync_dir` (the new directory entry itself durable).
+///
+/// A crash at any point leaves `name` holding either the complete old
+/// bytes or the complete new bytes — never a torn mix, and never nothing.
+/// A step that fails without a crash leaves no temp file behind.
+pub fn write_atomic<S: Storage + ?Sized>(
+    storage: &S,
+    name: &str,
+    bytes: &[u8],
+) -> Result<(), CkptError> {
+    let tmp = format!("{name}.tmp");
+    let renamed = storage
+        .write_file(&tmp, bytes)
+        .and_then(|()| storage.sync_file(&tmp))
+        .and_then(|()| storage.rename(&tmp, name));
+    if renamed.is_err() {
+        // best effort: the error to report is the step's, not this one's
+        let _ = storage.remove_file(&tmp);
+    }
+    renamed?;
+    storage.sync_dir()
+}
+
 impl<S: Storage + ?Sized> Storage for Arc<S> {
     fn write_file(&self, name: &str, bytes: &[u8]) -> Result<(), CkptError> {
         (**self).write_file(name, bytes)
@@ -447,11 +483,6 @@ impl FsStorage {
         let root = root.into();
         std::fs::create_dir_all(&root)?;
         Ok(Self { root })
-    }
-
-    /// The root directory.
-    pub fn root(&self) -> &std::path::Path {
-        &self.root
     }
 
     fn path(&self, name: &str) -> Result<PathBuf, CkptError> {
@@ -708,28 +739,12 @@ impl<S: Storage> CkptStore<S> {
         Ok(Self { storage, retain: retain.max(1), next_seq })
     }
 
-    /// The underlying storage.
-    pub fn storage(&self) -> &S {
-        &self.storage
-    }
-
-    /// Saves a checkpoint with the full atomic protocol, applies
-    /// retention, and rewrites the manifest. Returns the durable file
-    /// name. Any error leaves previously saved checkpoints untouched.
+    /// Saves a checkpoint with the full atomic protocol ([`write_atomic`]),
+    /// applies retention, and rewrites the manifest. Returns the durable
+    /// file name. Any error leaves previously saved checkpoints untouched.
     pub fn save(&mut self, ckpt: &TrainingCheckpoint) -> Result<String, CkptError> {
-        self.save_bytes(&ckpt.to_framed_bytes())
-    }
-
-    /// [`CkptStore::save`] for any pre-framed payload (the simulator
-    /// stores its own checkpoint schema through the same store): temp
-    /// write → fsync → rename → fsync dir, then retention + manifest.
-    pub fn save_bytes(&mut self, bytes: &[u8]) -> Result<String, CkptError> {
         let name = ckpt_name(self.next_seq);
-        let tmp = format!("{name}.tmp");
-        self.storage.write_file(&tmp, bytes)?;
-        self.storage.sync_file(&tmp)?;
-        self.storage.rename(&tmp, &name)?;
-        self.storage.sync_dir()?;
+        write_atomic(&self.storage, &name, &ckpt.to_framed_bytes())?;
         // The checkpoint is durable from here on; retention and the
         // manifest are follow-up work whose failure must not lose it.
         self.next_seq += 1;
@@ -755,11 +770,7 @@ impl<S: Storage> CkptStore<S> {
     fn write_manifest(&self) -> Result<(), CkptError> {
         let manifest = self.scan_manifest()?;
         let bytes = serde_json::to_vec(&manifest).expect("manifest serializes");
-        let tmp = format!("{MANIFEST_NAME}.tmp");
-        self.storage.write_file(&tmp, &bytes)?;
-        self.storage.sync_file(&tmp)?;
-        self.storage.rename(&tmp, MANIFEST_NAME)?;
-        self.storage.sync_dir()
+        write_atomic(&self.storage, MANIFEST_NAME, &bytes)
     }
 
     /// Builds a manifest by scanning the storage (entries for every
@@ -801,19 +812,9 @@ impl<S: Storage> CkptStore<S> {
     /// returns it. Corrupt or torn files are skipped — that is the
     /// fallback path the corruption matrix exercises.
     pub fn latest_valid(&self) -> Result<(String, TrainingCheckpoint), CkptError> {
-        self.latest_valid_with(TrainingCheckpoint::from_framed_bytes)
-    }
-
-    /// [`CkptStore::latest_valid`] for any payload schema stored through
-    /// [`CkptStore::save_bytes`]: `decode` must fully validate the bytes
-    /// (the simulator passes its own checkpoint decoder).
-    pub fn latest_valid_with<T>(
-        &self,
-        decode: impl Fn(&[u8]) -> Result<T, CkptError>,
-    ) -> Result<(String, T), CkptError> {
         for name in self.names_newest_first()? {
             let Ok(bytes) = self.storage.read_file(&name) else { continue };
-            if let Ok(ckpt) = decode(&bytes) {
+            if let Ok(ckpt) = TrainingCheckpoint::from_framed_bytes(&bytes) {
                 return Ok((name, ckpt));
             }
         }
@@ -828,34 +829,17 @@ impl<S: Storage> CkptStore<S> {
 }
 
 /// Fully verifies checkpoint bytes: frame trailer, per-section checksums,
-/// and payload decode. Returns a summary on success. Files with a `model`
-/// section are decoded as a full [`TrainingCheckpoint`]; files without one
-/// (e.g. simulator checkpoints stored through [`CkptStore::save_bytes`])
-/// are verified at the frame + `meta` level.
+/// and payload decode — the same decode [`CkptStore::latest_valid`] runs.
+/// Returns a summary on success.
 pub fn verify_bytes(bytes: &[u8]) -> Result<CkptInfo, CkptError> {
     let sections = decode_frames(bytes)?;
-    let summary: Vec<(String, usize)> =
-        sections.iter().map(|s| (s.name.clone(), s.payload.len())).collect();
-    let (next_batch, server_tables) = if sections.iter().any(|s| s.name == "model") {
-        let ckpt = TrainingCheckpoint::from_framed_bytes(bytes)?;
-        (ckpt.next_batch, ckpt.server.map_or(0, |s| s.tables.len()))
-    } else {
-        let meta = sections
-            .iter()
-            .find(|s| s.name == "meta")
-            .ok_or_else(|| CkptError::Corrupt("missing `meta` section".into()))?;
-        let meta: CkptMeta = parse_json(&meta.payload, "meta")?;
-        if meta.format == 0 || meta.format > TRAINING_CKPT_FORMAT {
-            return Err(CkptError::Version { got: meta.format, supported: TRAINING_CKPT_FORMAT });
-        }
-        (meta.next_batch, 0)
-    };
+    let ckpt = TrainingCheckpoint::from_sections(&sections)?;
     Ok(CkptInfo {
         bytes: bytes.len(),
         checksum: fnv1a(bytes),
-        sections: summary,
-        next_batch,
-        server_tables,
+        sections: sections.iter().map(|s| (s.name.clone(), s.payload.len())).collect(),
+        next_batch: ckpt.next_batch,
+        server_tables: ckpt.server.map_or(0, |s| s.tables.len()),
     })
 }
 
@@ -880,10 +864,9 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         let model = DlrmModel::new(&cfg, &mut rng);
         TrainingCheckpoint {
-            model: DlrmCheckpoint::capture(&model),
+            model: Some(DlrmCheckpoint::capture(&model)),
             server: None,
             next_batch,
-            workers: vec![WorkerCursor { worker: 0, next_batch }],
         }
     }
 
@@ -942,7 +925,7 @@ mod tests {
 
     #[test]
     fn single_server_capture_is_the_degenerate_shard() {
-        let ckpt = ServerCheckpoint::capture(&HostServer::new(Vec::new(), 0.1));
+        let ckpt = ServerCheckpoint::of_tables(Vec::new(), 0.1, 0);
         assert_eq!((ckpt.shard, ckpt.num_shards), (0, 1));
         // the unsharded restore path ignores layout identity
         assert!(ckpt.clone().restore_shard(0, 1).is_ok());
@@ -1071,6 +1054,46 @@ mod tests {
         assert!(info.sections.iter().any(|(n, _)| n == "model"));
         assert_eq!(store.latest_valid().unwrap().1.next_batch, 7);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn write_atomic_replaces_without_truncating_first() {
+        // A save must leave the previous file fully intact until the
+        // rename, so after any number of re-saves over one name the file
+        // is a complete, loadable checkpoint and no temp litter remains.
+        let dir = std::env::temp_dir().join(format!("el_ckpt_atomic_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let storage = FsStorage::open(&dir).unwrap();
+        for b in 0..3u64 {
+            write_atomic(&storage, "model.elck", &tiny_ckpt(b).to_framed_bytes()).unwrap();
+            let bytes = storage.read_file("model.elck").unwrap();
+            let ckpt = TrainingCheckpoint::from_framed_bytes(&bytes).unwrap();
+            assert_eq!(ckpt.next_batch, b, "every save must leave a loadable file");
+            assert!(ckpt.model.unwrap().restore().is_ok());
+        }
+        assert_eq!(storage.list().unwrap(), ["model.elck"], "temp litter left behind");
+        // a rename that fails (the target is a non-empty directory) is an
+        // error and removes the temp file it could not move
+        std::fs::create_dir_all(dir.join("taken.elck").join("inside")).unwrap();
+        assert!(write_atomic(&storage, "taken.elck", b"bytes").is_err());
+        assert_eq!(storage.list().unwrap(), ["model.elck"], "failed write left its temp file");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn format_v1_files_with_a_workers_section_still_decode() {
+        let ckpt = tiny_ckpt(6);
+        let json = |v: &str| v.as_bytes().to_vec();
+        let v1 = encode_frames(&[
+            Section { name: "meta".into(), payload: json(r#"{"format":1,"next_batch":6}"#) },
+            Section { name: "model".into(), payload: ckpt.model.as_ref().unwrap().to_bytes() },
+            Section { name: "server".into(), payload: json("null") },
+            Section { name: "workers".into(), payload: json(r#"[{"worker":0,"next_batch":6}]"#) },
+        ]);
+        let info = verify_bytes(&v1).unwrap();
+        assert_eq!((info.next_batch, info.sections.len()), (6, 4));
+        let back = TrainingCheckpoint::from_framed_bytes(&v1).unwrap();
+        assert_eq!(back.to_framed_bytes(), ckpt.to_framed_bytes(), "v1 re-frames as v2");
     }
 
     #[test]

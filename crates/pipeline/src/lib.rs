@@ -20,6 +20,9 @@
 //! * [`trainer`] — the three-stage pipelined trainer (Figure 9): one
 //!   driver over N shards x K replicas, of which the single host server
 //!   is `N = K = 1` and the sequential baseline is queue depth 1.
+//! * [`ckpt`] — the one durable checkpoint format (model, hosted tables
+//!   and loader cursor in one framed, checksummed file) and the one
+//!   atomic write that saves it.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 

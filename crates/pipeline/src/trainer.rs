@@ -27,9 +27,7 @@
 //! for the min-stamp argument and `crate::replica` for lockstep).
 
 use crate::cache::WorkerCache;
-use crate::ckpt::{
-    CkptError, CkptStore, HostedTableCheckpoint, ServerCheckpoint, Storage, TrainingCheckpoint,
-};
+use crate::ckpt::{CkptError, CkptStore, ServerCheckpoint, Storage, TrainingCheckpoint};
 use crate::device::{thread_cpu_time, CommMeter};
 use crate::replica::{splitmix64, ReplicaGroup, ReplicationConfig};
 use crate::router::{
@@ -664,19 +662,9 @@ impl PipelineTrainer {
         next_batch: u64,
     ) -> TrainingCheckpoint {
         TrainingCheckpoint {
-            model: DlrmCheckpoint::capture(model),
-            server: Some(ServerCheckpoint {
-                tables: host_tables
-                    .iter()
-                    .map(|(id, table)| HostedTableCheckpoint { id: *id, table: table.clone() })
-                    .collect(),
-                lr,
-                applied: next_batch,
-                shard: 0,
-                num_shards: 1,
-            }),
+            model: Some(DlrmCheckpoint::capture(model)),
+            server: Some(ServerCheckpoint::of_tables(host_tables.to_vec(), lr, next_batch)),
             next_batch,
-            workers: Vec::new(),
         }
     }
 
@@ -691,7 +679,8 @@ impl PipelineTrainer {
     /// cursor. Queues, caches and the plan prefetcher are rebuilt —
     /// they hold no state that affects training values (the embedding
     /// cache only ever *corrects toward* server truth, and a fresh
-    /// segment starts from server truth).
+    /// segment starts from server truth). A checkpoint without a model
+    /// (a parameter tier's) is [`CkptError::StateMismatch`].
     pub fn resume_from(
         ckpt: TrainingCheckpoint,
         dataset: &SyntheticDataset,
@@ -704,7 +693,12 @@ impl PipelineTrainer {
                 ckpt.next_batch, config.first_batch
             )));
         }
-        let model = ckpt.model.restore()?;
+        let model = ckpt
+            .model
+            .ok_or_else(|| {
+                CkptError::StateMismatch("checkpoint holds no model (a parameter tier's)".into())
+            })?
+            .restore()?;
         let mut server = match ckpt.server {
             Some(s) => s.restore(),
             None => HostServer::new(Vec::new(), model.lr),
@@ -1154,6 +1148,19 @@ mod tests {
             Err(CkptError::StateMismatch(_)) => {}
             Err(e) => panic!("wrong error: {e}"),
             Ok(_) => panic!("cursor beyond the schedule must be rejected"),
+        }
+    }
+
+    #[test]
+    fn resume_rejects_a_model_less_checkpoint() {
+        let (model, server, dataset) = setup(3);
+        let mut ckpt = PipelineTrainer::capture(&model, &server.tables, 0.05, 0);
+        ckpt.model = None;
+        let config = PipelineConfig { num_batches: 4, ..PipelineConfig::default() };
+        match PipelineTrainer::resume_from(ckpt, &dataset, &config) {
+            Err(CkptError::StateMismatch(why)) => assert!(why.contains("no model"), "{why}"),
+            Err(e) => panic!("wrong error: {e}"),
+            Ok(_) => panic!("a checkpoint without a model must be rejected"),
         }
     }
 

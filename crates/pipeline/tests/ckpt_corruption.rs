@@ -27,12 +27,7 @@ fn tiny_ckpt(next_batch: u64) -> TrainingCheckpoint {
     };
     let mut rng = rand::rngs::StdRng::seed_from_u64(17);
     let model = DlrmModel::new(&cfg, &mut rng);
-    TrainingCheckpoint {
-        model: DlrmCheckpoint::capture(&model),
-        server: None,
-        next_batch,
-        workers: Vec::new(),
-    }
+    TrainingCheckpoint { model: Some(DlrmCheckpoint::capture(&model)), server: None, next_batch }
 }
 
 #[test]

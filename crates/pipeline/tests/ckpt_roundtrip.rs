@@ -3,12 +3,13 @@
 //! accumulators), table placements (dense / TT-factorized / hosted) and
 //! training prefixes. What resumes after a crash is bit-for-bit the
 //! state that was checkpointed — including TT cores, hosted-table server
-//! state and optimizer accumulators.
+//! state and optimizer accumulators — and a parameter tier's model-less
+//! checkpoint survives the same store bit-for-bit.
 
 use el_data::{DatasetSpec, SyntheticDataset};
 use el_dlrm::checkpoint::DlrmCheckpoint;
 use el_dlrm::{DlrmConfig, DlrmModel, OptimizerKind};
-use el_pipeline::ckpt::{CkptStore, MemStorage};
+use el_pipeline::ckpt::{CkptStore, MemStorage, ServerCheckpoint, TrainingCheckpoint};
 use el_pipeline::server::HostServer;
 use el_pipeline::{PipelineConfig, PipelineTrainer};
 use proptest::prelude::*;
@@ -98,8 +99,9 @@ proptest! {
         let server = loaded.server.as_ref().expect("hosted tables were captured");
         prop_assert_eq!(server.tables.len(), 2);
         prop_assert_eq!(server.applied, cut);
-        let model_bytes = loaded.model.to_bytes();
-        let restored = loaded.model.restore().expect("captured state must restore");
+        let model = loaded.model.expect("the trainer captures its model");
+        let model_bytes = model.to_bytes();
+        let restored = model.restore().expect("captured state must restore");
         prop_assert_eq!(
             DlrmCheckpoint::capture(&restored).to_bytes(),
             model_bytes,
@@ -140,26 +142,30 @@ proptest! {
     }
 
     #[test]
-    fn sim_checkpoints_round_trip_through_the_same_store(
+    fn model_less_checkpoints_round_trip_through_the_same_store(
         applied in 0u64..100,
         rows in 4usize..40,
         dim in 1usize..8,
     ) {
-        // The simulator's payload flows through the identical framed
-        // container and store; its round trip is part of the same
-        // property (see el-sim's recovery tests for the full scenario).
-        use el_pipeline::ckpt::{encode_frames, decode_frames, Section};
+        // A parameter tier's checkpoint (the simulator's crash sweeps
+        // write these) is the same format with no model section: it
+        // survives save → load bit-for-bit and verifies like any other.
         let mut rng = rand::rngs::StdRng::seed_from_u64(applied ^ 0xD1D1);
         let bag = el_dlrm::embedding_bag::EmbeddingBag::new(rows, dim, 0.2, &mut rng);
-        let sections = vec![Section {
-            name: "tables".into(),
-            payload: serde_json::to_vec(&el_pipeline::ckpt::HostedTableCheckpoint {
-                id: 0,
-                table: bag,
-            }).unwrap(),
-        }];
-        let bytes = encode_frames(&sections);
-        let back = decode_frames(&bytes).unwrap();
-        prop_assert_eq!(back, sections);
+        let ckpt = TrainingCheckpoint {
+            model: None,
+            server: Some(ServerCheckpoint::of_tables(vec![(0, bag)], 0.05, applied)),
+            next_batch: applied,
+        };
+        let framed = ckpt.to_framed_bytes();
+
+        let storage = Arc::new(MemStorage::new());
+        let mut store = CkptStore::open(Arc::clone(&storage), 2).unwrap();
+        let name = store.save(&ckpt).unwrap();
+        let (_, loaded) = store.latest_valid().unwrap();
+        prop_assert!(loaded.model.is_none());
+        prop_assert_eq!(loaded.to_framed_bytes(), framed, "save → load was not byte-identical");
+        let info = store.verify(&name).unwrap();
+        prop_assert_eq!((info.next_batch, info.server_tables), (applied, 1));
     }
 }

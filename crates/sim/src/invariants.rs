@@ -28,7 +28,7 @@
 //! worker death cannot): [`crate::sweep`] demands it where it applies.
 
 use crate::fault::FaultPlan;
-use crate::oracle::{Oracle, ShardOracle};
+use crate::oracle::Oracle;
 use crate::sim::{run, Outcome, SimConfig, SimReport};
 use crate::trace::TraceEvent;
 use std::collections::BTreeMap;
@@ -155,6 +155,8 @@ pub enum Violation {
         /// Digest the oracle requires.
         want: u64,
     },
+    /// The run or its check panicked; carries the panic message.
+    Panicked(String),
 }
 
 impl fmt::Display for Violation {
@@ -209,6 +211,7 @@ impl fmt::Display for Violation {
                 "recovered run's tables digest to {got:#018x}, \
                  sequential oracle requires {want:#018x}"
             ),
+            Violation::Panicked(message) => write!(f, "check panicked: {message}"),
         }
     }
 }
@@ -333,14 +336,10 @@ pub fn check_trace(report: &SimReport, cfg: &SimConfig) -> Result<(), Violation>
 /// own applied count, and when the groups agree on a watermark the merged
 /// tables must equal the sequential oracle at that prefix. Valid even for
 /// runs a fault cut short.
-pub fn check_against_oracle(
-    report: &SimReport,
-    shard_oracle: &ShardOracle,
-    global_oracle: &Oracle,
-) -> Result<(), Violation> {
+pub fn check_against_oracle(report: &SimReport, oracle: &Oracle) -> Result<(), Violation> {
     for (s, members) in report.members.iter().enumerate() {
         for (r, m) in members.iter().enumerate() {
-            let want = shard_oracle.per_shard[s][m.applied as usize];
+            let want = oracle.per_shard[s][m.applied as usize];
             if m.digest != want {
                 return Err(Violation::MemberDiverged {
                     shard: s as u32,
@@ -354,7 +353,7 @@ pub fn check_against_oracle(
     }
     let applied = report.min_applied();
     if report.applied.iter().all(|&a| a == applied) {
-        let want = global_oracle.prefix_digests[applied as usize];
+        let want = oracle.prefix_digests[applied as usize];
         if report.merged_digest != want {
             return Err(Violation::OracleMismatch { applied, got: report.merged_digest, want });
         }
@@ -370,8 +369,7 @@ pub fn check_run(
     cfg: &SimConfig,
     plan: &FaultPlan,
     schedule_seed: u64,
-    shard_oracle: &ShardOracle,
-    global_oracle: &Oracle,
+    oracle: &Oracle,
 ) -> Result<SimReport, Violation> {
     let a = run(cfg, plan, schedule_seed);
     let b = run(cfg, plan, schedule_seed);
@@ -383,7 +381,7 @@ pub fn check_run(
         return Err(Violation::ReplayDiverged { seed: schedule_seed });
     }
     check_trace(&a, cfg)?;
-    check_against_oracle(&a, shard_oracle, global_oracle)?;
+    check_against_oracle(&a, oracle)?;
     Ok(a)
 }
 
@@ -391,7 +389,7 @@ pub fn check_run(
 mod tests {
     use super::*;
     use crate::fault::Fault;
-    use crate::oracle::{sequential_prefix, sharded_prefix};
+    use crate::oracle::sequential_prefix;
 
     fn at(shards: u32, replicas: u32) -> SimConfig {
         SimConfig::default().with_topology(shards, replicas)
@@ -405,10 +403,10 @@ mod tests {
         for (shards, replicas) in TOPOLOGIES {
             let cfg = at(shards, replicas);
             let cell = format!("{shards} x {replicas}");
-            let (so, go) = (sharded_prefix(&cfg), sequential_prefix(&cfg));
-            let want = go.prefix_digests[cfg.num_batches as usize];
+            let oracle = sequential_prefix(&cfg);
+            let want = oracle.prefix_digests[cfg.num_batches as usize];
 
-            let clean = check_run(&cfg, &FaultPlan::none(), 1, &so, &go)
+            let clean = check_run(&cfg, &FaultPlan::none(), 1, &oracle)
                 .unwrap_or_else(|v| panic!("{cell} fault-free: {v}"));
             assert_eq!(clean.outcome, Outcome::Completed, "{cell}");
             assert_eq!(clean.merged_digest, want, "{cell}");
@@ -435,7 +433,7 @@ mod tests {
                 FaultPlan::from_seed_sharded(7, cfg.num_batches, shards)
             };
             assert!(plan.faults.len() >= 2, "{cell}: [{plan}]");
-            let faulted = check_run(&cfg, &plan, 5, &so, &go)
+            let faulted = check_run(&cfg, &plan, 5, &oracle)
                 .unwrap_or_else(|v| panic!("{cell} under [{plan}]: {v}"));
             assert_eq!(faulted.outcome, Outcome::Completed, "{cell} under [{plan}]");
             assert_eq!(faulted.merged_digest, want, "{cell} under [{plan}]");
@@ -460,13 +458,13 @@ mod tests {
         ];
         for (cfg, faults) in plans {
             let plan = FaultPlan::with(faults);
-            let (so, go) = (sharded_prefix(&cfg), sequential_prefix(&cfg));
-            let report = check_run(&cfg, &plan, 77, &so, &go)
+            let oracle = sequential_prefix(&cfg);
+            let report = check_run(&cfg, &plan, 77, &oracle)
                 .unwrap_or_else(|v| panic!("plan [{plan}] violated: {v}"));
             // partial progress still matches the sequential prefix exactly
             assert_eq!(
                 report.merged_digest,
-                go.prefix_digests[report.min_applied() as usize],
+                oracle.prefix_digests[report.min_applied() as usize],
                 "plan [{plan}]"
             );
             // whether an unfinished run is acceptable is the scenario's call
@@ -556,7 +554,7 @@ mod tests {
         ];
         for (shards, replicas) in [(1, 1), (3, 3)] {
             let cfg = at(shards, replicas);
-            let (so, go) = (sharded_prefix(&cfg), sequential_prefix(&cfg));
+            let oracle = sequential_prefix(&cfg);
             for (name, corrupt, names_it) in cases {
                 let plan = match name {
                     "incomplete completion" => {
@@ -567,7 +565,7 @@ mod tests {
                 let mut report = run(&cfg, &plan, 1);
                 corrupt(&mut report, &cfg);
                 let verdict = check_trace(&report, &cfg)
-                    .and_then(|()| check_against_oracle(&report, &so, &go));
+                    .and_then(|()| check_against_oracle(&report, &oracle));
                 let violation = verdict.expect_err(name);
                 assert!(
                     names_it(&violation, shards - 1, replicas - 1),

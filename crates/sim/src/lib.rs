@@ -26,17 +26,19 @@
 //!   `ReplicaGroup` (lockstep apply, promotion, fencing, catch-up),
 //!   heartbeat failure detection, the worker, the unreliable links,
 //!   resumable checkpointing sessions,
-//! * [`oracle`] — the sequential reference with per-batch prefix digests,
-//!   globally and per shard,
+//! * [`oracle`] — the sequential reference: one pass, per-batch prefix
+//!   digests globally and per shard,
 //! * [`invariants`] — per-member exactly-once / stitched staleness bound
 //!   / schedule-independence / replay-determinism checking,
 //! * [`storage`] — fault-injecting checkpoint storage (crashes between
 //!   atomic-protocol steps, torn writes, at-rest rot),
 //! * [`recovery`] — the crash → recover → resume scenario (checkpoint
-//!   durability, DESIGN.md §11),
+//!   durability, DESIGN.md §11) over the trainer's own checkpoint format
+//!   and store: each save is a model-less `TrainingCheckpoint`,
 //! * [`sweep`] — the five scenarios (`fault`, `crash`, `shard`,
 //!   `failover`, `netfault`) and the one seed-sweep harness CI runs them
-//!   through.
+//!   through; a panic inside a seed's check is reported as that seed's
+//!   violation.
 //!
 //! See DESIGN.md §10 for the fault model and the invariant statements.
 
@@ -58,10 +60,9 @@ mod proptests;
 
 pub use fault::{Fault, FaultPlan};
 pub use invariants::{check_against_oracle, check_run, check_trace, Violation};
-pub use oracle::{sequential_prefix, sharded_prefix, Oracle, ShardOracle};
+pub use oracle::{sequential_prefix, Oracle};
 pub use recovery::{
     check_recovery, crash_plans_for_seed, run_with_recovery, RecoveryConfig, RecoveryReport,
-    SimCheckpoint,
 };
 pub use sim::{
     digest_tables, run, run_session, CkptSink, MemberState, Outcome, ResumeState, SimConfig,

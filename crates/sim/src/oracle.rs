@@ -17,27 +17,49 @@ use el_dlrm::embedding_bag::EmbeddingBag;
 use el_pipeline::server::{ApplyOutcome, HostServer};
 use el_pipeline::{split_tables, WorkerCache};
 
-/// The sequential reference for one [`SimConfig`] (its topology plays no
-/// part: the reference is one server, one batch at a time).
+/// The sequential reference for one [`SimConfig`]: one server, one batch
+/// at a time. The topology plays no part in what it computes, only in how
+/// [`Oracle::per_shard`] slices it.
 pub struct Oracle {
     /// `prefix_digests[k]` is the table digest after `k` applied batches;
     /// index 0 is the initial (untrained) tables. Length `num_batches + 1`.
     pub prefix_digests: Vec<u64>,
-    /// The tables after all batches, for byte-level diffing in reports.
-    pub final_tables: Vec<(usize, EmbeddingBag)>,
+    /// `per_shard[s][k]` is shard `s`'s sub-table digest, under the
+    /// config's layout, after `k` applied batches; index 0 is the initial
+    /// split. Every inner vector has length `num_batches + 1`.
+    ///
+    /// A shard's sub-tables after `k` scattered pushes are its split of
+    /// the global tables after `k` (routing moves bytes, it never
+    /// recomputes them), so the reference needs neither the router nor
+    /// shard servers — the code the simulation runs. A sharded run whose
+    /// shard `s` stopped at `applied[s] = k` — whatever faults stopped it
+    /// — must land on `per_shard[s][k]` exactly: this is the per-shard
+    /// half of the schedule-independence invariant, valid even when
+    /// shards are skewed.
+    pub per_shard: Vec<Vec<u64>>,
 }
 
 /// Runs the sequential reference — gather, train, apply, one batch at a
-/// time on one server — handing `after` the tables before the first batch
-/// and after every applied batch. Returns the final tables.
-fn run_sequential(
-    cfg: &SimConfig,
-    mut after: impl FnMut(&[(usize, EmbeddingBag)]),
-) -> Vec<(usize, EmbeddingBag)> {
+/// time on one server — and digests the tables before the first batch and
+/// after every applied batch, whole and split under the config's layout.
+pub fn sequential_prefix(cfg: &SimConfig) -> Oracle {
+    let layout = cfg.layout();
+    let mut oracle = Oracle {
+        prefix_digests: Vec::with_capacity(cfg.num_batches as usize + 1),
+        per_shard: vec![Vec::new(); layout.num_shards() as usize],
+    };
+    let mut record = |tables: &[(usize, EmbeddingBag)]| {
+        oracle.prefix_digests.push(digest_tables(tables));
+        let split =
+            split_tables(tables, &layout).expect("the layout places exactly the config's tables");
+        for (digests, sub) in oracle.per_shard.iter_mut().zip(&split) {
+            digests.push(digest_tables(sub));
+        }
+    };
     let dataset = build_dataset(cfg);
     let mut server = HostServer::new(build_tables(cfg), cfg.lr);
     let mut worker = WorkerCache::new(cfg.num_tables, cfg.lr);
-    after(&server.tables);
+    record(&server.tables);
     for k in 0..cfg.num_batches {
         let mut pf = server.gather(dataset.batch(k, cfg.batch_size), k);
         debug_assert_eq!(pf.applied_through, k, "sequential gather is never stale");
@@ -46,47 +68,9 @@ fn run_sequential(
             Ok(ApplyOutcome::Applied) => {}
             other => unreachable!("sequential apply of batch {k} failed: {other:?}"),
         }
-        after(&server.tables);
+        record(&server.tables);
     }
-    server.tables
-}
-
-/// Runs the sequential reference and captures every prefix digest.
-pub fn sequential_prefix(cfg: &SimConfig) -> Oracle {
-    let mut prefix_digests = Vec::with_capacity(cfg.num_batches as usize + 1);
-    let final_tables = run_sequential(cfg, |tables| prefix_digests.push(digest_tables(tables)));
-    Oracle { prefix_digests, final_tables }
-}
-
-/// The sequential reference of the **sharded** tier: per-shard prefix
-/// digests of the same strictly-sequential execution as
-/// [`sequential_prefix`].
-pub struct ShardOracle {
-    /// `per_shard[s][k]` is shard `s`'s sub-table digest after `s` has
-    /// applied `k` scattered pushes; index 0 is the initial split.
-    /// Every inner vector has length `num_batches + 1`.
-    pub per_shard: Vec<Vec<u64>>,
-}
-
-/// Runs the sequential reference and digests every prefix split under
-/// the config's layout. A shard's sub-tables after `k` scattered pushes
-/// are its split of the global tables after `k` (routing moves bytes, it
-/// never recomputes them), so the reference needs neither the router nor
-/// shard servers — the code the simulation runs. A sharded run whose
-/// shard `s` stopped at `applied[s] = k` — whatever faults stopped it —
-/// must land on `per_shard[s][k]` exactly: this is the per-shard half of
-/// the schedule-independence invariant, valid even when shards are skewed.
-pub fn sharded_prefix(cfg: &SimConfig) -> ShardOracle {
-    let layout = cfg.layout();
-    let mut per_shard = vec![Vec::new(); layout.num_shards() as usize];
-    run_sequential(cfg, |tables| {
-        let split =
-            split_tables(tables, &layout).expect("the layout places exactly the config's tables");
-        for (digests, sub) in per_shard.iter_mut().zip(&split) {
-            digests.push(digest_tables(sub));
-        }
-    });
-    ShardOracle { per_shard }
+    oracle
 }
 
 #[cfg(test)]
@@ -109,32 +93,27 @@ mod tests {
     #[test]
     fn sharded_prefixes_agree_with_the_global_oracle() {
         let cfg = SimConfig::default().with_topology(3, 1);
-        let sharded = sharded_prefix(&cfg);
-        assert_eq!(sharded.per_shard.len(), cfg.shard.num_shards as usize);
-        for (s, digests) in sharded.per_shard.iter().enumerate() {
+        let oracle = sequential_prefix(&cfg);
+        assert_eq!(oracle.per_shard.len(), cfg.shard.num_shards as usize);
+        for (s, digests) in oracle.per_shard.iter().enumerate() {
             assert_eq!(digests.len() as u64, cfg.num_batches + 1, "shard {s}");
         }
-        // the stitched final state equals the sequential final state:
-        // rebuild the shard servers, replay, merge, and compare digests
-        let tables = build_tables(&cfg);
-        let layout = cfg.layout();
-        let split = el_pipeline::split_tables(&tables, &layout).unwrap();
+        // the global digests do not depend on the layout
+        assert_eq!(oracle.prefix_digests, sequential_prefix(&SimConfig::default()).prefix_digests);
         // per-shard digests are deterministic
-        let again = sharded_prefix(&cfg);
-        for (a, b) in sharded.per_shard.iter().zip(&again.per_shard) {
-            assert_eq!(a, b);
-        }
+        assert_eq!(oracle.per_shard, sequential_prefix(&cfg).per_shard);
         // index 0 is the untrained split
+        let split = split_tables(&build_tables(&cfg), &cfg.layout()).unwrap();
         for (s, sub) in split.iter().enumerate() {
-            assert_eq!(sharded.per_shard[s][0], digest_tables(sub));
+            assert_eq!(oracle.per_shard[s][0], digest_tables(sub));
         }
     }
 
     #[test]
     fn one_shard_is_the_whole_server() {
         // the degenerate layout splits nothing: the two references agree
-        let cfg = SimConfig::default();
-        assert_eq!(sharded_prefix(&cfg).per_shard, [sequential_prefix(&cfg).prefix_digests]);
+        let oracle = sequential_prefix(&SimConfig::default());
+        assert_eq!(oracle.per_shard, [oracle.prefix_digests]);
     }
 
     #[test]

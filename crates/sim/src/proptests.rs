@@ -8,7 +8,7 @@
 
 use crate::fault::{Fault, FaultPlan};
 use crate::invariants::{check_run, Violation};
-use crate::oracle::{sequential_prefix, sharded_prefix};
+use crate::oracle::sequential_prefix;
 use crate::sim::{SimConfig, SimReport};
 use proptest::prelude::*;
 
@@ -27,7 +27,7 @@ fn small_cfg(staleness_bound: u64, prefetch_depth: usize, grad_capacity: usize) 
 }
 
 fn verdict(cfg: &SimConfig, plan: &FaultPlan, seed: u64) -> Result<SimReport, Violation> {
-    check_run(cfg, plan, seed, &sharded_prefix(cfg), &sequential_prefix(cfg))
+    check_run(cfg, plan, seed, &sequential_prefix(cfg))
 }
 
 /// One arbitrary fault for a run of `n` batches.

@@ -6,6 +6,13 @@
 //! file — recover from whatever survived, resume, and the final tables
 //! are byte-identical to the sequential oracle.*
 //!
+//! The checkpoints are the trainer's own format: each save is a
+//! model-less [`TrainingCheckpoint`] (the merged tables as its server,
+//! `next_batch` the applied watermark) written by [`CkptStore::save`], and
+//! recovery reads it back with [`CkptStore::latest_valid`] — the codec,
+//! write protocol and recovery scan `train_with_checkpoints` and
+//! `resume_from` use.
+//!
 //! [`run_with_recovery`] drives it in two phases:
 //!
 //! 1. a faulted session ([`crate::sim::run_session`]) checkpointing
@@ -14,9 +21,9 @@
 //!    ([`StorageFaultPlan`]) both kill it;
 //! 2. power loss ([`MemStorage::crash`][el_pipeline::ckpt::MemStorage::crash]),
 //!    at-rest corruption of the newest durable checkpoint, then a
-//!    post-crash scan ([`CkptStore::latest_valid_with`]) that resumes
-//!    from the newest *valid* checkpoint — or restarts cold when nothing
-//!    valid survived — and runs fault-free to completion.
+//!    post-crash scan ([`CkptStore::latest_valid`]) that resumes from the
+//!    newest *valid* checkpoint — or restarts cold when nothing valid
+//!    survived — and runs fault-free to completion.
 //!
 //! The invariant ([`check_recovery`]) is that phase 2 completes with a
 //! table digest equal to the oracle's final digest, and that the whole
@@ -30,123 +37,16 @@ use crate::invariants::Violation;
 use crate::oracle::Oracle;
 use crate::sim::{build_tables, run_session, CkptSink, Outcome, ResumeState, SimConfig, SimReport};
 use crate::storage::{FaultyStorage, StorageFaultPlan};
-use el_dlrm::embedding_bag::EmbeddingBag;
-use el_pipeline::ckpt::{
-    encode_frames, CkptError, CkptStore, HostedTableCheckpoint, Section, Storage,
-};
+use el_pipeline::ckpt::{CkptError, CkptStore, Storage, TrainingCheckpoint};
 use el_pipeline::replica::splitmix64;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
-/// Payload format version of [`SimCheckpoint`]'s `meta` section.
-pub const SIM_CKPT_FORMAT: u32 = 1;
-
-/// The simulator's checkpoint payload: the applied-batch watermark and
-/// the hosted tables, stored through the pipeline crate's [`CkptStore`]
-/// in the same framed container as training checkpoints (a `meta`
-/// section `verify_bytes` understands, plus a `tables` section).
-#[derive(Clone, Debug)]
-pub struct SimCheckpoint {
-    /// Gradient batches applied when the checkpoint was taken.
-    pub applied: u64,
-    /// Which shard slot these tables belong to (0 for a checkpoint of the
-    /// merged global tables).
-    pub shard: u32,
-    /// Total shards in the layout the checkpoint was taken under (1
-    /// for a checkpoint of the merged global tables).
-    pub num_shards: u32,
-    /// Hosted tables as of the checkpoint.
-    pub tables: Vec<(usize, EmbeddingBag)>,
-}
-
-/// The `meta` section, field-compatible with the pipeline store's
-/// training-checkpoint meta so `ckpt verify` reports the cursor (extra
-/// fields are ignored by that tolerant parse).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-struct SimMeta {
-    format: u32,
-    next_batch: u64,
-    shard: u32,
-    num_shards: u32,
-}
-
-impl SimCheckpoint {
-    /// A checkpoint of the merged global tables: slot 0 of a 1-shard
-    /// layout, whatever layout the running tier used.
-    pub fn single(applied: u64, tables: Vec<(usize, EmbeddingBag)>) -> Self {
-        Self { applied, shard: 0, num_shards: 1, tables }
-    }
-
-    /// Serializes into the framed container.
-    pub fn to_framed_bytes(&self) -> Vec<u8> {
-        let meta = SimMeta {
-            format: SIM_CKPT_FORMAT,
-            next_batch: self.applied,
-            shard: self.shard,
-            num_shards: self.num_shards,
-        };
-        let tables: Vec<HostedTableCheckpoint> = self
-            .tables
-            .iter()
-            .map(|(id, table)| HostedTableCheckpoint { id: *id, table: table.clone() })
-            .collect();
-        let sections = vec![
-            Section {
-                name: "meta".into(),
-                payload: serde_json::to_vec(&meta).expect("serializing to a Vec cannot fail"),
-            },
-            Section {
-                name: "tables".into(),
-                payload: serde_json::to_vec(&tables).expect("serializing to a Vec cannot fail"),
-            },
-        ];
-        encode_frames(&sections)
-    }
-
-    /// Decodes and fully verifies a framed container.
-    pub fn from_framed_bytes(bytes: &[u8]) -> Result<Self, CkptError> {
-        let sections = el_pipeline::ckpt::decode_frames(bytes)?;
-        let find = |name: &str| -> Result<&[u8], CkptError> {
-            sections
-                .iter()
-                .find(|s| s.name == name)
-                .map(|s| s.payload.as_slice())
-                .ok_or_else(|| CkptError::Corrupt(format!("missing `{name}` section")))
-        };
-        let meta: SimMeta = parse_json(find("meta")?, "meta")?;
-        if meta.format == 0 || meta.format > SIM_CKPT_FORMAT {
-            return Err(CkptError::Version { got: meta.format, supported: SIM_CKPT_FORMAT });
-        }
-        if meta.num_shards == 0 || meta.shard >= meta.num_shards {
-            return Err(CkptError::Corrupt(format!(
-                "impossible shard slot {}/{}",
-                meta.shard, meta.num_shards
-            )));
-        }
-        let tables: Vec<HostedTableCheckpoint> = parse_json(find("tables")?, "tables")?;
-        Ok(Self {
-            applied: meta.next_batch,
-            shard: meta.shard,
-            num_shards: meta.num_shards,
-            tables: tables.into_iter().map(|h| (h.id, h.table)).collect(),
-        })
-    }
-}
-
-/// JSON-parses a section payload with a typed corruption error.
-fn parse_json<T: serde::Deserialize>(bytes: &[u8], what: &str) -> Result<T, CkptError> {
-    let text = std::str::from_utf8(bytes)
-        .map_err(|e| CkptError::Corrupt(format!("`{what}` section not UTF-8: {e}")))?;
-    serde_json::from_str(text).map_err(|e| CkptError::Corrupt(format!("`{what}` section: {e}")))
-}
-
-/// A [`CkptStore`] is a sink: it frames the merged tables as a
-/// [`SimCheckpoint`] and saves them through its atomic protocol.
+/// A [`CkptStore`] is a sink: it saves each checkpoint through its atomic
+/// protocol.
 impl<S: Storage> CkptSink for CkptStore<S> {
-    fn save(&mut self, applied: u64, tables: &[(usize, EmbeddingBag)]) -> Result<(), CkptError> {
-        let ckpt = SimCheckpoint::single(applied, tables.to_vec());
-        self.save_bytes(&ckpt.to_framed_bytes()).map(|_| ())
+    fn save(&mut self, ckpt: &TrainingCheckpoint) -> Result<(), CkptError> {
+        CkptStore::save(self, ckpt).map(|_| ())
     }
 }
 
@@ -233,11 +133,11 @@ pub fn run_with_recovery(
     // process's storage is healthy).
     let store = CkptStore::open(Arc::clone(storage.mem()), rc.retain)
         .expect("reopening a MemStorage store");
-    let (restored_from, resume) = match store.latest_valid_with(SimCheckpoint::from_framed_bytes) {
-        Ok((name, ckpt)) => {
-            (Some(name), ResumeState { applied: ckpt.applied, tables: ckpt.tables })
+    let (restored_from, resume) = match store.latest_valid() {
+        Ok((name, TrainingCheckpoint { server: Some(server), .. })) => {
+            (Some(name), ResumeState { applied: server.applied, tables: server.into_tables() })
         }
-        Err(_) => (None, ResumeState { applied: 0, tables: build_tables(&rc.sim) }),
+        _ => (None, ResumeState { applied: 0, tables: build_tables(&rc.sim) }),
     };
     let resumed_applied = resume.applied;
 
@@ -312,34 +212,38 @@ mod tests {
     use super::*;
     use crate::oracle::sequential_prefix;
     use crate::storage::StorageFault;
+    use el_pipeline::ckpt::{MemStorage, ServerCheckpoint};
 
     fn rc() -> RecoveryConfig {
         RecoveryConfig::default()
     }
 
     #[test]
-    fn sim_checkpoint_round_trips() {
-        let tables = build_tables(&SimConfig::default());
-        for num_shards in [1u32, 2, 4] {
-            for shard in 0..num_shards {
-                let ckpt = SimCheckpoint { applied: 7, shard, num_shards, tables: tables.clone() };
-                let bytes = ckpt.to_framed_bytes();
-                let back = SimCheckpoint::from_framed_bytes(&bytes).unwrap();
-                assert_eq!((back.applied, back.shard, back.num_shards), (7, shard, num_shards));
-                assert_eq!(
-                    crate::sim::digest_tables(&back.tables),
-                    crate::sim::digest_tables(&tables),
-                    "tables must survive byte-identically"
-                );
-                // the shared verifier understands the meta section
-                let info = el_pipeline::ckpt::verify_bytes(&bytes).unwrap();
-                assert_eq!(info.next_batch, 7);
-            }
-        }
-        // an impossible slot on disk is corruption, not a resume target
-        let bad = SimCheckpoint { applied: 7, shard: 9, num_shards: 4, tables };
-        let bytes = bad.to_framed_bytes();
-        assert!(matches!(SimCheckpoint::from_framed_bytes(&bytes), Err(CkptError::Corrupt(_))));
+    fn tier_checkpoints_round_trip_byte_identically() {
+        // What the sink saves is what recovery reads back: a model-less
+        // checkpoint whose tables survive bit-for-bit, which re-frames to
+        // the same bytes and which the shared verifier accepts.
+        let cfg = SimConfig::default();
+        let tables = build_tables(&cfg);
+        let ckpt = TrainingCheckpoint {
+            model: None,
+            server: Some(ServerCheckpoint::of_tables(tables.clone(), cfg.lr, 7)),
+            next_batch: 7,
+        };
+        let mut store = CkptStore::open(MemStorage::new(), 2).unwrap();
+        CkptSink::save(&mut store, &ckpt).unwrap();
+        let (name, back) = store.latest_valid().unwrap();
+        assert_eq!(back.to_framed_bytes(), ckpt.to_framed_bytes());
+        let info = store.verify(&name).unwrap();
+        assert_eq!((info.next_batch, info.server_tables), (7, tables.len()));
+        assert!(info.sections.iter().all(|(section, _)| section != "model"));
+        let server = back.server.expect("the tables");
+        assert_eq!((server.applied, server.lr), (7, cfg.lr));
+        assert_eq!(
+            crate::sim::digest_tables(&server.into_tables()),
+            crate::sim::digest_tables(&tables),
+            "tables must survive byte-identically"
+        );
     }
 
     #[test]

@@ -34,7 +34,8 @@
 //!   group of one has nobody to promote, so it arms no heartbeats and no
 //!   detector.
 //! * **Durability.** A session may resume from recovered tables and save
-//!   checkpoints of the merged tables through a [`CkptSink`];
+//!   model-less `TrainingCheckpoint`s of the merged tables through a
+//!   [`CkptSink`];
 //!   [`crate::fault::Fault::Crash`] and a failed save kill the whole
 //!   process ([`crate::recovery`] drives the restart).
 //!
@@ -54,7 +55,7 @@ use crate::fault::FaultPlan;
 use crate::trace::{Trace, TraceEvent};
 use el_data::{DatasetSpec, SyntheticDataset};
 use el_dlrm::embedding_bag::EmbeddingBag;
-use el_pipeline::ckpt::CkptError;
+use el_pipeline::ckpt::{CkptError, ServerCheckpoint, TrainingCheckpoint};
 use el_pipeline::replica::splitmix64;
 use el_pipeline::server::{ApplyOutcome, GradientPush, HostServer, PrefetchedBatch};
 use el_pipeline::{
@@ -368,13 +369,14 @@ pub struct ResumeState {
 
 /// Where a running session saves checkpoints. The simulator calls
 /// [`CkptSink::save`] synchronously from the apply path whenever every
-/// shard stands at the same cadence watermark, handing it the merged
-/// global tables; an error means the process died mid-save (the store's
-/// atomic protocol decides what survived) and the run ends
-/// [`Outcome::Crashed`].
+/// shard stands at the same cadence watermark, handing it a parameter
+/// tier's checkpoint: no model, the merged global tables as the server,
+/// and `next_batch` equal to the watermark. An error means the process
+/// died mid-save (the store's atomic protocol decides what survived) and
+/// the run ends [`Outcome::Crashed`].
 pub trait CkptSink {
-    /// Persists `(applied, tables)` durably.
-    fn save(&mut self, applied: u64, tables: &[(usize, EmbeddingBag)]) -> Result<(), CkptError>;
+    /// Persists `ckpt` durably.
+    fn save(&mut self, ckpt: &TrainingCheckpoint) -> Result<(), CkptError>;
 }
 
 /// In-flight scattered push awaiting one shard's acknowledgement.
@@ -742,9 +744,13 @@ impl Simulation<'_> {
         if !applied.is_multiple_of(every) || self.groups.iter().any(|g| g.applied() != applied) {
             return;
         }
-        let tables = self.merged_tables();
+        let ckpt = TrainingCheckpoint {
+            model: None,
+            server: Some(ServerCheckpoint::of_tables(self.merged_tables(), self.cfg.lr, applied)),
+            next_batch: applied,
+        };
         let (sink, _) = self.ckpt.as_mut().expect("checked above");
-        match sink.save(applied, &tables) {
+        match sink.save(&ckpt) {
             Ok(()) => self.trace.push(TraceEvent::CheckpointSaved { applied }),
             Err(_) => {
                 self.trace.push(TraceEvent::CheckpointFailed { applied });
@@ -1045,7 +1051,7 @@ impl Simulation<'_> {
 mod tests {
     use super::*;
     use crate::fault::Fault;
-    use crate::oracle::{sequential_prefix, sharded_prefix};
+    use crate::oracle::sequential_prefix;
 
     fn at(shards: u32, replicas: u32) -> SimConfig {
         SimConfig::default().with_topology(shards, replicas)
@@ -1083,11 +1089,11 @@ mod tests {
         assert!(r.trace.any(|e| matches!(e, TraceEvent::GaveUp { shard: 1, .. })));
         // every shard — the dead one included — still matches its own
         // oracle prefix
-        let so = sharded_prefix(&cfg);
+        let oracle = sequential_prefix(&cfg);
         for (s, members) in r.members.iter().enumerate() {
             assert_eq!(members[0].alive, s != 1);
             assert_eq!(
-                members[0].digest, so.per_shard[s][members[0].applied as usize],
+                members[0].digest, oracle.per_shard[s][members[0].applied as usize],
                 "shard {s} diverged"
             );
         }
@@ -1128,8 +1134,7 @@ mod tests {
                 "plan [{plan}]: the worker must notice and halt"
             );
             // the corpses keep their bytes, so the oracle check still runs
-            let refs = (sharded_prefix(&cfg), sequential_prefix(&cfg));
-            crate::invariants::check_run(&cfg, &plan, 9, &refs.0, &refs.1)
+            crate::invariants::check_run(&cfg, &plan, 9, &sequential_prefix(&cfg))
                 .unwrap_or_else(|v| panic!("plan [{plan}] violated: {v}"));
             // and a scenario that demands completion reports how far the
             // run got
@@ -1239,8 +1244,11 @@ mod tests {
     fn checkpoints_capture_the_merged_tables_when_every_shard_agrees() {
         struct Recorder(Vec<(u64, u64)>);
         impl CkptSink for Recorder {
-            fn save(&mut self, applied: u64, t: &[(usize, EmbeddingBag)]) -> Result<(), CkptError> {
-                self.0.push((applied, digest_tables(t)));
+            fn save(&mut self, ckpt: &TrainingCheckpoint) -> Result<(), CkptError> {
+                assert!(ckpt.model.is_none(), "a parameter tier holds no model");
+                let server = ckpt.server.clone().expect("the merged tables");
+                assert_eq!(server.applied, ckpt.next_batch);
+                self.0.push((ckpt.next_batch, digest_tables(&server.into_tables())));
                 Ok(())
             }
         }

@@ -8,15 +8,18 @@
 //! seeds into a [`SweepSummary`], and the first violation stops the sweep
 //! with a [`SweepFailure`] holding everything needed to reproduce it: the
 //! seed, the derived plans, the violation and the exact `cargo xtask sim`
-//! command line, including every flag the sweep ran with.
+//! command line, including every flag the sweep ran with. A panic inside
+//! a seed's check is caught at the seed and is that seed's violation.
 
 use crate::fault::FaultPlan;
 use crate::invariants::{check_run, incomplete, Violation};
-use crate::oracle::{sequential_prefix, sharded_prefix, Oracle, ShardOracle};
+use crate::oracle::{sequential_prefix, Oracle};
 use crate::recovery::{check_recovery, crash_plans_for_seed, RecoveryConfig};
 use crate::sim::{Outcome, SimConfig};
+use crate::storage::StorageFaultPlan;
 use crate::trace::TraceEvent;
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// What a sweep seed means.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -213,81 +216,125 @@ impl fmt::Display for SweepSummary {
     }
 }
 
-/// The references every seed of one sweep shares: all seeds run in the
-/// same model universe and differ only in faults and scheduling, which is
-/// precisely the schedule-independence claim under test.
-struct References {
-    sharded: ShardOracle,
-    global: Oracle,
+/// The fault plans one seed derives.
+enum Plans {
+    /// The crash scenario's process-fault and storage-fault plans.
+    Crash(FaultPlan, StorageFaultPlan),
+    /// Every other scenario's single fault plan.
+    Run(FaultPlan),
 }
 
-impl References {
-    fn of(cfg: &SimConfig) -> Self {
-        Self { sharded: sharded_prefix(cfg), global: sequential_prefix(cfg) }
+impl Plans {
+    fn of(scenario: Scenario, cfg: &SimConfig, seed: u64) -> Self {
+        let (batches, shards) = (cfg.num_batches, cfg.shard.num_shards);
+        match scenario {
+            Scenario::Crash => {
+                let (plan, storage) = crash_plans_for_seed(seed, batches);
+                Plans::Crash(plan, storage)
+            }
+            Scenario::Shard => Plans::Run(FaultPlan::from_seed_sharded(seed, batches, shards)),
+            Scenario::Failover => {
+                Plans::Run(FaultPlan::from_seed_failover(seed, batches, shards, cfg.replicas))
+            }
+            Scenario::Netfault => Plans::Run(FaultPlan::from_seed_netfault(seed, batches, shards)),
+            Scenario::Fault => Plans::Run(FaultPlan::from_seed(seed, batches)),
+        }
+    }
+}
+
+impl fmt::Display for Plans {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Plans::Crash(plan, storage) => {
+                write!(f, "fault plan:\n{plan}\nstorage-fault plan:\n{storage}")
+            }
+            Plans::Run(plan) => write!(f, "fault plan:\n{plan}"),
+        }
+    }
+}
+
+/// Runs and checks `plans` under `scenario`, returning the story and the
+/// tallies of a clean seed.
+fn run_checks(
+    scenario: Scenario,
+    rc: &RecoveryConfig,
+    seed: u64,
+    plans: &Plans,
+    oracle: &Oracle,
+) -> Result<(String, Vec<u64>), Violation> {
+    let cfg = &rc.sim;
+    match plans {
+        Plans::Crash(plan, storage) => check_recovery(rc, plan, storage, seed, oracle).map(|r| {
+            let traced = |pred: fn(&TraceEvent) -> bool| r.phase1.trace.count(pred) as u64;
+            let tallies = vec![
+                u64::from(r.phase1.outcome == Outcome::Crashed),
+                u64::from(r.phase2.is_some() && r.restored_from.is_some()),
+                u64::from(r.phase2.is_some() && r.restored_from.is_none()),
+                traced(|e| matches!(e, TraceEvent::CheckpointSaved { .. })),
+                traced(|e| matches!(e, TraceEvent::CheckpointFailed { .. })),
+                storage.faults.len() as u64,
+            ];
+            (r.to_string(), tallies)
+        }),
+        Plans::Run(plan) => check_run(cfg, plan, seed, oracle)
+            .and_then(|r| match incomplete(&r, cfg) {
+                Some(v) if scenario.requires_completion() => Err(v),
+                _ => Ok(r),
+            })
+            .map(|r| {
+                let traced = |pred: fn(&TraceEvent) -> bool| r.trace.count(pred) as u64;
+                let completed = u64::from(r.outcome == Outcome::Completed);
+                let tallies = vec![
+                    completed,
+                    // an unrecovered crash is just another fatal fault
+                    // here; crash *recovery* is the crash scenario
+                    1 - completed,
+                    plan.faults.len() as u64,
+                    traced(|e| matches!(e, TraceEvent::PrimaryDied { .. })),
+                    traced(|e| matches!(e, TraceEvent::BackupDied { .. })),
+                    r.promotions.iter().sum(),
+                    traced(|e| matches!(e, TraceEvent::CatchupInstalled { .. })),
+                    r.stale_hits,
+                ];
+                (r.to_string(), tallies)
+            }),
     }
 }
 
 /// Derives seed `seed`'s plans for `scenario`, runs and checks them.
+/// `oracle` is shared by every seed of a sweep: all seeds run in the same
+/// model universe and differ only in faults and scheduling, which is
+/// precisely the schedule-independence claim under test.
 fn check_seed(
     scenario: Scenario,
     rc: &RecoveryConfig,
     seed: u64,
-    refs: &References,
+    oracle: &Oracle,
 ) -> Result<Verdict, Box<SweepFailure>> {
-    let cfg = &rc.sim;
-    let (batches, shards) = (cfg.num_batches, cfg.shard.num_shards);
-    let (plans, checked) = match scenario {
-        Scenario::Crash => {
-            let (plan, storage) = crash_plans_for_seed(seed, batches);
-            let plans = format!("fault plan:\n{plan}\nstorage-fault plan:\n{storage}");
-            let checked = check_recovery(rc, &plan, &storage, seed, &refs.global).map(|r| {
-                let traced = |pred: fn(&TraceEvent) -> bool| r.phase1.trace.count(pred) as u64;
-                let tallies = vec![
-                    u64::from(r.phase1.outcome == Outcome::Crashed),
-                    u64::from(r.phase2.is_some() && r.restored_from.is_some()),
-                    u64::from(r.phase2.is_some() && r.restored_from.is_none()),
-                    traced(|e| matches!(e, TraceEvent::CheckpointSaved { .. })),
-                    traced(|e| matches!(e, TraceEvent::CheckpointFailed { .. })),
-                    storage.faults.len() as u64,
-                ];
-                (r.to_string(), tallies)
-            });
-            (plans, checked)
-        }
-        _ => {
-            let plan = match scenario {
-                Scenario::Shard => FaultPlan::from_seed_sharded(seed, batches, shards),
-                Scenario::Failover => {
-                    FaultPlan::from_seed_failover(seed, batches, shards, cfg.replicas)
-                }
-                Scenario::Netfault => FaultPlan::from_seed_netfault(seed, batches, shards),
-                _ => FaultPlan::from_seed(seed, batches),
-            };
-            let checked = check_run(cfg, &plan, seed, &refs.sharded, &refs.global)
-                .and_then(|r| match incomplete(&r, cfg) {
-                    Some(v) if scenario.requires_completion() => Err(v),
-                    _ => Ok(r),
-                })
-                .map(|r| {
-                    let traced = |pred: fn(&TraceEvent) -> bool| r.trace.count(pred) as u64;
-                    let completed = u64::from(r.outcome == Outcome::Completed);
-                    let tallies = vec![
-                        completed,
-                        // an unrecovered crash is just another fatal fault
-                        // here; crash *recovery* is the crash scenario
-                        1 - completed,
-                        plan.faults.len() as u64,
-                        traced(|e| matches!(e, TraceEvent::PrimaryDied { .. })),
-                        traced(|e| matches!(e, TraceEvent::BackupDied { .. })),
-                        r.promotions.iter().sum(),
-                        traced(|e| matches!(e, TraceEvent::CatchupInstalled { .. })),
-                        r.stale_hits,
-                    ];
-                    (r.to_string(), tallies)
-                });
-            (format!("fault plan:\n{plan}"), checked)
-        }
-    };
+    let plans = Plans::of(scenario, &rc.sim, seed);
+    judge(scenario, rc, seed, plans.to_string(), || run_checks(scenario, rc, seed, &plans, oracle))
+}
+
+/// Turns one seed's check into its verdict or its failure record. The
+/// check runs behind an unwind boundary: a panic inside it becomes
+/// [`Violation::Panicked`], reported with the seed, its plans and the
+/// recipe like any other violation, instead of aborting the sweep with
+/// nothing but a backtrace.
+fn judge(
+    scenario: Scenario,
+    rc: &RecoveryConfig,
+    seed: u64,
+    plans: String,
+    check: impl FnOnce() -> Result<(String, Vec<u64>), Violation>,
+) -> Result<Verdict, Box<SweepFailure>> {
+    let checked = catch_unwind(AssertUnwindSafe(check)).unwrap_or_else(|payload| {
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "a panic with a non-string payload".into());
+        Err(Violation::Panicked(message))
+    });
     match checked {
         Ok((story, tallies)) => Ok(Verdict { plans, story, tallies }),
         Err(violation) => {
@@ -302,22 +349,22 @@ pub fn replay_seed(
     rc: &RecoveryConfig,
     seed: u64,
 ) -> Result<Verdict, Box<SweepFailure>> {
-    check_seed(scenario, rc, seed, &References::of(&rc.sim))
+    check_seed(scenario, rc, seed, &sequential_prefix(&rc.sim))
 }
 
 /// Sweeps seeds `start .. start + count` of `scenario`, stopping at the
-/// first violation. The oracles are computed once for the whole sweep.
+/// first violation. The oracle is computed once for the whole sweep.
 pub fn run_sweep(
     scenario: Scenario,
     rc: &RecoveryConfig,
     start: u64,
     count: u64,
 ) -> Result<SweepSummary, Box<SweepFailure>> {
-    let refs = References::of(&rc.sim);
+    let oracle = sequential_prefix(&rc.sim);
     let mut summary =
         SweepSummary { scenario, seeds: 0, tallies: vec![0; scenario.tally_labels().len()] };
     for seed in start..start.saturating_add(count) {
-        let verdict = check_seed(scenario, rc, seed, &refs)?;
+        let verdict = check_seed(scenario, rc, seed, &oracle)?;
         summary.seeds += 1;
         for (sum, n) in summary.tallies.iter_mut().zip(verdict.tallies) {
             *sum += n;
@@ -392,6 +439,20 @@ mod tests {
         assert!(text.ends_with("cargo xtask sim failover --seed 509 --shards 4 --replicas 2"));
         let bare = SweepFailure { config: scenario.default_config(), ..f };
         assert_eq!(bare.recipe(), "cargo xtask sim failover --seed 509");
+    }
+
+    #[test]
+    fn a_panicking_check_becomes_a_failure_record() {
+        let scenario = Scenario::Failover;
+        let config = scenario.default_config();
+        let plans = Plans::of(scenario, &config.sim, 42).to_string();
+        let f = judge(scenario, &config, 42, plans.clone(), || panic!("catch-up lost row 3"))
+            .expect_err("a panic is a failure");
+        assert_eq!(f.violation, Violation::Panicked("catch-up lost row 3".into()));
+        let text = f.to_string();
+        assert!(text.contains("seed: 42") && text.contains(&plans), "{text}");
+        assert!(text.contains("violation: check panicked: catch-up lost row 3"), "{text}");
+        assert!(text.ends_with("reproduce with: cargo xtask sim failover --seed 42"), "{text}");
     }
 
     #[test]

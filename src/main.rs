@@ -1,8 +1,8 @@
 //! `el-rec` — command-line front end.
 //!
 //! ```text
-//! el-rec train --dataset kaggle --scale 0.002 --batches 100 --checkpoint model.json
-//! el-rec eval  --checkpoint model.json --dataset kaggle --scale 0.002
+//! el-rec train --dataset kaggle --scale 0.002 --batches 100 --checkpoint model.elck
+//! el-rec eval  --checkpoint model.elck --dataset kaggle --scale 0.002
 //! el-rec stats --dataset avazu --scale 0.005
 //! ```
 //!
@@ -15,10 +15,12 @@ use el_rec::data::stats::AccessHistogram;
 use el_rec::data::{DatasetSpec, MiniBatch, SyntheticDataset};
 use el_rec::dlrm::checkpoint::DlrmCheckpoint;
 use el_rec::dlrm::{DlrmConfig, DlrmModel, EmbeddingLayer, OptimizerKind};
+use el_rec::pipeline::ckpt::{write_atomic, CkptError, FsStorage, TrainingCheckpoint};
 use el_rec::reorder::{ReorderConfig, Reorderer};
 use el_rec::tensor::shape::factorize;
 use rand::SeedableRng;
 use std::collections::HashMap;
+use std::path::Path;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -200,9 +202,12 @@ fn cmd_train(opts: &Opts) -> Result<(), String> {
     }
 
     if let Some(path) = opts.map.get("checkpoint") {
-        DlrmCheckpoint::capture(&model)
-            .save_file(path)
-            .map_err(|e| format!("saving checkpoint: {e}"))?;
+        let ckpt = TrainingCheckpoint {
+            model: Some(DlrmCheckpoint::capture(&model)),
+            server: None,
+            next_batch: batches,
+        };
+        save_checkpoint(Path::new(path), &ckpt).map_err(|e| format!("saving checkpoint: {e}"))?;
         println!("checkpoint written to {path}");
         if bijections.iter().any(Option::is_some) {
             println!("note: evaluation must remap indices with the same bijections");
@@ -215,8 +220,18 @@ fn cmd_eval(opts: &Opts) -> Result<(), String> {
     let path = opts.map.get("checkpoint").ok_or("eval requires --checkpoint PATH")?;
     let batches = opts.get_positive("batches", 8)? as u64;
     let batch_size = opts.get_positive("batch-size", 512)?;
-    let mut model = DlrmCheckpoint::load_file(path)
-        .map_err(|e| format!("loading checkpoint: {e}"))?
+    let bytes = std::fs::read(path).map_err(|e| format!("loading checkpoint {path}: {e}"))?;
+    let ckpt = TrainingCheckpoint::from_framed_bytes(&bytes)
+        .map_err(|e| format!("loading checkpoint {path}: {e}"))?;
+    if ckpt.server.is_some() {
+        return Err(format!(
+            "{path} holds parameter-server state (a training store's checkpoint); \
+             eval reads the self-contained model `train --checkpoint` writes"
+        ));
+    }
+    let mut model = ckpt
+        .model
+        .ok_or_else(|| format!("{path} holds no model"))?
         .restore()
         .map_err(|e| format!("restoring checkpoint: {e}"))?;
     let ds = dataset_from(opts)?;
@@ -231,6 +246,17 @@ fn cmd_eval(opts: &Opts) -> Result<(), String> {
         batches as usize * batch_size
     );
     Ok(())
+}
+
+/// Writes `ckpt` to `path` with the checkpoint store's atomic write, in
+/// the path's directory.
+fn save_checkpoint(path: &Path, ckpt: &TrainingCheckpoint) -> Result<(), CkptError> {
+    let name = path
+        .file_name()
+        .and_then(|n| n.to_str())
+        .ok_or_else(|| CkptError::Io(format!("{} names no file", path.display())))?;
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty()).unwrap_or(Path::new("."));
+    write_atomic(&FsStorage::open(dir)?, name, &ckpt.to_framed_bytes())
 }
 
 /// Checks that `model` can score batches of `spec`: the same dense-feature

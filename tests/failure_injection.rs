@@ -140,8 +140,7 @@ fn bounded_prefetch_queue_applies_backpressure() {
 // ---------------------------------------------------------------------------
 
 use el_rec::sim::{
-    check_run, run as sim_run, sequential_prefix, sharded_prefix, Fault, FaultPlan, Outcome,
-    SimConfig, TraceEvent,
+    check_run, run as sim_run, sequential_prefix, Fault, FaultPlan, Outcome, SimConfig, TraceEvent,
 };
 
 #[test]
@@ -168,10 +167,9 @@ fn worker_death_mid_epoch_replays_byte_identical() {
 fn server_death_mid_epoch_preserves_applied_prefix() {
     // the single server is shard 0 of a one-shard tier
     let cfg = SimConfig::default();
-    let (shard_oracle, oracle) = (sharded_prefix(&cfg), sequential_prefix(&cfg));
+    let oracle = sequential_prefix(&cfg);
     let plan = FaultPlan::with(vec![Fault::ShardDeath { shard: 0, after_applied: 7 }]);
-    let report = check_run(&cfg, &plan, 21, &shard_oracle, &oracle)
-        .expect("invariants must survive the death");
+    let report = check_run(&cfg, &plan, 21, &oracle).expect("invariants must survive the death");
     assert_eq!(report.outcome, Outcome::Stalled);
     assert_eq!(report.applied, [7]);
     assert!(report
@@ -186,13 +184,12 @@ fn server_death_mid_epoch_preserves_applied_prefix() {
 #[test]
 fn gradient_queue_saturation_is_ridden_out_by_retries() {
     let cfg = SimConfig::default();
-    let (shard_oracle, oracle) = (sharded_prefix(&cfg), sequential_prefix(&cfg));
+    let oracle = sequential_prefix(&cfg);
     let plan = FaultPlan::with(vec![
         Fault::ShardSaturation { shard: 0, start: 8, ticks: 50 },
         Fault::DropShardPush { shard: 0, seq: 0, delivery: 1 },
     ]);
-    let report = check_run(&cfg, &plan, 4, &shard_oracle, &oracle)
-        .expect("saturation must not break invariants");
+    let report = check_run(&cfg, &plan, 4, &oracle).expect("saturation must not break invariants");
     assert_eq!(report.outcome, Outcome::Completed, "retries must outlast the window");
     assert!(
         report.trace.any(|e| matches!(e, TraceEvent::PushBounced { .. })),
