@@ -247,11 +247,10 @@ pub struct HostedTableCheckpoint {
 /// applied-gradient stamp (the push-sequence watermark workers staleness-
 /// synchronize against).
 ///
-/// The parameter tier may be sharded (`crate::router`): `shard` and
-/// `num_shards` record which slice of which layout this snapshot holds,
-/// so a restore against a *different* layout is a typed error instead of
-/// silently merging rows into the wrong ranges. The single-server tier
-/// is the `shard 0 of 1` degenerate.
+/// Every writer saves the merged tables, so `shard` and `num_shards` are
+/// always `0` and `1` (the single-server degenerate of the sharded
+/// tier, `crate::router`); they stay because dropping them changes the
+/// on-disk format.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ServerCheckpoint {
     /// Hosted tables with their model table ids.
@@ -284,15 +283,6 @@ impl ServerCheckpoint {
         }
     }
 
-    /// Captures one shard of an `num_shards`-way sharded tier.
-    pub fn capture_shard(server: &HostServer, shard: u32, num_shards: u32) -> Self {
-        Self {
-            shard,
-            num_shards,
-            ..Self::of_tables(server.tables.clone(), server.lr, server.applied)
-        }
-    }
-
     /// The hosted tables, each with its model table id.
     pub fn into_tables(self) -> Vec<(usize, EmbeddingBag)> {
         self.tables.into_iter().map(|h| (h.id, h.table)).collect()
@@ -307,25 +297,6 @@ impl ServerCheckpoint {
         let mut server = HostServer::new(self.into_tables(), lr);
         server.applied = applied;
         server
-    }
-
-    /// Rebuilds one shard of a sharded tier, rejecting a snapshot taken
-    /// under a different layout slot with a typed
-    /// [`CkptError::StateMismatch`] — restoring shard 2-of-4 into slot
-    /// 1-of-3 would scatter rows into the wrong ranges, so the layout
-    /// identity is validated before any table is touched.
-    pub fn restore_shard(
-        self,
-        expected_shard: u32,
-        expected_num_shards: u32,
-    ) -> Result<HostServer, CkptError> {
-        if self.shard != expected_shard || self.num_shards != expected_num_shards {
-            return Err(CkptError::StateMismatch(format!(
-                "checkpoint holds shard {} of {} but slot {} of {} was requested",
-                self.shard, self.num_shards, expected_shard, expected_num_shards
-            )));
-        }
-        Ok(self.restore())
     }
 }
 
@@ -871,8 +842,7 @@ mod tests {
     }
 
     /// Round-trips one shard's checkpoint through JSON for every shard
-    /// of a layout, and rejects a restore against a different layout
-    /// slot with the typed error (satellite of the sharded-tier issue).
+    /// of a layout: the format keeps the shard identity and the tables.
     fn shard_ckpt_roundtrip(num_shards: u32) {
         use crate::router::{split_tables, ShardConfig, ShardLayout};
         use el_dlrm::embedding_bag::EmbeddingBag;
@@ -889,24 +859,15 @@ mod tests {
         for (s, sub) in shards.into_iter().enumerate() {
             let mut server = HostServer::new(sub, 0.05);
             server.applied = 11;
-            let ckpt = ServerCheckpoint::capture_shard(&server, s as u32, num_shards);
+            let ckpt = ServerCheckpoint {
+                shard: s as u32,
+                num_shards,
+                ..ServerCheckpoint::of_tables(server.tables.clone(), server.lr, server.applied)
+            };
             let text = serde_json::to_string(&ckpt).unwrap();
             let decoded: ServerCheckpoint = serde_json::from_str(&text).unwrap();
-            // a layout change between save and load is a typed error
-            match decoded.clone().restore_shard(s as u32, num_shards + 1) {
-                Err(CkptError::StateMismatch(_)) => {}
-                Err(other) => panic!("layout change must be StateMismatch, got {other:?}"),
-                Ok(_) => panic!("layout change must be rejected"),
-            }
-            if num_shards > 1 {
-                let wrong_slot = (s as u32 + 1) % num_shards;
-                match decoded.clone().restore_shard(wrong_slot, num_shards) {
-                    Err(CkptError::StateMismatch(_)) => {}
-                    Err(other) => panic!("slot change must be StateMismatch, got {other:?}"),
-                    Ok(_) => panic!("slot change must be rejected"),
-                }
-            }
-            let restored = decoded.restore_shard(s as u32, num_shards).unwrap();
+            assert_eq!((decoded.shard, decoded.num_shards), (s as u32, num_shards));
+            let restored = decoded.restore();
             assert_eq!(restored.applied, 11);
             assert_eq!(restored.tables.len(), server.tables.len());
             for ((ta, a), (tb, b)) in server.tables.iter().zip(&restored.tables) {
@@ -927,9 +888,6 @@ mod tests {
     fn single_server_capture_is_the_degenerate_shard() {
         let ckpt = ServerCheckpoint::of_tables(Vec::new(), 0.1, 0);
         assert_eq!((ckpt.shard, ckpt.num_shards), (0, 1));
-        // the unsharded restore path ignores layout identity
-        assert!(ckpt.clone().restore_shard(0, 1).is_ok());
-        assert!(matches!(ckpt.restore_shard(1, 2), Err(CkptError::StateMismatch(_))));
     }
 
     #[test]

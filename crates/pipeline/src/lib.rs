@@ -37,7 +37,7 @@ pub mod trainer;
 pub use cache::{EmbeddingCache, WorkerCache};
 pub use ckpt::{CkptError, CkptStore, FsStorage, MemStorage, Storage, TrainingCheckpoint};
 pub use device::CommMeter;
-pub use replica::{GradientLog, ReplicaError, ReplicaGroup, ReplicationConfig};
+pub use replica::{ReplicaError, ReplicaGroup, ReplicationConfig};
 pub use router::{
     merge_tables, split_tables, PendingGather, RouterError, RowRoute, ShardConfig, ShardLayout,
     ShardRequest, ShardRouter, ShardScatter, TableOwnership,

@@ -2,13 +2,15 @@
 //! tier (DESIGN.md §15).
 //!
 //! Each `HostServer` shard becomes a K-member [`ReplicaGroup`]: one
-//! primary plus K-1 backups fed by a sequenced [`GradientLog`]. The
-//! primary's already-stamped, exactly-once [`HostServer::apply_checked`]
-//! intake is appended to every alive backup under the *same* stamp domain,
-//! so replication is idempotent and primary and backups are byte-identical
-//! at every applied watermark — which is what makes promotion free: a
-//! promoted backup resumes from its own watermark and the min-stamp stitch
-//! of the sharded gather path (DESIGN.md §14) already tolerates the skew.
+//! primary plus K-1 backups. The primary's already-stamped, exactly-once
+//! [`HostServer::apply_checked`] intake is applied to every alive backup
+//! under the *same* stamp domain, so replication is idempotent and
+//! primary and backups are byte-identical at every applied watermark.
+//! That makes promotion free — a promoted backup resumes from its own
+//! watermark and the min-stamp stitch of the sharded gather path
+//! (DESIGN.md §14) already tolerates the skew — and makes rejoin a copy:
+//! [`ReplicaGroup::catch_up`] copies the live primary, so a group holds
+//! its K members and nothing else.
 //!
 //! Everything a group does once a failure is known — [`ReplicaGroup::kill`],
 //! the cyclic [`ReplicaGroup::promote`] step with its fence, and the
@@ -17,9 +19,7 @@
 //! same calls. Detecting a failure is not: heartbeats and the suspicion
 //! timeout live with their only user, the simulator (`el_sim::clock`).
 
-use crate::ckpt::ServerCheckpoint;
 use crate::server::{ApplyOutcome, GradientPush, HostServer, ServerError};
-use std::collections::VecDeque;
 use std::fmt;
 
 /// SplitMix64 — the seed mixer of every deterministic derivation in the
@@ -36,10 +36,11 @@ pub fn splitmix64(x: u64) -> u64 {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ReplicationConfig {
     /// Members per shard group (primary + backups). `1` is the
-    /// unreplicated degenerate: no log, no failover.
+    /// unreplicated degenerate: no backups, no failover.
     pub replicas: u32,
-    /// Gradient-log retention: when the log holds this many entries a
-    /// snapshot is refreshed and the log trimmed, bounding catch-up memory.
+    /// Read by nothing: catch-up copies the live primary, so no group
+    /// retains a log. Kept only while the benchmark package (`perf/`)
+    /// names the field.
     pub log_capacity: usize,
     /// Deterministic failover drill schedule: `(shard, watermark)` pairs —
     /// the shard's primary is killed (and a backup promoted) right after
@@ -66,16 +67,9 @@ pub enum ReplicaError {
         /// Members in the group.
         members: u32,
     },
-    /// The addressed member is dead (kill or catch-up on a corpse).
+    /// The addressed member is dead (kill on a corpse, or intake and
+    /// catch-up while the primary role sits on one).
     DeadMember(u32),
-    /// Catch-up needed log entries older than the retained snapshot — the
-    /// caller must re-seed from a full checkpoint instead.
-    LogTrimmed {
-        /// First sequence the rejoiner needed.
-        needed: u64,
-        /// Oldest sequence the log still holds.
-        base: u64,
-    },
     /// A member's intake failed (protocol bug surfaced as data).
     Server(ServerError),
 }
@@ -88,9 +82,6 @@ impl fmt::Display for ReplicaError {
                 write!(f, "rank {rank} outside the {members}-member group")
             }
             ReplicaError::DeadMember(r) => write!(f, "member {r} is dead"),
-            ReplicaError::LogTrimmed { needed, base } => {
-                write!(f, "gradient log trimmed: need seq {needed}, log starts at {base}")
-            }
             ReplicaError::Server(e) => write!(f, "member intake failed: {e}"),
         }
     }
@@ -104,70 +95,6 @@ impl From<ServerError> for ReplicaError {
     }
 }
 
-/// Bounded sequenced log of applied gradient pushes, replayed to catch a
-/// rejoining replica up from a snapshot watermark.
-pub struct GradientLog {
-    base: u64,
-    entries: VecDeque<GradientPush>,
-    capacity: usize,
-}
-
-impl GradientLog {
-    /// An empty log whose first entry will be `base`.
-    pub fn new(base: u64, capacity: usize) -> Self {
-        Self { base, entries: VecDeque::new(), capacity: capacity.max(1) }
-    }
-
-    /// Sequence number the next append must carry.
-    pub fn next_seq(&self) -> u64 {
-        self.base + self.entries.len() as u64
-    }
-
-    /// Whether the log is at its retention capacity.
-    pub fn full(&self) -> bool {
-        self.entries.len() >= self.capacity
-    }
-
-    /// Appends the push applied at `next_seq`. Out-of-sequence appends are
-    /// a protocol bug reported as a typed error.
-    pub fn append(&mut self, push: GradientPush) -> Result<(), ReplicaError> {
-        if push.batch_seq != self.next_seq() {
-            return Err(ReplicaError::Server(ServerError::GradientGap {
-                got: push.batch_seq,
-                expected: self.next_seq(),
-            }));
-        }
-        self.entries.push_back(push);
-        Ok(())
-    }
-
-    /// Drops entries below `watermark` (a snapshot now covers them).
-    pub fn truncate_below(&mut self, watermark: u64) {
-        while self.base < watermark {
-            if self.entries.pop_front().is_none() {
-                self.base = watermark;
-                return;
-            }
-            self.base += 1;
-        }
-    }
-
-    /// Entries from `watermark` on, or a typed error when the log no
-    /// longer reaches back that far. The iterator spans both halves of
-    /// the ring, so retention settings whose trims wrap the underlying
-    /// allocation replay exactly like ones that don't.
-    pub fn entries_from(
-        &self,
-        watermark: u64,
-    ) -> Result<impl Iterator<Item = &GradientPush> + '_, ReplicaError> {
-        if watermark < self.base {
-            return Err(ReplicaError::LogTrimmed { needed: watermark, base: self.base });
-        }
-        let skip = (watermark - self.base) as usize;
-        Ok(self.entries.iter().skip(skip))
-    }
-}
-
 /// One member of a [`ReplicaGroup`]. Death only clears `alive`: the
 /// server keeps the state it died with, so a corpse can still be checked
 /// against the sequential reference at its own watermark.
@@ -176,45 +103,39 @@ struct Member {
     alive: bool,
 }
 
+/// A fresh member holding `server`'s tables, `lr` and `applied`, with
+/// its own meters.
+fn copy_of(server: &HostServer) -> Member {
+    let mut copy = HostServer::new(server.tables.clone(), server.lr);
+    copy.applied = server.applied;
+    Member { server: copy, alive: true }
+}
+
 /// One shard's replica group: lockstep primary + backups over the same
 /// exactly-once stamp domain.
 pub struct ReplicaGroup {
     members: Vec<Member>,
     primary: usize,
-    log: GradientLog,
-    /// Catch-up base; `None` in a group of one, which has nobody to catch
-    /// up and therefore keeps neither a snapshot nor log entries.
-    snapshot: Option<ServerCheckpoint>,
-    shard: u32,
-    num_shards: u32,
     failovers: u64,
 }
 
 impl ReplicaGroup {
-    /// Wraps `server` (shard `shard` of `num_shards`) in a group of
-    /// `replicas` byte-identical members. With backups, the initial
-    /// snapshot is taken immediately, so catch-up is possible from the
-    /// first batch on; a group of one is the bare server.
+    /// Wraps `server` in a group of `replicas` byte-identical members; a
+    /// group of one is the bare server. The shard identity and the log
+    /// capacity are read by nothing (catch-up copies the live primary):
+    /// the parameters stay only while the benchmark package (`perf/`)
+    /// calls this signature.
     pub fn new(
         server: HostServer,
         replicas: u32,
-        shard: u32,
-        num_shards: u32,
-        log_capacity: usize,
+        _shard: u32,
+        _num_shards: u32,
+        _log_capacity: usize,
     ) -> Self {
-        let replicas = replicas.max(1);
-        let snapshot =
-            (replicas > 1).then(|| ServerCheckpoint::capture_shard(&server, shard, num_shards));
-        let log = GradientLog::new(server.applied, log_capacity);
-        let mut members = Vec::with_capacity(replicas as usize);
-        for _ in 1..replicas {
-            // a fresh member with its own meters: tables, lr, applied
-            let mut backup = HostServer::new(server.tables.clone(), server.lr);
-            backup.applied = server.applied;
-            members.push(Member { server: backup, alive: true });
-        }
+        let mut members = Vec::with_capacity(replicas.max(1) as usize);
+        members.extend((1..replicas).map(|_| copy_of(&server)));
         members.insert(0, Member { server, alive: true });
-        Self { members, primary: 0, log, snapshot, shard, num_shards, failovers: 0 }
+        Self { members, primary: 0, failovers: 0 }
     }
 
     /// Number of members (alive or dead).
@@ -273,32 +194,21 @@ impl ReplicaGroup {
     }
 
     /// Applies one push through the whole group: exactly-once intake at
-    /// the primary, then the stamped push goes to the log and to every
-    /// alive backup (idempotent over the same stamp domain). Duplicates
-    /// are absorbed at the primary and never re-replicated. A dead
-    /// primary is the typed [`ReplicaError::DeadMember`]: intake waits
-    /// for a promotion onto a live rank. A backup whose intake rejects a
-    /// lockstep push has diverged from the stamp domain; it is killed (it
-    /// can rejoin via [`ReplicaGroup::catch_up`]) rather than aborting
-    /// mid-replication, which would leave the primary ahead of the log
-    /// and the remaining backups.
+    /// the primary, then the stamped push goes to every alive backup
+    /// (idempotent over the same stamp domain). Duplicates are absorbed
+    /// at the primary and never re-replicated. A dead primary is the
+    /// typed [`ReplicaError::DeadMember`]: intake waits for a promotion
+    /// onto a live rank. A backup whose intake rejects a lockstep push
+    /// has diverged from the stamp domain; it is killed (it can rejoin
+    /// via [`ReplicaGroup::catch_up`]) rather than aborting
+    /// mid-replication, which would leave the primary ahead of the
+    /// remaining backups. Nothing is copied or retained per push.
+    // CONTRACT: zero-alloc
     pub fn apply_checked(&mut self, push: &GradientPush) -> Result<ApplyOutcome, ReplicaError> {
         let rank = self.live_primary()?;
-        // Refresh the snapshot from the *pre-push* primary before a full
-        // log would trim away the entry this push is about to append.
-        let replicated = self.snapshot.is_some();
-        if replicated && self.log.full() {
-            self.checkpoint();
-        }
         let outcome = self.members[rank].server.apply_checked(push)?;
         if outcome == ApplyOutcome::Duplicate {
             return Ok(outcome);
-        }
-        // Log before replicating: the log and the primary share the stamp
-        // domain, so this append cannot gap once the primary accepted the
-        // push, and a backup failure below never strands an unlogged seq.
-        if replicated {
-            self.log.append(push.clone())?;
         }
         for (r, member) in self.members.iter_mut().enumerate() {
             // Lockstep keeps backups at the primary's watermark, so this
@@ -309,18 +219,6 @@ impl ReplicaGroup {
             }
         }
         Ok(outcome)
-    }
-
-    /// Refreshes the retained snapshot from the primary's *pre-push* state
-    /// and trims the log below it, bounding replay length. No-op while the
-    /// primary is dead or when the group has no backups to catch up.
-    pub fn checkpoint(&mut self) {
-        let primary = &self.members[self.primary];
-        if let (true, Some(snapshot)) = (primary.alive, self.snapshot.as_mut()) {
-            *snapshot =
-                ServerCheckpoint::capture_shard(&primary.server, self.shard, self.num_shards);
-            self.log.truncate_below(snapshot.applied);
-        }
     }
 
     /// Kills member `rank`, primary or backup, keeping its state. Killing
@@ -355,11 +253,13 @@ impl ReplicaGroup {
         (self.members[deposed].alive && self.primary != deposed).then_some(deposed as u32)
     }
 
-    /// Revives a dead member through the catch-up path: restore the
-    /// retained snapshot, then replay the gradient log from the snapshot
-    /// watermark. The rejoined member lands byte-identical to the primary
-    /// and resumes receiving lockstep appends. A group of one retains
-    /// nothing to revive its only member from: [`ReplicaError::NoAliveMembers`].
+    /// Revives a dead member by copying the live primary: its tables,
+    /// `lr` and `applied`, with fresh meters. Lockstep makes the primary
+    /// the group's state at its watermark, so the rejoiner lands
+    /// byte-identical to it and resumes receiving lockstep appends. A
+    /// primary role on a dead rank is [`ReplicaError::DeadMember`]
+    /// (promote first); a group with no live member — a group of one
+    /// whose only member died included — is [`ReplicaError::NoAliveMembers`].
     pub fn catch_up(&mut self, rank: u32) -> Result<(), ReplicaError> {
         let members = self.members();
         let member =
@@ -367,12 +267,10 @@ impl ReplicaGroup {
         if member.alive {
             return Ok(()); // already alive: nothing to do
         }
-        let snapshot = self.snapshot.as_ref().ok_or(ReplicaError::NoAliveMembers)?;
-        let mut revived = snapshot.clone().restore();
-        for push in self.log.entries_from(revived.applied)? {
-            revived.apply_checked(push)?;
+        if self.alive() == 0 {
+            return Err(ReplicaError::NoAliveMembers);
         }
-        self.members[rank as usize] = Member { server: revived, alive: true };
+        self.members[rank as usize] = copy_of(self.primary()?);
         Ok(())
     }
 
@@ -501,7 +399,7 @@ mod tests {
     }
 
     #[test]
-    fn catch_up_replays_snapshot_plus_log() {
+    fn catch_up_copies_the_live_primary() {
         let mut group = ReplicaGroup::new(test_server(3), 3, 0, 1, 64);
         for seq in 0..4 {
             group.apply_checked(&push_for(seq)).unwrap();
@@ -512,52 +410,34 @@ mod tests {
         }
         group.catch_up(2).unwrap();
         assert!(group.verify_consistent(), "rejoined member must match the primary");
+        assert_eq!(group.member(2).map(|(m, alive)| (m.applied, alive)), Some((9, true)));
         // and the rejoined member keeps receiving lockstep appends
         group.apply_checked(&push_for(9)).unwrap();
         assert!(group.verify_consistent());
     }
 
     #[test]
-    fn catch_up_beyond_retention_is_a_typed_error() {
-        // capacity 2: the log trims aggressively, but checkpoints refresh
-        // the snapshot, so catch-up still succeeds from the snapshot
-        let mut group = ReplicaGroup::new(test_server(4), 2, 0, 1, 2);
-        group.kill(1).unwrap();
-        for seq in 0..8 {
+    fn catch_up_under_a_dead_primary_role_is_a_typed_error() {
+        let mut group = ReplicaGroup::new(test_server(4), 3, 0, 1, 8);
+        for seq in 0..3 {
             group.apply_checked(&push_for(seq)).unwrap();
         }
-        group.catch_up(1).unwrap();
+        group.kill(2).unwrap();
+        group.kill(0).unwrap();
+        // rank 1 lives, but the role sits on the corpse at rank 0
+        assert_eq!(group.catch_up(2), Err(ReplicaError::DeadMember(0)));
+        assert_eq!(group.catch_up(0), Err(ReplicaError::DeadMember(0)));
+        assert_eq!(group.member(2).map(|(_, alive)| alive), Some(false));
+        group.promote();
+        group.catch_up(2).unwrap();
+        group.catch_up(0).unwrap();
+        assert_eq!(group.alive(), 3);
         assert!(group.verify_consistent());
-        // a log asked for pre-base entries reports LogTrimmed
-        let log = GradientLog::new(5, 4);
-        assert_eq!(
-            log.entries_from(2).err(),
-            Some(ReplicaError::LogTrimmed { needed: 2, base: 5 })
-        );
-    }
-
-    #[test]
-    fn catch_up_survives_log_ring_wraparound() {
-        // A non-power-of-two retention (3) makes the VecDeque ring wrap
-        // after the first trims, so entries_from must span both halves
-        // of the ring. Exercise catch-up at every stop point well past
-        // several wraps, for several awkward capacities.
-        for capacity in [3usize, 5, 6, 7] {
-            for stop in 1u64..16 {
-                let mut group = ReplicaGroup::new(test_server(7), 2, 0, 1, capacity);
-                group.kill(1).unwrap();
-                for seq in 0..stop {
-                    group.apply_checked(&push_for(seq)).unwrap();
-                }
-                group.catch_up(1).unwrap_or_else(|e| {
-                    panic!("catch_up failed at stop {stop}, capacity {capacity}: {e}")
-                });
-                assert!(
-                    group.verify_consistent(),
-                    "rejoined member diverged at stop {stop}, capacity {capacity}"
-                );
-            }
+        // with every member dead there is no state to copy
+        for rank in 0..3 {
+            group.kill(rank).unwrap();
         }
+        assert_eq!(group.catch_up(1), Err(ReplicaError::NoAliveMembers));
     }
 
     #[test]
@@ -616,20 +496,17 @@ mod tests {
     }
 
     #[test]
-    fn group_of_one_keeps_no_snapshot_and_no_log() {
+    fn group_of_one_is_the_bare_server() {
         // `replicas == 1` is the unreplicated degenerate: the bare server,
-        // no table copy, no retained pushes — whatever the log capacity.
+        // no table copy — whatever the log capacity.
         let mut plain = test_server(9);
         let mut group = ReplicaGroup::new(test_server(9), 1, 0, 1, 4);
-        assert!(group.snapshot.is_none());
+        assert_eq!(group.members(), 1);
         for seq in 0..10 {
             plain.apply_checked(&push_for(seq)).unwrap();
             assert_eq!(group.apply_checked(&push_for(seq)).unwrap(), ApplyOutcome::Applied);
-            assert_eq!(group.log.next_seq(), 0, "nothing may be logged for nobody");
         }
         assert_eq!(group.apply_checked(&push_for(3)).unwrap(), ApplyOutcome::Duplicate);
-        group.checkpoint();
-        assert!(group.snapshot.is_none());
         assert_eq!(digest(group.primary().unwrap()), digest(&plain));
         // the existing typed errors, not a revival from state it never kept
         assert_eq!(group.catch_up(0), Ok(()), "alive: nothing to do");
@@ -644,18 +521,16 @@ mod tests {
         /// Satellite: promotion at an *arbitrary* applied-watermark prefix
         /// yields final tables byte-equal to the never-failed run — the
         /// lockstep invariant that makes failover free, for any kill
-        /// point, group size, and log retention.
+        /// point and group size.
         #[test]
         fn promotion_at_any_watermark_is_byte_identical(
             kill_at in 0u64..20,
             replicas in 2u32..4,
-            log_capacity in 1usize..16,
             model_seed in 0u64..1_000,
         ) {
             let total = 20u64;
             let mut plain = test_server(model_seed);
-            let mut group =
-                ReplicaGroup::new(test_server(model_seed), replicas, 0, 1, log_capacity);
+            let mut group = ReplicaGroup::new(test_server(model_seed), replicas, 0, 1, 0);
             for seq in 0..total {
                 plain.apply_checked(&push_for(seq)).unwrap();
                 group.apply_checked(&push_for(seq)).unwrap();
@@ -670,6 +545,67 @@ mod tests {
             }
             prop_assert!(group.verify_consistent());
             prop_assert_eq!(digest(group.primary().unwrap()), digest(&plain));
+        }
+
+        /// Arbitrary apply/kill/promote/catch-up schedules: every
+        /// rejoiner lands byte-identical to the live primary at its
+        /// watermark, stays identical through later lockstep applies,
+        /// and the primary always equals the never-failed run. Each op
+        /// is `(code, rank)`: codes 0-3 apply the next push, 4 kills
+        /// `rank`, 5 promotes, 6-7 catch `rank` up.
+        #[test]
+        fn rejoin_under_any_schedule_matches_the_live_primary(
+            replicas in 2u32..5,
+            ops in proptest::collection::vec((0u8..8, 0u32..4), 1..80),
+            model_seed in 0u64..1_000,
+        ) {
+            let mut plain = test_server(model_seed);
+            let mut group = ReplicaGroup::new(test_server(model_seed), replicas, 0, 1, 0);
+            let mut seq = 0u64;
+            for (code, rank) in ops {
+                let rank = rank % replicas;
+                match code {
+                    0..=3 => match group.apply_checked(&push_for(seq)) {
+                        Ok(outcome) => {
+                            prop_assert_eq!(outcome, ApplyOutcome::Applied);
+                            plain.apply_checked(&push_for(seq)).unwrap();
+                            seq += 1;
+                        }
+                        Err(e) => prop_assert_eq!(e, ReplicaError::DeadMember(group.primary_rank())),
+                    },
+                    4 => {
+                        let _ = group.kill(rank);
+                    }
+                    5 => {
+                        group.promote();
+                    }
+                    _ => {
+                        let was_alive = group.member(rank).is_some_and(|(_, alive)| alive);
+                        let expected = if was_alive {
+                            Ok(())
+                        } else if group.alive() == 0 {
+                            Err(ReplicaError::NoAliveMembers)
+                        } else if group.primary().is_err() {
+                            Err(ReplicaError::DeadMember(group.primary_rank()))
+                        } else {
+                            Ok(())
+                        };
+                        prop_assert_eq!(group.catch_up(rank), expected.clone());
+                        if !was_alive && expected.is_ok() {
+                            let (rejoiner, alive) = group.member(rank).unwrap();
+                            let primary = group.primary().unwrap();
+                            prop_assert!(alive);
+                            prop_assert_eq!(rejoiner.applied, primary.applied);
+                            prop_assert_eq!(digest(rejoiner), digest(primary));
+                        }
+                    }
+                }
+                if let Ok(primary) = group.primary() {
+                    prop_assert!(group.verify_consistent());
+                    prop_assert_eq!(primary.applied, seq);
+                    prop_assert_eq!(digest(primary), digest(&plain));
+                }
+            }
         }
     }
 }

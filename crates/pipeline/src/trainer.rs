@@ -14,11 +14,11 @@
 //! queues, oblivious to the topology. The single host server of Figure 9
 //! is `N = K = 1` of that shape — [`PipelineTrainer::try_train`] — not a
 //! separate path: one shard owning every row (handed its tables by move),
-//! a group of one holding neither snapshot nor log. The only selection
-//! left is one the code observes: [`ServerMode::PooledEmbeddings`], the
-//! reference-DLRM baseline of Figure 16, has no per-row partition and no
-//! staleness protocol, so it trains in a plain sequential loop and is a
-//! typed error under any other topology or schedule.
+//! a group of one holding no copy of them. The only selection left is one
+//! the code observes: [`ServerMode::PooledEmbeddings`], the reference-DLRM
+//! baseline of Figure 16, has no per-row partition and no staleness
+//! protocol, so it trains in a plain sequential loop and is a typed error
+//! under any other topology or schedule.
 //!
 //! Pipelining, sharding and replication are all *numerically neutral*:
 //! every value the worker trains on is bit-for-bit the value the
@@ -301,8 +301,7 @@ impl ServingLoop {
             .zip(shard_tables)
             .map(|(s, sub)| {
                 let shard = HostServer::new(sub, lr);
-                let group =
-                    ReplicaGroup::new(shard, repl.replicas, s, num_shards, repl.log_capacity);
+                let group = ReplicaGroup::new(shard, repl.replicas, s, num_shards, 0);
                 let mut kills: Vec<u64> = repl
                     .kill_primary_at
                     .iter()
@@ -874,7 +873,8 @@ mod tests {
         };
         let shard_cfg =
             ShardConfig { num_shards: shards, rows_per_range: 16, placement_seed: 0xE1 };
-        let repl = ReplicationConfig { replicas, log_capacity: 4, kill_primary_at: kills };
+        let repl =
+            ReplicationConfig { replicas, kill_primary_at: kills, ..ReplicationConfig::default() };
         PipelineTrainer::try_train_replicated(model, server, &dataset, &config, &shard_cfg, &repl)
             .unwrap()
     }

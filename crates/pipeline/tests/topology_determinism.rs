@@ -113,7 +113,11 @@ fn train(shards: u32, replicas: u32, pipelined: bool) -> u64 {
     };
     let shard_cfg = ShardConfig { num_shards: shards, rows_per_range: 16, placement_seed: 0xE1 };
     let kills = if replicas > 1 { vec![(0, 5)] } else { Vec::new() };
-    let repl = ReplicationConfig { replicas, log_capacity: 4, kill_primary_at: kills.clone() };
+    let repl = ReplicationConfig {
+        replicas,
+        kill_primary_at: kills.clone(),
+        ..ReplicationConfig::default()
+    };
     let report =
         PipelineTrainer::try_train_replicated(model, server, &dataset, &config, &shard_cfg, &repl)
             .expect("unique-rows training is servable at every topology");

@@ -17,8 +17,8 @@
 //! the worker runs one [`FailureDetector`] per shard over the same ticks.
 //! Detection lives here because the simulator is its only user; what a
 //! group does once a failure is suspected is `el_pipeline::ReplicaGroup`'s
-//! `kill`, `promote` and `catch_up`, which the trainer's kill drill calls
-//! too.
+//! `kill` and `promote`, which the trainer's kill drill calls too, and
+//! `catch_up`.
 
 use el_pipeline::replica::splitmix64;
 use std::collections::BinaryHeap;

@@ -116,7 +116,7 @@ pub enum Fault {
     },
     /// Backup replica `rank` of shard `shard` dies after the group has
     /// applied `after_applied` batches, optionally rejoining later
-    /// through the group's catch-up path (snapshot plus log replay).
+    /// through the group's catch-up path (a copy of the live primary).
     BackupDeath {
         /// The shard whose backup dies.
         shard: u32,

@@ -30,7 +30,7 @@
 //!   on suspicion it takes the group's [`ReplicaGroup::promote`] step,
 //!   which fences the old primary if it still lives, and resends what is
 //!   unacknowledged. A dead backup scheduled to rejoin goes through
-//!   [`ReplicaGroup::catch_up`] (snapshot plus gradient-log replay). A
+//!   [`ReplicaGroup::catch_up`] (a copy of the live primary). A
 //!   group of one has nobody to promote, so it arms no heartbeats and no
 //!   detector.
 //! * **Durability.** A session may resume from recovered tables and save
@@ -91,10 +91,6 @@ const REJOIN_RETRY: u64 = 8;
 /// and halts (a livelock fuse, far above what any bounded fault window
 /// can cause: only a group with no live member blows it).
 const PROMOTION_CAP: u64 = 16;
-/// Gradient-log entries a group retains for catch-up. Small and not a
-/// power of two, so the sweeps refresh the snapshot every few batches and
-/// the log's ring wraps its allocation.
-const LOG_CAPACITY: usize = 5;
 
 /// Static configuration of one simulated run (everything except the
 /// faults and the schedule seed).
@@ -482,7 +478,7 @@ pub fn run_session(
         .map(|(s, sub)| {
             let mut server = HostServer::new(sub, cfg.lr);
             server.applied = start;
-            ReplicaGroup::new(server, replicas, s, num_shards, LOG_CAPACITY)
+            ReplicaGroup::new(server, replicas, s, num_shards, 0)
         })
         .collect();
     let n = groups.len();
@@ -1037,7 +1033,7 @@ impl Simulation<'_> {
                     }
                     return;
                 }
-                // the group's snapshot plus its gradient-log replay
+                // a copy of the live primary, at the group's watermark
                 let group = &mut self.groups[s];
                 group.catch_up(rank).expect("a group with a live primary catches any member up");
                 let applied = group.member(rank).map_or(0, |(m, _)| m.applied);

@@ -173,14 +173,14 @@ pub enum TraceEvent {
         /// The stepping-down member's rank.
         rank: u32,
     },
-    /// A dead member rejoined via the group's catch-up (its retained
-    /// snapshot plus a replay of the gradient log).
+    /// A dead member rejoined via the group's catch-up (a copy of the
+    /// live primary).
     CatchupInstalled {
         /// The rejoining member's shard.
         shard: u32,
         /// The rejoining member's rank.
         rank: u32,
-        /// Applied watermark after the restore (the group's watermark).
+        /// Applied watermark after the copy (the group's watermark).
         applied: u64,
     },
 }

@@ -135,6 +135,13 @@ fn dataset_from(opts: &Opts) -> Result<SyntheticDataset, String> {
 }
 
 fn cmd_train(opts: &Opts) -> Result<(), String> {
+    if opts.has_flag("reorder") && opts.map.contains_key("checkpoint") {
+        // `eval` looks rows up by raw index, so it would mis-score tables
+        // trained under the bijections, which the checkpoint does not hold.
+        return Err("--reorder cannot be combined with --checkpoint: the checkpoint does not \
+                    hold the index bijections, so eval would mis-score the reordered tables"
+            .into());
+    }
     let ds = dataset_from(opts)?;
     let batches: u64 = opts.get("batches", 50)?;
     let batch_size = opts.get_positive("batch-size", 512)?;
@@ -209,9 +216,6 @@ fn cmd_train(opts: &Opts) -> Result<(), String> {
         };
         save_checkpoint(Path::new(path), &ckpt).map_err(|e| format!("saving checkpoint: {e}"))?;
         println!("checkpoint written to {path}");
-        if bijections.iter().any(Option::is_some) {
-            println!("note: evaluation must remap indices with the same bijections");
-        }
     }
     Ok(())
 }

@@ -153,6 +153,31 @@ fn malformed_size_flags_fail_with_the_flag_name() {
     std::fs::remove_file(&ckpt).ok();
 }
 
+#[test]
+fn train_refuses_to_checkpoint_a_reordered_model() {
+    // The checkpoint does not hold the index bijections, so `eval` would
+    // look raw indices up in reordered tables: refuse before training.
+    let ckpt = std::env::temp_dir().join("el_rec_cli_reorder.elck");
+    std::fs::remove_file(&ckpt).ok();
+    let out = el_rec()
+        .args(["train", "--dataset", "toy", "--scale", "0.05", "--batches", "2", "--reorder"])
+        .arg("--checkpoint")
+        .arg(&ckpt)
+        .output()
+        .expect("spawn");
+    let err = assert_clean_error(&out);
+    assert!(err.contains("--reorder") && err.contains("--checkpoint"), "{err}");
+    assert!(!ckpt.exists(), "no checkpoint may be written");
+    // without a checkpoint, reordered training still runs
+    let out = el_rec()
+        .args(["train", "--dataset", "toy", "--scale", "0.05", "--batches", "2", "--reorder"])
+        .args(["--tt-threshold", "500"])
+        .output()
+        .expect("spawn");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("fitted index bijections"));
+}
+
 /// Trains a toy model for two batches and checkpoints it to `path`.
 fn train_toy(path: &Path) {
     let out = el_rec()

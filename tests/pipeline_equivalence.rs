@@ -4,10 +4,15 @@
 //! mix device-resident TT tables with host-resident dense tables.
 
 use el_rec::data::{DatasetSpec, SyntheticDataset};
-use el_rec::dlrm::{DlrmConfig, DlrmModel, EmbeddingLayer};
-use el_rec::pipeline::server::{HostServer, ServerMode};
+use el_rec::dlrm::{DlrmConfig, DlrmModel, EmbeddingBag, EmbeddingLayer};
+use el_rec::pipeline::server::{ApplyOutcome, HostServer, ServerMode};
 use el_rec::pipeline::trainer::{PipelineConfig, PipelineReport, PipelineTrainer};
+use el_rec::pipeline::WorkerCache;
 use rand::SeedableRng;
+use std::collections::VecDeque;
+
+const NUM_BATCHES: u64 = 20;
+const BATCH_SIZE: usize = 64;
 
 fn dataset() -> SyntheticDataset {
     let mut spec = DatasetSpec::toy(4, 500, usize::MAX / 2);
@@ -43,9 +48,9 @@ fn setup() -> (DlrmModel, HostServer) {
 fn run(pipelined: bool, depth: usize) -> PipelineReport {
     let (model, server) = setup();
     let config = PipelineConfig {
-        batch_size: 64,
+        batch_size: BATCH_SIZE,
         first_batch: 0,
-        num_batches: 20,
+        num_batches: NUM_BATCHES,
         prefetch_depth: depth,
         pipelined,
         overlap_analysis: pipelined,
@@ -70,17 +75,56 @@ fn pipelined_training_is_bitwise_equal_to_sequential() {
     }
 }
 
+/// A pre-fetch queue of `depth` batches kept full, driven on one thread:
+/// the queue is refilled to `depth` gathered batches before every step,
+/// so batch `b` is gathered after only `b + 1 - depth` gradient applies
+/// (`depth == 1` is strict alternation). Returns the trained host tables,
+/// the losses and the rows the cache corrected.
+fn run_queue_full(depth: u64) -> (Vec<(usize, EmbeddingBag)>, Vec<f32>, u64) {
+    let (mut model, mut server) = setup();
+    let data = dataset();
+    let mut cache = WorkerCache::new(server.tables.len(), server.lr);
+    let mut queue = VecDeque::new();
+    let mut losses = Vec::new();
+    for k in 0..NUM_BATCHES {
+        for next in k + queue.len() as u64..(k + depth).min(NUM_BATCHES) {
+            queue.push_back(server.gather(data.batch(next, BATCH_SIZE), next));
+        }
+        let mut pf = queue.pop_front().expect("the queue holds batch k");
+        let pooled = cache.pool(&mut pf);
+        let out = model.train_step_hybrid(&pf.batch, &pooled);
+        losses.push(out.loss);
+        let push = cache.gradient_push(&pf, &out.hosted_grads);
+        assert_eq!(server.apply_checked(&push), Ok(ApplyOutcome::Applied));
+    }
+    (server.tables, losses, cache.stale_hits())
+}
+
 #[test]
 fn deeper_queues_need_more_cache_corrections() {
-    let d2 = run(true, 2);
-    let d8 = run(true, 8);
-    assert!(d2.stale_hits > 0, "depth 2 should already see staleness");
-    assert!(
-        d8.stale_hits >= d2.stale_hits,
-        "deeper pipeline cannot need fewer corrections: {} vs {}",
-        d8.stale_hits,
-        d2.stale_hits
-    );
+    // Strict alternation never gathers ahead of an apply, on any schedule.
+    let seq = run(false, 1);
+    assert_eq!(seq.stale_hits, 0, "sequential training cannot see a stale row");
+    // A full queue is one deterministic schedule: a deeper one corrects
+    // more rows, and the corrections restore the sequential bytes exactly.
+    let mut shallower = 0;
+    for depth in [2, 8] {
+        let (tables, losses, corrected) = run_queue_full(depth);
+        assert!(
+            corrected > shallower,
+            "depth {depth} corrected {corrected} rows, a shallower queue {shallower}"
+        );
+        shallower = corrected;
+        assert_eq!(losses, seq.losses, "loss trajectory diverged at queue depth {depth}");
+        for ((ta, a), (tb, b)) in seq.host_tables.iter().zip(&tables) {
+            assert_eq!(ta, tb);
+            assert_eq!(
+                a.weight.as_slice(),
+                b.weight.as_slice(),
+                "host table {ta} diverged at depth {depth}"
+            );
+        }
+    }
 }
 
 #[test]

@@ -3,13 +3,15 @@
 //!
 //! The sink list is *curated*, not inferred: it names operations that
 //! allocate on every call (`with_capacity`, `Box::new`, `collect`,
-//! `vec!`, …). Amortized grow-only operations the hot path deliberately
-//! uses on recycled buffers — `resize`, `reserve`, `push`, `extend`,
-//! `clone` — are excluded by design; those are covered by the dynamic
-//! counting-allocator tests (DESIGN.md §2.2), which verify steady-state
-//! allocation counts the static pass cannot. Vendor crates (rayon et al.)
-//! are outside the call graph; the boundary is documented in DESIGN.md
-//! §12.
+//! `vec!`, …) and the method form `x.clone()`, which copies whatever heap
+//! memory the receiver owns (a shared handle's refcount bump is spelled
+//! `Arc::clone(&h)` and is not a sink). Amortized grow-only operations
+//! the hot path deliberately uses on recycled buffers — `resize`,
+//! `reserve`, `push`, `extend` — are excluded by design; those are
+//! covered by the dynamic counting-allocator tests (DESIGN.md §2.2),
+//! which verify steady-state allocation counts the static pass cannot.
+//! Vendor crates (rayon et al.) are outside the call graph; the boundary
+//! is documented in DESIGN.md §12.
 
 use super::model::{FnId, Workspace};
 use super::parser::{Call, CallKind};
@@ -43,6 +45,8 @@ pub fn alloc_sink(call: &Call) -> Option<String> {
             }
             ALLOC_NAMES.contains(&call.name.as_str()).then(|| call.name.clone())
         }
+        // Only the method form copies: `Arc::clone(&h)` bumps a refcount.
+        CallKind::Method if call.name == "clone" => Some(".clone()".into()),
         CallKind::Free | CallKind::Method => {
             ALLOC_NAMES.contains(&call.name.as_str()).then(|| call.name.clone())
         }
@@ -153,6 +157,21 @@ mod tests {
             )],
         )]);
         assert!(check(&ws).is_empty());
+    }
+
+    #[test]
+    fn owned_clone_is_a_sink_but_a_handle_bump_is_not() {
+        let ws = workspace_from_sources(&[(
+            "c",
+            &[],
+            &[(
+                "crates/c/src/lib.rs",
+                "// CONTRACT: zero-alloc\npub fn hot(v: &Vec<u32>, h: &Arc<u32>) { keep(v.clone()); keep(Arc::clone(h)); }\npub fn keep<T>(_: T) {}\n",
+            )],
+        )]);
+        let f = check(&ws);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert!(f[0].msg.contains(".clone()"), "{f:?}");
     }
 
     #[test]
