@@ -22,6 +22,9 @@ use crate::bag::TtEmbeddingBag;
 use crate::plan::{LookupPlan, PlanScratch};
 use el_tensor::gemm::gemm_nn;
 use el_tensor::Matrix;
+// ORDER-FREE: the prefix -> slot map is only probed, filled and pruned by
+// key; eviction order comes from the slot slab's clock hand, never from
+// iterating the map.
 use std::collections::HashMap;
 
 /// One cached partial product in the slot slab.

@@ -29,6 +29,7 @@ use crate::batch::{MiniBatch, SparseField};
 use crate::schema::DatasetSpec;
 use rand::{Rng, SeedableRng};
 use rand_distr::{Distribution, Zipf};
+use rayon::prelude::*;
 
 /// Fraction of lookups drawn from the batch's active co-occurrence groups.
 const LOCAL_FRACTION: f64 = 0.5;
@@ -170,10 +171,14 @@ impl SyntheticDataset {
         MiniBatch { dense, num_dense: self.spec.num_dense, fields, labels }
     }
 
-    /// Convenience: generates `count` consecutive batches starting at
-    /// `first`.
+    /// Generates `count` consecutive batches starting at `first`, across
+    /// the rayon pool, in order.
+    ///
+    /// Each batch draws only from its own seed (`mix(seed, batch_idx)`), so
+    /// the result is byte-equal to calling [`Self::batch`] for
+    /// `first..first + count` in sequence, at any pool size.
     pub fn batches(&self, first: u64, count: usize, batch_size: usize) -> Vec<MiniBatch> {
-        (0..count as u64).map(|i| self.batch(first + i, batch_size)).collect()
+        (0..count as u64).into_par_iter().map(|i| self.batch(first + i, batch_size)).collect()
     }
 }
 
@@ -243,6 +248,23 @@ mod tests {
         let a = d.batch(0, 64);
         let b = d.batch(1, 64);
         assert_ne!(a.fields[0].indices, b.fields[0].indices);
+    }
+
+    #[test]
+    fn batches_are_the_sequential_batches_byte_for_byte() {
+        let d = toy_dataset();
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        for (first, count) in [(0u64, 0usize), (5, 1), (17, 9)] {
+            let pooled = d.batches(first, count, 48);
+            assert_eq!(pooled.len(), count);
+            for (i, p) in pooled.iter().enumerate() {
+                let s = d.batch(first + i as u64, 48);
+                assert_eq!(bits(&p.dense), bits(&s.dense), "dense of batch {}", first + i as u64);
+                assert_eq!(bits(&p.labels), bits(&s.labels));
+                assert_eq!(p.num_dense, s.num_dense);
+                assert_eq!(p.fields, s.fields);
+            }
+        }
     }
 
     #[test]

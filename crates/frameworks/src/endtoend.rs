@@ -343,9 +343,8 @@ fn run_tt(
     if reorder {
         let reorderer =
             Reorderer::new(ReorderConfig { hot_ratio: params.hot_ratio, seed: params.seed });
-        let profile: Vec<MiniBatch> = (0..params.profile_batches)
-            .map(|b| dataset.batch(params.first + b, params.batch_size))
-            .collect();
+        let profile =
+            dataset.batches(params.first, params.profile_batches as usize, params.batch_size);
         for &t in &spec.large_tables(params.large_threshold) {
             let lists: Vec<&[u32]> = profile.iter().map(|b| &b.fields[t].indices[..]).collect();
             bijections[t] = Some(reorderer.fit(spec.table_cardinalities[t], &lists));

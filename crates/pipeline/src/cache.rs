@@ -28,6 +28,9 @@
 
 use crate::server::{aggregate_to_unique, pool_prefetched, GradientPush, PrefetchedBatch};
 use el_tensor::Matrix;
+// ORDER-FREE: entries are read and written by row id; the two whole-map
+// walks are `retain` on each entry's own stamp and a sum of entry sizes,
+// neither of which depends on the order it visits entries in.
 use std::collections::HashMap;
 
 /// Per-table cache of worker-fresh embedding rows.

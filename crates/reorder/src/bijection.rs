@@ -210,6 +210,37 @@ mod tests {
         assert_eq!(span(&b), 3, "cluster B not contiguous");
     }
 
+    /// A ring of 12, a path of 5 and a 4 x 4 grid, one batch per edge:
+    /// every edge weighs 1, so local moving meets tied gains at every step
+    /// and the order it scores them in decides the bijection.
+    fn tie_heavy_profiles() -> Vec<(usize, Vec<Vec<u32>>)> {
+        let ring = (0..12).map(|i| vec![i, (i + 1) % 12]).collect();
+        let path = (0..4).map(|i| vec![i, i + 1]).collect();
+        let mut grid = Vec::new();
+        for v in 0..16u32 {
+            if v % 4 < 3 {
+                grid.push(vec![v, v + 1]);
+            }
+            if v < 12 {
+                grid.push(vec![v, v + 4]);
+            }
+        }
+        vec![(12, ring), (5, path), (16, grid)]
+    }
+
+    #[test]
+    fn tied_gains_give_one_bijection() {
+        let r = Reorderer::new(ReorderConfig { hot_ratio: 0.0, seed: 3 });
+        for (card, batches) in tie_heavy_profiles() {
+            let refs: Vec<&[u32]> = batches.iter().map(|b| b.as_slice()).collect();
+            let first = r.fit(card, &refs);
+            first.validate().unwrap();
+            for fit in 1..64 {
+                assert_eq!(r.fit(card, &refs).forward, first.forward, "{card} vertices, fit {fit}");
+            }
+        }
+    }
+
     #[test]
     fn apply_remaps_in_place() {
         let bij = IndexBijection { forward: vec![2, 0, 1], inverse: vec![1, 2, 0] };

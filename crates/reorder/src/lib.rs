@@ -17,6 +17,13 @@
 //! before lookup (`SparseField::remap`). Because embedding rows are
 //! randomly initialized, relabeling rows before training is free — no data
 //! movement, no accuracy impact.
+//!
+//! The bijection is a pure function of `(cardinality, batches, config)`:
+//! the same in every process and at every pool size. Every choice the fit
+//! makes is ordered — stable sorts by count, a seeded edge sampler, and a
+//! Louvain that scores candidate communities in first-touch (adjacency)
+//! order, where a tie keeps the earlier candidate ([`louvain()`]). No step
+//! iterates a hash map, whose order std seeds per process.
 
 #![forbid(unsafe_code)]
 

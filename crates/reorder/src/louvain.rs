@@ -9,9 +9,21 @@
 //!    community with the largest modularity gain until no move helps;
 //! 2. **aggregation** — collapse communities into super-vertices and
 //!    repeat on the condensed graph.
+//!
+//! The partition is a pure function of the graph. Both phases gather a
+//! vertex's (or a community's) weight per neighboring community in one
+//! dense `CommunityScratch` — a weight per community id, the ids in
+//! first-touch (adjacency) order and a seen mask — allocated once per
+//! fit, so no step allocates per vertex and no step iterates a hash map.
+//! Local moving scores candidates in first-touch order and moves a vertex
+//! only on a strict improvement, so of two candidates with equal gain the
+//! earlier-touched one wins.
 
 use crate::graph::IndexGraph;
-use std::collections::HashMap;
+
+/// Gains closer than this (in units of the modularity gain) are ties: a
+/// vertex moves only when a candidate beats its best by more.
+const GAIN_EPSILON: f64 = 1e-12;
 
 /// A community assignment over graph vertices.
 #[derive(Clone, Debug)]
@@ -37,14 +49,21 @@ impl Partition {
         out
     }
 
-    /// Renumbers community ids to be contiguous.
+    /// Renumbers community ids to be contiguous, in order of first
+    /// appearance.
     fn compact(mut self) -> Self {
-        let mut remap: HashMap<u32, u32> = HashMap::new();
+        let bound = self.community.iter().max().map_or(0, |&c| c as usize + 1);
+        let mut remap = vec![u32::MAX; bound];
+        let mut count = 0u32;
         for c in &mut self.community {
-            let next = remap.len() as u32;
-            *c = *remap.entry(*c).or_insert(next);
+            let slot = &mut remap[*c as usize];
+            if *slot == u32::MAX {
+                *slot = count;
+                count += 1;
+            }
+            *c = *slot;
         }
-        self.count = remap.len();
+        self.count = count as usize;
         self
     }
 }
@@ -71,6 +90,81 @@ pub fn modularity(graph: &IndexGraph, partition: &Partition) -> f64 {
     (0..partition.count).map(|c| intra[c] / (2.0 * m) - (degree[c] / (2.0 * m)).powi(2)).sum()
 }
 
+/// Weight per neighboring community, gathered densely: `weight` is indexed
+/// by community id, `touched` lists the ids in first-touch order and
+/// `seen` marks them. `clear` resets only the touched slots, so one
+/// scratch serves every vertex of every level.
+struct CommunityScratch {
+    weight: Vec<f64>,
+    seen: Vec<bool>,
+    touched: Vec<u32>,
+}
+
+impl CommunityScratch {
+    /// A scratch for community ids below `n`.
+    fn new(n: usize) -> Self {
+        Self { weight: vec![0.0; n], seen: vec![false; n], touched: Vec::new() }
+    }
+
+    fn add(&mut self, c: u32, w: f64) {
+        let i = c as usize;
+        if !self.seen[i] {
+            self.seen[i] = true;
+            self.touched.push(c);
+        }
+        self.weight[i] += w;
+    }
+
+    /// Accumulated weight to community `c` (0 when untouched).
+    fn weight(&self, c: u32) -> f64 {
+        self.weight[c as usize]
+    }
+
+    fn clear(&mut self) {
+        for &c in &self.touched {
+            self.weight[c as usize] = 0.0;
+            self.seen[c as usize] = false;
+        }
+        self.touched.clear();
+    }
+}
+
+/// One level's working graph in CSR form: the index graph at level 0,
+/// then the communities of the level below as super-vertices.
+struct Level {
+    offsets: Vec<usize>,
+    edges: Vec<(u32, f64)>,
+    self_loops: Vec<f64>,
+}
+
+impl Level {
+    fn of_graph(graph: &IndexGraph) -> Self {
+        Self {
+            offsets: graph.offsets.iter().map(|&o| o as usize).collect(),
+            edges: graph
+                .neighbors
+                .iter()
+                .zip(&graph.weights)
+                .map(|(&nb, &w)| (nb, w as f64))
+                .collect(),
+            self_loops: vec![0.0; graph.num_vertices()],
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.self_loops.len()
+    }
+
+    fn neighbors(&self, v: usize) -> &[(u32, f64)] {
+        &self.edges[self.offsets[v]..self.offsets[v + 1]]
+    }
+
+    /// Total edge weight `m`, self loops included.
+    fn total_weight(&self) -> f64 {
+        self.self_loops.iter().sum::<f64>() + self.edges.iter().map(|&(_, w)| w).sum::<f64>() / 2.0
+    }
+}
+
 /// Runs Louvain community detection; returns a partition with contiguous
 /// community ids.
 pub fn louvain(graph: &IndexGraph) -> Partition {
@@ -78,21 +172,18 @@ pub fn louvain(graph: &IndexGraph) -> Partition {
     if n == 0 {
         return Partition { community: Vec::new(), count: 0 };
     }
-    // Working graph in adjacency-list form (aggregated levels need
-    // mutation).
-    let mut adj: Vec<Vec<(u32, f64)>> =
-        (0..n).map(|v| graph.neighbors(v).map(|(nb, w)| (nb, w as f64)).collect()).collect();
-    let mut self_loops = vec![0f64; n];
-    // membership of original vertices through all levels
-    let mut assignment: Vec<u32> = (0..n as u32).collect();
-
     let mut total_m: f64 = graph.total_weight();
     if total_m == 0.0 {
-        return Partition::singleton(n).compact();
+        return Partition::singleton(n);
     }
+    let mut level = Level::of_graph(graph);
+    // membership of original vertices through all levels
+    let mut assignment: Vec<u32> = (0..n as u32).collect();
+    // every level's community ids are below its vertex count, at most n
+    let mut scratch = CommunityScratch::new(n);
 
     for _level in 0..16 {
-        let (local, improved) = local_moving(&adj, &self_loops, total_m);
+        let (local, improved) = local_moving(&level, total_m, &mut scratch);
         if !improved {
             break;
         }
@@ -100,38 +191,13 @@ pub fn louvain(graph: &IndexGraph) -> Partition {
         for a in assignment.iter_mut() {
             *a = local.community[*a as usize];
         }
-        // Aggregate.
-        let count = local.count;
-        let mut new_adj: Vec<HashMap<u32, f64>> = vec![HashMap::new(); count];
-        let mut new_loops = vec![0f64; count];
-        for v in 0..adj.len() {
-            let cv = local.community[v];
-            new_loops[cv as usize] += self_loops[v];
-            for &(nb, w) in &adj[v] {
-                let cn = local.community[nb as usize];
-                if cn == cv {
-                    new_loops[cv as usize] += w / 2.0; // both endpoints visit
-                } else {
-                    *new_adj[cv as usize].entry(cn).or_insert(0.0) += w;
-                }
-            }
-        }
-        adj = new_adj
-            .into_iter()
-            .map(|m| {
-                let mut v: Vec<(u32, f64)> = m.into_iter().collect();
-                v.sort_unstable_by_key(|&(nb, _)| nb);
-                v
-            })
-            .collect();
-        self_loops = new_loops;
-        if adj.len() == 1 {
+        level = aggregate(&level, &local, &mut scratch);
+        if level.len() == 1 {
             break;
         }
         // Total weight is invariant under aggregation; recompute to absorb
         // floating error.
-        total_m = self_loops.iter().sum::<f64>()
-            + adj.iter().flat_map(|nbrs| nbrs.iter().map(|&(_, w)| w)).sum::<f64>() / 2.0;
+        total_m = level.total_weight();
     }
 
     Partition { community: assignment, count: 0 }.compact()
@@ -139,13 +205,19 @@ pub fn louvain(graph: &IndexGraph) -> Partition {
 
 /// One round of greedy local moving. Returns the level-local partition and
 /// whether any move improved modularity.
-fn local_moving(adj: &[Vec<(u32, f64)>], self_loops: &[f64], m: f64) -> (Partition, bool) {
-    let n = adj.len();
+fn local_moving(level: &Level, m: f64, scratch: &mut CommunityScratch) -> (Partition, bool) {
+    let n = level.len();
     let mut community: Vec<u32> = (0..n as u32).collect();
     // Community total degree (incl. self loops counted twice).
-    let degree: Vec<f64> =
-        (0..n).map(|v| adj[v].iter().map(|&(_, w)| w).sum::<f64>() + 2.0 * self_loops[v]).collect();
+    let degree: Vec<f64> = (0..n)
+        .map(|v| {
+            level.neighbors(v).iter().map(|&(_, w)| w).sum::<f64>() + 2.0 * level.self_loops[v]
+        })
+        .collect();
     let mut comm_degree = degree.clone();
+    // The gain of joining community c is (w_{v->c} - k_v K_c / 2m) / m;
+    // candidates are compared on the bracket, so the tie band scales by m.
+    let tie = GAIN_EPSILON * m;
 
     let mut improved_any = false;
     for _sweep in 0..32 {
@@ -153,28 +225,25 @@ fn local_moving(adj: &[Vec<(u32, f64)>], self_loops: &[f64], m: f64) -> (Partiti
         for v in 0..n {
             let cv = community[v];
             // Weights from v to each neighboring community.
-            let mut to_comm: HashMap<u32, f64> = HashMap::new();
-            for &(nb, w) in &adj[v] {
-                *to_comm.entry(community[nb as usize]).or_insert(0.0) += w;
+            for &(nb, w) in level.neighbors(v) {
+                scratch.add(community[nb as usize], w);
             }
-            let w_to_own = to_comm.get(&cv).copied().unwrap_or(0.0);
-            // Remove v from its community.
+            // Remove v from its community; rejoining it is the baseline.
             comm_degree[cv as usize] -= degree[v];
-            // Gain of joining community c: w_{v->c}/m - k_v * K_c / (2 m^2);
-            // compare against rejoining its own community.
-            let base = w_to_own / m - degree[v] * comm_degree[cv as usize] / (2.0 * m * m);
+            let k_over_2m = degree[v] / (2.0 * m);
             let mut best_c = cv;
-            let mut best_gain = base;
-            for (&c, &w_vc) in &to_comm {
+            let mut best_gain = scratch.weight(cv) - k_over_2m * comm_degree[cv as usize];
+            for &c in &scratch.touched {
                 if c == cv {
                     continue;
                 }
-                let gain = w_vc / m - degree[v] * comm_degree[c as usize] / (2.0 * m * m);
-                if gain > best_gain + 1e-12 {
+                let gain = scratch.weight(c) - k_over_2m * comm_degree[c as usize];
+                if gain > best_gain + tie {
                     best_gain = gain;
                     best_c = c;
                 }
             }
+            scratch.clear();
             comm_degree[best_c as usize] += degree[v];
             if best_c != cv {
                 community[v] = best_c;
@@ -189,6 +258,42 @@ fn local_moving(adj: &[Vec<(u32, f64)>], self_loops: &[f64], m: f64) -> (Partiti
 
     let p = Partition { community, count: 0 }.compact();
     (p, improved_any)
+}
+
+/// Collapses each community of `local` into one super-vertex: the weight
+/// between two communities sums their members' edges, edges inside a
+/// community become its self loop. Members are visited in vertex order,
+/// so every sum adds its terms in the order of the level below.
+fn aggregate(level: &Level, local: &Partition, scratch: &mut CommunityScratch) -> Level {
+    // A stable sort keeps each community's members in vertex order; every
+    // community id in 0..count has a member, so the runs come in id order.
+    let mut members: Vec<u32> = (0..level.len() as u32).collect();
+    members.sort_by_key(|&v| local.community[v as usize]);
+
+    let mut offsets = Vec::with_capacity(local.count + 1);
+    offsets.push(0);
+    let mut edges = Vec::new();
+    let mut self_loops = vec![0f64; local.count];
+    for run in members.chunk_by(|&a, &b| local.community[a as usize] == local.community[b as usize])
+    {
+        let c = local.community[run[0] as usize];
+        for &v in run {
+            self_loops[c as usize] += level.self_loops[v as usize];
+            for &(nb, w) in level.neighbors(v as usize) {
+                let cn = local.community[nb as usize];
+                if cn == c {
+                    self_loops[c as usize] += w / 2.0; // both endpoints visit
+                } else {
+                    scratch.add(cn, w);
+                }
+            }
+        }
+        scratch.touched.sort_unstable();
+        edges.extend(scratch.touched.iter().map(|&cn| (cn, scratch.weight(cn))));
+        scratch.clear();
+        offsets.push(edges.len());
+    }
+    Level { offsets, edges, self_loops }
 }
 
 #[cfg(test)]

@@ -184,7 +184,7 @@ fn cmd_train(opts: &Opts) -> Result<(), String> {
     let mut bijections = vec![None; model.num_tables()];
     if opts.has_flag("reorder") {
         let reorderer = Reorderer::new(ReorderConfig { hot_ratio: 0.05, seed });
-        let profile: Vec<MiniBatch> = (0..8).map(|b| ds.batch(b, batch_size)).collect();
+        let profile = ds.batches(0, 8, batch_size);
         for &t in &ds.spec().large_tables(tt_threshold) {
             let lists: Vec<&[u32]> = profile.iter().map(|b| &b.fields[t].indices[..]).collect();
             bijections[t] = Some(reorderer.fit(ds.spec().table_cardinalities[t], &lists));

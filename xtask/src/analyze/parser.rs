@@ -4,9 +4,10 @@
 //! analyses: which `fn` encloses a given token, which `impl` block that fn
 //! sits in (for `Type::method` qualification and `Self::` resolution),
 //! whether a scope is test-only (`#[cfg(test)]` mod or `#[test]` fn), plus
-//! inventories of call sites, panic sites, env-var reads, lock acquisitions
-//! and `Instant::now` uses. Everything is matched on tokens, so string and
-//! comment contents can neither trigger nor suppress a rule.
+//! inventories of call sites, panic sites, env-var reads, lock acquisitions,
+//! `Instant::now` uses and the paths that bring in std's hash collections.
+//! Everything is matched on tokens, so string and comment contents can
+//! neither trigger nor suppress a rule.
 //!
 //! Line-adjacency walks (contract comments, `PANIC-OK`, the lint ports)
 //! use three pre-computed per-line maps: `comment_lines` (comment text by
@@ -143,6 +144,10 @@ pub struct ParsedFile {
     pub locks: Vec<LockSite>,
     /// Lines with `Instant::now()` calls, with test-scope flag.
     pub instant_now: Vec<(u32, bool)>,
+    /// Where std's `HashMap`/`HashSet` enter the file: the name (`*` for a
+    /// glob import), the line of the `collections`/`hash_map`/`hash_set`
+    /// path segment it hangs from, and the test-scope flag.
+    pub hash_collections: Vec<(String, u32, bool)>,
     /// Lines where the unsafe keyword appears at a code position.
     pub unsafe_lines: Vec<u32>,
     /// Comment text by line (first comment starting on/covering that
@@ -194,6 +199,9 @@ impl ParsedFile {
 fn unsafe_kw() -> String {
     ["un", "safe"].concat()
 }
+
+/// Path segments std's hash collections live under.
+const HASH_MODULES: &[&str] = &["collections", "hash_map", "hash_set"];
 
 const KEYWORDS: &[&str] = &[
     "as", "break", "const", "continue", "crate", "dyn", "else", "enum", "extern", "false", "fn",
@@ -374,6 +382,57 @@ impl<'a> Parser<'a> {
         None
     }
 
+    /// Index of the previous code token strictly before index `i`.
+    fn code_index_before(&self, i: usize) -> Option<usize> {
+        (0..i).rev().find(|&j| !matches!(self.toks[j].kind, TokKind::Comment | TokKind::DocComment))
+    }
+
+    /// When the code tokens before index `i` are `<module> ::` with
+    /// `<module>` one of [`HASH_MODULES`], the module token's line.
+    fn hash_module_before(&self, i: usize) -> Option<u32> {
+        let c2 = self.code_index_before(i)?;
+        let c1 = self.code_index_before(c2)?;
+        let module = &self.toks[self.code_index_before(c1)?];
+        let colons = [c1, c2].iter().all(|&c| self.toks[c].text == ":");
+        (colons && module.kind == TokKind::Ident && HASH_MODULES.contains(&module.text.as_str()))
+            .then_some(module.line)
+    }
+
+    /// Cursor on `HashMap`, `HashSet` or `*`: records a std hash collection
+    /// entering the file — the name on a path through [`HASH_MODULES`]
+    /// (`std::collections::HashMap`), a member of a `use` group hanging
+    /// from one (`use std::collections::{BTreeMap, HashMap}`), or a glob
+    /// import of one.
+    fn hash_collection_site(&mut self) {
+        let t = &self.toks[self.i];
+        let mut line = self.hash_module_before(self.i);
+        if line.is_none() && t.text != "*" {
+            // Walk back to the opener of the enclosing `use` group over
+            // path tokens only; nested groups are skipped whole.
+            let mut j = self.i;
+            let mut nested = 0usize;
+            while let Some(k) = self.code_index_before(j) {
+                let u = &self.toks[k];
+                match u.text.as_str() {
+                    "{" if nested == 0 => {
+                        line = self.hash_module_before(k);
+                        break;
+                    }
+                    "{" => nested -= 1,
+                    "}" => nested += 1,
+                    "," | ":" | "*" | "as" | "self" | "super" | "crate" => {}
+                    _ if u.kind == TokKind::Ident && !is_keyword(&u.text) => {}
+                    _ => break,
+                }
+                j = k;
+            }
+        }
+        if let Some(line) = line {
+            let in_test = self.in_test_code();
+            self.out.hash_collections.push((t.text.clone(), line, in_test));
+        }
+    }
+
     /// Second-previous code token before index `i`.
     fn code_before2(&self, i: usize) -> Option<&'a Tok> {
         let mut j = i;
@@ -407,6 +466,11 @@ impl<'a> Parser<'a> {
 
     fn in_test_scope(&self) -> bool {
         self.scopes.iter().any(|s| matches!(s, Scope::TestMod(_)))
+    }
+
+    /// The cursor is in a test module or a test fn.
+    fn in_test_code(&self) -> bool {
+        self.in_test_scope() || self.current_fn().is_some_and(|i| self.out.fns[i].is_test)
     }
 
     fn in_debug_assert(&self) -> bool {
@@ -458,7 +522,14 @@ impl<'a> Parser<'a> {
                     self.i += 1;
                 }
                 TokKind::Ident => {
+                    if matches!(t.text.as_str(), "HashMap" | "HashSet") {
+                        self.hash_collection_site();
+                    }
                     self.ident_in_code();
+                }
+                TokKind::Punct if t.text == "*" => {
+                    self.hash_collection_site();
+                    self.i += 1;
                 }
                 _ => {
                     self.i += 1;
@@ -830,8 +901,7 @@ impl<'a> Parser<'a> {
                     None => false,
                 }
             };
-            let in_test = self.in_test_scope()
-                || self.current_fn().map(|i| self.out.fns[i].is_test).unwrap_or(false);
+            let in_test = self.in_test_code();
             self.out.locks.push(LockSite { method: name.to_string(), line, unwrapped, in_test });
         }
         self.record_call(Call {
@@ -853,8 +923,7 @@ impl<'a> Parser<'a> {
             }
         }
         if name == "now" && qualifier.as_deref() == Some("Instant") {
-            let in_test = self.in_test_scope()
-                || self.current_fn().map(|i| self.out.fns[i].is_test).unwrap_or(false);
+            let in_test = self.in_test_code();
             self.out.instant_now.push((line, in_test));
         }
         self.record_call(Call {
@@ -1149,6 +1218,29 @@ mod tests {
         let f = parse_file("t.rs", src);
         assert_eq!(f.instant_now.len(), 1);
         assert!(!f.instant_now[0].1);
+    }
+
+    #[test]
+    fn hash_collection_entry_points() {
+        let names =
+            |src: &str| -> Vec<(String, u32, bool)> { parse_file("a.rs", src).hash_collections };
+        let plain = "use std::collections::HashMap;\npub fn f(m: &HashMap<u32, u32>) {}";
+        assert_eq!(names(plain), vec![("HashMap".to_string(), 1, false)]);
+        let group = "use std::collections::{\n    BTreeMap,\n    HashSet,\n};";
+        assert_eq!(names(group), vec![("HashSet".to_string(), 1, false)]);
+        let nested = "use std::{collections::{hash_map::Entry, HashMap as Map}, fmt};";
+        assert_eq!(names(nested).len(), 1);
+        let inline = "pub fn f() { let s: std::collections::HashSet<u8> = Default::default(); }";
+        assert_eq!(names(inline), vec![("HashSet".to_string(), 1, false)]);
+        let glob = "use std::collections::*;";
+        assert_eq!(names(glob), vec![("*".to_string(), 1, false)]);
+        let in_tests = "#[cfg(test)]\nmod tests {\n    use std::collections::HashMap;\n}";
+        assert!(names(in_tests)[0].2);
+        // a use already imported, another crate's type, a string, a comment
+        let quiet = "pub fn f(m: HashMap<u8, u8>, v: Vec<HashSet<u8>>) { let _ = indexmap::IndexMap::new(); let _s = \"std::collections::HashMap\"; } // std::collections::HashMap";
+        assert!(names(quiet).is_empty());
+        let not_a_group = "pub fn f() { let x: HashMap<u8, u8> = g(); }";
+        assert!(names(not_a_group).is_empty());
     }
 
     #[test]

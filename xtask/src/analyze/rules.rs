@@ -11,6 +11,11 @@
 //!   non-test library code.
 //! - `instant-now` — `Instant::now()` in library crates outside
 //!   `src/timing.rs`/`src/bin` needs an adjacent `// TIMING:` comment.
+//! - `hash-order` — in non-test library code of the crates whose output
+//!   is pinned ([`ORDER_PINNED_CRATES`]), a std `HashMap`/`HashSet`
+//!   brought into a file (its `use`, an inline `collections::` path, or a
+//!   glob import) needs an adjacent `// ORDER-FREE:` comment saying why no
+//!   result depends on the collection's per-process iteration order.
 //! - `target-feature-contract` — `#[target_feature]` fns must carry a
 //!   `# Safety` doc heading that names the caller's obligation.
 //! - `crate-attrs` — a compilation unit that uses the unsafe keyword
@@ -38,6 +43,16 @@ fn is_safety_comment(text: &str) -> bool {
 fn is_timing_comment(text: &str) -> bool {
     comment_body(text).starts_with("TIMING")
 }
+
+fn is_order_free_comment(text: &str) -> bool {
+    comment_body(text).starts_with("ORDER-FREE")
+}
+
+/// The crates (directory names under `crates/`) whose results are pinned
+/// by trained-bytes hashes, sweep lines or the benchmark's inputs hash:
+/// std's hash collections iterate in a per-process random order, so in
+/// these crates each one needs an `// ORDER-FREE:` justification.
+pub const ORDER_PINNED_CRATES: [&str; 6] = ["tensor", "core", "reorder", "dlrm", "pipeline", "sim"];
 
 /// Adjacency walk shared by `safety-comment` and `instant-now`: justified
 /// when `pred` holds for a comment on `line` itself, or on a comment-only
@@ -118,6 +133,27 @@ pub fn instant_findings(pf: &ParsedFile) -> Vec<Finding> {
             msg: "`Instant::now()` in library code; use the `timing` module, or justify \
                   with an adjacent `// TIMING:` comment"
                 .into(),
+            chain: Vec::new(),
+        })
+        .collect()
+}
+
+/// `hash-order` over one parsed file.
+pub fn hash_order_findings(pf: &ParsedFile) -> Vec<Finding> {
+    pf.hash_collections
+        .iter()
+        .filter(|(_, l, in_test)| !in_test && !justified(pf, *l, is_order_free_comment))
+        .map(|(name, l, _)| Finding {
+            rule: "hash-order".into(),
+            file: pf.path.clone(),
+            context: enclosing_fn(pf, *l),
+            detail: format!("std {name}"),
+            line: *l,
+            msg: format!(
+                "std `{name}` in a crate whose output is pinned: its iteration order changes \
+                 from process to process; use a dense or ordered structure, or justify with \
+                 an adjacent `// ORDER-FREE:` comment saying why no result depends on it"
+            ),
             chain: Vec::new(),
         })
         .collect()
@@ -273,12 +309,14 @@ fn package_dirs(root: &Path) -> Vec<PathBuf> {
 /// Runs the rules over every compilation unit in the repo: safety,
 /// target-feature and crate-attrs everywhere, lock-unwrap in `src/`,
 /// instant-now in `crates/*` lib sources outside `src/bin` and
-/// `src/timing.rs`.
+/// `src/timing.rs`, hash-order in the lib sources of
+/// [`ORDER_PINNED_CRATES`] outside `src/bin`.
 pub fn check(root: &Path) -> Vec<Finding> {
     let mut out = Vec::new();
     let rel = |p: &Path| p.strip_prefix(root).unwrap_or(p).to_string_lossy().replace('\\', "/");
     for pkg in package_dirs(root) {
         let lib_crate = pkg.starts_with(root.join("crates"));
+        let order_pinned = ORDER_PINNED_CRATES.iter().any(|c| pkg == root.join("crates").join(c));
         for unit in package_units(&pkg) {
             let in_src = unit.root.parent().is_some_and(|d| d.ends_with("src"))
                 || unit.root.parent().is_some_and(|d| d.ends_with("bin"));
@@ -294,6 +332,9 @@ pub fn check(root: &Path) -> Vec<Finding> {
                     let in_bin = f.starts_with(pkg.join("src").join("bin"));
                     if lib_crate && !in_bin && !f.ends_with("src/timing.rs") {
                         out.extend(instant_findings(&pf));
+                    }
+                    if order_pinned && !in_bin {
+                        out.extend(hash_order_findings(&pf));
                     }
                 }
                 uses_unsafe |= !pf.unsafe_lines.is_empty();
@@ -385,6 +426,41 @@ mod tests {
         assert!(instant_findings(&parse_file("a.rs", trailing)).is_empty());
         let blank_breaks = "pub fn f() {\n    // TIMING: stale\n\n    let _t = Instant::now();\n}";
         assert_eq!(instant_findings(&parse_file("a.rs", blank_breaks)).len(), 1);
+    }
+
+    #[test]
+    fn hash_order_token_rule() {
+        let bare =
+            "use std::collections::HashMap;\npub fn f() -> HashMap<u8, u8> { HashMap::new() }";
+        let v = hash_order_findings(&parse_file("a.rs", bare));
+        assert_eq!(v.len(), 1, "one finding per entry point, not per mention: {v:?}");
+        assert_eq!((v[0].detail.as_str(), v[0].line), ("std HashMap", 1));
+        let justified =
+            "// ORDER-FREE: lookups only, never iterated\nuse std::collections::HashMap;\n";
+        assert!(hash_order_findings(&parse_file("a.rs", justified)).is_empty());
+        let trailing = "use std::collections::HashSet; // ORDER-FREE: membership only\n";
+        assert!(hash_order_findings(&parse_file("a.rs", trailing)).is_empty());
+        let other_tag = "// TIMING: not a justification\nuse std::collections::HashSet;\n";
+        assert_eq!(hash_order_findings(&parse_file("a.rs", other_tag)).len(), 1);
+        let blank_breaks = "// ORDER-FREE: stale\n\nuse std::collections::HashMap;\n";
+        assert_eq!(hash_order_findings(&parse_file("a.rs", blank_breaks)).len(), 1);
+        // an inline path inside a function body is an entry point too
+        let inline = "pub fn f(xs: &[u32]) -> usize {\n    let s: std::collections::HashSet<u32> = xs.iter().copied().collect();\n    s.len()\n}";
+        let v = hash_order_findings(&parse_file("a.rs", inline));
+        assert_eq!((v.len(), v[0].context.as_str()), (1, "f"));
+        let in_tests = "#[cfg(test)]\nmod tests {\n    use std::collections::HashMap;\n}";
+        assert!(hash_order_findings(&parse_file("a.rs", in_tests)).is_empty());
+        let ordered = "use std::collections::{BTreeMap, BTreeSet};\n";
+        assert!(hash_order_findings(&parse_file("a.rs", ordered)).is_empty());
+    }
+
+    #[test]
+    fn order_pinned_crates_exist() {
+        // a renamed crate directory would silently drop out of the rule
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).parent().expect("xtask sits in the repo");
+        for name in ORDER_PINNED_CRATES {
+            assert!(root.join("crates").join(name).join("src/lib.rs").is_file(), "{name}");
+        }
     }
 
     #[test]
