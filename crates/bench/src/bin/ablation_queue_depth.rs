@@ -39,7 +39,7 @@ fn main() {
             num_batches,
             prefetch_depth: depth,
             pipelined: depth > 1,
-            overlap_analysis: depth > 1,
+            ..PipelineConfig::default()
         };
         let report = PipelineTrainer::try_train(model, server, &ds, &config)
             .expect("unique-rows serving accepts any schedule");

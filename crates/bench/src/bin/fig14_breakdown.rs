@@ -30,7 +30,7 @@ fn throughput(rows: usize, variant: &Variant, batch_size: usize, num_batches: u6
 
     // offline reordering from profiling batches
     let bijection = if variant.reorder {
-        let profile: Vec<_> = (0..6u64).map(|b| ds.batch(b, batch_size)).collect();
+        let profile = ds.batches(0, 6, batch_size);
         let lists: Vec<&[u32]> = profile.iter().map(|b| &b.fields[0].indices[..]).collect();
         Some(Reorderer::new(ReorderConfig { hot_ratio: 0.05, seed: 1 }).fit(rows, &lists))
     } else {

@@ -75,7 +75,7 @@ fn main() {
             num_batches,
             prefetch_depth: depth,
             pipelined,
-            overlap_analysis: pipelined,
+            ..PipelineConfig::default()
         };
         let report = PipelineTrainer::try_train(model, server, &ds, &config)
             .expect("only the sequential leg serves pooled embeddings");

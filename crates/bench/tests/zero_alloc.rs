@@ -36,16 +36,10 @@ fn batch_pool(rows: usize, pool: usize, lookups: usize) -> Vec<(Vec<u32>, Vec<u3
 }
 
 fn run_steady_state(options: TtOptions, label: &str) {
-    run_steady_state_sized(options, 8, 256, false, label);
+    run_steady_state_sized(options, 8, 256, label);
 }
 
-fn run_steady_state_sized(
-    options: TtOptions,
-    rank: usize,
-    lookups: usize,
-    overlap: bool,
-    label: &str,
-) {
+fn run_steady_state_sized(options: TtOptions, rank: usize, lookups: usize, label: &str) {
     let _exclusive = counting_alloc::exclusive();
     let mut rng = rand::rngs::StdRng::seed_from_u64(7);
     let mut bag =
@@ -54,36 +48,10 @@ fn run_steady_state_sized(
     let mut out = Matrix::zeros(0, 0);
     let pool = batch_pool(bag.num_rows(), 4, lookups);
 
-    // Warm-up pass with inline analysis: grows the consumer-side plan
-    // scratch so even a prefetch miss in the measured pass (a dropped
-    // queue slot) would not allocate.
-    for (indices, offsets) in &pool {
-        bag.forward_into(indices, offsets, &mut ws, &mut out);
-        bag.backward_sgd(&out, &mut ws, 0.01);
-    }
-
-    if overlap {
-        ws.enable_plan_prefetch();
-    }
-    // `prefetch(b0); loop { prefetch(b_{i+1}); step(b_i) }` — the trainer's
-    // overlap pattern. The spin keeps the queue strictly ordered so every
-    // take is a hit (a dropped prefetch would desynchronize the FIFO).
-    let queue = |i: usize, bag: &TtEmbeddingBag, ws: &TtWorkspace| {
-        if overlap {
-            let (ni, no) = &pool[i % pool.len()];
-            while !bag.prefetch_plan(ni, no, ws) {
-                std::thread::yield_now();
-            }
-        }
-    };
-
-    // Warm-up: two passes over the pool grow every buffer (including the
-    // prefetcher's recycled job buffers) to its steady shape; the second
-    // pass exercises the plan ping-pong on rebuilds.
-    queue(0, &bag, &ws);
+    // Warm-up: two passes over the pool grow every buffer to its steady
+    // shape; the second pass exercises the plan ping-pong on rebuilds.
     for _ in 0..2 {
-        for (i, (indices, offsets)) in pool.iter().enumerate() {
-            queue(i + 1, &bag, &ws);
+        for (indices, offsets) in &pool {
             bag.forward_into(indices, offsets, &mut ws, &mut out);
             bag.backward_sgd(&out, &mut ws, 0.01);
         }
@@ -95,13 +63,11 @@ fn run_steady_state_sized(
     // a thread other than this one. Steady state is idempotent: re-measuring
     // over the same pool is an equally valid observation, and only one-shot
     // foreign noise passes a retry — a real per-iteration allocation in the
-    // hot path (on any thread, including rayon workers and the prefetch
-    // coordinator) fails every attempt.
+    // hot path (on any thread, rayon workers included) fails every attempt.
     let mut new_allocs = 0;
     for _attempt in 0..3 {
         let before = counting_alloc::calls();
-        for (i, (indices, offsets)) in pool.iter().enumerate() {
-            queue(i + 1, &bag, &ws);
+        for (indices, offsets) in &pool {
             bag.forward_into(indices, offsets, &mut ws, &mut out);
             bag.backward_sgd(&out, &mut ws, 0.01);
         }
@@ -150,27 +116,7 @@ fn parallel_analysis_path_is_allocation_free() {
         },
         8,
         8192,
-        false,
         "parallel analysis",
-    );
-}
-
-#[test]
-fn prefetcher_overlapped_loop_is_allocation_free() {
-    // The full overlap pattern: batch i+1's plan builds on the prefetcher
-    // while batch i trains. Recycled job buffers keep the cycle free of
-    // allocation on both sides of the hand-off.
-    run_steady_state_sized(
-        TtOptions {
-            forward: ForwardStrategy::Reuse,
-            backward: BackwardStrategy::Aggregated,
-            fused_update: true,
-            parallel_analysis: true,
-        },
-        8,
-        8192,
-        true,
-        "prefetcher overlap",
     );
 }
 
@@ -208,5 +154,5 @@ fn rank_16_table_kernels_are_allocation_free() {
     // kernel, the backward chain pass fills the shared G_t^T scratch, and
     // 8192 lookups give the deepest forward level enough tasks to split
     // across the pool.
-    run_steady_state_sized(TtOptions::default(), 16, 8192, false, "rank 16 table kernels");
+    run_steady_state_sized(TtOptions::default(), 16, 8192, "rank 16 table kernels");
 }

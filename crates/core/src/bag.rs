@@ -9,7 +9,6 @@
 
 use crate::config::{TtConfig, TtOptions};
 use crate::plan::{LookupPlan, PlanScratch};
-use crate::prefetch::PlanPrefetcher;
 use crate::timing::StageTimers;
 use el_tensor::batched::{GemmBatch, GemmTask};
 use el_tensor::tt::TtCores;
@@ -40,8 +39,6 @@ pub struct TtWorkspace {
     pub(crate) dlevels: Vec<Vec<f32>>,
     /// Core-gradient arenas for the unfused-update path.
     pub(crate) grads: Vec<Vec<f32>>,
-    /// Overlapped-analysis prefetcher; `None` keeps analysis inline.
-    pub(crate) prefetcher: Option<PlanPrefetcher>,
     /// Cumulative analysis/forward/backward wall time.
     pub(crate) timers: StageTimers,
 }
@@ -50,25 +47,6 @@ impl TtWorkspace {
     /// An empty workspace; buffers grow on first use.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Installs a [`PlanPrefetcher`] so batch analysis can overlap compute.
-    /// Idempotent; a prefetcher left idle changes nothing — it only acts on
-    /// batches queued through [`TtEmbeddingBag::prefetch_plan`].
-    pub fn enable_plan_prefetch(&mut self) {
-        if self.prefetcher.is_none() {
-            self.prefetcher = Some(PlanPrefetcher::new());
-        }
-    }
-
-    /// Removes the prefetcher (joining its coordinator thread).
-    pub fn disable_plan_prefetch(&mut self) {
-        self.prefetcher = None;
-    }
-
-    /// The installed prefetcher, if overlap is enabled.
-    pub fn plan_prefetcher(&self) -> Option<&PlanPrefetcher> {
-        self.prefetcher.as_ref()
     }
 
     /// Cumulative stage timers (analysis vs forward vs backward).

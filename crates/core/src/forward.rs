@@ -43,6 +43,7 @@ impl TtEmbeddingBag {
     /// `ws` every batch and nothing reallocates once capacities have grown
     /// to the batch shape.
     // CONTRACT: zero-alloc
+    // CONTRACT: non-blocking
     pub fn forward_into(
         &self,
         indices: &[u32],
@@ -50,21 +51,6 @@ impl TtEmbeddingBag {
         ws: &mut TtWorkspace,
         out: &mut Matrix,
     ) {
-        self.analyze(indices, offsets, ws);
-        self.forward_analyzed(ws, out);
-    }
-
-    /// Pointer preparation of a batch, the first half of
-    /// [`TtEmbeddingBag::forward_into`]: claims the plan a prefetcher built
-    /// for exactly this batch, or builds it inline, and keeps it in `ws`
-    /// for [`TtEmbeddingBag::forward_analyzed`].
-    ///
-    /// With a prefetcher installed this blocks until the prefetcher's
-    /// build, which runs on the rayon pool, is done, so it must not be
-    /// called from a pool task: waiting there can leave no thread to run
-    /// that build.
-    // CONTRACT: zero-alloc
-    pub fn analyze(&self, indices: &[u32], offsets: &[u32], ws: &mut TtWorkspace) {
         for &i in indices {
             assert!((i as usize) < self.num_rows(), "index {i} out of {} rows", self.num_rows());
         }
@@ -73,65 +59,25 @@ impl TtEmbeddingBag {
         // its internal vectors.
         let analysis = crate::timing::probe();
         let mut plan = ws.plan.take().or_else(|| ws.alt_plan.take()).unwrap_or_default();
-        // A prefetched plan is used only after verifying it was built from
-        // exactly this batch; any miss falls back to the inline build, so
-        // overlap cannot change results.
-        let prefetched = match &ws.prefetcher {
-            Some(pf) => pf.take(&mut plan, indices, offsets, &self.cores.row_dims, dedup),
-            None => false,
-        };
-        if !prefetched {
-            if self.options.parallel_analysis {
-                plan.par_build_into(
-                    indices,
-                    offsets,
-                    &self.cores.row_dims,
-                    dedup,
-                    &mut ws.plan_scratch,
-                );
-            } else {
-                plan.build_into(
-                    indices,
-                    offsets,
-                    &self.cores.row_dims,
-                    dedup,
-                    &mut ws.plan_scratch,
-                );
-            }
-        }
-        analysis.accumulate(&mut ws.timers.analysis_ns);
-        ws.plan = Some(plan);
-    }
-
-    /// The chained GEMMs and pooling of the batch the last
-    /// [`TtEmbeddingBag::analyze`] on `ws` prepared, the second half of
-    /// [`TtEmbeddingBag::forward_into`]. Never blocks on a prefetcher.
-    // CONTRACT: zero-alloc
-    pub fn forward_analyzed(&self, ws: &mut TtWorkspace, out: &mut Matrix) {
-        let fwd = crate::timing::probe();
-        // PANIC-OK: documented API contract — forward without analysis is a caller bug.
-        let plan = ws.plan.as_ref().expect("forward_analyzed requires a preceding analyze");
-        self.compute_levels(plan, &mut ws.levels, &mut ws.batch);
-        self.pool_into(plan, ws.levels.last().map_or(&[][..], |b| &b[..]), out);
-        fwd.accumulate(&mut ws.timers.forward_ns);
-        ws.timers.batches += 1;
-    }
-
-    /// Queues analysis of a *future* batch on the workspace's prefetcher so
-    /// it overlaps the current batch's compute (paper §V). A no-op without
-    /// an installed prefetcher; returns whether the batch was queued.
-    pub fn prefetch_plan(&self, indices: &[u32], offsets: &[u32], ws: &TtWorkspace) -> bool {
-        let dedup = self.options.forward == ForwardStrategy::Reuse;
-        match &ws.prefetcher {
-            Some(pf) => pf.prefetch(
+        if self.options.parallel_analysis {
+            plan.par_build_into(
                 indices,
                 offsets,
                 &self.cores.row_dims,
                 dedup,
-                self.options.parallel_analysis,
-            ),
-            None => false,
+                &mut ws.plan_scratch,
+            );
+        } else {
+            plan.build_into(indices, offsets, &self.cores.row_dims, dedup, &mut ws.plan_scratch);
         }
+        analysis.accumulate(&mut ws.timers.analysis_ns);
+
+        let fwd = crate::timing::probe();
+        self.compute_levels(&plan, &mut ws.levels, &mut ws.batch);
+        self.pool_into(&plan, ws.levels.last().map_or(&[][..], |b| &b[..]), out);
+        ws.plan = Some(plan);
+        fwd.accumulate(&mut ws.timers.forward_ns);
+        ws.timers.batches += 1;
     }
 
     /// Executes the chained batched GEMMs for `plan` into `bufs`.

@@ -244,6 +244,11 @@ impl<'a> TtInferenceSession<'a> {
 
     /// Computes `prefix`'s product and caches it, evicting with the clock
     /// hand when at capacity. Returns the slot index.
+    ///
+    /// Kept out of line: inlined into `lookup_into`'s per-unique loop, the
+    /// miss path's codegen (and with it serving latency) moved with edits
+    /// elsewhere in this crate that never touch the session.
+    #[inline(never)]
     fn admit(&mut self, prefix: u64) -> usize {
         self.compute_prefix_chain(prefix);
         let idx = if self.slots.len() < self.capacity {

@@ -47,7 +47,6 @@ pub mod config;
 pub mod forward;
 pub mod inference;
 pub mod plan;
-pub mod prefetch;
 pub mod quantized;
 pub mod timing;
 
@@ -55,7 +54,6 @@ pub use bag::{ReuseStats, TtEmbeddingBag, TtWorkspace};
 pub use config::{BackwardStrategy, ForwardStrategy, TtConfig, TtOptions};
 pub use inference::TtInferenceSession;
 pub use plan::{Csr, Level, LookupPlan, PAR_BUILD_CUTOFF};
-pub use prefetch::PlanPrefetcher;
 pub use quantized::{Bf16EmbeddingBag, QuantizedEmbeddingBag};
 pub use timing::StageTimers;
 

@@ -30,9 +30,8 @@ impl StageProbe {
 
 /// Cumulative per-stage wall time of one workspace, in nanoseconds.
 ///
-/// `analysis_ns` counts pointer preparation — including any time spent
-/// waiting on a plan prefetcher, so overlap shows up as analysis time
-/// *shrinking* relative to the inline build.
+/// `analysis_ns` counts pointer preparation: the plan build of each
+/// forward, which runs inline in the table's own forward call.
 ///
 /// Each record is one table's own wall time. A DLRM step runs its tables
 /// side by side across the pool, so records merged over tables add up
@@ -40,7 +39,7 @@ impl StageProbe {
 /// and can exceed the stage's wall time.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StageTimers {
-    /// Batch analysis: plan build or prefetcher hand-off wait.
+    /// Batch analysis: the forward's plan build.
     pub analysis_ns: u64,
     /// Forward chain GEMMs + pooling.
     pub forward_ns: u64,

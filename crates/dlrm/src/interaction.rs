@@ -242,6 +242,7 @@ impl Interaction {
 
     /// Forward over the output rows `out` (samples from `s0` on).
     // CONTRACT: zero-alloc
+    // CONTRACT: non-blocking
     fn forward_band(&self, features: &[&Matrix], s0: usize, out: &mut [f32]) {
         let (nf, d, od) = (self.num_features, self.dim, self.out_dim());
         SCRATCH.with(|cell| {
@@ -281,6 +282,7 @@ impl Interaction {
     /// Backward for the band of samples from `s0` on; `out[f]` holds the
     /// band's rows of feature `f`'s gradient.
     // CONTRACT: zero-alloc
+    // CONTRACT: non-blocking
     fn backward_band(
         &self,
         features: &[&Matrix],

@@ -88,6 +88,7 @@ fn forward_fork(
 /// One band of the forward: `x`'s rows from `r0` on through every layer,
 /// `outs[l]` receiving the band's rows of layer `l`'s output.
 // CONTRACT: zero-alloc
+// CONTRACT: non-blocking
 fn forward_band(layers: &[Linear], x: &Matrix, r0: usize, outs: &mut [&mut [f32]]) {
     let last = layers.len() - 1;
     let (i0, rows) = (x.cols(), outs[0].len() / layers[0].out_dim());
@@ -112,6 +113,7 @@ fn forward_band(layers: &[Linear], x: &Matrix, r0: usize, outs: &mut [&mut [f32]
 /// layer's input is the previous layer's ReLU'd output, so its gradient
 /// passes that ReLU's mask.
 // CONTRACT: zero-alloc
+// CONTRACT: non-blocking
 fn backward_band(
     layers: &[Linear],
     inputs: &[Matrix],

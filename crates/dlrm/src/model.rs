@@ -61,8 +61,9 @@ impl EmbeddingLayer {
 
     /// Pooled lookup of field `t` of a `rows`-sample batch into `out`. A
     /// hosted table copies the pooled rows its owner shipped with the batch.
-    /// A TT table with a plan prefetcher must have been analyzed already
-    /// (see [`EmbeddingLayer::analyze_prefetched`]).
+    /// Every table kind runs its whole lookup here, pointer preparation
+    /// included, inside the embedding stage's fork.
+    // CONTRACT: non-blocking
     fn forward_into(
         &mut self,
         t: usize,
@@ -74,12 +75,7 @@ impl EmbeddingLayer {
         let (indices, offsets) = (&field.indices[..], &field.offsets[..]);
         match self {
             EmbeddingLayer::Dense(bag) => bag.forward_into(indices, offsets, out),
-            EmbeddingLayer::Tt(bag, ws) => {
-                if ws.plan_prefetcher().is_none() {
-                    bag.analyze(indices, offsets, ws);
-                }
-                bag.forward_analyzed(ws, out);
-            }
+            EmbeddingLayer::Tt(bag, ws) => bag.forward_into(indices, offsets, ws, out),
             EmbeddingLayer::Hosted { dim } => {
                 let (_, pooled) = hosted
                     .iter()
@@ -94,25 +90,11 @@ impl EmbeddingLayer {
         }
     }
 
-    /// Pointer preparation of a TT table that has a plan prefetcher: claims
-    /// the prefetched plan, or builds the plan on a miss. The hand-off
-    /// blocks until the prefetcher's build, which runs on the rayon pool,
-    /// is done, so this runs on the calling thread before the forward fork.
-    /// Inside the fork, the threads that build would be the ones waiting:
-    /// a two-thread pool deadlocked there (`tests/plan_overlap.rs`). Other
-    /// tables analyze inside the fork.
-    fn analyze_prefetched(&mut self, field: &SparseField) {
-        if let EmbeddingLayer::Tt(bag, ws) = self {
-            if ws.plan_prefetcher().is_some() {
-                bag.analyze(&field.indices, &field.offsets, ws);
-            }
-        }
-    }
-
     /// Backward and update of one table from the gradient of its pooled
     /// output; `state` is the table's Adagrad state, `None` under SGD. A
     /// hosted table has nothing to update here: its gradient is handed back
     /// to the caller.
+    // CONTRACT: non-blocking
     fn backward(
         &mut self,
         field: &SparseField,
@@ -442,40 +424,6 @@ impl DlrmModel {
         self.tables.iter().map(EmbeddingLayer::footprint_bytes).sum()
     }
 
-    /// Installs a plan prefetcher on every TT table's workspace so batch
-    /// analysis can overlap model compute (paper §V). Idempotent; without a
-    /// matching [`DlrmModel::prefetch_plans`] call the prefetchers idle and
-    /// analysis stays inline.
-    pub fn enable_plan_overlap(&mut self) {
-        for t in &mut self.tables {
-            if let EmbeddingLayer::Tt(_, ws) = t {
-                ws.enable_plan_prefetch();
-            }
-        }
-    }
-
-    /// Removes the prefetchers installed by
-    /// [`DlrmModel::enable_plan_overlap`], joining their threads.
-    pub fn disable_plan_overlap(&mut self) {
-        for t in &mut self.tables {
-            if let EmbeddingLayer::Tt(_, ws) = t {
-                ws.disable_plan_prefetch();
-            }
-        }
-    }
-
-    /// Queues pointer preparation of a *future* batch on every TT table's
-    /// prefetcher. Safe to call speculatively: a table without overlap
-    /// enabled, a full queue, or a batch that never arrives just means the
-    /// corresponding forward analyzes inline.
-    pub fn prefetch_plans(&self, batch: &MiniBatch) {
-        for (t, field) in batch.fields.iter().enumerate() {
-            if let EmbeddingLayer::Tt(bag, ws) = &self.tables[t] {
-                let _ = bag.prefetch_plan(&field.indices, &field.offsets, ws);
-            }
-        }
-    }
-
     /// Stage timers summed over all TT tables (analysis vs forward vs
     /// backward wall time). The tables run side by side, so this adds
     /// overlapping per-table wall times; it is not a share of the step.
@@ -612,9 +560,6 @@ impl DlrmModel {
         assert_eq!(batch.fields.len(), self.tables.len(), "field/table count mismatch");
         let rows = batch.batch_size();
         self.pooled.resize_with(self.tables.len(), || Matrix::zeros(0, 0));
-        for (table, field) in self.tables.iter_mut().zip(&batch.fields) {
-            table.analyze_prefetched(field);
-        }
         self.tables
             .par_iter_mut()
             .enumerate()
@@ -803,40 +748,6 @@ mod tests {
             sgd.iter().zip(&ada).any(|(a, b)| (a - b).abs() > 1e-6),
             "optimizers should produce different parameter updates"
         );
-    }
-
-    #[test]
-    fn overlapped_training_is_bit_identical_to_inline() {
-        // With plan prefetch enabled and the next batch queued before each
-        // step, training must follow the exact same arithmetic as the
-        // inline-analysis model (prefetched plans are bit-identical).
-        let data = toy_data();
-        let batches: Vec<MiniBatch> = (0..6).map(|i| data.batch(i, 64)).collect();
-
-        let mut rng = rand::rngs::StdRng::seed_from_u64(21);
-        let mut inline = DlrmModel::new(&toy_config(), &mut rng);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(21);
-        let mut overlapped = DlrmModel::new(&toy_config(), &mut rng);
-        overlapped.enable_plan_overlap();
-
-        overlapped.prefetch_plans(&batches[0]);
-        for (i, batch) in batches.iter().enumerate() {
-            if let Some(next) = batches.get(i + 1) {
-                overlapped.prefetch_plans(next);
-            }
-            let l1 = inline.train_step(batch);
-            let l2 = overlapped.train_step(batch);
-            assert_eq!(l1.to_bits(), l2.to_bits(), "losses diverged at step {i}");
-        }
-        assert!(overlapped.stage_timers().batches > 0);
-        overlapped.disable_plan_overlap();
-
-        let check = data.batch(9, 32);
-        let p1 = inline.predict(&check);
-        let p2 = overlapped.predict(&check);
-        for (a, b) in p1.iter().zip(&p2) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
     }
 
     #[test]

@@ -187,7 +187,7 @@ fn run_dlrm_ps(dataset: &SyntheticDataset, params: &RunParams) -> FrameworkRun {
         num_batches: params.num_batches,
         prefetch_depth: 1,
         pipelined: false,
-        overlap_analysis: false,
+        ..PipelineConfig::default()
     };
     let report = PipelineTrainer::try_train(model, server, dataset, &pipe_cfg)
         .expect("the pooled baseline is scheduled sequentially on one server");
@@ -231,10 +231,11 @@ fn run_fae(dataset: &SyntheticDataset, params: &RunParams) -> FrameworkRun {
     // Profiling pass: per-table frequency -> hot masks for large tables.
     let large: Vec<usize> = spec.large_tables(params.large_threshold);
     let mut hot_masks: Vec<Option<Vec<bool>>> = vec![None; spec.num_sparse()];
+    let profile = dataset.batches(params.first, params.profile_batches as usize, params.batch_size);
     for &t in &large {
         let mut hist = AccessHistogram::new(spec.table_cardinalities[t]);
-        for b in 0..params.profile_batches {
-            hist.record(&dataset.batch(params.first + b, params.batch_size), t);
+        for batch in &profile {
+            hist.record(batch, t);
         }
         let order = hist.frequency_order();
         let hot_count =

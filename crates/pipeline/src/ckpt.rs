@@ -24,9 +24,9 @@
 //!   newest checkpoint that passes verification ([`CkptStore::latest_valid`])
 //!   rather than trusting any single file.
 //!
-//! What is *not* in a checkpoint: kernel workspaces, plan prefetchers,
-//! caches, queues — all rebuilt on resume — and the [`crate::server::ServerMode`],
-//! which is run configuration the caller re-supplies.
+//! What is *not* in a checkpoint: kernel workspaces, caches, queues — all
+//! rebuilt on resume — and the [`crate::server::ServerMode`], which is run
+//! configuration the caller re-supplies.
 
 use crate::server::HostServer;
 use el_dlrm::checkpoint::DlrmCheckpoint;

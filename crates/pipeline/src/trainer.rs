@@ -58,10 +58,9 @@ pub struct PipelineConfig {
     /// Overlap host and device stages; `false` reproduces the strict
     /// sequential baseline regardless of queue depth.
     pub pipelined: bool,
-    /// Overlap TT pointer preparation with the host gather stage: each
-    /// batch's lookup plans are queued on the tables' plan prefetchers as
-    /// soon as the batch arrives. Prefetched plans are bit-identical to
-    /// inline builds, so this never changes training results.
+    /// Inert: nothing reads it. Every TT table builds its plan inside its
+    /// own forward call. The field stays only because the frozen `perf/`
+    /// package names it; ROADMAP item 5(e) deletes it.
     pub overlap_analysis: bool,
 }
 
@@ -587,9 +586,6 @@ fn run_worker(
     prx: Receiver<PrefetchedBatch>,
     gtx: Sender<GradientPush>,
 ) -> WorkerRun {
-    if config.overlap_analysis {
-        model.enable_plan_overlap();
-    }
     let mut losses = Vec::with_capacity(config.num_batches as usize);
     let mut cache_peak = 0usize;
     let mut worker_compute = Duration::ZERO;
@@ -605,12 +601,6 @@ fn run_worker(
         if pf.batch_seq != k {
             failure = Some(ServerError::PrefetchOutOfOrder { got: pf.batch_seq, expected: k });
             break;
-        }
-
-        // Queue TT pointer preparation now so it overlaps the host
-        // gather work below (cache sync + pooling).
-        if config.overlap_analysis {
-            model.prefetch_plans(&pf.batch);
         }
 
         // Stage 1 (Figure 9): synchronize pre-fetched rows with the
@@ -675,11 +665,11 @@ impl PipelineTrainer {
     /// The restored trajectory is byte-identical to the uninterrupted
     /// one: the model carries its optimizer accumulators, hosted tables
     /// resume at their exact values, and the loader fast-forwards to the
-    /// cursor. Queues, caches and the plan prefetcher are rebuilt —
-    /// they hold no state that affects training values (the embedding
-    /// cache only ever *corrects toward* server truth, and a fresh
-    /// segment starts from server truth). A checkpoint without a model
-    /// (a parameter tier's) is [`CkptError::StateMismatch`].
+    /// cursor. Queues and caches are rebuilt — they hold no state that
+    /// affects training values (the embedding cache only ever *corrects
+    /// toward* server truth, and a fresh segment starts from server
+    /// truth). A checkpoint without a model (a parameter tier's) is
+    /// [`CkptError::StateMismatch`].
     pub fn resume_from(
         ckpt: TrainingCheckpoint,
         dataset: &SyntheticDataset,
@@ -869,7 +859,7 @@ mod tests {
             num_batches: 12,
             prefetch_depth: depth,
             pipelined,
-            overlap_analysis: pipelined,
+            ..PipelineConfig::default()
         };
         let shard_cfg =
             ShardConfig { num_shards: shards, rows_per_range: 16, placement_seed: 0xE1 };
@@ -1094,7 +1084,7 @@ mod tests {
             num_batches: total,
             prefetch_depth: 4,
             pipelined: true,
-            overlap_analysis: true,
+            ..PipelineConfig::default()
         };
 
         let (model, server, dataset) = setup_with(21, optimizer, tt_threshold);
@@ -1175,7 +1165,7 @@ mod tests {
             num_batches: 12,
             prefetch_depth: 4,
             pipelined: true,
-            overlap_analysis: true,
+            ..PipelineConfig::default()
         };
         let (model, server, dataset) = setup(31);
         let oracle = PipelineTrainer::try_train(model, server, &dataset, &config).unwrap();

@@ -70,7 +70,7 @@ proptest! {
             num_batches: cut,
             prefetch_depth: 4,
             pipelined: true,
-            overlap_analysis: true,
+            ..PipelineConfig::default()
         };
         let report = PipelineTrainer::try_train(model, server, &dataset, &config).unwrap();
         prop_assert_eq!(report.completed_batches, cut);
@@ -121,7 +121,7 @@ proptest! {
             num_batches: cut,
             prefetch_depth: 4,
             pipelined: true,
-            overlap_analysis: true,
+            ..PipelineConfig::default()
         };
         let report = PipelineTrainer::try_train(model, server, &dataset, &config).unwrap();
         let ckpt = PipelineTrainer::capture(&report.model, &report.host_tables, 0.05, cut);

@@ -109,7 +109,7 @@ fn train(shards: u32, replicas: u32, pipelined: bool) -> u64 {
         num_batches: BATCHES,
         prefetch_depth: 4,
         pipelined,
-        overlap_analysis: false,
+        ..PipelineConfig::default()
     };
     let shard_cfg = ShardConfig { num_shards: shards, rows_per_range: 16, placement_seed: 0xE1 };
     let kills = if replicas > 1 { vec![(0, 5)] } else { Vec::new() };

@@ -109,6 +109,7 @@ unsafe impl Sync for SendPtr {}
 ///
 /// Panics when a task reads or writes out of arena bounds, and — in debug
 /// builds — when two tasks' C regions overlap.
+// CONTRACT: non-blocking
 pub fn batched_gemm(batch: &GemmBatch, a_arena: &[f32], b_arena: &[f32], c_arena: &mut [f32]) {
     let (m, n, k) = (batch.m, batch.n, batch.k);
     let (a_len, b_len, c_len) = (m * k, k * n, m * n);

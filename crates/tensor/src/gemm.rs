@@ -298,6 +298,7 @@ const PAR_BAND_FLOPS: usize = 1 << 22;
 /// Below the cutoff the product stays on [`add_at_b`]'s rank-1 loop,
 /// unbanded: banding must never move a product from one kernel's
 /// arithmetic to the other's.
+// CONTRACT: non-blocking
 fn add_at_b_bands(bands: usize, p: usize, m: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     if bands <= 1 || p * m * n < micro::PACK_CUTOFF {
         return add_at_b(p, m, n, a, b, c);

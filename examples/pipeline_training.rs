@@ -47,7 +47,7 @@ fn main() {
             num_batches: 30,
             prefetch_depth: depth,
             pipelined,
-            overlap_analysis: pipelined,
+            ..PipelineConfig::default()
         };
         // The Result API surfaces schedule/mode mismatches as a typed
         // error before any thread spawns (`train` is the panicking strict

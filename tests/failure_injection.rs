@@ -41,7 +41,7 @@ fn serving(
         num_batches: count,
         prefetch_depth: depth,
         pipelined,
-        overlap_analysis: false,
+        ..PipelineConfig::default()
     };
     let shard_cfg = ShardConfig { num_shards: shards, rows_per_range: 16, placement_seed: 7 };
     let repl = ReplicationConfig { replicas, ..ReplicationConfig::default() };

@@ -53,7 +53,7 @@ fn run(pipelined: bool, depth: usize) -> PipelineReport {
         num_batches: NUM_BATCHES,
         prefetch_depth: depth,
         pipelined,
-        overlap_analysis: pipelined,
+        ..PipelineConfig::default()
     };
     PipelineTrainer::try_train(model, server, &dataset(), &config).unwrap()
 }
@@ -158,7 +158,7 @@ fn pooled_mode_trains_the_same_model_as_unique_rows() {
         num_batches: 20,
         prefetch_depth: 1,
         pipelined: false,
-        overlap_analysis: false,
+        ..PipelineConfig::default()
     };
     let pooled = PipelineTrainer::try_train(model, server, &dataset(), &config).unwrap();
 

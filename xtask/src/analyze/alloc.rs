@@ -13,10 +13,9 @@
 //! Vendor crates (rayon et al.) are outside the call graph; the boundary
 //! is documented in DESIGN.md §12.
 
-use super::model::{FnId, Workspace};
+use super::model::Workspace;
 use super::parser::{Call, CallKind};
 use super::Finding;
-use std::collections::HashMap;
 
 /// Method/free call names that allocate on every call.
 const ALLOC_NAMES: &[&str] =
@@ -54,56 +53,7 @@ pub fn alloc_sink(call: &Call) -> Option<String> {
 }
 
 pub fn check(ws: &Workspace) -> Vec<Finding> {
-    let roots: Vec<FnId> = ws
-        .all_fns()
-        .filter(|(_, f)| f.contracts.zero_alloc && !f.is_test)
-        .map(|(id, _)| id)
-        .collect();
-    if roots.is_empty() {
-        return Vec::new();
-    }
-
-    let mut findings = Vec::new();
-    // Analyze each root separately so the diagnostic chain starts at the
-    // contract carrier (a shared BFS would attribute a sink to whichever
-    // root reached it first).
-    for root in roots {
-        let reached = ws.reach(&[root]);
-        let root_name = ws.fn_item(root).qualified.clone();
-        // Deterministic order: sort reached fns by (file, line).
-        let mut hit: Vec<(FnId, Option<(FnId, u32)>)> =
-            reached.iter().map(|(k, v)| (*k, *v)).collect();
-        hit.sort_by_key(|(id, _)| (ws.file(*id).path.clone(), ws.fn_item(*id).line));
-        let reached_map: HashMap<FnId, Option<(FnId, u32)>> = reached;
-        for (id, _) in hit {
-            let item = ws.fn_item(id);
-            for call in &item.calls {
-                let Some(sink) = alloc_sink(call) else { continue };
-                let mut chain: Vec<String> = ws
-                    .chain_to(&reached_map, id)
-                    .into_iter()
-                    .map(|(name, file, line)| format!("{name} ({file}:{line})"))
-                    .collect();
-                chain.push(format!("-> {} ({}:{})", sink, ws.file(id).path, call.line));
-                findings.push(Finding {
-                    rule: "zero-alloc".into(),
-                    file: ws.file(id).path.clone(),
-                    context: item.qualified.clone(),
-                    detail: format!("{root_name} reaches {sink}"),
-                    line: call.line,
-                    msg: format!(
-                        "allocating call `{sink}` reachable from `// CONTRACT: zero-alloc` fn `{root_name}`"
-                    ),
-                    chain,
-                });
-            }
-        }
-    }
-    findings.sort();
-    findings.dedup_by(|a, b| {
-        (&a.rule, &a.file, &a.context, &a.detail) == (&b.rule, &b.file, &b.context, &b.detail)
-    });
-    findings
+    ws.contract_findings("zero-alloc", "allocating", |c| c.zero_alloc, alloc_sink)
 }
 
 #[cfg(test)]

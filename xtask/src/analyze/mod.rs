@@ -6,6 +6,9 @@
 //!
 //! - [`alloc`] — `// CONTRACT: zero-alloc` reachability: annotated fns
 //!   must not transitively reach a curated allocating-fn list.
+//! - [`blocking`] — `// CONTRACT: non-blocking` reachability: fns the
+//!   rayon pool runs as tasks must not transitively reach a thread-parking
+//!   wait (`Condvar::wait*`, `Receiver::recv*`, `JoinHandle::join`).
 //! - [`panics`] — `// CONTRACT: panic-free` audit: no `unwrap`/`expect`/
 //!   `panic!`-family site reachable from annotated loops unless it carries
 //!   an adjacent `// PANIC-OK: <reason>`.
@@ -19,6 +22,7 @@
 //! Any finding fails the run; there is no baseline of tolerated ones.
 
 pub mod alloc;
+pub mod blocking;
 pub mod envreg;
 pub mod lexer;
 pub mod model;
@@ -73,6 +77,7 @@ pub fn run_analyses(root: &Path) -> Report {
     let ws = model::build_workspace(root);
     let mut findings = Vec::new();
     findings.extend(alloc::check(&ws));
+    findings.extend(blocking::check(&ws));
     findings.extend(panics::check(&ws));
     findings.extend(envreg::check(root, &ws));
     findings.extend(rules::check(root));

@@ -9,7 +9,8 @@
 //! false-edge rate low enough for contract checking without real type
 //! inference.
 
-use super::parser::{parse_file, Call, CallKind, FnItem, ParsedFile};
+use super::parser::{parse_file, Call, CallKind, Contracts, FnItem, ParsedFile};
+use super::Finding;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -32,14 +33,59 @@ pub type FnId = (usize, usize, usize);
 
 /// Method names so common on std containers/`Option`/iterators that an
 /// unqualified `x.name()` is overwhelmingly a std call, not a workspace
-/// one. Method-kind calls with these names never resolve to workspace
-/// fns (qualified `Type::name` / `self.name()`-via-`Self` still do).
-const STD_SHADOWED_METHODS: &[&str] = &[
-    "as_mut", "as_ref", "chain", "clear", "clone", "collect", "contains", "count", "drain",
-    "extend", "fill", "filter", "first", "flush", "fold", "get", "get_mut", "insert", "into",
-    "is_empty", "iter", "iter_mut", "join", "last", "len", "map", "max", "min", "next", "pop",
-    "push", "read", "remove", "replace", "reserve", "resize", "rev", "sort", "split", "sum",
-    "swap", "take", "to_owned", "truncate", "write", "zip",
+/// one, each with the most arguments any std method of that name takes.
+/// A method-kind call with one of these names and no more arguments than
+/// that never resolves to workspace fns (qualified `Type::name` /
+/// `self.name()`-via-`Self` still do). With more arguments it cannot be
+/// std's, so it resolves: `slot.take(&mut plan, indices, offsets)` is a
+/// workspace hand-off, not `Option::take`.
+const STD_SHADOWED_METHODS: &[(&str, usize)] = &[
+    ("as_mut", 0),
+    ("as_ref", 0),
+    ("chain", 1),
+    ("clear", 0),
+    ("clone", 0),
+    ("collect", 0),
+    ("contains", 1),
+    ("count", 0),
+    ("drain", 1),
+    ("extend", 1),
+    ("fill", 1),
+    ("filter", 1),
+    ("first", 0),
+    ("flush", 0),
+    ("fold", 2),
+    ("get", 1),
+    ("get_mut", 1),
+    ("insert", 2),
+    ("into", 0),
+    ("is_empty", 0),
+    ("iter", 0),
+    ("iter_mut", 0),
+    ("join", 1),
+    ("last", 0),
+    ("len", 0),
+    ("map", 1),
+    ("max", 1),
+    ("min", 1),
+    ("next", 0),
+    ("pop", 0),
+    ("push", 1),
+    ("read", 1),
+    ("remove", 1),
+    ("replace", 2),
+    ("reserve", 1),
+    ("resize", 2),
+    ("rev", 0),
+    ("sort", 0),
+    ("split", 1),
+    ("sum", 0),
+    ("swap", 2),
+    ("take", 1),
+    ("to_owned", 0),
+    ("truncate", 1),
+    ("write", 1),
+    ("zip", 1),
 ];
 
 /// The full workspace model plus call-resolution indexes.
@@ -129,9 +175,14 @@ impl Workspace {
                 // workspace method fabricates edges (`v.truncate(n)` on a
                 // Vec must not become an edge into `Svd::truncate`).
                 // Qualified calls (`Svd::truncate`, `self.foo` → `Self::`)
-                // still resolve those fns; the documented cost is a missed
-                // edge on an unqualified call to such a method.
-                if call.kind == CallKind::Method && STD_SHADOWED_METHODS.contains(&&*call.name) {
+                // still resolve those fns, and so does a call with more
+                // arguments than std's method takes; the documented cost
+                // is a missed edge on an unqualified call to such a method
+                // that std's arity also fits.
+                let std_shadowed = STD_SHADOWED_METHODS
+                    .iter()
+                    .any(|&(name, max_args)| name == call.name && call.args <= max_args);
+                if call.kind == CallKind::Method && std_shadowed {
                     return Vec::new();
                 }
                 let mut out: Vec<FnId> = self
@@ -182,6 +233,65 @@ impl Workspace {
             }
         }
         seen
+    }
+
+    /// Findings of a reachability contract: for every non-test fn whose
+    /// contracts satisfy `is_root`, each call that `sink` labels in a fn
+    /// the root reaches, with the chain from the root to that call. The
+    /// rule is named after the contract; `what` words the message
+    /// (`allocating`, `blocking`).
+    pub fn contract_findings(
+        &self,
+        contract: &str,
+        what: &str,
+        is_root: fn(&Contracts) -> bool,
+        sink: fn(&Call) -> Option<String>,
+    ) -> Vec<Finding> {
+        let roots: Vec<FnId> = self
+            .all_fns()
+            .filter(|(_, f)| is_root(&f.contracts) && !f.is_test)
+            .map(|(id, _)| id)
+            .collect();
+
+        let mut findings = Vec::new();
+        // Analyze each root separately so the diagnostic chain starts at the
+        // contract carrier (a shared BFS would attribute a sink to whichever
+        // root reached it first).
+        for root in roots {
+            let reached = self.reach(&[root]);
+            let root_name = self.fn_item(root).qualified.clone();
+            // Deterministic order: sort reached fns by (file, line).
+            let mut hit: Vec<FnId> = reached.keys().copied().collect();
+            hit.sort_by_key(|id| (self.file(*id).path.clone(), self.fn_item(*id).line));
+            for id in hit {
+                let item = self.fn_item(id);
+                for call in &item.calls {
+                    let Some(sink) = sink(call) else { continue };
+                    let mut chain: Vec<String> = self
+                        .chain_to(&reached, id)
+                        .into_iter()
+                        .map(|(name, file, line)| format!("{name} ({file}:{line})"))
+                        .collect();
+                    chain.push(format!("-> {} ({}:{})", sink, self.file(id).path, call.line));
+                    findings.push(Finding {
+                        rule: contract.into(),
+                        file: self.file(id).path.clone(),
+                        context: item.qualified.clone(),
+                        detail: format!("{root_name} reaches {sink}"),
+                        line: call.line,
+                        msg: format!(
+                            "{what} call `{sink}` reachable from `// CONTRACT: {contract}` fn `{root_name}`"
+                        ),
+                        chain,
+                    });
+                }
+            }
+        }
+        findings.sort();
+        findings.dedup_by(|a, b| {
+            (&a.rule, &a.file, &a.context, &a.detail) == (&b.rule, &b.file, &b.context, &b.detail)
+        });
+        findings
     }
 
     /// Reconstruct the call chain `root -> … -> id` from a `reach` map,
@@ -479,10 +589,37 @@ mod tests {
     }
 
     #[test]
+    fn shadowed_name_past_std_arity_resolves() {
+        // `opt.take()` is `Option::take`; `slot.take(&mut plan, xs)` has
+        // more arguments than any std `take`, so it is the workspace one.
+        let ws = workspace_from_sources(&[(
+            "el-t",
+            &[],
+            &[(
+                "crates/el-t/src/lib.rs",
+                "pub struct Slot;\nimpl Slot {\n    pub fn take(&self, p: &mut u32, xs: &[u32]) {}\n}\n\
+                 pub fn claim(s: &Slot, p: &mut u32, xs: &[u32], o: &mut Option<u32>) {\n\
+                 let _ = o.take();\n    s.take(p, xs);\n}\n",
+            )],
+        )]);
+        let t = ws.crate_by_name["el-t"];
+        let claim = ws.all_fns().find(|(_, f)| f.name == "claim").map(|(id, _)| id).unwrap();
+        let resolved: Vec<usize> = ws
+            .fn_item(claim)
+            .calls
+            .iter()
+            .filter(|c| c.name == "take")
+            .map(|c| ws.resolve(t, c, None).len())
+            .collect();
+        assert_eq!(resolved, [0, 1], "only the two-argument take resolves");
+    }
+
+    #[test]
     fn free_call_does_not_resolve_to_method() {
         let ws = two_crate_ws();
         let core = ws.crate_by_name["el-core"];
-        let call = Call { kind: CallKind::Free, name: "build".into(), qualifier: None, line: 1 };
+        let call =
+            Call { kind: CallKind::Free, name: "build".into(), qualifier: None, line: 1, args: 0 };
         let targets = ws.resolve(core, &call, None);
         // Plan::build is a method; a bare `build()` in el-core must not hit it
         assert!(targets.iter().all(|id| ws.fn_item(*id).impl_type.is_none()), "{targets:?}");

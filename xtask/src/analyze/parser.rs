@@ -41,6 +41,9 @@ pub struct Call {
     /// Last path segment before the call name (`Qualified` only).
     pub qualifier: Option<String>,
     pub line: u32,
+    /// Top-level arguments written at the site (a method call's receiver
+    /// is not one).
+    pub args: usize,
 }
 
 /// Kind of potential panic at a panic site.
@@ -99,6 +102,8 @@ pub struct Contracts {
     pub zero_alloc: bool,
     /// `// CONTRACT: panic-free`
     pub panic_free: bool,
+    /// `// CONTRACT: non-blocking`
+    pub non_blocking: bool,
 }
 
 /// One `fn` item.
@@ -721,6 +726,7 @@ impl<'a> Parser<'a> {
                     match rest.trim() {
                         "zero-alloc" => contracts.zero_alloc = true,
                         "panic-free" => contracts.panic_free = true,
+                        "non-blocking" => contracts.non_blocking = true,
                         _ => {}
                     }
                 }
@@ -834,22 +840,62 @@ impl<'a> Parser<'a> {
         self.i += 1;
     }
 
-    fn record_call(&mut self, call: Call) {
+    /// Records a call whose name is the token under the cursor.
+    fn record_call(&mut self, kind: CallKind, name: &str, qualifier: Option<String>, line: u32) {
         if self.in_debug_assert() {
             return;
         }
+        let args = self.arg_count(self.i + 1);
         if let Some(idx) = self.current_fn() {
-            self.out.fns[idx].calls.push(call);
+            let name = name.to_string();
+            self.out.fns[idx].calls.push(Call { kind, name, qualifier, line, args });
         }
     }
 
+    /// Top-level arguments of the call whose `(` is the first code token
+    /// at or after `i`: commas at depth one, less a trailing one. Closure
+    /// parameter lists and turbofish generics carry commas of their own
+    /// and are skipped.
+    fn arg_count(&self, i: usize) -> usize {
+        let is = |t: Option<&Tok>, s: &str| {
+            t.is_some_and(|t| matches!(t.kind, TokKind::Punct | TokKind::Ident) && t.text == s)
+        };
+        let Some((open, t)) = self.code_at(i) else { return 0 };
+        if t.text != "(" {
+            return 0;
+        }
+        let (mut depth, mut angle, mut commas) = (0usize, 0usize, 0usize);
+        let (mut prev, mut in_params) = (None::<&Tok>, false);
+        let mut j = open;
+        while let Some((k, t)) = self.code_at(j) {
+            j = k + 1;
+            let punct = t.kind == TokKind::Punct;
+            if in_params {
+                in_params = !(punct && t.text == "|");
+            } else if punct && matches!(t.text.as_str(), "(" | "[" | "{") {
+                depth += 1;
+            } else if punct && matches!(t.text.as_str(), ")" | "]" | "}") {
+                depth -= 1;
+                if depth == 0 {
+                    let last_open = is(prev, "(") || is(prev, ",");
+                    return commas + usize::from(!last_open);
+                }
+            } else if depth == 1 && punct {
+                match t.text.as_str() {
+                    "<" if is(prev, ":") => angle += 1,
+                    ">" if angle > 0 => angle -= 1,
+                    "|" if is(prev, "(") || is(prev, ",") || is(prev, "move") => in_params = true,
+                    "," if angle == 0 => commas += 1,
+                    _ => {}
+                }
+            }
+            prev = Some(t);
+        }
+        commas
+    }
+
     fn record_free_call(&mut self, name: &str, line: u32) {
-        self.record_call(Call {
-            kind: CallKind::Free,
-            name: name.to_string(),
-            qualifier: None,
-            line,
-        });
+        self.record_call(CallKind::Free, name, None, line);
     }
 
     fn record_method_call(&mut self, name: &str, line: u32) {
@@ -904,12 +950,7 @@ impl<'a> Parser<'a> {
             let in_test = self.in_test_code();
             self.out.locks.push(LockSite { method: name.to_string(), line, unwrapped, in_test });
         }
-        self.record_call(Call {
-            kind: CallKind::Method,
-            name: name.to_string(),
-            qualifier: None,
-            line,
-        });
+        self.record_call(CallKind::Method, name, None, line);
     }
 
     fn record_qualified_call(&mut self, name: &str, qualifier: Option<String>, line: u32) {
@@ -926,12 +967,7 @@ impl<'a> Parser<'a> {
             let in_test = self.in_test_code();
             self.out.instant_now.push((line, in_test));
         }
-        self.record_call(Call {
-            kind: CallKind::Qualified,
-            name: name.to_string(),
-            qualifier,
-            line,
-        });
+        self.record_call(CallKind::Qualified, name, qualifier, line);
     }
 
     /// Cursor on a macro name, with `!` + opener ahead. Records panic-
@@ -989,12 +1025,7 @@ impl<'a> Parser<'a> {
             }
             _ => {}
         }
-        self.record_call(Call {
-            kind: CallKind::Macro,
-            name: name.to_string(),
-            qualifier: None,
-            line,
-        });
+        self.record_call(CallKind::Macro, name, None, line);
         self.i += 1;
     }
 }
@@ -1053,6 +1084,24 @@ pub fn plain() {}
         assert!(f.fns[1].contracts.panic_free);
         assert!(!f.fns[2].contracts.zero_alloc && !f.fns[2].contracts.panic_free);
         assert!(f.fns[0].docs.iter().any(|d| d.contains("without allocating")));
+    }
+
+    #[test]
+    fn call_arity_counts_top_level_arguments() {
+        let src = "pub fn f() { a(); b(x,); c(x, (y, z)); d(|p, q| p + q, empty::<(u8, u8)>()); \
+                   e(x.collect::<HashMap<K, V>>(), move |s, t| s); g(\",\", ','); }";
+        let f = parse_file("t.rs", src);
+        let arity = |n: &str| f.fns[0].calls.iter().find(|c| c.name == n).unwrap().args;
+        let got = ["a", "b", "c", "d", "e", "g"].map(arity);
+        assert_eq!(got, [0, 1, 2, 2, 2, 2]);
+    }
+
+    #[test]
+    fn non_blocking_contract_is_parsed() {
+        let src = "// CONTRACT: zero-alloc\n// CONTRACT: non-blocking\npub fn band() {}\npub fn plain() {}";
+        let f = parse_file("t.rs", src);
+        assert!(f.fns[0].contracts.non_blocking && f.fns[0].contracts.zero_alloc);
+        assert!(!f.fns[1].contracts.non_blocking);
     }
 
     #[test]

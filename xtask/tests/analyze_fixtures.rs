@@ -81,6 +81,22 @@ fn alloc_two_hops_fails_with_call_chain() {
 }
 
 #[test]
+fn blocking_handoff_in_fork_fails_with_call_chain() {
+    let root = scratch("blocking");
+    let src = seed(&root, "blocking_handoff_in_fork.rs");
+    let sink_line = line_of(&src, "self.built.wait(");
+    assert!(xtask::analyze::run(&root).is_err());
+    let rep = report(&root);
+    assert!(rep.contains("[non-blocking]"), "{rep}");
+    assert!(rep.contains(&format!("crates/fxcore/src/lib.rs:{sink_line}")), "{rep}");
+    // the hand-off is reached through a `take` that std's arity rules out
+    for hop in ["table_forward", "analyze", "Prefetcher::take", ".wait()"] {
+        assert!(rep.contains(hop), "missing chain hop `{hop}`:\n{rep}");
+    }
+    assert_eq!(rep.matches("[non-blocking]").count(), 1, "{rep}");
+}
+
+#[test]
 fn panic_reachable_fails_across_crates() {
     let root = scratch("panic");
     let src = seed(&root, "panic_reachable.rs");

@@ -26,6 +26,26 @@ fn deep(s: &mut Scratch, xs: &[f32]) -> f32 {
     s.acc.iter().sum()
 }
 
+/// One table's lookup plan: the distinct rows of a batch.
+#[derive(Default)]
+pub struct Plan {
+    pub rows: Vec<u32>,
+}
+
+/// One table of the embedding stage's fork; runs as a pool task.
+// CONTRACT: non-blocking
+pub fn table_forward(plan: &mut Plan, indices: &[u32]) -> usize {
+    analyze(plan, indices);
+    plan.rows.len()
+}
+
+fn analyze(plan: &mut Plan, indices: &[u32]) {
+    plan.rows.clear();
+    plan.rows.extend_from_slice(indices);
+    plan.rows.sort_unstable();
+    plan.rows.dedup();
+}
+
 /// One pipeline step; must stay panic-free (see `fxpipe::drive`).
 pub fn step(xs: &[f32]) -> f32 {
     let mut t = 0.0;
