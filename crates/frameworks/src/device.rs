@@ -100,7 +100,6 @@ impl DeviceSpec {
         work.host.as_secs_f64() / self.host_scale
             + (bus.h2d_bytes + bus.d2h_bytes) as f64 / self.pcie_bps
             + bus.p2p_bytes as f64 / self.p2p_bps
-            + bus.kernel_launches as f64 * self.kernel_launch_s
     }
 
     /// Simulated end-to-end seconds of `work` done over `batches` batches.
@@ -247,13 +246,6 @@ mod tests {
         assert!(close(DeviceSpec::v100().host_secs(&w), 1.0));
         // the same transfer takes twice as long over the T4's x8 link
         assert!(close(DeviceSpec::t4().host_secs(&w), 2.0));
-    }
-
-    #[test]
-    fn kernel_launch_overhead_counts() {
-        let mut w = DeviceWork::default();
-        w.bus.launches(1_000_000);
-        assert!(close(DeviceSpec::v100().host_secs(&w), 5.0));
     }
 
     #[test]

@@ -108,8 +108,6 @@ pub struct FrameworkReport {
     pub work: DeviceWork,
     /// Per-batch losses.
     pub losses: Vec<f32>,
-    /// Samples trained.
-    pub samples: usize,
     /// Device-resident embedding bytes (Table III).
     pub device_embedding_bytes: usize,
 }
@@ -210,7 +208,6 @@ fn run_dlrm_ps(dataset: &SyntheticDataset, params: &RunParams) -> FrameworkRun {
             name: FrameworkKind::DlrmPs.name().into(),
             work,
             losses: report.losses,
-            samples: (params.num_batches as usize) * params.batch_size,
             device_embedding_bytes: device_bytes,
         },
         model,
@@ -319,7 +316,6 @@ fn run_fae(dataset: &SyntheticDataset, params: &RunParams) -> FrameworkRun {
             name: FrameworkKind::Fae.name().into(),
             work,
             losses,
-            samples: (params.num_batches as usize) * params.batch_size,
             device_embedding_bytes: device_bytes,
         },
         model,
@@ -385,7 +381,6 @@ fn run_tt(
             name: kind.name().into(),
             work,
             losses,
-            samples: (params.num_batches as usize) * params.batch_size,
             device_embedding_bytes: device_bytes,
         },
         model,

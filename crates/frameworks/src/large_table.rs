@@ -217,7 +217,6 @@ fn dense_sharded(
         a2a_total / w / device.pcie_bps + device.kernel_launch_s * 2.0 * (params.workers as f64);
     let mut meter = CommMeter::new();
     meter.p2p((a2a_total * params.num_batches as f64) as usize);
-    meter.launches(params.num_batches as usize * params.workers * 2);
 
     let step_time = per_device_compute + per_device_comm;
     let samples_per_step = (params.batch_size * params.workers) as f64;

@@ -1,22 +1,21 @@
 //! Checkpoint tooling (`cargo xtask ckpt`).
 //!
-//! Three subcommands over the one framed checkpoint format of DESIGN.md
+//! Two subcommands over the one framed checkpoint format of DESIGN.md
 //! §11, which every writer uses: `el-rec train --checkpoint` (a model and
 //! no server), the pipeline trainer's store (both) and the simulator's
 //! crash sweeps (a server and no model).
 //!
 //! * `ckpt verify <path>` — fully verify one `.elck` file (frame trailer,
 //!   per-section checksums, payload decode) or, given a store directory,
-//!   every checkpoint in it plus manifest drift.
-//! * `ckpt ls <dir>` — list a store: sequence numbers, sizes, checksums,
-//!   validity, and which file recovery would pick.
-//! * `ckpt bench [--rows N] [--dim D] [--tt]` — measure checkpoint size
-//!   and save/verify/restore wall time on a representative model (the
-//!   numbers EXPERIMENTS.md reports).
+//!   every checkpoint in it: one line per file with its sequence number,
+//!   size, checksum and validity, then the file recovery would pick.
+//! * `ckpt bench [--rows N] [--dim D] [--tt] [--dir PATH]` — measure
+//!   checkpoint size and save/verify/restore wall time on a
+//!   representative model (the numbers EXPERIMENTS.md reports).
 
 use el_dlrm::checkpoint::DlrmCheckpoint;
 use el_dlrm::{DlrmConfig, DlrmModel, OptimizerKind};
-use el_pipeline::ckpt::{verify_bytes, CkptInfo, CkptStore, FsStorage};
+use el_pipeline::ckpt::{ckpt_seq, fnv1a, verify_bytes, CkptInfo, CkptStore, FsStorage};
 use el_pipeline::trainer::PipelineTrainer;
 use rand::SeedableRng;
 use std::path::Path;
@@ -25,11 +24,11 @@ use std::time::Instant;
 
 const USAGE: &str = "usage: ckpt <command>
   verify <path>               verify one .elck file, or every checkpoint in a store dir
-  ls <dir>                    list a checkpoint store (files, validity, recovery pick)
+                              (per file: seq, bytes, checksum, validity; recovery pick)
   bench [--rows N] [--dim D] [--tt] [--dir PATH]
                               measure checkpoint size and save/restore time
                               (defaults: --rows 100000 --dim 16, dense tables;
-                              --dir keeps the store at PATH for ls/verify)";
+                              --dir keeps the store at PATH for verify)";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -38,13 +37,6 @@ fn main() -> ExitCode {
             Some(path) => cmd_verify(Path::new(path)),
             None => {
                 eprintln!("ckpt verify: missing path\n{USAGE}");
-                ExitCode::FAILURE
-            }
-        },
-        Some("ls") => match args.get(1) {
-            Some(dir) => cmd_ls(Path::new(dir)),
-            None => {
-                eprintln!("ckpt ls: missing store directory\n{USAGE}");
                 ExitCode::FAILURE
             }
         },
@@ -92,9 +84,12 @@ fn cmd_verify(path: &Path) -> ExitCode {
             }
         };
     }
-    let store = match open_store(path) {
+    let store = match FsStorage::open(path).and_then(|fs| CkptStore::open(fs, usize::MAX)) {
         Ok(s) => s,
-        Err(code) => return code,
+        Err(e) => {
+            eprintln!("ckpt verify: opening store {}: {e}", path.display());
+            return ExitCode::FAILURE;
+        }
     };
     let names = match store.names_newest_first() {
         Ok(n) => n,
@@ -107,21 +102,32 @@ fn cmd_verify(path: &Path) -> ExitCode {
         println!("{}: empty store (no ckpt-*.elck files)", path.display());
         return ExitCode::SUCCESS;
     }
+    let pick = store.latest_valid();
     let mut bad = 0usize;
+    println!("{:<20} {:>8} {:>10}  {:<18} state", "name", "seq", "bytes", "checksum");
     for name in &names {
-        match store.verify(name) {
+        let seq = ckpt_seq(name).expect("the store lists checkpoint names");
+        let (bytes, verdict) = match std::fs::read(path.join(name)) {
+            Ok(bytes) => {
+                let verdict = verify_bytes(&bytes);
+                (bytes, verdict)
+            }
+            Err(e) => (Vec::new(), Err(e.into())),
+        };
+        let state = match verdict {
             Ok(info) => {
-                println!("{name}: VALID");
-                print_info(&info);
+                let picked = matches!(&pick, Ok((p, _)) if p == name);
+                let mark = if picked { "  <- recovery" } else { "" };
+                format!("VALID (next_batch {}){mark}", info.next_batch)
             }
             Err(e) => {
                 bad += 1;
-                println!("{name}: INVALID — {e}");
+                format!("INVALID — {e}")
             }
-        }
+        };
+        println!("{name:<20} {seq:>8} {:>10}  {:#018x} {state}", bytes.len(), fnv1a(&bytes));
     }
-    report_manifest_drift(&store);
-    match store.latest_valid() {
+    match &pick {
         Ok((name, ckpt)) => {
             println!("recovery would resume from {name} at batch {}", ckpt.next_batch)
         }
@@ -134,79 +140,6 @@ fn cmd_verify(path: &Path) -> ExitCode {
         eprintln!("{}: {bad}/{} checkpoint(s) INVALID", path.display(), names.len());
         ExitCode::FAILURE
     }
-}
-
-fn open_store(dir: &Path) -> Result<CkptStore<FsStorage>, ExitCode> {
-    let storage = FsStorage::open(dir).map_err(|e| {
-        eprintln!("ckpt: opening store {}: {e}", dir.display());
-        ExitCode::FAILURE
-    })?;
-    CkptStore::open(storage, usize::MAX).map_err(|e| {
-        eprintln!("ckpt: scanning store {}: {e}", dir.display());
-        ExitCode::FAILURE
-    })
-}
-
-/// Compares the advisory manifest against what is actually on disk.
-fn report_manifest_drift(store: &CkptStore<FsStorage>) {
-    let Ok(actual) = store.scan_manifest() else {
-        println!("manifest: store unreadable during scan");
-        return;
-    };
-    match store.read_manifest() {
-        None => println!("manifest: absent or unparseable (advisory only; recovery unaffected)"),
-        Some(stored) => {
-            let same = stored.entries.len() == actual.entries.len()
-                && stored.entries.iter().zip(&actual.entries).all(|(a, b)| {
-                    a.name == b.name && a.bytes == b.bytes && a.checksum == b.checksum
-                });
-            if same {
-                println!("manifest: matches the {} file(s) on disk", actual.entries.len());
-            } else {
-                println!(
-                    "manifest: DRIFT — lists {} entr{}, disk has {} \
-                     (advisory only; recovery scans actual files)",
-                    stored.entries.len(),
-                    if stored.entries.len() == 1 { "y" } else { "ies" },
-                    actual.entries.len()
-                );
-            }
-        }
-    }
-}
-
-/// Lists the store contents with per-file validity.
-fn cmd_ls(dir: &Path) -> ExitCode {
-    let store = match open_store(dir) {
-        Ok(s) => s,
-        Err(code) => return code,
-    };
-    let manifest = match store.scan_manifest() {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("ckpt ls: scanning {}: {e}", dir.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    if manifest.entries.is_empty() {
-        println!("{}: empty store", dir.display());
-        return ExitCode::SUCCESS;
-    }
-    let pick = store.latest_valid().ok().map(|(name, _)| name);
-    println!("{:<20} {:>6} {:>10}  {:<18} state", "name", "seq", "bytes", "checksum");
-    for e in &manifest.entries {
-        let state = match store.verify(&e.name) {
-            Ok(info) => {
-                let mark =
-                    if pick.as_deref() == Some(e.name.as_str()) { "  <- recovery" } else { "" };
-                format!("valid (next_batch {}){mark}", info.next_batch)
-            }
-            Err(err) => format!("INVALID — {err}"),
-        };
-        println!("{:<20} {:>6} {:>10}  {:#018x} {state}", e.name, e.seq, e.bytes, e.checksum);
-    }
-    report_manifest_drift(&store);
-    ExitCode::SUCCESS
 }
 
 /// Builds the bench model: four embedding tables, the two largest either

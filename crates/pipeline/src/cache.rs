@@ -43,8 +43,6 @@ pub struct EmbeddingCache {
     watermark: u64,
     /// Lifetime sync statistics: rows overwritten because they were stale.
     pub stale_hits: u64,
-    /// Lifetime sync statistics: rows that were already fresh.
-    pub fresh_rows: u64,
 }
 
 impl EmbeddingCache {
@@ -76,11 +74,7 @@ impl EmbeddingCache {
                 if *pushed_at >= applied_through {
                     rows.row_mut(r).copy_from_slice(value);
                     self.stale_hits += 1;
-                } else {
-                    self.fresh_rows += 1;
                 }
-            } else {
-                self.fresh_rows += 1;
             }
         }
         self.advance(applied_through);
@@ -264,11 +258,11 @@ mod tests {
     }
 
     #[test]
-    fn untouched_rows_count_as_fresh() {
+    fn untouched_rows_keep_their_prefetched_values() {
         let mut cache = EmbeddingCache::new();
         let mut pre = rows(&[1.0, 2.0], 1);
         cache.sync(&[0, 1], &mut pre, 0);
-        assert_eq!(cache.fresh_rows, 2);
-        assert_eq!(pre.row(0), &[1.0]);
+        assert_eq!(cache.stale_hits, 0);
+        assert_eq!((pre.row(0), pre.row(1)), (&[1.0][..], &[2.0][..]));
     }
 }

@@ -19,8 +19,8 @@
 //!   trait at protocol-step granularity so the simulator can crash
 //!   between every step and tear the temp write itself.
 //! * **Store semantics** — [`CkptStore`] names checkpoints by a
-//!   monotonically increasing sequence number, retains the newest K,
-//!   maintains an advisory manifest, and recovers by *scanning* for the
+//!   monotonically increasing sequence number, retains the newest K, holds
+//!   no file but the checkpoints, and recovers by *scanning* for the
 //!   newest checkpoint that passes verification ([`CkptStore::latest_valid`])
 //!   rather than trusting any single file.
 //!
@@ -223,7 +223,10 @@ pub fn decode_frames(bytes: &[u8]) -> Result<Vec<Section>, CkptError> {
 ///   sections it does not read).
 /// * v2 — no `workers` section, and the `model` section is absent when
 ///   the writer holds no model (a parameter tier's checkpoint).
-pub const TRAINING_CKPT_FORMAT: u32 = 2;
+/// * v3 — the `server` section drops `shard` and `num_shards`, which every
+///   writer stored as 0 and 1; v1 and v2 files still decode (the decoder
+///   skips keys it does not read).
+pub const TRAINING_CKPT_FORMAT: u32 = 3;
 
 /// The `meta` section.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -245,12 +248,8 @@ pub struct HostedTableCheckpoint {
 
 /// Snapshot of a [`HostServer`]: hosted tables, learning rate, and the
 /// applied-gradient stamp (the push-sequence watermark workers staleness-
-/// synchronize against).
-///
-/// Every writer saves the merged tables, so `shard` and `num_shards` are
-/// always `0` and `1` (the single-server degenerate of the sharded
-/// tier, `crate::router`); they stay because dropping them changes the
-/// on-disk format.
+/// synchronize against). Every writer saves the merged tables of the
+/// whole tier.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ServerCheckpoint {
     /// Hosted tables with their model table ids.
@@ -259,17 +258,11 @@ pub struct ServerCheckpoint {
     pub lr: f32,
     /// Gradient batches applied so far.
     pub applied: u64,
-    /// Which shard of the layout this snapshot captures (0 for the
-    /// single-server tier).
-    pub shard: u32,
-    /// Shards in the layout this snapshot was taken under (1 for the
-    /// single-server tier).
-    pub num_shards: u32,
 }
 
 impl ServerCheckpoint {
-    /// A single-tier snapshot (shard 0 of 1) of `tables` after `applied`
-    /// gradient batches at learning rate `lr`.
+    /// A snapshot of `tables` after `applied` gradient batches at learning
+    /// rate `lr`.
     pub fn of_tables(tables: Vec<(usize, EmbeddingBag)>, lr: f32, applied: u64) -> Self {
         Self {
             tables: tables
@@ -278,8 +271,6 @@ impl ServerCheckpoint {
                 .collect(),
             lr,
             applied,
-            shard: 0,
-            num_shards: 1,
         }
     }
 
@@ -639,30 +630,6 @@ impl Storage for MemStorage {
 // The checkpoint store
 // ---------------------------------------------------------------------------
 
-/// Advisory index of the store's contents, itself written atomically.
-/// Recovery never *trusts* it — [`CkptStore::latest_valid`] scans and
-/// verifies actual checkpoint files — but tooling uses it to cross-check
-/// (`ckpt verify` reports drift) and humans use it to see the store state
-/// without decoding every file.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-pub struct Manifest {
-    /// Entries, oldest first.
-    pub entries: Vec<ManifestEntry>,
-}
-
-/// One checkpoint the manifest knows about.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct ManifestEntry {
-    /// File name in the store.
-    pub name: String,
-    /// Monotonic sequence number parsed from the name.
-    pub seq: u64,
-    /// File size in bytes.
-    pub bytes: usize,
-    /// Whole-file FNV-1a digest.
-    pub checksum: u64,
-}
-
 /// Result of verifying one checkpoint file.
 #[derive(Clone, Debug)]
 pub struct CkptInfo {
@@ -678,14 +645,13 @@ pub struct CkptInfo {
     pub server_tables: usize,
 }
 
-/// File name of the advisory manifest.
-pub const MANIFEST_NAME: &str = "MANIFEST.json";
-
 fn ckpt_name(seq: u64) -> String {
     format!("ckpt-{seq:08}.elck")
 }
 
-fn parse_ckpt_name(name: &str) -> Option<u64> {
+/// The sequence number of a store checkpoint's file name
+/// (`ckpt-NNNNNNNN.elck`); `None` for any other name.
+pub fn ckpt_seq(name: &str) -> Option<u64> {
     let digits = name.strip_prefix("ckpt-")?.strip_suffix(".elck")?;
     if digits.len() != 8 || !digits.bytes().all(|b| b.is_ascii_digit()) {
         return None;
@@ -702,31 +668,28 @@ pub struct CkptStore<S: Storage> {
 
 impl<S: Storage> CkptStore<S> {
     /// Opens a store, deriving the next sequence number from the files
-    /// actually present (a stale or missing manifest cannot confuse it).
-    /// `retain` is clamped to at least 1.
+    /// actually present. `retain` is clamped to at least 1.
     pub fn open(storage: S, retain: usize) -> Result<Self, CkptError> {
         let next_seq =
-            storage.list()?.iter().filter_map(|n| parse_ckpt_name(n)).max().map_or(0, |m| m + 1);
+            storage.list()?.iter().filter_map(|n| ckpt_seq(n)).max().map_or(0, |m| m + 1);
         Ok(Self { storage, retain: retain.max(1), next_seq })
     }
 
-    /// Saves a checkpoint with the full atomic protocol ([`write_atomic`]),
-    /// applies retention, and rewrites the manifest. Returns the durable
-    /// file name. Any error leaves previously saved checkpoints untouched.
+    /// Saves a checkpoint with the full atomic protocol ([`write_atomic`])
+    /// and applies retention. Returns the durable file name. Any error
+    /// leaves previously saved checkpoints untouched.
     pub fn save(&mut self, ckpt: &TrainingCheckpoint) -> Result<String, CkptError> {
         let name = ckpt_name(self.next_seq);
         write_atomic(&self.storage, &name, &ckpt.to_framed_bytes())?;
-        // The checkpoint is durable from here on; retention and the
-        // manifest are follow-up work whose failure must not lose it.
+        // The checkpoint is durable from here on; retention is follow-up
+        // work whose failure must not lose it.
         self.next_seq += 1;
         self.apply_retention()?;
-        self.write_manifest()?;
         Ok(name)
     }
 
     fn apply_retention(&mut self) -> Result<(), CkptError> {
-        let mut seqs: Vec<u64> =
-            self.storage.list()?.iter().filter_map(|n| parse_ckpt_name(n)).collect();
+        let mut seqs: Vec<u64> = self.storage.list()?.iter().filter_map(|n| ckpt_seq(n)).collect();
         seqs.sort_unstable();
         let excess = seqs.len().saturating_sub(self.retain);
         for &seq in &seqs[..excess] {
@@ -738,42 +701,9 @@ impl<S: Storage> CkptStore<S> {
         Ok(())
     }
 
-    fn write_manifest(&self) -> Result<(), CkptError> {
-        let manifest = self.scan_manifest()?;
-        let bytes = serde_json::to_vec(&manifest).expect("manifest serializes");
-        write_atomic(&self.storage, MANIFEST_NAME, &bytes)
-    }
-
-    /// Builds a manifest by scanning the storage (entries for every
-    /// present checkpoint file, valid or not).
-    pub fn scan_manifest(&self) -> Result<Manifest, CkptError> {
-        let mut entries = Vec::new();
-        let mut names: Vec<(u64, String)> = self
-            .storage
-            .list()?
-            .into_iter()
-            .filter_map(|n| parse_ckpt_name(&n).map(|seq| (seq, n)))
-            .collect();
-        names.sort_unstable();
-        for (seq, name) in names {
-            let bytes = self.storage.read_file(&name)?;
-            entries.push(ManifestEntry { name, seq, bytes: bytes.len(), checksum: fnv1a(&bytes) });
-        }
-        Ok(Manifest { entries })
-    }
-
-    /// Reads the stored manifest, if present and parseable (advisory:
-    /// corruption here is reported as `None`, never an error).
-    pub fn read_manifest(&self) -> Option<Manifest> {
-        let bytes = self.storage.read_file(MANIFEST_NAME).ok()?;
-        let text = std::str::from_utf8(&bytes).ok()?;
-        serde_json::from_str(text).ok()
-    }
-
     /// Checkpoint file names present, newest first.
     pub fn names_newest_first(&self) -> Result<Vec<String>, CkptError> {
-        let mut seqs: Vec<u64> =
-            self.storage.list()?.iter().filter_map(|n| parse_ckpt_name(n)).collect();
+        let mut seqs: Vec<u64> = self.storage.list()?.iter().filter_map(|n| ckpt_seq(n)).collect();
         seqs.sort_unstable_by(|a, b| b.cmp(a));
         Ok(seqs.into_iter().map(ckpt_name).collect())
     }
@@ -790,12 +720,6 @@ impl<S: Storage> CkptStore<S> {
             }
         }
         Err(CkptError::NoValidCheckpoint)
-    }
-
-    /// Fully verifies one checkpoint file by name.
-    pub fn verify(&self, name: &str) -> Result<CkptInfo, CkptError> {
-        let bytes = self.storage.read_file(name)?;
-        verify_bytes(&bytes)
     }
 }
 
@@ -842,7 +766,7 @@ mod tests {
     }
 
     /// Round-trips one shard's checkpoint through JSON for every shard
-    /// of a layout: the format keeps the shard identity and the tables.
+    /// of a layout: the format keeps each shard's sub-tables.
     fn shard_ckpt_roundtrip(num_shards: u32) {
         use crate::router::{split_tables, ShardConfig, ShardLayout};
         use el_dlrm::embedding_bag::EmbeddingBag;
@@ -856,17 +780,13 @@ mod tests {
         let cfg = ShardConfig { num_shards, rows_per_range: 7, placement_seed: 5 };
         let layout = ShardLayout::place_for(&cfg, &tables);
         let shards = split_tables(&tables, &layout).unwrap();
-        for (s, sub) in shards.into_iter().enumerate() {
+        for sub in shards {
             let mut server = HostServer::new(sub, 0.05);
             server.applied = 11;
-            let ckpt = ServerCheckpoint {
-                shard: s as u32,
-                num_shards,
-                ..ServerCheckpoint::of_tables(server.tables.clone(), server.lr, server.applied)
-            };
+            let ckpt =
+                ServerCheckpoint::of_tables(server.tables.clone(), server.lr, server.applied);
             let text = serde_json::to_string(&ckpt).unwrap();
             let decoded: ServerCheckpoint = serde_json::from_str(&text).unwrap();
-            assert_eq!((decoded.shard, decoded.num_shards), (s as u32, num_shards));
             let restored = decoded.restore();
             assert_eq!(restored.applied, 11);
             assert_eq!(restored.tables.len(), server.tables.len());
@@ -882,12 +802,6 @@ mod tests {
         for shards in [1, 2, 4] {
             shard_ckpt_roundtrip(shards);
         }
-    }
-
-    #[test]
-    fn single_server_capture_is_the_degenerate_shard() {
-        let ckpt = ServerCheckpoint::of_tables(Vec::new(), 0.1, 0);
-        assert_eq!((ckpt.shard, ckpt.num_shards), (0, 1));
     }
 
     #[test]
@@ -966,9 +880,73 @@ mod tests {
         }
         let names = store.names_newest_first().unwrap();
         assert_eq!(names, vec!["ckpt-00000004.elck", "ckpt-00000003.elck"]);
-        let manifest = store.read_manifest().expect("manifest present");
-        assert_eq!(manifest.entries.len(), 2);
-        assert_eq!(manifest.entries.last().unwrap().seq, 4);
+        assert_eq!(storage.list().unwrap(), ["ckpt-00000003.elck", "ckpt-00000004.elck"]);
+    }
+
+    /// Counts every [`Storage`] call by name, around a [`MemStorage`].
+    #[derive(Default)]
+    struct CountingStorage {
+        mem: MemStorage,
+        calls: Mutex<Vec<&'static str>>,
+    }
+
+    impl CountingStorage {
+        fn take(&self) -> Vec<&'static str> {
+            std::mem::take(&mut *self.calls.lock())
+        }
+        fn count(&self, call: &'static str) {
+            self.calls.lock().push(call);
+        }
+    }
+
+    impl Storage for CountingStorage {
+        fn write_file(&self, name: &str, bytes: &[u8]) -> Result<(), CkptError> {
+            self.count("write_file");
+            self.mem.write_file(name, bytes)
+        }
+        fn sync_file(&self, name: &str) -> Result<(), CkptError> {
+            self.count("sync_file");
+            self.mem.sync_file(name)
+        }
+        fn rename(&self, from: &str, to: &str) -> Result<(), CkptError> {
+            self.count("rename");
+            self.mem.rename(from, to)
+        }
+        fn sync_dir(&self) -> Result<(), CkptError> {
+            self.count("sync_dir");
+            self.mem.sync_dir()
+        }
+        fn read_file(&self, name: &str) -> Result<Vec<u8>, CkptError> {
+            self.count("read_file");
+            self.mem.read_file(name)
+        }
+        fn list(&self) -> Result<Vec<String>, CkptError> {
+            self.count("list");
+            self.mem.list()
+        }
+        fn remove_file(&self, name: &str) -> Result<(), CkptError> {
+            self.count("remove_file");
+            self.mem.remove_file(name)
+        }
+    }
+
+    #[test]
+    fn a_save_is_the_atomic_write_plus_retention() {
+        let storage = Arc::new(CountingStorage::default());
+        let mut store = CkptStore::open(Arc::clone(&storage), 2).unwrap();
+        assert_eq!(storage.take(), ["list"], "open lists the store once");
+        let write = ["write_file", "sync_file", "rename", "sync_dir", "list"];
+        for k in 0..5 {
+            store.save(&tiny_ckpt(k)).unwrap();
+            let calls = storage.take();
+            if k < 2 {
+                assert_eq!(calls, write, "save {k} within retention");
+            } else {
+                assert_eq!(calls[..5], write, "save {k}");
+                assert_eq!(calls[5..], ["remove_file", "sync_dir"], "save {k} past retention");
+            }
+        }
+        assert_eq!(storage.list().unwrap(), ["ckpt-00000003.elck", "ckpt-00000004.elck"]);
     }
 
     #[test]
@@ -1007,7 +985,7 @@ mod tests {
         let storage = FsStorage::open(&dir).unwrap();
         let mut store = CkptStore::open(storage, 2).unwrap();
         let name = store.save(&tiny_ckpt(7)).unwrap();
-        let info = store.verify(&name).unwrap();
+        let info = verify_bytes(&store.storage.read_file(&name).unwrap()).unwrap();
         assert_eq!(info.next_batch, 7);
         assert!(info.sections.iter().any(|(n, _)| n == "model"));
         assert_eq!(store.latest_valid().unwrap().1.next_batch, 7);
@@ -1051,7 +1029,33 @@ mod tests {
         let info = verify_bytes(&v1).unwrap();
         assert_eq!((info.next_batch, info.sections.len()), (6, 4));
         let back = TrainingCheckpoint::from_framed_bytes(&v1).unwrap();
-        assert_eq!(back.to_framed_bytes(), ckpt.to_framed_bytes(), "v1 re-frames as v2");
+        assert_eq!(back.to_framed_bytes(), ckpt.to_framed_bytes(), "v1 re-frames as v3");
+    }
+
+    #[test]
+    fn format_v2_files_with_shard_fields_still_decode() {
+        use rand::SeedableRng;
+        let table = EmbeddingBag::new(6, 4, 0.2, &mut rand::rngs::StdRng::seed_from_u64(4));
+        let ckpt = TrainingCheckpoint {
+            model: None,
+            server: Some(ServerCheckpoint::of_tables(vec![(1, table)], 0.05, 6)),
+            next_batch: 6,
+        };
+        // a v2 writer stored the merged tables as shard 0 of 1
+        let server = serde_json::to_string(&ckpt.server).unwrap();
+        let server = server.strip_suffix('}').unwrap();
+        let v2_server = format!(r#"{server},"shard":0,"num_shards":1}}"#);
+        let v2 = encode_frames(&[
+            Section { name: "meta".into(), payload: br#"{"format":2,"next_batch":6}"#.to_vec() },
+            Section { name: "server".into(), payload: v2_server.into_bytes() },
+        ]);
+        let info = verify_bytes(&v2).unwrap();
+        assert_eq!((info.next_batch, info.server_tables), (6, 1));
+        let back = TrainingCheckpoint::from_framed_bytes(&v2).unwrap();
+        let v3 = back.to_framed_bytes();
+        assert_eq!(v3, ckpt.to_framed_bytes(), "v2 re-frames as v3");
+        let text = String::from_utf8_lossy(&v3);
+        assert!(!text.contains("shard") && text.contains(r#""format":3"#), "{text}");
     }
 
     #[test]

@@ -26,8 +26,6 @@ pub struct CommMeter {
     pub d2h_bytes: u64,
     /// Device-to-device bytes (model-parallel exchange, all-reduce).
     pub p2p_bytes: u64,
-    /// Kernel launches (the overhead fused updates eliminate).
-    pub kernel_launches: u64,
 }
 
 impl CommMeter {
@@ -51,17 +49,11 @@ impl CommMeter {
         self.p2p_bytes += bytes as u64;
     }
 
-    /// Records kernel launches.
-    pub fn launches(&mut self, n: usize) {
-        self.kernel_launches += n as u64;
-    }
-
     /// Merges another meter into this one.
     pub fn merge(&mut self, other: &CommMeter) {
         self.h2d_bytes += other.h2d_bytes;
         self.d2h_bytes += other.d2h_bytes;
         self.p2p_bytes += other.p2p_bytes;
-        self.kernel_launches += other.kernel_launches;
     }
 
     /// Total bytes moved across any link.
@@ -79,11 +71,9 @@ mod tests {
         let mut a = CommMeter::new();
         a.h2d(100);
         a.d2h(50);
-        a.launches(3);
         let mut b = CommMeter::new();
         b.p2p(200);
         b.merge(&a);
         assert_eq!(b.total_bytes(), 350);
-        assert_eq!(b.kernel_launches, 3);
     }
 }

@@ -102,18 +102,6 @@ fn store_falls_back_to_previous_valid_at_every_flip() {
 }
 
 #[test]
-fn manifest_corruption_never_affects_recovery() {
-    let (store, storage, _, _) = two_checkpoint_store();
-    // The manifest is advisory: recovery scans actual files, so wrecking
-    // it (or replacing it with hostile JSON) must change nothing.
-    for garbage in [&b"\x00\xff\x00\xff"[..], b"{\"entries\": \"lies\"}", b""] {
-        storage.corrupt_file("MANIFEST.json", garbage.to_vec());
-        assert!(store.read_manifest().is_none(), "corrupt manifest must read as absent");
-        assert_eq!(store.latest_valid().unwrap().1.next_batch, 7);
-    }
-}
-
-#[test]
 fn corruption_of_every_file_reports_no_valid_checkpoint() {
     let (store, storage, _, _) = two_checkpoint_store();
     for name in store.names_newest_first().unwrap() {

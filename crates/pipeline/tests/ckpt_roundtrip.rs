@@ -9,7 +9,9 @@
 use el_data::{DatasetSpec, SyntheticDataset};
 use el_dlrm::checkpoint::DlrmCheckpoint;
 use el_dlrm::{DlrmConfig, DlrmModel, OptimizerKind};
-use el_pipeline::ckpt::{CkptStore, MemStorage, ServerCheckpoint, TrainingCheckpoint};
+use el_pipeline::ckpt::{
+    verify_bytes, CkptStore, MemStorage, ServerCheckpoint, Storage, TrainingCheckpoint,
+};
 use el_pipeline::server::HostServer;
 use el_pipeline::{PipelineConfig, PipelineTrainer};
 use proptest::prelude::*;
@@ -165,7 +167,7 @@ proptest! {
         let (_, loaded) = store.latest_valid().unwrap();
         prop_assert!(loaded.model.is_none());
         prop_assert_eq!(loaded.to_framed_bytes(), framed, "save → load was not byte-identical");
-        let info = store.verify(&name).unwrap();
+        let info = verify_bytes(&storage.read_file(&name).unwrap()).unwrap();
         prop_assert_eq!((info.next_batch, info.server_tables), (applied, 1));
     }
 }

@@ -68,6 +68,6 @@ pub use sim::{
     digest_tables, run, run_session, CkptSink, MemberState, Outcome, ResumeState, SimConfig,
     SimReport,
 };
-pub use storage::{FaultyStorage, StorageFault, StorageFaultPlan};
+pub use storage::{ArmedOps, FaultyStorage, StorageFault, StorageFaultPlan};
 pub use sweep::{replay_seed, run_sweep, Scenario, SweepFailure, SweepSummary, Verdict};
 pub use trace::{Trace, TraceEvent};

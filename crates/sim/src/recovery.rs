@@ -106,15 +106,7 @@ pub fn run_with_recovery(
     storage_plan: &StorageFaultPlan,
     schedule_seed: u64,
 ) -> RecoveryReport {
-    // Open the store before arming the plan: creation on an empty
-    // MemStorage cannot fail, and the fault timeline starts at the
-    // first checkpointed save.
-    let storage = FaultyStorage::new(StorageFaultPlan::none());
-    let mut store =
-        CkptStore::open(storage.clone(), rc.retain).expect("opening an empty MemStorage store");
-    storage.arm(storage_plan.clone());
-
-    let phase1 = run_session(&rc.sim, plan, schedule_seed, None, Some((&mut store, rc.ckpt_every)));
+    let (storage, phase1) = run_phase1(rc, plan, storage_plan, schedule_seed);
     if phase1.outcome == Outcome::Completed {
         return RecoveryReport {
             resumed_applied: phase1.min_applied(),
@@ -159,6 +151,28 @@ pub fn run_with_recovery(
     }
 }
 
+/// Phase 1 of [`run_with_recovery`]: opens a store over fresh storage,
+/// arms `storage_plan`, and runs the faulted session checkpointing
+/// through the store. Returns the storage (whose
+/// [`FaultyStorage::armed_ops`] are the session's storage operations) and
+/// the session's report.
+fn run_phase1(
+    rc: &RecoveryConfig,
+    plan: &FaultPlan,
+    storage_plan: &StorageFaultPlan,
+    schedule_seed: u64,
+) -> (FaultyStorage, SimReport) {
+    // Open the store before arming the plan: creation on an empty
+    // MemStorage cannot fail, and the fault timeline starts at the
+    // first checkpointed save.
+    let storage = FaultyStorage::new(StorageFaultPlan::none());
+    let mut store =
+        CkptStore::open(storage.clone(), rc.retain).expect("opening an empty MemStorage store");
+    storage.arm(storage_plan.clone());
+    let report = run_session(&rc.sim, plan, schedule_seed, None, Some((&mut store, rc.ckpt_every)));
+    (storage, report)
+}
+
 /// Runs a crash-recovery scenario twice, demands bit-identical outcomes,
 /// and checks the durability invariant: the recovered run completes and
 /// its final tables are byte-identical to the sequential oracle.
@@ -193,18 +207,22 @@ pub fn check_recovery(
     Ok(a)
 }
 
-/// The fault plans seed `seed` derives for the crash sweep: the regular
-/// seeded plan, guaranteed to contain at least one
+/// The fault plans seed `seed` derives for the crash sweep under `rc`:
+/// the regular seeded plan, guaranteed to contain at least one
 /// [`Fault::Crash`] (so every sweep seed actually exercises recovery),
-/// plus a seeded storage-fault plan.
-pub fn crash_plans_for_seed(seed: u64, num_batches: u64) -> (FaultPlan, StorageFaultPlan) {
+/// plus a seeded storage-fault plan whose operation indices fall on the
+/// storage operations this seed's phase 1 performs, counted by one
+/// storage-fault-free run of it.
+pub fn crash_plans_for_seed(seed: u64, rc: &RecoveryConfig) -> (FaultPlan, StorageFaultPlan) {
+    let num_batches = rc.sim.num_batches;
     let mut plan = FaultPlan::from_seed(seed, num_batches);
     if plan.crash_after().is_none() {
         let n = num_batches.max(1);
         plan.faults
             .push(Fault::Crash { after_applied: splitmix64(seed ^ 0xC4A5_11C4_A511_C4A5) % n });
     }
-    (plan, StorageFaultPlan::from_seed(seed))
+    let (dry_run, _) = run_phase1(rc, &plan, &StorageFaultPlan::none(), seed);
+    (plan, StorageFaultPlan::from_seed(seed, &dry_run.armed_ops()))
 }
 
 #[cfg(test)]
@@ -212,7 +230,8 @@ mod tests {
     use super::*;
     use crate::oracle::sequential_prefix;
     use crate::storage::StorageFault;
-    use el_pipeline::ckpt::{MemStorage, ServerCheckpoint};
+    use crate::trace::TraceEvent;
+    use el_pipeline::ckpt::{verify_bytes, MemStorage, ServerCheckpoint};
 
     fn rc() -> RecoveryConfig {
         RecoveryConfig::default()
@@ -230,11 +249,12 @@ mod tests {
             server: Some(ServerCheckpoint::of_tables(tables.clone(), cfg.lr, 7)),
             next_batch: 7,
         };
-        let mut store = CkptStore::open(MemStorage::new(), 2).unwrap();
+        let storage = Arc::new(MemStorage::new());
+        let mut store = CkptStore::open(Arc::clone(&storage), 2).unwrap();
         CkptSink::save(&mut store, &ckpt).unwrap();
         let (name, back) = store.latest_valid().unwrap();
         assert_eq!(back.to_framed_bytes(), ckpt.to_framed_bytes());
-        let info = store.verify(&name).unwrap();
+        let info = verify_bytes(&storage.read_file(&name).unwrap()).unwrap();
         assert_eq!((info.next_batch, info.server_tables), (7, tables.len()));
         assert!(info.sections.iter().all(|(section, _)| section != "model"));
         let server = back.server.expect("the tables");
@@ -273,17 +293,23 @@ mod tests {
     fn torn_checkpoint_write_falls_back_to_previous() {
         let rc = rc();
         let oracle = sequential_prefix(&rc.sim);
-        // Crash late so several checkpoints exist; tear an op in the
-        // second save's window so its temp write dies half-flushed.
+        // Crash late so several checkpoints exist; tear each save's temp
+        // write so it dies half-flushed.
         let plan = FaultPlan::with(vec![Fault::Crash { after_applied: 23 }]);
-        for op in 0..40 {
+        let writes = run_phase1(&rc, &plan, &StorageFaultPlan::none(), 11).0.armed_ops().writes;
+        assert_eq!(writes.len(), 5, "saves at applied 4, 8, .., 20");
+        for (save, &op) in writes.iter().enumerate() {
             let sp = StorageFaultPlan::with(vec![StorageFault::TornWriteAtOp {
                 op,
                 keep_permille: 700,
             }]);
             let report = check_recovery(&rc, &plan, &sp, 11, &oracle)
                 .unwrap_or_else(|v| panic!("torn op {op} violated: {v}"));
-            assert!(report.phase2.is_some(), "torn op {op}: a death mid-save must force recovery");
+            assert_eq!(
+                report.resumed_applied,
+                4 * save as u64,
+                "torn save {save} must fall back to the save before it"
+            );
         }
     }
 
@@ -312,10 +338,19 @@ mod tests {
         let rc = rc();
         let oracle = sequential_prefix(&rc.sim);
         let plan = FaultPlan::with(vec![Fault::Crash { after_applied: 23 }]);
-        for op in 0..60 {
+        let ops = run_phase1(&rc, &plan, &StorageFaultPlan::none(), 13).0.armed_ops();
+        // saves at applied 4, 8, .., 20: four write steps and a list each,
+        // plus a removal and a directory sync once past retention
+        assert_eq!(ops.range, 1..32, "the storage operations phase 1 performs");
+        assert_eq!(ops.writes, [1, 6, 11, 18, 25], "one write per save");
+        for op in ops.range {
             let sp = StorageFaultPlan::with(vec![StorageFault::CrashAtOp { op }]);
-            check_recovery(&rc, &plan, &sp, 13, &oracle)
+            let report = check_recovery(&rc, &plan, &sp, 13, &oracle)
                 .unwrap_or_else(|v| panic!("crash at op {op} violated: {v}"));
+            // every operation belongs to a save, so the death fails it
+            let failed =
+                report.phase1.trace.count(|e| matches!(e, TraceEvent::CheckpointFailed { .. }));
+            assert_eq!(failed, 1, "crash at op {op} must kill a save");
         }
     }
 }

@@ -11,12 +11,15 @@
 //! by checksum and route around.
 //!
 //! Like [`crate::fault::FaultPlan`], plans derive deterministically from
-//! a seed, so a failing crash-sweep seed replays bit-for-bit.
+//! a seed (and the operations a fault-free run performs, which the
+//! operation-indexed faults are drawn from), so a failing crash-sweep
+//! seed replays bit-for-bit.
 
 use el_pipeline::ckpt::{CkptError, MemStorage, Storage};
 use el_pipeline::replica::splitmix64;
 use parking_lot::Mutex;
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// One injected storage fault.
@@ -111,23 +114,31 @@ impl StorageFaultPlan {
     }
 
     /// Derives a plan deterministically from `seed`: zero to two faults,
-    /// every parameter from a splitmix64 stream. Crash/torn-write
-    /// operation indices are drawn in `0..96`, which spans the first
-    /// several checkpoint saves of a default-sized run (each save is a
-    /// handful of operations plus the manifest rewrite).
-    pub fn from_seed(seed: u64) -> Self {
+    /// every parameter from a splitmix64 stream. Operation indices are
+    /// drawn from `ops`, what a fault-free run performs once the plan is
+    /// armed (in the crash sweeps every one is a step of a checkpoint
+    /// write or of retention): a crash from all of them, a torn write
+    /// from the `write_file`s. A run that never touches storage gets
+    /// `ops.range.start`, which nothing reaches.
+    pub fn from_seed(seed: u64, ops: &ArmedOps) -> Self {
         let mut ctr = seed ^ 0x57_0F_A0_17_57_0F_A0_17;
         let mut draw = move || {
             ctr = ctr.wrapping_add(1);
             splitmix64(ctr)
         };
+        let first = ops.range.start;
+        let span = ops.range.end.saturating_sub(first).max(1);
+        let write_at = |d: u64| match ops.writes.len() as u64 {
+            0 => first,
+            n => ops.writes[(d % n) as usize],
+        };
         let count = (draw() % 3) as usize; // 0..=2 faults
         let mut faults = Vec::with_capacity(count);
         for _ in 0..count {
             let fault = match draw() % 4 {
-                0 => StorageFault::CrashAtOp { op: draw() % 96 },
+                0 => StorageFault::CrashAtOp { op: first + draw() % span },
                 1 => StorageFault::TornWriteAtOp {
-                    op: draw() % 96,
+                    op: write_at(draw()),
                     keep_permille: (draw() % 1000) as u16,
                 },
                 2 => StorageFault::BitFlipAtRest { pos_seed: draw() },
@@ -187,11 +198,24 @@ impl StorageFaultPlan {
     }
 }
 
+/// The storage operations a run performed once its plan was armed: what
+/// [`StorageFaultPlan::from_seed`] draws operation indices from.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct ArmedOps {
+    /// Indices of every operation performed.
+    pub range: Range<u64>,
+    /// Indices of the `write_file`s among them.
+    pub writes: Vec<u64>,
+}
+
 /// Mutable injection state shared by all clones of a [`FaultyStorage`].
+#[derive(Default)]
 struct FaultCtl {
     plan: StorageFaultPlan,
     /// Storage operations executed so far.
     op: u64,
+    /// What was executed since the plan was armed.
+    armed: ArmedOps,
     /// Once dead, every further operation fails (the process is gone).
     dead: bool,
 }
@@ -211,14 +235,17 @@ impl FaultyStorage {
     pub fn new(plan: StorageFaultPlan) -> Self {
         Self {
             mem: Arc::new(MemStorage::new()),
-            ctl: Arc::new(Mutex::new(FaultCtl { plan, op: 0, dead: false })),
+            ctl: Arc::new(Mutex::new(FaultCtl { plan, ..FaultCtl::default() })),
         }
     }
 
     /// Replaces the armed plan (used to open the store fault-free before
-    /// the faulted run begins).
+    /// the faulted run begins); [`FaultyStorage::armed_ops`] counts from
+    /// here.
     pub fn arm(&self, plan: StorageFaultPlan) {
-        self.ctl.lock().plan = plan;
+        let mut ctl = self.ctl.lock();
+        ctl.plan = plan;
+        ctl.armed = ArmedOps { range: ctl.op..ctl.op, writes: Vec::new() };
     }
 
     /// The shared backing store (for [`MemStorage::crash`] and the
@@ -227,20 +254,25 @@ impl FaultyStorage {
         &self.mem
     }
 
-    /// True once an injected fault has killed the process.
-    pub fn dead(&self) -> bool {
-        self.ctl.lock().dead
+    /// The operations executed since the plan was armed.
+    pub fn armed_ops(&self) -> ArmedOps {
+        self.ctl.lock().armed.clone()
     }
 
-    /// Counts one operation; returns its index and any torn-write fraction
-    /// assigned to it, or the injected death.
-    fn begin_op(&self) -> Result<(u64, Option<u16>), CkptError> {
+    /// Counts one operation (a `write_file` when `write`); returns its
+    /// index and any torn-write fraction assigned to it, or the injected
+    /// death.
+    fn begin_op(&self, write: bool) -> Result<(u64, Option<u16>), CkptError> {
         let mut ctl = self.ctl.lock();
         if ctl.dead {
             return Err(CkptError::Io("simulated process death: storage unavailable".into()));
         }
         let op = ctl.op;
         ctl.op += 1;
+        ctl.armed.range.end = ctl.op;
+        if write {
+            ctl.armed.writes.push(op);
+        }
         if ctl.plan.crashes_at(op) {
             ctl.dead = true;
             return Err(CkptError::Io(format!("simulated crash at storage op {op}")));
@@ -256,7 +288,7 @@ impl FaultyStorage {
 
 impl Storage for FaultyStorage {
     fn write_file(&self, name: &str, bytes: &[u8]) -> Result<(), CkptError> {
-        let (op, torn) = self.begin_op()?;
+        let (op, torn) = self.begin_op(true)?;
         if let Some(keep_permille) = torn {
             let keep = bytes.len() * usize::from(keep_permille) / 1000;
             // The torn prefix reached the platter: write it and force
@@ -272,32 +304,32 @@ impl Storage for FaultyStorage {
     }
 
     fn sync_file(&self, name: &str) -> Result<(), CkptError> {
-        self.begin_op()?;
+        self.begin_op(false)?;
         self.mem.sync_file(name)
     }
 
     fn rename(&self, from: &str, to: &str) -> Result<(), CkptError> {
-        self.begin_op()?;
+        self.begin_op(false)?;
         self.mem.rename(from, to)
     }
 
     fn sync_dir(&self) -> Result<(), CkptError> {
-        self.begin_op()?;
+        self.begin_op(false)?;
         self.mem.sync_dir()
     }
 
     fn read_file(&self, name: &str) -> Result<Vec<u8>, CkptError> {
-        self.begin_op()?;
+        self.begin_op(false)?;
         self.mem.read_file(name)
     }
 
     fn list(&self) -> Result<Vec<String>, CkptError> {
-        self.begin_op()?;
+        self.begin_op(false)?;
         self.mem.list()
     }
 
     fn remove_file(&self, name: &str) -> Result<(), CkptError> {
-        self.begin_op()?;
+        self.begin_op(false)?;
         self.mem.remove_file(name)
     }
 }
@@ -308,24 +340,43 @@ mod tests {
 
     #[test]
     fn from_seed_is_deterministic_and_diverse() {
+        let ops = ArmedOps { range: 3..8, writes: vec![3, 6] };
         let mut kinds = [false; 4];
+        let (mut crashed, mut torn) = ([false; 8], [false; 8]);
         for seed in 0..500u64 {
-            assert_eq!(StorageFaultPlan::from_seed(seed), StorageFaultPlan::from_seed(seed));
-            for f in &StorageFaultPlan::from_seed(seed).faults {
-                let k = match f {
+            let plan = StorageFaultPlan::from_seed(seed, &ops);
+            assert_eq!(plan, StorageFaultPlan::from_seed(seed, &ops));
+            for f in &plan.faults {
+                match *f {
+                    StorageFault::CrashAtOp { op } => crashed[op as usize] = true,
+                    StorageFault::TornWriteAtOp { op, .. } => torn[op as usize] = true,
+                    _ => {}
+                }
+                kinds[match f {
                     StorageFault::CrashAtOp { .. } => 0,
                     StorageFault::TornWriteAtOp { .. } => 1,
                     StorageFault::BitFlipAtRest { .. } => 2,
                     StorageFault::TruncateAtRest { .. } => 3,
-                };
-                kinds[k] = true;
+                }] = true;
             }
         }
         assert!(kinds.iter().all(|&k| k), "500 seeds must cover all kinds: {kinds:?}");
+        let at = |hit: [bool; 8]| (0..8).filter(|&i| hit[i]).collect::<Vec<_>>();
+        assert_eq!(at(crashed), [3, 4, 5, 6, 7], "crashes land on every armed op");
+        assert_eq!(at(torn), [3, 6], "torn writes land on the writes");
         assert!(
-            (0..100u64).any(|s| StorageFaultPlan::from_seed(s).faults.is_empty()),
+            (0..100u64).any(|s| StorageFaultPlan::from_seed(s, &ops).faults.is_empty()),
             "the sweep must include storage-fault-free baselines"
         );
+        // a run that never touches storage draws an index nothing reaches
+        let none = ArmedOps { range: 1..1, writes: Vec::new() };
+        for seed in 0..50u64 {
+            for f in &StorageFaultPlan::from_seed(seed, &none).faults {
+                if let StorageFault::CrashAtOp { op } | StorageFault::TornWriteAtOp { op, .. } = f {
+                    assert_eq!(*op, 1);
+                }
+            }
+        }
     }
 
     #[test]
@@ -334,7 +385,6 @@ mod tests {
             FaultyStorage::new(StorageFaultPlan::with(vec![StorageFault::CrashAtOp { op: 1 }]));
         st.write_file("a", b"hello").unwrap(); // op 0
         assert!(st.sync_file("a").is_err()); // op 1: dies
-        assert!(st.dead());
         assert!(st.read_file("a").is_err(), "a dead process cannot read");
         // the un-synced write never became durable
         st.mem().crash();
@@ -348,7 +398,7 @@ mod tests {
             keep_permille: 500,
         }]));
         assert!(st.write_file("f", &[7u8; 10]).is_err());
-        assert!(st.dead());
+        assert!(st.list().is_err(), "the torn write killed the process");
         st.mem().crash();
         let snap = st.mem().durable_snapshot();
         assert_eq!(snap.get("f").map(Vec::len), Some(5), "half the bytes reached the platter");
@@ -363,14 +413,14 @@ mod tests {
         };
         put("ckpt-00000000.elck", &[1u8; 8]);
         put("ckpt-00000001.elck", &[2u8; 8]);
-        put("MANIFEST.json", b"{}");
+        put("ckpt-00000002.elck.tmp", &[3u8; 8]);
         let plan =
             StorageFaultPlan::with(vec![StorageFault::TruncateAtRest { keep_permille: 500 }]);
         plan.apply_at_rest(&mem);
         let snap = mem.durable_snapshot();
         assert_eq!(snap["ckpt-00000000.elck"].len(), 8, "older checkpoint untouched");
         assert_eq!(snap["ckpt-00000001.elck"].len(), 4, "newest checkpoint truncated");
-        assert_eq!(snap["MANIFEST.json"], b"{}", "manifest untouched");
+        assert_eq!(snap["ckpt-00000002.elck.tmp"].len(), 8, "temp file untouched");
     }
 
     #[test]

@@ -225,11 +225,12 @@ enum Plans {
 }
 
 impl Plans {
-    fn of(scenario: Scenario, cfg: &SimConfig, seed: u64) -> Self {
+    fn of(scenario: Scenario, rc: &RecoveryConfig, seed: u64) -> Self {
+        let cfg = &rc.sim;
         let (batches, shards) = (cfg.num_batches, cfg.shard.num_shards);
         match scenario {
             Scenario::Crash => {
-                let (plan, storage) = crash_plans_for_seed(seed, batches);
+                let (plan, storage) = crash_plans_for_seed(seed, rc);
                 Plans::Crash(plan, storage)
             }
             Scenario::Shard => Plans::Run(FaultPlan::from_seed_sharded(seed, batches, shards)),
@@ -311,12 +312,17 @@ fn check_seed(
     seed: u64,
     oracle: &Oracle,
 ) -> Result<Verdict, Box<SweepFailure>> {
-    let plans = Plans::of(scenario, &rc.sim, seed);
-    judge(scenario, rc, seed, plans.to_string(), || run_checks(scenario, rc, seed, &plans, oracle))
+    judge(scenario, rc, seed, |text| {
+        // a crash seed's plans take a run of their own to derive
+        let plans = Plans::of(scenario, rc, seed);
+        *text = plans.to_string();
+        run_checks(scenario, rc, seed, &plans, oracle)
+    })
 }
 
 /// Turns one seed's check into its verdict or its failure record. The
-/// check runs behind an unwind boundary: a panic inside it becomes
+/// check, which writes the seed's plans into the text it is handed,
+/// runs behind an unwind boundary: a panic inside it becomes
 /// [`Violation::Panicked`], reported with the seed, its plans and the
 /// recipe like any other violation, instead of aborting the sweep with
 /// nothing but a backtrace.
@@ -324,10 +330,10 @@ fn judge(
     scenario: Scenario,
     rc: &RecoveryConfig,
     seed: u64,
-    plans: String,
-    check: impl FnOnce() -> Result<(String, Vec<u64>), Violation>,
+    check: impl FnOnce(&mut String) -> Result<(String, Vec<u64>), Violation>,
 ) -> Result<Verdict, Box<SweepFailure>> {
-    let checked = catch_unwind(AssertUnwindSafe(check)).unwrap_or_else(|payload| {
+    let mut plans = String::from("(the plans were not derived: deriving them panicked)");
+    let checked = catch_unwind(AssertUnwindSafe(|| check(&mut plans))).unwrap_or_else(|payload| {
         let message = payload
             .downcast_ref::<&str>()
             .map(|s| s.to_string())
@@ -445,13 +451,22 @@ mod tests {
     fn a_panicking_check_becomes_a_failure_record() {
         let scenario = Scenario::Failover;
         let config = scenario.default_config();
-        let plans = Plans::of(scenario, &config.sim, 42).to_string();
-        let f = judge(scenario, &config, 42, plans.clone(), || panic!("catch-up lost row 3"))
-            .expect_err("a panic is a failure");
+        let plans = Plans::of(scenario, &config, 42).to_string();
+        let f = judge(scenario, &config, 42, |text| {
+            *text = plans.clone();
+            panic!("catch-up lost row 3")
+        })
+        .expect_err("a panic is a failure");
         assert_eq!(f.violation, Violation::Panicked("catch-up lost row 3".into()));
         let text = f.to_string();
         assert!(text.contains("seed: 42") && text.contains(&plans), "{text}");
         assert!(text.contains("violation: check panicked: catch-up lost row 3"), "{text}");
+        assert!(text.ends_with("reproduce with: cargo xtask sim failover --seed 42"), "{text}");
+        // a panic while the plans are derived still names the seed and its recipe
+        let f = judge(scenario, &config, 42, |_| panic!("dry run lost row 3"))
+            .expect_err("a panic is a failure");
+        let text = f.to_string();
+        assert!(text.contains("seed: 42") && text.contains("plans were not derived"), "{text}");
         assert!(text.ends_with("reproduce with: cargo xtask sim failover --seed 42"), "{text}");
     }
 

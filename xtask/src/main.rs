@@ -33,8 +33,9 @@
 //!   `--shards` and `--replicas` set the run. Arguments pass through to the `sim`
 //!   binary; see DESIGN.md §10–§11 and §14–§15.
 //! * `ckpt [args...]` — checkpoint tooling: `verify <path>` fully checks
-//!   one `.elck` file or a whole store directory, `ls <dir>` lists a
-//!   store, `bench` measures checkpoint size and save/restore time.
+//!   one `.elck` file or a whole store directory (per file its sequence
+//!   number, size, checksum and validity, then the file recovery would
+//!   pick), `bench` measures checkpoint size and save/restore time.
 //!   Arguments pass through to the `ckpt` binary; see DESIGN.md §11.
 //!
 //! The exact invocations these commands issue are documented in DESIGN.md
@@ -69,7 +70,7 @@ fn usage() -> ExitCode {
          sim <scenario> (--seed N | --sweep COUNT) [flags]\n                       \
          run the pipeline simulator; scenario is one of fault | crash |\n                       \
          shard | failover | netfault (`sim --help` lists flags)\n  \
-         ckpt [args...]       checkpoint tooling (verify <path> | ls <dir> | bench)"
+         ckpt [args...]       checkpoint tooling (verify <file or store dir> | bench)"
     );
     ExitCode::FAILURE
 }
